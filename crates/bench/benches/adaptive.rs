@@ -32,9 +32,8 @@ use stripe_core::receiver::RxBatch;
 use stripe_core::sched::{CausalScheduler, Sprinkler, Srr};
 use stripe_core::sender::MarkerConfig;
 use stripe_link::{datagram_pair, TestDatagramLink};
-use stripe_net::{ChaosPlan, ImpairedLink, NetLogicalReceiver, NetStripedPath};
+use stripe_net::{ChaosPlan, FlowDemux, ImpairedLink, StripeServer};
 use stripe_netsim::SimTime;
-use stripe_transport::TxBatch;
 
 const CHANNELS: usize = 3;
 const PAYLOAD: usize = 300;
@@ -70,22 +69,23 @@ fn run_arm<S: CausalScheduler + Clone>(
         fwd.push(ImpairedLink::new(a, plan, SEED.wrapping_add(i as u64)));
         rx_links.push(b);
     }
-    let mut path: NetStripedPath<S, ImpairedLink<TestDatagramLink>> = NetStripedPath::builder()
+    let mut path: StripeServer<S, ImpairedLink<TestDatagramLink>> = StripeServer::builder()
         .scheduler(sched.clone())
         .markers(markers)
         .links(fwd)
         .build();
-    let mut rx: NetLogicalReceiver<S, TestDatagramLink> = NetLogicalReceiver::builder()
+    let flow = path.open_flow().expect("a fresh server admits a flow");
+    let mut rx: FlowDemux<S, TestDatagramLink> = FlowDemux::builder()
         .scheduler(sched)
         .links(rx_links)
         .pool_buffers(1 << 10)
         .build();
-    rx.reserve(1 << 12);
+    assert!(rx.touch_flow(flow.id()));
+    rx.reserve_flow(flow.id(), 1 << 12);
 
     let mut next_id = 0u64;
-    let mut out: TxBatch<bytes::Bytes> = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
-    let mut pkts = Vec::new();
     let mut delivered = 0u64;
     let mut late = 0u64;
     let mut max_backjump = 0u64;
@@ -94,15 +94,15 @@ fn run_arm<S: CausalScheduler + Clone>(
     for step in 0..steps {
         let now = SimTime::from_millis(step + 1);
         for _ in 0..BURST {
-            let mut p = vec![0u8; PAYLOAD];
+            let mut p = [0u8; PAYLOAD];
             p[..8].copy_from_slice(&next_id.to_be_bytes());
-            pkts.push(bytes::Bytes::from(p));
+            path.enqueue(flow, &p).expect("burst fits the queue");
             next_id += 1;
         }
-        path.send_batch(now, &mut pkts, &mut out);
+        path.pump_into(now, usize::MAX, &mut events);
         path.flush();
         rx.sweep(now);
-        rx.poll_into(&mut batch);
+        rx.poll_flow_into(flow.id(), &mut batch);
         for pb in batch.drain() {
             let id = u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap());
             delivered += 1;

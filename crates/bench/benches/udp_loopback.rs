@@ -3,27 +3,18 @@
 //! network stack rather than the simulator.
 //!
 //! For each (channels, payload) cell the bench pushes a fixed packet
-//! count through `NetStripedPath` → kernel loopback → `NetLogicalReceiver`
-//! and reports packets/sec, the delivered-sequence reorder rate (the
-//! paper's §6.3 metric, from `stripe_apps::metrics`), allocations per
-//! packet from the counting global allocator — the wall-clock proof of
-//! the zero-alloc steady state — plus the syscall-batching columns the
-//! mmsg datapath adds: frames per `sendmmsg`/`recvmmsg` call ("tx occ"/
-//! "rx occ") and total syscalls per delivered packet ("sys/pkt"). A
-//! final cell injects periodic data loss through `DropLink` to show
-//! marker resynchronization holding the reorder rate down under real
-//! loss.
-//!
-//! The harness is generic over the link type, so the same cells run in
-//! two modes:
-//!
-//! - **inline** — `UdpChannel` driven from the bench thread, syscalls
-//!   batched via `send_run_owned` + end-of-burst `flush`. This is the
-//!   canonical configuration (and the headline row).
-//! - **sharded** — each `UdpChannel` wrapped in a `ShardedUdpChannel`,
-//!   its syscalls issued by a per-channel I/O worker fed over SPSC
-//!   rings. Reported for comparison; on a single-core host the extra
-//!   hop costs more than the parallelism returns.
+//! count through a one-flow `StripeServer` → kernel loopback →
+//! `FlowDemux` and reports packets/sec, the delivered-sequence reorder
+//! rate (the paper's §6.3 metric, from `stripe_apps::metrics`),
+//! allocations per packet from the counting global allocator — the
+//! wall-clock proof of the zero-alloc steady state — plus the
+//! syscall-batching columns the mmsg datapath adds: frames per
+//! `sendmmsg`/`recvmmsg` call ("tx occ"/"rx occ") and total syscalls
+//! per delivered packet ("sys/pkt"). A final cell injects periodic data loss through a drop-only
+//! `ChaosPlan` to show marker resynchronization holding the reorder
+//! rate down under real loss. Every `UdpChannel` is driven from the
+//! bench thread, syscalls batched via `send_run_owned` + end-of-pump
+//! `flush`.
 //!
 //! Writes `BENCH_udp_loopback.json` at the repo root. Set
 //! `STRIPE_BENCH_SMOKE=1` for a fast CI smoke run and
@@ -35,21 +26,19 @@ use std::time::{Duration, Instant};
 use stripe_apps::metrics::ReorderMetrics;
 use stripe_bench::alloc::CountingAlloc;
 use stripe_bench::table::Table;
-use stripe_core::receiver::{Arrival, RxBatch};
+use stripe_core::receiver::RxBatch;
 use stripe_core::sched::Srr;
 use stripe_core::sender::MarkerConfig;
-use stripe_link::DatagramLink;
 use stripe_net::{
-    DropLink, DropPolicy, NetLogicalReceiver, NetStripedPath, PooledBuf, ShardConfig,
-    ShardedUdpChannel, UdpChannel, UdpChannelSnapshot, WallClock,
+    ChaosPlan, DropPolicy, FlowDemux, FlowHandle, ImpairedLink, PooledBuf, PumpEvent, StripeServer,
+    UdpChannel, UdpChannelSnapshot, WallClock,
 };
-use stripe_transport::TxBatch;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const QUANTUM: i64 = 1500;
-/// Packets per send_batch. With the deferred `send_run_owned` path each
+/// Packets per pump. With the deferred `send_run_owned` path each
 /// burst becomes ~BURST/channels frames per channel submitted in one
 /// `sendmmsg`, so the burst size directly sets batch occupancy.
 const BURST: usize = 128;
@@ -57,34 +46,8 @@ const BURST: usize = 128;
 /// resequencer slack never overflows loopback.
 const SOCK_BUF: usize = 1 << 22;
 
-type Path<L> = NetStripedPath<Srr, DropLink<L>>;
-type Rx<L> = NetLogicalReceiver<Srr, L>;
-
-/// A link the bench can harvest syscall counters from.
-trait BenchLink: DatagramLink {
-    fn snapshot(&self) -> UdpChannelSnapshot;
-    /// Snapshot that may also sample kernel drop counters (procfs —
-    /// allocates, so only called outside measured windows).
-    fn snapshot_sampled(&mut self) -> UdpChannelSnapshot;
-}
-
-impl BenchLink for UdpChannel {
-    fn snapshot(&self) -> UdpChannelSnapshot {
-        self.stats()
-    }
-    fn snapshot_sampled(&mut self) -> UdpChannelSnapshot {
-        self.stats_sampled()
-    }
-}
-
-impl BenchLink for ShardedUdpChannel {
-    fn snapshot(&self) -> UdpChannelSnapshot {
-        self.stats()
-    }
-    fn snapshot_sampled(&mut self) -> UdpChannelSnapshot {
-        self.stats_sampled()
-    }
-}
+type Path = StripeServer<Srr, ImpairedLink<UdpChannel>>;
+type Rx = FlowDemux<Srr, UdpChannel>;
 
 /// Aggregate syscall counters across one side's links.
 #[derive(Debug, Clone, Copy, Default)]
@@ -112,18 +75,18 @@ impl SyscallAgg {
     }
 }
 
-fn tx_agg<L: BenchLink>(path: &Path<L>) -> SyscallAgg {
+fn tx_agg(path: &Path) -> SyscallAgg {
     let mut a = SyscallAgg::default();
     for l in path.links() {
-        a.add(&l.inner().snapshot());
+        a.add(&l.inner().stats());
     }
     a
 }
 
-fn rx_agg<L: BenchLink>(rx: &Rx<L>) -> SyscallAgg {
+fn rx_agg(rx: &Rx) -> SyscallAgg {
     let mut a = SyscallAgg::default();
     for l in rx.links() {
-        a.add(&l.snapshot());
+        a.add(&l.stats());
     }
     a
 }
@@ -154,40 +117,34 @@ struct Run {
 /// during warm-up and is recycled thereafter.
 struct Harness {
     clock: WallClock,
-    pkts: Vec<Vec<u8>>,
-    send_pool: Vec<Vec<u8>>,
-    out: TxBatch<Vec<u8>>,
+    flow: FlowHandle,
+    /// The one payload buffer, restamped per packet (the server copies it
+    /// into its own recycled frame storage at enqueue).
+    payload: Vec<u8>,
+    events: Vec<PumpEvent>,
     batch: RxBatch<PooledBuf>,
     ids: Vec<u64>,
     next_id: u64,
 }
 
 impl Harness {
-    /// Send one burst of `payload`-byte packets, ids stamped in the first
-    /// 8 bytes, reusing pooled send buffers.
-    fn send_burst<L: BenchLink>(&mut self, path: &mut Path<L>, payload: usize, until: u64) {
-        let n = (BURST as u64).min(until.saturating_sub(self.next_id)) as usize;
+    /// Send one burst, ids stamped in the first 8 bytes.
+    fn send_burst(&mut self, path: &mut Path, until: u64) {
+        let n = (BURST as u64).min(until.saturating_sub(self.next_id));
         for _ in 0..n {
-            let mut p = self.send_pool.pop().unwrap_or_default();
-            p.resize(payload, 0);
-            p[..8].copy_from_slice(&self.next_id.to_be_bytes());
-            self.pkts.push(p);
+            self.payload[..8].copy_from_slice(&self.next_id.to_be_bytes());
+            path.enqueue(self.flow, &self.payload)
+                .expect("a burst fits the flow queue");
             self.next_id += 1;
         }
-        path.send_batch(self.clock.now(), &mut self.pkts, &mut self.out);
-        // Reclaim the payload buffers the batch carried out.
-        for t in self.out.drain() {
-            if let Arrival::Data(p) = t.item {
-                self.send_pool.push(p);
-            }
-        }
+        path.pump_into(self.clock.now(), usize::MAX, &mut self.events);
     }
 
     /// One receive pass: flush backlogs, sweep the sockets, record ids.
-    fn sweep<L: BenchLink>(&mut self, path: &mut Path<L>, rx: &mut Rx<L>) {
+    fn sweep(&mut self, path: &mut Path, rx: &mut Rx) {
         path.flush();
         rx.sweep(self.clock.now());
-        rx.poll_into(&mut self.batch);
+        rx.poll_flow_into(self.flow.id(), &mut self.batch);
         for pb in self.batch.drain() {
             self.ids
                 .push(u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap()));
@@ -195,11 +152,9 @@ impl Harness {
         }
     }
 
-    /// Block the burst loop until every link's send backlog has drained.
-    /// Inline links only backlog on kernel backpressure (rare on
-    /// loopback); sharded links park each burst in their SPSC rings and
-    /// the I/O workers — sharing this core — need the yields to run.
-    fn wait_backlog<L: BenchLink>(&mut self, path: &mut Path<L>, rx: &mut Rx<L>) {
+    /// Block the burst loop until every link's send backlog has drained
+    /// (links only backlog on kernel backpressure — rare on loopback).
+    fn wait_backlog(&mut self, path: &mut Path, rx: &mut Rx) {
         while path.backlog() > 0 {
             std::thread::yield_now();
             self.sweep(path, rx);
@@ -209,21 +164,14 @@ impl Harness {
     /// Sweep until `expect` ids have arrived; lost frames lower the bar as
     /// they are detected. Idle markers are re-sent periodically so losses
     /// near the stream tail cannot wedge the resequencer.
-    fn drain<L: BenchLink>(
-        &mut self,
-        path: &mut Path<L>,
-        rx: &mut Rx<L>,
-        sent: u64,
-        deadline: Duration,
-    ) {
+    fn drain(&mut self, path: &mut Path, rx: &mut Rx, sent: u64, deadline: Duration) {
         let t0 = Instant::now();
         let mut spins = 0u32;
         while (self.ids.len() as u64) < sent.saturating_sub(losses(path)) {
             self.sweep(path, rx);
             spins += 1;
             if spins.is_multiple_of(64) {
-                path.send_markers_into(self.clock.now(), &mut self.out);
-                self.out.clear();
+                path.send_idle_markers_into(self.clock.now(), &mut self.events);
             }
             if t0.elapsed() >= deadline {
                 break;
@@ -233,22 +181,16 @@ impl Harness {
     }
 }
 
-fn losses<L: BenchLink>(path: &Path<L>) -> u64 {
-    path.links().iter().map(|l| l.dropped()).sum()
+fn losses(path: &Path) -> u64 {
+    path.links().iter().map(|l| l.snapshot().dropped_loss).sum()
 }
 
 /// Drive `total` packets of `payload` bytes over `channels` loopback
 /// links; `drop_period` = 0 for lossless, or N to drop one data frame
 /// in every N on channel 0.
-fn run_live<L: BenchLink>(
-    tx_links: Vec<L>,
-    rx_links: Vec<L>,
-    channels: usize,
-    payload: usize,
-    total: u64,
-    drop_period: u64,
-) -> Run {
-    let drops: Vec<DropLink<L>> = tx_links
+fn run_live(channels: usize, payload: usize, total: u64, drop_period: u64) -> Run {
+    let (tx_links, rx_links) = loopback_pairs(channels);
+    let drops: Vec<ImpairedLink<UdpChannel>> = tx_links
         .into_iter()
         .enumerate()
         .map(|(i, l)| {
@@ -259,26 +201,28 @@ fn run_live<L: BenchLink>(
             } else {
                 DropPolicy::None
             };
-            DropLink::new(l, policy)
+            ImpairedLink::new(l, ChaosPlan::none().loss(policy), 0)
         })
         .collect();
-    let mut path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(channels, QUANTUM))
         .markers(MarkerConfig::every_rounds(4))
         .links(drops)
         .build();
-    let mut rx = NetLogicalReceiver::builder()
+    let flow = path.open_flow().expect("a fresh server admits a flow");
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(channels, QUANTUM))
         .links(rx_links)
         .pool_buffers(1 << 10)
         .build();
-    rx.reserve(1 << 12);
+    assert!(rx.touch_flow(flow.id()));
+    rx.reserve_flow(flow.id(), 1 << 12);
 
     let mut h = Harness {
         clock: WallClock::start(),
-        pkts: Vec::with_capacity(BURST),
-        send_pool: Vec::with_capacity(BURST * 4),
-        out: TxBatch::with_capacity(BURST + 2 * channels),
+        flow,
+        payload: vec![0; payload],
+        events: Vec::with_capacity(BURST + 2 * channels),
         batch: RxBatch::with_capacity(4096),
         ids: Vec::with_capacity(total as usize),
         next_id: 0,
@@ -287,7 +231,7 @@ fn run_live<L: BenchLink>(
     // Warm-up: pools, rings, and scratch reach their high-water marks.
     let warm = (BURST * 8) as u64;
     while h.next_id < warm {
-        h.send_burst(&mut path, payload, warm);
+        h.send_burst(&mut path, warm);
         h.sweep(&mut path, &mut rx);
         h.wait_backlog(&mut path, &mut rx);
     }
@@ -302,7 +246,7 @@ fn run_live<L: BenchLink>(
     let alloc0 = CountingAlloc::allocations();
     let t0 = Instant::now();
     while h.next_id < end {
-        h.send_burst(&mut path, payload, end);
+        h.send_burst(&mut path, end);
         h.sweep(&mut path, &mut rx);
         h.wait_backlog(&mut path, &mut rx);
     }
@@ -330,10 +274,10 @@ fn run_live<L: BenchLink>(
     let mut kernel_drops = 0u64;
     let (mut sndbuf, mut rcvbuf) = (0u64, 0u64);
     for l in path.links_mut() {
-        sndbuf = l.inner_mut().snapshot_sampled().sndbuf;
+        sndbuf = l.inner_mut().stats_sampled().sndbuf;
     }
     for l in rx.links_mut() {
-        let snap = l.snapshot_sampled();
+        let snap = l.stats_sampled();
         kernel_drops += snap.dropped_rcvbuf;
         rcvbuf = snap.rcvbuf;
     }
@@ -356,8 +300,8 @@ fn run_live<L: BenchLink>(
     }
 }
 
-/// Builder for one side's inline channels with the bench's socket tuning.
-fn inline_pairs(channels: usize) -> (Vec<UdpChannel>, Vec<UdpChannel>) {
+/// Connected loopback channel pairs with the bench's socket tuning.
+fn loopback_pairs(channels: usize) -> (Vec<UdpChannel>, Vec<UdpChannel>) {
     let mut tx = Vec::new();
     let mut rx = Vec::new();
     for _ in 0..channels {
@@ -371,19 +315,6 @@ fn inline_pairs(channels: usize) -> (Vec<UdpChannel>, Vec<UdpChannel>) {
         rx.push(b);
     }
     (tx, rx)
-}
-
-fn sharded_pairs(channels: usize) -> (Vec<ShardedUdpChannel>, Vec<ShardedUdpChannel>) {
-    let (tx, rx) = inline_pairs(channels);
-    let cfg = ShardConfig::new();
-    (
-        tx.into_iter()
-            .map(|c| cfg.spawn(c).expect("spawn tx worker"))
-            .collect(),
-        rx.into_iter()
-            .map(|c| cfg.spawn(c).expect("spawn rx worker"))
-            .collect(),
-    )
 }
 
 fn main() {
@@ -402,7 +333,6 @@ fn main() {
     );
 
     let mut table = Table::new(&[
-        "mode",
         "channels",
         "payload",
         "loss",
@@ -421,28 +351,11 @@ fn main() {
 
     let mut first = true;
     let mut headline: Option<f64> = None;
-    // (mode, channels, payload, drop_period): the four canonical inline
-    // cells (lossless sweep + real loss), then sharded comparison rows.
-    let cells: &[(&str, usize, usize, u64)] = &[
-        ("inline", 2, 256, 0),
-        ("inline", 4, 256, 0),
-        ("inline", 4, 1200, 0),
-        ("inline", 4, 1200, 101),
-        ("sharded", 4, 256, 0),
-        ("sharded", 4, 1200, 0),
-    ];
-    for &(mode, channels, payload, drop_period) in cells {
-        let r = match mode {
-            "inline" => {
-                let (tx, rx) = inline_pairs(channels);
-                run_live(tx, rx, channels, payload, total, drop_period)
-            }
-            _ => {
-                let (tx, rx) = sharded_pairs(channels);
-                run_live(tx, rx, channels, payload, total, drop_period)
-            }
-        };
-        if mode == "inline" && channels == 4 && payload == 1200 && drop_period == 0 {
+    // (channels, payload, drop_period): a lossless sweep, then real loss.
+    let cells: &[(usize, usize, u64)] = &[(2, 256, 0), (4, 256, 0), (4, 1200, 0), (4, 1200, 101)];
+    for &(channels, payload, drop_period) in cells {
+        let r = run_live(channels, payload, total, drop_period);
+        if channels == 4 && payload == 1200 && drop_period == 0 {
             headline = Some(r.pkts_per_sec);
         }
         let loss_label = if drop_period == 0 {
@@ -451,7 +364,6 @@ fn main() {
             format!("1/{drop_period}")
         };
         table.row_owned(vec![
-            mode.to_string(),
             channels.to_string(),
             payload.to_string(),
             loss_label,
@@ -468,9 +380,11 @@ fn main() {
             json.push_str(",\n");
         }
         first = false;
+        // `mode` is constant: rows keep the field so they stay comparable
+        // with the committed trajectory.
         let _ = write!(
             json,
-            "    {{\"mode\": \"{mode}\", \"channels\": {channels}, \
+            "    {{\"mode\": \"inline\", \"channels\": {channels}, \
              \"payload\": {payload}, \"drop_period\": {drop_period}, \
              \"pkts_per_sec\": {:.0}, \"bytes_per_sec\": {:.0}, \
              \"allocs_per_packet\": {:.4}, \"reorder_fraction\": {:.6}, \
@@ -507,7 +421,7 @@ fn main() {
 
     println!("{}", table.render());
     println!(
-        "\nheadline (inline, 4 channels, 1200B, lossless): {:.2} Mpkt/s",
+        "\nheadline (4 channels, 1200B, lossless): {:.2} Mpkt/s",
         headline / 1e6
     );
 

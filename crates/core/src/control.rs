@@ -11,8 +11,8 @@
 //!   rated bandwidths via per-channel quanta; when rates change at run
 //!   time (a modem retrain, a PVC renegotiation), both ends must switch
 //!   quanta *at the same round* or the receiver's simulation diverges.
-//!   [`Control::QuantumUpdate`] carries the new quanta and the round at
-//!   which they take effect.
+//!   [`Control::QuantumAnnounce`] carries the new quanta and the round
+//!   at which they take effect; [`Control::QuantumAck`] confirms it.
 //!
 //! Like markers, control messages ride their own codepoint and never
 //! modify data packets. The wire format is a type byte followed by the
@@ -49,14 +49,6 @@ pub enum Control {
         /// The epoch being acknowledged.
         epoch: Epoch,
     },
-    /// Both ends switch to `quanta` when their global round reaches
-    /// `effective_round`.
-    QuantumUpdate {
-        /// Round at which the new quanta take effect.
-        effective_round: u64,
-        /// New per-channel quanta (≤ 16 channels on the wire).
-        quanta: Vec<i64>,
-    },
     /// Sender-side liveness probe; the receiver echoes the nonce back on
     /// the reverse path of the same channel. Probes are how a sender
     /// distinguishes a quiet channel from a dead one.
@@ -78,13 +70,13 @@ pub enum Control {
     },
     /// Both ends shrink or grow the striping set to `live_mask` when their
     /// global round reaches `effective_round` — the dynamic-membership
-    /// analogue of [`Control::QuantumUpdate`]. Epoch-stamped so duplicated
-    /// or reordered announcements are harmless.
+    /// analogue of [`Control::QuantumAnnounce`]. Epoch-stamped so
+    /// duplicated or reordered announcements are harmless.
     Membership {
         /// The membership generation being established.
         epoch: Epoch,
         /// Bit `c` set ⇔ channel `c` stays in the striping set (≤ 16
-        /// channels on the wire, matching the quantum-update cap).
+        /// channels on the wire, matching the quantum-announce cap).
         live_mask: u16,
         /// Round at which the new membership takes effect.
         effective_round: u64,
@@ -97,11 +89,11 @@ pub enum Control {
     },
     /// Epoch-stamped live retune: both ends switch to `quanta` when
     /// their global round reaches `effective_round`. The adaptive
-    /// tuner's announcement — a [`Control::QuantumUpdate`] with the
-    /// membership handshake's reliability: the epoch makes duplicated
-    /// or reordered announcements harmless and the matching
-    /// [`Control::QuantumAck`] closes the retransmit loop, so the
-    /// fairness bound holds across every mid-stream retune.
+    /// tuner's announcement, with the membership handshake's
+    /// reliability: the epoch makes duplicated or reordered
+    /// announcements harmless and the matching [`Control::QuantumAck`]
+    /// closes the retransmit loop, so the fairness bound holds across
+    /// every mid-stream retune.
     QuantumAnnounce {
         /// The retune generation being established (same epoch space
         /// discipline as membership, tracked independently).
@@ -132,7 +124,9 @@ pub enum Control {
 const TYPE_MARKER: u8 = 1;
 const TYPE_RESET_REQ: u8 = 2;
 const TYPE_RESET_ACK: u8 = 3;
-const TYPE_QUANTUM: u8 = 4;
+// Type byte 4 is reserved: it carried an epoch-less, unacknowledged
+// quantum update that `QuantumAnnounce` superseded. It decodes to `None`
+// like any unknown type and must not be reassigned.
 const TYPE_PROBE: u8 = 5;
 const TYPE_PROBE_ACK: u8 = 6;
 const TYPE_MEMBERSHIP: u8 = 7;
@@ -149,7 +143,7 @@ impl Control {
     /// Encode to wire bytes.
     ///
     /// # Panics
-    /// Panics if a `QuantumUpdate` carries more than 16 channels — the
+    /// Panics if a `QuantumAnnounce` carries more than 16 channels — the
     /// wire format reserves 4 bits of count.
     pub fn encode(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.wire_len());
@@ -177,18 +171,6 @@ impl Control {
             Control::ResetAck { epoch } => {
                 out.push(TYPE_RESET_ACK);
                 out.extend_from_slice(&epoch.to_be_bytes());
-            }
-            Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            } => {
-                assert!(quanta.len() <= 16, "wire format caps at 16 channels");
-                out.push(TYPE_QUANTUM);
-                out.extend_from_slice(&effective_round.to_be_bytes());
-                out.push(quanta.len() as u8);
-                for q in quanta {
-                    out.extend_from_slice(&q.to_be_bytes());
-                }
             }
             Control::Probe { nonce } => {
                 out.push(TYPE_PROBE);
@@ -246,7 +228,6 @@ impl Control {
         match self {
             Control::Marker(_) => 1 + MARKER_WIRE_LEN,
             Control::ResetRequest { .. } | Control::ResetAck { .. } => 1 + 4,
-            Control::QuantumUpdate { quanta, .. } => 1 + 8 + 1 + quanta.len() * 8,
             Control::Probe { .. } | Control::DesyncAlert { .. } => 1 + 8,
             Control::ProbeAck { .. } => 1 + 8 + 8,
             Control::Membership { .. } => 1 + 4 + 2 + 8,
@@ -269,26 +250,6 @@ impl Control {
             TYPE_RESET_ACK => {
                 let epoch = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?);
                 Some(Control::ResetAck { epoch })
-            }
-            TYPE_QUANTUM => {
-                let effective_round = u64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
-                let n = *rest.get(8)? as usize;
-                if n > 16 {
-                    return None;
-                }
-                let mut quanta = Vec::with_capacity(n);
-                for i in 0..n {
-                    let off = 9 + i * 8;
-                    let q = i64::from_be_bytes(rest.get(off..off + 8)?.try_into().ok()?);
-                    if q <= 0 {
-                        return None; // a zero quantum would wedge the scan
-                    }
-                    quanta.push(q);
-                }
-                Some(Control::QuantumUpdate {
-                    effective_round,
-                    quanta,
-                })
             }
             TYPE_PROBE => {
                 let nonce = u64::from_be_bytes(rest.get(..8)?.try_into().ok()?);
@@ -373,13 +334,15 @@ mod tests {
         }
     }
 
+    /// The retired epoch-less quantum update (type byte 4) stays
+    /// reserved: a well-formed old body decodes to nothing.
     #[test]
-    fn quantum_update_roundtrips() {
-        let c = Control::QuantumUpdate {
-            effective_round: 1 << 40,
-            quanta: vec![1500, 4500, 9000],
-        };
-        assert_eq!(Control::decode(&c.encode()), Some(c));
+    fn retired_type_byte_is_rejected() {
+        let mut old = vec![4u8];
+        old.extend_from_slice(&9u64.to_be_bytes());
+        old.push(1);
+        old.extend_from_slice(&1500i64.to_be_bytes());
+        assert_eq!(Control::decode(&old), None);
     }
 
     #[test]
@@ -502,14 +465,6 @@ mod tests {
             Control::Marker(Marker::sync(2, ChannelMark { round: 77, dc: -3 })),
             Control::ResetRequest { epoch: 1 },
             Control::ResetAck { epoch: 2 },
-            Control::QuantumUpdate {
-                effective_round: 9,
-                quanta: vec![1500, 4500, 9000],
-            },
-            Control::QuantumUpdate {
-                effective_round: 9,
-                quanta: vec![1500; 16],
-            },
             Control::Probe { nonce: 3 },
             Control::ProbeAck {
                 nonce: 4,
@@ -542,7 +497,8 @@ mod tests {
     /// clobbering the header) and produces exactly `encode`'s bytes.
     #[test]
     fn encode_into_appends_and_matches_encode() {
-        let c = Control::QuantumUpdate {
+        let c = Control::QuantumAnnounce {
+            epoch: 2,
             effective_round: 33,
             quanta: vec![1500, 9000],
         };
@@ -566,31 +522,13 @@ mod tests {
         assert_eq!(Control::decode(&[]), None);
         assert_eq!(Control::decode(&[99, 1, 2, 3]), None);
         assert_eq!(Control::decode(&[TYPE_RESET_REQ, 1]), None); // short
-                                                                 // Quantum update with a non-positive quantum is rejected.
-        let mut bad = Control::QuantumUpdate {
-            effective_round: 5,
-            quanta: vec![1500],
-        }
-        .encode();
-        let n = bad.len();
-        bad[n - 8..].copy_from_slice(&0i64.to_be_bytes());
-        assert_eq!(Control::decode(&bad), None);
-    }
-
-    #[test]
-    fn truncated_quanta_rejected() {
-        let c = Control::QuantumUpdate {
-            effective_round: 5,
-            quanta: vec![1500, 3000],
-        };
-        let enc = c.encode();
-        assert_eq!(Control::decode(&enc[..enc.len() - 1]), None);
     }
 
     #[test]
     #[should_panic(expected = "16 channels")]
     fn too_many_channels_panics_on_encode() {
-        let _ = Control::QuantumUpdate {
+        let _ = Control::QuantumAnnounce {
+            epoch: 0,
             effective_round: 0,
             quanta: vec![1; 17],
         }

@@ -403,7 +403,7 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
 
     /// Apply a received quantum renegotiation: the simulation switches
     /// quanta at the same round the sender does (from a
-    /// [`Control::QuantumUpdate`](crate::control::Control::QuantumUpdate)).
+    /// [`Control::QuantumAnnounce`](crate::control::Control::QuantumAnnounce)).
     /// Safe to call as soon as the message arrives — the round gate inside
     /// the scheduler handles the timing.
     pub fn schedule_quanta(&mut self, effective_round: u64, quanta: &[i64]) {
@@ -634,16 +634,8 @@ mod tests {
             if !announced && tx.scheduler().round() == 20 {
                 announced = true;
                 let round = tx.scheduler().round() + 4;
-                for (_, ctl) in tx.announce_quanta(round, &[1500, 4500]) {
-                    let crate::control::Control::QuantumUpdate {
-                        effective_round,
-                        quanta,
-                    } = ctl
-                    else {
-                        panic!("wrong control type")
-                    };
-                    rx.schedule_quanta(effective_round, &quanta);
-                }
+                tx.schedule_quanta(round, &[1500, 4500]);
+                rx.schedule_quanta(round, &[1500, 4500]);
             }
             let d = tx.send(len);
             rx.push(d.channel, Arrival::Data(TestPacket::new(id, len)));

@@ -102,7 +102,7 @@ pub trait CausalScheduler: std::fmt::Debug {
     /// Schedule a quantum change taking effect at the start of
     /// `effective_round` (the first credit of that round uses the new
     /// quanta). Both ends must schedule the same change — that is what the
-    /// [`crate::control::Control::QuantumUpdate`] message carries. The
+    /// [`crate::control::Control::QuantumAnnounce`] message carries. The
     /// default is a no-op for schedulers without per-channel quanta.
     fn schedule_quanta(&mut self, effective_round: u64, quanta: &[i64]) {
         let _ = (effective_round, quanta);

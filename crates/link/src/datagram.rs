@@ -139,7 +139,7 @@ pub trait DatagramLink {
     }
 
     /// Whether the link has declared itself permanently failed — a
-    /// refused socket past its grace, a crashed I/O worker. Dead links
+    /// refused socket past its grace, a fatal-errno streak. Dead links
     /// fail sends fast with [`TxError::LinkDown`]; pollers (the sender
     /// reactor) surface the flag to the failover driver so the channel
     /// is retired through the same liveness path a silent channel takes,
@@ -151,8 +151,8 @@ pub trait DatagramLink {
     }
 
     /// Attempt to restore a dead link with a fresh transport: a new
-    /// connected socket on the same local endpoint, a respawned I/O
-    /// worker — whatever the implementation's failure mode was. Returns
+    /// connected socket on the same local endpoint, or whatever the
+    /// implementation's failure mode calls for. Returns
     /// `true` when the link came back ready to be *re-probed* (the
     /// lifecycle treats success as "worth probing", never "healthy");
     /// `false` when the rebuild failed and the caller should back off

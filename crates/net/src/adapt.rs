@@ -112,10 +112,10 @@ pub enum AdaptiveStep {
 
 /// The adaptive control loop's state: one estimator per channel, the
 /// quantum tuner, and the sender half of the retune handshake. The
-/// reactor owns the wiring (see [`PathReactor::poll`]); this type owns
+/// reactor owns the wiring (see [`ServerReactor::poll`]); this type owns
 /// the decisions.
 ///
-/// [`PathReactor::poll`]: crate::reactor::PathReactor::poll
+/// [`ServerReactor::poll`]: crate::reactor::ServerReactor::poll
 #[derive(Debug)]
 pub struct AdaptiveTuner {
     cfg: AdaptiveConfig,

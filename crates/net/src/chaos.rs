@@ -296,8 +296,8 @@ impl ChaosPlan {
     }
 
     /// Whether the plan is *only* a deterministic drop policy — the
-    /// shape [`crate::fault::DropLink`] uses — enabling the run-
-    /// preserving fast path in `send_run_owned`.
+    /// Theorem 5.1 test shape — enabling the run-preserving fast path
+    /// in `send_run_owned`.
     fn pure_drop(&self) -> bool {
         self.loss_ppm == 0
             && self.corrupt_ppm == 0
@@ -706,7 +706,7 @@ impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
             }
             return;
         }
-        // Pure-drop fast path (the DropLink shape): apply the policy
+        // Pure-drop fast path: apply the policy
         // per frame, but forward maximal *kept* sub-runs to the inner
         // link in single calls so the zero-copy deferred batching
         // survives the wrapper. Dropped frames report Ok(()) in place
@@ -841,6 +841,78 @@ mod tests {
         assert_eq!(s.seen_data, 10);
         assert_eq!(s.dropped_total(), 0);
         assert_eq!(s.corrupted + s.duplicated + s.reordered + s.jittered, 0);
+    }
+
+    fn last_bytes<L: DatagramLink>(rx: &mut L) -> Vec<u8> {
+        drain(rx).iter().map(|f| *f.last().unwrap()).collect()
+    }
+
+    #[test]
+    fn window_policy_drops_exactly_the_window() {
+        let (a, mut b) = datagram_pair(256, 64);
+        let plan = ChaosPlan::none().loss(DropPolicy::Window { from: 2, to: 4 });
+        let mut link = ImpairedLink::new(a, plan, 0);
+        for i in 0..6u8 {
+            link.send_frame(&data_frame(i)).unwrap();
+        }
+        assert_eq!(link.snapshot().dropped_loss, 2);
+        assert_eq!(last_bytes(&mut b), vec![0, 1, 4, 5]);
+    }
+
+    #[test]
+    fn control_frames_pass_through_the_window() {
+        let (a, mut b) = datagram_pair(256, 64);
+        let plan = ChaosPlan::none().loss(DropPolicy::Window { from: 0, to: 100 });
+        let mut link = ImpairedLink::new(a, plan, 0);
+        let mut ctl = Vec::new();
+        encode_control_into(&Control::Probe { nonce: 5 }, &mut ctl);
+        link.send_frame(&ctl).unwrap();
+        link.send_frame(&data_frame(1)).unwrap();
+        assert_eq!(drain(&mut b), vec![ctl], "control arrives, data does not");
+        let s = link.snapshot();
+        assert_eq!((s.dropped_loss, s.seen_data, s.seen_control), (1, 1, 1));
+    }
+
+    #[test]
+    fn periodic_policy_drops_every_nth() {
+        let (a, mut b) = datagram_pair(256, 64);
+        let plan = ChaosPlan::none().loss(DropPolicy::Periodic { period: 3 });
+        let mut link = ImpairedLink::new(a, plan, 0);
+        for i in 0..9u8 {
+            link.send_frame(&data_frame(i)).unwrap();
+        }
+        assert_eq!(link.snapshot().dropped_loss, 3);
+        assert_eq!(last_bytes(&mut b), vec![0, 1, 3, 4, 6, 7]);
+    }
+
+    /// The pure-drop fast path in `send_run_owned` applies the same
+    /// policy, frame for frame, as the per-frame entry point.
+    #[test]
+    fn send_run_owned_pure_drop_matches_per_frame() {
+        let make_frames = || {
+            let mut frames: Vec<Vec<u8>> = (0..9u8).map(data_frame).collect();
+            let mut ctl = Vec::new();
+            encode_control_into(&Control::Probe { nonce: 5 }, &mut ctl);
+            frames.insert(4, ctl);
+            frames
+        };
+        let plan = || ChaosPlan::none().loss(DropPolicy::Periodic { period: 3 });
+        let (a1, mut b1) = datagram_pair(256, 64);
+        let (a2, mut b2) = datagram_pair(256, 64);
+        let mut per_frame = ImpairedLink::new(a1, plan(), 0);
+        let mut batched = ImpairedLink::new(a2, plan(), 0);
+        let out_ref: Vec<_> = make_frames()
+            .iter()
+            .map(|f| per_frame.send_frame(f))
+            .collect();
+        let mut owned = make_frames();
+        let mut out = Vec::new();
+        batched.send_run_owned(&mut owned, &mut out);
+        assert_eq!(out, out_ref);
+        assert_eq!(batched.snapshot(), per_frame.snapshot());
+        assert_eq!(batched.snapshot().dropped_loss, 3);
+        // Byte-identical survivor streams, in order.
+        assert_eq!(drain(&mut b1), drain(&mut b2));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! bounded by [`max_flows`](FlowDemuxBuilder::max_flows); frames naming
 //! flows past the cap are counted `dropped_admission` and discarded.
 //!
-//! Global control (probes, membership, quantum updates) arrives as
+//! Global control (probes, membership, quantum announces) arrives as
 //! untagged version-1 frames and is handled once at the demux — applied
 //! to *every* replica — so the failover plane stays flow-agnostic:
 //! an epoch change is one announcement, not one per flow.
@@ -425,7 +425,7 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
 
     /// Handle an untagged control frame once, for every flow: probes are
     /// acked, membership changes are applied to all replicas and
-    /// remembered for future ones, quantum updates fan out likewise.
+    /// remembered for future ones, quantum announces fan out likewise.
     fn on_global_control(&mut self, c: ChannelId, ctl: &Control) {
         match ctl {
             Control::Probe { nonce } => {
@@ -489,16 +489,6 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                     }
                     MembershipAction::AckOnly { channel, ack } => self.reply(channel, &ack),
                     MembershipAction::Ignore => {}
-                }
-            }
-            Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            } => {
-                for f in self.flows.iter_mut().flatten() {
-                    f.sink
-                        .receiver_mut()
-                        .schedule_quanta(*effective_round, quanta);
                 }
             }
             Control::QuantumAnnounce {
@@ -870,8 +860,8 @@ mod tests {
         assert_eq!(seen, (0..20).collect::<Vec<_>>(), "reused id not FIFO");
     }
 
-    /// A probe reaching the demux is acked on the reverse path exactly
-    /// as the single-flow receiver does.
+    /// A probe reaching the demux is acked on the reverse path of the
+    /// same channel, carrying this endpoint's incarnation.
     #[test]
     fn probe_acked_at_demux_level() {
         use stripe_transport::ControlPath;
@@ -887,6 +877,130 @@ mod tests {
                 nonce: 0xABCD,
                 incarnation: 7
             }))
+        );
+    }
+
+    /// A malformed datagram is counted — against its channel — and
+    /// dropped without disturbing the stream around it.
+    #[test]
+    fn malformed_datagram_counted_without_disturbing_the_stream() {
+        let (mut srv, mut demux) = linked(4);
+        let f0 = srv.open_flow().unwrap();
+        let mut events = Vec::new();
+        srv.enqueue(f0, &[0x41; 64]).unwrap();
+        srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+        // Garbage straight onto channel 1's wire, between two packets.
+        srv.links_mut()[1].send_frame(&[1, 2, 3]).unwrap();
+        srv.enqueue(f0, &[0x42; 64]).unwrap();
+        srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+        demux.sweep(SimTime::ZERO);
+        let s = demux.net_stats();
+        assert_eq!(s.frames, 3);
+        assert_eq!(s.dropped_malformed, 1);
+        assert_eq!(demux.malformed_by_channel(), &[0, 1]);
+        assert_eq!(s.data_frames, 2);
+        let mut batch = RxBatch::new();
+        demux.poll_flow_into(f0.id(), &mut batch);
+        let got: Vec<u8> = batch.as_slice().iter().map(|pb| pb.as_slice()[0]).collect();
+        assert_eq!(got, [0x41, 0x42]);
+    }
+
+    /// A bit-flipped summed frame is caught by its CRC-8 trailer and
+    /// dropped — counted per channel, never delivered — while clean
+    /// summed frames flow through untouched.
+    #[test]
+    fn corrupt_summed_frames_are_discarded_not_delivered() {
+        let (a0, b0) = datagram_pair(2048, 4096);
+        let (a1, b1) = datagram_pair(2048, 4096);
+        let mut srv = StripeServer::builder()
+            .scheduler(Srr::equal(2, 1500))
+            .links(vec![a0, a1])
+            .integrity(true)
+            .build();
+        let mut demux = FlowDemux::builder()
+            .scheduler(Srr::equal(2, 1500))
+            .links(vec![b0, b1])
+            .build();
+        let f0 = srv.open_flow().unwrap();
+        // A summed frame with one payload bit flipped, injected on
+        // channel 0's wire.
+        let mut evil = Vec::new();
+        frame::encode_data_summed_flow_into(f0.id(), &[0x55u8; 32], &mut evil);
+        let at = frame::body_offset(&evil).unwrap();
+        evil[at + 4] ^= 0x01;
+        srv.links_mut()[0].send_frame(&evil).unwrap();
+        // Followed by clean traffic.
+        srv.enqueue(f0, &[0x66u8; 32]).unwrap();
+        srv.pump_into(SimTime::ZERO, usize::MAX, &mut Vec::new());
+        demux.sweep(SimTime::ZERO);
+
+        let s = demux.net_stats();
+        assert_eq!(s.dropped_corrupt, 1, "flip caught by the trailer");
+        assert_eq!(s.dropped_malformed, 0);
+        assert_eq!(demux.corrupt_by_channel(), &[1, 0], "blamed on its channel");
+        assert_eq!(s.data_frames, 1, "the clean frame still routed");
+        let mut batch = RxBatch::new();
+        // Only the clean payload is ever deliverable, trailer stripped.
+        assert_eq!(demux.poll_flow_into(f0.id(), &mut batch), 1);
+        for pb in batch.drain() {
+            assert_eq!(pb.as_slice(), &[0x66u8; 32][..]);
+            demux.recycle(pb);
+        }
+    }
+
+    /// The pool's high-water mark stops growing once the working set is
+    /// warm: receive, deliver, recycle, repeat.
+    #[test]
+    fn pool_stops_growing_in_steady_state() {
+        let (mut srv, mut demux) = linked(4);
+        let f0 = srv.open_flow().unwrap();
+        let mut events = Vec::new();
+        let mut batch = RxBatch::new();
+        let mut burst = |srv: &mut StripeServer<_, _>, demux: &mut FlowDemux<_, _>, ms: u64| {
+            for _ in 0..16 {
+                srv.enqueue(f0, &[7u8; 300]).unwrap();
+            }
+            srv.pump_into(SimTime::from_millis(ms), usize::MAX, &mut events);
+            demux.sweep(SimTime::from_millis(ms));
+            demux.poll_flow_into(f0.id(), &mut batch);
+            for pb in batch.drain() {
+                demux.recycle(pb);
+            }
+        };
+        for ms in 0..5 {
+            burst(&mut srv, &mut demux, ms);
+        }
+        let warm = demux.pool().allocated();
+        for ms in 5..50 {
+            burst(&mut srv, &mut demux, ms);
+        }
+        assert_eq!(demux.pool().allocated(), warm, "pool grew past warmup");
+    }
+
+    /// A reply the reverse path refuses is counted, not panicked on.
+    #[test]
+    fn reply_backpressure_counted() {
+        use stripe_transport::ControlPath;
+        let (a0, b0) = datagram_pair(2048, 2);
+        let mut srv = StripeServer::builder()
+            .scheduler(Srr::equal(1, 1500))
+            .links(vec![a0])
+            .build();
+        let mut demux = FlowDemux::builder()
+            .scheduler(Srr::equal(1, 1500))
+            .links(vec![b0])
+            .build();
+        // Fill the reverse queue so the ack has nowhere to go.
+        demux.links_mut()[0].send_frame(&[0]).unwrap();
+        demux.links_mut()[0].send_frame(&[0]).unwrap();
+        let t =
+            ControlPath::transmit_control(&mut srv, SimTime::ZERO, 0, Control::Probe { nonce: 1 });
+        assert_eq!(t.error, None);
+        demux.sweep(SimTime::ZERO);
+        let s = demux.net_stats();
+        assert_eq!(
+            (s.control_frames, s.replies_sent, s.replies_lost),
+            (1, 0, 1)
         );
     }
 

@@ -450,7 +450,8 @@ mod tests {
             Control::Marker(Marker::sync(3, ChannelMark { round: 99, dc: -5 })),
             Control::ResetRequest { epoch: 7 },
             Control::ResetAck { epoch: 7 },
-            Control::QuantumUpdate {
+            Control::QuantumAnnounce {
+                epoch: 3,
                 effective_round: 1 << 33,
                 quanta: vec![1500, 4500],
             },

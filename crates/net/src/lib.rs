@@ -17,36 +17,32 @@
 //!   per striped channel, with a bounded, buffer-recycling local queue
 //!   absorbing kernel backpressure and a run-amortized
 //!   (`sendmmsg`-style) batch seam.
-//! - [`path`] — [`NetStripedPath`], the sender: the exact
-//!   [`StripingSender`](stripe_core::sender::StripingSender) batch
-//!   datapath, encoding into recycled frame buffers and handing
-//!   channel-runs to the links in single calls.
-//! - [`recv`] — [`NetLogicalReceiver`], the receiver: pooled buffers in
-//!   from the sockets, payload views through the shared resequencer,
-//!   storage recycled on consumption.
-//! - [`server`] — [`StripeServer`], the multi-flow sender: thousands of
-//!   logical flows over one shared channel set, per-flow state in a
-//!   slab behind generation-checked [`FlowHandle`]s, DRR across flows
-//!   feeding each flow's own causal SRR, bounded admission.
-//!   [`NetStripedPath`] is this with one flow.
-//! - [`demux`] — [`FlowDemux`], the multi-flow receiver: flow-tagged
-//!   frames routed to per-flow resequencers (each simulating its own
-//!   flow's SRR), one shared buffer pool, per-flow FIFO delivery.
-//!   [`NetLogicalReceiver`] is this with one flow.
-//! - [`reactor`] — [`PathReactor`], the poll loop: flushes backlogs,
-//!   sweeps the reverse path, ticks the PR-1 failover driver — generic
-//!   over any [`ReactorPath`] ([`SenderReactor`] drives the single-flow
-//!   path, [`ServerReactor`] the multi-flow server). No async runtime,
-//!   no threads, no new dependencies.
+//! - [`server`] — [`StripeServer`], the one send path: thousands of
+//!   logical flows (or just one) over one shared channel set, per-flow
+//!   state in a slab behind generation-checked [`FlowHandle`]s, DRR
+//!   across flows feeding each flow's own causal
+//!   [`StripingSender`](stripe_core::sender::StripingSender), frames
+//!   encoded once into recycled buffers and handed to the links as
+//!   channel-runs in single calls, bounded admission.
+//! - [`demux`] — [`FlowDemux`], the one receive path: pooled buffers in
+//!   from the sockets, flow-tagged frames routed to per-flow
+//!   resequencers (each simulating its own flow's SRR), payload views
+//!   delivered FIFO per flow, storage recycled on consumption.
+//! - [`reactor`] — [`ServerReactor`], the poll loop around a
+//!   [`StripeServer`]: flushes backlogs, sweeps the reverse path, ticks
+//!   the PR-1 failover driver. No async runtime, no threads, no new
+//!   dependencies.
+//! - [`est`] / [`adapt`] — [`ChannelEstimator`] and [`AdaptiveTuner`]:
+//!   per-channel goodput/RTT estimation from transmit evidence and the
+//!   control loop that turns it into epoch'd live quantum retunes.
 //! - [`clock`] — [`WallClock`], mapping `std::time::Instant` onto
 //!   [`SimTime`](stripe_netsim::SimTime) nanoseconds so every
 //!   timer-driven component runs on either clock.
-//! - [`fault`] — [`DropLink`], deterministic data-frame loss for
-//!   proving marker recovery (Theorem 5.1) over real sockets.
-//! - [`chaos`] — [`ImpairedLink`]/[`ChaosPlan`], the full seeded
-//!   impairment suite (loss, reorder, duplication, corruption, jitter,
-//!   partitions) with a [`ChaosSnapshot`] counting every injected
-//!   event; `DropLink` is now a thin shim over it.
+//! - [`chaos`] — [`ImpairedLink`]/[`ChaosPlan`], the seeded
+//!   impairment suite (deterministic [`DropPolicy`] loss for proving
+//!   marker recovery, Theorem 5.1, plus Bernoulli loss, reorder,
+//!   duplication, corruption, jitter, partitions) with a
+//!   [`ChaosSnapshot`] counting every injected event.
 //! - [`lifecycle`] — [`ChannelLifecycle`], the per-channel recovery
 //!   state machine (`live → dead → cooldown → probing → rejoining →
 //!   live`) with exponential cooldown, bounded retries, and per-step
@@ -59,13 +55,6 @@
 //!   behind the same [`BatchIo`](sys::BatchIo) API; also
 //!   `SO_SNDBUF`/`SO_RCVBUF` configuration and the `/proc/net/udp`
 //!   kernel-drop estimate.
-//! - [`ring`] — a bounded lock-free SPSC ring, the reactor↔worker seam.
-//! - [`shard`] — [`ShardedUdpChannel`], a per-channel I/O worker thread
-//!   behind the same [`DatagramLink`](stripe_link::DatagramLink)
-//!   surface: frames cross bounded SPSC rings of recycled buffers, the
-//!   worker batches syscalls with adaptive spin-then-park polling, and
-//!   all protocol state (SRR, markers, failover) stays on the reactor
-//!   thread.
 //!
 //! Steady state, neither direction allocates: the send side reuses its
 //! scratch and frame buffers, the receive side cycles pooled buffers
@@ -79,41 +68,28 @@ pub mod chaos;
 pub mod clock;
 pub mod demux;
 pub mod est;
-pub mod fault;
 pub mod frame;
 pub mod lifecycle;
-pub mod path;
 pub mod pool;
 pub mod reactor;
-pub mod recv;
-pub mod ring;
 pub mod server;
-pub mod shard;
 pub mod sys;
 pub mod udp;
 
 pub use adapt::{AdaptiveConfig, AdaptiveSnapshot, AdaptiveTuner};
-pub use chaos::{ChaosPlan, ChaosSnapshot, ImpairedLink};
+pub use chaos::{ChaosPlan, ChaosSnapshot, DropPolicy, ImpairedLink};
 pub use clock::WallClock;
 pub use demux::{FlowDemux, FlowDemuxBuilder, FlowDemuxSnapshot};
 pub use est::{rate_shares, ChannelEstimator, Ewma};
-pub use fault::{DropLink, DropPolicy};
 pub use frame::{Frame, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION};
 pub use lifecycle::{
     ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleSnapshot, LifecycleState,
 };
-pub use path::{NetStripedPath, NetStripedPathBuilder};
 pub use pool::{BufPool, PooledBuf};
-pub use reactor::{
-    membership_announced, PathReactor, Periodic, ReactorPath, ReactorSnapshot, SenderReactor,
-    ServerReactor,
-};
-pub use recv::{NetLogicalReceiver, NetLogicalReceiverBuilder, NetRxSnapshot};
-pub use ring::{spsc, Consumer, Producer};
+pub use reactor::{membership_announced, Periodic, ReactorSnapshot, ServerReactor};
 pub use server::{
     FlowError, FlowHandle, FlowId, FlowSnapshot, PumpEvent, StripeServer, StripeServerBuilder,
     StripeServerSnapshot,
 };
-pub use shard::{ShardConfig, ShardedUdpChannel};
 pub use sys::BatchIo;
 pub use udp::{UdpChannel, UdpChannelBuilder, UdpChannelSnapshot};

@@ -1,11 +1,11 @@
 //! The per-channel lifecycle state machine: how a striped channel goes
 //! from dead back to carrying traffic.
 //!
-//! PR 1/5 built the *kill* half of failover — liveness scoring, socket
-//! hard errors, and shard panics all end in an epoch'd membership
-//! shrink — but death was terminal: a transient outage permanently
-//! degraded capacity. This module is the recovery half. Each channel
-//! owns one [`ChannelLifecycle`] walking the chain
+//! PR 1/5 built the *kill* half of failover — liveness scoring and
+//! socket hard errors both end in an epoch'd membership shrink — but
+//! death was terminal: a transient outage permanently degraded
+//! capacity. This module is the recovery half. Each channel owns one
+//! [`ChannelLifecycle`] walking the chain
 //!
 //! ```text
 //!   live → dead → cooldown → probing → rejoining → live
@@ -14,7 +14,7 @@
 //! ```
 //!
 //! The machine is a pure clock-driven policy: it never touches sockets
-//! or control frames itself. The [`SenderReactor`](crate::SenderReactor)
+//! or control frames itself. The [`ServerReactor`](crate::ServerReactor)
 //! drives it — feeding in death evidence, executing the one side effect
 //! the machine requests ([`LifecycleAction::Rebind`] →
 //! [`DatagramLink::revive`](stripe_link::DatagramLink::revive)), and
@@ -61,30 +61,6 @@ pub enum LifecycleState {
 }
 
 impl LifecycleState {
-    /// Stable wire/telemetry encoding (mirrored through the shard
-    /// facade's atomics).
-    pub fn as_u8(self) -> u8 {
-        match self {
-            LifecycleState::Live => 0,
-            LifecycleState::Dead => 1,
-            LifecycleState::Cooldown => 2,
-            LifecycleState::Probing => 3,
-            LifecycleState::Rejoining => 4,
-        }
-    }
-
-    /// Inverse of [`as_u8`](Self::as_u8); unknown encodings collapse to
-    /// [`LifecycleState::Dead`] (the conservative reading).
-    pub fn from_u8(v: u8) -> Self {
-        match v {
-            0 => LifecycleState::Live,
-            2 => LifecycleState::Cooldown,
-            3 => LifecycleState::Probing,
-            4 => LifecycleState::Rejoining,
-            _ => LifecycleState::Dead,
-        }
-    }
-
     /// Human-readable name for logs and snapshot tables.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -478,20 +454,6 @@ mod tests {
             LifecycleAction::Rebind,
             "cooldown restarts at base after a completed cycle"
         );
-    }
-
-    #[test]
-    fn state_encoding_round_trips() {
-        for s in [
-            LifecycleState::Live,
-            LifecycleState::Dead,
-            LifecycleState::Cooldown,
-            LifecycleState::Probing,
-            LifecycleState::Rejoining,
-        ] {
-            assert_eq!(LifecycleState::from_u8(s.as_u8()), s);
-        }
-        assert_eq!(LifecycleState::from_u8(0xff), LifecycleState::Dead);
     }
 
     #[test]

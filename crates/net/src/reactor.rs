@@ -4,8 +4,8 @@
 //! The whole subsystem runs on non-blocking sockets, so somebody has to
 //! come back around: retry frames the kernel refused, read probe acks
 //! and membership acks off the reverse path, and hand the PR-1
-//! [`FailoverDriver`] its periodic tick. [`SenderReactor`] is that
-//! somebody. One [`poll`](SenderReactor::poll) is one readiness sweep;
+//! [`FailoverDriver`] its periodic tick. [`ServerReactor`] is that
+//! somebody. One [`poll`](ServerReactor::poll) is one readiness sweep;
 //! the application calls it between send batches (or from a trivial
 //! loop when idle). Because every timer-driven component takes `now` as
 //! an argument instead of asking a clock, the same reactor code runs
@@ -24,8 +24,6 @@
 //!
 //! [`FailoverDriver`]: stripe_transport::FailoverDriver
 
-use std::marker::PhantomData;
-
 use stripe_core::control::Control;
 use stripe_core::liveness::ChannelHealth;
 use stripe_core::sched::CausalScheduler;
@@ -37,62 +35,7 @@ use stripe_transport::{ControlPath, ControlTransmission, FailoverDriver};
 use crate::adapt::{AdaptiveStep, AdaptiveTuner};
 use crate::frame::{self, Frame};
 use crate::lifecycle::{ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleState};
-use crate::path::NetStripedPath;
 use crate::server::StripeServer;
-
-/// What the reactor needs from a datapath, beyond the control-plane
-/// surface it already presents as a [`ControlPath`]: direct access to
-/// the member links (to sweep the reverse path and execute lifecycle
-/// rebinds) and a backlog flush.
-///
-/// Both [`NetStripedPath`] (one flow) and [`StripeServer`] (many flows
-/// over the same channel set) implement it, so one reactor — sweep,
-/// death evidence, probe/rejoin lifecycle, failover tick — serves both.
-/// Failover and channel lifecycle thereby stay flow-agnostic: they see
-/// channels, never flows.
-pub trait ReactorPath<L: DatagramLink>: ControlPath {
-    /// The member links, indexed by channel id.
-    fn reactor_links(&self) -> &[L];
-    /// Mutable access to the member links.
-    fn reactor_links_mut(&mut self) -> &mut [L];
-    /// Retry parked frames toward the kernel; returns frames drained.
-    fn flush_backlog(&mut self) -> usize;
-    /// Flush every flow's sender-side engine state — schedulers,
-    /// accountants, marker cadence, queued-but-unsent packets — after a
-    /// completed §5 reset. The receiver flushed its half when it acked;
-    /// both ends restart the simulation from the same zero.
-    fn reset_flows(&mut self);
-}
-
-impl<S: CausalScheduler, L: DatagramLink> ReactorPath<L> for NetStripedPath<S, L> {
-    fn reactor_links(&self) -> &[L] {
-        self.links()
-    }
-    fn reactor_links_mut(&mut self) -> &mut [L] {
-        self.links_mut()
-    }
-    fn flush_backlog(&mut self) -> usize {
-        self.flush()
-    }
-    fn reset_flows(&mut self) {
-        self.reset_engine();
-    }
-}
-
-impl<S: CausalScheduler, L: DatagramLink> ReactorPath<L> for StripeServer<S, L> {
-    fn reactor_links(&self) -> &[L] {
-        self.links()
-    }
-    fn reactor_links_mut(&mut self) -> &mut [L] {
-        self.links_mut()
-    }
-    fn flush_backlog(&mut self) -> usize {
-        self.flush()
-    }
-    fn reset_flows(&mut self) {
-        self.reset_flows();
-    }
-}
 
 /// A fixed-interval timer in simulation/wall time.
 ///
@@ -149,8 +92,8 @@ pub struct ReactorSnapshot {
     pub dropped_malformed: u64,
     /// Failover ticks delivered.
     pub ticks: u64,
-    /// Channels the link layer reported dead (socket hard errors, worker
-    /// panics) that the failover driver newly declared dead.
+    /// Channels the link layer reported dead (socket hard errors) that
+    /// the failover driver newly declared dead.
     pub link_dead_reports: u64,
     /// Channels observed recovering (first probe ack on a dead channel),
     /// i.e. membership *grow* announcements begun by the driver.
@@ -192,11 +135,12 @@ pub fn membership_announced(reports: &[ControlTransmission]) -> bool {
         .any(|r| matches!(r.ctl, Control::Membership { .. }))
 }
 
-/// Poll-driven harness around any [`ReactorPath`] datapath and its
-/// failover control plane.
+/// Poll-driven harness around a [`StripeServer`] and its failover
+/// control plane. Failover and channel lifecycle stay flow-agnostic:
+/// they see channels, never flows.
 #[derive(Debug)]
-pub struct PathReactor<P, L> {
-    path: P,
+pub struct ServerReactor<S: CausalScheduler, L: DatagramLink> {
+    path: StripeServer<S, L>,
     driver: Option<FailoverDriver>,
     tick: Periodic,
     /// Scratch buffers for batched reverse-path receives. The reverse
@@ -214,29 +158,22 @@ pub struct PathReactor<P, L> {
     /// Edge detector for blackout transitions.
     was_blackout: bool,
     stats: ReactorSnapshot,
-    _link: PhantomData<fn() -> L>,
 }
-
-/// The single-flow reactor: a [`PathReactor`] over [`NetStripedPath`].
-pub type SenderReactor<S, L> = PathReactor<NetStripedPath<S, L>, L>;
-
-/// The multi-flow reactor: a [`PathReactor`] over [`StripeServer`].
-pub type ServerReactor<S, L> = PathReactor<StripeServer<S, L>, L>;
 
 /// Reverse-path receive batch width.
 const REVERSE_RUN: usize = 8;
 
-impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
+impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
     /// Wrap `path`, ticking `driver` (when present) every
     /// `tick_interval` starting from `now`.
     pub fn new(
-        path: P,
+        path: StripeServer<S, L>,
         driver: Option<FailoverDriver>,
         now: SimTime,
         tick_interval: SimDuration,
     ) -> Self {
         let buf_len = path
-            .reactor_links()
+            .links()
             .iter()
             .map(|l| l.mtu())
             .max()
@@ -248,7 +185,7 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
             .as_ref()
             .map(|d| LifecycleConfig::with_probe_interval(d.liveness().config().probe_interval_ns))
             .unwrap_or_default();
-        let channels = path.reactor_links().len();
+        let channels = path.links().len();
         Self {
             path,
             driver,
@@ -262,7 +199,6 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
             park_since_ns: None,
             was_blackout: false,
             stats: ReactorSnapshot::default(),
-            _link: PhantomData,
         }
     }
 
@@ -274,7 +210,7 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
     pub fn attach_adaptive(&mut self, tuner: AdaptiveTuner) {
         assert_eq!(
             tuner.quanta().len(),
-            self.path.reactor_links().len(),
+            self.path.links().len(),
             "one quantum per channel"
         );
         self.adaptive = Some(tuner);
@@ -301,9 +237,8 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
     /// One readiness sweep at `now`:
     ///
     /// 1. flush every channel's parked send backlog toward the kernel;
-    /// 2. surface link-layer death reports (socket hard errors, worker
-    ///    panics) to the failover driver, short-circuiting the keepalive
-    ///    deadline;
+    /// 2. surface link-layer death reports (socket hard errors) to the
+    ///    failover driver, short-circuiting the keepalive deadline;
     /// 3. drain the reverse path, feeding control to the failover driver;
     /// 4. step each channel's recovery lifecycle — cooldowns, socket
     ///    rebuilds ([`DatagramLink::revive`]), and the probe/rejoin
@@ -315,13 +250,13 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
     /// and `Vec::new()` never allocates.
     pub fn poll(&mut self, now: SimTime) -> Vec<ControlTransmission> {
         self.stats.polls += 1;
-        self.stats.flushed += self.path.flush_backlog() as u64;
+        self.stats.flushed += self.path.flush() as u64;
         let mut reports = Vec::new();
-        for c in 0..self.path.reactor_links().len() {
+        for c in 0..self.path.links().len() {
             self.report_link_death(c, now, &mut reports);
             loop {
-                let got = self.path.reactor_links_mut()[c]
-                    .recv_run(&mut self.recv_bufs, &mut self.recv_lens);
+                let got =
+                    self.path.links_mut()[c].recv_run(&mut self.recv_bufs, &mut self.recv_lens);
                 for i in 0..got {
                     let n = self.recv_lens[i];
                     let ctl = match frame::decode(&self.recv_bufs[i][..n]) {
@@ -373,7 +308,7 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
             // Sample the channel's cumulative transmit evidence into its
             // estimator (links without evidence keep the loop unprimed).
             if let Some(ad) = self.adaptive.as_mut() {
-                if let Some(ev) = self.path.reactor_links()[c].tx_evidence() {
+                if let Some(ev) = self.path.links()[c].tx_evidence() {
                     ad.on_tx_evidence(c, now.as_nanos(), ev);
                 }
             }
@@ -442,7 +377,7 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
             AdaptiveStep::Announce => {
                 let live = match self.driver.as_ref() {
                     Some(d) => d.liveness().live_mask(),
-                    None => vec![true; self.path.reactor_links().len()],
+                    None => vec![true; self.path.links().len()],
                 };
                 if !live.iter().any(|&l| l) {
                     return; // total outage: nothing can carry the retune
@@ -483,7 +418,7 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
         now: SimTime,
         reports: &mut Vec<ControlTransmission>,
     ) {
-        if !self.path.reactor_links()[c].link_dead() {
+        if !self.path.links()[c].link_dead() {
             return;
         }
         if let Some(driver) = self.driver.as_mut() {
@@ -512,7 +447,7 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
             }
         }
         if self.lifecycle[c].advance(now_ns) == LifecycleAction::Rebind {
-            if self.path.reactor_links_mut()[c].revive() {
+            if self.path.links_mut()[c].revive() {
                 self.lifecycle[c].rebind_ok(now_ns);
             } else {
                 self.lifecycle[c].rebind_failed(now_ns);
@@ -530,7 +465,7 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
         );
         if dead_side
             && driver.liveness().health(c) == ChannelHealth::Live
-            && !self.path.reactor_links()[c].link_dead()
+            && !self.path.links()[c].link_dead()
         {
             lc.on_recovered(now_ns);
             self.stats.grow_announcements += 1;
@@ -543,13 +478,13 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
         }
     }
 
-    /// The wrapped path.
-    pub fn path(&self) -> &P {
+    /// The wrapped server.
+    pub fn path(&self) -> &StripeServer<S, L> {
         &self.path
     }
 
-    /// Mutable access to the wrapped path (to send batches through).
-    pub fn path_mut(&mut self) -> &mut P {
+    /// Mutable access to the wrapped server (to enqueue and pump through).
+    pub fn path_mut(&mut self) -> &mut StripeServer<S, L> {
         &mut self.path
     }
 
@@ -563,8 +498,8 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
         self.stats
     }
 
-    /// Take the path (and driver) back out.
-    pub fn into_inner(self) -> (P, Option<FailoverDriver>) {
+    /// Take the server (and driver) back out.
+    pub fn into_inner(self) -> (StripeServer<S, L>, Option<FailoverDriver>) {
         (self.path, self.driver)
     }
 }
@@ -572,40 +507,43 @@ impl<P: ReactorPath<L>, L: DatagramLink> PathReactor<P, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recv::NetLogicalReceiver;
+    use crate::demux::FlowDemux;
     use stripe_core::control::Control;
     use stripe_core::sched::Srr;
     use stripe_link::{datagram_pair, TestDatagramLink};
     use stripe_transport::FailoverConfig;
 
-    fn reactor_pair(
-        tick_ns: u64,
-    ) -> (
-        SenderReactor<Srr, TestDatagramLink>,
-        NetLogicalReceiver<Srr, TestDatagramLink>,
-    ) {
-        let (a0, b0) = datagram_pair(2048, 4096);
-        let (a1, b1) = datagram_pair(2048, 4096);
-        let path = NetStripedPath::builder()
+    /// A two-channel server behind a reactor ticking a failover driver
+    /// every millisecond.
+    fn reactor_over<L: DatagramLink>(links: Vec<L>) -> ServerReactor<Srr, L> {
+        let path = StripeServer::builder()
             .scheduler(Srr::equal(2, 1500))
-            .links(vec![a0, a1])
+            .links(links)
             .build();
         let driver = FailoverDriver::new(
             2,
-            FailoverConfig::with_probe_interval(tick_ns),
+            FailoverConfig::with_probe_interval(1_000_000),
             SimTime::ZERO,
         );
-        let reactor = SenderReactor::new(
+        ServerReactor::new(
             path,
             Some(driver),
             SimTime::ZERO,
-            SimDuration::from_nanos(tick_ns),
-        );
-        let rx = NetLogicalReceiver::builder()
+            SimDuration::from_millis(1),
+        )
+    }
+
+    fn reactor_pair() -> (
+        ServerReactor<Srr, TestDatagramLink>,
+        FlowDemux<Srr, TestDatagramLink>,
+    ) {
+        let (a0, b0) = datagram_pair(2048, 4096);
+        let (a1, b1) = datagram_pair(2048, 4096);
+        let rx = FlowDemux::builder()
             .scheduler(Srr::equal(2, 1500))
             .links(vec![b0, b1])
             .build();
-        (reactor, rx)
+        (reactor_over(vec![a0, a1]), rx)
     }
 
     #[test]
@@ -624,7 +562,7 @@ mod tests {
     /// reactor poll feeds the acks back into the liveness tracker.
     #[test]
     fn probe_round_trip_keeps_channels_live() {
-        let (mut reactor, mut rx) = reactor_pair(1_000_000);
+        let (mut reactor, mut rx) = reactor_pair();
         // Walk time far past the dead deadline, polling both ends each
         // probe interval; acked channels must never be declared dead.
         let mut announced_death = false;
@@ -647,21 +585,7 @@ mod tests {
     fn silence_declares_death() {
         let (a0, mut b0) = datagram_pair(2048, 4096);
         let (a1, _silent_peer) = datagram_pair(2048, 4096);
-        let path = NetStripedPath::builder()
-            .scheduler(Srr::equal(2, 1500))
-            .links(vec![a0, a1])
-            .build();
-        let driver = FailoverDriver::new(
-            2,
-            FailoverConfig::with_probe_interval(1_000_000),
-            SimTime::ZERO,
-        );
-        let mut reactor = SenderReactor::new(
-            path,
-            Some(driver),
-            SimTime::ZERO,
-            SimDuration::from_millis(1),
-        );
+        let mut reactor = reactor_over(vec![a0, a1]);
         let mut buf = [0u8; 2048];
         let mut ctl_buf = Vec::new();
         let mut announced_death = false;
@@ -730,21 +654,7 @@ mod tests {
                 dead: false,
             },
         ];
-        let path = NetStripedPath::builder()
-            .scheduler(Srr::equal(2, 1500))
-            .links(links)
-            .build();
-        let driver = FailoverDriver::new(
-            2,
-            FailoverConfig::with_probe_interval(1_000_000),
-            SimTime::ZERO,
-        );
-        let mut reactor = SenderReactor::new(
-            path,
-            Some(driver),
-            SimTime::ZERO,
-            SimDuration::from_millis(1),
-        );
+        let mut reactor = reactor_over(links);
 
         // Healthy sweep: no death reported.
         reactor.poll(SimTime::from_micros(100));
@@ -827,21 +737,7 @@ mod tests {
                 dead: false,
             },
         ];
-        let path = NetStripedPath::builder()
-            .scheduler(Srr::equal(2, 1500))
-            .links(links)
-            .build();
-        let driver = FailoverDriver::new(
-            2,
-            FailoverConfig::with_probe_interval(1_000_000),
-            SimTime::ZERO,
-        );
-        let mut reactor = SenderReactor::new(
-            path,
-            Some(driver),
-            SimTime::ZERO,
-            SimDuration::from_millis(1),
-        );
+        let mut reactor = reactor_over(links);
 
         // Kill channel 1 at the link layer; the shrink announces.
         reactor.path_mut().links_mut()[1].dead = true;
@@ -923,20 +819,23 @@ mod tests {
             fwd.push(ImpairedLink::new(a, plan, 0xAD0 + i as u64));
             rev.push(b);
         }
-        let path = NetStripedPath::builder()
+        let mut path = StripeServer::builder()
             .scheduler(Srr::equal(3, 1500))
             .markers(stripe_core::sender::MarkerConfig::every_rounds(4))
             .links(fwd)
             .build();
-        let mut reactor = PathReactor::new(path, None, SimTime::ZERO, SimDuration::from_millis(1));
+        let flow = path.open_flow().unwrap();
+        let mut reactor =
+            ServerReactor::new(path, None, SimTime::ZERO, SimDuration::from_millis(1));
         let cfg = AdaptiveConfig::with_interval(SimDuration::from_millis(5));
         reactor.attach_adaptive(AdaptiveTuner::new(&[1500, 1500, 1500], cfg, SimTime::ZERO));
-        let mut rx = NetLogicalReceiver::builder()
+        let mut rx = FlowDemux::builder()
             .scheduler(Srr::equal(3, 1500))
             .links(rev)
             .build();
+        assert!(rx.touch_flow(flow.id()));
 
-        let mut out = stripe_transport::TxBatch::new();
+        let mut events = Vec::new();
         let mut batch = stripe_core::receiver::RxBatch::new();
         let mut seq = 0u64;
         let mut delivered = Vec::new();
@@ -944,18 +843,16 @@ mod tests {
             let now = SimTime::from_millis(ms);
             // Saturating offered load: well past aggregate capacity, so
             // every channel's policer binds and carried load IS capacity.
-            let mut pkts: Vec<bytes::Bytes> = (0..48)
-                .map(|_| {
-                    let mut p = vec![0u8; 500];
-                    p[..8].copy_from_slice(&seq.to_be_bytes());
-                    seq += 1;
-                    bytes::Bytes::from(p)
-                })
-                .collect();
-            reactor.path_mut().send_batch(now, &mut pkts, &mut out);
+            for _ in 0..48 {
+                let mut p = [0u8; 500];
+                p[..8].copy_from_slice(&seq.to_be_bytes());
+                seq += 1;
+                reactor.path_mut().enqueue(flow, &p).unwrap();
+            }
+            reactor.path_mut().pump_into(now, usize::MAX, &mut events);
             reactor.poll(now);
             rx.sweep(now);
-            rx.poll_into(&mut batch);
+            rx.poll_flow_into(flow.id(), &mut batch);
             for pb in batch.drain() {
                 delivered.push(u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap()));
                 rx.recycle(pb);
@@ -1009,15 +906,15 @@ mod tests {
         // Park frames directly in the link's local queue by filling the
         // peer's in-flight capacity: TestDatagramLink has unbounded
         // in-flight, so emulate by enqueueing via send while "jammed".
-        let mut path = NetStripedPath::builder()
+        let mut path = StripeServer::builder()
             .scheduler(Srr::equal(1, 1500))
             .links(vec![a0])
             .build();
-        let mut pkts = vec![bytes::Bytes::from(vec![5u8; 32])];
-        let mut out = stripe_transport::TxBatch::new();
-        path.send_batch(SimTime::ZERO, &mut pkts, &mut out);
+        let flow = path.open_flow().unwrap();
+        path.enqueue(flow, &[5u8; 32]).unwrap();
+        path.pump_into(SimTime::ZERO, usize::MAX, &mut Vec::new());
         let mut reactor =
-            SenderReactor::new(path, None, SimTime::ZERO, SimDuration::from_millis(1));
+            ServerReactor::new(path, None, SimTime::ZERO, SimDuration::from_millis(1));
         reactor.poll(SimTime::from_millis(1));
         assert_eq!(reactor.stats().polls, 1);
         let mut buf = [0u8; 256];

@@ -14,13 +14,11 @@
 //!
 //! On the wire every data frame and marker is a version-2 flow-tagged
 //! frame (see [`crate::frame::FRAME_VERSION_FLOW`]); global control —
-//! probes, membership, quantum updates — stays untagged version 1, so
-//! failover, lifecycle, and epoch'd membership remain flow-agnostic and
-//! byte-identical to the single-flow protocol. A server built with
-//! [`legacy_frames`](StripeServerBuilder::legacy_frames) emits version-1
-//! frames for everything, which is how
-//! [`NetStripedPath`](crate::path::NetStripedPath) is the one-flow
-//! special case of this type.
+//! probes, membership, quantum announces — stays untagged version 1, so
+//! failover, lifecycle, and epoch'd membership remain flow-agnostic. A
+//! single-flow sender is this type with one flow open: the inter-flow
+//! DRR degenerates to strict FIFO and the channel decisions are exactly
+//! that flow's SRR.
 //!
 //! Admission is bounded: past
 //! [`max_flows`](StripeServerBuilder::max_flows) new flows are *parked*
@@ -31,12 +29,11 @@
 //! backpressure to the producer of that one flow instead of letting it
 //! starve the rest.
 //!
-//! The zero-allocation story matches the single-flow path: frames are
-//! encoded once at [`enqueue`](StripeServer::enqueue) into recycled
-//! buffers, handed to links by storage transfer
-//! ([`DatagramLink::send_run_owned`]), and the swapped-back recycled
-//! storage returns to the server's pool. Steady state allocates nothing
-//! per packet.
+//! The zero-allocation story: frames are encoded once at
+//! [`enqueue`](StripeServer::enqueue) into recycled buffers, handed to
+//! links by storage transfer ([`DatagramLink::send_run_owned`]), and the
+//! swapped-back recycled storage returns to the server's pool. Steady
+//! state allocates nothing per packet.
 
 use std::collections::VecDeque;
 
@@ -144,7 +141,7 @@ pub struct StripeServerSnapshot {
     pub dropped_admission: u64,
     /// Enqueues refused across all flows (per-flow backpressure).
     pub dropped_backpressure: u64,
-    /// Aggregate datapath counters (same shape as the single-flow path).
+    /// Aggregate datapath counters (same shape as the simulated path's).
     pub path: PathSnapshot,
 }
 
@@ -193,17 +190,14 @@ struct FlowState<S: CausalScheduler> {
     parked: bool,
 }
 
-/// Builder for [`StripeServer`] — the multi-flow extension of the
-/// [`NetStripedPathBuilder`](crate::path::NetStripedPathBuilder)
-/// vocabulary (`scheduler` / `markers` / `links` / `integrity`), plus
-/// the flow-admission knobs.
+/// Builder for [`StripeServer`]: the datapath vocabulary (`scheduler` /
+/// `markers` / `links` / `integrity`) plus the flow-admission knobs.
 #[derive(Debug)]
 pub struct StripeServerBuilder<S: CausalScheduler, L: DatagramLink> {
     proto: Option<S>,
     markers: MarkerConfig,
     links: Vec<L>,
     integrity: bool,
-    legacy_frames: bool,
     max_flows: usize,
     park_capacity: usize,
     queue_frames: usize,
@@ -217,7 +211,6 @@ impl<S: CausalScheduler, L: DatagramLink> Default for StripeServerBuilder<S, L> 
             markers: MarkerConfig::disabled(),
             links: Vec::new(),
             integrity: false,
-            legacy_frames: false,
             max_flows: 1 << 16,
             park_capacity: 1 << 10,
             queue_frames: 256,
@@ -253,21 +246,14 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
         self
     }
 
-    /// Emit checksummed data frames (CRC-8 trailer), as in
-    /// [`NetStripedPathBuilder::integrity`](crate::path::NetStripedPathBuilder::integrity).
+    /// Emit data frames with a CRC-8 trailer
+    /// ([`KIND_DATA_SUMMED`](crate::frame::KIND_DATA_SUMMED)) so the far
+    /// end detects payload corruption instead of delivering flipped bits
+    /// (§5's "detectable corruption" assumption made literal). Costs one
+    /// byte per frame plus the checksum pass; defaults to off, so the
+    /// headline datapath pays nothing.
     pub fn integrity(mut self, on: bool) -> Self {
         self.integrity = on;
-        self
-    }
-
-    /// Emit untagged version-1 frames instead of flow-tagged version-2
-    /// ones. Only meaningful for a single-flow server talking to a
-    /// legacy receiver — this is how [`NetStripedPath`] stays
-    /// byte-identical to PR 3–6 on the wire.
-    ///
-    /// [`NetStripedPath`]: crate::path::NetStripedPath
-    pub fn legacy_frames(mut self, on: bool) -> Self {
-        self.legacy_frames = on;
         self
     }
 
@@ -322,7 +308,6 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
             proto,
             markers: self.markers,
             integrity: self.integrity,
-            legacy_frames: self.legacy_frames,
             max_flows: self.max_flows,
             park_capacity: self.park_capacity,
             queue_frames: self.queue_frames,
@@ -361,7 +346,6 @@ pub struct StripeServer<S: CausalScheduler, L: DatagramLink> {
     proto: S,
     markers: MarkerConfig,
     integrity: bool,
-    legacy_frames: bool,
     max_flows: usize,
     park_capacity: usize,
     queue_frames: usize,
@@ -406,7 +390,8 @@ pub struct StripeServer<S: CausalScheduler, L: DatagramLink> {
     scratch_idle: Vec<(ChannelId, Marker)>,
     run_results: Vec<Result<(), TxError>>,
     /// Wire length of the last data frame sent per channel this pump —
-    /// the GSO pad target for markers (see the single-flow path).
+    /// the GSO pad target for markers: a marker stretched to its
+    /// neighbours' length keeps the channel's equal-size GSO train whole.
     last_data_len: Vec<usize>,
     ctl_buf: Vec<u8>,
 }
@@ -546,8 +531,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     }
 
     /// Queue one payload on a flow: the frame is encoded here, once,
-    /// into a recycled buffer (flow-tagged version 2, or version 1 under
-    /// [`legacy_frames`](StripeServerBuilder::legacy_frames)), and waits
+    /// into a recycled buffer (flow-tagged version 2), and waits
     /// for [`pump_into`](Self::pump_into) to schedule it. A full queue
     /// reports [`FlowError::Backpressure`] without touching the payload.
     pub fn enqueue(&mut self, h: FlowHandle, payload: &[u8]) -> Result<(), FlowError> {
@@ -572,11 +556,10 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             return Err(FlowError::Backpressure { resume_hint });
         }
         let mut buf = self.buf_pool.pop().unwrap_or_default();
-        match (self.legacy_frames, self.integrity) {
-            (true, false) => frame::encode_data_into(payload, &mut buf),
-            (true, true) => frame::encode_data_summed_into(payload, &mut buf),
-            (false, false) => frame::encode_data_flow_into(h.id, payload, &mut buf),
-            (false, true) => frame::encode_data_summed_flow_into(h.id, payload, &mut buf),
+        if self.integrity {
+            frame::encode_data_summed_flow_into(h.id, payload, &mut buf);
+        } else {
+            frame::encode_data_flow_into(h.id, payload, &mut buf);
         }
         let f = self.flows[h.id as usize].as_mut().expect("validated");
         f.queue.push_back(QueuedFrame {
@@ -637,9 +620,8 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                 );
             }
             // Phase 3: offer same-channel runs, breaking at marker
-            // boundaries — identical run discipline to the single-flow
-            // path, so per-channel FIFO (and hence marker recovery)
-            // holds per flow.
+            // boundaries, so per-channel FIFO (and hence marker
+            // recovery) holds per flow.
             let n = self.turn_bufs.len();
             let (mut fq, mut fl, mut fms, mut fml) = (0u64, 0u64, 0u64, 0u64);
             let mut m = 0;
@@ -773,19 +755,9 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     ) -> Option<TxError> {
         self.stats.path.markers_sent += 1;
         let ctl = Control::Marker(mk);
-        let natural = if self.legacy_frames {
-            frame::control_frame_len(&ctl)
-        } else {
-            frame::control_flow_frame_len(flow, &ctl)
-        };
+        let natural = frame::control_flow_frame_len(flow, &ctl);
         if pad_to >= natural + frame::PAD_LEN_PREFIX && pad_to <= self.links[c].mtu() {
-            if self.legacy_frames {
-                frame::encode_control_padded_into(&ctl, pad_to, &mut self.ctl_buf);
-            } else {
-                frame::encode_control_padded_flow_into(flow, &ctl, pad_to, &mut self.ctl_buf);
-            }
-        } else if self.legacy_frames {
-            frame::encode_control_into(&ctl, &mut self.ctl_buf);
+            frame::encode_control_padded_flow_into(flow, &ctl, pad_to, &mut self.ctl_buf);
         } else {
             frame::encode_control_flow_into(flow, &ctl, &mut self.ctl_buf);
         }
@@ -809,7 +781,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     ) -> (Option<SimTime>, Option<TxError>) {
         self.stats.path.control_sent += 1;
         // Global control stays untagged version 1: the failover plane is
-        // flow-agnostic and byte-compatible with single-flow peers.
+        // flow-agnostic.
         frame::encode_control_into(ctl, &mut self.ctl_buf);
         match self.links[c].send_frame(&self.ctl_buf) {
             Ok(()) => (Some(now), None),
@@ -820,16 +792,14 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
         }
     }
 
-    /// The striped *payload* MTU: minimum member frame MTU net of the
-    /// worst-case framing overhead for this server's wire dialect.
+    /// The striped *payload* MTU: minimum member frame MTU (§6.1's
+    /// minimum-MTU rule) net of the worst-case framing overhead — header,
+    /// the widest flow id the admission caps allow, and the integrity
+    /// trailer when on.
     pub fn max_payload(&self) -> usize {
         let min_mtu = self.links.iter().map(|l| l.mtu()).min().expect("non-empty");
         let id_bound = (self.max_flows + self.park_capacity).saturating_sub(1) as u32;
-        let mut overhead = if self.legacy_frames {
-            frame::FRAME_HEADER_LEN
-        } else {
-            frame::FRAME_HEADER_LEN + frame::flow_id_len(id_bound)
-        };
+        let mut overhead = frame::FRAME_HEADER_LEN + frame::flow_id_len(id_bound);
         if self.integrity {
             overhead += frame::SUM_TRAILER_LEN;
         }
@@ -1176,22 +1146,232 @@ mod tests {
         assert!(gap <= 2048 + 1200, "byte gap {gap} past the DRR bound");
     }
 
-    #[test]
-    fn legacy_frames_mode_is_version_one_on_the_wire() {
-        let (a0, mut b0) = datagram_pair(2048, 256);
-        let mut srv: StripeServer<Srr, TestDatagramLink> = StripeServer::builder()
-            .scheduler(Srr::equal(1, 1500))
-            .links(vec![a0])
-            .legacy_frames(true)
+    /// A one-flow server over two in-memory links of `mtu` bytes and
+    /// `cap` frames of queue, flow 0 open.
+    fn one_flow(
+        markers: MarkerConfig,
+        mtu: usize,
+        cap: usize,
+    ) -> (
+        StripeServer<Srr, TestDatagramLink>,
+        FlowHandle,
+        Vec<TestDatagramLink>,
+    ) {
+        let (a0, b0) = datagram_pair(mtu, cap);
+        let (a1, b1) = datagram_pair(mtu, cap);
+        let mut srv = StripeServer::builder()
+            .scheduler(Srr::equal(2, 1500))
+            .markers(markers)
+            .links(vec![a0, a1])
             .build();
-        let f = srv.open_flow().unwrap();
-        srv.enqueue(f, &[9; 50]).unwrap();
+        let h = srv.open_flow().unwrap();
+        (srv, h, vec![b0, b1])
+    }
+
+    /// With one flow open the DRR degenerates to FIFO, so channel
+    /// decisions must match a bare scheduler fed the same lengths — the
+    /// server shares the simulated path's engine exactly.
+    #[test]
+    fn one_flow_channel_decisions_match_bare_scheduler() {
+        let (mut srv, h, mut peers) = one_flow(MarkerConfig::disabled(), 1510, 1024);
+        let mut bare = Srr::equal(2, 1500);
+        let lens = [550usize, 200, 1400, 150, 300, 900, 60, 1200];
+        for &len in &lens {
+            srv.enqueue(h, &vec![0xAA; len]).unwrap();
+        }
+        let mut events = Vec::new();
+        assert_eq!(
+            srv.pump_into(SimTime::ZERO, usize::MAX, &mut events),
+            lens.len()
+        );
+        assert_eq!(events.len(), lens.len());
+        for (ev, &len) in events.iter().zip(&lens) {
+            let expect = bare.current();
+            bare.advance(len);
+            assert_eq!(
+                *ev,
+                PumpEvent::Data {
+                    flow: h.id(),
+                    channel: expect,
+                    error: None
+                }
+            );
+        }
+        // And the frames really left.
+        let arrived: usize = peers.iter_mut().map(|p| drain(p).len()).sum();
+        assert_eq!(arrived, lens.len());
+    }
+
+    /// Markers interleave at the SRR's emission points, and every marker
+    /// the counter reports is a decodable frame on the wire.
+    #[test]
+    fn markers_on_the_wire_match_the_counter() {
+        let (mut srv, h, mut peers) = one_flow(MarkerConfig::every_rounds(2), 1510, 1024);
+        // 100 × 100 B = 10000 B ≈ 3.3 rounds of the 2 × 1500 B quantum:
+        // comfortably past round 2, where the first marker batch is due.
+        for i in 0..100u8 {
+            srv.enqueue(h, &[i; 100]).unwrap();
+        }
         let mut events = Vec::new();
         srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
-        let frames = drain(&mut b0);
+        assert!(srv.stats().path.markers_sent > 0, "markers must have fired");
+        let (mut data, mut markers) = (0u64, 0u64);
+        for p in &mut peers {
+            for f in drain(p) {
+                match frame::try_decode_flow(&f).expect("well-formed frame") {
+                    (_, Frame::Data(body)) => {
+                        assert_eq!(body.len(), 100);
+                        assert!(body.iter().all(|&b| b == body[0]));
+                        data += 1;
+                    }
+                    (_, Frame::Control(Control::Marker(_))) => markers += 1,
+                    other => panic!("unexpected frame {other:?}"),
+                }
+            }
+        }
+        assert_eq!(data, 100);
+        assert_eq!(markers, srv.stats().path.markers_sent);
+        assert_eq!(markers, srv.flow_stats(h).unwrap().markers_sent);
+    }
+
+    /// Link backpressure surfaces as one `QueueFull` event per refused
+    /// packet, counted under `dropped_queue` — same contract as the
+    /// simulated path.
+    #[test]
+    fn queue_full_reported_per_packet() {
+        let (mut srv, h, _peers) = one_flow(MarkerConfig::disabled(), 1510, 2);
+        for _ in 0..10 {
+            srv.enqueue(h, &[0u8; 1400]).unwrap();
+        }
+        let mut events = Vec::new();
+        srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+        assert_eq!(events.len(), 10);
+        let mut failed = 0u64;
+        for ev in &events {
+            let PumpEvent::Data { error, .. } = ev else {
+                panic!("markers are disabled: {ev:?}");
+            };
+            if let Some(e) = error {
+                assert_eq!(*e, TxError::QueueFull);
+                failed += 1;
+            }
+        }
+        assert!(failed > 0, "tiny queues must overflow");
+        assert_eq!(srv.stats().path.dropped_queue, failed);
+        assert_eq!(srv.flow_stats(h).unwrap().dropped_queue, failed);
+    }
+
+    /// Timer-driven markers go out on every live channel, each naming
+    /// the channel it describes.
+    #[test]
+    fn idle_markers_cover_live_channels() {
+        let (mut srv, h, mut peers) = one_flow(MarkerConfig::every_rounds(8), 1510, 1024);
+        let mut events = Vec::new();
+        srv.send_idle_markers_into(SimTime::ZERO, &mut events);
+        assert_eq!(events.len(), 2);
+        for (c, p) in peers.iter_mut().enumerate() {
+            let frames = drain(p);
+            assert_eq!(frames.len(), 1);
+            match frame::try_decode_flow(&frames[0]) {
+                Ok((flow, Frame::Control(Control::Marker(mk)))) => {
+                    assert_eq!(flow, h.id());
+                    assert_eq!(mk.channel, c);
+                }
+                other => panic!("expected marker, got {other:?}"),
+            }
+        }
+    }
+
+    /// Data and markers ride flow-tagged version-2 frames; global
+    /// control stays untagged version 1, decodable by the plain codec.
+    #[test]
+    fn data_is_flow_tagged_and_global_control_is_untagged_v1() {
+        let (mut srv, h, mut peers) = one_flow(MarkerConfig::disabled(), 1510, 1024);
+        srv.enqueue(h, &[9; 50]).unwrap();
+        let mut events = Vec::new();
+        srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+        let frames = drain(&mut peers[0]);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0][1], frame::FRAME_VERSION_FLOW);
+        assert_eq!(frame::decode(&frames[0]), None, "not a version-1 frame");
+
+        let t = ControlPath::transmit_control(
+            &mut srv,
+            SimTime::from_nanos(5),
+            1,
+            Control::Probe { nonce: 77 },
+        );
+        assert_eq!(t.arrival, Some(SimTime::from_nanos(5)));
+        assert_eq!(t.channel, 1);
+        let frames = drain(&mut peers[1]);
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0][1], frame::FRAME_VERSION);
-        assert_eq!(frame::decode(&frames[0]), Some(Frame::Data(&[9; 50][..])));
+        assert_eq!(
+            frame::decode(&frames[0]),
+            Some(Frame::Control(Control::Probe { nonce: 77 }))
+        );
+        assert_eq!(srv.stats().path.control_sent, 1);
+    }
+
+    /// §6.1's minimum-MTU rule, net of framing: header, the widest flow
+    /// id the admission caps allow, and the trailer under integrity.
+    #[test]
+    fn max_payload_subtracts_framing_from_min_mtu() {
+        let build = |max_flows: usize, park: usize, integrity: bool| {
+            let (a0, _b0) = datagram_pair(1504, 8);
+            let (a1, _b1) = datagram_pair(2048, 8);
+            StripeServer::<Srr, TestDatagramLink>::builder()
+                .scheduler(Srr::equal(2, 1500))
+                .links(vec![a0, a1])
+                .max_flows(max_flows)
+                .park_capacity(park)
+                .integrity(integrity)
+                .build()
+                .max_payload()
+        };
+        let header = frame::FRAME_HEADER_LEN;
+        assert_eq!(build(1, 0, false), 1504 - header - 1);
+        assert_eq!(build(1 << 16, 1 << 10, false), 1504 - header - 3);
+        assert_eq!(
+            build(1, 0, true),
+            1504 - header - 1 - frame::SUM_TRAILER_LEN
+        );
+    }
+
+    /// Integrity mode: every data frame goes out summed, round-trips
+    /// through the decoder, and a flipped payload bit is caught as
+    /// `Corrupt` rather than delivered.
+    #[test]
+    fn integrity_mode_emits_summed_frames() {
+        let (a0, b0) = datagram_pair(1510, 1024);
+        let (a1, b1) = datagram_pair(1510, 1024);
+        let mut srv: StripeServer<Srr, TestDatagramLink> = StripeServer::builder()
+            .scheduler(Srr::equal(2, 1500))
+            .links(vec![a0, a1])
+            .integrity(true)
+            .build();
+        let h = srv.open_flow().unwrap();
+        for i in 0..8u8 {
+            srv.enqueue(h, &[i; 64]).unwrap();
+        }
+        let mut events = Vec::new();
+        srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+        let mut data = 0;
+        for p in &mut [b0, b1] {
+            for mut f in drain(p) {
+                assert_eq!(f[2], frame::KIND_DATA_SUMMED, "summed kind on the wire");
+                let Ok((_, Frame::Data(body))) = frame::try_decode_flow(&f) else {
+                    panic!("summed frame must decode");
+                };
+                assert_eq!(body.len(), 64);
+                data += 1;
+                // One flipped payload bit is detected, not delivered.
+                let at = frame::body_offset(&f).unwrap();
+                f[at] ^= 0x10;
+                assert_eq!(frame::try_decode_flow(&f), Err(frame::DecodeError::Corrupt));
+            }
+        }
+        assert_eq!(data, 8);
     }
 
     /// A flow opened while a channel is masked out must not stripe onto

@@ -230,51 +230,20 @@ impl UdpChannelSnapshot {
             (self.send_syscalls + self.recv_syscalls) as f64 / frames as f64
         }
     }
-
-    /// Fold an earlier incarnation's counters into this snapshot.
-    /// Counters add; point-in-time gauges (buffer sizes, the sampled
-    /// kernel-drop estimate, lifecycle, generation) keep this
-    /// snapshot's values. The shard facade uses this to keep telemetry
-    /// cumulative across worker respawns.
-    pub fn accumulated(&self, earlier: &UdpChannelSnapshot) -> UdpChannelSnapshot {
-        UdpChannelSnapshot {
-            sent_frames: self.sent_frames + earlier.sent_frames,
-            sent_bytes: self.sent_bytes + earlier.sent_bytes,
-            recv_frames: self.recv_frames + earlier.recv_frames,
-            recv_bytes: self.recv_bytes + earlier.recv_bytes,
-            queued: self.queued + earlier.queued,
-            dropped_queue: self.dropped_queue + earlier.dropped_queue,
-            dropped_error: self.dropped_error + earlier.dropped_error,
-            send_syscalls: self.send_syscalls + earlier.send_syscalls,
-            recv_syscalls: self.recv_syscalls + earlier.recv_syscalls,
-            sndbuf: self.sndbuf,
-            rcvbuf: self.rcvbuf,
-            dropped_rcvbuf: self.dropped_rcvbuf,
-            transient_refused: self.transient_refused + earlier.transient_refused,
-            enobufs_backoffs: self.enobufs_backoffs + earlier.enobufs_backoffs,
-            mtu_clamps: self.mtu_clamps + earlier.mtu_clamps,
-            lifecycle: self.lifecycle,
-            generation: self.generation,
-            rejoins: self.rejoins + earlier.rejoins,
-            revive_attempts: self.revive_attempts + earlier.revive_attempts,
-        }
-    }
 }
 
 /// Everything needed to rebuild a channel's socket from scratch: the
 /// bound local endpoint, the connected peer, and the builder knobs.
 /// Captured at bind/connect time, consumed by
-/// [`revive`](DatagramLink::revive) (in-place socket swap) and by the
-/// shard supervisor when a panicked worker took its channel down with
-/// it. The `mtu` here is the *configured* MTU — EMSGSIZE clamps apply
-/// to the live channel only, so a rebuilt socket re-probes the path
-/// from the configured value.
+/// [`revive`](DatagramLink::revive) (in-place socket swap). The `mtu`
+/// here is the *configured* MTU — EMSGSIZE clamps apply to the live
+/// channel only, so a rebuilt socket re-probes the path from the
+/// configured value.
 #[derive(Debug, Clone)]
 pub struct ChannelSpec {
     local: SocketAddr,
     peer: Option<SocketAddr>,
     mtu: usize,
-    queue_cap: usize,
     batch: usize,
     sndbuf: Option<usize>,
     rcvbuf: Option<usize>,
@@ -357,7 +326,6 @@ impl UdpChannelBuilder {
             local: sock.local_addr()?,
             peer: None,
             mtu: self.mtu,
-            queue_cap: self.queue_cap,
             batch: self.batch,
             sndbuf: self.sndbuf,
             rcvbuf: self.rcvbuf,
@@ -637,37 +605,6 @@ impl UdpChannel {
     /// in-crate tests use the same path via `force_dead`).
     pub fn inject_socket_death(&mut self) {
         self.declare_dead();
-    }
-
-    /// The rebuild recipe captured at bind/connect time.
-    pub(crate) fn spec(&self) -> &ChannelSpec {
-        &self.spec
-    }
-
-    /// Rebuild a channel from its spec — the shard supervisor's path
-    /// when a panicked worker took the old `UdpChannel` down with its
-    /// stack. `generation` seeds the new channel's generation gauge so
-    /// the telemetry keeps counting across incarnations; a non-zero
-    /// generation starts in [`LifecycleState::Probing`] (it must
-    /// re-prove the path), generation 0 is an original socket.
-    pub(crate) fn from_spec(spec: &ChannelSpec, generation: u64) -> io::Result<UdpChannel> {
-        let builder = UdpChannelBuilder {
-            mtu: spec.mtu,
-            queue_cap: spec.queue_cap,
-            batch: spec.batch,
-            sndbuf: spec.sndbuf,
-            rcvbuf: spec.rcvbuf,
-            force_fallback: spec.force_fallback,
-        };
-        let mut chan = builder.bind(spec.local)?;
-        if let Some(peer) = spec.peer {
-            chan.connect(peer)?;
-        }
-        chan.stats.generation = generation;
-        if generation > 0 {
-            chan.stats.lifecycle = LifecycleState::Probing;
-        }
-        Ok(chan)
     }
 
     /// Swap in a fresh connected socket on the same local port and
@@ -1380,20 +1317,6 @@ mod tests {
         let s = a.stats();
         assert_eq!((s.generation, s.revive_attempts), (0, 0));
         assert_eq!(s.lifecycle, LifecycleState::Live);
-    }
-
-    #[test]
-    fn from_spec_rebuilds_a_connected_channel() {
-        let (a, mut b) = UdpChannel::pair(256, 8).unwrap();
-        let spec = a.spec().clone();
-        drop(a); // frees the local port for the rebuild
-        let mut a2 = UdpChannel::from_spec(&spec, 3).unwrap();
-        let s = a2.stats();
-        assert_eq!(s.generation, 3);
-        assert_eq!(s.lifecycle, LifecycleState::Probing);
-        a2.send_frame(&[5u8; 8]).unwrap();
-        let mut buf = [0u8; 256];
-        assert_eq!(recv_poll(&mut b, &mut buf), Some(8), "peer still reachable");
     }
 
     /// Loopback UDP can reorder across *sockets* but a single connected

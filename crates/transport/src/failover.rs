@@ -4,7 +4,7 @@
 //! sender's datapath — anything implementing
 //! [`ControlPath`](crate::stripe_conn::ControlPath): the simulated
 //! [`StripedPath`](crate::stripe_conn::StripedPath) or the real-socket
-//! `NetStripedPath` from `stripe-net` — and owns the two control-plane
+//! `StripeServer` from `stripe-net` — and owns the two control-plane
 //! state machines:
 //! the [`LivenessTracker`] (per-channel keepalives with exponential
 //! backoff) and the [`MembershipSender`] (the epoch'd shrink/grow
@@ -587,13 +587,6 @@ impl<S: CausalScheduler, P: WireLen> StripedSink<S, P> {
                     MembershipAction::AckOnly { channel, ack } => vec![(channel, ack)],
                     MembershipAction::Ignore => Vec::new(),
                 }
-            }
-            Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            } => {
-                self.rx.schedule_quanta(*effective_round, quanta);
-                Vec::new()
             }
             Control::QuantumAnnounce {
                 epoch,

@@ -161,7 +161,7 @@ impl<'a, P> IntoIterator for &'a TxBatch<P> {
 /// [`FifoLink`]s or real sockets.
 ///
 /// [`StripedPath`] implements it over the analytic links; the
-/// `stripe-net` crate's `NetStripedPath` implements it over kernel
+/// `stripe-net` crate's `StripeServer` implements it over kernel
 /// sockets, which is what lets [`crate::failover::FailoverDriver`] run
 /// unchanged on both. On a real path, `arrival` in the returned
 /// [`ControlTransmission`] means "handed to the network at this instant"

@@ -3,7 +3,7 @@
 //!
 //! Three kernel loopback UDP channels, each behind a token-bucket
 //! policer with deliberately *heterogeneous* capacity — a 4:2:1 split
-//! the sender is never told about. The [`SenderReactor`] carries the
+//! the sender is never told about. The [`ServerReactor`] carries the
 //! full adaptive loop: per-channel estimators fed by transmit evidence,
 //! the quantum tuner, and the epoch'd retune handshake that switches
 //! sender and receiver quanta at the same stream point.
@@ -31,12 +31,11 @@ use stripe::core::receiver::RxBatch;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
 use stripe::net::{
-    AdaptiveConfig, AdaptiveTuner, ChaosPlan, ImpairedLink, NetLogicalReceiver, NetStripedPath,
-    SenderReactor, UdpChannel,
+    AdaptiveConfig, AdaptiveTuner, ChaosPlan, FlowDemux, ImpairedLink, ServerReactor, StripeServer,
+    UdpChannel,
 };
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
-use stripe::transport::TxBatch;
 
 const CHANNELS: usize = 3;
 const PAYLOAD: usize = 300;
@@ -71,18 +70,19 @@ fn main() -> std::io::Result<()> {
             ImpairedLink::new(l, plan, seed.wrapping_add(i as u64))
         })
         .collect();
-    let path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .markers(MarkerConfig::every_rounds(4))
         .links(links)
         .integrity(true)
         .build();
+    let flow = path.open_flow().expect("a fresh server admits a flow");
     let driver = FailoverDriver::new(
         CHANNELS,
         FailoverConfig::with_probe_interval(1_000_000),
         SimTime::ZERO,
     );
-    let mut reactor = SenderReactor::new(
+    let mut reactor = ServerReactor::new(
         path,
         Some(driver),
         SimTime::ZERO,
@@ -93,12 +93,13 @@ fn main() -> std::io::Result<()> {
         AdaptiveConfig::with_interval(SimDuration::from_millis(5)),
         SimTime::ZERO,
     ));
-    let mut rx = NetLogicalReceiver::builder()
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .links(rx_links)
         .pool_buffers(256)
         .build();
-    rx.reserve(1 << 10);
+    assert!(rx.touch_flow(flow.id()));
+    rx.reserve_flow(flow.id(), 1 << 10);
 
     println!(
         "adaptive soak: {CHANNELS} loopback channels policed {RATES:?} B/pump (hidden 4:2:1), \
@@ -108,8 +109,7 @@ fn main() -> std::io::Result<()> {
 
     let mut next_id = 0u64;
     let mut got: Vec<u64> = Vec::new();
-    let mut pkts = Vec::new();
-    let mut out: TxBatch<bytes::Bytes> = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut trace: Vec<(u64, Vec<i64>)> = Vec::new();
@@ -126,15 +126,18 @@ fn main() -> std::io::Result<()> {
         // Saturating offered load: past aggregate capacity, so every
         // policer binds and carried load IS capacity.
         for _ in 0..BURST {
-            let mut payload = vec![next_id as u8; PAYLOAD];
+            let mut payload = [next_id as u8; PAYLOAD];
             payload[..8].copy_from_slice(&next_id.to_be_bytes());
-            pkts.push(bytes::Bytes::from(payload));
+            reactor
+                .path_mut()
+                .enqueue(flow, &payload)
+                .expect("burst fits the queue");
             next_id += 1;
         }
-        reactor.path_mut().send_batch(now, &mut pkts, &mut out);
+        reactor.path_mut().pump_into(now, usize::MAX, &mut events);
         reactor.poll(now);
         rx.sweep(now);
-        rx.poll_into(&mut batch);
+        rx.poll_flow_into(flow.id(), &mut batch);
         for pb in batch.drain() {
             let id = u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap());
             assert!(id < next_id, "CORRUPT DELIVERY: bogus id {id}");

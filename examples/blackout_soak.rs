@@ -1,15 +1,15 @@
 //! Seeded blackout soak over the real-socket datapath, runnable form:
 //! the CI smoke job and a README showcase in one binary.
 //!
-//! Three kernel loopback UDP channels behind a [`SenderReactor`] with
+//! Three kernel loopback UDP channels behind a [`ServerReactor`] with
 //! the full failover driver attached, walked through the two §5 fault
 //! scenarios the driver must survive:
 //!
 //! 1. **Total blackout** — every channel goes dark at once (control
 //!    included). The silence deadline kills them one by one; when the
-//!    last falls the driver *parks* the path — data fails fast with
-//!    `LinkDown`, schedulers freeze on the last live mask, probes keep
-//!    flowing — then healing the dark regrows membership from empty.
+//!    last falls the driver *parks* the path — enqueues are refused
+//!    with backpressure, schedulers freeze on the last live mask, probes
+//!    keep flowing — then healing the dark regrows membership from empty.
 //! 2. **Endpoint restart** — the receiver is torn down and rebuilt over
 //!    the same sockets with a fresh incarnation. The next probe ack
 //!    betrays the restart; the driver floods the §5 two-phase reset,
@@ -25,34 +25,37 @@
 
 use std::time::{Duration, Instant};
 
-use stripe::core::receiver::{Arrival, RxBatch};
+use stripe::core::receiver::RxBatch;
 use stripe::core::reset::DesyncDetector;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
 use stripe::link::TxError;
 use stripe::net::{
-    ChaosPlan, ImpairedLink, LifecycleState, NetLogicalReceiver, NetStripedPath, SenderReactor,
-    UdpChannel,
+    ChaosPlan, FlowDemux, FlowError, ImpairedLink, LifecycleState, PumpEvent, ServerReactor,
+    StripeServer, UdpChannel,
 };
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
-use stripe::transport::TxBatch;
 
 const CHANNELS: usize = 3;
 const PAYLOAD: usize = 300;
 const PROBE_NS: u64 = 1_000_000;
 const STEP_US: u64 = 100;
 const TAIL: u64 = 300;
+/// The one flow the soak streams on: the first a fresh server opens, and
+/// the replica a rebuilt receiver pre-instantiates.
+const FLOW: u32 = 0;
 
-fn build_rx(links: Vec<UdpChannel>, incarnation: u64) -> NetLogicalReceiver<Srr, UdpChannel> {
-    let mut rx = NetLogicalReceiver::builder()
+fn build_rx(links: Vec<UdpChannel>, incarnation: u64) -> FlowDemux<Srr, UdpChannel> {
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .links(links)
         .pool_buffers(256)
         .incarnation(incarnation)
         .desync_detector(DesyncDetector::new(256, 0.5, 8))
         .build();
-    rx.reserve(1 << 10);
+    assert!(rx.touch_flow(FLOW));
+    rx.reserve_flow(FLOW, 1 << 10);
     rx
 }
 
@@ -74,18 +77,20 @@ fn main() -> std::io::Result<()> {
         .enumerate()
         .map(|(i, l)| ImpairedLink::new(l, ChaosPlan::none(), seed.wrapping_add(i as u64)))
         .collect();
-    let path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .markers(MarkerConfig::every_rounds(4))
         .links(links)
         .integrity(true)
         .build();
+    let flow = path.open_flow().expect("a fresh server admits a flow");
+    assert_eq!(flow.id(), FLOW);
     let driver = FailoverDriver::new(
         CHANNELS,
         FailoverConfig::with_probe_interval(PROBE_NS),
         SimTime::ZERO,
     );
-    let mut reactor = SenderReactor::new(
+    let mut reactor = ServerReactor::new(
         path,
         Some(driver),
         SimTime::ZERO,
@@ -103,9 +108,7 @@ fn main() -> std::io::Result<()> {
     let mut next_id = 0u64;
     let mut rejected = 0u64;
     let mut got: Vec<u64> = Vec::new();
-    let mut pkts = Vec::new();
-    let mut out: TxBatch<bytes::Bytes> = TxBatch::new();
-    let mut mk_out: TxBatch<bytes::Bytes> = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
     let deadline = Instant::now() + Duration::from_secs(60);
 
@@ -120,27 +123,32 @@ fn main() -> std::io::Result<()> {
             );
             now_us += STEP_US;
             let now = SimTime::from_micros(now_us);
+            let path = reactor.path_mut();
             if $burst > 0 {
                 for _ in 0..$burst {
-                    let mut payload = vec![next_id as u8; PAYLOAD];
+                    let mut payload = [next_id as u8; PAYLOAD];
                     payload[..8].copy_from_slice(&next_id.to_be_bytes());
-                    pkts.push(bytes::Bytes::from(payload));
+                    match path.enqueue(flow, &payload) {
+                        Ok(()) => {}
+                        Err(FlowError::Backpressure { .. }) => rejected += 1,
+                        Err(e) => panic!("unexpected enqueue error: {e}"),
+                    }
                     next_id += 1;
                 }
-                reactor.path_mut().send_batch(now, &mut pkts, &mut out);
-                for t in out.iter() {
-                    if matches!(t.item, Arrival::Data(_)) && t.error.is_some() {
-                        assert_eq!(t.error, Some(TxError::LinkDown), "unexpected send error");
+                path.pump_into(now, usize::MAX, &mut events);
+                for ev in &events {
+                    if let PumpEvent::Data { error: Some(e), .. } = ev {
+                        assert_eq!(*e, TxError::LinkDown, "unexpected send error");
                         rejected += 1;
                     }
                 }
             } else {
-                reactor.path_mut().send_markers_into(now, &mut mk_out);
+                path.send_idle_markers_into(now, &mut events);
             }
             reactor.poll(now);
             let rx = rx.as_mut().expect("receiver attached");
             rx.sweep(now);
-            rx.poll_into(&mut batch);
+            rx.poll_flow_into(FLOW, &mut batch);
             for pb in batch.drain() {
                 let id = u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap());
                 assert!(id < next_id, "CORRUPT DELIVERY: bogus id {id}");

@@ -20,10 +20,8 @@ use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
 use stripe::net::chaos::DropPolicy;
 use stripe::net::{
-    ChaosPlan, ChaosSnapshot, ImpairedLink, NetLogicalReceiver, NetStripedPath, UdpChannel,
-    WallClock,
+    ChaosPlan, ChaosSnapshot, FlowDemux, ImpairedLink, StripeServer, UdpChannel, WallClock,
 };
-use stripe::transport::TxBatch;
 
 const CHANNELS: usize = 3;
 const PAYLOAD: usize = 300;
@@ -66,13 +64,14 @@ fn main() -> std::io::Result<()> {
         .enumerate()
         .map(|(i, (l, p))| ImpairedLink::new(l, p, seed.wrapping_add(i as u64)))
         .collect();
-    let mut path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .markers(MarkerConfig::every_rounds(4))
         .links(links)
         .integrity(true)
         .build();
-    let mut rx = NetLogicalReceiver::builder()
+    let flow = path.open_flow().expect("a fresh server admits a flow");
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .links(rx_links)
         .pool_buffers(256)
@@ -84,9 +83,7 @@ fn main() -> std::io::Result<()> {
     );
 
     let clock = WallClock::start();
-    let mut pkts = Vec::new();
-    let mut out = TxBatch::new();
-    let mut mk_out: TxBatch<bytes::Bytes> = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
     let mut got: Vec<u64> = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -99,19 +96,19 @@ fn main() -> std::io::Result<()> {
         );
         if next_id < TOTAL {
             for _ in 0..BURST.min(TOTAL - next_id) {
-                let mut payload = vec![next_id as u8; PAYLOAD];
+                let mut payload = [next_id as u8; PAYLOAD];
                 payload[..8].copy_from_slice(&next_id.to_be_bytes());
-                pkts.push(bytes::Bytes::from(payload));
+                path.enqueue(flow, &payload).expect("burst fits the queue");
                 next_id += 1;
             }
-            path.send_batch(clock.now(), &mut pkts, &mut out);
+            path.pump_into(clock.now(), usize::MAX, &mut events);
         } else {
             // Stream over: idle markers heal straggling losses.
-            path.send_markers_into(clock.now(), &mut mk_out);
+            path.send_idle_markers_into(clock.now(), &mut events);
         }
         path.flush(); // also ages the chaos layer's hold queues
         rx.sweep(clock.now());
-        rx.poll_into(&mut batch);
+        rx.poll_flow_into(flow.id(), &mut batch);
         for pb in batch.drain() {
             let id = u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap());
             // The CI gate: a corrupted payload delivered = abort.
@@ -198,7 +195,8 @@ fn main() -> std::io::Result<()> {
     println!("  mean displacement: {:.2}", s.mean_displacement);
     println!("  max displacement : {}", s.max_displacement);
     println!("  longest run      : {}", s.longest_in_order_run);
-    println!("  marks applied    : {}", rx.stats().marks_applied);
+    let marks_applied = rx.flow_stats(flow.id()).map_or(0, |s| s.marks_applied);
+    println!("  marks applied    : {marks_applied}");
     if let Some(idx) = s.last_ooo_index {
         println!(
             "  last disorder at delivery {idx} of {} — the tail is clean (Theorem 5.1)",

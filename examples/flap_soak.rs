@@ -1,7 +1,7 @@
 //! Seeded flap soak over the real-socket datapath, runnable form: the
 //! CI smoke job and a README showcase in one binary.
 //!
-//! Three kernel loopback UDP channels behind a [`SenderReactor`] with
+//! Three kernel loopback UDP channels behind a [`ServerReactor`] with
 //! the full failover driver attached. Each cycle flaps two channels
 //! through the complete lifecycle walk — `live → dead → cooldown →
 //! probing → rejoining → live` — by two different death paths:
@@ -26,12 +26,10 @@ use stripe::core::receiver::RxBatch;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
 use stripe::net::{
-    ChaosPlan, ImpairedLink, LifecycleState, NetLogicalReceiver, NetStripedPath, SenderReactor,
-    UdpChannel,
+    ChaosPlan, FlowDemux, ImpairedLink, LifecycleState, ServerReactor, StripeServer, UdpChannel,
 };
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
-use stripe::transport::TxBatch;
 
 const CHANNELS: usize = 3;
 const PAYLOAD: usize = 300;
@@ -58,29 +56,31 @@ fn main() -> std::io::Result<()> {
         .enumerate()
         .map(|(i, l)| ImpairedLink::new(l, ChaosPlan::none(), seed.wrapping_add(i as u64)))
         .collect();
-    let path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .markers(MarkerConfig::every_rounds(4))
         .links(links)
         .integrity(true)
         .build();
+    let flow = path.open_flow().expect("a fresh server admits a flow");
     let driver = FailoverDriver::new(
         CHANNELS,
         FailoverConfig::with_probe_interval(PROBE_NS),
         SimTime::ZERO,
     );
-    let mut reactor = SenderReactor::new(
+    let mut reactor = ServerReactor::new(
         path,
         Some(driver),
         SimTime::ZERO,
         SimDuration::from_nanos(PROBE_NS),
     );
-    let mut rx = NetLogicalReceiver::builder()
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .links(rx_links)
         .pool_buffers(256)
         .build();
-    rx.reserve(1 << 10);
+    assert!(rx.touch_flow(flow.id()));
+    rx.reserve_flow(flow.id(), 1 << 10);
 
     println!(
         "flap soak: {CYCLES} die/rejoin cycles x 2 death paths, \
@@ -91,9 +91,7 @@ fn main() -> std::io::Result<()> {
     let mut now_us = 0u64;
     let mut next_id = 0u64;
     let mut got: Vec<u64> = Vec::new();
-    let mut pkts = Vec::new();
-    let mut out: TxBatch<bytes::Bytes> = TxBatch::new();
-    let mut mk_out: TxBatch<bytes::Bytes> = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
     let deadline = Instant::now() + Duration::from_secs(60);
 
@@ -108,20 +106,21 @@ fn main() -> std::io::Result<()> {
             );
             now_us += STEP_US;
             let now = SimTime::from_micros(now_us);
+            let path = reactor.path_mut();
             if $burst > 0 {
                 for _ in 0..$burst {
-                    let mut payload = vec![next_id as u8; PAYLOAD];
+                    let mut payload = [next_id as u8; PAYLOAD];
                     payload[..8].copy_from_slice(&next_id.to_be_bytes());
-                    pkts.push(bytes::Bytes::from(payload));
+                    path.enqueue(flow, &payload).expect("burst fits the queue");
                     next_id += 1;
                 }
-                reactor.path_mut().send_batch(now, &mut pkts, &mut out);
+                path.pump_into(now, usize::MAX, &mut events);
             } else {
-                reactor.path_mut().send_markers_into(now, &mut mk_out);
+                path.send_idle_markers_into(now, &mut events);
             }
             reactor.poll(now);
             rx.sweep(now);
-            rx.poll_into(&mut batch);
+            rx.poll_flow_into(flow.id(), &mut batch);
             for pb in batch.drain() {
                 let id = u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap());
                 assert!(id < next_id, "CORRUPT DELIVERY: bogus id {id}");

@@ -5,11 +5,11 @@
 //!
 //! Unlike `examples/udp_striping.rs` (which hand-rolls framing on raw
 //! sockets to show the mechanism), this demo uses the production
-//! datapath: `NetStripedPath` for causal striping + wire framing,
-//! `DropLink` for reproducible loss, `NetLogicalReceiver` for pooled
-//! zero-copy reception, and a single-threaded poll loop — no threads,
-//! no async runtime. The delivered sequence is scored with the §6.3
-//! reorder metrics.
+//! datapath: `StripeServer` (one flow open) for causal striping + wire
+//! framing, `ImpairedLink` under a drop-only `ChaosPlan` for
+//! reproducible loss, `FlowDemux` for pooled zero-copy reception, and a
+//! single-threaded poll loop — no threads, no async runtime. The
+//! delivered sequence is scored with the §6.3 reorder metrics.
 //!
 //! Run with: `cargo run --example udp_loopback`
 
@@ -20,9 +20,8 @@ use stripe::core::receiver::RxBatch;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
 use stripe::net::{
-    DropLink, DropPolicy, NetLogicalReceiver, NetStripedPath, UdpChannel, WallClock,
+    ChaosPlan, DropPolicy, FlowDemux, ImpairedLink, StripeServer, UdpChannel, WallClock,
 };
-use stripe::transport::TxBatch;
 
 const CHANNELS: usize = 4;
 const PACKETS: u64 = 2000;
@@ -44,7 +43,7 @@ fn main() -> std::io::Result<()> {
     }
 
     // Sender: SRR striping + periodic markers, loss injected on channel 0.
-    let mut path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .markers(MarkerConfig::every_rounds(4))
         .links(
@@ -60,15 +59,16 @@ fn main() -> std::io::Result<()> {
                     } else {
                         DropPolicy::None
                     };
-                    DropLink::new(l, policy)
+                    ImpairedLink::new(l, ChaosPlan::none().loss(policy), 0)
                 })
                 .collect(),
         )
         .build();
+    let flow = path.open_flow().expect("a fresh server admits a flow");
 
     // Receiver: an identically configured scheduler replays the sender's
     // decisions; pooled buffers make reception allocation-free.
-    let mut rx = NetLogicalReceiver::builder()
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .links(rx_links)
         .build();
@@ -77,8 +77,7 @@ fn main() -> std::io::Result<()> {
     println!("dropping data frames {DROP_FROM}..{DROP_TO} on channel 0 in flight\n");
 
     let clock = WallClock::start();
-    let mut pkts = Vec::new();
-    let mut out = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
     let mut got: Vec<u64> = Vec::new();
     let expected = PACKETS - (DROP_TO - DROP_FROM);
@@ -88,16 +87,16 @@ fn main() -> std::io::Result<()> {
     while (got.len() as u64) < expected && Instant::now() < deadline {
         if next_id < PACKETS {
             for _ in 0..BURST.min(PACKETS - next_id) {
-                let mut payload = vec![0u8; PAYLOAD];
+                let mut payload = [0u8; PAYLOAD];
                 payload[..8].copy_from_slice(&next_id.to_be_bytes());
-                pkts.push(bytes::Bytes::from(payload));
+                path.enqueue(flow, &payload).expect("burst fits the queue");
                 next_id += 1;
             }
-            path.send_batch(clock.now(), &mut pkts, &mut out);
+            path.pump_into(clock.now(), usize::MAX, &mut events);
         }
         path.flush(); // retry anything the kernel pushed back
         rx.sweep(clock.now()); // physical reception off every socket
-        rx.poll_into(&mut batch); // logical (resequenced) delivery
+        rx.poll_flow_into(flow.id(), &mut batch); // logical (resequenced) delivery
         for pb in batch.drain() {
             got.push(u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap()));
             rx.recycle(pb); // close the zero-alloc cycle
@@ -105,15 +104,16 @@ fn main() -> std::io::Result<()> {
         std::thread::yield_now();
     }
 
-    let dropped: u64 = path.links().iter().map(|l| l.dropped()).sum();
+    let dropped: u64 = path.links().iter().map(|l| l.snapshot().dropped_loss).sum();
     let m = analyze(&got);
     let s = m.stats();
 
     println!("sent        : {PACKETS}");
     println!("dropped     : {dropped} (in flight, channel 0)");
     println!("delivered   : {}", s.delivered);
-    println!("markers sent: {}", path.stats().markers_sent);
-    println!("marks applied: {}", rx.stats().marks_applied);
+    println!("markers sent: {}", path.stats().path.markers_sent);
+    let marks_applied = rx.flow_stats(flow.id()).map_or(0, |s| s.marks_applied);
+    println!("marks applied: {marks_applied}");
     println!();
     println!("reorder metrics over the delivered sequence (§6.3):");
     println!("  out of order     : {}", s.out_of_order);

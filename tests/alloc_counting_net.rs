@@ -12,8 +12,7 @@ use stripe_bench::alloc::CountingAlloc;
 use stripe_core::receiver::RxBatch;
 use stripe_core::sched::Srr;
 use stripe_core::sender::MarkerConfig;
-use stripe_net::{NetLogicalReceiver, NetStripedPath, PooledBuf, UdpChannel, WallClock};
-use stripe_transport::TxBatch;
+use stripe_net::{FlowDemux, PooledBuf, PumpEvent, StripeServer, UdpChannel, WallClock};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -30,41 +29,43 @@ fn steady_state_net_datapath_allocates_nothing() {
         tx_links.push(a);
         rx_links.push(b);
     }
-    let mut path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .markers(MarkerConfig::every_rounds(8))
         .links(tx_links)
         .build();
-    let mut rx = NetLogicalReceiver::builder()
+    let flow = path.open_flow().unwrap();
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .links(rx_links)
         .pool_buffers(256)
         .build();
-    rx.reserve(1 << 10);
+    assert!(rx.touch_flow(flow.id()));
+    rx.reserve_flow(flow.id(), 1 << 10);
 
-    // One template payload; every packet is an O(1) refcounted view.
-    let template = bytes::Bytes::from(vec![0x5au8; 256]);
-    let mut pkts: Vec<bytes::Bytes> = Vec::with_capacity(CHUNK);
-    let mut out: TxBatch<bytes::Bytes> = TxBatch::with_capacity(CHUNK + 2 * CHANNELS);
+    let payload = [0x5au8; 256];
+    let mut events: Vec<PumpEvent> = Vec::with_capacity(CHUNK + 2 * CHANNELS);
     let mut got: RxBatch<PooledBuf> = RxBatch::with_capacity(CHUNK + 2 * CHANNELS);
     let clock = WallClock::start();
     let mut delivered = 0u64;
 
-    let mut spin = |path: &mut NetStripedPath<Srr, UdpChannel>,
-                    rx: &mut NetLogicalReceiver<Srr, UdpChannel>,
+    let mut spin = |path: &mut StripeServer<Srr, UdpChannel>,
+                    rx: &mut FlowDemux<Srr, UdpChannel>,
                     chunks: usize|
      -> u64 {
         let mut n = 0u64;
         for _ in 0..chunks {
-            pkts.extend((0..CHUNK).map(|_| template.clone()));
-            path.send_batch(clock.now(), &mut pkts, &mut out);
+            for _ in 0..CHUNK {
+                path.enqueue(flow, &payload).unwrap();
+            }
+            path.pump_into(clock.now(), usize::MAX, &mut events);
             // Sweep until this chunk has fully crossed the kernel, so the
             // next chunk never piles onto a full socket buffer.
             let mut spins = 0u32;
             loop {
                 path.flush();
                 rx.sweep(clock.now());
-                rx.poll_into(&mut got);
+                rx.poll_flow_into(flow.id(), &mut got);
                 if !got.is_empty() {
                     break;
                 }
@@ -78,7 +79,7 @@ fn steady_state_net_datapath_allocates_nothing() {
                     rx.recycle(pb);
                 }
                 rx.sweep(clock.now());
-                rx.poll_into(&mut got);
+                rx.poll_flow_into(flow.id(), &mut got);
                 if got.is_empty() {
                     break;
                 }
@@ -110,6 +111,6 @@ fn steady_state_net_datapath_allocates_nothing() {
         delivered >= ((16 + 64) * CHUNK) as u64 - CHUNK as u64,
         "only {delivered} delivered"
     );
-    assert_eq!(path.stats().dropped_queue, 0);
-    assert_eq!(rx.stats().dropped_overflow, 0);
+    assert_eq!(path.stats().path.dropped_queue, 0);
+    assert_eq!(rx.flow_stats(flow.id()).unwrap().dropped_overflow, 0);
 }

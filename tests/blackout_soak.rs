@@ -5,17 +5,17 @@
 //! behind a scripted partition ([`ImpairedLink::partition_now`],
 //! control included). The silence deadline declares each channel dead;
 //! when the last one falls the driver *parks* the path instead of
-//! panicking: data sends fail fast with `LinkDown`, the schedulers
-//! freeze on their last live mask, and probes keep flowing on cooldown.
-//! Healing the partition lets the first probe ack regrow membership
-//! from empty through the ordinary epoch'd handshake, back to full
-//! capacity — with a set-exact, quasi-FIFO Theorem 5.1 tail measured
-//! from a post-resume mark.
+//! panicking: enqueues are refused with backpressure, pumps serve
+//! nothing, the schedulers freeze on their last live mask, and probes
+//! keep flowing on cooldown. Healing the partition lets the first probe
+//! ack regrow membership from empty through the ordinary epoch'd
+//! handshake, back to full capacity — with a set-exact, quasi-FIFO
+//! Theorem 5.1 tail measured from a post-resume mark.
 //!
 //! **Scenario B — endpoint restart.** The receiver process "restarts"
-//! in place: torn down mid-run ([`NetLogicalReceiver::into_links`])
-//! and rebuilt over the same sockets with a fresh incarnation. The
-//! next probe ack carries the new incarnation, the driver detects the
+//! in place: torn down mid-run ([`FlowDemux::into_links`]) and
+//! rebuilt over the same sockets with a fresh incarnation. The next
+//! probe ack carries the new incarnation, the driver detects the
 //! restart and drives the §5 two-phase reset over the wire — flood
 //! `ResetRequest`, receiver flushes and acks, acks gate resume — then
 //! flushes its own engines and re-teaches membership. The post-reset
@@ -27,20 +27,16 @@
 
 use std::time::{Duration, Instant};
 
-use stripe::core::receiver::{Arrival, RxBatch};
+use stripe::core::receiver::RxBatch;
 use stripe::core::reset::DesyncDetector;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
-use stripe::link::TxError;
 use stripe::net::{
-    ImpairedLink, LifecycleState, NetLogicalReceiver, NetStripedPath, PooledBuf, SenderReactor,
-    UdpChannel,
+    ChaosPlan, FlowDemux, FlowError, FlowHandle, ImpairedLink, LifecycleState, PooledBuf,
+    PumpEvent, ServerReactor, StripeServer, UdpChannel,
 };
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
-use stripe::transport::TxBatch;
-
-use stripe::net::ChaosPlan;
 
 const CHANNELS: usize = 3;
 const QUANTUM: i64 = 1500;
@@ -50,13 +46,17 @@ const STEP_US: u64 = 100;
 const TAIL: u64 = 300;
 
 type TxLink = ImpairedLink<UdpChannel>;
-type Reactor = SenderReactor<Srr, TxLink>;
-type Receiver = NetLogicalReceiver<Srr, UdpChannel>;
+type Reactor = ServerReactor<Srr, TxLink>;
+type Receiver = FlowDemux<Srr, UdpChannel>;
 
-fn id_packet(id: u64) -> bytes::Bytes {
-    let mut payload = vec![id as u8; PAYLOAD];
+/// The one flow every scenario streams on: the first a fresh server
+/// opens, and the replica a rebuilt receiver pre-instantiates.
+const FLOW: u32 = 0;
+
+fn id_packet(id: u64) -> [u8; PAYLOAD] {
+    let mut payload = [id as u8; PAYLOAD];
     payload[..8].copy_from_slice(&id.to_be_bytes());
-    bytes::Bytes::from(payload)
+    payload
 }
 
 fn id_of(pb: &PooledBuf) -> u64 {
@@ -67,14 +67,15 @@ fn id_of(pb: &PooledBuf) -> u64 {
 /// desync self-check armed (conservative thresholds: present on the
 /// datapath, silent unless state really diverges).
 fn build_rx(links: Vec<UdpChannel>, incarnation: u64) -> Receiver {
-    let mut rx = NetLogicalReceiver::builder()
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .links(links)
         .pool_buffers(256)
         .incarnation(incarnation)
         .desync_detector(DesyncDetector::new(256, 0.5, 8))
         .build();
-    rx.reserve(1 << 10);
+    assert!(rx.touch_flow(FLOW));
+    rx.reserve_flow(FLOW, 1 << 10);
     rx
 }
 
@@ -82,16 +83,15 @@ fn build_rx(links: Vec<UdpChannel>, incarnation: u64) -> Receiver {
 /// ledger of ids the parked path refused).
 struct Soak {
     reactor: Reactor,
+    flow: FlowHandle,
     rx: Option<Receiver>,
     now_us: u64,
     next_id: u64,
     got: Vec<u64>,
-    /// Ids refused with `LinkDown` while the path was parked — sent
-    /// nowhere, so excluded from every delivery expectation.
+    /// Ids refused while the path was parked (or errored at a link) —
+    /// sent nowhere, so excluded from every delivery expectation.
     rejected: u64,
-    pkts: Vec<bytes::Bytes>,
-    out: TxBatch<bytes::Bytes>,
-    mk_out: TxBatch<bytes::Bytes>,
+    events: Vec<PumpEvent>,
     batch: RxBatch<PooledBuf>,
     deadline: Instant,
     seed: u64,
@@ -111,18 +111,20 @@ impl Soak {
             .enumerate()
             .map(|(i, l)| ImpairedLink::new(l, ChaosPlan::none(), seed.wrapping_add(i as u64)))
             .collect();
-        let path = NetStripedPath::builder()
+        let mut path = StripeServer::builder()
             .scheduler(Srr::equal(CHANNELS, QUANTUM))
             .markers(MarkerConfig::every_rounds(4))
             .links(links)
             .integrity(true)
             .build();
+        let flow = path.open_flow().unwrap();
+        assert_eq!(flow.id(), FLOW);
         let driver = FailoverDriver::new(
             CHANNELS,
             FailoverConfig::with_probe_interval(PROBE_NS),
             SimTime::ZERO,
         );
-        let reactor = SenderReactor::new(
+        let reactor = ServerReactor::new(
             path,
             Some(driver),
             SimTime::ZERO,
@@ -130,14 +132,13 @@ impl Soak {
         );
         Soak {
             reactor,
+            flow,
             rx: Some(build_rx(rx_links, 1)),
             now_us: 0,
             next_id: 0,
             got: Vec::with_capacity(1 << 13),
             rejected: 0,
-            pkts: Vec::new(),
-            out: TxBatch::new(),
-            mk_out: TxBatch::new(),
+            events: Vec::new(),
             batch: RxBatch::new(),
             deadline: Instant::now() + Duration::from_secs(60),
             seed,
@@ -158,28 +159,29 @@ impl Soak {
         );
         self.now_us += STEP_US;
         let now = SimTime::from_micros(self.now_us);
+        let path = self.reactor.path_mut();
         if burst > 0 {
             for _ in 0..burst {
-                self.pkts.push(id_packet(self.next_id));
+                match path.enqueue(self.flow, &id_packet(self.next_id)) {
+                    Ok(()) => {}
+                    Err(FlowError::Backpressure { .. }) => self.rejected += 1,
+                    Err(e) => panic!("seed {}: enqueue failed: {e}", self.seed),
+                }
                 self.next_id += 1;
             }
-            self.reactor
-                .path_mut()
-                .send_batch(now, &mut self.pkts, &mut self.out);
-            for t in self.out.iter() {
-                if matches!(t.item, Arrival::Data(_)) && t.error.is_some() {
+            path.pump_into(now, usize::MAX, &mut self.events);
+            for ev in &self.events {
+                if matches!(ev, PumpEvent::Data { error: Some(_), .. }) {
                     self.rejected += 1;
                 }
             }
         } else {
-            self.reactor
-                .path_mut()
-                .send_markers_into(now, &mut self.mk_out);
+            path.send_idle_markers_into(now, &mut self.events);
         }
         self.reactor.poll(now);
         let rx = self.rx.as_mut().expect("receiver attached");
         rx.sweep(now);
-        rx.poll_into(&mut self.batch);
+        rx.poll_flow_into(FLOW, &mut self.batch);
         for pb in self.batch.drain() {
             let id = id_of(&pb);
             assert!(
@@ -310,17 +312,16 @@ fn blackout_soak(seed: u64) {
         s.rejected >= rejected_before + 4,
         "seed {seed}: parked path accepted data"
     );
-    let parked_probe = {
-        let now = SimTime::from_micros(s.now_us);
-        let mut pkts = vec![id_packet(s.next_id)];
-        s.next_id += 1;
-        let mut out = TxBatch::new();
-        s.reactor.path_mut().send_batch(now, &mut pkts, &mut out);
-        out
-    };
-    assert!(parked_probe
-        .iter()
-        .all(|t| t.arrival.is_none() && t.error == Some(TxError::LinkDown)));
+    let (flow, now) = (s.flow, SimTime::from_micros(s.now_us));
+    let path = s.reactor.path_mut();
+    assert!(path.parked());
+    assert_eq!(
+        path.enqueue(flow, &id_packet(s.next_id)),
+        Err(FlowError::Backpressure { resume_hint: 1 })
+    );
+    assert_eq!(path.queue_len(flow), Ok(0));
+    assert_eq!(path.pump_into(now, usize::MAX, &mut s.events), 0);
+    s.next_id += 1;
     s.rejected += 1;
 
     // Hold the dark for a stretch: probes on cooldown, still parked,

@@ -1,152 +1,25 @@
 //! Link-layer death over real sockets ends in *failover*, never a
-//! process abort: the two hard-error paths the chaos issue names.
-//!
-//! - A sharded I/O worker panics mid-stream → the supervisor catches
-//!   it, the facade reports `link_dead`, the reactor short-circuits the
-//!   keepalive deadline, a shrunken mask is announced on the surviving
-//!   channels, and the receiver applies it. Delivery continues at N−1.
-//! - A peer socket disappears (`ECONNREFUSED` echoes) → the channel's
-//!   decaying refusal score retires it, with the same reactor-driven
-//!   failover. Gated on the ICMP echo actually arriving, so the test is
-//!   a no-op on hosts that don't report refusals on loopback.
+//! process abort: a peer socket disappears (`ECONNREFUSED` echoes) →
+//! the channel's decaying refusal score retires it, the reactor
+//! short-circuits the keepalive deadline, and a shrunken mask is
+//! announced on the surviving channel. Gated on the ICMP echo actually
+//! arriving, so the test is a no-op on hosts that don't report refusals
+//! on loopback.
 
-use std::time::{Duration, Instant};
-
-use stripe::core::receiver::RxBatch;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
 use stripe::link::DatagramLink;
-use stripe::net::{
-    membership_announced, NetLogicalReceiver, NetStripedPath, SenderReactor, ShardConfig,
-    UdpChannel,
-};
+use stripe::net::{membership_announced, ServerReactor, StripeServer, UdpChannel};
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
-use stripe::transport::TxBatch;
 
 const QUANTUM: i64 = 1500;
 /// Probes effectively disabled: only link-layer evidence may declare
-/// death in these tests, never the silence deadline. The lifecycle
+/// death in this test, never the silence deadline. The lifecycle
 /// machine derives its cooldowns from the same interval, so no rebind
 /// fires within the test horizon either — death stays terminal *here*,
 /// by configuration; the full die → rejoin walk is `flap_soak.rs`.
 const SLOW_PROBE_NS: u64 = 1_000_000_000_000;
-
-fn payload(byte: u8) -> bytes::Bytes {
-    bytes::Bytes::from(vec![byte; 200])
-}
-
-#[test]
-fn worker_panic_ends_in_failover_not_abort() {
-    const CHANNELS: usize = 2;
-    let mut tx_links = Vec::new();
-    let mut rx_links = Vec::new();
-    for _ in 0..CHANNELS {
-        let (a, b) = UdpChannel::pair(2048, 1 << 12).unwrap();
-        tx_links.push(ShardConfig::new().spawn(a).unwrap());
-        rx_links.push(b);
-    }
-    let path = NetStripedPath::builder()
-        .scheduler(Srr::equal(CHANNELS, QUANTUM))
-        .markers(MarkerConfig::every_rounds(4))
-        .links(tx_links)
-        .build();
-    let driver = FailoverDriver::new(
-        CHANNELS,
-        FailoverConfig::with_probe_interval(SLOW_PROBE_NS),
-        SimTime::ZERO,
-    );
-    let mut reactor = SenderReactor::new(
-        path,
-        Some(driver),
-        SimTime::ZERO,
-        SimDuration::from_millis(1),
-    );
-    let mut rx = NetLogicalReceiver::builder()
-        .scheduler(Srr::equal(CHANNELS, QUANTUM))
-        .links(rx_links)
-        .pool_buffers(128)
-        .build();
-
-    let mut pkts = Vec::new();
-    let mut out = TxBatch::new();
-    let mut batch = RxBatch::new();
-    let mut now_us = 0u64;
-    let deadline = Instant::now() + Duration::from_secs(20);
-
-    // Healthy traffic first: both workers moving data.
-    let mut delivered = 0u64;
-    while delivered < 32 {
-        assert!(Instant::now() < deadline, "healthy phase stalled");
-        now_us += 100;
-        pkts.extend((0..8).map(|_| payload(0x11)));
-        reactor
-            .path_mut()
-            .send_batch(SimTime::from_micros(now_us), &mut pkts, &mut out);
-        reactor.poll(SimTime::from_micros(now_us));
-        rx.sweep(SimTime::from_micros(now_us));
-        rx.poll_into(&mut batch);
-        for pb in batch.drain() {
-            delivered += 1;
-            rx.recycle(pb);
-        }
-    }
-    assert_eq!(reactor.stats().link_dead_reports, 0);
-
-    // Kill channel 1's I/O worker from under the stripe.
-    reactor.path_mut().links_mut()[1].inject_worker_panic();
-
-    // The supervisor must surface the death and the reactor must
-    // announce a shrunken mask — without the process aborting.
-    let mut announced = false;
-    while !announced {
-        assert!(
-            Instant::now() < deadline,
-            "worker death never surfaced as failover"
-        );
-        now_us += 100;
-        let reports = reactor.poll(SimTime::from_micros(now_us));
-        announced = membership_announced(&reports);
-        rx.sweep(SimTime::from_micros(now_us));
-        std::thread::yield_now();
-    }
-    let driver = reactor.driver().expect("driver attached");
-    assert_eq!(driver.liveness().deaths(), 1);
-    assert_eq!(driver.liveness().live_mask(), vec![true, false]);
-    assert_eq!(reactor.stats().link_dead_reports, 1);
-
-    // The receiver hears the announcement on the surviving channel and
-    // keeps delivering at N−1.
-    let mut post_failover = 0u64;
-    while post_failover < 32 || rx.stats().memberships_applied == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "post-failover delivery stalled (applied {}, delivered {post_failover})",
-            rx.stats().memberships_applied
-        );
-        now_us += 100;
-        pkts.extend((0..8).map(|_| payload(0x22)));
-        reactor
-            .path_mut()
-            .send_batch(SimTime::from_micros(now_us), &mut pkts, &mut out);
-        reactor.poll(SimTime::from_micros(now_us));
-        rx.sweep(SimTime::from_micros(now_us));
-        rx.poll_into(&mut batch);
-        for pb in batch.drain() {
-            post_failover += 1;
-            rx.recycle(pb);
-        }
-    }
-    assert!(rx.stats().memberships_applied >= 1);
-
-    // The dead shard tears down cleanly: no socket to hand back, no
-    // propagated panic out of join.
-    let (path, _) = reactor.into_inner();
-    let mut links = path.into_links();
-    let dead = links.pop().expect("two links");
-    assert!(dead.is_dead());
-    assert!(dead.into_channel().is_none());
-}
 
 #[test]
 fn refused_socket_ends_in_failover_not_abort() {
@@ -155,31 +28,33 @@ fn refused_socket_ends_in_failover_not_abort() {
     let (a1, b1) = UdpChannel::pair(2048, 1 << 12).unwrap();
     drop(b1); // channel 1's peer vanishes: sends echo ICMP refusals
 
-    let path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .markers(MarkerConfig::every_rounds(4))
         .links(vec![a0, a1])
         .build();
+    let flow = path.open_flow().unwrap();
     let driver = FailoverDriver::new(
         CHANNELS,
         FailoverConfig::with_probe_interval(SLOW_PROBE_NS),
         SimTime::ZERO,
     );
-    let mut reactor = SenderReactor::new(
+    let mut reactor = ServerReactor::new(
         path,
         Some(driver),
         SimTime::ZERO,
         SimDuration::from_millis(1),
     );
 
-    let mut pkts = Vec::new();
-    let mut out = TxBatch::new();
+    let mut events = Vec::new();
     let mut announced = false;
     for i in 0..10_000u64 {
-        pkts.extend((0..4).map(|_| payload(0x33)));
+        for _ in 0..4 {
+            reactor.path_mut().enqueue(flow, &[0x33; 200]).unwrap();
+        }
         reactor
             .path_mut()
-            .send_batch(SimTime::from_micros(i * 100), &mut pkts, &mut out);
+            .pump_into(SimTime::from_micros(i * 100), usize::MAX, &mut events);
         let reports = reactor.poll(SimTime::from_micros(i * 100));
         announced |= membership_announced(&reports);
         if announced {

@@ -29,10 +29,9 @@ use stripe_core::sched::Srr;
 use stripe_core::sender::MarkerConfig;
 use stripe_net::chaos::DropPolicy;
 use stripe_net::{
-    ChaosPlan, ChaosSnapshot, ImpairedLink, NetLogicalReceiver, NetStripedPath, PooledBuf,
-    UdpChannel, WallClock,
+    ChaosPlan, ChaosSnapshot, FlowDemux, ImpairedLink, PooledBuf, StripeServer, UdpChannel,
+    WallClock,
 };
-use stripe_transport::TxBatch;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -49,10 +48,10 @@ const ACTIVE_TO: u64 = 150;
 /// several marker intervals past the last possible injected event.
 const HORIZON: u64 = 800;
 
-fn id_packet(id: u64) -> bytes::Bytes {
-    let mut payload = vec![id as u8; PAYLOAD];
+fn id_packet(id: u64) -> [u8; PAYLOAD] {
+    let mut payload = [id as u8; PAYLOAD];
     payload[..8].copy_from_slice(&id.to_be_bytes());
-    bytes::Bytes::from(payload)
+    payload
 }
 
 fn id_of(pb: &PooledBuf) -> u64 {
@@ -95,23 +94,23 @@ fn soak(seed: u64) -> (Vec<u64>, Vec<ChaosSnapshot>) {
         .enumerate()
         .map(|(i, (l, p))| ImpairedLink::new(l, p, seed.wrapping_add(i as u64)))
         .collect();
-    let mut path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .markers(MarkerConfig::every_rounds(4))
         .links(links)
         .integrity(true) // corruption must be *caught*, not delivered
         .build();
-    let mut rx = NetLogicalReceiver::builder()
+    let flow = path.open_flow().unwrap();
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .links(rx_links)
         .pool_buffers(256)
         .build();
-    rx.reserve(1 << 10);
+    assert!(rx.touch_flow(flow.id()));
+    rx.reserve_flow(flow.id(), 1 << 10);
 
     let clock = WallClock::start();
-    let mut pkts = Vec::new();
-    let mut out = TxBatch::new();
-    let mut mk_out: TxBatch<bytes::Bytes> = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
     let mut got: Vec<u64> = Vec::with_capacity(2 * TOTAL as usize);
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -125,18 +124,18 @@ fn soak(seed: u64) -> (Vec<u64>, Vec<ChaosSnapshot>) {
         );
         if next_id < TOTAL {
             for _ in 0..BURST.min(TOTAL - next_id) {
-                pkts.push(id_packet(next_id));
+                path.enqueue(flow, &id_packet(next_id)).unwrap();
                 next_id += 1;
             }
-            path.send_batch(clock.now(), &mut pkts, &mut out);
+            path.pump_into(clock.now(), usize::MAX, &mut events);
         } else {
             // Stream over: idle markers heal any straggling loss so the
             // conservation ledger can close.
-            path.send_markers_into(clock.now(), &mut mk_out);
+            path.send_idle_markers_into(clock.now(), &mut events);
         }
         path.flush(); // also ages the chaos layer's hold queues
         rx.sweep(clock.now());
-        rx.poll_into(&mut batch);
+        rx.poll_flow_into(flow.id(), &mut batch);
         for pb in batch.drain() {
             let id = id_of(&pb);
             // Property 2, the strong form: whatever arrives is byte-exact.
@@ -193,7 +192,7 @@ fn soak(seed: u64) -> (Vec<u64>, Vec<ChaosSnapshot>) {
         );
     }
     assert!(
-        rx.stats().marks_applied > 0,
+        rx.flow_stats(flow.id()).unwrap().marks_applied > 0,
         "seed {seed}: recovery must come from markers"
     );
 
@@ -212,17 +211,19 @@ fn soak(seed: u64) -> (Vec<u64>, Vec<ChaosSnapshot>) {
     // Property 3: with chaos quiesced the datapath — still flowing
     // through the impairment layer — allocates nothing per packet.
     std::thread::sleep(Duration::from_millis(50)); // let libtest settle
-    let template = bytes::Bytes::from(vec![0x5au8; PAYLOAD]);
+    let template = [0x5au8; PAYLOAD];
     let mut steady = 0u64;
     let before = CountingAlloc::allocations();
     for _ in 0..32 {
-        pkts.extend((0..BURST).map(|_| template.clone()));
-        path.send_batch(clock.now(), &mut pkts, &mut out);
+        for _ in 0..BURST {
+            path.enqueue(flow, &template).unwrap();
+        }
+        path.pump_into(clock.now(), usize::MAX, &mut events);
         let mut spins = 0u32;
         loop {
             path.flush();
             rx.sweep(clock.now());
-            rx.poll_into(&mut batch);
+            rx.poll_flow_into(flow.id(), &mut batch);
             if !batch.is_empty() {
                 break;
             }
@@ -236,7 +237,7 @@ fn soak(seed: u64) -> (Vec<u64>, Vec<ChaosSnapshot>) {
                 rx.recycle(pb);
             }
             rx.sweep(clock.now());
-            rx.poll_into(&mut batch);
+            rx.poll_flow_into(flow.id(), &mut batch);
             if batch.is_empty() {
                 break;
             }

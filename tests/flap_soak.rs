@@ -27,12 +27,11 @@ use stripe::core::receiver::RxBatch;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
 use stripe::net::{
-    ChaosPlan, ImpairedLink, LifecycleState, NetLogicalReceiver, NetStripedPath, PooledBuf,
-    SenderReactor, UdpChannel,
+    ChaosPlan, FlowDemux, FlowHandle, ImpairedLink, LifecycleState, PooledBuf, PumpEvent,
+    ServerReactor, StripeServer, UdpChannel,
 };
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
-use stripe::transport::TxBatch;
 
 const CHANNELS: usize = 3;
 const QUANTUM: i64 = 1500;
@@ -49,13 +48,13 @@ const STEP_US: u64 = 100;
 const CORRUPT_TO: u64 = 150;
 
 type TxLink = ImpairedLink<UdpChannel>;
-type Reactor = SenderReactor<Srr, TxLink>;
-type Receiver = NetLogicalReceiver<Srr, UdpChannel>;
+type Reactor = ServerReactor<Srr, TxLink>;
+type Receiver = FlowDemux<Srr, UdpChannel>;
 
-fn id_packet(id: u64) -> bytes::Bytes {
-    let mut payload = vec![id as u8; PAYLOAD];
+fn id_packet(id: u64) -> [u8; PAYLOAD] {
+    let mut payload = [id as u8; PAYLOAD];
     payload[..8].copy_from_slice(&id.to_be_bytes());
-    bytes::Bytes::from(payload)
+    payload
 }
 
 fn id_of(pb: &PooledBuf) -> u64 {
@@ -66,13 +65,12 @@ fn id_of(pb: &PooledBuf) -> u64 {
 /// below stay readable.
 struct Soak {
     reactor: Reactor,
+    flow: FlowHandle,
     rx: Receiver,
     now_us: u64,
     next_id: u64,
     got: Vec<u64>,
-    pkts: Vec<bytes::Bytes>,
-    out: TxBatch<bytes::Bytes>,
-    mk_out: TxBatch<bytes::Bytes>,
+    events: Vec<PumpEvent>,
     batch: RxBatch<PooledBuf>,
     deadline: Instant,
     seed: u64,
@@ -101,38 +99,39 @@ impl Soak {
             .enumerate()
             .map(|(i, (l, p))| ImpairedLink::new(l, p, seed.wrapping_add(i as u64)))
             .collect();
-        let path = NetStripedPath::builder()
+        let mut path = StripeServer::builder()
             .scheduler(Srr::equal(CHANNELS, QUANTUM))
             .markers(MarkerConfig::every_rounds(4))
             .links(links)
             .integrity(true)
             .build();
+        let flow = path.open_flow().unwrap();
         let driver = FailoverDriver::new(
             CHANNELS,
             FailoverConfig::with_probe_interval(PROBE_NS),
             SimTime::ZERO,
         );
-        let reactor = SenderReactor::new(
+        let reactor = ServerReactor::new(
             path,
             Some(driver),
             SimTime::ZERO,
             SimDuration::from_nanos(PROBE_NS),
         );
-        let mut rx = NetLogicalReceiver::builder()
+        let mut rx = FlowDemux::builder()
             .scheduler(Srr::equal(CHANNELS, QUANTUM))
             .links(rx_links)
             .pool_buffers(256)
             .build();
-        rx.reserve(1 << 10);
+        assert!(rx.touch_flow(flow.id()));
+        rx.reserve_flow(flow.id(), 1 << 10);
         Soak {
             reactor,
+            flow,
             rx,
             now_us: 0,
             next_id: 0,
             got: Vec::with_capacity(1 << 13),
-            pkts: Vec::new(),
-            out: TxBatch::new(),
-            mk_out: TxBatch::new(),
+            events: Vec::new(),
             batch: RxBatch::new(),
             deadline: Instant::now() + Duration::from_secs(60),
             seed,
@@ -152,22 +151,19 @@ impl Soak {
         );
         self.now_us += STEP_US;
         let now = SimTime::from_micros(self.now_us);
+        let path = self.reactor.path_mut();
         if burst > 0 {
             for _ in 0..burst {
-                self.pkts.push(id_packet(self.next_id));
+                path.enqueue(self.flow, &id_packet(self.next_id)).unwrap();
                 self.next_id += 1;
             }
-            self.reactor
-                .path_mut()
-                .send_batch(now, &mut self.pkts, &mut self.out);
+            path.pump_into(now, usize::MAX, &mut self.events);
         } else {
-            self.reactor
-                .path_mut()
-                .send_markers_into(now, &mut self.mk_out);
+            path.send_idle_markers_into(now, &mut self.events);
         }
         self.reactor.poll(now);
         self.rx.sweep(now);
-        self.rx.poll_into(&mut self.batch);
+        self.rx.poll_flow_into(self.flow.id(), &mut self.batch);
         for pb in self.batch.drain() {
             let id = id_of(&pb);
             assert!(
@@ -289,7 +285,7 @@ fn flap_soak(seed: u64) {
         s.assert_fair_share(120);
 
         assert!(
-            s.rx.stats().memberships_applied >= 2 * (cycle + 1),
+            s.rx.flow_stats(s.flow.id()).unwrap().memberships_applied >= 2 * (cycle + 1),
             "seed {seed}: receiver missed membership updates"
         );
     }

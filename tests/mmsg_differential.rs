@@ -111,7 +111,7 @@ proptest! {
         run_tx.send_run(&frames, &mut out_run);
 
         // Deferred batch: send_run_owned takes accepted frames' storage,
-        // one flush submits the burst (what NetStripedPath does per batch).
+        // one flush submits the burst (what StripeServer does per pump).
         let mut owned = frames.clone();
         let mut out_own = Vec::new();
         own_tx.send_run_owned(&mut owned, &mut out_own);

@@ -1,14 +1,12 @@
-//! Differential properties of the versioned (flow-tagged) wire format
-//! against the legacy one.
+//! Differential properties of the one real-socket send path and its
+//! versioned (flow-tagged) wire format.
 //!
-//! Two claims pin the redesign to the PR 2–6 behavior:
-//!
-//! 1. **Datapath equivalence.** A one-flow [`StripeServer`] in
-//!    flow-tagged mode makes exactly the same striping decisions as the
-//!    legacy [`NetStripedPath`] datapath — same channels, same
-//!    payloads, same marker schedule — and its frames differ on the
-//!    wire *only* in the version byte and the inserted flow-ID varint.
-//!    Strip those and the byte streams are identical.
+//! 1. **Datapath equivalence.** A one-flow [`StripeServer`] makes
+//!    exactly the striping decisions of a bare [`StripingSender`] fed
+//!    the same lengths in one batch — same channels, same marker
+//!    schedule — and puts exactly those payloads and markers on each
+//!    channel's wire, in order, as flow-0 version-2 frames. The oracle
+//!    shares no framing, queueing, DRR, or link code with the server.
 //! 2. **Codec coexistence.** A mixed stream of version-1 and version-2
 //!    frames decodes under the one shared [`try_decode_flow`] entry:
 //!    v1 frames land on flow 0, v2 frames on their tagged flow, and the
@@ -18,27 +16,20 @@
 
 use proptest::prelude::*;
 
-use bytes::Bytes;
+use stripe::core::control::Control;
 use stripe::core::sched::Srr;
-use stripe::core::sender::MarkerConfig;
+use stripe::core::sender::{MarkerConfig, StripingSender};
+use stripe::core::Marker;
 use stripe::link::{datagram_pair, DatagramLink, TestDatagramLink};
-use stripe::net::frame::{self, Frame, FRAME_HEADER_LEN, FRAME_VERSION, FRAME_VERSION_FLOW};
-use stripe::net::{NetStripedPath, StripeServer};
+use stripe::net::frame::{self, Frame, FRAME_VERSION_FLOW};
+use stripe::net::{PumpEvent, StripeServer};
 use stripe::netsim::SimTime;
-use stripe::transport::TxBatch;
 
-/// Split a wire frame into (kind, flow id, body) regardless of version.
-fn normalize(buf: &[u8]) -> (u8, u32, Vec<u8>) {
-    let kind = buf[2];
-    match buf[1] {
-        FRAME_VERSION => (kind, 0, buf[FRAME_HEADER_LEN..].to_vec()),
-        FRAME_VERSION_FLOW => {
-            let decoded = frame::try_decode_flow(buf).expect("well-formed v2 frame");
-            let off = frame::body_offset(buf).expect("v2 frame has a body offset");
-            (kind, decoded.0, buf[off..].to_vec())
-        }
-        v => panic!("unknown frame version {v}"),
-    }
+/// What one channel carries, in order: packet `i`'s payload or a marker.
+#[derive(Debug, PartialEq)]
+enum Item {
+    Data(usize),
+    Marker(Marker),
 }
 
 /// Drain every queued frame from a receiver-side link.
@@ -52,67 +43,71 @@ fn drain(link: &mut TestDatagramLink) -> Vec<Vec<u8>> {
 }
 
 proptest! {
-    /// One flow through the multi-flow server, in flow-tagged mode,
-    /// against the legacy path: identical channel sequences, identical
-    /// bodies, the only wire difference the version byte and the
-    /// one-byte flow-0 varint.
+    /// One flow through the server against a bare sender engine:
+    /// identical channel and marker sequences in offer order, and on
+    /// every channel's wire exactly the oracle's payloads and markers,
+    /// flow-tagged to flow 0.
     #[test]
-    fn one_flow_server_matches_legacy_path_on_the_wire(
+    fn one_flow_server_matches_bare_sender_on_the_wire(
         lens in prop::collection::vec(1usize..1200, 1..120),
         quantum in 300i64..4000,
         marker_rounds in 1u64..8,
     ) {
         let channels = 3;
-        let (s0, mut sr0) = datagram_pair(2048, 1 << 16);
-        let (s1, mut sr1) = datagram_pair(2048, 1 << 16);
-        let (s2, mut sr2) = datagram_pair(2048, 1 << 16);
-        let (l0, mut lr0) = datagram_pair(2048, 1 << 16);
-        let (l1, mut lr1) = datagram_pair(2048, 1 << 16);
-        let (l2, mut lr2) = datagram_pair(2048, 1 << 16);
-
+        let (s0, sr0) = datagram_pair(2048, 1 << 16);
+        let (s1, sr1) = datagram_pair(2048, 1 << 16);
+        let (s2, sr2) = datagram_pair(2048, 1 << 16);
         let mut server = StripeServer::builder()
             .scheduler(Srr::equal(channels, quantum))
             .markers(MarkerConfig::every_rounds(marker_rounds))
             .links(vec![s0, s1, s2])
             .build();
         let flow = server.open_flow().expect("fresh server admits a flow");
+        prop_assert_eq!(flow.id(), 0u32, "the first flow is flow 0");
 
-        let mut legacy = NetStripedPath::builder()
-            .scheduler(Srr::equal(channels, quantum))
-            .markers(MarkerConfig::every_rounds(marker_rounds))
-            .links(vec![l0, l1, l2])
-            .build();
-
+        let payload = |i: usize| vec![(i % 251) as u8; lens[i]];
         let mut events = Vec::new();
-        let mut pkts = Vec::new();
-        let mut out = TxBatch::new();
-        for (i, &len) in lens.iter().enumerate() {
-            let payload = vec![(i % 251) as u8; len];
-            server.enqueue(flow, &payload).expect("unbounded enough");
-            pkts.push(Bytes::from(payload));
+        for i in 0..lens.len() {
+            server.enqueue(flow, &payload(i)).expect("unbounded enough");
         }
         server.pump_into(SimTime::ZERO, usize::MAX, &mut events);
-        legacy.send_batch(SimTime::ZERO, &mut pkts, &mut out);
 
-        for (c, (sl, ll)) in [(&mut sr0, &mut lr0), (&mut sr1, &mut lr1), (&mut sr2, &mut lr2)]
-            .into_iter()
-            .enumerate()
-        {
-            let vs = drain(sl);
-            let vl = drain(ll);
-            prop_assert_eq!(
-                vs.len(), vl.len(),
-                "channel {} frame counts diverge", c
-            );
-            for (fs, fl) in vs.iter().zip(vl.iter()) {
-                prop_assert_eq!(fs[1], FRAME_VERSION_FLOW, "server emits v2");
-                prop_assert_eq!(fl[1], FRAME_VERSION, "legacy emits v1");
-                let (ks, flow_s, body_s) = normalize(fs);
-                let (kl, flow_l, body_l) = normalize(fl);
-                prop_assert_eq!(ks, kl, "kinds match");
-                prop_assert_eq!(flow_s, 0u32, "the first flow is flow 0");
-                prop_assert_eq!(flow_l, 0u32);
-                prop_assert_eq!(body_s, body_l, "bodies byte-identical");
+        // The oracle: one bare engine, the whole burst in one batch.
+        let mut oracle = StripingSender::new(
+            Srr::equal(channels, quantum),
+            MarkerConfig::every_rounds(marker_rounds),
+        );
+        let (mut chans, mut marks) = (Vec::new(), Vec::new());
+        oracle.send_batch(&lens, &mut chans, &mut marks);
+        let mut want_events = Vec::new();
+        let mut want_wire: Vec<Vec<Item>> = (0..channels).map(|_| Vec::new()).collect();
+        let mut m = marks.iter().peekable();
+        for (i, &channel) in chans.iter().enumerate() {
+            want_events.push(PumpEvent::Data { flow: 0, channel, error: None });
+            want_wire[channel].push(Item::Data(i));
+            while let Some(&(_, channel, marker)) = m.next_if(|&&(after, _, _)| after == i) {
+                want_events.push(PumpEvent::Marker { flow: 0, channel, marker, error: None });
+                want_wire[channel].push(Item::Marker(marker));
+            }
+        }
+        prop_assert_eq!(&events, &want_events, "offer order diverges from the engine");
+
+        for (c, (mut link, want)) in [sr0, sr1, sr2].into_iter().zip(want_wire).enumerate() {
+            let frames = drain(&mut link);
+            prop_assert_eq!(frames.len(), want.len(), "channel {} frame counts diverge", c);
+            for (f, item) in frames.iter().zip(&want) {
+                prop_assert_eq!(f[1], FRAME_VERSION_FLOW, "server emits v2");
+                let (tag, decoded) = frame::try_decode_flow(f).expect("well-formed frame");
+                prop_assert_eq!(tag, 0u32);
+                match (decoded, item) {
+                    (Frame::Data(body), &Item::Data(i)) => {
+                        prop_assert_eq!(body, &payload(i)[..], "bodies byte-identical")
+                    }
+                    (Frame::Control(Control::Marker(mk)), Item::Marker(w)) => {
+                        prop_assert_eq!(&mk, w)
+                    }
+                    (got, want) => prop_assert!(false, "channel {}: {:?} vs {:?}", c, got, want),
+                }
             }
         }
     }

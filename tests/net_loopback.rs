@@ -20,16 +20,22 @@ use stripe::core::sched::{ChannelMark, Srr};
 use stripe::core::sender::MarkerConfig;
 use stripe::net::frame::{self, Frame, FRAME_HEADER_LEN};
 use stripe::net::{
-    DropLink, DropPolicy, NetLogicalReceiver, NetStripedPath, PooledBuf, UdpChannel, WallClock,
+    ChaosPlan, DropPolicy, FlowDemux, ImpairedLink, PooledBuf, PumpEvent, StripeServer, UdpChannel,
+    WallClock,
 };
-use stripe::transport::TxBatch;
 
 const QUANTUM: i64 = 1500;
 
-fn id_packet(id: u64, len: usize) -> bytes::Bytes {
+fn id_packet(id: u64, len: usize) -> Vec<u8> {
     let mut payload = vec![0u8; len];
     payload[..8].copy_from_slice(&id.to_be_bytes());
-    bytes::Bytes::from(payload)
+    payload
+}
+
+/// `link` with `policy` dropping data frames on the send side and
+/// nothing else impaired.
+fn dropping(link: UdpChannel, policy: DropPolicy) -> ImpairedLink<UdpChannel> {
+    ImpairedLink::new(link, ChaosPlan::none().loss(policy), 0)
 }
 
 fn id_of(pb: &PooledBuf) -> u64 {
@@ -53,19 +59,19 @@ fn lossless_fifo_over_real_sockets() {
         tx_links.push(a);
         rx_links.push(b);
     }
-    let mut path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .markers(MarkerConfig::every_rounds(4))
         .links(tx_links)
         .build();
-    let mut rx = NetLogicalReceiver::builder()
+    let flow = path.open_flow().unwrap();
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .links(rx_links)
         .build();
 
     let clock = WallClock::start();
-    let mut pkts = Vec::new();
-    let mut out = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
     let mut got: Vec<u64> = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -80,17 +86,19 @@ fn lossless_fifo_over_real_sockets() {
         if next_id < TOTAL {
             for _ in 0..BURST.min(TOTAL - next_id) {
                 // Sizes sweep 40..~1300 so channel runs vary in length.
-                pkts.push(id_packet(next_id, 40 + (next_id as usize * 131) % 1260));
+                let pkt = id_packet(next_id, 40 + (next_id as usize * 131) % 1260);
+                path.enqueue(flow, &pkt).unwrap();
                 next_id += 1;
             }
-            path.send_batch(clock.now(), &mut pkts, &mut out);
-            for t in out.iter() {
-                assert!(t.error.is_none(), "loopback send failed: {t:?}");
+            path.pump_into(clock.now(), usize::MAX, &mut events);
+            for ev in &events {
+                let (PumpEvent::Data { error, .. } | PumpEvent::Marker { error, .. }) = ev;
+                assert!(error.is_none(), "loopback send failed: {ev:?}");
             }
         }
         path.flush();
         rx.sweep(clock.now());
-        rx.poll_into(&mut batch);
+        rx.poll_flow_into(flow.id(), &mut batch);
         for pb in batch.drain() {
             got.push(id_of(&pb));
             rx.recycle(pb);
@@ -100,8 +108,8 @@ fn lossless_fifo_over_real_sockets() {
 
     assert_eq!(got, (0..TOTAL).collect::<Vec<_>>(), "FIFO violated");
     assert_eq!(rx.net_stats().dropped_malformed, 0);
-    assert_eq!(rx.stats().dropped_overflow, 0);
-    assert_eq!(path.stats().dropped_queue, 0);
+    assert_eq!(rx.flow_stats(flow.id()).unwrap().dropped_overflow, 0);
+    assert_eq!(path.stats().path.dropped_queue, 0);
 }
 
 /// Theorem 5.1 over the kernel: a burst of data frames vanishes from one
@@ -124,28 +132,28 @@ fn drop_window_recovers_within_marker_interval() {
 
     let (a0, b0) = UdpChannel::pair(2048, 1 << 12).unwrap();
     let (a1, b1) = UdpChannel::pair(2048, 1 << 12).unwrap();
-    let mut path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .markers(MarkerConfig::every_rounds(4))
         .links(vec![
-            DropLink::new(
+            dropping(
                 a0,
                 DropPolicy::Window {
                     from: DROP_FROM,
                     to: DROP_TO,
                 },
             ),
-            DropLink::new(a1, DropPolicy::None),
+            dropping(a1, DropPolicy::None),
         ])
         .build();
-    let mut rx = NetLogicalReceiver::builder()
+    let flow = path.open_flow().unwrap();
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .links(vec![b0, b1])
         .build();
 
     let clock = WallClock::start();
-    let mut pkts = Vec::new();
-    let mut out = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
     let mut got: Vec<u64> = Vec::new();
     let expected = TOTAL - (DROP_TO - DROP_FROM);
@@ -160,14 +168,14 @@ fn drop_window_recovers_within_marker_interval() {
         );
         if next_id < TOTAL {
             for _ in 0..BURST.min(TOTAL - next_id) {
-                pkts.push(id_packet(next_id, PAYLOAD));
+                path.enqueue(flow, &id_packet(next_id, PAYLOAD)).unwrap();
                 next_id += 1;
             }
-            path.send_batch(clock.now(), &mut pkts, &mut out);
+            path.pump_into(clock.now(), usize::MAX, &mut events);
         }
         path.flush();
         rx.sweep(clock.now());
-        rx.poll_into(&mut batch);
+        rx.poll_flow_into(flow.id(), &mut batch);
         for pb in batch.drain() {
             got.push(id_of(&pb));
             rx.recycle(pb);
@@ -175,7 +183,7 @@ fn drop_window_recovers_within_marker_interval() {
         std::thread::yield_now();
     }
 
-    let dropped = path.links()[0].dropped();
+    let dropped = path.links()[0].snapshot().dropped_loss;
     assert_eq!(dropped, DROP_TO - DROP_FROM, "drop window must be exact");
     assert_eq!(
         got.len(),
@@ -206,10 +214,10 @@ fn drop_window_recovers_within_marker_interval() {
         "tail not strictly in-order: recovery took longer than a marker interval"
     );
     // The marker machinery, not luck, did this.
+    let rx_stats = rx.flow_stats(flow.id()).unwrap();
     assert!(
-        rx.stats().marks_applied > 0,
-        "recovery must have exercised the marker rules: {:?}",
-        rx.stats()
+        rx_stats.marks_applied > 0,
+        "recovery must have exercised the marker rules: {rx_stats:?}"
     );
 }
 
@@ -232,23 +240,22 @@ fn periodic_loss_stays_quasi_fifo_and_resyncs_on_markers() {
 
     let (a0, b0) = UdpChannel::pair(2048, 1 << 12).unwrap();
     let (a1, b1) = UdpChannel::pair(2048, 1 << 12).unwrap();
-    let mut path = NetStripedPath::builder()
+    let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .markers(MarkerConfig::every_rounds(4))
         .links(vec![
-            DropLink::new(a0, DropPolicy::Periodic { period: PERIOD }),
-            DropLink::new(a1, DropPolicy::None),
+            dropping(a0, DropPolicy::Periodic { period: PERIOD }),
+            dropping(a1, DropPolicy::None),
         ])
         .build();
-    let mut rx = NetLogicalReceiver::builder()
+    let flow = path.open_flow().unwrap();
+    let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, QUANTUM))
         .links(vec![b0, b1])
         .build();
 
     let clock = WallClock::start();
-    let mut pkts = Vec::new();
-    let mut out = TxBatch::new();
-    let mut mk_out: TxBatch<bytes::Bytes> = TxBatch::new();
+    let mut events = Vec::new();
     let mut batch = RxBatch::new();
     let mut got: Vec<u64> = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -262,24 +269,24 @@ fn periodic_loss_stays_quasi_fifo_and_resyncs_on_markers() {
         );
         if next_id < TOTAL {
             for _ in 0..BURST.min(TOTAL - next_id) {
-                pkts.push(id_packet(next_id, PAYLOAD));
+                path.enqueue(flow, &id_packet(next_id, PAYLOAD)).unwrap();
                 next_id += 1;
             }
-            path.send_batch(clock.now(), &mut pkts, &mut out);
+            path.pump_into(clock.now(), usize::MAX, &mut events);
         } else {
             // Stream over: idle markers heal any loss at the very tail
             // (a dropped final frame must not strand its successors).
-            path.send_markers_into(clock.now(), &mut mk_out);
+            path.send_idle_markers_into(clock.now(), &mut events);
         }
         path.flush();
         rx.sweep(clock.now());
-        rx.poll_into(&mut batch);
+        rx.poll_flow_into(flow.id(), &mut batch);
         for pb in batch.drain() {
             got.push(id_of(&pb));
             rx.recycle(pb);
         }
         if next_id >= TOTAL {
-            let expected = TOTAL - path.links()[0].dropped();
+            let expected = TOTAL - path.links()[0].snapshot().dropped_loss;
             if got.len() as u64 >= expected {
                 break;
             }
@@ -287,7 +294,7 @@ fn periodic_loss_stays_quasi_fifo_and_resyncs_on_markers() {
         std::thread::yield_now();
     }
 
-    let dropped = path.links()[0].dropped();
+    let dropped = path.links()[0].snapshot().dropped_loss;
     assert!(
         dropped >= TOTAL / (PERIOD * CHANNELS as u64 * 2),
         "the periodic policy must keep firing all run ({dropped} drops)"
@@ -314,10 +321,10 @@ fn periodic_loss_stays_quasi_fifo_and_resyncs_on_markers() {
         "displacement {max_backjump} exceeds a marker interval bound"
     );
     // And the resync machinery really ran, marker after marker.
+    let rx_stats = rx.flow_stats(flow.id()).unwrap();
     assert!(
-        rx.stats().marks_applied >= TOTAL / 80,
-        "markers must be applied throughout: {:?}",
-        rx.stats()
+        rx_stats.marks_applied >= TOTAL / 80,
+        "markers must be applied throughout: {rx_stats:?}"
     );
 }
 
@@ -337,12 +344,19 @@ fn arb_control() -> impl Strategy<Value = Control> {
         arb_marker.prop_map(Control::Marker),
         any::<u32>().prop_map(|epoch| Control::ResetRequest { epoch }),
         any::<u32>().prop_map(|epoch| Control::ResetAck { epoch }),
-        (any::<u64>(), prop::collection::vec(1i64..1 << 40, 1..16)).prop_map(
-            |(effective_round, quanta)| Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            }
-        ),
+        (
+            any::<u32>(),
+            any::<u64>(),
+            prop::collection::vec(1i64..1 << 40, 1..16)
+        )
+            .prop_map(|(epoch, effective_round, quanta)| {
+                Control::QuantumAnnounce {
+                    epoch,
+                    effective_round,
+                    quanta,
+                }
+            }),
+        any::<u32>().prop_map(|epoch| Control::QuantumAck { epoch }),
         any::<u64>().prop_map(|nonce| Control::Probe { nonce }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(nonce, incarnation)| Control::ProbeAck { nonce, incarnation }),

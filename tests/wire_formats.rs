@@ -7,11 +7,15 @@ use proptest::prelude::*;
 
 use stripe::core::control::Control;
 use stripe::core::marker::{Marker, MARKER_WIRE_LEN};
-use stripe::core::sched::ChannelMark;
+use stripe::core::sched::{ChannelMark, Srr};
 use stripe::ip::frag::{fragment, Fragment, Reassembler, ReassemblyEvent};
 use stripe::ip::header::{checksum, Ipv4Header, IPV4_HEADER_LEN};
 use stripe::link::eth::{EtherFrame, EtherType};
 use stripe::link::serial::{hdlc_stuff, hdlc_unstuff};
+use stripe::link::{datagram_pair, DatagramLink};
+use stripe::net::frame::{FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL};
+use stripe::net::FlowDemux;
+use stripe::netsim::SimTime;
 
 fn arb_marker() -> impl Strategy<Value = Marker> {
     (
@@ -32,12 +36,6 @@ fn arb_control() -> impl Strategy<Value = Control> {
         arb_marker().prop_map(Control::Marker),
         any::<u32>().prop_map(|epoch| Control::ResetRequest { epoch }),
         any::<u32>().prop_map(|epoch| Control::ResetAck { epoch }),
-        (any::<u64>(), prop::collection::vec(1i64..1 << 40, 1..16)).prop_map(
-            |(effective_round, quanta)| Control::QuantumUpdate {
-                effective_round,
-                quanta,
-            }
-        ),
         any::<u64>().prop_map(|nonce| Control::Probe { nonce }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(nonce, incarnation)| Control::ProbeAck { nonce, incarnation }),
@@ -79,10 +77,6 @@ fn every_control_variant() -> Vec<Control> {
         }),
         Control::ResetRequest { epoch: 1 },
         Control::ResetAck { epoch: u32::MAX },
-        Control::QuantumUpdate {
-            effective_round: 40,
-            quanta: vec![1500, 9000, 64],
-        },
         Control::Probe { nonce: 0xDEAD_BEEF },
         Control::ProbeAck {
             nonce: u64::MAX,
@@ -111,14 +105,13 @@ fn variant_index(c: &Control) -> usize {
         Control::Marker(_) => 0,
         Control::ResetRequest { .. } => 1,
         Control::ResetAck { .. } => 2,
-        Control::QuantumUpdate { .. } => 3,
-        Control::Probe { .. } => 4,
-        Control::ProbeAck { .. } => 5,
-        Control::Membership { .. } => 6,
-        Control::MembershipAck { .. } => 7,
-        Control::QuantumAnnounce { .. } => 8,
-        Control::QuantumAck { .. } => 9,
-        Control::DesyncAlert { .. } => 10,
+        Control::Probe { .. } => 3,
+        Control::ProbeAck { .. } => 4,
+        Control::Membership { .. } => 5,
+        Control::MembershipAck { .. } => 6,
+        Control::QuantumAnnounce { .. } => 7,
+        Control::QuantumAck { .. } => 8,
+        Control::DesyncAlert { .. } => 9,
     }
 }
 
@@ -129,7 +122,7 @@ fn variant_index(c: &Control) -> usize {
 #[test]
 fn control_wire_len_matches_encoding_for_every_variant() {
     let samples = every_control_variant();
-    let mut seen = [false; 11];
+    let mut seen = [false; 10];
     for c in &samples {
         seen[variant_index(c)] = true;
         let enc = c.encode();
@@ -141,6 +134,38 @@ fn control_wire_len_matches_encoding_for_every_variant() {
         assert_eq!(Control::decode(&enc).as_ref(), Some(c));
     }
     assert!(seen.iter().all(|&s| s), "a Control variant lacks a sample");
+}
+
+/// Control type byte 4 carried an epoch-less, unacknowledged quantum
+/// update that went straight to the scheduler: one well-formed frame
+/// naming fewer quanta than channels tripped the scheduler's length
+/// assert inside `sweep`. The type is retired and stays reserved, so
+/// the same bytes are now counted malformed and change nothing.
+#[test]
+fn retired_quantum_update_frame_is_dropped_not_applied() {
+    let mut body = vec![4u8];
+    body.extend_from_slice(&7u64.to_be_bytes()); // effective round
+    body.push(1); // one quantum, for a two-channel receiver
+    body.extend_from_slice(&9000i64.to_be_bytes());
+    assert_eq!(body.len(), 18);
+    assert_eq!(Control::decode(&body), None);
+    let mut wire = vec![FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL];
+    wire.extend_from_slice(&body);
+
+    let (mut a0, b0) = datagram_pair(2048, 64);
+    let (_a1, b1) = datagram_pair(2048, 64);
+    let mut demux = FlowDemux::builder()
+        .scheduler(Srr::equal(2, 1500))
+        .links(vec![b0, b1])
+        .build();
+    assert!(demux.touch_flow(0));
+    a0.send_frame(&wire).unwrap();
+    assert_eq!(demux.sweep(SimTime::ZERO), 1);
+
+    let stats = demux.net_stats();
+    assert_eq!((stats.dropped_malformed, stats.control_frames), (1, 0));
+    let sched = demux.flow_sink(0).unwrap().receiver().scheduler();
+    assert_eq!((sched.quantum(0), sched.quantum(1)), (1500, 1500));
 }
 
 fn arb_header() -> impl Strategy<Value = Ipv4Header> {
