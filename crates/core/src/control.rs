@@ -6,13 +6,16 @@
 //!
 //! - **Reset** — "we deal with sender or receiver node crashes by doing a
 //!   reset": an epoch-stamped request/acknowledge handshake that
-//!   reinitializes both ends to `s0` (see [`crate::reset`]).
+//!   reinitializes both ends to `s0` (see [`crate::handshake`]).
 //! - **Quantum update** — §3.5 generalizes SRR to channels of different
 //!   rated bandwidths via per-channel quanta; when rates change at run
 //!   time (a modem retrain, a PVC renegotiation), both ends must switch
 //!   quanta *at the same round* or the receiver's simulation diverges.
 //!   [`Control::QuantumAnnounce`] carries the new quanta and the round
 //!   at which they take effect; [`Control::QuantumAck`] confirms it.
+//!
+//! Resets, quantum announces and membership changes are three payloads of
+//! one epoch'd announce/ack machine, [`crate::handshake`].
 //!
 //! Like markers, control messages ride their own codepoint and never
 //! modify data packets. The wire format is a type byte followed by the
@@ -21,14 +24,14 @@
 
 use crate::marker::{Marker, MARKER_WIRE_LEN};
 
-/// Epoch counter for reset and membership generations. Wraps are harmless:
+/// Epoch counter for the handshake generations. Wraps are harmless:
 /// epochs only need to distinguish "newer than mine".
 pub type Epoch = u32;
 
 /// Whether `candidate` is a strictly newer epoch than `current` under
 /// wrapping arithmetic: the forward distance is smaller than the backward
-/// one. Shared by the reset and membership handshakes so both age stale
-/// control traffic identically.
+/// one. The one comparison [`crate::handshake::EpochResponder`] ages stale
+/// control traffic with.
 pub fn epoch_newer(candidate: Epoch, current: Epoch) -> bool {
     candidate.wrapping_sub(current) != 0 && candidate.wrapping_sub(current) < u32::MAX / 2
 }

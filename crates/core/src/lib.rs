@@ -45,6 +45,11 @@
 //!   BONDING-style synchronous inverse multiplexing) used by the Table 1
 //!   and Figure 15 comparisons.
 //! - [`fairness`] — byte accounting and the Theorem 3.2 / Lemma 3.3 bound.
+//! - [`handshake`] — the one epoch'd announce/ack machine (sender,
+//!   responder, receiver-side dispatcher) that carries live-mask changes,
+//!   quantum retunes and the §5 reset; [`liveness`] decides when a mask
+//!   changes, [`membership`] is the mask's wire codec, [`reset`] decides
+//!   when to reset, [`control`] frames all of it.
 //!
 //! ## Quick example
 //!
@@ -81,13 +86,13 @@ pub mod baselines;
 pub mod control;
 pub mod fairness;
 pub mod fq;
+pub mod handshake;
 pub mod hybrid;
 pub mod liveness;
 pub mod marker;
 pub mod membership;
 pub mod receiver;
 pub mod reset;
-pub mod retune;
 pub mod sched;
 pub mod sender;
 pub mod seqno;

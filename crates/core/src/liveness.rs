@@ -8,7 +8,7 @@
 //! channel on a fixed interval ([`Control::Probe`] / answering
 //! [`Control::ProbeAck`] on the reverse path); a channel whose acks stop
 //! for [`LivenessConfig::dead_after_ns`] is declared dead, which the
-//! membership layer (see [`crate::membership`]) turns into a striping-set
+//! membership layer (see [`crate::handshake`]) turns into a striping-set
 //! shrink. Probing continues on the dead channel — with exponential backoff
 //! up to [`LivenessConfig::backoff_max_ns`] — so a recovered channel is
 //! noticed and reintegrated by the same machinery.

@@ -1,69 +1,23 @@
-//! Dynamic striping-set membership: the epoch'd shrink/grow handshake.
+//! The 16-bit wire form of a live-channel mask.
 //!
 //! When the liveness layer ([`crate::liveness`]) declares a channel dead,
-//! both ends must stop scheduling it — *atomically*, at the same scan
-//! round, or their SRR simulations diverge and quasi-FIFO order is lost.
-//! This module carries that agreement. The sender floods a
-//! [`Control::Membership`] announcement (new epoch, live-channel bitmask,
-//! effective round) over every channel that is live in the *new* mask; the
-//! receiver applies it once per epoch via
-//! [`CausalScheduler::schedule_mask`](crate::sched::CausalScheduler::schedule_mask)
-//! and acks on the channel the announcement arrived on. Retransmission
-//! plus the epoch counter make the handshake idempotent under loss,
-//! duplication and reordering — exactly the structure of the reset
-//! handshake in [`crate::reset`], reused here for a different payload.
-//!
-//! Growing the set back after a recovery is the same message with more
-//! bits set; a re-entering channel restarts from a zero deficit on both
-//! ends (see `Srr::schedule_mask`), so no per-channel state needs to be
-//! exchanged.
+//! both ends must stop scheduling it at the same scan round or their SRR
+//! simulations diverge. The agreement itself is the epoch'd handshake in
+//! [`crate::handshake`]; this module is only the payload's codec: bit `c`
+//! of the mask in [`Control::Membership`] is channel `c`. Growing the set
+//! back is the same message with more bits set — a re-entering channel
+//! restarts from a zero deficit on both ends (see `Srr::schedule_mask`), so
+//! no per-channel state is exchanged.
 //!
 //! [`Control::Membership`]: crate::control::Control::Membership
 
-use crate::control::{epoch_newer, Control, Epoch};
-use crate::types::ChannelId;
-
-/// A malformed membership mask, reported instead of panicking so a
-/// failover driver can surface it through its own diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MembershipError {
-    /// More channels than the 16-bit wire mask can carry.
-    TooManyChannels {
-        /// How many channels were given.
-        got: usize,
-    },
-    /// A live vector that does not cover every channel of the set.
-    MaskLength {
-        /// The striping-set width.
-        expected: usize,
-        /// The length of the vector that was given.
-        got: usize,
-    },
-}
-
-impl std::fmt::Display for MembershipError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::TooManyChannels { got } => {
-                write!(f, "wire mask holds at most 16 channels, got {got}")
-            }
-            Self::MaskLength { expected, got } => {
-                write!(
-                    f,
-                    "mask must cover every channel: expected {expected}, got {got}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for MembershipError {}
+use crate::handshake::HandshakeError;
 
 /// Pack a live vector into the 16-bit wire mask (bit `c` = channel `c`),
-/// or report [`MembershipError::TooManyChannels`] if it cannot fit.
-pub fn vec_to_mask(live: &[bool]) -> Result<u16, MembershipError> {
+/// or report [`HandshakeError::TooManyChannels`] if it cannot fit.
+pub fn vec_to_mask(live: &[bool]) -> Result<u16, HandshakeError> {
     if live.len() > 16 {
-        return Err(MembershipError::TooManyChannels { got: live.len() });
+        return Err(HandshakeError::TooManyChannels { got: live.len() });
     }
     Ok(live
         .iter()
@@ -74,254 +28,6 @@ pub fn vec_to_mask(live: &[bool]) -> Result<u16, MembershipError> {
 /// Unpack a 16-bit wire mask into a live vector over `channels` channels.
 pub fn mask_to_vec(mask: u16, channels: usize) -> Vec<bool> {
     (0..channels).map(|c| mask & (1 << c) != 0).collect()
-}
-
-/// Progress of an in-flight membership announcement, from the sender's
-/// point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MembershipProgress {
-    /// Acks still outstanding on some live channel.
-    Pending,
-    /// Every channel live in the new mask has acked: the handshake is done.
-    Complete,
-    /// The ack was stale (old epoch) or redundant; nothing changed.
-    Ignored,
-}
-
-/// Sender half of the membership handshake.
-///
-/// Drives announcements and collects acks; the caller owns retransmission
-/// timing (call [`MembershipSender::retransmit`] on a timer while
-/// [`in_progress`](MembershipSender::in_progress) holds).
-#[derive(Debug, Clone)]
-pub struct MembershipSender {
-    channels: usize,
-    epoch: Epoch,
-    live: Vec<bool>,
-    effective_round: u64,
-    awaiting: Vec<bool>,
-}
-
-impl MembershipSender {
-    /// A sender for `channels` channels, all initially live, at epoch 0
-    /// with no handshake in flight.
-    ///
-    /// # Panics
-    /// Panics on zero channels or more than 16 (the wire-mask cap).
-    pub fn new(channels: usize) -> Self {
-        assert!(channels > 0 && channels <= 16, "1..=16 channels");
-        Self {
-            channels,
-            epoch: 0,
-            live: vec![true; channels],
-            effective_round: 0,
-            awaiting: vec![false; channels],
-        }
-    }
-
-    /// Start announcing a new live mask taking effect at `effective_round`.
-    /// Returns the `(channel, message)` pairs to transmit — one
-    /// announcement per channel live in the *new* mask (dead channels
-    /// cannot carry the news). Supersedes any handshake still in flight.
-    ///
-    /// An all-dead mask is legal: it is the *parked* state of a total
-    /// blackout (§5). Nothing can carry the announcement, so no handshake
-    /// starts and no messages are returned; the epoch still advances, and
-    /// the next grow announcement re-teaches the receiver from scratch.
-    pub fn announce(
-        &mut self,
-        live: &[bool],
-        effective_round: u64,
-    ) -> Result<Vec<(ChannelId, Control)>, MembershipError> {
-        self.begin_announce(live, effective_round)?;
-        Ok(self.announcements())
-    }
-
-    /// Start a new announcement without materializing the messages: the
-    /// shared-frame counterpart of [`announce`](Self::announce). Read the
-    /// single message back with
-    /// [`current_announcement`](Self::current_announcement) and the
-    /// addressees with [`awaiting_channels`](Self::awaiting_channels) —
-    /// one `Control` built once, however many channels carry it.
-    ///
-    /// Like [`announce`](Self::announce), an all-dead mask parks the
-    /// handshake instead of failing: the epoch advances but nothing is
-    /// awaited.
-    pub fn begin_announce(
-        &mut self,
-        live: &[bool],
-        effective_round: u64,
-    ) -> Result<(), MembershipError> {
-        if live.len() != self.channels {
-            return Err(MembershipError::MaskLength {
-                expected: self.channels,
-                got: live.len(),
-            });
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        self.live = live.to_vec();
-        self.effective_round = effective_round;
-        // With an all-dead mask this is all-false: `in_progress()` is
-        // immediately false and no announcement is ever built, so a zero
-        // mask never reaches the wire (the codec rejects it there).
-        self.awaiting = live.to_vec();
-        Ok(())
-    }
-
-    /// The in-flight announcement as one shared message, or `None` when no
-    /// handshake is in flight. Built once per call; send it to every
-    /// channel in [`awaiting_channels`](Self::awaiting_channels).
-    pub fn current_announcement(&self) -> Option<Control> {
-        self.in_progress().then(|| Control::Membership {
-            epoch: self.epoch,
-            live_mask: vec_to_mask(&self.live).expect("channel cap enforced at construction"),
-            effective_round: self.effective_round,
-        })
-    }
-
-    /// Channels still awaiting the current announcement's ack.
-    pub fn awaiting_channels(&self) -> impl Iterator<Item = ChannelId> + '_ {
-        self.awaiting
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w)
-            .map(|(c, _)| c)
-    }
-
-    /// The current announcement, addressed to every channel still awaiting
-    /// an ack. Empty when no handshake is in flight.
-    pub fn retransmit(&self) -> Vec<(ChannelId, Control)> {
-        self.announcements()
-    }
-
-    fn announcements(&self) -> Vec<(ChannelId, Control)> {
-        if !self.in_progress() {
-            return Vec::new();
-        }
-        let msg = Control::Membership {
-            epoch: self.epoch,
-            live_mask: vec_to_mask(&self.live).expect("channel cap enforced at construction"),
-            effective_round: self.effective_round,
-        };
-        self.awaiting
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w)
-            .map(|(c, _)| (c, msg.clone()))
-            .collect()
-    }
-
-    /// A [`Control::MembershipAck`](crate::control::Control::MembershipAck)
-    /// arrived on `channel`.
-    pub fn on_ack(&mut self, channel: ChannelId, epoch: Epoch) -> MembershipProgress {
-        if epoch != self.epoch || channel >= self.channels || !self.awaiting[channel] {
-            return MembershipProgress::Ignored;
-        }
-        self.awaiting[channel] = false;
-        if self.awaiting.iter().any(|&w| w) {
-            MembershipProgress::Pending
-        } else {
-            MembershipProgress::Complete
-        }
-    }
-
-    /// Whether an announcement is still awaiting acks.
-    pub fn in_progress(&self) -> bool {
-        self.awaiting.iter().any(|&w| w)
-    }
-
-    /// The most recently announced live mask.
-    pub fn live(&self) -> &[bool] {
-        &self.live
-    }
-
-    /// The current membership epoch.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// The round at which the current mask takes (took) effect.
-    pub fn effective_round(&self) -> u64 {
-        self.effective_round
-    }
-}
-
-/// What the responder wants done with an incoming announcement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MembershipAction {
-    /// A new epoch: apply the mask to the local scheduler *and* send the
-    /// ack back on the channel the announcement arrived on.
-    Apply {
-        /// Channel to send the ack on.
-        channel: ChannelId,
-        /// Round at which the new mask takes effect.
-        effective_round: u64,
-        /// The decoded live vector to pass to `schedule_mask`.
-        live: Vec<bool>,
-        /// The ack message.
-        ack: Control,
-    },
-    /// A duplicate of the current epoch (a retransmission, or the same
-    /// flood arriving on another channel): re-ack, do not re-apply.
-    AckOnly {
-        /// Channel to send the ack on.
-        channel: ChannelId,
-        /// The ack message.
-        ack: Control,
-    },
-    /// Stale (older epoch) or malformed: drop silently.
-    Ignore,
-}
-
-/// Receiver half of the membership handshake.
-#[derive(Debug, Clone, Default)]
-pub struct MembershipResponder {
-    epoch: Epoch,
-    applied_any: bool,
-}
-
-impl MembershipResponder {
-    /// A responder that has applied nothing yet (epoch 0, so the sender's
-    /// first announcement — epoch 1 — is newer).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A [`Control::Membership`](crate::control::Control::Membership)
-    /// arrived on `channel`. `channels` is the striping-set width, used to
-    /// reject masks naming channels that do not exist.
-    pub fn on_membership(
-        &mut self,
-        channel: ChannelId,
-        epoch: Epoch,
-        live_mask: u16,
-        effective_round: u64,
-        channels: usize,
-    ) -> MembershipAction {
-        if live_mask == 0 || (channels < 16 && live_mask >> channels != 0) {
-            return MembershipAction::Ignore;
-        }
-        let ack = Control::MembershipAck { epoch };
-        if epoch_newer(epoch, self.epoch) || !self.applied_any {
-            self.epoch = epoch;
-            self.applied_any = true;
-            MembershipAction::Apply {
-                channel,
-                effective_round,
-                live: mask_to_vec(live_mask, channels),
-                ack,
-            }
-        } else if epoch == self.epoch {
-            MembershipAction::AckOnly { channel, ack }
-        } else {
-            MembershipAction::Ignore
-        }
-    }
-
-    /// The newest epoch applied so far.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
 }
 
 #[cfg(test)]
@@ -340,125 +46,7 @@ mod tests {
         let v = vec![true; 17];
         assert_eq!(
             vec_to_mask(&v),
-            Err(MembershipError::TooManyChannels { got: 17 })
-        );
-    }
-
-    #[test]
-    fn wrong_length_mask_is_an_error_not_a_panic() {
-        let mut s = MembershipSender::new(3);
-        assert_eq!(
-            s.announce(&[true, false], 10),
-            Err(MembershipError::MaskLength {
-                expected: 3,
-                got: 2
-            })
-        );
-        // The failed announce changed nothing.
-        assert_eq!(s.epoch(), 0);
-        assert!(!s.in_progress());
-    }
-
-    /// Total blackout: an all-dead mask is the legal parked state — the
-    /// epoch advances, nothing is awaited, nothing hits the wire, and the
-    /// next grow announcement restarts the handshake from scratch.
-    #[test]
-    fn all_dead_mask_parks_instead_of_panicking() {
-        let mut s = MembershipSender::new(2);
-        let msgs = s.announce(&[false, false], 7).expect("legal parked state");
-        assert!(msgs.is_empty(), "no channel can carry the news");
-        assert!(!s.in_progress());
-        assert_eq!(s.epoch(), 1);
-        assert_eq!(s.current_announcement(), None);
-        assert!(s.retransmit().is_empty());
-        // Recovery: one channel comes back; a normal grow handshake runs.
-        let msgs = s.announce(&[true, false], 9).expect("grow");
-        assert_eq!(msgs.iter().map(|(c, _)| *c).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(s.epoch(), 2);
-        assert_eq!(s.on_ack(0, 2), MembershipProgress::Complete);
-    }
-
-    #[test]
-    fn shrink_handshake_completes_on_live_acks_only() {
-        let mut s = MembershipSender::new(3);
-        let msgs = s.announce(&[true, false, true], 42).expect("valid mask");
-        // Announced on the two surviving channels only.
-        assert_eq!(msgs.iter().map(|(c, _)| *c).collect::<Vec<_>>(), vec![0, 2]);
-        let Control::Membership {
-            epoch,
-            live_mask,
-            effective_round,
-        } = msgs[0].1
-        else {
-            panic!("not a membership message");
-        };
-        assert_eq!((epoch, live_mask, effective_round), (1, 0b101, 42));
-        assert!(s.in_progress());
-        assert_eq!(s.on_ack(0, epoch), MembershipProgress::Pending);
-        // Ack from the dead channel's id is ignored (it was never awaited).
-        assert_eq!(s.on_ack(1, epoch), MembershipProgress::Ignored);
-        assert_eq!(s.on_ack(2, epoch), MembershipProgress::Complete);
-        assert!(!s.in_progress());
-        assert!(s.retransmit().is_empty());
-    }
-
-    #[test]
-    fn stale_and_duplicate_acks_are_ignored() {
-        let mut s = MembershipSender::new(2);
-        s.announce(&[true, false], 10).expect("valid mask");
-        assert_eq!(s.on_ack(0, 0), MembershipProgress::Ignored); // stale epoch
-        assert_eq!(s.on_ack(0, 1), MembershipProgress::Complete);
-        assert_eq!(s.on_ack(0, 1), MembershipProgress::Ignored); // duplicate
-    }
-
-    #[test]
-    fn responder_applies_once_per_epoch() {
-        let mut r = MembershipResponder::new();
-        let a = r.on_membership(0, 1, 0b01, 42, 2);
-        let MembershipAction::Apply {
-            channel,
-            effective_round,
-            ref live,
-            ..
-        } = a
-        else {
-            panic!("first sighting must apply, got {a:?}");
-        };
-        assert_eq!((channel, effective_round), (0, 42));
-        assert_eq!(live, &vec![true, false]);
-        // The same flood arriving on another channel: ack, no re-apply.
-        let b = r.on_membership(1, 1, 0b01, 42, 2);
-        assert!(
-            matches!(b, MembershipAction::AckOnly { channel: 1, .. }),
-            "{b:?}"
-        );
-        // An older epoch after a newer one: silent drop.
-        let mut r2 = MembershipResponder::new();
-        r2.on_membership(0, 5, 0b11, 0, 2);
-        assert_eq!(r2.on_membership(0, 4, 0b01, 0, 2), MembershipAction::Ignore);
-    }
-
-    #[test]
-    fn responder_survives_epoch_wraparound() {
-        let mut r = MembershipResponder::new();
-        r.on_membership(0, u32::MAX, 0b11, 0, 2);
-        assert_eq!(r.epoch(), u32::MAX);
-        // The wrapped successor is newer.
-        assert!(matches!(
-            r.on_membership(0, 0, 0b01, 5, 2),
-            MembershipAction::Apply { .. }
-        ));
-        assert_eq!(r.epoch(), 0);
-    }
-
-    #[test]
-    fn malformed_masks_are_dropped() {
-        let mut r = MembershipResponder::new();
-        assert_eq!(r.on_membership(0, 1, 0, 0, 2), MembershipAction::Ignore);
-        // Bit 3 set but only 2 channels exist.
-        assert_eq!(
-            r.on_membership(0, 1, 0b1000, 0, 2),
-            MembershipAction::Ignore
+            Err(HandshakeError::TooManyChannels { got: 17 })
         );
     }
 }

@@ -250,7 +250,7 @@ impl<S: CausalScheduler> StripingSender<S> {
     /// Schedule a quantum change on the local scheduler: from
     /// `effective_round` the scan credits channels with the new quanta.
     /// The receiver must apply the identical change at the same round —
-    /// see [`crate::retune`] for the epoch'd handshake that carries it.
+    /// see [`crate::handshake`] for the epoch'd handshake that carries it.
     /// `effective_round` must be far enough ahead for the announcement to
     /// arrive — a couple of marker periods is a safe margin; markers
     /// emitted before it predict with the *old* quanta, and if the change
@@ -263,7 +263,7 @@ impl<S: CausalScheduler> StripingSender<S> {
     /// Schedule a membership change on the local scheduler: from
     /// `effective_round` the scan visits exactly the channels with
     /// `live[c] == true`. The receiver must apply the identical change
-    /// (see [`crate::membership`] for the handshake that carries it);
+    /// (see [`crate::handshake`] for the handshake that carries it);
     /// markers for departing channels stop as soon as the mask takes
     /// effect.
     pub fn schedule_mask(&mut self, effective_round: u64, live: &[bool]) {

@@ -4,7 +4,7 @@
 //! The pieces are all elsewhere — per-channel online estimators in
 //! [`crate::est`], the rate→quantum objective in
 //! [`stripe_core::sched::tuner`], the epoch'd announce/ack protocol in
-//! [`stripe_core::retune`] — and this module is the glue that makes
+//! [`stripe_core::handshake`] — and this module is the glue that makes
 //! them a control loop:
 //!
 //! 1. every reactor poll feeds each channel's cumulative
@@ -26,10 +26,10 @@
 //! tick), so sender and receiver never juggle two pending quanta
 //! schedules. The fairness bound holds across every retune because both
 //! ends apply the change at the same round boundary — see
-//! [`stripe_core::retune`] for the argument.
+//! [`stripe_core::handshake`] for the argument.
 
-use stripe_core::control::{Control, Epoch};
-use stripe_core::retune::{RetuneProgress, RetuneSender};
+use stripe_core::control::Epoch;
+use stripe_core::handshake::{EpochSender, HandshakeError, Progress};
 use stripe_core::sched::tuner::QuantumTuner;
 use stripe_core::types::ChannelId;
 use stripe_link::TxEvidence;
@@ -103,8 +103,9 @@ pub struct AdaptiveSnapshot {
 pub enum AdaptiveStep {
     /// Nothing due.
     Idle,
-    /// A new retune: schedule `quanta` locally at the effective round
-    /// the reactor computes, then flood the announcement.
+    /// A proposal cleared the deadband: commit it with
+    /// [`AdaptiveTuner::begin_announce`], schedule the quanta locally at
+    /// the same effective round, then flood the announcement.
     Announce,
     /// The in-flight announcement wants retransmission.
     Retransmit,
@@ -121,7 +122,7 @@ pub struct AdaptiveTuner {
     cfg: AdaptiveConfig,
     ests: Vec<ChannelEstimator>,
     tuner: QuantumTuner,
-    sender: RetuneSender,
+    sender: EpochSender,
     /// Quanta in force (or being announced). Starts as the scheduler's
     /// initial quanta so the deadband compares against reality.
     quanta: Vec<i64>,
@@ -130,7 +131,9 @@ pub struct AdaptiveTuner {
     /// Scratch: the tuner's latest proposal.
     proposal: Vec<i64>,
     tick: Periodic,
-    last_retransmit: SimTime,
+    /// A §5 reset put both ends back on their initial quanta: the next
+    /// step announces the ones in force again, whatever the deadband says.
+    reteach: bool,
     stats: AdaptiveSnapshot,
 }
 
@@ -154,12 +157,12 @@ impl AdaptiveTuner {
                 .map(|_| ChannelEstimator::new(cfg.gain))
                 .collect(),
             tuner: QuantumTuner::new(cfg.min_quantum, cfg.max_quantum, cfg.deadband_ppm),
-            sender: RetuneSender::new(initial_quanta.len()),
+            sender: EpochSender::new(initial_quanta.len()),
             quanta: initial_quanta.to_vec(),
             shares: Vec::with_capacity(initial_quanta.len()),
             proposal: Vec::with_capacity(initial_quanta.len()),
             tick: Periodic::new(now, cfg.interval),
-            last_retransmit: now,
+            reteach: false,
             cfg,
             stats: AdaptiveSnapshot::default(),
         }
@@ -188,29 +191,49 @@ impl AdaptiveTuner {
     ///
     /// [`Control::QuantumAck`]: stripe_core::control::Control::QuantumAck
     pub fn on_quantum_ack(&mut self, channel: ChannelId, epoch: Epoch) {
-        match self.sender.on_ack(channel, epoch) {
-            RetuneProgress::Pending => self.stats.retune_acks += 1,
-            RetuneProgress::Complete => {
-                self.stats.retune_acks += 1;
-                self.stats.retunes_complete += 1;
-            }
-            RetuneProgress::Ignored => {}
+        let progress = self.sender.on_ack(channel, epoch);
+        if progress != Progress::Ignored {
+            self.stats.retune_acks += 1;
         }
+        self.on_progress(progress);
+    }
+
+    /// `channel` was declared dead: its ack will never come, so the
+    /// in-flight retune stops waiting for it — otherwise the loop would
+    /// retransmit into the dead link and propose nothing for the whole
+    /// outage, exactly when the capacity split changed most.
+    pub fn on_channel_dead(&mut self, channel: ChannelId) {
+        let progress = self.sender.stop_awaiting(channel);
+        self.on_progress(progress);
+    }
+
+    fn on_progress(&mut self, progress: Progress) {
+        if progress == Progress::Complete {
+            self.stats.retunes_complete += 1;
+        }
+    }
+
+    /// A §5 reset completed: every scheduler on both ends is back on its
+    /// initial quanta, so the vector in force must be re-taught exactly
+    /// like the live mask is — or the deadband would compare proposals
+    /// against quanta that are no longer in force, and suppress them.
+    pub fn on_reset(&mut self) {
+        self.proposal.clone_from(&self.quanta);
+        self.reteach = true;
     }
 
     /// Decide what is due at `now`. Called once per reactor poll; the
     /// reactor executes the returned step (it owns the path access the
     /// execution needs).
     pub fn step(&mut self, now: SimTime) -> AdaptiveStep {
-        if self.tick.fire(now) && !self.sender.in_progress() && self.propose() {
+        if self.reteach || (self.tick.fire(now) && !self.sender.in_progress() && self.propose()) {
             return AdaptiveStep::Announce;
         }
-        if self.sender.in_progress()
-            && now
-                .as_nanos()
-                .saturating_sub(self.last_retransmit.as_nanos())
-                >= self.cfg.retransmit_interval.as_nanos()
+        if self
+            .sender
+            .retransmit_due(now.as_nanos(), self.cfg.retransmit_interval.as_nanos())
         {
+            self.stats.retransmits += 1;
             return AdaptiveStep::Retransmit;
         }
         AdaptiveStep::Idle
@@ -244,29 +267,26 @@ impl AdaptiveTuner {
         }
     }
 
-    /// Commit the parked proposal: it becomes the quanta in force, a
-    /// new epoch begins, and the shared announcement is returned for
-    /// the reactor to flood over `live` channels (and schedule locally
-    /// at the same `effective_round`).
-    pub fn begin_announce(&mut self, effective_round: u64, live: &[bool], now: SimTime) -> Control {
-        self.quanta.clear();
-        self.quanta.extend_from_slice(&self.proposal);
+    /// Commit the parked proposal: it becomes the quanta in force and a
+    /// new epoch announces it over the `live` channels. The reactor
+    /// schedules [`quanta`](Self::quanta) locally at the same
+    /// `effective_round` and floods [`handshake_mut`](Self::handshake_mut).
+    pub fn begin_announce(
+        &mut self,
+        effective_round: u64,
+        live: &[bool],
+    ) -> Result<(), HandshakeError> {
         self.sender
-            .begin_announce(&self.quanta, effective_round, live);
-        self.last_retransmit = now;
+            .begin_quanta(live, &self.proposal, effective_round)?;
+        self.quanta.clone_from(&self.proposal);
+        self.reteach = false;
         self.stats.retunes += 1;
-        self.sender
-            .current_announcement()
-            .expect("announcement just begun")
+        Ok(())
     }
 
-    /// The in-flight announcement for retransmission, if any; stamps
-    /// the retransmit clock and counts it.
-    pub fn retransmission(&mut self, now: SimTime) -> Option<Control> {
-        let msg = self.sender.current_announcement()?;
-        self.last_retransmit = now;
-        self.stats.retransmits += 1;
-        Some(msg)
+    /// The retune handshake, for the reactor's flood/retransmit loop.
+    pub fn handshake_mut(&mut self) -> &mut EpochSender {
+        &mut self.sender
     }
 
     /// Channels still awaiting the current announcement's ack.
@@ -294,11 +314,6 @@ impl AdaptiveTuner {
         &self.ests
     }
 
-    /// The retune sender (epoch inspection).
-    pub fn retune_sender(&self) -> &RetuneSender {
-        &self.sender
-    }
-
     /// Adaptive-loop counters.
     pub fn stats(&self) -> AdaptiveSnapshot {
         self.stats
@@ -308,6 +323,7 @@ impl AdaptiveTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stripe_core::control::Control;
 
     fn evidence(frames: u64, bytes: u64) -> TxEvidence {
         TxEvidence {
@@ -336,15 +352,15 @@ mod tests {
         }
         assert_eq!(ad.step(SimTime::from_millis(5)), AdaptiveStep::Idle);
         assert_eq!(ad.step(SimTime::from_millis(10)), AdaptiveStep::Announce);
-        let msg = ad.begin_announce(7, &[true, true, true], SimTime::from_millis(10));
-        let Control::QuantumAnnounce { epoch, quanta, .. } = msg else {
+        ad.begin_announce(7, &[true, true, true]).expect("valid");
+        let Some(Control::QuantumAnnounce { epoch, quanta, .. }) =
+            ad.handshake_mut().announcement()
+        else {
             panic!("not an announcement");
         };
-        assert_eq!(epoch, 1);
+        assert_eq!(*epoch, 1);
         // Proportional: slowest at the floor, others scaled 4:2:1.
-        assert_eq!(quanta[2], 256);
-        assert_eq!(quanta[1], 512);
-        assert_eq!(quanta[0], 1024);
+        assert_eq!(quanta, &[1024, 512, 256]);
         assert!(ad.in_progress());
         ad.on_quantum_ack(0, 1);
         ad.on_quantum_ack(1, 1);
@@ -382,13 +398,15 @@ mod tests {
             ad.on_tx_evidence(1, t, evidence(step * 100, step * 100_000));
         }
         assert_eq!(ad.step(SimTime::from_millis(10)), AdaptiveStep::Announce);
-        ad.begin_announce(5, &[true, true], SimTime::from_millis(10));
+        ad.begin_announce(5, &[true, true]).expect("valid");
+        ad.handshake_mut().mark_sent(10_000_000); // the reactor's flood
         ad.on_quantum_ack(0, 99); // stale epoch: ignored
         assert!(ad.in_progress());
         assert_eq!(ad.step(SimTime::from_millis(15)), AdaptiveStep::Idle);
         assert_eq!(ad.step(SimTime::from_millis(20)), AdaptiveStep::Retransmit);
-        let msg = ad.retransmission(SimTime::from_millis(20)).unwrap();
+        let msg = ad.handshake_mut().announcement().unwrap();
         assert!(matches!(msg, Control::QuantumAnnounce { epoch: 1, .. }));
+        ad.handshake_mut().mark_sent(20_000_000);
         assert_eq!(ad.awaiting_channels().collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(ad.stats().retransmits, 1);
         // While in flight, ticks do not start a second handshake.

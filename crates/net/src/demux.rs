@@ -4,7 +4,7 @@
 //! [`FlowDemux`] is the receive-side twin of
 //! [`StripeServer`](crate::server::StripeServer). It owns the N links
 //! and a slab of per-flow replicas — each an independent
-//! [`StripedSink`] whose scheduler is a fresh clone of the shared
+//! [`LogicalReceiver`] whose scheduler is a fresh clone of the shared
 //! prototype, exactly as the sender clones its own prototype per flow.
 //! Flow lookup on the hot path is one slab index: O(1) per frame.
 //!
@@ -16,22 +16,23 @@
 //! bounded by [`max_flows`](FlowDemuxBuilder::max_flows); frames naming
 //! flows past the cap are counted `dropped_admission` and discarded.
 //!
-//! Global control (probes, membership, quantum announces) arrives as
-//! untagged version-1 frames and is handled once at the demux — applied
-//! to *every* replica — so the failover plane stays flow-agnostic:
-//! an epoch change is one announcement, not one per flow.
+//! Global control (probes, membership, quantum announces, resets) arrives
+//! as untagged version-1 frames and is answered once at the demux by one
+//! [`ControlResponder`]; what it decides is applied to *every* replica —
+//! so the failover plane stays flow-agnostic: an epoch change is one
+//! announcement, not one per flow.
 //!
 //! Buffers cycle through one shared [`BufPool`] for all flows; data
 //! payloads travel as zero-copy [`PooledBuf`] views and come back via
 //! [`recycle`](FlowDemux::recycle). Steady state allocates nothing.
 
 use stripe_core::control::Control;
-use stripe_core::receiver::{Arrival, ReceiverSnapshot, RxBatch};
+use stripe_core::handshake::{ControlResponder, Effect};
+use stripe_core::receiver::{Arrival, LogicalReceiver, ReceiverSnapshot, RxBatch};
 use stripe_core::sched::CausalScheduler;
 use stripe_core::types::ChannelId;
 use stripe_link::DatagramLink;
 use stripe_netsim::SimTime;
-use stripe_transport::StripedSink;
 
 use crate::frame::{self, Frame};
 use crate::pool::{BufPool, PooledBuf};
@@ -198,12 +199,10 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
             flow_pool: Vec::new(),
             last_mask: None,
             last_quanta: None,
-            membership: stripe_core::membership::MembershipResponder::new(),
-            retune: stripe_core::retune::RetuneResponder::new(),
-            reset_resp: stripe_core::reset::ResetResponder::new(),
-            incarnation: self
-                .incarnation
-                .unwrap_or_else(stripe_core::reset::fresh_incarnation),
+            responder: ControlResponder::new(
+                self.incarnation
+                    .unwrap_or_else(stripe_core::reset::fresh_incarnation),
+            ),
             desync: self.desync,
             desync_tick: 0,
             ctl_buf: Vec::new(),
@@ -216,10 +215,14 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
     }
 }
 
-/// Per-flow replica: the resequencer behind its sink.
+/// Per-flow replica: the resequencer, one slab slot. A slot is a whole
+/// number of cache lines (seven for SRR), so every replica's fields fall
+/// on the same lines and the per-packet memory walk does not depend on
+/// the flow id.
 #[derive(Debug)]
+#[repr(align(64))]
 struct RxFlow<S: CausalScheduler> {
-    sink: StripedSink<S, PooledBuf>,
+    rx: LogicalReceiver<S, PooledBuf>,
 }
 
 /// Flow-aware physical reception over real sockets. See the module docs.
@@ -244,16 +247,10 @@ pub struct FlowDemux<S: CausalScheduler, L: DatagramLink> {
     /// Last applied quanta, replayed onto replicas created after a live
     /// retune (mirrors the sender's `open_flow` rule).
     last_quanta: Option<Vec<i64>>,
-    /// Demux-level membership responder: one epoch, all flows.
-    membership: stripe_core::membership::MembershipResponder,
-    /// Demux-level retune responder: one epoch, all flows.
-    retune: stripe_core::retune::RetuneResponder,
-    /// Demux-level §5 reset responder: one epoch, all flows. Survives
-    /// the flush it gates (a retransmitted request must ack, not
-    /// re-flush).
-    reset_resp: stripe_core::reset::ResetResponder,
-    /// Reported in every probe ack; a restart produces a fresh one.
-    incarnation: u64,
+    /// The control plane's responder half: one epoch per handshake for
+    /// all flows, and the incarnation reported in every probe ack (a
+    /// restart produces a fresh one).
+    responder: ControlResponder,
     /// The armed self-stabilization monitor, if any.
     desync: Option<stripe_core::reset::DesyncDetector>,
     /// Monotone sweep counter feeding the detector's window clock.
@@ -289,31 +286,29 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         }
         // Reuse a closed flow's replica when one is pooled (it was reset
         // at close, so it is indistinguishable from a fresh build).
-        let mut sink = match self.flow_pool.pop() {
-            Some(f) => f.sink,
+        let mut rx = match self.flow_pool.pop() {
+            Some(f) => f.rx,
             None => {
-                let mut builder = StripedSink::builder()
-                    .scheduler(self.proto.clone())
-                    .capacity_per_channel(self.cap_per_channel);
+                let mut rx = LogicalReceiver::new(self.proto.clone(), self.cap_per_channel);
                 if let Some(t) = self.stall_timeout_ns {
-                    builder = builder.stall_timeout_ns(t);
+                    rx.set_stall_timeout(t);
                 }
-                builder.build()
+                rx
             }
         };
         if let Some(mask) = &self.last_mask {
             // Same rule as the sender's open_flow: a flow born after an
             // epoch change schedules the current mask one round ahead of
             // its fresh scheduler, keeping both simulations in lockstep.
-            let eff = sink.receiver().scheduler().round() + 1;
-            sink.receiver_mut().apply_membership(eff, mask);
+            let eff = rx.scheduler().round() + 1;
+            rx.apply_membership(eff, mask);
         }
         if let Some(quanta) = &self.last_quanta {
             // Same replay rule for quanta after a live retune.
-            let eff = sink.receiver().scheduler().round() + 1;
-            sink.receiver_mut().schedule_quanta(eff, quanta);
+            let eff = rx.scheduler().round() + 1;
+            rx.schedule_quanta(eff, quanta);
         }
-        self.flows[idx] = Some(RxFlow { sink });
+        self.flows[idx] = Some(RxFlow { rx });
         self.stats.flows_active += 1;
         true
     }
@@ -362,12 +357,12 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
             .flows
             .iter()
             .flatten()
-            .map(|f| f.sink.receiver().buffered_total() as u64)
+            .map(|f| f.rx.buffered_total() as u64)
             .sum();
         self.desync_tick += 1;
         if det.observe(self.desync_tick, backlog) {
             let alert = Control::DesyncAlert {
-                incarnation: self.incarnation,
+                incarnation: self.responder.incarnation(),
             };
             for c in 0..self.links.len() {
                 self.reply(c, &alert);
@@ -390,10 +385,10 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                 }
                 self.stats.data_frames += 1;
                 let pb = PooledBuf::new(buf, offset, len);
-                let sink = &mut self.flows[flow as usize].as_mut().expect("ensured").sink;
+                let rx = &mut self.flows[flow as usize].as_mut().expect("ensured").rx;
                 // On overflow the resequencer drops the arrival (counted
                 // in that flow's snapshot); the buffer is freed with it.
-                let _ = sink.on_arrival(c, Arrival::Data(pb));
+                let _ = rx.push(c, Arrival::Data(pb));
             }
             Ok((flow, Frame::Control(Control::Marker(mk)))) => {
                 self.stats.control_frames += 1;
@@ -402,8 +397,8 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                     self.stats.dropped_admission += 1;
                     return;
                 }
-                let sink = &mut self.flows[flow as usize].as_mut().expect("ensured").sink;
-                sink.on_arrival(c, Arrival::Marker(mk));
+                let rx = &mut self.flows[flow as usize].as_mut().expect("ensured").rx;
+                rx.push(c, Arrival::Marker(mk));
             }
             Ok((_, Frame::Control(ctl))) => {
                 self.stats.control_frames += 1;
@@ -423,104 +418,42 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         }
     }
 
-    /// Handle an untagged control frame once, for every flow: probes are
-    /// acked, membership changes are applied to all replicas and
-    /// remembered for future ones, quantum announces fan out likewise.
+    /// Handle an untagged control frame once, for every flow: the
+    /// responder decides and builds the reply; its verdict is applied to
+    /// all replicas and remembered for future ones.
     fn on_global_control(&mut self, c: ChannelId, ctl: &Control) {
-        match ctl {
-            Control::Probe { nonce } => {
-                self.reply(
-                    c,
-                    &Control::ProbeAck {
-                        nonce: *nonce,
-                        incarnation: self.incarnation,
-                    },
-                );
-            }
-            Control::ResetRequest { epoch } => {
-                use stripe_core::reset::ResponderAction;
-                match self.reset_resp.on_request(c, *epoch) {
-                    ResponderAction::FlushAndAck { channel, ack } => {
-                        // §5 flush: every replica restarts its simulation
-                        // and the epoch'd responders forget their state —
-                        // the sender is (or believes we are) starting
-                        // over, so remembered masks and quanta are stale.
-                        for f in self.flows.iter_mut().flatten() {
-                            f.sink.reset();
-                        }
-                        self.last_mask = None;
-                        self.last_quanta = None;
-                        self.membership = stripe_core::membership::MembershipResponder::new();
-                        self.retune = stripe_core::retune::RetuneResponder::new();
-                        if let Some(det) = self.desync.as_mut() {
-                            det.acknowledge_reset();
-                        }
-                        self.stats.resets += 1;
-                        self.reply(channel, &ack);
-                    }
-                    ResponderAction::AckOnly { channel, ack } => self.reply(channel, &ack),
-                    ResponderAction::Ignore => {}
+        let (effect, reply) = self.responder.on_control(ctl, self.links.len());
+        match effect {
+            Effect::None => {}
+            Effect::Mask { round, live } => {
+                for f in self.flows.iter_mut().flatten() {
+                    f.rx.apply_membership(round, &live);
                 }
+                self.last_mask = Some(live);
             }
-            Control::Membership {
-                epoch,
-                live_mask,
-                effective_round,
-            } => {
-                let n = self.links.len();
-                use stripe_core::membership::MembershipAction;
-                match self
-                    .membership
-                    .on_membership(c, *epoch, *live_mask, *effective_round, n)
-                {
-                    MembershipAction::Apply {
-                        channel,
-                        effective_round,
-                        live,
-                        ack,
-                    } => {
-                        for f in self.flows.iter_mut().flatten() {
-                            f.sink
-                                .receiver_mut()
-                                .apply_membership(effective_round, &live);
-                        }
-                        self.last_mask = Some(live);
-                        self.reply(channel, &ack);
-                    }
-                    MembershipAction::AckOnly { channel, ack } => self.reply(channel, &ack),
-                    MembershipAction::Ignore => {}
+            Effect::Quanta { round, quanta } => {
+                for f in self.flows.iter_mut().flatten() {
+                    f.rx.schedule_quanta(round, quanta);
                 }
+                self.last_quanta = Some(quanta.to_vec());
             }
-            Control::QuantumAnnounce {
-                epoch,
-                effective_round,
-                quanta,
-            } => {
-                let n = self.links.len();
-                use stripe_core::retune::RetuneAction;
-                match self
-                    .retune
-                    .on_announce(c, *epoch, *effective_round, quanta, n)
-                {
-                    RetuneAction::Apply {
-                        channel,
-                        effective_round,
-                        quanta,
-                        ack,
-                    } => {
-                        for f in self.flows.iter_mut().flatten() {
-                            f.sink
-                                .receiver_mut()
-                                .schedule_quanta(effective_round, &quanta);
-                        }
-                        self.last_quanta = Some(quanta);
-                        self.reply(channel, &ack);
-                    }
-                    RetuneAction::AckOnly { channel, ack } => self.reply(channel, &ack),
-                    RetuneAction::Ignore => {}
+            Effect::Flush => {
+                // §5 flush: every replica restarts its simulation — the
+                // sender is (or believes we are) starting over, so
+                // remembered masks and quanta are stale.
+                for f in self.flows.iter_mut().flatten() {
+                    f.rx.reset();
                 }
+                self.last_mask = None;
+                self.last_quanta = None;
+                if let Some(det) = self.desync.as_mut() {
+                    det.acknowledge_reset();
+                }
+                self.stats.resets += 1;
             }
-            _ => {}
+        }
+        if let Some(reply) = reply {
+            self.reply(c, &reply);
         }
     }
 
@@ -554,7 +487,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
     pub fn close_flow(&mut self, id: FlowId) -> bool {
         match self.flows.get_mut(id as usize).and_then(|f| f.take()) {
             Some(mut f) => {
-                f.sink.reset();
+                f.rx.reset();
                 self.flow_pool.push(f);
                 self.stats.flows_active -= 1;
                 true
@@ -567,7 +500,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
     /// Returns the number delivered; 0 for uninstantiated flows.
     pub fn poll_flow_into(&mut self, id: FlowId, out: &mut RxBatch<PooledBuf>) -> usize {
         match self.flows.get_mut(id as usize).and_then(|f| f.as_mut()) {
-            Some(f) => f.sink.poll_into(out),
+            Some(f) => f.rx.poll_into(out),
             None => {
                 out.clear();
                 0
@@ -580,7 +513,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
         self.flows
             .get_mut(id as usize)
             .and_then(|f| f.as_mut())?
-            .sink
+            .rx
             .poll()
     }
 
@@ -590,8 +523,8 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
         self.flows
             .get_mut(id as usize)
             .and_then(|f| f.as_mut())?
-            .sink
-            .stalled(now)
+            .rx
+            .stalled(now.as_nanos())
     }
 
     /// Return a consumed packet's storage to the shared receive pool.
@@ -604,7 +537,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
     /// uninstantiated flows.
     pub fn reserve_flow(&mut self, id: FlowId, per_channel: usize) {
         if let Some(f) = self.flows.get_mut(id as usize).and_then(|f| f.as_mut()) {
-            f.sink.receiver_mut().reserve(per_channel);
+            f.rx.reserve(per_channel);
         }
     }
 
@@ -613,23 +546,23 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
         self.flows
             .get(id as usize)
             .and_then(|f| f.as_ref())
-            .map(|f| f.sink.stats())
+            .map(|f| f.rx.stats())
     }
 
-    /// Flow `id`'s sink (resequencer + responders), if instantiated.
-    pub fn flow_sink(&self, id: FlowId) -> Option<&StripedSink<S, PooledBuf>> {
+    /// Flow `id`'s resequencer, if instantiated.
+    pub fn flow_receiver(&self, id: FlowId) -> Option<&LogicalReceiver<S, PooledBuf>> {
         self.flows
             .get(id as usize)
             .and_then(|f| f.as_ref())
-            .map(|f| &f.sink)
+            .map(|f| &f.rx)
     }
 
-    /// Mutable access to flow `id`'s sink, if instantiated.
-    pub fn flow_sink_mut(&mut self, id: FlowId) -> Option<&mut StripedSink<S, PooledBuf>> {
+    /// Mutable access to flow `id`'s resequencer, if instantiated.
+    pub fn flow_receiver_mut(&mut self, id: FlowId) -> Option<&mut LogicalReceiver<S, PooledBuf>> {
         self.flows
             .get_mut(id as usize)
             .and_then(|f| f.as_mut())
-            .map(|f| &mut f.sink)
+            .map(|f| &mut f.rx)
     }
 
     /// One past the highest instantiated flow id (slab length) — the
@@ -655,7 +588,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
 
     /// The incarnation nonce this demux reports in probe acks.
     pub fn incarnation(&self) -> u64 {
-        self.incarnation
+        self.responder.incarnation()
     }
 
     /// The member links.

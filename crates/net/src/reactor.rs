@@ -27,10 +27,9 @@
 use stripe_core::control::Control;
 use stripe_core::liveness::ChannelHealth;
 use stripe_core::sched::CausalScheduler;
-use stripe_core::types::ChannelId;
 use stripe_link::DatagramLink;
 use stripe_netsim::{SimDuration, SimTime};
-use stripe_transport::{ControlPath, ControlTransmission, FailoverDriver};
+use stripe_transport::{flood_announcement, ControlPath, ControlTransmission, FailoverDriver};
 
 use crate::adapt::{AdaptiveStep, AdaptiveTuner};
 use crate::frame::{self, Frame};
@@ -281,16 +280,9 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
                             Control::ProbeAck { nonce, .. } => {
                                 ad.on_probe_ack(c, *nonce, now.as_nanos());
                             }
-                            Control::QuantumAck { epoch } => {
-                                // The failover driver ignores quantum
-                                // acks; the adaptive handshake owns them.
-                                let before = ad.stats();
-                                ad.on_quantum_ack(c, *epoch);
-                                let after = ad.stats();
-                                self.stats.retune_acks += after.retune_acks - before.retune_acks;
-                                self.stats.retunes_complete +=
-                                    after.retunes_complete - before.retunes_complete;
-                            }
+                            // The failover driver ignores quantum acks;
+                            // the adaptive handshake owns them.
+                            Control::QuantumAck { epoch } => ad.on_quantum_ack(c, *epoch),
                             _ => {}
                         }
                     }
@@ -322,10 +314,15 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         if let Some(driver) = self.driver.as_mut() {
             // A completed §5 reset: the receiver has flushed and acked,
             // so flush the sender-side engines and re-announce to
-            // unpark — both ends restart the simulation from zero.
+            // unpark — both ends restart the simulation from zero, on
+            // their initial quanta, so the tuner re-teaches the tuned
+            // ones alongside the mask.
             if driver.take_pending_engine_reset() {
                 self.path.reset_flows();
                 reports.extend(driver.reannounce(&mut self.path, now));
+                if let Some(ad) = self.adaptive.as_mut() {
+                    ad.on_reset();
+                }
             }
             let (parked, blackout) = (driver.parked(), driver.blackout());
             self.stats.restarts_detected = driver.restarts_detected();
@@ -334,6 +331,11 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
             self.observe_park(parked, blackout, now);
         }
         self.step_adaptive(now, &mut reports);
+        if let Some(tuned) = self.adaptive.as_ref().map(|ad| ad.stats()) {
+            self.stats.retunes = tuned.retunes;
+            self.stats.retune_acks = tuned.retune_acks;
+            self.stats.retunes_complete = tuned.retunes_complete;
+        }
         reports
     }
 
@@ -373,7 +375,8 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
             }
         }
         match ad.step(now) {
-            AdaptiveStep::Idle => {}
+            AdaptiveStep::Idle => return,
+            AdaptiveStep::Retransmit => {}
             AdaptiveStep::Announce => {
                 let live = match self.driver.as_ref() {
                     Some(d) => d.liveness().live_mask(),
@@ -383,28 +386,21 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
                     return; // total outage: nothing can carry the retune
                 }
                 let eff = self.path.current_round() + ad.announce_lead_rounds();
-                let msg = ad.begin_announce(eff, &live, now);
-                let Control::QuantumAnnounce { ref quanta, .. } = msg else {
-                    unreachable!("begin_announce builds a QuantumAnnounce");
-                };
-                self.path.schedule_quanta(eff, quanta);
-                self.stats.retunes += 1;
-                for (c, &is_live) in live.iter().enumerate() {
-                    if is_live {
-                        reports.push(self.path.transmit_control_ref(now, c, &msg));
+                match ad.begin_announce(eff, &live) {
+                    Ok(()) => self.path.schedule_quanta(eff, ad.quanta()),
+                    // Counted beside the driver's own handshake errors.
+                    // Without a driver there is nothing to count: every
+                    // channel is a carrier and `attach_adaptive` checked
+                    // the arity.
+                    Err(e) => {
+                        if let Some(driver) = self.driver.as_mut() {
+                            driver.record_error(e);
+                        }
                     }
                 }
             }
-            AdaptiveStep::Retransmit => {
-                let Some(msg) = ad.retransmission(now) else {
-                    return;
-                };
-                let awaiting: Vec<ChannelId> = ad.awaiting_channels().collect();
-                for c in awaiting {
-                    reports.push(self.path.transmit_control_ref(now, c, &msg));
-                }
-            }
         }
+        flood_announcement(ad.handshake_mut(), &mut self.path, now, reports);
     }
 
     /// The one dead-channel handling path: surface a link-layer death
@@ -444,6 +440,15 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         if let Some(driver) = self.driver.as_ref() {
             if driver.liveness().health(c) == ChannelHealth::Dead {
                 self.lifecycle[c].on_dead(now_ns);
+                // The retune in flight stops waiting for a channel that
+                // can no longer ack. Not during a blackout, like the
+                // driver's own handshakes: with nobody left to ask it
+                // stays in flight until a channel returns.
+                if !driver.blackout() {
+                    if let Some(ad) = self.adaptive.as_mut() {
+                        ad.on_channel_dead(c);
+                    }
+                }
             }
         }
         if self.lifecycle[c].advance(now_ns) == LifecycleAction::Rebind {

@@ -7,10 +7,11 @@
 //! `StripeServer` from `stripe-net` — and owns the two control-plane
 //! state machines:
 //! the [`LivenessTracker`] (per-channel keepalives with exponential
-//! backoff) and the [`MembershipSender`] (the epoch'd shrink/grow
-//! handshake). [`StripedSink`] is its receiver-side counterpart: it feeds
-//! arrivals into the [`LogicalReceiver`], answers probes, and applies
-//! membership announcements through the [`MembershipResponder`].
+//! backoff) and two [`EpochSender`]s — the shrink/grow mask and the §5
+//! reset, both instances of the epoch'd handshake in
+//! [`stripe_core::handshake`]. [`StripedSink`] is its receiver-side
+//! counterpart: it feeds arrivals into the [`LogicalReceiver`] and carries
+//! out what the handshake's [`ControlResponder`] decides.
 //!
 //! The failure lifecycle, end to end:
 //!
@@ -32,13 +33,9 @@
 //!    ends.
 
 use stripe_core::control::Control;
+use stripe_core::handshake::{ControlResponder, Effect, EpochSender, HandshakeError, Progress};
 use stripe_core::liveness::{LivenessConfig, LivenessEvent, LivenessTracker};
-use stripe_core::membership::{
-    MembershipAction, MembershipError, MembershipResponder, MembershipSender,
-};
-use stripe_core::receiver::{Arrival, LogicalReceiver, ReceiverSnapshot, RxBatch};
-use stripe_core::reset::{ResetProgress, ResetResponder, ResetSender, ResponderAction};
-use stripe_core::retune::{RetuneAction, RetuneResponder};
+use stripe_core::receiver::{Arrival, LogicalReceiver, ReceiverSnapshot};
 use stripe_core::sched::CausalScheduler;
 use stripe_core::types::{ChannelId, WireLen};
 use stripe_netsim::SimTime;
@@ -55,7 +52,7 @@ pub struct FailoverConfig {
     /// and the receiver applies it late (markers repair the skew); too
     /// large and degradation is needlessly delayed.
     pub announce_lead_rounds: u64,
-    /// Retransmit an unacked membership announcement this often.
+    /// Retransmit an unacked announcement (mask or reset) this often.
     pub retransmit_interval_ns: u64,
 }
 
@@ -72,6 +69,26 @@ impl FailoverConfig {
     }
 }
 
+/// Flood `sender`'s in-flight announcement — one message, borrowed into
+/// every transmit, never rebuilt per channel — on each channel still
+/// awaiting its ack, and stamp the send time. The one flood/retransmit loop
+/// of the epoch'd handshake: call it after a `begin_*` and whenever
+/// [`EpochSender::retransmit_due`] holds. A no-op with nothing in flight.
+pub fn flood_announcement<P: ControlPath>(
+    sender: &mut EpochSender,
+    path: &mut P,
+    now: SimTime,
+    out: &mut Vec<ControlTransmission>,
+) {
+    let Some(msg) = sender.announcement() else {
+        return;
+    };
+    for c in sender.awaiting_channels() {
+        out.push(path.transmit_control_ref(now, c, msg));
+    }
+    sender.mark_sent(now.as_nanos());
+}
+
 /// Sender-side failover orchestrator. Call [`FailoverDriver::tick`] on a
 /// timer and [`FailoverDriver::on_control`] for every control message
 /// arriving on the reverse path; transmit every [`ControlTransmission`]
@@ -79,11 +96,9 @@ impl FailoverConfig {
 #[derive(Debug)]
 pub struct FailoverDriver {
     live: LivenessTracker,
-    membership: MembershipSender,
-    reset: ResetSender,
+    membership: EpochSender,
+    reset: EpochSender,
     cfg: FailoverConfig,
-    last_retransmit_ns: u64,
-    last_reset_retransmit_ns: u64,
     /// Every channel is dead: the path is parked. Legal, not fatal —
     /// flows see backpressure, probes keep flowing, the first ack
     /// regrows the set.
@@ -100,7 +115,7 @@ pub struct FailoverDriver {
     resets_started: u64,
     desync_resets: u64,
     membership_errors: u64,
-    last_membership_error: Option<MembershipError>,
+    last_membership_error: Option<HandshakeError>,
 }
 
 impl FailoverDriver {
@@ -108,11 +123,9 @@ impl FailoverDriver {
     pub fn new(channels: usize, cfg: FailoverConfig, now: SimTime) -> Self {
         Self {
             live: LivenessTracker::new(channels, cfg.liveness, now.as_nanos()),
-            membership: MembershipSender::new(channels),
-            reset: ResetSender::new(channels),
+            membership: EpochSender::new(channels),
+            reset: EpochSender::new(channels),
             cfg,
-            last_retransmit_ns: now.as_nanos(),
-            last_reset_retransmit_ns: now.as_nanos(),
             blackout: false,
             peer_incarnation: None,
             pending_engine_reset: false,
@@ -132,28 +145,52 @@ impl FailoverDriver {
         path.schedule_mask(path.current_round(), &parked);
     }
 
+    /// Record a handshake that could not begin. Cannot happen for masks
+    /// derived from our own tracker or quanta from a checked tuner, but a
+    /// typed error beats a panic on the datapath: count it and keep the
+    /// last good state. The reactor feeds its retune handshake's errors
+    /// here too, so one pair of accessors covers all three senders.
+    pub fn record_error(&mut self, e: HandshakeError) {
+        self.membership_errors += 1;
+        self.last_membership_error = Some(e);
+    }
+
+    /// A reset handshake moved: on completion both ends have flushed
+    /// in-flight state (or nobody is left to ask), and the caller must now
+    /// reset the local engines and re-announce to resume data (see
+    /// [`take_pending_engine_reset`](Self::take_pending_engine_reset)).
+    fn on_reset_progress(&mut self, progress: Progress) {
+        if progress == Progress::Complete {
+            self.pending_engine_reset = true;
+        }
+    }
+
+    /// The one place a liveness change is acted on: park on a total
+    /// blackout; otherwise stop the in-flight reset waiting on channels
+    /// that can no longer ack, and announce the current mask (superseding
+    /// any mask handshake still in flight).
     fn announce_current_mask<P: ControlPath>(
         &mut self,
         path: &mut P,
         now: SimTime,
     ) -> Vec<ControlTransmission> {
         let mask = self.live.live_mask();
-        let eff = path.current_round() + self.cfg.announce_lead_rounds;
-        if let Err(e) = self.membership.begin_announce(&mask, eff) {
-            // Cannot happen for masks derived from our own tracker, but
-            // a typed error beats a panic on the datapath: record it and
-            // keep the last good membership.
-            self.membership_errors += 1;
-            self.last_membership_error = Some(e);
-            return Vec::new();
-        }
         self.blackout = !mask.iter().any(|&l| l);
         if self.blackout {
-            // Total outage: park. The epoch bump above keeps the
-            // membership history monotone; nothing travels because no
-            // channel could carry it. Probes keep flowing (backed off);
-            // the first recovered channel re-announces and unparks.
+            // Total outage: park. No channel could carry an announcement,
+            // so no epoch is spent on one; handshakes already in flight
+            // stay in flight. Probes keep flowing (backed off); the first
+            // recovered channel re-announces and unparks.
             self.park_path(path);
+            return Vec::new();
+        }
+        for c in (0..mask.len()).filter(|&c| !mask[c]) {
+            let progress = self.reset.stop_awaiting(c);
+            self.on_reset_progress(progress);
+        }
+        let eff = path.current_round() + self.cfg.announce_lead_rounds;
+        if let Err(e) = self.membership.begin_mask(&mask, eff) {
+            self.record_error(e);
             return Vec::new();
         }
         if self.reset.in_progress() {
@@ -164,14 +201,8 @@ impl FailoverDriver {
         } else {
             path.schedule_mask(eff, &mask);
         }
-        self.last_retransmit_ns = now.as_nanos();
-        // One shared announcement, borrowed into every channel's transmit:
-        // the frame is built once, never re-materialized per channel.
-        let msg = self.membership.current_announcement().expect("just begun");
         let mut out = Vec::new();
-        for c in self.membership.awaiting_channels() {
-            out.push(path.transmit_control_ref(now, c, &msg));
-        }
+        flood_announcement(&mut self.membership, path, now, &mut out);
         out
     }
 
@@ -186,16 +217,18 @@ impl FailoverDriver {
         now: SimTime,
     ) -> Vec<ControlTransmission> {
         let mask = self.live.live_mask();
-        let reqs = self.reset.start_reset_masked(&mask);
-        if reqs.is_empty() {
+        if !mask.iter().any(|&l| l) {
+            return Vec::new();
+        }
+        if let Err(e) = self.reset.begin_reset(&mask) {
+            self.record_error(e);
             return Vec::new();
         }
         self.resets_started += 1;
-        self.last_reset_retransmit_ns = now.as_nanos();
         self.park_path(path);
-        reqs.into_iter()
-            .map(|(c, ctl)| path.transmit_control(now, c, ctl))
-            .collect()
+        let mut out = Vec::new();
+        flood_announcement(&mut self.reset, path, now, &mut out);
+        out
     }
 
     /// Drive timers: emit due probes (dead channels included — that is how
@@ -215,30 +248,11 @@ impl FailoverDriver {
         }
         if died {
             out.extend(self.announce_current_mask(path, now));
-            if self.reset.in_progress() {
-                // A channel died mid-reset; its ack will never come.
-                // Supersede with a fresh reset over the survivors so the
-                // handshake cannot wedge on a dead channel.
-                out.extend(self.begin_reset(path, now));
-            }
-        } else if self.membership.in_progress()
-            && now.as_nanos().saturating_sub(self.last_retransmit_ns)
-                >= self.cfg.retransmit_interval_ns
-        {
-            self.last_retransmit_ns = now.as_nanos();
-            if let Some(msg) = self.membership.current_announcement() {
-                for c in self.membership.awaiting_channels() {
-                    out.push(path.transmit_control_ref(now, c, &msg));
-                }
-            }
         }
-        if self.reset.in_progress()
-            && now.as_nanos().saturating_sub(self.last_reset_retransmit_ns)
-                >= self.cfg.retransmit_interval_ns
-        {
-            self.last_reset_retransmit_ns = now.as_nanos();
-            for (c, ctl) in self.reset.retransmit() {
-                out.push(path.transmit_control(now, c, ctl));
+        let interval_ns = self.cfg.retransmit_interval_ns;
+        for sender in [&mut self.membership, &mut self.reset] {
+            if sender.retransmit_due(now.as_nanos(), interval_ns) {
+                flood_announcement(sender, path, now, &mut out);
             }
         }
         out
@@ -309,12 +323,8 @@ impl FailoverDriver {
                 Vec::new()
             }
             Control::ResetAck { epoch } => {
-                if let ResetProgress::Complete = self.reset.on_ack(channel, *epoch) {
-                    // Both ends have flushed in-flight state; the caller
-                    // now resets the local engines and re-announces to
-                    // resume data (see `take_pending_engine_reset`).
-                    self.pending_engine_reset = true;
-                }
+                let progress = self.reset.on_ack(channel, *epoch);
+                self.on_reset_progress(progress);
                 Vec::new()
             }
             Control::DesyncAlert { incarnation } => {
@@ -377,9 +387,9 @@ impl FailoverDriver {
         self.resets_started
     }
 
-    /// §5 resets fully acknowledged.
+    /// §5 resets completed.
     pub fn resets_completed(&self) -> u64 {
-        self.reset.resets_completed()
+        self.reset.completed()
     }
 
     /// Resets initiated because of a receiver [`Control::DesyncAlert`].
@@ -387,14 +397,15 @@ impl FailoverDriver {
         self.desync_resets
     }
 
-    /// Membership operations rejected with a typed error instead of a
-    /// panic (mask length drift — a wiring bug, not a network fault).
+    /// Handshakes (mask, reset, retune) that could not begin and were
+    /// rejected with a typed error instead of a panic — a wiring bug, not
+    /// a network fault; a blackout is not one.
     pub fn membership_errors(&self) -> u64 {
         self.membership_errors
     }
 
-    /// The most recent membership error, if any.
-    pub fn last_membership_error(&self) -> Option<&MembershipError> {
+    /// The most recent handshake error, if any.
+    pub fn last_membership_error(&self) -> Option<&HandshakeError> {
         self.last_membership_error.as_ref()
     }
 
@@ -403,13 +414,13 @@ impl FailoverDriver {
         &self.live
     }
 
-    /// The membership sender (epoch/mask inspection).
-    pub fn membership(&self) -> &MembershipSender {
+    /// The membership handshake (epoch/progress inspection).
+    pub fn membership(&self) -> &EpochSender {
         &self.membership
     }
 
-    /// The reset sender (§5 epoch inspection).
-    pub fn reset_state(&self) -> &ResetSender {
+    /// The reset handshake (§5 epoch inspection).
+    pub fn reset_state(&self) -> &EpochSender {
         &self.reset
     }
 }
@@ -489,27 +500,20 @@ impl<S: CausalScheduler, P: WireLen> StripedSinkBuilder<S, P> {
         }
         StripedSink {
             rx,
-            membership: MembershipResponder::new(),
-            retune: RetuneResponder::new(),
-            reset_resp: ResetResponder::new(),
-            incarnation: self
-                .incarnation
-                .unwrap_or_else(stripe_core::reset::fresh_incarnation),
+            responder: ControlResponder::new(
+                self.incarnation
+                    .unwrap_or_else(stripe_core::reset::fresh_incarnation),
+            ),
         }
     }
 }
 
-/// Receiver-side endpoint: logical reception plus the responder halves of
-/// the probe, membership, and retune protocols.
+/// Receiver-side endpoint: logical reception plus the responder half of
+/// the control plane (probes and the three epoch'd handshakes).
 #[derive(Debug)]
 pub struct StripedSink<S: CausalScheduler, P> {
     rx: LogicalReceiver<S, P>,
-    membership: MembershipResponder,
-    retune: RetuneResponder,
-    /// Survives [`reset`](StripedSink::reset): the §5 epoch must outlive
-    /// the flush it gates, or a retransmitted request would flush twice.
-    reset_resp: ResetResponder,
-    incarnation: u64,
+    responder: ControlResponder,
 }
 
 impl<S: CausalScheduler, P: WireLen> StripedSink<S, P> {
@@ -517,19 +521,6 @@ impl<S: CausalScheduler, P: WireLen> StripedSink<S, P> {
     /// .capacity_per_channel(…).build()`.
     pub fn builder() -> StripedSinkBuilder<S, P> {
         StripedSinkBuilder::default()
-    }
-
-    /// Reset to the initial state (§5 flush): the resequencer restarts
-    /// its simulation and the membership/retune responders forget their
-    /// epochs. Buffered packets are dropped. The reset responder's epoch
-    /// and the incarnation survive — they distinguish this flush from a
-    /// whole-process restart, which builds a new sink. Touches no
-    /// allocator state, so a pooled sink can be cycled through
-    /// close/reopen churn for free.
-    pub fn reset(&mut self) {
-        self.rx.reset();
-        self.membership = MembershipResponder::new();
-        self.retune = RetuneResponder::new();
     }
 
     /// A data packet or marker arrived on `channel`.
@@ -540,90 +531,27 @@ impl<S: CausalScheduler, P: WireLen> StripedSink<S, P> {
     /// A control message arrived on `channel`; returns the replies to
     /// transmit on the reverse path.
     pub fn on_control(&mut self, channel: ChannelId, ctl: &Control) -> Vec<(ChannelId, Control)> {
-        match ctl {
-            Control::Marker(mk) => {
-                self.rx.push(channel, Arrival::Marker(*mk));
-                Vec::new()
-            }
-            Control::Probe { nonce } => {
-                vec![(
-                    channel,
-                    Control::ProbeAck {
-                        nonce: *nonce,
-                        incarnation: self.incarnation,
-                    },
-                )]
-            }
-            Control::ResetRequest { epoch } => match self.reset_resp.on_request(channel, *epoch) {
-                ResponderAction::FlushAndAck { channel, ack } => {
-                    self.reset();
-                    vec![(channel, ack)]
-                }
-                ResponderAction::AckOnly { channel, ack } => vec![(channel, ack)],
-                ResponderAction::Ignore => Vec::new(),
-            },
-            Control::Membership {
-                epoch,
-                live_mask,
-                effective_round,
-            } => {
-                let n = self.rx.scheduler().channels();
-                match self.membership.on_membership(
-                    channel,
-                    *epoch,
-                    *live_mask,
-                    *effective_round,
-                    n,
-                ) {
-                    MembershipAction::Apply {
-                        channel,
-                        effective_round,
-                        live,
-                        ack,
-                    } => {
-                        self.rx.apply_membership(effective_round, &live);
-                        vec![(channel, ack)]
-                    }
-                    MembershipAction::AckOnly { channel, ack } => vec![(channel, ack)],
-                    MembershipAction::Ignore => Vec::new(),
-                }
-            }
-            Control::QuantumAnnounce {
-                epoch,
-                effective_round,
-                quanta,
-            } => {
-                let n = self.rx.scheduler().channels();
-                match self
-                    .retune
-                    .on_announce(channel, *epoch, *effective_round, quanta, n)
-                {
-                    RetuneAction::Apply {
-                        channel,
-                        effective_round,
-                        quanta,
-                        ack,
-                    } => {
-                        self.rx.schedule_quanta(effective_round, &quanta);
-                        vec![(channel, ack)]
-                    }
-                    RetuneAction::AckOnly { channel, ack } => vec![(channel, ack)],
-                    RetuneAction::Ignore => Vec::new(),
-                }
-            }
-            _ => Vec::new(),
+        if let Control::Marker(mk) = ctl {
+            self.rx.push(channel, Arrival::Marker(*mk));
+            return Vec::new();
         }
+        let channels = self.rx.scheduler().channels();
+        let (effect, reply) = self.responder.on_control(ctl, channels);
+        match effect {
+            Effect::None => {}
+            Effect::Mask { round, live } => self.rx.apply_membership(round, &live),
+            Effect::Quanta { round, quanta } => self.rx.schedule_quanta(round, quanta),
+            // Buffered packets are dropped and the simulation restarts; a
+            // whole-process restart differs in building a new sink, with
+            // a new incarnation.
+            Effect::Flush => self.rx.reset(),
+        }
+        reply.into_iter().map(|ack| (channel, ack)).collect()
     }
 
     /// Deliver the next in-order packet (see [`LogicalReceiver::poll`]).
     pub fn poll(&mut self) -> Option<P> {
         self.rx.poll()
-    }
-
-    /// Drain every currently deliverable packet into `out` (see
-    /// [`LogicalReceiver::poll_into`]). Returns the number delivered.
-    pub fn poll_into(&mut self, out: &mut RxBatch<P>) -> usize {
-        self.rx.poll_into(out)
     }
 
     /// The receiver-side stall probe (see [`LogicalReceiver::stalled`]).
@@ -638,21 +566,11 @@ impl<S: CausalScheduler, P: WireLen> StripedSink<S, P> {
 
     /// The incarnation nonce this sink reports in probe acks.
     pub fn incarnation(&self) -> u64 {
-        self.incarnation
-    }
-
-    /// §5 flushes performed in response to reset requests.
-    pub fn reset_flushes(&self) -> u64 {
-        self.reset_resp.flushes()
+        self.responder.incarnation()
     }
 
     /// The wrapped receiver.
     pub fn receiver(&self) -> &LogicalReceiver<S, P> {
         &self.rx
-    }
-
-    /// Mutable access to the wrapped receiver.
-    pub fn receiver_mut(&mut self) -> &mut LogicalReceiver<S, P> {
-        &mut self.rx
     }
 }

@@ -35,7 +35,9 @@ pub mod tcp;
 
 pub use credit::{CreditReceiver, CreditSender};
 pub use duplex::{DuplexEndpoint, DuplexSend};
-pub use failover::{FailoverConfig, FailoverDriver, StripedSink, StripedSinkBuilder};
+pub use failover::{
+    flood_announcement, FailoverConfig, FailoverDriver, StripedSink, StripedSinkBuilder,
+};
 pub use stripe_conn::{
     ControlPath, ControlTransmission, PathSnapshot, StripedPath, StripedPathBuilder, Transmission,
     TxBatch,

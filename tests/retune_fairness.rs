@@ -185,3 +185,193 @@ fn multi_seed_soak_holds_bound_through_chained_retunes() {
         assert_eq!(applied, 6, "seed {seed}: every chained retune must land");
     }
 }
+
+// ---- The adaptive loop across §5 resets and channel deaths ----
+
+use stripe::core::control::Control;
+use stripe::link::{datagram_pair, DatagramLink, TestDatagramLink};
+use stripe::net::{
+    AdaptiveConfig, AdaptiveTuner, ChaosPlan, FlowDemux, FlowHandle, ImpairedLink, ServerReactor,
+    StripeServer,
+};
+use stripe::netsim::{SimDuration, SimTime};
+use stripe::transport::{ControlTransmission, FailoverConfig, FailoverDriver};
+
+const ADAPT_MS: u64 = 5;
+const INCARNATION: u64 = 7;
+
+/// Three in-memory channels policed 4:2:1 under saturating load, a
+/// failover driver and the adaptive tuner on the sender, one flow.
+struct AdaptiveLoop {
+    reactor: ServerReactor<Srr, ImpairedLink<TestDatagramLink>>,
+    rx: FlowDemux<Srr, ImpairedLink<TestDatagramLink>>,
+    flow: FlowHandle,
+    now_ms: u64,
+    seq: u64,
+}
+
+impl AdaptiveLoop {
+    fn new() -> Self {
+        let (mut fwd, mut rev) = (Vec::new(), Vec::new());
+        for (i, r) in [4000u64, 2000, 1000].into_iter().enumerate() {
+            let (a, b) = datagram_pair(2048, 1 << 12);
+            let shaped = ChaosPlan::default().shape(r, 2 * r);
+            fwd.push(ImpairedLink::new(a, shaped, 0xAD0 + i as u64));
+            rev.push(ImpairedLink::new(b, ChaosPlan::none(), 0));
+        }
+        let mut path = StripeServer::builder()
+            .scheduler(Srr::equal(3, 1500))
+            .markers(MarkerConfig::every_rounds(4))
+            .links(fwd)
+            .build();
+        let flow = path.open_flow().unwrap();
+        // A deadline far above the probe interval: only a real partition
+        // kills a channel here, never a busy millisecond.
+        let mut cfg = FailoverConfig::with_probe_interval(1_000_000);
+        cfg.liveness.dead_after_ns = 10_000_000;
+        let driver = FailoverDriver::new(3, cfg, SimTime::ZERO);
+        let tick = SimDuration::from_millis(1);
+        let mut reactor = ServerReactor::new(path, Some(driver), SimTime::ZERO, tick);
+        let adapt = AdaptiveConfig::with_interval(SimDuration::from_millis(ADAPT_MS));
+        reactor.attach_adaptive(AdaptiveTuner::new(&[1500; 3], adapt, SimTime::ZERO));
+        let mut rx = FlowDemux::builder()
+            .scheduler(Srr::equal(3, 1500))
+            .links(rev)
+            .incarnation(INCARNATION)
+            .build();
+        assert!(rx.touch_flow(flow.id()));
+        Self {
+            reactor,
+            rx,
+            flow,
+            now_ms: 0,
+            seq: 0,
+        }
+    }
+
+    /// The sender's half of one millisecond: offer well past aggregate
+    /// capacity (every policer binds, so carried load IS capacity), pump,
+    /// poll. Returns the control it transmitted, not yet seen by the peer.
+    fn send_ms(&mut self) -> Vec<ControlTransmission> {
+        self.now_ms += 1;
+        let now = SimTime::from_millis(self.now_ms);
+        for _ in 0..48 {
+            let mut p = [0u8; 500];
+            p[..8].copy_from_slice(&self.seq.to_be_bytes());
+            self.seq += 1;
+            // Refused while parked for a reset: fine, the load is open-loop.
+            let _ = self.reactor.path_mut().enqueue(self.flow, &p);
+        }
+        let mut events = Vec::new();
+        self.reactor
+            .path_mut()
+            .pump_into(now, usize::MAX, &mut events);
+        self.reactor.poll(now)
+    }
+
+    /// The receiver's half: sweep, answer control, drain deliveries.
+    fn recv_ms(&mut self) {
+        self.rx.sweep(SimTime::from_millis(self.now_ms));
+        let mut batch = stripe::core::receiver::RxBatch::new();
+        self.rx.poll_flow_into(self.flow.id(), &mut batch);
+        for pb in batch.drain() {
+            self.rx.recycle(pb);
+        }
+    }
+
+    fn run_until(&mut self, what: &str, limit_ms: u64, done: impl Fn(&Self) -> bool) {
+        for _ in 0..limit_ms {
+            if done(self) {
+                return;
+            }
+            self.send_ms();
+            self.recv_ms();
+        }
+        panic!(
+            "{what}: not within {limit_ms} ms ({:?})",
+            self.reactor.stats()
+        );
+    }
+
+    fn tuner(&self) -> &AdaptiveTuner {
+        self.reactor.adaptive().expect("attached")
+    }
+
+    fn sender_quanta(&self) -> Vec<i64> {
+        let sched = self.reactor.path().flow_sender(self.flow).unwrap();
+        (0..3).map(|c| sched.scheduler().quantum(c)).collect()
+    }
+
+    fn receiver_quanta(&self) -> Vec<i64> {
+        let replica = self.rx.flow_receiver(self.flow.id()).unwrap();
+        (0..3).map(|c| replica.scheduler().quantum(c)).collect()
+    }
+}
+
+/// A §5 reset restores every scheduler's initial quanta on both ends; the
+/// resume step must re-teach the tuned vector like it re-teaches the mask,
+/// or the tuner's deadband compares proposals against quanta that are no
+/// longer in force and the path stays un-tuned for good.
+#[test]
+fn reset_does_not_untune_the_path() {
+    let mut l = AdaptiveLoop::new();
+    l.run_until("first retune", 200, |l| {
+        l.reactor.stats().retunes_complete >= 1 && l.sender_quanta() == l.tuner().quanta()
+    });
+    let tuned = l.tuner().quanta().to_vec();
+    assert!(
+        tuned[0] > tuned[1] && tuned[1] > tuned[2],
+        "tuned {tuned:?}"
+    );
+
+    // The receiver's self-check (believes it) diverged: alert the sender.
+    let mut alert = Vec::new();
+    stripe::net::frame::encode_control_into(
+        &Control::DesyncAlert {
+            incarnation: INCARNATION,
+        },
+        &mut alert,
+    );
+    l.rx.links_mut()[0].send_frame(&alert).unwrap();
+    l.run_until("reset", 100, |l| l.reactor.stats().resets_completed == 1);
+
+    // Within two adaptive intervals all three views agree again, tuned.
+    l.run_until("re-taught quanta", 2 * ADAPT_MS, |l| {
+        let q = l.tuner().quanta();
+        q[0] > q[1] && q[1] > q[2] && l.sender_quanta() == q && l.receiver_quanta() == q
+    });
+}
+
+/// A retune in flight when one of its carriers dies: the dead channel's
+/// ack never comes, and the loop must stop waiting for it — otherwise it
+/// retransmits into the dead link and proposes nothing for the whole
+/// outage, exactly when the capacity split changed most.
+#[test]
+fn retune_in_flight_survives_a_channel_death() {
+    let mut l = AdaptiveLoop::new();
+    // Cut channel 2's reverse path the moment the first retune is flooded:
+    // channels 0 and 1 ack it, channel 2 never will — nor its probes.
+    let flooded = |r: &ControlTransmission| matches!(r.ctl, Control::QuantumAnnounce { .. });
+    while !l.send_ms().iter().any(flooded) {
+        assert!(l.now_ms < 200, "no retune was ever announced");
+        l.recv_ms();
+    }
+    l.rx.links_mut()[2].partition_now();
+    l.recv_ms();
+    l.run_until("acks from the survivors", 20, |l| {
+        l.tuner().awaiting_channels().eq([2])
+    });
+
+    l.run_until("death of channel 2", 50, |l| {
+        let driver = l.reactor.driver().unwrap();
+        driver.liveness().live_mask() == [true, true, false]
+    });
+    l.run_until("the handshake to stop waiting", 5, |l| {
+        !l.tuner().in_progress()
+    });
+    // The loop is free again: with channel 2 carrying nothing the split
+    // has changed, and the next proposal is announced over the survivors.
+    l.run_until("a later retune", 20 * ADAPT_MS, |l| {
+        l.reactor.stats().retunes >= 2
+    });
+}

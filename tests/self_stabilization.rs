@@ -6,10 +6,9 @@
 
 use proptest::prelude::*;
 use stripe::core::control::Control;
+use stripe::core::handshake::{ControlResponder, Effect, EpochSender, Progress};
 use stripe::core::receiver::{Arrival, LogicalReceiver};
-use stripe::core::reset::{
-    DesyncDetector, ResetProgress, ResetResponder, ResetSender, ResponderAction,
-};
+use stripe::core::reset::DesyncDetector;
 use stripe::core::sched::{CausalScheduler, Srr};
 use stripe::core::sender::{MarkerConfig, StripingSender};
 use stripe::core::types::TestPacket;
@@ -30,12 +29,13 @@ fn run_with_corruption(corrupt_at: u64, control_loss: f64, seed: u64) {
     let mut tx = StripingSender::new(Srr::weighted(&quanta), MarkerConfig::every_rounds(4));
     let mut rx = LogicalReceiver::new(Srr::weighted(&quanta), 1 << 14);
     let mut detector = DesyncDetector::new(64, 0.35, 3);
-    let mut reset_tx = ResetSender::new(N);
-    let mut reset_rx = ResetResponder::new();
+    let mut reset_tx = EpochSender::new(N);
+    let mut reset_rx = ControlResponder::new(1);
     let mut rng = DetRng::new(seed);
 
     let mut delivered: Vec<u64> = Vec::new();
     let mut resets = 0u64;
+    let mut flushes = 0u64;
     // Offset of the first delivery after the last completed reset.
     let mut clean_from = 0usize;
 
@@ -45,34 +45,29 @@ fn run_with_corruption(corrupt_at: u64, control_loss: f64, seed: u64) {
         // A reset handshake pauses data (the §5 protocol).
         if reset_tx.in_progress() {
             // Control messages may be lost; retransmit until complete.
-            for (c, msg) in reset_tx.retransmit() {
+            let request = reset_tx.announcement().expect("in flight").clone();
+            for c in reset_tx.awaiting_channels().collect::<Vec<_>>() {
                 if rng.chance(control_loss) {
                     continue; // request lost
                 }
-                let Control::ResetRequest { epoch } = msg else {
-                    panic!("unexpected control type")
+                let (effect, ack) = reset_rx.on_control(&request, N);
+                // Receiver reinitializes exactly once per epoch.
+                if effect == Effect::Flush {
+                    flushes += 1;
+                    assert_eq!(flushes, resets + 1, "flushed twice in one epoch");
+                    rx.reset();
+                    detector.acknowledge_reset();
+                }
+                if rng.chance(control_loss) {
+                    continue; // ack lost; retransmit will retry
+                }
+                let Some(Control::ResetAck { epoch }) = ack else {
+                    panic!("unexpected ack {ack:?}")
                 };
-                match reset_rx.on_request(c, epoch) {
-                    ResponderAction::FlushAndAck { channel, ack }
-                    | ResponderAction::AckOnly { channel, ack } => {
-                        // Receiver reinitializes exactly once per epoch.
-                        if reset_rx.flushes() > resets {
-                            rx.reset();
-                            detector.acknowledge_reset();
-                        }
-                        if rng.chance(control_loss) {
-                            continue; // ack lost; retransmit will retry
-                        }
-                        let Control::ResetAck { epoch } = ack else {
-                            panic!("unexpected ack type")
-                        };
-                        if reset_tx.on_ack(channel, epoch) == ResetProgress::Complete {
-                            resets += 1;
-                            tx.reset();
-                            clean_from = delivered.len();
-                        }
-                    }
-                    ResponderAction::Ignore => {}
+                if reset_tx.on_ack(c, epoch) == Progress::Complete {
+                    resets += 1;
+                    tx.reset();
+                    clean_from = delivered.len();
                 }
             }
             continue;
@@ -108,7 +103,9 @@ fn run_with_corruption(corrupt_at: u64, control_loss: f64, seed: u64) {
         while let Some(p) = rx.poll() {
             let backlog = rx.buffered_total() as u64;
             if detector.observe(p.id, backlog) && !reset_tx.in_progress() {
-                let _ = reset_tx.start_reset();
+                reset_tx
+                    .begin_reset(&[true; N])
+                    .expect("all channels carry");
             }
             delivered.push(p.id);
         }

@@ -164,7 +164,7 @@ fn retired_quantum_update_frame_is_dropped_not_applied() {
 
     let stats = demux.net_stats();
     assert_eq!((stats.dropped_malformed, stats.control_frames), (1, 0));
-    let sched = demux.flow_sink(0).unwrap().receiver().scheduler();
+    let sched = demux.flow_receiver(0).unwrap().scheduler();
     assert_eq!((sched.quantum(0), sched.quantum(1)), (1500, 1500));
 }
 
