@@ -53,17 +53,6 @@ pub trait DatagramLink {
     /// or rejected with backpressure ([`TxError::QueueFull`]).
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), TxError>;
 
-    /// Offer one encoded frame *without* forcing a kernel submission:
-    /// links that batch (the UDP channels) park it behind any frames
-    /// already deferred, to be submitted by the caller's next
-    /// [`flush`](Self::flush) in the same `mmsghdr` batch. Ordering
-    /// relative to earlier deferred frames is preserved. Default: plain
-    /// [`send_frame`](Self::send_frame) — correct for links that never
-    /// defer.
-    fn send_frame_deferred(&mut self, frame: &[u8]) -> Result<(), TxError> {
-        self.send_frame(frame)
-    }
-
     /// Receive one frame into `buf`, returning its length, or `None` when
     /// nothing is ready (the readiness sweep moves to the next channel).
     /// A frame longer than `buf` is truncated by the transport, which the

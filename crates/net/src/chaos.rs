@@ -384,6 +384,8 @@ pub struct ImpairedLink<L: DatagramLink> {
     rng: DetRng,
     held: VecDeque<Held>,
     spare: Vec<Vec<u8>>,
+    /// Result slot of the one-frame owned runs (see `send_inner`).
+    run_out: Vec<Result<(), TxError>>,
     stats: ChaosSnapshot,
     /// Token-bucket credit in bytes (shaping only; starts at burst).
     tokens: u64,
@@ -405,6 +407,7 @@ impl<L: DatagramLink> ImpairedLink<L> {
             rng: DetRng::new(seed),
             held: VecDeque::new(),
             spare: Vec::new(),
+            run_out: Vec::new(),
             stats: ChaosSnapshot::default(),
             tokens,
             blackout: false,
@@ -557,12 +560,19 @@ impl<L: DatagramLink> ImpairedLink<L> {
         Fate::Forward
     }
 
+    /// Hand one frame to the inner link: now, or (`deferred`) parked
+    /// behind its queued burst as a one-frame owned run of a spare copy.
     fn send_inner(&mut self, frame: &[u8], deferred: bool) -> Result<(), TxError> {
-        if deferred {
-            self.inner.send_frame_deferred(frame)
-        } else {
-            self.inner.send_frame(frame)
+        if !deferred {
+            return self.inner.send_frame(frame);
         }
+        let mut buf = self.take_spare(frame.len());
+        buf.extend_from_slice(frame);
+        self.run_out.clear();
+        self.inner
+            .send_run_owned(std::slice::from_mut(&mut buf), &mut self.run_out);
+        self.recycle(buf);
+        self.run_out[0]
     }
 
     /// Age the hold queue by one tick and release everything due, in
@@ -683,11 +693,6 @@ impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), TxError> {
         self.tick_held();
         self.offer(frame, false)
-    }
-
-    fn send_frame_deferred(&mut self, frame: &[u8]) -> Result<(), TxError> {
-        self.tick_held();
-        self.offer(frame, true)
     }
 
     // send_run is deliberately left on the trait default (a per-frame

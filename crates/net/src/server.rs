@@ -29,13 +29,27 @@
 //! backpressure to the producer of that one flow instead of letting it
 //! starve the rest.
 //!
+//! **Wire order within a channel.** The receiver needs FIFO only per
+//! channel *of one flow* (§4/§5 run once per flow), so on one channel
+//! the frames of different flows commute. A pump therefore *stages*
+//! every data frame and in-band marker per channel and emits each
+//! channel's burst once, at the end, regrouped by wire length: a stable
+//! greedy merge over the per-flow chains (largest head length first,
+//! drain every flow's head while it has that length) puts equal-length
+//! frames of different flows side by side, which is what a GSO/GRO
+//! train is made of. Each flow's own per-channel subsequence — data and
+//! markers — is never reordered, and with one flow or uniform lengths
+//! the merge is the identity. [`PumpEvent`]s stay in *offer* order,
+//! which across flows is no longer the wire order.
+//!
 //! The zero-allocation story: frames are encoded once at
 //! [`enqueue`](StripeServer::enqueue) into recycled buffers, handed to
 //! links by storage transfer ([`DatagramLink::send_run_owned`]), and the
 //! swapped-back recycled storage returns to the server's pool. Steady
 //! state allocates nothing per packet.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use stripe_core::control::Control;
 use stripe_core::sched::{CausalScheduler, Drr};
@@ -146,7 +160,10 @@ pub struct StripeServerSnapshot {
 }
 
 /// One event produced by [`StripeServer::pump_into`]: a frame or marker
-/// offered to a link, in offer order.
+/// offered to a link. Events are in *offer* order (the inter-flow DRR's
+/// turn order); on the wire a channel carries each flow's frames in
+/// that order, but frames of different flows may have been regrouped
+/// (see the module docs), so offer order is not wire order across flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PumpEvent {
     /// A data frame left (or failed to leave) on `channel`.
@@ -188,6 +205,97 @@ struct FlowState<S: CausalScheduler> {
     queue: VecDeque<QueuedFrame>,
     stats: FlowSnapshot,
     parked: bool,
+}
+
+/// One channel's share of a pump: every data frame and in-band marker
+/// bound for it, in offer order, emitted in one run when the pump ends.
+#[derive(Debug, Default)]
+struct ChannelStage {
+    bufs: Vec<Vec<u8>>,
+    /// `(flow, index of the frame's PumpEvent)`, parallel to `bufs`.
+    meta: Vec<(FlowId, u32)>,
+    /// The staged frames differ in wire length / in flow: unless both
+    /// hold, regrouping is the identity and is skipped.
+    mixed_len: bool,
+    multi_flow: bool,
+}
+
+impl ChannelStage {
+    fn push(&mut self, buf: Vec<u8>, flow: FlowId, event: usize) {
+        if let (Some(last), Some(&(last_flow, _))) = (self.bufs.last(), self.meta.last()) {
+            self.mixed_len |= last.len() != buf.len();
+            self.multi_flow |= last_flow != flow;
+        }
+        self.bufs.push(buf);
+        self.meta.push((flow, event as u32));
+    }
+
+    /// Wire length of the last staged frame, if it is `flow`'s.
+    fn last_len_of(&self, flow: FlowId) -> Option<usize> {
+        match self.meta.last() {
+            Some(&(last_flow, _)) if last_flow == flow => self.bufs.last().map(Vec::len),
+            _ => None,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.bufs.clear();
+        self.meta.clear();
+        (self.mixed_len, self.multi_flow) = (false, false);
+    }
+}
+
+/// Absent link in the [`Regroup`] chains.
+const NONE: u32 = u32::MAX;
+
+/// The end-of-pump regrouping (see the module docs) and its scratch.
+#[derive(Debug, Default)]
+struct Regroup {
+    /// Per flow slot: the flow's latest frame in the stage being merged
+    /// ([`NONE`] between merges). Grows with the flow slab.
+    tail: Vec<u32>,
+    /// Per staged frame: the same flow's next frame.
+    next: Vec<u32>,
+    /// One `(wire length, staged index)` per flow chain, its head: the
+    /// max is the next class, ties in offer order.
+    heads: BinaryHeap<(usize, Reverse<u32>)>,
+    /// Heads uncovered in the current class, admitted when it ends: a
+    /// longer frame behind a drained one must not cut the class short.
+    uncovered: Vec<(usize, Reverse<u32>)>,
+    /// The regrouped burst.
+    out: ChannelStage,
+}
+
+impl Regroup {
+    /// Move `st`'s frames into `self.out`: the largest head length is
+    /// the class, every flow's chain is drained while its head has that
+    /// length, repeat. Each flow's own subsequence keeps its order.
+    fn merge(&mut self, st: &mut ChannelStage) {
+        self.next.clear();
+        self.next.resize(st.bufs.len(), NONE);
+        for (k, &(flow, _)) in st.meta.iter().enumerate() {
+            match std::mem::replace(&mut self.tail[flow as usize], k as u32) {
+                NONE => self.heads.push((st.bufs[k].len(), Reverse(k as u32))),
+                prev => self.next[prev as usize] = k as u32,
+            }
+        }
+        while let Some((class, Reverse(mut k))) = self.heads.pop() {
+            let flow = st.meta[k as usize].0;
+            while k != NONE && st.bufs[k as usize].len() == class {
+                self.out.bufs.push(std::mem::take(&mut st.bufs[k as usize]));
+                self.out.meta.push(st.meta[k as usize]);
+                k = self.next[k as usize];
+            }
+            match k {
+                NONE => self.tail[flow as usize] = NONE,
+                k => self.uncovered.push((st.bufs[k as usize].len(), Reverse(k))),
+            }
+            if self.heads.peek().is_none_or(|h| h.0 != class) {
+                self.heads.extend(self.uncovered.drain(..));
+            }
+        }
+        st.clear();
+    }
 }
 
 /// Builder for [`StripeServer`]: the datapath vocabulary (`scheduler` /
@@ -324,14 +432,13 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
             stats: StripeServerSnapshot::default(),
             buf_pool: Vec::new(),
             flow_pool: Vec::new(),
-            turn_bufs: Vec::new(),
             turn_lens: Vec::new(),
-            turn_frame_lens: Vec::new(),
             scratch_channels: Vec::new(),
             scratch_markers: Vec::new(),
             scratch_idle: Vec::new(),
-            run_results: Vec::new(),
-            last_data_len: vec![0; channels],
+            stage: (0..channels).map(|_| ChannelStage::default()).collect(),
+            regroup: Regroup::default(),
+            results: Vec::new(),
             ctl_buf: Vec::new(),
         }
     }
@@ -382,17 +489,14 @@ pub struct StripeServer<S: CausalScheduler, L: DatagramLink> {
     /// open/close churn the slab reaches a high-water mark of engines
     /// and queues and then cycles them without touching the allocator.
     flow_pool: Vec<FlowState<S>>,
-    turn_bufs: Vec<Vec<u8>>,
     turn_lens: Vec<usize>,
-    turn_frame_lens: Vec<usize>,
     scratch_channels: Vec<ChannelId>,
     scratch_markers: Vec<(usize, ChannelId, Marker)>,
     scratch_idle: Vec<(ChannelId, Marker)>,
-    run_results: Vec<Result<(), TxError>>,
-    /// Wire length of the last data frame sent per channel this pump —
-    /// the GSO pad target for markers: a marker stretched to its
-    /// neighbours' length keeps the channel's equal-size GSO train whole.
-    last_data_len: Vec<usize>,
+    /// The pump in progress, per channel (empty between pumps).
+    stage: Vec<ChannelStage>,
+    regroup: Regroup,
+    results: Vec<Result<(), TxError>>,
     ctl_buf: Vec<u8>,
 }
 
@@ -409,6 +513,7 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> StripeServer<S, L> {
         let id = self.free_ids.pop().unwrap_or_else(|| {
             self.flows.push(None);
             self.gens.push(0);
+            self.regroup.tail.push(NONE);
             (self.flows.len() - 1) as FlowId
         });
         // Reuse a closed flow's engine and queue when one is pooled: a
@@ -575,16 +680,14 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     /// each turn striping up to one quantum of that flow's frames
     /// through its own SRR onto the shared links. At most `budget` data
     /// frames leave. Events land in `events` (cleared first) in offer
-    /// order; one flush per link submits everything the links deferred.
-    /// Returns the number of data frames served.
+    /// order; each link gets its whole burst in one regrouped run (see
+    /// the module docs) and one flush. Returns the number of data frames
+    /// served.
     pub fn pump_into(&mut self, now: SimTime, budget: usize, events: &mut Vec<PumpEvent>) -> usize {
         let _ = now; // reserved for pacing
         events.clear();
         if self.path_parked {
             return 0;
-        }
-        for v in &mut self.last_data_len {
-            *v = 0;
         }
         let mut served_total = 0usize;
         while served_total < budget {
@@ -592,110 +695,137 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                 break;
             };
             let flow_id = fid as FlowId;
-            // Phase 1: pop the affordable prefix of the flow queue.
-            self.turn_bufs.clear();
+            let f = self.flows[fid].as_mut().expect("active flow in ring");
+            // Phase 1: charge the affordable prefix of the flow queue.
             self.turn_lens.clear();
-            self.turn_frame_lens.clear();
-            let mut budget_left = budget - served_total;
-            {
-                let f = self.flows[fid].as_mut().expect("active flow in ring");
-                while budget_left > 0 {
-                    let Some(front) = f.queue.front() else { break };
-                    let cost = front.payload_len as i64;
-                    if self.drr.deficit(fid) < cost {
-                        break;
-                    }
-                    self.drr.charge(fid, cost);
-                    let q = f.queue.pop_front().expect("front just checked");
-                    self.turn_lens.push(q.payload_len);
-                    self.turn_frame_lens.push(q.buf.len());
-                    self.turn_bufs.push(q.buf);
-                    budget_left -= 1;
+            for q in f.queue.iter().take(budget - served_total) {
+                let cost = q.payload_len as i64;
+                if self.drr.deficit(fid) < cost {
+                    break;
                 }
-                // Phase 2: the flow's own SRR assigns channels/markers.
-                f.tx.send_batch(
-                    &self.turn_lens,
-                    &mut self.scratch_channels,
-                    &mut self.scratch_markers,
-                );
+                self.drr.charge(fid, cost);
+                self.turn_lens.push(q.payload_len);
             }
-            // Phase 3: offer same-channel runs, breaking at marker
-            // boundaries, so per-channel FIFO (and hence marker
-            // recovery) holds per flow.
-            let n = self.turn_bufs.len();
-            let (mut fq, mut fl, mut fms, mut fml) = (0u64, 0u64, 0u64, 0u64);
+            // Phase 2: the flow's own SRR assigns channels/markers.
+            f.tx.send_batch(
+                &self.turn_lens,
+                &mut self.scratch_channels,
+                &mut self.scratch_markers,
+            );
+            // Phase 3: stage each frame on its channel, each marker
+            // right behind the frame it follows, so per-channel FIFO
+            // (and hence marker recovery) holds per flow.
+            let n = self.turn_lens.len();
             let mut m = 0;
-            let mut i = 0;
-            while i < n {
-                let ch = self.scratch_channels[i];
-                let boundary = self.scratch_markers.get(m).map(|&(at, _, _)| at);
-                let mut j = i + 1;
-                while j < n && self.scratch_channels[j] == ch && boundary.is_none_or(|b| j <= b) {
-                    j += 1;
-                }
-                self.run_results.clear();
-                self.links[ch].send_run_owned(&mut self.turn_bufs[i..j], &mut self.run_results);
-                for k in 0..(j - i) {
-                    let error = self.run_results[k].err();
-                    match error {
-                        Some(TxError::QueueFull) => {
-                            self.stats.path.dropped_queue += 1;
-                            fq += 1;
-                        }
-                        Some(_) => {
-                            self.stats.path.dropped_lost += 1;
-                            fl += 1;
-                        }
-                        None => {}
-                    }
-                    events.push(PumpEvent::Data {
-                        flow: flow_id,
-                        channel: ch,
-                        error,
-                    });
-                }
-                self.last_data_len[ch] = self.turn_frame_lens[j - 1];
-                while m < self.scratch_markers.len() && self.scratch_markers[m].0 < j {
-                    let (_, c, mk) = self.scratch_markers[m];
+            for (i, &ch) in self.scratch_channels.iter().enumerate() {
+                let q = f.queue.pop_front().expect("charged above");
+                self.stage[ch].push(q.buf, flow_id, events.len());
+                events.push(PumpEvent::Data {
+                    flow: flow_id,
+                    channel: ch,
+                    error: None,
+                });
+                while let Some(&(_, c, mk)) = self.scratch_markers.get(m).filter(|mk| mk.0 <= i) {
                     m += 1;
+                    // Pad target on a coalescing link: the flow's own
+                    // neighbour on the channel — the frame staged just
+                    // ahead of the marker, else the turn's next one
+                    // behind it — so the marker joins that frame's
+                    // length class instead of stalling its flow's chain
+                    // in the merge as a lone short head.
                     let pad_to = if self.links[c].coalesce_hint() {
-                        self.last_data_len[c]
+                        self.stage[c].last_len_of(flow_id).or_else(|| {
+                            let mut behind = self.scratch_channels[i + 1..].iter();
+                            behind.position(|&x| x == c).map(|j| f.queue[j].buf.len())
+                        })
                     } else {
-                        0
+                        None
                     };
-                    let error = self.transmit_marker_frame(flow_id, c, mk, true, pad_to);
-                    fms += 1;
-                    if error.is_some() {
-                        fml += 1;
+                    // A buffer fresh from an empty pool arrives pre-sized:
+                    // a zero-capacity one would grow under the encode, in
+                    // the steady state.
+                    let mtu = self.links[c].mtu();
+                    let mut buf = self
+                        .buf_pool
+                        .pop()
+                        .unwrap_or_else(|| Vec::with_capacity(mtu));
+                    let ctl = Control::Marker(mk);
+                    let fits =
+                        frame::control_flow_frame_len(flow_id, &ctl) + frame::PAD_LEN_PREFIX..=mtu;
+                    match pad_to.filter(|len| fits.contains(len)) {
+                        Some(len) => {
+                            frame::encode_control_padded_flow_into(flow_id, &ctl, len, &mut buf)
+                        }
+                        None => frame::encode_control_flow_into(flow_id, &ctl, &mut buf),
                     }
+                    self.stage[c].push(buf, flow_id, events.len());
                     events.push(PumpEvent::Marker {
                         flow: flow_id,
                         channel: c,
                         marker: mk,
-                        error,
+                        error: None,
                     });
                 }
-                i = j;
             }
             served_total += n;
             self.stats.path.sent += n as u64;
-            // Recycle the storage the links swapped back.
-            self.buf_pool.append(&mut self.turn_bufs);
-            let f = self.flows[fid].as_mut().expect("still open");
+            self.stats.path.markers_sent += m as u64;
             f.stats.sent += n as u64;
-            f.stats.dropped_queue += fq;
-            f.stats.dropped_lost += fl;
-            f.stats.markers_sent += fms;
-            f.stats.markers_lost += fml;
+            f.stats.markers_sent += m as u64;
             let backlogged = !f.queue.is_empty();
             self.drr.end_turn(fid, backlogged);
         }
-        // One flush per link per pump: deferring links submit their
-        // whole accumulated burst as mmsg batches here.
-        for l in &mut self.links {
-            l.flush();
+        for c in 0..self.links.len() {
+            self.emit_stage(c, events);
+            // One flush per link per pump: deferring links submit their
+            // whole accumulated burst as mmsg batches here.
+            self.links[c].flush();
         }
         served_total
+    }
+
+    /// Hand channel `c`'s staged burst to its link in one run —
+    /// regrouped by wire length when that changes anything — then patch
+    /// each refused frame's error onto its own event and counters.
+    fn emit_stage(&mut self, c: ChannelId, events: &mut [PumpEvent]) {
+        let mut st = &mut self.stage[c];
+        if st.bufs.is_empty() {
+            return;
+        }
+        if st.mixed_len && st.multi_flow {
+            self.regroup.merge(st);
+            st = &mut self.regroup.out;
+        }
+        self.results.clear();
+        self.links[c].send_run_owned(&mut st.bufs, &mut self.results);
+        if self.results.iter().any(|r| r.is_err()) {
+            for (&(flow, event), r) in st.meta.iter().zip(&self.results) {
+                let Err(e) = *r else { continue };
+                let f = self.flows[flow as usize]
+                    .as_mut()
+                    .expect("flows stay open across a pump");
+                match &mut events[event as usize] {
+                    PumpEvent::Data { error, .. } => {
+                        *error = Some(e);
+                        if e == TxError::QueueFull {
+                            self.stats.path.dropped_queue += 1;
+                            f.stats.dropped_queue += 1;
+                        } else {
+                            self.stats.path.dropped_lost += 1;
+                            f.stats.dropped_lost += 1;
+                        }
+                    }
+                    PumpEvent::Marker { error, .. } => {
+                        *error = Some(e);
+                        self.stats.path.markers_lost += 1;
+                        f.stats.markers_lost += 1;
+                    }
+                }
+            }
+        }
+        // Recycle the storage the link swapped back.
+        self.buf_pool.append(&mut st.bufs);
+        st.clear();
     }
 
     /// Emit every open active flow's due marker batch immediately
@@ -721,8 +851,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             let mut lost = 0u64;
             for k in 0..self.scratch_idle.len() {
                 let (c, mk) = self.scratch_idle[k];
-                // Idle markers have no adjacent data to pad-match.
-                let error = self.transmit_marker_frame(fid as FlowId, c, mk, false, 0);
+                let error = self.transmit_marker_frame(fid as FlowId, c, mk);
                 if error.is_some() {
                     lost += 1;
                 }
@@ -740,33 +869,12 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
         }
     }
 
-    /// Encode and send one marker frame for `flow` on channel `c`.
-    /// Deferred markers join the channel's parked burst (flushed at pump
-    /// end); eager ones go out now. `pad_to > 0` requests the padded
-    /// encoding stretched to that wire length (GSO-train preservation),
-    /// ignored when it would not fit.
-    fn transmit_marker_frame(
-        &mut self,
-        flow: FlowId,
-        c: ChannelId,
-        mk: Marker,
-        deferred: bool,
-        pad_to: usize,
-    ) -> Option<TxError> {
+    /// Encode and send one idle marker frame for `flow` on channel `c`,
+    /// now and unpadded (there is no adjacent data to length-match).
+    fn transmit_marker_frame(&mut self, flow: FlowId, c: ChannelId, mk: Marker) -> Option<TxError> {
         self.stats.path.markers_sent += 1;
-        let ctl = Control::Marker(mk);
-        let natural = frame::control_flow_frame_len(flow, &ctl);
-        if pad_to >= natural + frame::PAD_LEN_PREFIX && pad_to <= self.links[c].mtu() {
-            frame::encode_control_padded_flow_into(flow, &ctl, pad_to, &mut self.ctl_buf);
-        } else {
-            frame::encode_control_flow_into(flow, &ctl, &mut self.ctl_buf);
-        }
-        let r = if deferred {
-            self.links[c].send_frame_deferred(&self.ctl_buf)
-        } else {
-            self.links[c].send_frame(&self.ctl_buf)
-        };
-        if let Err(e) = r {
+        frame::encode_control_flow_into(flow, &Control::Marker(mk), &mut self.ctl_buf);
+        if let Err(e) = self.links[c].send_frame(&self.ctl_buf) {
             self.stats.path.markers_lost += 1;
             return Some(e);
         }
@@ -1144,6 +1252,57 @@ mod tests {
         assert!(served_big > 0 && served_small > 0);
         let gap = (served_big - served_small).abs();
         assert!(gap <= 2048 + 1200, "byte gap {gap} past the DRR bound");
+    }
+
+    /// The regrouping rule on one channel, two flows, two lengths: the
+    /// largest head length is the class, every flow's chain is drained
+    /// while its head has it, repeat — equal lengths of different flows
+    /// end up adjacent, each flow's own frames keep their order, and
+    /// the events stay in offer order.
+    #[test]
+    fn regrouping_puts_equal_lengths_side_by_side() {
+        let (a, mut b) = datagram_pair(2048, 64);
+        let mut srv: StripeServer<Srr, TestDatagramLink> = StripeServer::builder()
+            .scheduler(Srr::equal(1, 1500))
+            .links(vec![a])
+            .build();
+        let fa = srv.open_flow().unwrap();
+        let fb = srv.open_flow().unwrap();
+        for (flow, lens) in [(fa, [1000, 100, 1000]), (fb, [100, 1000, 100])] {
+            for (seq, len) in lens.into_iter().enumerate() {
+                srv.enqueue(flow, &vec![seq as u8; len]).unwrap();
+            }
+        }
+        let mut events = Vec::new();
+        srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+        let offered: Vec<FlowId> = events
+            .iter()
+            .map(|ev| match ev {
+                PumpEvent::Data {
+                    flow, error: None, ..
+                } => *flow,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(offered, [0, 0, 0, 1, 1, 1], "events in offer order");
+        let wire: Vec<(FlowId, u8, usize)> = drain(&mut b)
+            .iter()
+            .map(|f| match frame::try_decode_flow(f).expect("well-formed") {
+                (flow, Frame::Data(body)) => (flow, body[0], body.len()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            wire,
+            [
+                (0, 0, 1000), // class 1000: only flow 0 heads with it
+                (0, 1, 100),  // class 100: flow 0's next, then flow 1's head
+                (1, 0, 100),
+                (0, 2, 1000), // class 1000 again: both chains
+                (1, 1, 1000),
+                (1, 2, 100),
+            ]
+        );
     }
 
     /// A one-flow server over two in-memory links of `mtu` bytes and

@@ -94,6 +94,9 @@ pub struct SendReport {
     pub sent: usize,
     /// Syscalls spent (including the one that reported backpressure).
     pub syscalls: u64,
+    /// Kernel datagrams those frames left as: a GSO train counts 1,
+    /// however many frames ride it.
+    pub messages: u64,
     /// The stop was a hard socket error, not backpressure.
     pub hard_error: bool,
     /// Raw OS errno of the hard error, when the OS supplied one — the
@@ -111,6 +114,10 @@ pub struct RecvReport {
     pub received: usize,
     /// Syscalls spent (including the one that found the queue empty).
     pub syscalls: u64,
+    /// Kernel datagrams pulled off the socket: a GRO-coalesced train
+    /// counts 1. Trains parked in the staging slots by an earlier call
+    /// were counted then.
+    pub trains: u64,
 }
 
 /// Reusable scratch for batched sends/receives on one socket.
@@ -278,26 +285,28 @@ impl BatchIo {
     }
 
     /// Receive a single frame into `buf`, returning `(frame length if
-    /// any, syscalls spent)`. On a GRO socket a plain `recv` would hand
+    /// any, what it cost)`. On a GRO socket a plain `recv` would hand
     /// back a whole coalesced train as one blob, so single-frame readers
     /// must come through here: the splitter returns one segment and
     /// stashes the rest for the next call (zero syscalls).
-    pub fn recv_one(&mut self, sock: &UdpSocket, buf: &mut [u8]) -> (Option<usize>, u64) {
+    pub fn recv_one(&mut self, sock: &UdpSocket, buf: &mut [u8]) -> (Option<usize>, RecvReport) {
+        let mut rep = RecvReport::default();
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         if self.gro {
-            if let Some(k) = self.take_leftover(buf) {
-                return (Some(k), 0);
+            let mut got = self.take_leftover(buf);
+            if got.is_none() {
+                rep.syscalls = 1;
+                rep.trains = self.gro_fill_many(sock) as u64;
+                got = self.take_leftover(buf);
             }
-            if self.gro_fill_many(sock) == 0 {
-                return (None, 1);
-            }
-            let k = self.take_leftover(buf).expect("fresh train has a segment");
-            return (Some(k), 1);
+            rep.received = got.is_some() as usize;
+            return (got, rep);
         }
-        match sock.recv(buf) {
-            Ok(n) => (Some(n), 1),
-            Err(_) => (None, 1),
-        }
+        rep.syscalls = 1;
+        let got = sock.recv(buf).ok();
+        rep.received = got.is_some() as usize;
+        rep.trains = rep.received as u64;
+        (got, rep)
     }
 
     /// Copy the next unconsumed segment of the staged trains into `buf`,
@@ -333,7 +342,10 @@ impl BatchIo {
         for f in frames {
             rep.syscalls += 1;
             match sock.send(f) {
-                Ok(_) => rep.sent += 1,
+                Ok(_) => {
+                    rep.sent += 1;
+                    rep.messages += 1;
+                }
                 Err(e) => {
                     rep.hard_error = e.kind() != io::ErrorKind::WouldBlock;
                     if rep.hard_error {
@@ -359,6 +371,7 @@ impl BatchIo {
                 Ok(n) => {
                     *len = n;
                     rep.received += 1;
+                    rep.trains += 1;
                 }
                 Err(_) => break,
             }
@@ -489,6 +502,7 @@ impl BatchIo {
             }
             let k = ret as usize;
             rep.sent += self.runs[..k].iter().sum::<usize>();
+            rep.messages += k as u64;
             if k < self.hdrs.len() {
                 break; // kernel refused mid-batch: backpressure
             }
@@ -551,6 +565,7 @@ impl BatchIo {
                 lens[lo + i] = self.hdrs[i].len as usize;
             }
             rep.received += k;
+            rep.trains += k as u64;
             if k < want {
                 break; // queue drained mid-batch
             }
@@ -655,9 +670,11 @@ impl BatchIo {
                 continue;
             }
             rep.syscalls += 1;
-            if self.gro_fill_many(sock) == 0 {
+            let trains = self.gro_fill_many(sock);
+            if trains == 0 {
                 break;
             }
+            rep.trains += trains as u64;
         }
         rep
     }
@@ -1086,8 +1103,8 @@ mod tests {
         let mut syscalls = 0u64;
         for (i, frame) in frames.iter().enumerate() {
             let n = loop {
-                let (got, calls) = rx.recv_one(&b, &mut buf);
-                syscalls += calls;
+                let (got, rep) = rx.recv_one(&b, &mut buf);
+                syscalls += rep.syscalls;
                 if let Some(n) = got {
                     break n;
                 }

@@ -170,6 +170,11 @@ pub struct UdpChannelSnapshot {
     /// Receive-direction syscalls (`recvmmsg`/`recv`, including the ones
     /// that found the queue empty).
     pub recv_syscalls: u64,
+    /// Kernel datagrams the sent frames left as: a GSO train counts 1.
+    pub sent_trains: u64,
+    /// Kernel datagrams the received frames arrived as: a GRO-coalesced
+    /// train counts 1.
+    pub recv_trains: u64,
     /// Effective `SO_SNDBUF` in bytes (0 = unknown/unsupported).
     pub sndbuf: u64,
     /// Effective `SO_RCVBUF` in bytes (0 = unknown/unsupported).
@@ -217,6 +222,19 @@ impl UdpChannelSnapshot {
             0.0
         } else {
             self.recv_frames as f64 / self.recv_syscalls as f64
+        }
+    }
+
+    /// Average frames per kernel datagram, both directions: how long
+    /// the GSO/GRO trains are (1.0 with no offload). The kernel's
+    /// per-datagram stack traversal is paid once per train, so this —
+    /// not the syscall count — prices a frame on an offloaded socket.
+    pub fn frames_per_train(&self) -> f64 {
+        let trains = self.sent_trains + self.recv_trains;
+        if trains == 0 {
+            0.0
+        } else {
+            (self.sent_frames + self.recv_frames) as f64 / trains as f64
         }
     }
 
@@ -679,6 +697,7 @@ impl UdpChannel {
         match self.sock.send(frame) {
             Ok(_) => {
                 self.stats.sent_frames += 1;
+                self.stats.sent_trains += 1;
                 self.stats.sent_bytes += frame.len() as u64;
                 self.note_success();
                 Ok(())
@@ -732,20 +751,6 @@ impl DatagramLink for UdpChannel {
         self.try_send(frame)
     }
 
-    fn send_frame_deferred(&mut self, frame: &[u8]) -> Result<(), TxError> {
-        // Park behind anything already deferred — the caller's next
-        // flush submits the whole accumulated burst as mmsg batches.
-        // Copying here is fine: this path carries low-rate control
-        // frames (markers), not the bulk data stream.
-        if self.dead {
-            return Err(TxError::LinkDown);
-        }
-        if frame.len() > self.mtu {
-            return Err(TxError::TooBig);
-        }
-        self.enqueue(frame)
-    }
-
     fn send_run(&mut self, frames: &[Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
         // Eager batch: one backlog flush per run, then whole-run mmsg
         // submissions. Outcomes match per-frame send_frame calls.
@@ -777,6 +782,7 @@ impl DatagramLink for UdpChannel {
             }
             let rep = self.io.send_frames(&self.sock, &frames[i..j]);
             self.stats.send_syscalls += rep.syscalls;
+            self.stats.sent_trains += rep.messages;
             for f in &frames[i..i + rep.sent] {
                 self.stats.sent_frames += 1;
                 self.stats.sent_bytes += f.len() as u64;
@@ -847,8 +853,9 @@ impl DatagramLink for UdpChannel {
     fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
         // Must go through the GRO-aware splitter: on an offloaded socket
         // a raw recv would hand back a whole coalesced train as one blob.
-        let (got, syscalls) = self.io.recv_one(&self.sock, buf);
-        self.stats.recv_syscalls += syscalls;
+        let (got, rep) = self.io.recv_one(&self.sock, buf);
+        self.stats.recv_syscalls += rep.syscalls;
+        self.stats.recv_trains += rep.trains;
         if let Some(n) = got {
             self.stats.recv_frames += 1;
             self.stats.recv_bytes += n as u64;
@@ -860,6 +867,7 @@ impl DatagramLink for UdpChannel {
     fn recv_run(&mut self, bufs: &mut [Vec<u8>], lens: &mut [usize]) -> usize {
         let rep = self.io.recv_frames(&self.sock, bufs, lens);
         self.stats.recv_syscalls += rep.syscalls;
+        self.stats.recv_trains += rep.trains;
         self.stats.recv_frames += rep.received as u64;
         for &len in &lens[..rep.received] {
             self.stats.recv_bytes += len as u64;
@@ -889,15 +897,18 @@ impl DatagramLink for UdpChannel {
             return 0;
         }
         let mut drained = 0;
+        // One contiguous slice: a wrapped deque submitted half by half
+        // would cost a second syscall and cut a GSO train in two.
+        self.queue.make_contiguous();
         loop {
-            let (a, b) = self.queue.as_slices();
-            let slice = if a.is_empty() { b } else { a };
+            let slice = self.queue.as_slices().0;
             if slice.is_empty() {
                 break;
             }
             let slice_len = slice.len();
             let rep = self.io.send_frames(&self.sock, slice);
             self.stats.send_syscalls += rep.syscalls;
+            self.stats.sent_trains += rep.messages;
             for _ in 0..rep.sent {
                 let buf = self.queue.pop_front().expect("sent frames are queued");
                 self.stats.sent_frames += 1;
@@ -1196,7 +1207,7 @@ mod tests {
     #[test]
     fn enobufs_backoff_skips_flushes_then_resumes() {
         let (mut a, mut b) = UdpChannel::pair(256, 64).unwrap();
-        a.send_frame_deferred(&[9u8; 16]).unwrap();
+        park(&mut a, &[9u8; 16]).unwrap();
         a.force_backoff();
         for _ in 0..ENOBUFS_BACKOFF {
             assert_eq!(a.flush(), 0, "backoff must skip the syscall");
@@ -1211,14 +1222,13 @@ mod tests {
     #[test]
     fn dead_channel_fails_fast_and_drains_its_queue() {
         let (mut a, _b) = UdpChannel::pair(256, 64).unwrap();
-        a.send_frame_deferred(&[1u8; 8]).unwrap();
-        a.send_frame_deferred(&[2u8; 8]).unwrap();
+        park(&mut a, &[1u8; 8]).unwrap();
+        park(&mut a, &[2u8; 8]).unwrap();
         assert_eq!(a.backlog(), 2);
         a.force_dead();
         assert!(a.is_dead() && a.link_dead());
         assert_eq!(a.backlog(), 0, "queued frames drained into recycle");
         assert_eq!(a.send_frame(&[3u8; 8]), Err(TxError::LinkDown));
-        assert_eq!(a.send_frame_deferred(&[3u8; 8]), Err(TxError::LinkDown));
         let mut frames = vec![vec![4u8; 8]];
         let mut out = Vec::new();
         a.send_run(&frames, &mut out);
@@ -1259,7 +1269,7 @@ mod tests {
     fn revive_rebuilds_the_socket_on_the_same_port() {
         let (mut a, mut b) = UdpChannel::pair(256, 64).unwrap();
         let port = a.local_addr().unwrap().port();
-        a.send_frame_deferred(&[1u8; 8]).unwrap();
+        park(&mut a, &[1u8; 8]).unwrap();
         a.force_dead();
         assert!(a.link_dead());
         assert_eq!(a.stats().lifecycle, LifecycleState::Dead);
@@ -1306,7 +1316,7 @@ mod tests {
             "GSO demotion is per generation: the fresh socket re-probes"
         );
         // The backoff reset is observable through flush not skipping.
-        a.send_frame_deferred(&[3u8; 16]).unwrap();
+        park(&mut a, &[3u8; 16]).unwrap();
         assert_eq!(a.flush(), 1, "no inherited ENOBUFS backoff");
     }
 
@@ -1317,6 +1327,51 @@ mod tests {
         let s = a.stats();
         assert_eq!((s.generation, s.revive_attempts), (0, 0));
         assert_eq!(s.lifecycle, LifecycleState::Live);
+    }
+
+    /// Park one frame in the channel's queue until the next flush.
+    fn park(ch: &mut UdpChannel, frame: &[u8]) -> Result<(), TxError> {
+        let mut out = Vec::new();
+        ch.send_run_owned(&mut [frame.to_vec()], &mut out);
+        out[0]
+    }
+
+    /// A wrapped deque must not split a burst: every flush of a queued
+    /// burst is one contiguous submission, so one syscall on the batched
+    /// path (and, equal lengths, one GSO train).
+    #[test]
+    fn flush_submits_a_wrapped_queue_in_one_syscall() {
+        let (mut a, mut b) = UdpChannel::builder(256).batch(64).pair().unwrap();
+        let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; 256]; 64];
+        let mut lens = [0usize; 64];
+        let mut out = Vec::new();
+        for round in 0..50u8 {
+            // 36 into a ring whose capacity settles at 64 slots: the head
+            // wraps on most rounds.
+            let mut frames: Vec<Vec<u8>> = (0..36).map(|_| vec![round; 100]).collect();
+            out.clear();
+            a.send_run_owned(&mut frames, &mut out);
+            assert!(out.iter().all(|r| r.is_ok()));
+            assert_eq!(a.flush(), 36);
+            let mut got = 0;
+            for _ in 0..1000 {
+                got += b.recv_run(&mut bufs, &mut lens);
+                if got == 36 {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            assert_eq!(got, 36, "round {round} went missing");
+        }
+        let s = a.stats();
+        assert_eq!(s.sent_frames, 50 * 36);
+        if a.batched_syscalls() {
+            assert_eq!(s.send_syscalls, 50, "one sendmmsg per flush");
+        }
+        if a.gso_offload() {
+            assert_eq!(s.sent_trains, 50, "one GSO train per flush");
+            assert_eq!(s.frames_per_train(), 36.0);
+        }
     }
 
     /// Loopback UDP can reorder across *sockets* but a single connected

@@ -234,6 +234,20 @@ fn main() -> std::io::Result<()> {
     println!("  link_dead_reports : {}", stats.link_dead_reports);
     println!("  grow_announcements: {}", stats.grow_announcements);
     println!("  rejoins           : {}", stats.rejoins);
+    println!("UdpChannelSnapshot (per channel, sender side):");
+    for (c, link) in reactor.path().links().iter().enumerate() {
+        let s = link.inner().stats();
+        println!(
+            "  ch{c}: {:.2} frames/train ({}+{} frames in {}+{} trains, sent+received), \
+             {:.2} frames/send syscall",
+            s.frames_per_train(),
+            s.sent_frames,
+            s.recv_frames,
+            s.sent_trains,
+            s.recv_trains,
+            s.send_batch_occupancy(),
+        );
+    }
     assert_eq!(snap.flows_active as usize, FLOWS);
     assert_eq!(snap.dropped_admission, 0);
     assert!(stats.link_dead_reports >= 1);
