@@ -391,6 +391,22 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
         self.bufs.iter().map(VecDeque::len).sum()
     }
 
+    /// Visit every data packet held for later delivery — buffered on a
+    /// channel or salvaged from a dead one — in a fixed order (channel by
+    /// channel, oldest first, then the salvage queue) that is the same on
+    /// every call while nothing is pushed or polled in between. For
+    /// owners that need to move where a parked payload is stored; `f`
+    /// must leave each packet's [`WireLen`] as it found it, because the
+    /// simulation will charge that length when the packet is delivered.
+    pub fn for_each_buffered_mut(&mut self, mut f: impl FnMut(&mut P)) {
+        for a in self.bufs.iter_mut().flatten() {
+            if let Arrival::Data(p) = a {
+                f(p);
+            }
+        }
+        self.drained.iter_mut().for_each(f);
+    }
+
     /// Counters.
     pub fn stats(&self) -> ReceiverSnapshot {
         self.stats
@@ -804,6 +820,32 @@ mod tests {
         assert!(rx.poll().is_some());
         assert_eq!(rx.stalled(13_000_000), None);
         assert_eq!(rx.stats().stalls, 1);
+    }
+
+    #[test]
+    fn for_each_buffered_mut_visits_parked_data_in_a_stable_order() {
+        let mut rx: LogicalReceiver<_, TestPacket> = LogicalReceiver::new(Srr::rr(2), 8);
+        // Shrink to channel 0 and serve it past a wrap, so the mask bites
+        // and channel 1 is dead (as in the salvage test above).
+        rx.apply_membership(0, &[true, false]);
+        rx.push(0, Arrival::Data(TestPacket::new(0, 100)));
+        rx.push(0, Arrival::Data(TestPacket::new(1, 100)));
+        while rx.poll().is_some() {}
+        let mark = crate::sched::ChannelMark { round: 9, dc: 0 };
+        rx.push(1, Arrival::Data(TestPacket::new(7, 50)));
+        rx.push(1, Arrival::Marker(Marker::sync(1, mark)));
+        rx.push(1, Arrival::Data(TestPacket::new(8, 60)));
+        rx.push(0, Arrival::Data(TestPacket::new(5, 100)));
+        let ids = |rx: &mut LogicalReceiver<Srr, TestPacket>| {
+            let mut seen = Vec::new();
+            rx.for_each_buffered_mut(|p| seen.push(p.id));
+            seen
+        };
+        assert_eq!(ids(&mut rx), [5, 7, 8], "by channel, markers skipped");
+        assert_eq!(ids(&mut rx), [5, 7, 8], "and the same again");
+        // Polling salvages the dead channel's backlog and delivers 7.
+        assert_eq!(rx.poll().map(|p| p.id), Some(7));
+        assert_eq!(ids(&mut rx), [5, 8], "buffered first, then salvaged");
     }
 
     #[test]

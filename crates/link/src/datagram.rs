@@ -10,6 +10,14 @@
 //! (codec, scheduler, logical reception, failover) is shared with the
 //! simulated path.
 //!
+//! Batch receivers do not read frame by frame: the unit of reception is
+//! the [`Train`] — what one kernel receive hands over, which on a
+//! coalescing (GRO) socket is a run of equal-size frames back to back.
+//! [`DatagramLink::recv_trains`] *lands* ready trains in windows the
+//! caller owns and says how to cut each one, so the bytes stay where the
+//! link put them; a link with no notion of trains lands one frame per
+//! window through the trait default.
+//!
 //! Send errors reuse [`TxError`]: a full bounded send queue is
 //! [`TxError::QueueFull`] (backpressure, exactly like a full simulated
 //! transmit queue), an oversized frame is [`TxError::TooBig`], and a
@@ -38,6 +46,31 @@ pub struct TxEvidence {
     /// overflow, rate policing, hard socket errors. Loss *in flight*
     /// is invisible here by definition.
     pub dropped: u64,
+}
+
+/// One landed train: `bytes` received bytes holding frames of `seg`
+/// bytes each, back to back, the last one possibly shorter.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Train {
+    /// Bytes landed in the window.
+    pub bytes: usize,
+    /// Length of every frame but the last.
+    pub seg: usize,
+}
+
+impl Train {
+    /// A train of one whole frame of `n` bytes.
+    pub fn frame(n: usize) -> Self {
+        Self { bytes: n, seg: n }
+    }
+
+    /// `(offset, length)` of each frame, in order. An empty datagram
+    /// coalesces with nothing, so a train of no bytes is one empty frame.
+    pub fn frames(self) -> impl Iterator<Item = (usize, usize)> {
+        (0..self.bytes.max(1))
+            .step_by(self.seg.max(1))
+            .map(move |at| (at, self.seg.min(self.bytes - at)))
+    }
 }
 
 /// A non-blocking datagram channel carrying real frame bytes.
@@ -85,19 +118,27 @@ pub trait DatagramLink {
         self.send_run(frames, out)
     }
 
-    /// Receive up to `bufs.len()` frames in one pass — the `recvmmsg`
-    /// seam. Frame `i` lands in `bufs[i]` (each buffer must hold at least
-    /// [`mtu`](Self::mtu) bytes of storage; links may also *swap* the
-    /// storage for an equivalent buffer) with its length in `lens[i]`.
-    /// Returns how many frames arrived; fewer than `bufs.len()` means the
-    /// link is drained for now.
-    fn recv_run(&mut self, bufs: &mut [Vec<u8>], lens: &mut [usize]) -> usize {
-        debug_assert!(lens.len() >= bufs.len(), "one length slot per buffer");
+    /// Bytes one window of [`recv_trains`](Self::recv_trains) must hold:
+    /// the longest train the link lands at once. Default: one frame.
+    fn recv_window(&self) -> usize {
+        self.mtu()
+    }
+
+    /// Land ready trains, in arrival order, one per window: train `i`
+    /// fills the front of `windows[i]` and is described by `trains[i]`.
+    /// Every window must hold [`recv_window`](Self::recv_window) bytes.
+    /// Returns how many trains landed; fewer than `windows.len()` means
+    /// the link is **drained** for now — there is no point asking again
+    /// in this pass. This is the batch receive seam (`recvmmsg` under a
+    /// kernel link); the default lands one
+    /// [`recv_frame`](Self::recv_frame) per window.
+    fn recv_trains(&mut self, windows: &mut [&mut [u8]], trains: &mut [Train]) -> usize {
+        debug_assert!(trains.len() >= windows.len(), "one report per window");
         let mut k = 0;
-        while k < bufs.len() {
-            match self.recv_frame(&mut bufs[k]) {
+        while k < windows.len() {
+            match self.recv_frame(windows[k]) {
                 Some(n) => {
-                    lens[k] = n;
+                    trains[k] = Train::frame(n);
                     k += 1;
                 }
                 None => break,
@@ -237,20 +278,6 @@ impl DatagramLink for TestDatagramLink {
         Some(n)
     }
 
-    fn recv_run(&mut self, bufs: &mut [Vec<u8>], lens: &mut [usize]) -> usize {
-        debug_assert!(lens.len() >= bufs.len(), "one length slot per buffer");
-        let mut q = self.inn.borrow_mut();
-        let mut k = 0;
-        while k < bufs.len() {
-            let Some(frame) = q.pop_front() else { break };
-            let n = frame.len().min(bufs[k].len());
-            bufs[k][..n].copy_from_slice(&frame[..n]);
-            lens[k] = n;
-            k += 1;
-        }
-        k
-    }
-
     fn mtu(&self) -> usize {
         self.mtu
     }
@@ -323,20 +350,36 @@ mod tests {
     }
 
     #[test]
-    fn recv_run_drains_in_order() {
+    fn recv_trains_lands_one_frame_per_window_in_order() {
         let (mut a, mut b) = datagram_pair(16, 8);
         for i in 0..5u8 {
             a.send_frame(&[i, i]).unwrap();
         }
-        let mut bufs: Vec<Vec<u8>> = (0..3).map(|_| vec![0u8; 16]).collect();
-        let mut lens = [0usize; 3];
-        assert_eq!(b.recv_run(&mut bufs, &mut lens), 3);
-        for (i, (buf, &len)) in bufs.iter().zip(&lens).enumerate() {
-            assert_eq!((len, buf[0]), (2, i as u8));
+        let mut room = [0u8; 48];
+        let mut trains = [Train::default(); 3];
+        {
+            let mut windows: Vec<&mut [u8]> = room.chunks_mut(16).collect();
+            assert_eq!(b.recv_trains(&mut windows, &mut trains), 3);
         }
-        assert_eq!(b.recv_run(&mut bufs, &mut lens), 2, "tail then drained");
-        assert_eq!(bufs[0][0], 3);
-        assert_eq!(bufs[1][0], 4);
+        for (i, (w, t)) in room.chunks(16).zip(&trains).enumerate() {
+            assert_eq!((*t, w[0]), (Train::frame(2), i as u8));
+        }
+        let mut windows: Vec<&mut [u8]> = room.chunks_mut(16).collect();
+        assert_eq!(
+            b.recv_trains(&mut windows, &mut trains),
+            2,
+            "short of the windows offered: drained"
+        );
+        assert_eq!((windows[0][0], windows[1][0]), (3, 4));
+    }
+
+    #[test]
+    fn train_cuts_into_frames() {
+        let cut = |bytes, seg| Train { bytes, seg }.frames().collect::<Vec<_>>();
+        assert_eq!(cut(10, 4), [(0, 4), (4, 4), (8, 2)]);
+        assert_eq!(cut(8, 4), [(0, 4), (4, 4)]);
+        assert_eq!(cut(3, 3), [(0, 3)]);
+        assert_eq!(cut(0, 0), [(0, 0)], "an empty datagram is one frame");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod wire;
 
 pub use atm::AtmPvc;
 pub use cellstripe::CellStripedGroup;
-pub use datagram::{datagram_pair, DatagramLink, TestDatagramLink, TxEvidence};
+pub use datagram::{datagram_pair, DatagramLink, TestDatagramLink, Train, TxEvidence};
 pub use eth::{EthLink, EtherType, ETH_MTU, ETH_OVERHEAD};
 pub use fault::{FaultPlan, FaultyLink};
 pub use host::HostModel;

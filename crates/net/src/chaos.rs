@@ -45,7 +45,7 @@
 
 use std::collections::VecDeque;
 
-use stripe_link::{DatagramLink, TxError};
+use stripe_link::{DatagramLink, Train, TxError};
 use stripe_netsim::DetRng;
 
 use crate::frame::{is_data_frame, FRAME_HEADER_LEN};
@@ -311,11 +311,12 @@ impl ChaosPlan {
 
 /// Counters for every event the chaos layer injected.
 ///
-/// The drop counters partition the offered data frames (fates are
-/// exclusive), so for a quiesced link with an empty hold queue:
-/// `seen_data == forwarded + dropped_loss + dropped_partition +
-/// dropped_shaped + dropped_release`, where `forwarded` frames all
-/// reached the inner link (corrupted and duplicated ones included).
+/// The data-frame drop counters partition the offered data frames
+/// (fates are exclusive), so for a quiesced link with an empty hold
+/// queue: `seen_data == forwarded + dropped_loss +
+/// dropped_partition_data + dropped_shaped + dropped_release`, where
+/// `forwarded` frames all reached the inner link (corrupted and
+/// duplicated ones included).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosSnapshot {
     /// Data frames offered to the wrapper.
@@ -326,6 +327,9 @@ pub struct ChaosSnapshot {
     pub dropped_loss: u64,
     /// Frames (data *and* control) swallowed by partition windows.
     pub dropped_partition: u64,
+    /// The data frames among
+    /// [`dropped_partition`](Self::dropped_partition).
+    pub dropped_partition_data: u64,
     /// Data frames the token-bucket policer could not cover.
     pub dropped_shaped: u64,
     /// Data-frame wire bytes the policer let through (carried load —
@@ -624,6 +628,7 @@ impl<L: DatagramLink> ImpairedLink<L> {
         self.stats.seen_data += 1;
         if self.blackout {
             self.stats.dropped_partition += 1;
+            self.stats.dropped_partition_data += 1;
             return Ok(());
         }
         match self.fate_for_data(index, frame.len()) {
@@ -636,6 +641,7 @@ impl<L: DatagramLink> ImpairedLink<L> {
             }
             Fate::DropPartition => {
                 self.stats.dropped_partition += 1;
+                self.stats.dropped_partition_data += 1;
                 Ok(())
             }
             Fate::DropShaped => {
@@ -748,8 +754,12 @@ impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
         }
     }
 
-    fn recv_run(&mut self, bufs: &mut [Vec<u8>], lens: &mut [usize]) -> usize {
-        self.inner.recv_run(bufs, lens)
+    fn recv_window(&self) -> usize {
+        self.inner.recv_window()
+    }
+
+    fn recv_trains(&mut self, windows: &mut [&mut [u8]], trains: &mut [Train]) -> usize {
+        self.inner.recv_trains(windows, trains)
     }
 
     fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
@@ -802,10 +812,12 @@ impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
             });
         }
         // Shaped: the policer knows the carried load exactly — this is
-        // the ground truth the estimator must converge to.
+        // the ground truth the estimator must converge to. Only *data*
+        // frames come off `seen_data`: a partition swallows control
+        // frames too, and those were never counted in.
         let s = &self.stats;
         Some(stripe_link::TxEvidence {
-            frames: s.seen_data - s.dropped_loss - s.dropped_partition - s.dropped_shaped,
+            frames: s.seen_data - s.dropped_loss - s.dropped_partition_data - s.dropped_shaped,
             bytes: s.shaped_bytes,
             dropped: s.dropped_total(),
         })
@@ -1136,6 +1148,38 @@ mod tests {
         assert_eq!(s.dropped_shaped, 1);
         assert_eq!(s.seen_control, 5);
         assert_eq!(drain(&mut b).len(), 6, "1 data + 5 control arrive");
+    }
+
+    /// A partition swallows control frames too, but only the data frames
+    /// it swallowed come off the carried-frame count — probes sent into
+    /// a blacked-out shaped link must not push the evidence below zero.
+    #[test]
+    fn shaped_evidence_survives_control_frames_lost_to_a_partition() {
+        let (a, mut b) = datagram_pair(256, 4096);
+        let frame = data_frame(0);
+        let wire = frame.len() as u64;
+        let plan = ChaosPlan::none().shape(4 * wire, 4 * wire);
+        let mut link = ImpairedLink::new(a, plan, 1);
+        let mut ctl = Vec::new();
+        encode_control_into(&Control::Probe { nonce: 7 }, &mut ctl);
+        link.send_frame(&frame).unwrap(); // carried
+        link.partition_now();
+        link.send_frame(&frame).unwrap(); // swallowed
+        for _ in 0..3 {
+            link.send_frame(&ctl).unwrap(); // swallowed too
+        }
+        link.heal();
+        let s = link.snapshot();
+        assert_eq!((s.dropped_partition, s.dropped_partition_data), (4, 1));
+        assert_eq!(
+            link.tx_evidence(),
+            Some(stripe_link::TxEvidence {
+                frames: 1,
+                bytes: wire,
+                dropped: 4,
+            })
+        );
+        assert_eq!(drain(&mut b).len(), 1);
     }
 
     #[test]

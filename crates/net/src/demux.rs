@@ -22,20 +22,35 @@
 //! so the failover plane stays flow-agnostic: an epoch change is one
 //! announcement, not one per flow.
 //!
-//! Buffers cycle through one shared [`BufPool`] for all flows; data
-//! payloads travel as zero-copy [`PooledBuf`] views and come back via
-//! [`recycle`](FlowDemux::recycle). Steady state allocates nothing.
+//! Reception is by the *train*: a sweep hands each link windows into
+//! free buffers of one shared [`TrainPool`], the link lands whatever is
+//! ready (on a GRO socket, whole coalesced trains, several per
+//! `recvmmsg`), and the demux cuts each train by its segment size and
+//! decodes the frames where the kernel put them. A data payload goes to
+//! its flow's resequencer, and on to the application, as a [`PooledBuf`]
+//! view into that same buffer — no byte is copied in user space, and
+//! steady state allocates nothing. Dropping the view (which is all
+//! [`recycle`](FlowDemux::recycle) does) is what frees the buffer.
+//!
+//! A payload parked behind a gap keeps its whole buffer shared, so the
+//! pool has a byte budget ([`pool_buffers`](FlowDemuxBuilder::pool_buffers)
+//! `× mtu`) and, before growing past it, the demux *re-homes*: it copies
+//! the payloads parked in the resequencers into one compact buffer and
+//! re-points their views, which frees every buffer only they were
+//! pinning. Payloads the application holds are never touched.
 
+use std::rc::Rc;
 use stripe_core::control::Control;
 use stripe_core::handshake::{ControlResponder, Effect};
 use stripe_core::receiver::{Arrival, LogicalReceiver, ReceiverSnapshot, RxBatch};
 use stripe_core::sched::CausalScheduler;
 use stripe_core::types::ChannelId;
-use stripe_link::DatagramLink;
+
+use stripe_link::{DatagramLink, Train};
 use stripe_netsim::SimTime;
 
 use crate::frame::{self, Frame};
-use crate::pool::{BufPool, PooledBuf};
+use crate::pool::{PooledBuf, TrainPool};
 use crate::server::FlowId;
 
 /// Demux-wide receive counters (per-flow resequencer counters live in
@@ -67,6 +82,9 @@ pub struct FlowDemuxSnapshot {
     pub resets: u64,
     /// Desync alerts escalated to the sender (armed detector only).
     pub desync_alerts_sent: u64,
+    /// Parked payloads copied into a compact buffer so that the sparse
+    /// ones they were pinning could be reused (see the module docs).
+    pub rehomed: u64,
 }
 
 /// Builder for [`FlowDemux`] — same vocabulary as the other builders:
@@ -126,8 +144,11 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
         self
     }
 
-    /// Receive buffers to pre-allocate in the shared pool. Defaults
-    /// to 64.
+    /// Size the shared receive pool for `n` MTU-sized frames: `n × mtu`
+    /// bytes are pre-allocated (as whole train buffers, and never fewer
+    /// than one landing call needs), and that is also the budget past
+    /// which the demux re-homes parked payloads before it lets the pool
+    /// grow. Defaults to 64.
     pub fn pool_buffers(mut self, n: usize) -> Self {
         self.pool_initial = n;
         self
@@ -168,8 +189,8 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
         self
     }
 
-    /// Assemble the demux with no flows instantiated. Pool buffers are
-    /// sized to the largest link MTU.
+    /// Assemble the demux with no flows instantiated. Pool buffers hold
+    /// the widest link's landing window.
     ///
     /// # Panics
     /// Panics if no scheduler was supplied or the link count differs
@@ -181,17 +202,17 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
             proto.channels(),
             "one link per scheduler channel"
         );
-        let buf_len = self
-            .links
-            .iter()
-            .map(|l| l.mtu())
-            .max()
-            .expect("non-empty links");
+        let widest = |f: fn(&L) -> usize| self.links.iter().map(f).max().expect("non-empty links");
+        let (mtu, window) = (widest(L::mtu), widest(L::recv_window));
         let channels = self.links.len();
         FlowDemux {
             proto,
             links: self.links,
-            pool: BufPool::new(buf_len, self.pool_initial),
+            // Room for one landing call and the re-homing target, at
+            // the least.
+            pool: TrainPool::new(window, self.pool_initial * mtu, LAND + 1),
+            since_rehome: 0,
+            rehome_wait: 0,
             cap_per_channel: self.cap_per_channel,
             stall_timeout_ns: self.stall_timeout_ns,
             max_flows: self.max_flows,
@@ -206,14 +227,20 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
             desync: self.desync,
             desync_tick: 0,
             ctl_buf: Vec::new(),
-            recv_bufs: Vec::new(),
-            recv_lens: Vec::new(),
             stats: FlowDemuxSnapshot::default(),
             malformed_by_channel: vec![0; channels],
             corrupt_by_channel: vec![0; channels],
         }
     }
 }
+
+/// Trains asked for per landing call on a link that lands whole trains.
+const LAND: usize = 4;
+/// Most windows offered to a link in one landing call.
+const LAND_MAX: usize = 32;
+/// Steps of a re-homing scan (a flow or a parked payload visited) that
+/// one landing call is taken to pay for.
+const SCAN_PER_LANDING: usize = 1024;
 
 /// Per-flow replica: the resequencer, one slab slot. A slot is a whole
 /// number of cache lines (seven for SRR), so every replica's fields fall
@@ -231,7 +258,13 @@ pub struct FlowDemux<S: CausalScheduler, L: DatagramLink> {
     /// Prototype scheduler, cloned per flow replica.
     proto: S,
     links: Vec<L>,
-    pool: BufPool,
+    pool: TrainPool,
+    /// Landing calls that brought something in since the last re-homing,
+    /// and how many of them the next one waits for: the last scan's
+    /// length over [`SCAN_PER_LANDING`], so that walking every flow is
+    /// paid for by the traffic in between however many flows there are.
+    since_rehome: usize,
+    rehome_wait: usize,
     cap_per_channel: usize,
     stall_timeout_ns: Option<u64>,
     max_flows: usize,
@@ -256,8 +289,6 @@ pub struct FlowDemux<S: CausalScheduler, L: DatagramLink> {
     /// Monotone sweep counter feeding the detector's window clock.
     desync_tick: u64,
     ctl_buf: Vec<u8>,
-    recv_bufs: Vec<Vec<u8>>,
-    recv_lens: Vec<usize>,
     stats: FlowDemuxSnapshot,
     /// Per-channel undecodable-frame counts.
     malformed_by_channel: Vec<u64>,
@@ -313,34 +344,115 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         true
     }
 
-    /// One readiness pass at `now`: drain every channel's socket in
-    /// batches (the `recvmmsg` seam), route each frame to its flow,
-    /// answer global control on the reverse path. Returns the number of
-    /// frames received.
+    /// One readiness pass at `now`: land every channel's ready trains
+    /// in free pool buffers (the `recvmmsg` seam) until the link reports
+    /// itself drained, route each frame to its flow in place, answer
+    /// global control on the reverse path. Returns the number of frames
+    /// received.
     pub fn sweep(&mut self, now: SimTime) -> usize {
         let _ = now; // reserved for receive-timestamp plumbing
-        while self.recv_bufs.len() < Self::RECV_RUN {
-            self.recv_bufs.push(self.pool.take());
-            self.recv_lens.push(0);
-        }
         let mut received = 0;
+        let mut trains = [Train::default(); LAND_MAX];
+        let mut homes = [(0, 0); LAND_MAX];
         for c in 0..self.links.len() {
+            let window = self.links[c].recv_window();
+            assert!(
+                window <= self.pool.buf_len(),
+                "channel {c} lands wider trains than the pool was built for"
+            );
+            // Whole trains land one to a buffer, a few per call; frames
+            // of a per-frame link share a buffer, a buffer per call.
+            let per_buf = self.pool.buf_len() / window;
+            let want = per_buf.clamp(LAND, LAND_MAX);
             loop {
-                let got = self.links[c].recv_run(&mut self.recv_bufs, &mut self.recv_lens);
-                for i in 0..got {
-                    let buf = std::mem::replace(&mut self.recv_bufs[i], self.pool.take());
-                    let n = self.recv_lens[i];
-                    received += 1;
-                    self.stats.frames += 1;
-                    self.route_frame(c, buf, n);
+                self.make_room(want.div_ceil(per_buf));
+                let (offered, got) = {
+                    let mut windows: [&mut [u8]; LAND_MAX] = std::array::from_fn(|_| &mut [][..]);
+                    let offered = self.pool.claim(window, &mut windows[..want], &mut homes);
+                    let got = self.links[c].recv_trains(&mut windows[..offered], &mut trains);
+                    (offered, got)
+                };
+                for (train, &(slot, base)) in trains[..got].iter().zip(&homes) {
+                    let buf = Rc::clone(self.pool.handle(slot as usize));
+                    for (at, n) in train.frames() {
+                        received += 1;
+                        self.stats.frames += 1;
+                        self.route_frame(c, &buf, slot as usize, base as usize + at, n);
+                    }
                 }
-                if got < Self::RECV_RUN {
-                    break;
+                self.since_rehome += (got > 0) as usize;
+                if got < offered {
+                    break; // drained
                 }
             }
         }
         self.sample_desync();
         received
+    }
+
+    /// Have `want` buffers free for a landing call and one more for
+    /// re-homing to copy into — by growing the pool while its budget
+    /// allows, then by re-homing; only a pool with nothing free at all
+    /// grows past the budget.
+    fn make_room(&mut self, want: usize) {
+        while self.pool.free_upto(want + 1) <= want {
+            if self.pool.grow_within_budget() {
+                continue;
+            }
+            if self.since_rehome >= self.rehome_wait {
+                self.rehome();
+            }
+            if self.pool.free_upto(1) == 0 {
+                self.pool.grow();
+            }
+            return;
+        }
+    }
+
+    /// Copy the payloads parked in the resequencers into one free buffer
+    /// and re-point their views at the copies, so that buffers only they
+    /// were keeping shared become free. Two passes over the same
+    /// payloads in the same order, because the target can be written only
+    /// while no view points into it: first every copy, then every swap.
+    /// Payloads already packed by an earlier re-homing stay put; what
+    /// does not fit stays where it is.
+    fn rehome(&mut self) {
+        self.since_rehome = 0;
+        let Some((target, bytes, packed)) = self.pool.packing_target() else {
+            return;
+        };
+        let (mut fill, mut moved, mut full, mut scanned) = (0, 0u64, false, 0);
+        for f in self.flows.iter_mut().flatten() {
+            scanned += 1;
+            f.rx.for_each_buffered_mut(|pb| {
+                scanned += 1;
+                if full || packed[pb.slot()] {
+                    return;
+                }
+                let Some(room) = bytes.get_mut(fill..fill + pb.len()) else {
+                    full = true;
+                    return;
+                };
+                room.copy_from_slice(pb.as_slice());
+                fill += pb.len();
+                moved += 1;
+            });
+        }
+        let home = Rc::clone(self.pool.handle(target));
+        let (mut at, mut left) = (0, moved);
+        for f in self.flows.iter_mut().flatten() {
+            f.rx.for_each_buffered_mut(|pb| {
+                if left == 0 || self.pool.packed(pb.slot()) {
+                    return;
+                }
+                *pb = TrainPool::view_of(&home, target, at, pb.len());
+                at += pb.len();
+                left -= 1;
+            });
+        }
+        self.pool.set_packed(target, fill);
+        self.rehome_wait = scanned / SCAN_PER_LANDING;
+        self.stats.rehomed += moved;
     }
 
     /// Feed the armed desync detector one sweep's worth of evidence: the
@@ -371,28 +483,30 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         }
     }
 
-    /// Route one received frame to its flow's resequencer (data and
-    /// markers) or through the demux-level responders (global control).
-    fn route_frame(&mut self, c: ChannelId, buf: Vec<u8>, n: usize) {
-        match frame::try_decode_flow(&buf[..n]) {
+    /// Route the frame at `buf[at..at + n]` to its flow's resequencer
+    /// (data and markers) or through the demux-level responders (global
+    /// control). `buf` is pool buffer `slot`; a data payload leaves as a
+    /// view into it.
+    fn route_frame(&mut self, c: ChannelId, buf: &Rc<[u8]>, slot: usize, at: usize, n: usize) {
+        match frame::try_decode_flow(&buf[at..at + n]) {
             Ok((flow, Frame::Data(body))) => {
+                // The body is a subslice of `buf`: where it starts is
+                // where the codec stopped reading header and varint.
+                let offset = body.as_ptr() as usize - buf.as_ptr() as usize;
                 let len = body.len();
-                let offset = frame::body_offset(&buf[..n]).expect("decoded frame has a body");
                 if !self.ensure_flow(flow) {
                     self.stats.dropped_admission += 1;
-                    self.pool.put(buf);
                     return;
                 }
                 self.stats.data_frames += 1;
-                let pb = PooledBuf::new(buf, offset, len);
+                let pb = TrainPool::view_of(buf, slot, offset, len);
                 let rx = &mut self.flows[flow as usize].as_mut().expect("ensured").rx;
                 // On overflow the resequencer drops the arrival (counted
-                // in that flow's snapshot); the buffer is freed with it.
+                // in that flow's snapshot), and the view with it.
                 let _ = rx.push(c, Arrival::Data(pb));
             }
             Ok((flow, Frame::Control(Control::Marker(mk)))) => {
                 self.stats.control_frames += 1;
-                self.pool.put(buf);
                 if !self.ensure_flow(flow) {
                     self.stats.dropped_admission += 1;
                     return;
@@ -402,18 +516,15 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
             }
             Ok((_, Frame::Control(ctl))) => {
                 self.stats.control_frames += 1;
-                self.pool.put(buf);
                 self.on_global_control(c, &ctl);
             }
             Err(frame::DecodeError::Corrupt) => {
                 self.stats.dropped_corrupt += 1;
                 self.corrupt_by_channel[c] += 1;
-                self.pool.put(buf);
             }
             Err(frame::DecodeError::Malformed) => {
                 self.stats.dropped_malformed += 1;
                 self.malformed_by_channel[c] += 1;
-                self.pool.put(buf);
             }
         }
     }
@@ -473,9 +584,6 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
         FlowDemuxBuilder::default()
     }
 
-    /// Frames per [`DatagramLink::recv_run`] call in a sweep.
-    const RECV_RUN: usize = 32;
-
     /// Tear down flow `id`'s replica, freeing its resequencer state.
     /// Call when the application knows the flow is finished (the sender
     /// closed it): the slot becomes reusable, and a later frame naming
@@ -527,9 +635,10 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
             .stalled(now.as_nanos())
     }
 
-    /// Return a consumed packet's storage to the shared receive pool.
+    /// Give a consumed packet's storage back: its buffer is reused once
+    /// no view points into it, so this is `drop(pkt)` and nothing more.
     pub fn recycle(&mut self, pkt: PooledBuf) {
-        self.pool.put(pkt.into_inner());
+        drop(pkt);
     }
 
     /// Pre-size flow `id`'s resequencer rings (see
@@ -610,7 +719,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
     }
 
     /// The shared receive buffer pool (for high-water-mark inspection).
-    pub fn pool(&self) -> &BufPool {
+    pub fn pool(&self) -> &TrainPool {
         &self.pool
     }
 }
@@ -859,7 +968,10 @@ mod tests {
         // channel 0's wire.
         let mut evil = Vec::new();
         frame::encode_data_summed_flow_into(f0.id(), &[0x55u8; 32], &mut evil);
-        let at = frame::body_offset(&evil).unwrap();
+        let Ok((_, Frame::Data(body))) = frame::try_decode_flow(&evil) else {
+            unreachable!("just encoded");
+        };
+        let at = body.as_ptr() as usize - evil.as_ptr() as usize;
         evil[at + 4] ^= 0x01;
         srv.links_mut()[0].send_frame(&evil).unwrap();
         // Followed by clean traffic.
@@ -908,6 +1020,97 @@ mod tests {
             burst(&mut srv, &mut demux, ms);
         }
         assert_eq!(demux.pool().allocated(), warm, "pool grew past warmup");
+        // The high-water mark is what was there to begin with: a landing
+        // call's worth of buffers and the re-homing spare.
+        assert_eq!(warm, LAND as u64 + 1);
+        assert_eq!(demux.net_stats().rehomed, 0, "nothing was ever short");
+    }
+
+    /// One flow wedged behind a lost frame, markers off, parks every
+    /// later payload it receives, one to a landing buffer, while other
+    /// traffic streams past. Re-homing keeps the pool inside its budget
+    /// throughout, and once the gap is filled the wedged flow delivers
+    /// every payload intact and in order.
+    #[test]
+    fn wedged_flow_is_rehomed_within_the_pool_budget() {
+        const MTU: usize = 2048;
+        const ROUNDS: u64 = 1200;
+        // A flow's first packet uses up channel 0's whole quantum and
+        // its next million bytes all ride channel 1: lose that first
+        // frame and the receiver waits on channel 0 for good.
+        let quanta = [100, 1 << 20];
+        let (a0, b0) = datagram_pair(MTU, 1 << 12);
+        let (a1, b1) = datagram_pair(MTU, 1 << 12);
+        let mut srv = StripeServer::builder()
+            .scheduler(Srr::weighted(&quanta))
+            .markers(MarkerConfig::disabled())
+            .links(vec![a0, a1])
+            .build();
+        let mut demux = FlowDemux::builder()
+            .scheduler(Srr::weighted(&quanta))
+            .links(vec![b0, b1])
+            .pool_buffers(8 * (1 << 16) / MTU)
+            .build();
+        let budget = demux.pool().allocated();
+        assert_eq!(budget, 8);
+        let payload = |flow: u8, round: u64| {
+            let mut p = vec![flow; 100];
+            p[1..9].copy_from_slice(&round.to_be_bytes());
+            p
+        };
+        let wedged = srv.open_flow().unwrap();
+        let busy = srv.open_flow().unwrap();
+        let mut events = Vec::new();
+        let mut batch = RxBatch::new();
+
+        srv.enqueue(wedged, &payload(1, 0)).unwrap();
+        srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+        let mut lost = [0u8; MTU];
+        let n = demux.links_mut()[0]
+            .recv_frame(&mut lost)
+            .expect("on the wire");
+
+        let mut busy_seen = 0;
+        for round in 1..=ROUNDS {
+            srv.enqueue(wedged, &payload(1, round)).unwrap();
+            for _ in 0..8 {
+                srv.enqueue(busy, &payload(2, round)).unwrap();
+            }
+            srv.pump_into(SimTime::from_millis(round), usize::MAX, &mut events);
+            demux.sweep(SimTime::from_millis(round));
+            assert_eq!(demux.poll_flow_into(wedged.id(), &mut batch), 0, "wedged");
+            busy_seen += demux.poll_flow_into(busy.id(), &mut batch);
+            for pb in batch.drain() {
+                assert_eq!(pb.as_slice(), &payload(2, round)[..]);
+                demux.recycle(pb);
+            }
+            assert!(
+                demux.pool().allocated() <= budget,
+                "round {round}: the pool grew to {} buffers",
+                demux.pool().allocated()
+            );
+        }
+        assert_eq!(
+            busy_seen as u64,
+            8 * ROUNDS,
+            "a train of other traffic a round"
+        );
+        assert!(demux.net_stats().rehomed > 0);
+
+        // The gap is filled: the lost frame turns up on channel 0.
+        srv.links_mut()[0].send_frame(&lost[..n]).unwrap();
+        demux.sweep(SimTime::from_millis(ROUNDS + 1));
+        assert_eq!(
+            demux.poll_flow_into(wedged.id(), &mut batch) as u64,
+            ROUNDS + 1
+        );
+        for (round, pb) in batch.drain().enumerate() {
+            assert_eq!(
+                pb.as_slice(),
+                &payload(1, round as u64)[..],
+                "round {round}"
+            );
+        }
     }
 
     /// A reply the reverse path refuses is counted, not panicked on.

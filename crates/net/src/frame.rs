@@ -387,24 +387,6 @@ pub fn try_decode_flow(frame: &[u8]) -> Result<(u32, Frame<'_>), DecodeError> {
     }
 }
 
-/// Byte offset of a decoded frame's body: where the payload of a data
-/// frame starts inside the datagram. [`FRAME_HEADER_LEN`] for version 1;
-/// header plus varint for version 2. `None` if the frame is too short to
-/// tell. Receivers use this to keep payloads zero-copy in their pooled
-/// buffers whichever version arrived.
-pub fn body_offset(frame: &[u8]) -> Option<usize> {
-    if frame.len() < FRAME_HEADER_LEN {
-        return None;
-    }
-    match frame[1] {
-        FRAME_VERSION => Some(FRAME_HEADER_LEN),
-        FRAME_VERSION_FLOW => {
-            take_flow_id(&frame[FRAME_HEADER_LEN..]).map(|(_, used)| FRAME_HEADER_LEN + used)
-        }
-        _ => None,
-    }
-}
-
 /// Decode one received frame. `None` on anything malformed or corrupt;
 /// the caller drops it like any corrupt packet (§5 assumes detectable
 /// corruption). Callers that need the reason use [`try_decode`].
@@ -649,7 +631,7 @@ mod tests {
                     assert_eq!(f, flow);
                     assert_eq!(body, &payload);
                     // Zero-copy: the body aliases the frame buffer.
-                    let off = body_offset(&buf).unwrap();
+                    let off = buf.len() - payload.len();
                     assert!(std::ptr::eq(body.as_ptr(), buf[off..].as_ptr()));
                 }
                 other => panic!("flow {flow}: {other:?}"),
@@ -666,7 +648,10 @@ mod tests {
         encode_data_summed_flow_into(9000, &payload, &mut buf);
         assert_eq!(buf.len(), summed_flow_frame_len(9000, payload.len()));
         assert_eq!(try_decode_flow(&buf), Ok((9000, Frame::Data(&payload[..]))));
-        let off = body_offset(&buf).unwrap();
+        let Ok((_, Frame::Data(body))) = try_decode_flow(&buf) else {
+            unreachable!("just decoded");
+        };
+        let off = body.as_ptr() as usize - buf.as_ptr() as usize;
         let mut evil = buf.clone();
         evil[off + 3] ^= 0x04;
         assert_eq!(try_decode_flow(&evil), Err(DecodeError::Corrupt));
@@ -706,7 +691,6 @@ mod tests {
             try_decode_flow(&ctl),
             Ok((0, Frame::Control(Control::Probe { nonce: 3 })))
         );
-        assert_eq!(body_offset(&data), Some(FRAME_HEADER_LEN));
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //!   [`StripingSender`](stripe_core::sender::StripingSender), frames
 //!   encoded once into recycled buffers and handed to the links as
 //!   channel-runs in single calls, bounded admission.
-//! - [`demux`] — [`FlowDemux`], the one receive path: pooled buffers in
-//!   from the sockets, flow-tagged frames routed to per-flow
-//!   resequencers (each simulating its own flow's SRR), payload views
-//!   delivered FIFO per flow, storage recycled on consumption.
+//! - [`demux`] — [`FlowDemux`], the one receive path: whole trains
+//!   landed by the sockets in pool buffers, flow-tagged frames decoded
+//!   in place and routed to per-flow resequencers (each simulating its
+//!   own flow's SRR), payload views into those same buffers delivered
+//!   FIFO per flow, storage reused once the last view is dropped.
 //! - [`reactor`] — [`ServerReactor`], the poll loop around a
 //!   [`StripeServer`]: flushes backlogs, sweeps the reverse path, ticks
 //!   the PR-1 failover driver. No async runtime, no threads, no new
@@ -48,8 +49,9 @@
 //!   live`) with exponential cooldown, bounded retries, and per-step
 //!   timeouts; driven by the reactor, executed through
 //!   [`DatagramLink::revive`](stripe_link::DatagramLink::revive).
-//! - [`pool`] — [`BufPool`]/[`PooledBuf`], the zero-allocation receive
-//!   story.
+//! - [`pool`] — [`TrainPool`]/[`PooledBuf`], the zero-copy,
+//!   zero-allocation receive story: reference-counted buffers that are
+//!   writable only while no view points into them.
 //! - [`sys`] — the linux-gated `sendmmsg`/`recvmmsg` FFI shim (std-only,
 //!   two `extern "C"` declarations) with a portable per-frame fallback
 //!   behind the same [`BatchIo`](sys::BatchIo) API; also
@@ -57,9 +59,9 @@
 //!   kernel-drop estimate.
 //!
 //! Steady state, neither direction allocates: the send side reuses its
-//! scratch and frame buffers, the receive side cycles pooled buffers
-//! through the resequencer and back. The `alloc_counting` integration
-//! test pins this.
+//! scratch and frame buffers, the receive side lands trains in the same
+//! few pool buffers over and over and hands out views into them. The
+//! `alloc_counting_net` integration test pins this.
 
 #![warn(missing_docs)]
 
@@ -85,7 +87,7 @@ pub use frame::{Frame, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION};
 pub use lifecycle::{
     ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleSnapshot, LifecycleState,
 };
-pub use pool::{BufPool, PooledBuf};
+pub use pool::{BufPool, PooledBuf, TrainPool};
 pub use reactor::{membership_announced, Periodic, ReactorSnapshot, ServerReactor};
 pub use server::{
     FlowError, FlowHandle, FlowId, FlowSnapshot, PumpEvent, StripeServer, StripeServerBuilder,

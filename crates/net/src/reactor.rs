@@ -27,7 +27,7 @@
 use stripe_core::control::Control;
 use stripe_core::liveness::ChannelHealth;
 use stripe_core::sched::CausalScheduler;
-use stripe_link::DatagramLink;
+use stripe_link::{DatagramLink, Train};
 use stripe_netsim::{SimDuration, SimTime};
 use stripe_transport::{flood_announcement, ControlPath, ControlTransmission, FailoverDriver};
 
@@ -142,11 +142,9 @@ pub struct ServerReactor<S: CausalScheduler, L: DatagramLink> {
     path: StripeServer<S, L>,
     driver: Option<FailoverDriver>,
     tick: Periodic,
-    /// Scratch buffers for batched reverse-path receives. The reverse
-    /// path carries only low-rate control traffic, so a small batch is
-    /// plenty.
-    recv_bufs: Vec<Vec<u8>>,
-    recv_lens: Vec<usize>,
+    /// Landing room for the reverse path, [`REVERSE_WINDOWS`] windows of
+    /// the widest link's [`recv_window`](DatagramLink::recv_window).
+    recv_room: Vec<u8>,
     /// One recovery state machine per channel (see [`crate::lifecycle`]).
     lifecycle: Vec<ChannelLifecycle>,
     /// The adaptive quantum control loop, when attached (see
@@ -159,8 +157,10 @@ pub struct ServerReactor<S: CausalScheduler, L: DatagramLink> {
     stats: ReactorSnapshot,
 }
 
-/// Reverse-path receive batch width.
-const REVERSE_RUN: usize = 8;
+/// Windows offered per reverse-path landing call. The reverse path
+/// carries only low-rate control traffic: two are enough for a call to
+/// come back short — drained — whenever one train was waiting.
+const REVERSE_WINDOWS: usize = 2;
 
 impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
     /// Wrap `path`, ticking `driver` (when present) every
@@ -171,12 +171,6 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         now: SimTime,
         tick_interval: SimDuration,
     ) -> Self {
-        let buf_len = path
-            .links()
-            .iter()
-            .map(|l| l.mtu())
-            .max()
-            .expect("path has at least one link");
         // The recovery rhythm follows the probe rhythm: cooldowns and
         // probe patience are multiples of the driver's probe interval
         // (see [`LifecycleConfig::with_probe_interval`]).
@@ -185,12 +179,17 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
             .map(|d| LifecycleConfig::with_probe_interval(d.liveness().config().probe_interval_ns))
             .unwrap_or_default();
         let channels = path.links().len();
+        let window = path
+            .links()
+            .iter()
+            .map(|l| l.recv_window())
+            .max()
+            .expect("path has at least one link");
         Self {
             path,
             driver,
             tick: Periodic::new(now, tick_interval),
-            recv_bufs: (0..REVERSE_RUN).map(|_| vec![0u8; buf_len]).collect(),
-            recv_lens: vec![0; REVERSE_RUN],
+            recv_room: vec![0; REVERSE_WINDOWS * window],
             lifecycle: (0..channels)
                 .map(|_| ChannelLifecycle::new(lifecycle_cfg))
                 .collect(),
@@ -254,11 +253,26 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         for c in 0..self.path.links().len() {
             self.report_link_death(c, now, &mut reports);
             loop {
-                let got =
-                    self.path.links_mut()[c].recv_run(&mut self.recv_bufs, &mut self.recv_lens);
-                for i in 0..got {
-                    let n = self.recv_lens[i];
-                    let ctl = match frame::decode(&self.recv_bufs[i][..n]) {
+                // A revived socket may land wider trains than the one it
+                // replaces, so the room is sized against the link as it
+                // is now (it only ever grows).
+                let window = self.path.links()[c].recv_window();
+                if self.recv_room.len() < REVERSE_WINDOWS * window {
+                    self.recv_room.resize(REVERSE_WINDOWS * window, 0);
+                }
+                let mut trains = [Train::default(); REVERSE_WINDOWS];
+                let got = {
+                    let mut room = self.recv_room.chunks_exact_mut(window);
+                    let mut windows: [&mut [u8]; REVERSE_WINDOWS] =
+                        std::array::from_fn(|_| room.next().expect("sized above"));
+                    self.path.links_mut()[c].recv_trains(&mut windows, &mut trains)
+                };
+                let frames = trains[..got]
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, t)| t.frames().map(move |(at, n)| (i * window + at, n)));
+                for (at, n) in frames {
+                    let ctl = match frame::decode(&self.recv_room[at..at + n]) {
                         Some(Frame::Control(ctl)) => {
                             self.stats.control_in += 1;
                             ctl
@@ -290,7 +304,7 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
                         reports.extend(driver.on_control(&mut self.path, c, &ctl, now));
                     }
                 }
-                if got < REVERSE_RUN {
+                if got < REVERSE_WINDOWS {
                     break;
                 }
             }

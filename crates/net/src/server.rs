@@ -1525,7 +1525,7 @@ mod tests {
                 assert_eq!(body.len(), 64);
                 data += 1;
                 // One flipped payload bit is detected, not delivered.
-                let at = frame::body_offset(&f).unwrap();
+                let at = body.as_ptr() as usize - f.as_ptr() as usize;
                 f[at] ^= 0x10;
                 assert_eq!(frame::try_decode_flow(&f), Err(frame::DecodeError::Corrupt));
             }

@@ -15,6 +15,18 @@
 //! same call, and a kernel that rejects `UDP_SEGMENT` demotes the
 //! instance to mmsg-only at runtime.
 //!
+//! Receives have one `recvmmsg` builder, and what it moves is the
+//! *train* — whatever the kernel hands over as one datagram, a whole
+//! coalesced run on a GRO socket — never the frame.
+//! [`BatchIo::recv_trains`] lands several trains per call straight in
+//! the caller's windows and reports `(bytes, segment size)` for each, so
+//! the bytes are written once, by the kernel, where they will be read. A
+//! call that comes back short of the windows it offered has drained the
+//! socket; no empty call is needed to find that out. The per-frame
+//! readers ([`BatchIo::recv_frames`], [`BatchIo::recv_one`]) are the
+//! same lander pointed at one internal staging window, followed by a
+//! splitter that copies each segment out.
+//!
 //! The FFI surface is a handful of `extern "C"` declarations and four
 //! `#[repr(C)]` structs, gated on `linux`/`gnu`; everywhere else (and
 //! whenever the `STRIPE_NET_FALLBACK=1` environment variable forces it,
@@ -39,6 +51,8 @@ use std::io;
 use std::net::UdpSocket;
 use std::sync::OnceLock;
 
+use stripe_link::Train;
+
 /// Default frames per `mmsghdr` batch — large enough to amortize the
 /// syscall to noise, small enough to keep scratch arrays cache-resident.
 pub const DEFAULT_BATCH: usize = 32;
@@ -54,22 +68,10 @@ const GSO_MAX_BYTES: usize = 65_507;
 /// kernel traversals, which dominate once syscalls are batched.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 const GSO_MIN_RUN: usize = 2;
-/// GRO staging slot: one coalesced datagram is at most 65507 bytes, so
-/// a 64 KiB slot can never truncate a train.
+/// A window a coalesced train always fits: one GRO datagram is at most
+/// 65507 bytes.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
-const GRO_SLOT: usize = 1 << 16;
-/// Byte distance between consecutive staging slots: slot size plus a
-/// skew that keeps the kernel's per-train copies off a power-of-two
-/// stride (which would land every train in the same cache sets).
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-const GRO_SLOT_STRIDE: usize = GRO_SLOT + 4096;
-/// Coalesced trains pulled per `recvmmsg`; staging memory is
-/// `GRO_RX_SLOTS * GRO_SLOT_STRIDE` per GRO-enabled socket. One slot
-/// measured fastest on single-core hosts, where syscalls are cheap and
-/// the extra staging footprint evicts hotter cache lines; raise it on
-/// machines where the receive path is syscall-bound.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-const GRO_RX_SLOTS: usize = 1;
+const GRO_WINDOW: usize = 1 << 16;
 
 /// True when `STRIPE_NET_FALLBACK=1` forces the portable per-frame path
 /// even where the batched syscalls are compiled in. Read once.
@@ -106,8 +108,8 @@ pub struct SendReport {
     pub errno: Option<i32>,
 }
 
-/// Outcome of one batched receive: `received` frames landed in the
-/// caller's buffers over `syscalls` calls.
+/// Outcome of one batched receive: `received` frames reached the caller
+/// over `syscalls` calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecvReport {
     /// Frames received.
@@ -115,8 +117,8 @@ pub struct RecvReport {
     /// Syscalls spent (including the one that found the queue empty).
     pub syscalls: u64,
     /// Kernel datagrams pulled off the socket: a GRO-coalesced train
-    /// counts 1. Trains parked in the staging slots by an earlier call
-    /// were counted then.
+    /// counts 1. A train left in the staging window by an earlier call
+    /// was counted then.
     pub trains: u64,
 }
 
@@ -146,18 +148,13 @@ pub struct BatchIo {
     /// Frames covered by each planned send message (train lengths).
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     runs: Vec<usize>,
-    /// GRO receive staging: [`GRO_RX_SLOTS`] slots of [`GRO_SLOT`] bytes
-    /// each, so one `recvmmsg` pulls several coalesced trains at once.
-    /// Unconsumed trains are just offsets into this buffer — `rx_trains`
-    /// records `(bytes, segment size)` per filled slot, `rx_slot` /
-    /// `left_off` cursor the next undelivered segment — so overflow
-    /// never copies or allocates.
+    /// The per-frame readers' window on a GRO socket: the lander puts
+    /// one train here, `staged` describes it, and `left_off` is the
+    /// offset of its next undelivered segment.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     staging: Vec<u8>,
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    rx_trains: Vec<(usize, usize)>,
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    rx_slot: usize,
+    staged: Train,
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     left_off: usize,
 }
@@ -191,9 +188,7 @@ impl BatchIo {
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
             staging: Vec::new(),
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            rx_trains: Vec::with_capacity(GRO_RX_SLOTS),
-            #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            rx_slot: 0,
+            staged: Train::default(),
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
             left_off: 0,
         }
@@ -217,23 +212,15 @@ impl BatchIo {
     }
 
     /// Mark the socket this instance reads as `UDP_GRO`-enabled (see
-    /// [`configure_offload`]). Receives then route through the
-    /// coalescing-aware splitter; the staging buffer is sized here so
-    /// the receive path never allocates.
+    /// [`configure_offload`]): every receive then asks the kernel for
+    /// the segment size of what it hands over. The per-frame readers'
+    /// staging window is sized here so no receive path allocates.
     pub fn set_gro(&mut self, on: bool) {
         self.gro = self.batched && on;
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         if self.gro {
-            // Per-slot control blocks reuse the send-side cmsg scratch,
-            // whose capacity (`cap >= rx_slots`) already covers them.
-            self.staging.resize(self.rx_slots() * GRO_SLOT_STRIDE, 0);
+            self.staging.resize(GRO_WINDOW, 0);
         }
-    }
-
-    /// Coalesced trains pulled per `recvmmsg` on a GRO socket.
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn rx_slots(&self) -> usize {
-        GRO_RX_SLOTS.min(self.cap)
     }
 
     /// Whether receives treat the socket as GRO-coalescing.
@@ -260,6 +247,71 @@ impl BatchIo {
         self.send_per_frame(sock, frames)
     }
 
+    /// Bytes one window of [`recv_trains`](Self::recv_trains) must hold
+    /// on this socket: a whole coalesced train under GRO, else one frame
+    /// of at most `mtu` bytes.
+    pub fn recv_window(&self, mtu: usize) -> usize {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        if self.gro {
+            return GRO_WINDOW;
+        }
+        mtu
+    }
+
+    /// Land ready trains, in order, one per window, describing train `i`
+    /// in `trains[i]`; returns how many landed and what that cost. Fewer
+    /// than `windows.len()` means the socket queue is drained. Windows
+    /// must hold [`recv_window`](Self::recv_window) bytes each — a GRO
+    /// socket would truncate a train into anything shorter.
+    pub fn recv_trains(
+        &mut self,
+        sock: &UdpSocket,
+        windows: &mut [&mut [u8]],
+        trains: &mut [Train],
+    ) -> (usize, RecvReport) {
+        let mut rep = RecvReport::default();
+        let mut k = 0;
+        if windows.is_empty() {
+            return (0, rep);
+        }
+        debug_assert!(trains.len() >= windows.len(), "one report per window");
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        if self.batched {
+            assert!(
+                !self.gro || windows.iter().all(|w| w.len() >= GRO_WINDOW),
+                "a GRO window must hold a whole train"
+            );
+            if self.left_off < self.staged.bytes {
+                // A per-frame reader left part of a train staged: it is
+                // next in order, so it moves out first.
+                let rest = &self.staging[self.left_off..self.staged.bytes];
+                windows[0][..rest.len()].copy_from_slice(rest);
+                trains[0] = Train {
+                    bytes: rest.len(),
+                    seg: self.staged.seg,
+                };
+                self.left_off = self.staged.bytes;
+                k = 1;
+            }
+            k = self.land_in(sock, windows, k, &mut rep, |i, t| trains[i] = t);
+            rep.received = trains[..k].iter().map(|t| t.frames().count()).sum();
+            return (k, rep);
+        }
+        for (w, t) in windows.iter_mut().zip(trains.iter_mut()) {
+            rep.syscalls += 1;
+            match sock.recv(w) {
+                Ok(n) => {
+                    *t = Train::frame(n);
+                    k += 1;
+                }
+                Err(_) => break,
+            }
+        }
+        rep.received = k;
+        rep.trains = k as u64;
+        (k, rep)
+    }
+
     /// Receive up to `bufs.len()` frames, writing frame `i` into
     /// `bufs[i]` and its length into `lens[i]`. Stops as soon as the
     /// socket queue is drained.
@@ -269,36 +321,51 @@ impl BatchIo {
         bufs: &mut [Vec<u8>],
         lens: &mut [usize],
     ) -> RecvReport {
-        if bufs.is_empty() {
-            return RecvReport::default();
-        }
         debug_assert!(lens.len() >= bufs.len(), "one length slot per buffer");
+        let mut rep = RecvReport::default();
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         if self.gro {
-            return self.recv_gro(sock, bufs, lens);
+            while rep.received < bufs.len() {
+                match self.next_staged(sock, &mut bufs[rep.received], &mut rep) {
+                    Some(n) => {
+                        lens[rep.received] = n;
+                        rep.received += 1;
+                    }
+                    None => break,
+                }
+            }
+            return rep;
         }
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         if self.batched {
-            return self.recv_mmsg(sock, bufs, lens);
+            // Whole frames need no splitter: the buffers are the windows.
+            rep.received = self.land_in(sock, bufs, 0, &mut rep, |i, t| lens[i] = t.bytes);
+            return rep;
         }
-        self.recv_per_frame(sock, bufs, lens)
+        for (buf, len) in bufs.iter_mut().zip(lens.iter_mut()) {
+            rep.syscalls += 1;
+            match sock.recv(buf) {
+                Ok(n) => {
+                    *len = n;
+                    rep.received += 1;
+                    rep.trains += 1;
+                }
+                Err(_) => break,
+            }
+        }
+        rep
     }
 
     /// Receive a single frame into `buf`, returning `(frame length if
     /// any, what it cost)`. On a GRO socket a plain `recv` would hand
     /// back a whole coalesced train as one blob, so single-frame readers
     /// must come through here: the splitter returns one segment and
-    /// stashes the rest for the next call (zero syscalls).
+    /// keeps the rest staged for the next call (zero syscalls).
     pub fn recv_one(&mut self, sock: &UdpSocket, buf: &mut [u8]) -> (Option<usize>, RecvReport) {
         let mut rep = RecvReport::default();
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         if self.gro {
-            let mut got = self.take_leftover(buf);
-            if got.is_none() {
-                rep.syscalls = 1;
-                rep.trains = self.gro_fill_many(sock) as u64;
-                got = self.take_leftover(buf);
-            }
+            let got = self.next_staged(sock, buf, &mut rep);
             rep.received = got.is_some() as usize;
             return (got, rep);
         }
@@ -309,32 +376,40 @@ impl BatchIo {
         (got, rep)
     }
 
-    /// Copy the next unconsumed segment of the staged trains into `buf`,
-    /// if one is left, advancing the slot cursor across train boundaries.
+    /// The splitter: copy the next segment of the staged train into
+    /// `buf`, landing a fresh train in the staging window first when the
+    /// last one is used up. `None` when the socket has nothing.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn take_leftover(&mut self, buf: &mut [u8]) -> Option<usize> {
-        while self.rx_slot < self.rx_trains.len() {
-            let (n, seg) = self.rx_trains[self.rx_slot];
-            if n == 0 {
-                // An empty datagram coalesces with nothing: one frame.
-                self.rx_slot += 1;
-                self.left_off = 0;
-                return Some(0);
+    fn next_staged(
+        &mut self,
+        sock: &UdpSocket,
+        buf: &mut [u8],
+        rep: &mut RecvReport,
+    ) -> Option<usize> {
+        if self.left_off >= self.staged.bytes {
+            self.iovs.clear();
+            self.iovs.push(ffi::IoVec {
+                base: self.staging.as_mut_ptr() as *mut _,
+                len: self.staging.len(),
+            });
+            // Nothing is staged while the kernel writes: a failed call
+            // must not replay the old train.
+            self.staged = Train::default();
+            self.left_off = 0;
+            if self.land(sock, rep) == 0 {
+                return None;
             }
-            if self.left_off >= n {
-                self.rx_slot += 1;
-                self.left_off = 0;
-                continue;
+            self.staged = self.landed(0);
+            if self.staged.bytes == 0 {
+                return Some(0); // an empty datagram: one empty frame
             }
-            let base = self.rx_slot * GRO_SLOT_STRIDE;
-            let end = (self.left_off + seg).min(n);
-            let chunk = &self.staging[base + self.left_off..base + end];
-            let k = chunk.len().min(buf.len());
-            buf[..k].copy_from_slice(&chunk[..k]);
-            self.left_off = end;
-            return Some(k);
         }
-        None
+        let end = (self.left_off + self.staged.seg).min(self.staged.bytes);
+        let chunk = &self.staging[self.left_off..end];
+        let k = chunk.len().min(buf.len());
+        buf[..k].copy_from_slice(&chunk[..k]);
+        self.left_off = end;
+        Some(k)
     }
 
     fn send_per_frame(&mut self, sock: &UdpSocket, frames: &[Vec<u8>]) -> SendReport {
@@ -353,27 +428,6 @@ impl BatchIo {
                     }
                     break;
                 }
-            }
-        }
-        rep
-    }
-
-    fn recv_per_frame(
-        &mut self,
-        sock: &UdpSocket,
-        bufs: &mut [Vec<u8>],
-        lens: &mut [usize],
-    ) -> RecvReport {
-        let mut rep = RecvReport::default();
-        for (buf, len) in bufs.iter_mut().zip(lens.iter_mut()) {
-            rep.syscalls += 1;
-            match sock.recv(buf) {
-                Ok(n) => {
-                    *len = n;
-                    rep.received += 1;
-                    rep.trains += 1;
-                }
-                Err(_) => break,
             }
         }
         rep
@@ -510,173 +564,125 @@ impl BatchIo {
         rep
     }
 
+    /// Land in `windows[k..]`, at most `cap` to a call, until a call comes
+    /// back short, handing `out` each filled window's index and train.
+    /// Returns one past the last window filled.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn recv_mmsg(
+    fn land_in<W: AsMut<[u8]>>(
         &mut self,
         sock: &UdpSocket,
-        bufs: &mut [Vec<u8>],
-        lens: &mut [usize],
-    ) -> RecvReport {
-        use std::os::fd::AsRawFd;
-        let mut rep = RecvReport::default();
-        while rep.received < bufs.len() {
-            let lo = rep.received;
-            let hi = (lo + self.cap).min(bufs.len());
+        windows: &mut [W],
+        mut k: usize,
+        rep: &mut RecvReport,
+        mut out: impl FnMut(usize, Train),
+    ) -> usize {
+        while k < windows.len() {
+            let hi = (k + self.cap).min(windows.len());
             self.iovs.clear();
-            self.hdrs.clear();
-            for b in bufs[lo..hi].iter_mut() {
+            for w in &mut windows[k..hi] {
+                let w = w.as_mut();
                 self.iovs.push(ffi::IoVec {
-                    base: b.as_mut_ptr() as *mut _,
-                    len: b.len(),
+                    base: w.as_mut_ptr() as *mut _,
+                    len: w.len(),
                 });
             }
-            for iov in self.iovs.iter_mut() {
-                self.hdrs.push(ffi::MMsgHdr {
-                    hdr: ffi::MsgHdr {
-                        name: std::ptr::null_mut(),
-                        namelen: 0,
-                        iov,
-                        iovlen: 1,
-                        control: std::ptr::null_mut(),
-                        controllen: 0,
-                        flags: 0,
-                    },
-                    len: 0,
-                });
+            let got = self.land(sock, rep);
+            for m in 0..got {
+                out(k + m, self.landed(m));
             }
-            let want = hi - lo;
-            rep.syscalls += 1;
-            // SAFETY: hdrs/iovs point into `bufs[lo..hi]`, alive across
-            // the call; the kernel writes at most iov_len per message.
-            let ret = unsafe {
-                ffi::recvmmsg(
-                    sock.as_raw_fd(),
-                    self.hdrs.as_mut_ptr(),
-                    want as u32,
-                    ffi::MSG_DONTWAIT,
-                    std::ptr::null_mut(),
-                )
-            };
-            if ret <= 0 {
-                break; // drained (EWOULDBLOCK) or transient error
-            }
-            let k = ret as usize;
-            for i in 0..k {
-                lens[lo + i] = self.hdrs[i].len as usize;
-            }
-            rep.received += k;
-            rep.trains += k as u64;
-            if k < want {
+            k += got;
+            if k < hi {
                 break; // queue drained mid-batch
             }
         }
-        rep
+        k
     }
 
-    /// One non-blocking `recvmmsg` pulling up to [`Self::rx_slots`]
-    /// coalesced trains into the staging slots at once, each message
-    /// with its own `UDP_GRO` control block. Records `(bytes, segment
-    /// size)` per train in `rx_trains` and resets the consumption
-    /// cursor; returns how many trains landed (0: nothing ready).
+    /// The one `recvmmsg` builder: one non-blocking call with one
+    /// message per window already in `iovs` (at most `cap`), each with
+    /// its own `UDP_GRO` control block on a GRO socket. Returns how many
+    /// messages the kernel filled — 0 when nothing is ready; read them
+    /// back with [`landed`](Self::landed).
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn gro_fill_many(&mut self, sock: &UdpSocket) -> usize {
+    fn land(&mut self, sock: &UdpSocket, rep: &mut RecvReport) -> usize {
         use std::os::fd::AsRawFd;
-        let slots = self.rx_slots();
-        self.rx_trains.clear();
-        self.rx_slot = 0;
-        self.left_off = 0;
-        self.iovs.clear();
+        let n = self.iovs.len();
         self.hdrs.clear();
         self.cmsgs.clear();
-        self.cmsgs.resize(slots, ffi::SegmentCmsg::new(0));
-        let staging_base = self.staging.as_mut_ptr();
-        let cmsg_base = self.cmsgs.as_mut_ptr();
-        for s in 0..slots {
-            self.iovs.push(ffi::IoVec {
-                // SAFETY: slot `s` is an in-bounds GRO_SLOT-sized window
-                // of the staging buffer.
-                base: unsafe { staging_base.add(s * GRO_SLOT_STRIDE) } as *mut _,
-                len: GRO_SLOT,
-            });
+        if self.gro {
+            self.cmsgs.resize(n, ffi::SegmentCmsg::new(0));
         }
-        let iov_base = self.iovs.as_mut_ptr();
-        for s in 0..slots {
+        let cmsg_base = self.cmsgs.as_mut_ptr();
+        for (m, iov) in self.iovs.iter_mut().enumerate() {
             self.hdrs.push(ffi::MMsgHdr {
                 hdr: ffi::MsgHdr {
                     name: std::ptr::null_mut(),
                     namelen: 0,
-                    // SAFETY: in-bounds offsets into scratch vectors that
-                    // are fully built and no longer growing.
-                    iov: unsafe { iov_base.add(s) },
+                    iov,
                     iovlen: 1,
-                    control: unsafe { cmsg_base.add(s) as *mut _ },
-                    controllen: std::mem::size_of::<ffi::SegmentCmsg>(),
+                    control: if self.gro {
+                        // SAFETY: in-bounds offset into a scratch vector
+                        // that is fully built and no longer growing.
+                        unsafe { cmsg_base.add(m) as *mut _ }
+                    } else {
+                        std::ptr::null_mut()
+                    },
+                    controllen: if self.gro {
+                        std::mem::size_of::<ffi::SegmentCmsg>()
+                    } else {
+                        0
+                    },
                     flags: 0,
                 },
                 len: 0,
             });
         }
-        // SAFETY: hdrs/iovs/cmsgs point at live scratch across the call;
-        // the kernel writes per-message byte and control lengths back.
+        rep.syscalls += 1;
+        // SAFETY: hdrs/iovs/cmsgs point at the caller's windows and this
+        // scratch, all alive across the call; the kernel writes at most
+        // iov_len bytes per message and the per-message byte and control
+        // lengths back.
         let ret = unsafe {
             ffi::recvmmsg(
                 sock.as_raw_fd(),
                 self.hdrs.as_mut_ptr(),
-                slots as u32,
+                n as u32,
                 ffi::MSG_DONTWAIT,
                 std::ptr::null_mut(),
             )
         };
         if ret <= 0 {
-            return 0; // WouldBlock or transient error: nothing ready
+            return 0; // drained (EWOULDBLOCK) or transient error
         }
-        let got = ret as usize;
-        for m in 0..got {
-            let n = self.hdrs[m].len as usize;
+        rep.trains += ret as u64;
+        ret as usize
+    }
+
+    /// What the last [`land`](Self::land) put in its window `m`: the
+    /// byte count, and the segment size from the `UDP_GRO` annotation —
+    /// absent (a lone datagram, or no GRO) the train is one whole frame.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn landed(&self, m: usize) -> Train {
+        let bytes = self.hdrs[m].len as usize;
+        let seg = if self.gro {
             // SAFETY: reading the control block the kernel just wrote,
             // within its fixed 24-byte footprint.
             let ctrl = unsafe {
                 std::slice::from_raw_parts(
-                    cmsg_base.add(m) as *const u8,
+                    self.cmsgs.as_ptr().add(m) as *const u8,
                     std::mem::size_of::<ffi::SegmentCmsg>(),
                 )
             };
-            let seg = ffi::gro_segment_size(ctrl, self.hdrs[m].hdr.controllen)
+            ffi::gro_segment_size(ctrl, self.hdrs[m].hdr.controllen)
                 .map(|s| s as usize)
                 .filter(|&s| s > 0)
-                .unwrap_or_else(|| n.max(1));
-            self.rx_trains.push((n, seg));
+        } else {
+            None
+        };
+        Train {
+            bytes,
+            seg: seg.unwrap_or(bytes),
         }
-        got
-    }
-
-    /// GRO-aware batched receive: pull several coalesced trains per
-    /// `recvmmsg`, then split each back into per-frame buffers, in
-    /// order. Trains that overflow the caller's array stay parked in
-    /// the staging slots (offsets only, no copies) and are delivered
-    /// first next time — no frame is ever dropped by the splitter.
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn recv_gro(
-        &mut self,
-        sock: &UdpSocket,
-        bufs: &mut [Vec<u8>],
-        lens: &mut [usize],
-    ) -> RecvReport {
-        let mut rep = RecvReport::default();
-        while rep.received < bufs.len() {
-            if let Some(k) = self.take_leftover(&mut bufs[rep.received]) {
-                lens[rep.received] = k;
-                rep.received += 1;
-                continue;
-            }
-            rep.syscalls += 1;
-            let trains = self.gro_fill_many(sock);
-            if trains == 0 {
-                break;
-            }
-            rep.trains += trains as u64;
-        }
-        rep
     }
 }
 

@@ -24,8 +24,10 @@
 //!   batch occupancy above the per-run packet count: SRR runs at large
 //!   payloads are only 1–2 frames long, but a burst parks many frames
 //!   per channel before the single flush.
-//! - [`recv_run`](DatagramLink::recv_run) — drain up to a buffer-array's
-//!   worth of datagrams in one `recvmmsg`.
+//! - [`recv_trains`](DatagramLink::recv_trains) — land up to a
+//!   window-array's worth of datagrams (whole GRO trains, on an
+//!   offloaded socket) in one `recvmmsg`, straight where the caller
+//!   will read them.
 //!
 //! Backpressure mirrors the simulated links: when the kernel refuses a
 //! frame (`WouldBlock`), frames park in the bounded local queue for the
@@ -88,7 +90,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 
-use stripe_link::{DatagramLink, TxError};
+use stripe_link::{DatagramLink, Train, TxError};
 
 use crate::lifecycle::LifecycleState;
 use crate::sys::{self, BatchIo};
@@ -864,18 +866,22 @@ impl DatagramLink for UdpChannel {
         got
     }
 
-    fn recv_run(&mut self, bufs: &mut [Vec<u8>], lens: &mut [usize]) -> usize {
-        let rep = self.io.recv_frames(&self.sock, bufs, lens);
+    fn recv_window(&self) -> usize {
+        self.io.recv_window(self.mtu)
+    }
+
+    fn recv_trains(&mut self, windows: &mut [&mut [u8]], trains: &mut [Train]) -> usize {
+        let (landed, rep) = self.io.recv_trains(&self.sock, windows, trains);
         self.stats.recv_syscalls += rep.syscalls;
         self.stats.recv_trains += rep.trains;
         self.stats.recv_frames += rep.received as u64;
-        for &len in &lens[..rep.received] {
-            self.stats.recv_bytes += len as u64;
+        for t in &trains[..landed] {
+            self.stats.recv_bytes += t.bytes as u64;
         }
-        if rep.received > 0 {
+        if landed > 0 {
             self.note_alive();
         }
-        rep.received
+        landed
     }
 
     fn mtu(&self) -> usize {
@@ -1104,30 +1110,43 @@ mod tests {
         assert_eq!(a.stats().dropped_queue, 1);
     }
 
-    #[test]
-    fn recv_run_drains_in_batches() {
-        let (mut a, mut b) = UdpChannel::builder(64).batch(4).pair().unwrap();
-        let frames: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 4]).collect();
-        let mut out = Vec::new();
-        a.send_run(&frames, &mut out);
-        let mut bufs: Vec<Vec<u8>> = (0..16).map(|_| vec![0u8; 64]).collect();
-        let mut lens = [0usize; 16];
-        let mut got = 0;
+    /// Land on `ch`, four windows a call, until `want` frames arrived
+    /// (polling briefly: loopback may lag the send); the frames, in
+    /// order.
+    fn land_frames(ch: &mut UdpChannel, want: usize) -> Vec<Vec<u8>> {
+        let window = ch.recv_window();
+        let mut room = vec![0u8; 4 * window];
+        let mut trains = [Train::default(); 4];
+        let mut got = Vec::new();
         for _ in 0..1000 {
-            got += b.recv_run(bufs[got..].as_mut(), &mut lens[got..]);
-            if got == 10 {
+            let landed = {
+                let mut windows: Vec<&mut [u8]> = room.chunks_exact_mut(window).collect();
+                ch.recv_trains(&mut windows, &mut trains)
+            };
+            for (w, t) in room.chunks_exact(window).zip(&trains[..landed]) {
+                got.extend(t.frames().map(|(at, n)| w[at..at + n].to_vec()));
+            }
+            if got.len() >= want {
                 break;
             }
             std::thread::yield_now();
         }
-        assert_eq!(got, 10);
-        for i in 0..10 {
-            assert_eq!(lens[i], 4);
-            assert_eq!(bufs[i][0], i as u8);
-        }
+        got
+    }
+
+    #[test]
+    fn recv_trains_lands_whole_runs() {
+        let (mut a, mut b) = UdpChannel::builder(64).batch(4).pair().unwrap();
+        let frames: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 4]).collect();
+        let mut out = Vec::new();
+        a.send_run(&frames, &mut out);
+        assert_eq!(land_frames(&mut b, 10), frames);
         let s = b.stats();
-        assert_eq!(s.recv_frames, 10);
+        assert_eq!((s.recv_frames, s.recv_bytes), (10, 40));
         assert!(s.recv_syscalls > 0);
+        if b.gro_offload() && a.gso_offload() {
+            assert!(s.recv_trains < 10, "equal lengths ride trains");
+        }
     }
 
     #[test]
@@ -1342,8 +1361,6 @@ mod tests {
     #[test]
     fn flush_submits_a_wrapped_queue_in_one_syscall() {
         let (mut a, mut b) = UdpChannel::builder(256).batch(64).pair().unwrap();
-        let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; 256]; 64];
-        let mut lens = [0usize; 64];
         let mut out = Vec::new();
         for round in 0..50u8 {
             // 36 into a ring whose capacity settles at 64 slots: the head
@@ -1353,15 +1370,11 @@ mod tests {
             a.send_run_owned(&mut frames, &mut out);
             assert!(out.iter().all(|r| r.is_ok()));
             assert_eq!(a.flush(), 36);
-            let mut got = 0;
-            for _ in 0..1000 {
-                got += b.recv_run(&mut bufs, &mut lens);
-                if got == 36 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            assert_eq!(got, 36, "round {round} went missing");
+            assert_eq!(
+                land_frames(&mut b, 36).len(),
+                36,
+                "round {round} went missing"
+            );
         }
         let s = a.stats();
         assert_eq!(s.sent_frames, 50 * 36);

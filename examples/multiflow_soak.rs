@@ -248,6 +248,16 @@ fn main() -> std::io::Result<()> {
             s.send_batch_occupancy(),
         );
     }
+    let rx = demux.net_stats();
+    println!("FlowDemuxSnapshot:");
+    println!("  frames            : {}", rx.frames);
+    println!(
+        "  rehomed           : {} (pool: {} buffers of {} B, {} free)",
+        rx.rehomed,
+        demux.pool().allocated(),
+        demux.pool().buf_len(),
+        demux.pool().free_count(),
+    );
     assert_eq!(snap.flows_active as usize, FLOWS);
     assert_eq!(snap.dropped_admission, 0);
     assert!(stats.link_dead_reports >= 1);

@@ -67,7 +67,8 @@ fn main() -> std::io::Result<()> {
     let flow = path.open_flow().expect("a fresh server admits a flow");
 
     // Receiver: an identically configured scheduler replays the sender's
-    // decisions; pooled buffers make reception allocation-free.
+    // decisions; payloads are views into the buffers the kernel filled,
+    // so reception neither copies nor allocates.
     let mut rx = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .links(rx_links)
@@ -99,7 +100,7 @@ fn main() -> std::io::Result<()> {
         rx.poll_flow_into(flow.id(), &mut batch); // logical (resequenced) delivery
         for pb in batch.drain() {
             got.push(u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap()));
-            rx.recycle(pb); // close the zero-alloc cycle
+            rx.recycle(pb); // drop the view: its buffer can be landed in again
         }
         std::thread::yield_now();
     }

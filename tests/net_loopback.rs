@@ -113,6 +113,94 @@ fn lossless_fifo_over_real_sockets() {
     assert_eq!(path.stats().path.dropped_queue, 0);
 }
 
+/// Nothing is ever written under a live view. The consumer sits on
+/// every delivered payload for three further sweeps of heavy traffic —
+/// so the pool has to land those in other buffers, growing when it has
+/// none — and only then checks the bytes: each view must still read
+/// exactly what was sent, fill and all.
+#[test]
+fn held_views_keep_their_bytes_across_later_sweeps() {
+    const CHANNELS: usize = 4;
+    const ROUNDS: u64 = 60;
+    const BURST: u64 = 128;
+    const HOLD: usize = 3;
+
+    /// Payload `id`: the id, then a fill no other payload shares.
+    fn filled(id: u64) -> Vec<u8> {
+        let mut p = id_packet(id, 200 + (id as usize * 37) % 1000);
+        let mut rng = DetRng::new(id);
+        for b in &mut p[8..] {
+            *b = rng.range_u64(0, 256) as u8;
+        }
+        p
+    }
+
+    let mut tx_links = Vec::new();
+    let mut rx_links = Vec::new();
+    for _ in 0..CHANNELS {
+        let (a, b) = UdpChannel::builder(2048)
+            .queue_cap(1 << 12)
+            .rcvbuf(1 << 20)
+            .pair()
+            .unwrap();
+        tx_links.push(a);
+        rx_links.push(b);
+    }
+    let mut path = StripeServer::builder()
+        .scheduler(Srr::equal(CHANNELS, QUANTUM))
+        .markers(MarkerConfig::every_rounds(4))
+        .links(tx_links)
+        .build();
+    let flow = path.open_flow().unwrap();
+    let mut rx = FlowDemux::builder()
+        .scheduler(Srr::equal(CHANNELS, QUANTUM))
+        .links(rx_links)
+        .build();
+    let budget = rx.pool().allocated();
+
+    let clock = WallClock::start();
+    let mut events = Vec::new();
+    let mut batch = RxBatch::new();
+    // One entry per sweep: the views it delivered.
+    let mut held: std::collections::VecDeque<Vec<PooledBuf>> = Default::default();
+    let mut checked = 0u64;
+    let mut check = |views: Vec<PooledBuf>| {
+        for pb in views {
+            assert_eq!(id_of(&pb), checked, "FIFO violated");
+            assert_eq!(pb.as_slice(), &filled(checked)[..], "payload {checked}");
+            checked += 1;
+        }
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut round = 0;
+    let mut delivered = 0;
+    while delivered < ROUNDS * BURST {
+        assert!(Instant::now() < deadline, "stalled at {delivered} packets");
+        if round < ROUNDS {
+            for id in round * BURST..(round + 1) * BURST {
+                path.enqueue(flow, &filled(id)).unwrap();
+            }
+            path.pump_into(clock.now(), usize::MAX, &mut events);
+            round += 1;
+        }
+        path.flush();
+        rx.sweep(clock.now());
+        rx.poll_flow_into(flow.id(), &mut batch);
+        delivered += batch.len() as u64;
+        held.push_back(batch.drain().collect());
+        if held.len() > HOLD {
+            check(held.pop_front().expect("non-empty"));
+        }
+    }
+    held.into_iter().for_each(&mut check);
+    assert_eq!(checked, ROUNDS * BURST);
+    assert!(
+        rx.pool().allocated() > budget,
+        "four sweeps' worth of held payloads cannot fit the default pool"
+    );
+    assert_eq!(rx.pool().free_count() as u64, rx.pool().allocated());
+}
+
 /// Many flows of mixed lengths over the kernel: eight flows, a seeded
 /// 50/50 mix of 64 B and 1400 B payloads, four real UDP sockets. Every
 /// flow is delivered in exact FIFO order — the server regroups each
