@@ -240,6 +240,17 @@ impl Control {
         }
     }
 
+    /// The encoded [`Marker`] inside `buf`, if `buf` is a marker message.
+    /// Markers are the one control message on the per-packet receive
+    /// path, which feeds this straight to [`Marker::decode`] and never
+    /// builds a `Control` for them.
+    pub fn marker_body(buf: &[u8]) -> Option<&[u8]> {
+        match buf.split_first() {
+            Some((&TYPE_MARKER, rest)) => Some(rest),
+            _ => None,
+        }
+    }
+
     /// Decode from wire bytes; `None` on anything malformed (corrupt
     /// control traffic is dropped like corrupt data, §5).
     pub fn decode(buf: &[u8]) -> Option<Self> {

@@ -9,53 +9,60 @@
 
 use crate::types::ChannelId;
 
-/// Per-channel bytes/packets ledger.
+/// One channel's line in the ledger.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    bytes: u64,
+    packets: u64,
+}
+
+/// Per-channel bytes/packets ledger: one array, so recording a packet
+/// touches one place and a ledger is one heap object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ByteAccountant {
-    bytes: Vec<u64>,
-    packets: Vec<u64>,
+    chans: Box<[Tally]>,
 }
 
 impl ByteAccountant {
     /// A ledger for `n` channels.
     pub fn new(n: usize) -> Self {
         Self {
-            bytes: vec![0; n],
-            packets: vec![0; n],
+            chans: vec![Tally::default(); n].into(),
         }
     }
 
     /// Record one packet of `len` bytes on channel `c`.
     pub fn record(&mut self, c: ChannelId, len: u64) {
-        self.bytes[c] += len;
-        self.packets[c] += 1;
+        let t = &mut self.chans[c];
+        t.bytes += len;
+        t.packets += 1;
     }
 
     /// Bytes sent on channel `c`.
     pub fn bytes(&self, c: ChannelId) -> u64 {
-        self.bytes[c]
+        self.chans[c].bytes
     }
 
     /// Packets sent on channel `c`.
     pub fn packets(&self, c: ChannelId) -> u64 {
-        self.packets[c]
+        self.chans[c].packets
     }
 
     /// Total bytes across channels.
     pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
+        self.chans.iter().map(|t| t.bytes).sum()
     }
 
     /// Number of channels.
     pub fn channels(&self) -> usize {
-        self.bytes.len()
+        self.chans.len()
     }
 
     /// Largest minus smallest per-channel byte count — the spread a fair
     /// equal-quantum scheme must keep bounded.
     pub fn byte_spread(&self) -> u64 {
-        let max = self.bytes.iter().max().copied().unwrap_or(0);
-        let min = self.bytes.iter().min().copied().unwrap_or(0);
+        let max = self.chans.iter().map(|t| t.bytes).max().unwrap_or(0);
+        let min = self.chans.iter().map(|t| t.bytes).min().unwrap_or(0);
         max - min
     }
 
@@ -67,13 +74,13 @@ impl ByteAccountant {
     /// Panics if `weights` has the wrong length or contains a non-positive
     /// weight.
     pub fn jain_index(&self, weights: &[f64]) -> f64 {
-        assert_eq!(weights.len(), self.bytes.len());
+        assert_eq!(weights.len(), self.chans.len());
         assert!(weights.iter().all(|&w| w > 0.0));
         let shares: Vec<f64> = self
-            .bytes
+            .chans
             .iter()
             .zip(weights)
-            .map(|(&b, &w)| b as f64 / w)
+            .map(|(t, &w)| t.bytes as f64 / w)
             .collect();
         let sum: f64 = shares.iter().sum();
         if sum == 0.0 {
@@ -85,8 +92,7 @@ impl ByteAccountant {
 
     /// Reset all counters.
     pub fn reset(&mut self) {
-        self.bytes.iter_mut().for_each(|b| *b = 0);
-        self.packets.iter_mut().for_each(|p| *p = 0);
+        self.chans.fill(Tally::default());
     }
 }
 

@@ -143,6 +143,19 @@ struct StallState {
     reported: bool,
 }
 
+/// One channel's share of the receiver state. Kept together so that
+/// serving a channel touches one place, not three parallel arrays.
+#[derive(Debug, Clone)]
+struct RxChannel<P> {
+    /// Arrivals awaiting logical reception, oldest first.
+    buf: VecDeque<Arrival<P>>,
+    /// Pending mark: the paper's `r_c` (plus the DC to adopt).
+    pending: Option<crate::sched::ChannelMark>,
+    /// The sender's last announced mask keeps this channel in the set.
+    /// Leads the scheduler's own mask until the effective round.
+    target_live: bool,
+}
+
 /// The logical-reception resequencer.
 ///
 /// `push` arrivals as they physically appear on each channel (in per-channel
@@ -151,14 +164,14 @@ struct StallState {
 #[derive(Debug, Clone)]
 pub struct LogicalReceiver<S: CausalScheduler, P> {
     sched: S,
-    bufs: Vec<VecDeque<Arrival<P>>>,
-    /// Pending mark per channel: the paper's `r_c` (plus the DC to adopt).
-    pending: Vec<Option<crate::sched::ChannelMark>>,
-    /// The live mask last announced by the sender (`true` = staying in the
-    /// set). Leads the scheduler's own mask until the effective round.
-    target_live: Vec<bool>,
+    chans: Box<[RxChannel<P>]>,
     /// Packets salvaged from dead channels, awaiting delivery.
     drained: VecDeque<P>,
+    /// A membership change has been applied since the last reset, so the
+    /// scheduler may have masked a channel out (now or at a round yet to
+    /// come) and reception has to look for arrivals stranded on one.
+    /// Until then every channel is live and that scan is skipped.
+    masked: bool,
     cap_per_channel: usize,
     stall_timeout_ns: Option<u64>,
     stall: Option<StallState>,
@@ -171,12 +184,17 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// `cap_per_channel` buffered arrivals per channel.
     pub fn new(sched: S, cap_per_channel: usize) -> Self {
         assert!(cap_per_channel > 0, "buffers must hold at least one packet");
-        let n = sched.channels();
+        let chans = (0..sched.channels())
+            .map(|_| RxChannel {
+                buf: VecDeque::new(),
+                pending: None,
+                target_live: true,
+            })
+            .collect::<Box<[_]>>();
         Self {
+            masked: (0..chans.len()).any(|c| !sched.live(c)),
             sched,
-            bufs: (0..n).map(|_| VecDeque::new()).collect(),
-            pending: vec![None; n],
-            target_live: vec![true; n],
+            chans,
             drained: VecDeque::new(),
             cap_per_channel,
             stall_timeout_ns: None,
@@ -191,12 +209,44 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// finite buffers are part of the channel model; the §6.3 credit scheme
     /// exists to prevent exactly this.
     pub fn push(&mut self, c: ChannelId, a: Arrival<P>) -> bool {
-        if self.bufs[c].len() >= self.cap_per_channel {
-            self.stats.dropped_overflow += 1;
-            return false;
+        let room = self.admit(c);
+        if room {
+            self.chans[c].buf.push_back(a);
         }
-        self.bufs[c].push_back(a);
-        true
+        room
+    }
+
+    /// [`push`](Self::push) for the per-packet path: the arrival is built
+    /// by `make`, which runs only once the ring has room for it (not at
+    /// all if the buffer is full) and whose result is written straight
+    /// into its slot.
+    ///
+    /// An arrival built first and pushed second sits on the stack across
+    /// the ring's growth check and is copied into the ring with loads
+    /// wider than the stores that wrote it. Such a load cannot be fed
+    /// from the store buffer; it waits until every older store has
+    /// reached the cache, and the older stores are the previous packets'
+    /// writes into rings that are not in the cache.
+    #[inline]
+    pub fn push_with(&mut self, c: ChannelId, make: impl FnMut() -> Arrival<P>) -> bool {
+        let room = self.admit(c);
+        if room {
+            // Grows first, then writes what `make` returns in place.
+            let buf = &mut self.chans[c].buf;
+            buf.resize_with(buf.len() + 1, make);
+        }
+        room
+    }
+
+    /// Whether channel `c`'s buffer can take one more arrival; counts the
+    /// arrival as dropped if not.
+    #[inline]
+    fn admit(&mut self, c: ChannelId) -> bool {
+        let room = self.chans[c].buf.len() < self.cap_per_channel;
+        if !room {
+            self.stats.dropped_overflow += 1;
+        }
+        room
     }
 
     /// Pre-size every channel ring (and the salvage queue) for `per_channel`
@@ -204,8 +254,8 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// buffer. The batch datapath's zero-allocation guarantee assumes a
     /// warmed receiver.
     pub fn reserve(&mut self, per_channel: usize) {
-        for b in &mut self.bufs {
-            b.reserve(per_channel.saturating_sub(b.len()));
+        for ch in self.chans.iter_mut() {
+            ch.buf.reserve(per_channel.saturating_sub(ch.buf.len()));
         }
         self.drained.reserve(per_channel);
     }
@@ -216,10 +266,15 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// until it returns `None`.
     pub fn poll_into(&mut self, out: &mut RxBatch<P>) -> usize {
         out.pkts.clear();
-        while let Some(p) = self.poll() {
+        while let Some(p) = self.next() {
             out.pkts.push(p);
         }
-        out.pkts.len()
+        let n = out.pkts.len();
+        if n > 0 {
+            self.stats.delivered += n as u64;
+            self.stall = None;
+        }
+        n
     }
 
     /// Logical reception: deliver the next in-order packet, or `None` if the
@@ -230,28 +285,39 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// simulation order, but quasi-FIFO tolerates that and it beats
     /// dropping data that already arrived.
     pub fn poll(&mut self) -> Option<P> {
-        self.drain_dead();
-        if let Some(p) = self.drained.pop_front() {
-            self.stats.delivered += 1;
-            self.stall = None;
-            return Some(p);
+        let p = self.next()?;
+        self.stats.delivered += 1;
+        self.stall = None;
+        Some(p)
+    }
+
+    /// The next packet to deliver — salvaged ones first, then whatever
+    /// the simulation says comes next — leaving the delivery bookkeeping
+    /// to [`poll`](Self::poll) and [`poll_into`](Self::poll_into).
+    fn next(&mut self) -> Option<P> {
+        if self.masked {
+            self.drain_dead();
+            if let Some(p) = self.drained.pop_front() {
+                return Some(p);
+            }
         }
         loop {
             let c = self.sched.current();
+            let ch = &mut self.chans[c];
 
             // Membership skip: the sender announced `c` is leaving the set,
             // so its in-flight packets for the rounds before the mask takes
             // effect are presumed lost with the channel. Anything already
             // buffered is still served in order; an empty buffer is skipped
             // instead of blocked on.
-            if !self.target_live[c] && self.bufs[c].is_empty() {
+            if !ch.target_live && ch.buf.is_empty() {
                 self.sched.skip_current();
                 self.stats.membership_skips += 1;
                 continue;
             }
 
             // Condition C1: honour a pending mark for the expected channel.
-            if let Some(m) = self.pending[c] {
+            if let Some(m) = ch.pending {
                 if m.round > self.sched.round() {
                     // Arrived too early at `c` (losses made us run ahead):
                     // skip it this round.
@@ -260,27 +326,19 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
                     continue;
                 }
                 self.sched.apply_mark(c, m);
-                self.pending[c] = None;
+                ch.pending = None;
                 self.stats.marks_applied += 1;
             }
 
-            match self.bufs[c].front() {
+            match ch.buf.pop_front() {
                 None => return None, // block on the expected channel
-                Some(Arrival::Marker(_)) => {
-                    let Some(Arrival::Marker(mk)) = self.bufs[c].pop_front() else {
-                        unreachable!("front() said marker");
-                    };
+                Some(Arrival::Marker(mk)) => {
                     self.stats.markers_seen += 1;
                     // Newest marker wins: it reflects fresher sender state.
-                    self.pending[c] = Some(mk.mark);
+                    ch.pending = Some(mk.mark);
                 }
-                Some(Arrival::Data(_)) => {
-                    let Some(Arrival::Data(p)) = self.bufs[c].pop_front() else {
-                        unreachable!("front() said data");
-                    };
+                Some(Arrival::Data(p)) => {
                     self.sched.advance(p.wire_len());
-                    self.stats.delivered += 1;
-                    self.stall = None;
                     return Some(p);
                 }
             }
@@ -292,11 +350,11 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// again, so deliver it out of order rather than strand it. Stale
     /// markers and pending marks for the channel are discarded.
     fn drain_dead(&mut self) {
-        for c in 0..self.bufs.len() {
-            if self.sched.live(c) || self.bufs[c].is_empty() {
+        for (c, ch) in self.chans.iter_mut().enumerate() {
+            if self.sched.live(c) || ch.buf.is_empty() {
                 continue;
             }
-            while let Some(a) = self.bufs[c].pop_front() {
+            for a in ch.buf.drain(..) {
                 match a {
                     Arrival::Data(p) => {
                         self.drained.push_back(p);
@@ -305,7 +363,7 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
                     Arrival::Marker(_) => self.stats.markers_seen += 1,
                 }
             }
-            self.pending[c] = None;
+            ch.pending = None;
         }
     }
 
@@ -319,10 +377,13 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     pub fn apply_membership(&mut self, effective_round: u64, live: &[bool]) {
         assert_eq!(
             live.len(),
-            self.bufs.len(),
+            self.chans.len(),
             "membership update must cover every channel"
         );
-        self.target_live = live.to_vec();
+        for (ch, &l) in self.chans.iter_mut().zip(live) {
+            ch.target_live = l;
+        }
+        self.masked = true;
         self.sched.schedule_mask(effective_round, live);
         self.stats.memberships_applied += 1;
     }
@@ -347,7 +408,7 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     pub fn stalled(&mut self, now_ns: u64) -> Option<ChannelId> {
         let timeout = self.stall_timeout_ns?;
         let c = self.sched.current();
-        let starved = self.bufs[c].is_empty() && self.buffered_total() > 0;
+        let starved = self.chans[c].buf.is_empty() && self.buffered_total() > 0;
         if !starved {
             self.stall = None;
             return None;
@@ -383,12 +444,12 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// Number of arrivals buffered on channel `c` awaiting logical
     /// reception.
     pub fn buffered(&self, c: ChannelId) -> usize {
-        self.bufs[c].len()
+        self.chans[c].buf.len()
     }
 
     /// Total arrivals buffered across all channels.
     pub fn buffered_total(&self) -> usize {
-        self.bufs.iter().map(VecDeque::len).sum()
+        self.chans.iter().map(|ch| ch.buf.len()).sum()
     }
 
     /// Visit every data packet held for later delivery — buffered on a
@@ -399,7 +460,7 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// must leave each packet's [`WireLen`] as it found it, because the
     /// simulation will charge that length when the packet is delivered.
     pub fn for_each_buffered_mut(&mut self, mut f: impl FnMut(&mut P)) {
-        for a in self.bufs.iter_mut().flatten() {
+        for a in self.chans.iter_mut().flat_map(|ch| ch.buf.iter_mut()) {
             if let Arrival::Data(p) = a {
                 f(p);
             }
@@ -429,16 +490,13 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// Reset to initial state, discarding buffers (endpoint restart, §5).
     pub fn reset(&mut self) {
         self.sched.reset();
-        for b in &mut self.bufs {
-            b.clear();
-        }
-        for p in &mut self.pending {
-            *p = None;
-        }
-        for l in &mut self.target_live {
-            *l = true;
+        for ch in self.chans.iter_mut() {
+            ch.buf.clear();
+            ch.pending = None;
+            ch.target_live = true;
         }
         self.drained.clear();
+        self.masked = false;
         self.stall = None;
         self.stats = ReceiverSnapshot::default();
     }
@@ -590,34 +648,92 @@ mod tests {
     }
 
     /// `poll_into` drains exactly what repeated `poll` would, reusing the
-    /// batch buffer across refills.
+    /// batch buffer across refills — under loss and markers, and through a
+    /// membership shrink and regrow mid-stream: the dying channel's last
+    /// arrivals turn up late, so some are served in order while the mask
+    /// is pending and the rest are stranded when it bites and salvaged
+    /// (with the stale marks behind them discarded) in the middle of a
+    /// drain.
     #[test]
     fn poll_into_matches_repeated_poll() {
-        let sched = Srr::equal(2, 1000);
-        let mut tx = StripingSender::new(sched.clone(), MarkerConfig::every_rounds(4));
+        let sched = Srr::equal(3, 1000);
+        let mut tx = StripingSender::new(sched.clone(), MarkerConfig::every_rounds(2));
         let mut rx_batch = LogicalReceiver::new(sched.clone(), 4096);
         let mut rx_legacy = LogicalReceiver::new(sched, 4096);
         let mut batch = RxBatch::with_capacity(64);
         let mut got_batch = Vec::new();
         let mut got_legacy = Vec::new();
-        for id in 0..600u64 {
+        // Channel 1's arrivals between the shrink's announcement and
+        // their late release.
+        let mut held = Vec::new();
+        let (mut shrunk, mut released, mut regrown) = (None, false, false);
+        for id in 0..4000u64 {
             let len = 60 + (id as usize * 113) % 1200;
-            let d = tx.send(len);
-            for rx in [&mut rx_batch, &mut rx_legacy] {
-                rx.push(d.channel, Arrival::Data(TestPacket::new(id, len)));
-                for (c, mk) in &d.markers {
-                    rx.push(*c, Arrival::Marker(*mk));
-                }
+            let round = tx.scheduler().round();
+            if shrunk.is_none() && round >= 20 {
+                let eff = round + 3;
+                shrunk = Some(eff);
+                tx.schedule_mask(eff, &[true, false, true]);
+                rx_batch.apply_membership(eff, &[true, false, true]);
+                rx_legacy.apply_membership(eff, &[true, false, true]);
             }
-            rx_batch.poll_into(&mut batch);
-            got_batch.extend(batch.iter().map(|p| p.id));
-            while let Some(p) = rx_legacy.poll() {
-                got_legacy.push(p.id);
+            if !regrown && round >= 60 {
+                regrown = true;
+                tx.schedule_mask(round + 2, &[true, true, true]);
+                rx_batch.apply_membership(round + 2, &[true, true, true]);
+                rx_legacy.apply_membership(round + 2, &[true, true, true]);
+            }
+            let d = tx.send(len);
+            let mut arrivals = Vec::new();
+            if id % 41 != 7 || id >= 3000 {
+                arrivals.push((d.channel, Arrival::Data(TestPacket::new(id, len))));
+            }
+            arrivals.extend(d.markers.iter().map(|&(c, mk)| (c, Arrival::Marker(mk))));
+            // Released all at once, a round before the mask bites, the
+            // last marker among them twice: the copy ends up behind the
+            // stranded data and is discarded with it.
+            if shrunk.is_some_and(|eff| round + 1 >= eff) && !released {
+                released = true;
+                let dup = held.iter().rfind(|(_, a)| matches!(a, Arrival::Marker(_)));
+                let dup = dup.cloned();
+                arrivals.append(&mut held);
+                arrivals.extend(dup);
+            }
+            for (c, a) in arrivals {
+                if c == 1 && shrunk.is_some() && !released {
+                    held.push((c, a));
+                    continue;
+                }
+                rx_batch.push(c, a.clone());
+                rx_legacy.push(c, a);
+            }
+            // Drain in bursts, so one drain spans many packets and, once,
+            // the round the mask takes effect in.
+            if id % 16 == 15 {
+                rx_batch.poll_into(&mut batch);
+                got_batch.extend(batch.iter().map(|p| p.id));
+                while let Some(p) = rx_legacy.poll() {
+                    got_legacy.push(p.id);
+                }
+                assert_eq!(got_batch, got_legacy, "diverged by packet {id}");
+                assert_eq!(rx_batch.stats(), rx_legacy.stats());
             }
         }
-        assert_eq!(got_batch, got_legacy);
-        assert_eq!(got_batch, (0..600).collect::<Vec<_>>());
-        assert_eq!(rx_batch.stats(), rx_legacy.stats());
+        let stats = rx_batch.stats();
+        assert!(released && regrown);
+        assert_eq!(stats.memberships_applied, 2);
+        assert!(stats.drained_dead > 0, "nothing was salvaged: {stats:?}");
+        assert!(stats.membership_skips > 0 && stats.skips > 0, "{stats:?}");
+        assert!(
+            stats.marks_applied > 0 && stats.markers_seen > stats.marks_applied,
+            "{stats:?}"
+        );
+        assert_eq!(rx_batch.buffered(1), rx_legacy.buffered(1));
+        // Losses stop at packet 3000 and markers resynchronize: the tail
+        // is in order, on all three channels again.
+        let tail = &got_batch[got_batch.len() - 500..];
+        assert!(tail.windows(2).all(|w| w[1] > w[0]), "tail misordered");
+        assert!(tx.accountant().bytes(1) > 0);
     }
 
     #[test]

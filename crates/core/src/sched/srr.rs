@@ -34,6 +34,23 @@ pub enum CostModel {
     Packets,
 }
 
+/// One channel's share of the scheduler state. Kept together so that
+/// serving a channel touches one place, and a scheduler is one heap
+/// object however many channels it has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Channel {
+    /// The deficit counter.
+    dc: i64,
+    quantum: i64,
+    /// The constructor-time quantum: `reset` returns to it (the initial
+    /// state `s0` includes the original configuration; renegotiated
+    /// quanta do not survive a reset and must be re-announced).
+    initial_quantum: i64,
+    /// In the striping set; the scan never visits a `false` entry (see
+    /// [`CausalScheduler::schedule_mask`]).
+    live: bool,
+}
+
 /// Surplus Round Robin scheduler state: the `(s0, f, g)` machine.
 ///
 /// Invariant: after construction and after every [`advance`]
@@ -48,20 +65,12 @@ pub struct Srr {
     cur: ChannelId,
     /// Global round number; 1-based to match the paper's figures.
     g: u64,
-    dc: Vec<i64>,
-    quantum: Vec<i64>,
-    /// The constructor-time quanta: `reset` returns to these (the initial
-    /// state `s0` includes the original configuration; renegotiated quanta
-    /// do not survive a reset and must be re-announced).
-    initial_quantum: Vec<i64>,
+    chans: Box<[Channel]>,
     cost: CostModel,
     /// A quantum change waiting for its effective round (weighted-SRR
     /// renegotiation when channel rates change, see
     /// [`CausalScheduler::schedule_quanta`]).
     pending_quanta: Option<(u64, Vec<i64>)>,
-    /// Channels currently in the striping set; the scan never visits a
-    /// `false` entry (see [`CausalScheduler::schedule_mask`]).
-    live: Vec<bool>,
     /// A membership change waiting for its effective round.
     pending_mask: Option<(u64, Vec<bool>)>,
 }
@@ -82,16 +91,21 @@ impl Srr {
         let mut s = Self {
             cur: 0,
             g: 1,
-            dc: vec![0; quanta.len()],
-            quantum: quanta.to_vec(),
-            initial_quantum: quanta.to_vec(),
+            chans: quanta
+                .iter()
+                .map(|&q| Channel {
+                    dc: 0,
+                    quantum: q,
+                    initial_quantum: q,
+                    live: true,
+                })
+                .collect(),
             cost,
             pending_quanta: None,
-            live: vec![true; quanta.len()],
             pending_mask: None,
         };
         // Enter channel 0: credit its first quantum.
-        s.dc[0] += s.quantum[0];
+        s.chans[0].dc += s.chans[0].quantum;
         s
     }
 
@@ -119,18 +133,22 @@ impl Srr {
 
     /// The quantum assigned to channel `c`.
     pub fn quantum(&self, c: ChannelId) -> i64 {
-        self.quantum[c]
+        self.chans[c].quantum
     }
 
     /// The largest quantum across channels (the `Quantum` of Theorem 3.2).
     pub fn max_quantum(&self) -> i64 {
-        *self.quantum.iter().max().expect("non-empty")
+        self.chans
+            .iter()
+            .map(|ch| ch.quantum)
+            .max()
+            .expect("non-empty")
     }
 
     /// Current deficit counter of channel `c` (exposed for tests and the
     /// figure-trace reproductions).
     pub fn dc(&self, c: ChannelId) -> i64 {
-        self.dc[c]
+        self.chans[c].dc
     }
 
     /// The cost model in force.
@@ -152,41 +170,47 @@ impl Srr {
     /// both ends).
     fn step(&mut self) {
         loop {
-            self.cur = (self.cur + 1) % self.dc.len();
-            if self.cur == 0 {
+            self.cur += 1;
+            if self.cur == self.chans.len() {
+                self.cur = 0;
                 self.g += 1;
-                if let Some((round, _)) = self.pending_quanta {
-                    if self.g >= round {
-                        let (_, q) = self.pending_quanta.take().expect("just checked");
-                        self.quantum = q;
-                    }
-                }
-                if let Some((round, _)) = self.pending_mask {
-                    if self.g >= round {
-                        let (_, mask) = self.pending_mask.take().expect("just checked");
-                        // A channel re-entering the set restarts from zero
-                        // deficit — both ends agree by construction, which
-                        // keeps the simulations in lockstep across grows.
-                        for (c, &m) in mask.iter().enumerate() {
-                            if m && !self.live[c] {
-                                self.dc[c] = 0;
-                            }
-                        }
-                        self.live = mask;
-                    }
-                }
+                self.apply_due_changes();
             }
-            if self.live[self.cur] {
+            if self.chans[self.cur].live {
                 break;
             }
         }
-        self.dc[self.cur] += self.quantum[self.cur];
+        let ch = &mut self.chans[self.cur];
+        ch.dc += ch.quantum;
+    }
+
+    /// At a round boundary: switch to the scheduled quanta and membership
+    /// whose effective round has arrived.
+    fn apply_due_changes(&mut self) {
+        if self.pending_quanta.as_ref().is_some_and(|p| self.g >= p.0) {
+            let (_, quanta) = self.pending_quanta.take().expect("just checked");
+            for (ch, q) in self.chans.iter_mut().zip(quanta) {
+                ch.quantum = q;
+            }
+        }
+        if self.pending_mask.as_ref().is_some_and(|p| self.g >= p.0) {
+            let (_, mask) = self.pending_mask.take().expect("just checked");
+            for (ch, live) in self.chans.iter_mut().zip(mask) {
+                // A channel re-entering the set restarts from zero
+                // deficit — both ends agree by construction, which
+                // keeps the simulations in lockstep across grows.
+                if live && !ch.live {
+                    ch.dc = 0;
+                }
+                ch.live = live;
+            }
+        }
     }
 }
 
 impl CausalScheduler for Srr {
     fn channels(&self) -> usize {
-        self.dc.len()
+        self.chans.len()
     }
 
     fn current(&self) -> ChannelId {
@@ -198,10 +222,10 @@ impl CausalScheduler for Srr {
     }
 
     fn advance(&mut self, wire_len: usize) {
-        self.dc[self.cur] -= self.pkt_cost(wire_len);
+        self.chans[self.cur].dc -= self.pkt_cost(wire_len);
         // A channel so deep in deficit that one quantum does not surface it
         // keeps its credit and is passed over — the Theorem 3.2 accounting.
-        while self.dc[self.cur] <= 0 {
+        while self.chans[self.cur].dc <= 0 {
             self.step();
         }
     }
@@ -212,59 +236,54 @@ impl CausalScheduler for Srr {
         // channel is served again, because skipping only happens while a
         // marker for the channel is pending.
         self.step();
-        while self.dc[self.cur] <= 0 {
+        while self.chans[self.cur].dc <= 0 {
             self.step();
         }
     }
 
     fn mark_for(&self, c: ChannelId) -> ChannelMark {
+        let Channel { dc, quantum: q, .. } = self.chans[c];
         if c == self.cur {
             // Mid-service: the very next packet on `c` sees today's state.
-            return ChannelMark {
-                round: self.g,
-                dc: self.dc[c],
-            };
+            return ChannelMark { round: self.g, dc };
         }
         // `c` is not being served, so its DC is non-positive (every service
         // ends that way, and unvisited channels start at 0). Count the
         // quantum credits needed to surface it: it will be served at its
         // k-th future visit.
-        let q = self.quantum[c];
-        debug_assert!(self.dc[c] <= 0);
+        debug_assert!(dc <= 0);
         // Smallest k >= 1 with dc + k*q > 0.
-        let k = (-self.dc[c]) / q + 1;
+        let k = (-dc) / q + 1;
         let first_visit_round = if c > self.cur { self.g } else { self.g + 1 };
         ChannelMark {
             round: first_visit_round + (k - 1) as u64,
-            dc: self.dc[c] + k * q,
+            dc: dc + k * q,
         }
     }
 
     fn apply_mark(&mut self, c: ChannelId, m: ChannelMark) {
-        self.dc[c] = m.dc;
+        self.chans[c].dc = m.dc;
     }
 
     fn reset(&mut self) {
+        // In place: reset runs on every pooled-flow reuse in the churn
+        // path and must not touch the allocator.
         self.cur = 0;
         self.g = 1;
         self.pending_quanta = None;
-        // clone_from, not clone: reset runs on every pooled-flow reuse
-        // in the churn path and must not touch the allocator.
-        self.quantum.clone_from(&self.initial_quantum);
-        for l in &mut self.live {
-            *l = true;
-        }
         self.pending_mask = None;
-        for d in &mut self.dc {
-            *d = 0;
+        for ch in self.chans.iter_mut() {
+            ch.dc = 0;
+            ch.quantum = ch.initial_quantum;
+            ch.live = true;
         }
-        self.dc[0] += self.quantum[0];
+        self.chans[0].dc += self.chans[0].quantum;
     }
 
     fn schedule_quanta(&mut self, effective_round: u64, quanta: &[i64]) {
         assert_eq!(
             quanta.len(),
-            self.quantum.len(),
+            self.chans.len(),
             "quantum update must cover every channel"
         );
         assert!(quanta.iter().all(|&q| q > 0), "all quanta must be positive");
@@ -280,7 +299,7 @@ impl CausalScheduler for Srr {
     fn schedule_mask(&mut self, effective_round: u64, live: &[bool]) {
         assert_eq!(
             live.len(),
-            self.dc.len(),
+            self.chans.len(),
             "membership update must cover every channel"
         );
         assert!(
@@ -296,19 +315,20 @@ impl CausalScheduler for Srr {
     }
 
     fn live(&self, c: ChannelId) -> bool {
-        self.live[c]
+        self.chans[c].live
     }
 
     /// Amortized-O(1) batch assignment. When nothing is pending (no quantum
     /// or membership change scheduled, every channel live) the scan is pure
-    /// arithmetic on the `dc`/`quantum` arrays, so the whole batch runs in
-    /// one tight loop with the state hoisted into locals. Any pending
-    /// change falls back to the generic per-packet path, which applies it
-    /// with full bookkeeping — decisions are bit-identical either way.
+    /// arithmetic on the per-channel `dc`/`quantum`, so the whole batch
+    /// runs in one tight loop with the state hoisted into locals. Any
+    /// pending change falls back to the generic per-packet path, which
+    /// applies it with full bookkeeping — decisions are bit-identical
+    /// either way.
     fn assign_batch(&mut self, lens: &[usize], out: &mut Vec<ChannelId>) {
         let steady = self.pending_quanta.is_none()
             && self.pending_mask.is_none()
-            && self.live.iter().all(|&l| l);
+            && self.chans.iter().all(|ch| ch.live);
         if !steady {
             for &len in lens {
                 out.push(self.cur);
@@ -316,7 +336,7 @@ impl CausalScheduler for Srr {
             }
             return;
         }
-        let n = self.dc.len();
+        let chans = &mut self.chans[..];
         let per_packet = match self.cost {
             CostModel::Bytes => None,
             CostModel::Packets => Some(1i64),
@@ -326,14 +346,14 @@ impl CausalScheduler for Srr {
         out.reserve(lens.len());
         for &len in lens {
             out.push(cur);
-            self.dc[cur] -= per_packet.unwrap_or(len as i64);
-            while self.dc[cur] <= 0 {
+            chans[cur].dc -= per_packet.unwrap_or(len as i64);
+            while chans[cur].dc <= 0 {
                 cur += 1;
-                if cur == n {
+                if cur == chans.len() {
                     cur = 0;
                     g += 1;
                 }
-                self.dc[cur] += self.quantum[cur];
+                chans[cur].dc += chans[cur].quantum;
             }
         }
         self.cur = cur;

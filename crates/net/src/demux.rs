@@ -13,8 +13,11 @@
 //! applies the last announced membership mask one round ahead, the same
 //! rule [`StripeServer::open_flow`](crate::server::StripeServer::open_flow)
 //! uses, so both fresh simulations start in lockstep. Population is
-//! bounded by [`max_flows`](FlowDemuxBuilder::max_flows); frames naming
-//! flows past the cap are counted `dropped_admission` and discarded.
+//! bounded by [`max_flows`](FlowDemuxBuilder::max_flows), and so is the
+//! slab: a flow id is an index into it and arrives off the wire, so ids
+//! at or past [`flow_id_limit`](FlowDemux::flow_id_limit) are refused
+//! before anything grows. Frames naming a flow the demux will not create
+//! are counted `dropped_admission` and discarded.
 //!
 //! Global control (probes, membership, quantum announces, resets) arrives
 //! as untagged version-1 frames and is answered once at the demux by one
@@ -49,9 +52,9 @@ use stripe_core::types::ChannelId;
 use stripe_link::{DatagramLink, Train};
 use stripe_netsim::SimTime;
 
-use crate::frame::{self, Frame};
+use crate::frame::{self, Body, DecodeError};
 use crate::pool::{PooledBuf, TrainPool};
-use crate::server::FlowId;
+use crate::server::{FlowId, DEFAULT_PARK_CAPACITY};
 
 /// Demux-wide receive counters (per-flow resequencer counters live in
 /// each flow's [`ReceiverSnapshot`], see [`FlowDemux::flow_stats`]).
@@ -69,7 +72,8 @@ pub struct FlowDemuxSnapshot {
     /// Summed data frames whose CRC-8 trailer did not match.
     pub dropped_corrupt: u64,
     /// Frames naming a flow the demux refused to create (population at
-    /// [`max_flows`](FlowDemuxBuilder::max_flows)).
+    /// [`max_flows`](FlowDemuxBuilder::max_flows), or an id at or past
+    /// [`flow_id_limit`](FlowDemux::flow_id_limit)).
     pub dropped_admission: u64,
     /// Flow replicas currently instantiated.
     pub flows_active: u64,
@@ -162,7 +166,9 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
     }
 
     /// Cap on instantiated flow replicas; frames naming flows past it
-    /// are dropped (`dropped_admission`). Defaults to 65536.
+    /// are dropped (`dropped_admission`). Defaults to 65536. Also bounds
+    /// the flow ids accepted off the wire, see
+    /// [`flow_id_limit`](FlowDemux::flow_id_limit).
     pub fn max_flows(mut self, n: usize) -> Self {
         self.max_flows = n;
         self
@@ -216,6 +222,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
             cap_per_channel: self.cap_per_channel,
             stall_timeout_ns: self.stall_timeout_ns,
             max_flows: self.max_flows,
+            id_limit: self.max_flows.saturating_add(DEFAULT_PARK_CAPACITY),
             flows: Vec::new(),
             flow_pool: Vec::new(),
             last_mask: None,
@@ -268,6 +275,8 @@ pub struct FlowDemux<S: CausalScheduler, L: DatagramLink> {
     cap_per_channel: usize,
     stall_timeout_ns: Option<u64>,
     max_flows: usize,
+    /// See [`flow_id_limit`](Self::flow_id_limit).
+    id_limit: usize,
     /// The flow slab: O(1) lookup by flow id, `None` in untouched slots.
     flows: Vec<Option<RxFlow<S>>>,
     /// Closed flows' replicas, reset and reused by the next
@@ -299,17 +308,27 @@ pub struct FlowDemux<S: CausalScheduler, L: DatagramLink> {
 impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
     /// Instantiate flow `id`'s replica now if absent (it is normally
     /// created lazily by the first tagged frame). Returns `false` when
-    /// the population cap refuses it.
+    /// the population cap or the id bound
+    /// ([`flow_id_limit`](Self::flow_id_limit)) refuses it.
     pub fn touch_flow(&mut self, id: FlowId) -> bool {
-        self.ensure_flow(id)
+        self.ensure_flow(id).is_some()
     }
 
-    fn ensure_flow(&mut self, id: FlowId) -> bool {
+    /// Flow `id`'s resequencer, instantiated now if absent and allowed.
+    fn ensure_flow(&mut self, id: FlowId) -> Option<&mut LogicalReceiver<S, PooledBuf>> {
         let idx = id as usize;
-        if idx < self.flows.len() && self.flows[idx].is_some() {
-            return true;
+        if !matches!(self.flows.get(idx), Some(Some(_))) && !self.instantiate(idx) {
+            return None;
         }
-        if self.stats.flows_active as usize >= self.max_flows {
+        self.flows[idx].as_mut().map(|f| &mut f.rx)
+    }
+
+    /// Put a replica in the empty (or not yet existing) slab slot `idx`,
+    /// unless the id or the population is out of bounds.
+    fn instantiate(&mut self, idx: usize) -> bool {
+        // The id came off the wire and the slab is indexed by it: check
+        // it before growing anything.
+        if idx >= self.id_limit || self.stats.flows_active as usize >= self.max_flows {
             return false;
         }
         if self.flows.len() <= idx {
@@ -483,50 +502,68 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         }
     }
 
-    /// Route the frame at `buf[at..at + n]` to its flow's resequencer
-    /// (data and markers) or through the demux-level responders (global
-    /// control). `buf` is pool buffer `slot`; a data payload leaves as a
-    /// view into it.
+    /// Route the frame at `buf[at..at + n]` (see [`route`](Self::route)),
+    /// counting it against channel `c` if it does not decode.
     fn route_frame(&mut self, c: ChannelId, buf: &Rc<[u8]>, slot: usize, at: usize, n: usize) {
-        match frame::try_decode_flow(&buf[at..at + n]) {
-            Ok((flow, Frame::Data(body))) => {
-                // The body is a subslice of `buf`: where it starts is
-                // where the codec stopped reading header and varint.
-                let offset = body.as_ptr() as usize - buf.as_ptr() as usize;
-                let len = body.len();
-                if !self.ensure_flow(flow) {
-                    self.stats.dropped_admission += 1;
-                    return;
-                }
-                self.stats.data_frames += 1;
-                let pb = TrainPool::view_of(buf, slot, offset, len);
-                let rx = &mut self.flows[flow as usize].as_mut().expect("ensured").rx;
-                // On overflow the resequencer drops the arrival (counted
-                // in that flow's snapshot), and the view with it.
-                let _ = rx.push(c, Arrival::Data(pb));
-            }
-            Ok((flow, Frame::Control(Control::Marker(mk)))) => {
-                self.stats.control_frames += 1;
-                if !self.ensure_flow(flow) {
-                    self.stats.dropped_admission += 1;
-                    return;
-                }
-                let rx = &mut self.flows[flow as usize].as_mut().expect("ensured").rx;
-                rx.push(c, Arrival::Marker(mk));
-            }
-            Ok((_, Frame::Control(ctl))) => {
-                self.stats.control_frames += 1;
-                self.on_global_control(c, &ctl);
-            }
-            Err(frame::DecodeError::Corrupt) => {
+        match self.route(c, buf, slot, at, n) {
+            Ok(()) => {}
+            Err(DecodeError::Corrupt) => {
                 self.stats.dropped_corrupt += 1;
                 self.corrupt_by_channel[c] += 1;
             }
-            Err(frame::DecodeError::Malformed) => {
+            Err(DecodeError::Malformed) => {
                 self.stats.dropped_malformed += 1;
                 self.malformed_by_channel[c] += 1;
             }
         }
+    }
+
+    /// Hand the frame at `buf[at..at + n]` to its flow's resequencer
+    /// (data and markers) or to the demux-level responders (global
+    /// control). `buf` is pool buffer `slot`; a data payload leaves as a
+    /// view into it. Only what the frame turns out to carry is decoded:
+    /// the parser names the flow and where the body sits, and a data
+    /// frame needs nothing else.
+    fn route(
+        &mut self,
+        c: ChannelId,
+        buf: &Rc<[u8]>,
+        slot: usize,
+        at: usize,
+        n: usize,
+    ) -> Result<(), DecodeError> {
+        let bytes = &buf[at..at + n];
+        let p = frame::parse(bytes)?;
+        match p.body {
+            Body::Data => match self.ensure_flow(p.flow) {
+                Some(rx) => {
+                    // On overflow the resequencer drops the arrival
+                    // (counted in that flow's snapshot): no view is made.
+                    let start = at + p.offset as usize;
+                    rx.push_with(c, || {
+                        Arrival::Data(TrainPool::view_of(buf, slot, start, p.len))
+                    });
+                    self.stats.data_frames += 1;
+                }
+                None => self.stats.dropped_admission += 1,
+            },
+            Body::Marker => {
+                let mk = p.marker(bytes)?;
+                self.stats.control_frames += 1;
+                match self.ensure_flow(p.flow) {
+                    Some(rx) => {
+                        rx.push(c, Arrival::Marker(mk));
+                    }
+                    None => self.stats.dropped_admission += 1,
+                }
+            }
+            Body::Control => {
+                let ctl = p.control(bytes)?;
+                self.stats.control_frames += 1;
+                self.on_global_control(c, &ctl);
+            }
+        }
+        Ok(())
     }
 
     /// Handle an untagged control frame once, for every flow: the
@@ -675,9 +712,23 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
     }
 
     /// One past the highest instantiated flow id (slab length) — the
-    /// iteration bound for per-flow polling.
+    /// iteration bound for per-flow polling. Never more than
+    /// [`flow_id_limit`](Self::flow_id_limit).
     pub fn flow_slots(&self) -> usize {
         self.flows.len()
+    }
+
+    /// Flow ids at or past this are refused (`dropped_admission`)
+    /// without touching the slab: [`max_flows`](FlowDemuxBuilder::max_flows)
+    /// plus the sender's default parking lot, which is every id a
+    /// [`StripeServer`](crate::server::StripeServer) built with the same
+    /// `max_flows` can put on the wire (its ids stay below `max_flows +
+    /// park_capacity`, see
+    /// [`max_payload`](crate::server::StripeServer::max_payload)). A
+    /// sender with a bigger parking lot needs a demux whose `max_flows`
+    /// covers it.
+    pub fn flow_id_limit(&self) -> usize {
+        self.id_limit
     }
 
     /// Demux-wide counters.
@@ -727,9 +778,11 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::server::StripeServer;
     use stripe_core::sched::Srr;
     use stripe_core::sender::MarkerConfig;
+    use stripe_core::Marker;
     use stripe_link::{datagram_pair, TestDatagramLink};
 
     fn linked(
@@ -804,6 +857,45 @@ mod tests {
         assert_eq!(s.data_frames, 2);
         let mut batch = RxBatch::new();
         assert_eq!(demux.poll_flow_into(flows[0].id(), &mut batch), 1);
+    }
+
+    /// A flow id is a slab index that arrives off the wire: a frame
+    /// naming an id at or past the limit is refused and counted before
+    /// the slab grows, whatever it carries, and the highest id below the
+    /// limit still works.
+    #[test]
+    fn wire_flow_id_cannot_grow_the_slab() {
+        use stripe_core::sched::ChannelMark;
+        let (mut srv, mut demux) = linked(8);
+        let limit = demux.flow_id_limit();
+        assert_eq!(limit, 8 + DEFAULT_PARK_CAPACITY);
+        let mut wire = Vec::new();
+        for id in [limit as u32, 2_000_000, u32::MAX] {
+            frame::encode_data_flow_into(id, &[1, 2, 3], &mut wire);
+            srv.links_mut()[0].send_frame(&wire).unwrap();
+        }
+        let mk = Marker::sync(1, ChannelMark { round: 3, dc: 9 });
+        frame::encode_control_flow_into(u32::MAX, &Control::Marker(mk), &mut wire);
+        srv.links_mut()[1].send_frame(&wire).unwrap();
+        assert_eq!(demux.sweep(SimTime::ZERO), 4);
+        assert!(!demux.touch_flow(u32::MAX));
+        let s = demux.net_stats();
+        assert_eq!(demux.flow_slots(), 0, "the slab grew for a refused id");
+        assert_eq!(
+            (s.dropped_admission, s.data_frames, s.control_frames),
+            (4, 0, 1)
+        );
+        assert_eq!((s.flows_active, s.dropped_malformed), (0, 0));
+
+        frame::encode_data_flow_into(limit as u32 - 1, &[7; 5], &mut wire);
+        srv.links_mut()[0].send_frame(&wire).unwrap();
+        demux.sweep(SimTime::ZERO);
+        assert_eq!(demux.flow_slots(), limit);
+        assert_eq!(demux.net_stats().data_frames, 1);
+        assert_eq!(
+            demux.poll_flow(limit as u32 - 1).map(|pb| pb.len()),
+            Some(5)
+        );
     }
 
     /// A quantum announcement reaching the demux is applied to every

@@ -1,31 +1,54 @@
 //! The canonical on-wire frame format of the real-socket datapath.
 //!
-//! Every UDP datagram on a striped channel is exactly one frame:
+//! Every UDP datagram on a striped channel is exactly one frame. There
+//! are two versions, differing only in whether a flow id is present:
 //!
-//! | offset | size | field                                         |
-//! |--------|------|-----------------------------------------------|
-//! | 0      | 1    | magic (`0xC5`)                                |
-//! | 1      | 1    | version (`1`)                                 |
-//! | 2      | 1    | kind: `0` = data, `1` = control, `2` = padded |
-//! | 3      | …    | body                                          |
+//! | offset | size | field                                              |
+//! |--------|------|----------------------------------------------------|
+//! | 0      | 1    | magic (`0xC5`)                                     |
+//! | 1      | 1    | version: `1` = single flow, `2` = flow-tagged      |
+//! | 2      | 1    | kind, see below                                    |
+//! | 3      | 1–5  | **version 2 only:** flow id, LEB128 varint (`u32`) |
+//! | 3 / 4–8| …    | body                                               |
 //!
-//! A *data* frame's body is the application payload, verbatim — the
-//! paper's central constraint is that striping never modifies data
-//! packets, so the only thing this layer adds is the 3-byte
-//! demultiplexing header (the real-network stand-in for the Ethernet
-//! type-field codepoint of §5). A *control* frame's body is exactly the
-//! bytes of [`Control::encode`] — markers ride as
-//! [`Control::Marker`](Control::Marker) — produced through
+//! A version-1 frame is a version-2 frame with the flow id elided; it
+//! belongs to flow 0. Global control (probes, membership, quantum
+//! announces, resets) always travels as version 1; everything a flow
+//! sends — data and its markers — as version 2.
+//!
+//! | kind | name                    | body                                              |
+//! |------|-------------------------|---------------------------------------------------|
+//! | `0`  | [`KIND_DATA`]           | the application payload, verbatim                 |
+//! | `1`  | [`KIND_CONTROL`]        | exactly the bytes of [`Control::encode`]          |
+//! | `2`  | [`KIND_CONTROL_PADDED`] | `u16` LE length, that many control bytes, padding |
+//! | `3`  | [`KIND_DATA_SUMMED`]    | the payload, then a CRC-8 of it                   |
+//!
+//! The paper's central constraint is that striping never modifies data
+//! packets, so all this layer adds to one is the demultiplexing header
+//! (the real-network stand-in for the Ethernet type-field codepoint of
+//! §5). Control bodies — markers ride as
+//! [`Control::Marker`] — are produced through
 //! [`Control::encode_into`], so the simulator and the socket path share
 //! one encoder and cannot drift.
 //!
-//! Decoding is zero-copy for data: [`Frame::Data`] borrows the payload
-//! from the receive buffer. Anything malformed (bad magic, unknown
-//! version or kind, undecodable control body) is reported as `None` and
-//! dropped by the caller, exactly like corrupt traffic in the simulated
-//! links.
+//! # Decoding
+//!
+//! There is one parser, [`parse`] (and [`parse_v1`], the same code
+//! refusing flow-tagged frames). It checks magic, version, kind, the
+//! varint, the CRC-8 trailer and the pad prefix, classifies every
+//! reject as [`DecodeError::Malformed`] or [`DecodeError::Corrupt`], and
+//! returns a [`Parsed`]: a 16-byte `Copy` value naming the flow, what
+//! the body is ([`Body`]) and where in the datagram it sits. It reads
+//! the header and builds nothing. The receive path works from that: a
+//! data body becomes a view into the receive buffer, a marker body goes
+//! through [`Parsed::marker`], and a [`Control`] is only ever built —
+//! by [`Parsed::control`] — for the rare frame that carries one.
+//! [`try_decode`], [`try_decode_flow`] and [`decode`] are [`parse`]
+//! followed by [`Parsed::frame`], for callers that want the borrowed
+//! [`Frame`] enum.
 
 use stripe_core::control::Control;
+use stripe_core::Marker;
 
 /// First byte of every frame; chosen to collide with neither the marker
 /// magic (`0x53`) nor common text, so misdirected traffic fails loudly.
@@ -39,8 +62,8 @@ pub const FRAME_VERSION: u8 = 1;
 /// between the 3-byte header and the body, for every kind. Kind
 /// codepoints and body encodings are unchanged from version 1 — the
 /// version bump is *only* the flow-id field, so a version-1 frame is
-/// exactly a version-2 frame with the flow id elided (the legacy decode
-/// path in [`try_decode_flow`] maps it to flow 0).
+/// exactly a version-2 frame with the flow id elided ([`parse`] maps it
+/// to flow 0).
 pub const FRAME_VERSION_FLOW: u8 = 2;
 
 /// Longest LEB128 encoding of a `u32` flow id.
@@ -120,7 +143,8 @@ pub fn crc8(bytes: &[u8]) -> u8 {
 pub enum Frame<'a> {
     /// An application data packet (payload bytes, unmodified).
     Data(&'a [u8]),
-    /// A control message: marker, probe, membership, reset, quantum update.
+    /// A control message: marker, probe and its ack, desync alert, or one
+    /// half of an epoch'd handshake (reset, membership, quantum announce).
     Control(Control),
 }
 
@@ -324,67 +348,157 @@ pub enum DecodeError {
     Corrupt,
 }
 
-/// Decode a frame body given its kind — shared by the version-1 and
-/// version-2 paths, which differ only in what precedes the body.
-fn decode_body(kind: u8, body: &[u8]) -> Result<Frame<'_>, DecodeError> {
-    match kind {
-        KIND_DATA => Ok(Frame::Data(body)),
-        KIND_DATA_SUMMED => {
-            let (&trailer, payload) = body.split_last().ok_or(DecodeError::Malformed)?;
-            if crc8(payload) != trailer {
-                return Err(DecodeError::Corrupt);
-            }
-            Ok(Frame::Data(payload))
-        }
-        KIND_CONTROL => Control::decode(body)
-            .map(Frame::Control)
-            .ok_or(DecodeError::Malformed),
-        KIND_CONTROL_PADDED => {
-            let lo = *body.first().ok_or(DecodeError::Malformed)?;
-            let hi = *body.get(1).ok_or(DecodeError::Malformed)?;
-            let n = u16::from_le_bytes([lo, hi]) as usize;
-            let ctl = body
-                .get(PAD_LEN_PREFIX..PAD_LEN_PREFIX + n)
-                .ok_or(DecodeError::Malformed)?;
-            Control::decode(ctl)
-                .map(Frame::Control)
-                .ok_or(DecodeError::Malformed)
-        }
-        _ => Err(DecodeError::Malformed),
+/// What a [`Parsed`] frame's body holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Body {
+    /// Application payload (either data kind; a CRC-8 trailer has been
+    /// verified and is not part of the body).
+    Data,
+    /// An encoded [`Marker`] (a control message of the marker type, its
+    /// type byte not part of the body): the one control message on the
+    /// per-packet path, so it is told apart here.
+    Marker,
+    /// Any other encoded [`Control`] message (a pad prefix and padding
+    /// are not part of the body).
+    Control,
+}
+
+/// A frame that passed every header check: whose it is, what its body
+/// holds, and where in the datagram the body sits. Nothing is decoded or
+/// borrowed, so a receive loop carries this instead of a [`Frame`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Parsed {
+    /// Body length in bytes.
+    pub len: usize,
+    /// The flow named by a version-2 frame; 0 for version 1.
+    pub flow: u32,
+    /// Where the body starts in the datagram: at most header, varint,
+    /// pad prefix and a control type byte.
+    pub offset: u8,
+    /// What the body holds.
+    pub body: Body,
+}
+
+impl Parsed {
+    /// The body bytes within `frame`, which must be the datagram this
+    /// was parsed from.
+    pub fn body<'a>(&self, frame: &'a [u8]) -> &'a [u8] {
+        &frame[self.offset as usize..self.offset as usize + self.len]
     }
+
+    /// Decode a [`Body::Marker`] body. A short or bad-magic marker is
+    /// [`DecodeError::Malformed`].
+    pub fn marker(&self, frame: &[u8]) -> Result<Marker, DecodeError> {
+        debug_assert_eq!(self.body, Body::Marker);
+        Marker::decode(self.body(frame)).ok_or(DecodeError::Malformed)
+    }
+
+    /// Decode a [`Body::Control`] or [`Body::Marker`] body into the
+    /// [`Control`] it encodes; undecodable is [`DecodeError::Malformed`].
+    pub fn control(&self, frame: &[u8]) -> Result<Control, DecodeError> {
+        match self.body {
+            Body::Marker => self.marker(frame).map(Control::Marker),
+            _ => Control::decode(self.body(frame)).ok_or(DecodeError::Malformed),
+        }
+    }
+
+    /// The borrowed [`Frame`] this describes.
+    pub fn frame<'a>(&self, frame: &'a [u8]) -> Result<Frame<'a>, DecodeError> {
+        match self.body {
+            Body::Data => Ok(Frame::Data(self.body(frame))),
+            _ => self.control(frame).map(Frame::Control),
+        }
+    }
+}
+
+/// The parser behind [`parse`] and [`parse_v1`].
+#[inline(always)]
+fn parse_versions(frame: &[u8], flow_tagged_ok: bool) -> Result<Parsed, DecodeError> {
+    use DecodeError::{Corrupt, Malformed};
+    if frame.len() < FRAME_HEADER_LEN || frame[0] != FRAME_MAGIC {
+        return Err(Malformed);
+    }
+    let (flow, mut at) = match frame[1] {
+        FRAME_VERSION => (0, FRAME_HEADER_LEN),
+        FRAME_VERSION_FLOW if flow_tagged_ok => {
+            let (flow, used) = take_flow_id(&frame[FRAME_HEADER_LEN..]).ok_or(Malformed)?;
+            (flow, FRAME_HEADER_LEN + used)
+        }
+        _ => return Err(Malformed),
+    };
+    let mut end = frame.len();
+    let body = match frame[2] {
+        KIND_DATA => Body::Data,
+        KIND_DATA_SUMMED => {
+            if end == at {
+                return Err(Malformed); // no room for the trailer
+            }
+            end -= SUM_TRAILER_LEN;
+            if crc8(&frame[at..end]) != frame[end] {
+                return Err(Corrupt);
+            }
+            Body::Data
+        }
+        kind @ (KIND_CONTROL | KIND_CONTROL_PADDED) => {
+            if kind == KIND_CONTROL_PADDED {
+                let prefix = frame.get(at..at + PAD_LEN_PREFIX).ok_or(Malformed)?;
+                at += PAD_LEN_PREFIX;
+                let n = u16::from_le_bytes([prefix[0], prefix[1]]) as usize;
+                if n > end - at {
+                    return Err(Malformed); // the prefix claims more than arrived
+                }
+                end = at + n;
+            }
+            match Control::marker_body(&frame[at..end]) {
+                Some(marker) => {
+                    at = end - marker.len();
+                    Body::Marker
+                }
+                None => Body::Control,
+            }
+        }
+        _ => return Err(Malformed),
+    };
+    Ok(Parsed {
+        len: end - at,
+        flow,
+        offset: at as u8,
+        body,
+    })
+}
+
+/// Parse one received frame of *either* version — the receive path of a
+/// multi-flow demultiplexer, which stays wire-compatible with
+/// single-flow senders. Never panics, whatever the input.
+#[inline]
+pub fn parse(frame: &[u8]) -> Result<Parsed, DecodeError> {
+    parse_versions(frame, true)
+}
+
+/// Parse one received version-1 frame; a flow-tagged frame is
+/// [`DecodeError::Malformed`]. A single-flow receiver must *not*
+/// silently accept traffic it would misattribute to its one flow.
+#[inline]
+pub fn parse_v1(frame: &[u8]) -> Result<Parsed, DecodeError> {
+    parse_versions(frame, false)
 }
 
 /// Decode one received frame, reporting *why* rejects were rejected.
 /// Never panics, whatever the input — see the fuzz proptest in
 /// `tests/net_loopback.rs`.
 ///
-/// Version-1 only: a single-flow receiver must *not* silently accept
-/// flow-tagged traffic it would misattribute to its one flow. Endpoints
-/// that speak both versions use [`try_decode_flow`].
+/// Version-1 only ([`parse_v1`]). Endpoints that speak both versions use
+/// [`try_decode_flow`].
 pub fn try_decode(frame: &[u8]) -> Result<Frame<'_>, DecodeError> {
-    if frame.len() < FRAME_HEADER_LEN || frame[0] != FRAME_MAGIC || frame[1] != FRAME_VERSION {
-        return Err(DecodeError::Malformed);
-    }
-    decode_body(frame[2], &frame[FRAME_HEADER_LEN..])
+    parse_v1(frame)?.frame(frame)
 }
 
-/// Decode one received frame of *either* version, returning the flow it
-/// belongs to: a version-2 frame's varint flow id, or flow 0 for a
-/// legacy version-1 frame. This is the receive path of a multi-flow
-/// demultiplexer, which stays wire-compatible with single-flow senders.
+/// Decode one received frame of *either* version ([`parse`]), returning
+/// the flow it belongs to: a version-2 frame's varint flow id, or flow 0
+/// for a legacy version-1 frame.
 pub fn try_decode_flow(frame: &[u8]) -> Result<(u32, Frame<'_>), DecodeError> {
-    if frame.len() < FRAME_HEADER_LEN || frame[0] != FRAME_MAGIC {
-        return Err(DecodeError::Malformed);
-    }
-    match frame[1] {
-        FRAME_VERSION => decode_body(frame[2], &frame[FRAME_HEADER_LEN..]).map(|f| (0, f)),
-        FRAME_VERSION_FLOW => {
-            let (flow, used) =
-                take_flow_id(&frame[FRAME_HEADER_LEN..]).ok_or(DecodeError::Malformed)?;
-            decode_body(frame[2], &frame[FRAME_HEADER_LEN + used..]).map(|f| (flow, f))
-        }
-        _ => Err(DecodeError::Malformed),
-    }
+    let p = parse(frame)?;
+    Ok((p.flow, p.frame(frame)?))
 }
 
 /// Decode one received frame. `None` on anything malformed or corrupt;
@@ -398,7 +512,6 @@ pub fn decode(frame: &[u8]) -> Option<Frame<'_>> {
 mod tests {
     use super::*;
     use stripe_core::sched::ChannelMark;
-    use stripe_core::Marker;
 
     #[test]
     fn data_roundtrips_zero_copy() {
@@ -747,6 +860,65 @@ mod tests {
         let mut v2c = Vec::new();
         encode_control_flow_into(12, &Control::Probe { nonce: 1 }, &mut v2c);
         assert!(!is_data_frame(&v2c));
+    }
+
+    /// The parser's whole output fits two registers, error case included:
+    /// that is what lets a receive loop carry it instead of a `Frame`.
+    #[test]
+    fn parsed_is_two_words() {
+        assert_eq!(std::mem::size_of::<Parsed>(), 16);
+        assert_eq!(std::mem::size_of::<Result<Parsed, DecodeError>>(), 16);
+    }
+
+    /// `parse` names the flow, classifies the body and locates it — past
+    /// the varint, the pad prefix and a marker's type byte, short of the
+    /// CRC trailer and the padding — without decoding it.
+    #[test]
+    fn parse_locates_every_kind_of_body() {
+        let mk = Marker::sync(2, ChannelMark { round: 7, dc: -1 });
+        let probe = Control::Probe { nonce: 9 };
+        let mut buf = Vec::new();
+
+        encode_data_flow_into(300, &[1, 2, 3], &mut buf);
+        let p = parse(&buf).unwrap();
+        assert_eq!((p.flow, p.body, p.offset, p.len), (300, Body::Data, 5, 3));
+        assert_eq!(p.body(&buf), &[1, 2, 3]);
+
+        encode_data_summed_into(&[4, 5], &mut buf);
+        let p = parse(&buf).unwrap();
+        assert_eq!((p.flow, p.body, p.offset, p.len), (0, Body::Data, 3, 2));
+
+        encode_control_flow_into(5, &Control::Marker(mk), &mut buf);
+        let p = parse(&buf).unwrap();
+        assert_eq!((p.flow, p.body, p.offset), (5, Body::Marker, 5));
+        assert_eq!(p.marker(&buf), Ok(mk));
+        assert_eq!(p.control(&buf), Ok(Control::Marker(mk)));
+
+        encode_control_padded_flow_into(5, &Control::Marker(mk), 200, &mut buf);
+        let p = parse(&buf).unwrap();
+        assert_eq!((p.body, p.offset, p.len), (Body::Marker, 7, 24));
+        assert_eq!(p.marker(&buf), Ok(mk));
+
+        encode_control_padded_into(&probe, 64, &mut buf);
+        let p = parse(&buf).unwrap();
+        assert_eq!((p.body, p.offset, p.len), (Body::Control, 5, 9));
+        assert_eq!(p.control(&buf), Ok(probe.clone()));
+        assert_eq!(p.frame(&buf), Ok(Frame::Control(probe)));
+    }
+
+    /// `parse_v1` is `parse` refusing flow tags: the version is judged
+    /// before anything behind it, so a flow-tagged frame is malformed
+    /// even where `parse` would call it corrupt.
+    #[test]
+    fn parse_v1_refuses_flow_tagged_frames_before_reading_them() {
+        let mut buf = Vec::new();
+        encode_data_summed_flow_into(1, &[1, 2, 3], &mut buf);
+        assert!(parse(&buf).is_ok() && parse_v1(&buf) == Err(DecodeError::Malformed));
+        *buf.last_mut().unwrap() ^= 1;
+        assert_eq!(parse(&buf), Err(DecodeError::Corrupt));
+        assert_eq!(parse_v1(&buf), Err(DecodeError::Malformed));
+        encode_data_summed_into(&[1, 2, 3], &mut buf);
+        assert_eq!(parse_v1(&buf), parse(&buf));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use stripe_netsim::{SimDuration, SimTime};
 use stripe_transport::{flood_announcement, ControlPath, ControlTransmission, FailoverDriver};
 
 use crate::adapt::{AdaptiveStep, AdaptiveTuner};
-use crate::frame::{self, Frame};
+use crate::frame::{self, Body};
 use crate::lifecycle::{ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleState};
 use crate::server::StripeServer;
 
@@ -272,20 +272,21 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
                     .enumerate()
                     .flat_map(|(i, t)| t.frames().map(move |(at, n)| (i * window + at, n)));
                 for (at, n) in frames {
-                    let ctl = match frame::decode(&self.recv_room[at..at + n]) {
-                        Some(Frame::Control(ctl)) => {
-                            self.stats.control_in += 1;
-                            ctl
-                        }
-                        Some(Frame::Data(_)) => {
+                    // Untagged control only: the reverse path is
+                    // flow-agnostic, like the global control it answers.
+                    let bytes = &self.recv_room[at..at + n];
+                    let ctl = match frame::parse_v1(bytes) {
+                        Ok(p) if p.body == Body::Data => {
                             self.stats.dropped_unexpected_data += 1;
                             continue;
                         }
-                        None => {
-                            self.stats.dropped_malformed += 1;
-                            continue;
-                        }
+                        parsed => parsed.and_then(|p| p.control(bytes)),
                     };
+                    let Ok(ctl) = ctl else {
+                        self.stats.dropped_malformed += 1;
+                        continue;
+                    };
+                    self.stats.control_in += 1;
                     if let Control::DesyncAlert { .. } = ctl {
                         self.stats.desync_alerts += 1;
                     }
@@ -527,6 +528,7 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
 mod tests {
     use super::*;
     use crate::demux::FlowDemux;
+    use crate::frame::Frame;
     use stripe_core::control::Control;
     use stripe_core::sched::Srr;
     use stripe_link::{datagram_pair, TestDatagramLink};

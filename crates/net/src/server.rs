@@ -245,6 +245,12 @@ impl ChannelStage {
     }
 }
 
+/// Default [`park_capacity`](StripeServerBuilder::park_capacity): how far
+/// past `max_flows` a default-built server's flow ids can reach, and so
+/// what a [`FlowDemux`](crate::demux::FlowDemux) allows on top of its own
+/// `max_flows` when it bounds the ids it accepts.
+pub const DEFAULT_PARK_CAPACITY: usize = 1 << 10;
+
 /// Absent link in the [`Regroup`] chains.
 const NONE: u32 = u32::MAX;
 
@@ -320,7 +326,7 @@ impl<S: CausalScheduler, L: DatagramLink> Default for StripeServerBuilder<S, L> 
             links: Vec::new(),
             integrity: false,
             max_flows: 1 << 16,
-            park_capacity: 1 << 10,
+            park_capacity: DEFAULT_PARK_CAPACITY,
             queue_frames: 256,
             flow_quantum: 1 << 14,
         }
@@ -904,6 +910,14 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     /// minimum-MTU rule) net of the worst-case framing overhead — header,
     /// the widest flow id the admission caps allow, and the integrity
     /// trailer when on.
+    ///
+    /// Flow ids are slab indices and at most `max_flows + park_capacity`
+    /// slots are ever occupied, so every id this server puts on the wire
+    /// is below that sum. The receiving
+    /// [`FlowDemux`](crate::demux::FlowDemux) relies on the same bound to
+    /// refuse ids that would blow up its own slab: it accepts ids below
+    /// its `max_flows` + [`DEFAULT_PARK_CAPACITY`]
+    /// ([`flow_id_limit`](crate::demux::FlowDemux::flow_id_limit)).
     pub fn max_payload(&self) -> usize {
         let min_mtu = self.links.iter().map(|l| l.mtu()).min().expect("non-empty");
         let id_bound = (self.max_flows + self.park_capacity).saturating_sub(1) as u32;

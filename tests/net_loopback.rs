@@ -18,12 +18,13 @@ use stripe::core::marker::Marker;
 use stripe::core::receiver::RxBatch;
 use stripe::core::sched::{ChannelMark, Srr};
 use stripe::core::sender::MarkerConfig;
+use stripe::link::{datagram_pair, DatagramLink};
 use stripe::net::frame::{self, Frame, FRAME_HEADER_LEN};
 use stripe::net::{
     ChaosPlan, DropPolicy, FlowDemux, ImpairedLink, PooledBuf, PumpEvent, StripeServer, UdpChannel,
     WallClock,
 };
-use stripe::netsim::DetRng;
+use stripe::netsim::{DetRng, SimTime};
 
 const QUANTUM: i64 = 1500;
 
@@ -540,7 +541,74 @@ fn arb_control() -> impl Strategy<Value = Control> {
     ]
 }
 
+/// One datagram a broken or hostile peer might put on a channel: byte
+/// soup, or a well-formed version-2 frame — data, summed data or a
+/// marker — naming any flow id at all.
+fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
+    let flow = || prop_oneof![0u32..16, 1000u32..1100, any::<u32>()];
+    let payload = || prop::collection::vec(any::<u8>(), 0..48);
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 1..64),
+        (flow(), payload(), any::<bool>()).prop_map(|(flow, payload, summed)| {
+            let mut wire = Vec::new();
+            if summed {
+                frame::encode_data_summed_flow_into(flow, &payload, &mut wire);
+            } else {
+                frame::encode_data_flow_into(flow, &payload, &mut wire);
+            }
+            wire
+        }),
+        // Rounds stay near the receiver's own: a marker promising a round
+        // 2^60 away makes logical reception skip its channel that many
+        // times (condition C1 has no bound on how far ahead a mark may
+        // be) — a separate, older exposure than the slab's, see ROADMAP.
+        (flow(), 0usize..2, 0u64..64, any::<i64>()).prop_map(|(flow, channel, round, dc)| {
+            let mk = Marker::sync(channel, ChannelMark { round, dc });
+            let mut wire = Vec::new();
+            frame::encode_control_flow_into(flow, &Control::Marker(mk), &mut wire);
+            wire
+        }),
+    ]
+}
+
 proptest! {
+    /// The demux behind the codec, fuzzed: whatever arrives — garbage, or
+    /// well-formed frames with flow ids drawn up to `u32::MAX` — a sweep
+    /// takes every datagram, never panics, and leaves the flow slab
+    /// within its bound. (A flow id is a slab index; unbounded, one
+    /// 7-byte frame could grow the slab to gigabytes.)
+    #[test]
+    fn demux_slab_stays_bounded_under_arbitrary_datagrams(
+        datagrams in prop::collection::vec(arb_datagram(), 1..64),
+    ) {
+        const MAX_FLOWS: usize = 8;
+        let (a0, b0) = datagram_pair(2048, 1 << 10);
+        let (a1, b1) = datagram_pair(2048, 1 << 10);
+        let mut tx = [a0, a1];
+        let mut demux = FlowDemux::builder()
+            .scheduler(Srr::equal(2, QUANTUM))
+            .links(vec![b0, b1])
+            .max_flows(MAX_FLOWS)
+            .build();
+        for (i, d) in datagrams.iter().enumerate() {
+            tx[i % 2].send_frame(d).unwrap();
+        }
+        prop_assert_eq!(demux.sweep(SimTime::ZERO), datagrams.len());
+        prop_assert!(demux.flow_id_limit() <= MAX_FLOWS + 1024);
+        prop_assert!(
+            demux.flow_slots() <= demux.flow_id_limit(),
+            "slab grew to {} slots", demux.flow_slots()
+        );
+        let stats = demux.net_stats();
+        prop_assert_eq!(stats.frames, datagrams.len() as u64);
+        prop_assert!(stats.flows_active as usize <= MAX_FLOWS);
+        // Whatever was admitted drains without a panic.
+        let mut batch = RxBatch::new();
+        for id in 0..demux.flow_slots() {
+            demux.poll_flow_into(id as u32, &mut batch);
+        }
+    }
+
     /// Differential: a control frame built by the net codec carries the
     /// sim encoder's bytes verbatim and decodes back to the identical
     /// message — one codec, two transports.

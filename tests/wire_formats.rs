@@ -13,9 +13,9 @@ use stripe::ip::header::{checksum, Ipv4Header, IPV4_HEADER_LEN};
 use stripe::link::eth::{EtherFrame, EtherType};
 use stripe::link::serial::{hdlc_stuff, hdlc_unstuff};
 use stripe::link::{datagram_pair, DatagramLink};
-use stripe::net::frame::{FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL};
+use stripe::net::frame::{self, DecodeError, Frame, FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL};
 use stripe::net::FlowDemux;
-use stripe::netsim::SimTime;
+use stripe::netsim::{DetRng, SimTime};
 
 fn arb_marker() -> impl Strategy<Value = Marker> {
     (
@@ -376,4 +376,410 @@ fn forged_overlapping_fragment_rejected() {
         }
     }
     assert!(done);
+}
+
+/// The frame decoder as it stood before `frame::parse`: one pass that
+/// built a `Frame` for every datagram. Kept verbatim as the reference
+/// the layered decoders are compared against — value, flow, and
+/// `Malformed` versus `Corrupt`.
+mod reference {
+    use super::frame::{
+        crc8, DecodeError, Frame, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION, FRAME_VERSION_FLOW,
+        KIND_CONTROL, KIND_CONTROL_PADDED, KIND_DATA, KIND_DATA_SUMMED, MAX_FLOW_ID_LEN,
+        PAD_LEN_PREFIX,
+    };
+    use stripe::core::control::Control;
+
+    fn take_flow_id(body: &[u8]) -> Option<(u32, usize)> {
+        let mut flow: u32 = 0;
+        for (i, &b) in body.iter().enumerate().take(MAX_FLOW_ID_LEN) {
+            let payload = (b & 0x7F) as u32;
+            if i == MAX_FLOW_ID_LEN - 1 && b & 0xF0 != 0 {
+                return None;
+            }
+            flow |= payload << (7 * i);
+            if b & 0x80 == 0 {
+                return Some((flow, i + 1));
+            }
+        }
+        None
+    }
+
+    fn decode_body(kind: u8, body: &[u8]) -> Result<Frame<'_>, DecodeError> {
+        match kind {
+            KIND_DATA => Ok(Frame::Data(body)),
+            KIND_DATA_SUMMED => {
+                let (&trailer, payload) = body.split_last().ok_or(DecodeError::Malformed)?;
+                if crc8(payload) != trailer {
+                    return Err(DecodeError::Corrupt);
+                }
+                Ok(Frame::Data(payload))
+            }
+            KIND_CONTROL => Control::decode(body)
+                .map(Frame::Control)
+                .ok_or(DecodeError::Malformed),
+            KIND_CONTROL_PADDED => {
+                let lo = *body.first().ok_or(DecodeError::Malformed)?;
+                let hi = *body.get(1).ok_or(DecodeError::Malformed)?;
+                let n = u16::from_le_bytes([lo, hi]) as usize;
+                let ctl = body
+                    .get(PAD_LEN_PREFIX..PAD_LEN_PREFIX + n)
+                    .ok_or(DecodeError::Malformed)?;
+                Control::decode(ctl)
+                    .map(Frame::Control)
+                    .ok_or(DecodeError::Malformed)
+            }
+            _ => Err(DecodeError::Malformed),
+        }
+    }
+
+    pub fn try_decode(frame: &[u8]) -> Result<Frame<'_>, DecodeError> {
+        if frame.len() < FRAME_HEADER_LEN || frame[0] != FRAME_MAGIC || frame[1] != FRAME_VERSION {
+            return Err(DecodeError::Malformed);
+        }
+        decode_body(frame[2], &frame[FRAME_HEADER_LEN..])
+    }
+
+    pub fn try_decode_flow(frame: &[u8]) -> Result<(u32, Frame<'_>), DecodeError> {
+        if frame.len() < FRAME_HEADER_LEN || frame[0] != FRAME_MAGIC {
+            return Err(DecodeError::Malformed);
+        }
+        match frame[1] {
+            FRAME_VERSION => decode_body(frame[2], &frame[FRAME_HEADER_LEN..]).map(|f| (0, f)),
+            FRAME_VERSION_FLOW => {
+                let (flow, used) =
+                    take_flow_id(&frame[FRAME_HEADER_LEN..]).ok_or(DecodeError::Malformed)?;
+                decode_body(frame[2], &frame[FRAME_HEADER_LEN + used..]).map(|f| (flow, f))
+            }
+            _ => Err(DecodeError::Malformed),
+        }
+    }
+}
+
+/// Where a decoded data body starts in its datagram — the demux turns
+/// exactly this into a buffer view.
+fn data_offset(wire: &[u8], f: &Frame<'_>) -> Option<usize> {
+    match f {
+        Frame::Data(body) => Some(body.as_ptr() as usize - wire.as_ptr() as usize),
+        Frame::Control(_) => None,
+    }
+}
+
+/// Both public decoders against the reference on one datagram: equal
+/// results, and data bodies borrowed from the same bytes of it.
+fn assert_decoders_match_reference(wire: &[u8]) {
+    let (got, want) = (frame::try_decode(wire), reference::try_decode(wire));
+    assert_eq!(got, want, "try_decode on {wire:02x?}");
+    if let (Ok(g), Ok(w)) = (&got, &want) {
+        assert_eq!(data_offset(wire, g), data_offset(wire, w), "{wire:02x?}");
+    }
+    let (got, want) = (
+        frame::try_decode_flow(wire),
+        reference::try_decode_flow(wire),
+    );
+    assert_eq!(got, want, "try_decode_flow on {wire:02x?}");
+    if let (Ok((_, g)), Ok((_, w))) = (&got, &want) {
+        assert_eq!(data_offset(wire, g), data_offset(wire, w), "{wire:02x?}");
+    }
+    assert_eq!(frame::decode(wire), reference::try_decode(wire).ok());
+}
+
+/// A marker message: type byte 1, then the 24-byte marker for channel 1,
+/// round 7, DC -2, no credit.
+const MARKER_MSG: [u8; 25] = [
+    0x01, 0x53, 0xA3, 0x00, 0x01, 0, 0, 0, 0, 0, 0, 0, 7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    0xFE, 0xFF, 0xFF, 0xFF, 0xFF,
+];
+
+fn golden_marker() -> Control {
+    Control::Marker(Marker::sync(1, ChannelMark { round: 7, dc: -2 }))
+}
+
+/// What a golden datagram must decode to under `try_decode_flow`.
+enum Golden {
+    Data(u32, &'static [u8]),
+    Control(u32, Control),
+    Reject(DecodeError),
+}
+
+/// The wire format, byte for byte: each version and kind, each varint
+/// width, and each way a datagram is refused. These bytes are the
+/// protocol; a decoder change that moves any of them is a wire break.
+fn golden_vectors() -> Vec<(Vec<u8>, Golden)> {
+    use DecodeError::{Corrupt, Malformed};
+    let cat = |head: &[u8], tail: &[u8]| [head, tail].concat();
+    vec![
+        // Version 1: flow 0, body right after the header.
+        (vec![0xC5, 1, 0, 0xAA, 0xBB], Golden::Data(0, &[0xAA, 0xBB])),
+        (vec![0xC5, 1, 0], Golden::Data(0, &[])),
+        // CRC-8/0x07 of "123456789" is 0xF4; the trailer is stripped.
+        (
+            cat(&[0xC5, 1, 3], b"123456789\xF4"),
+            Golden::Data(0, b"123456789"),
+        ),
+        (vec![0xC5, 1, 3, 0x00], Golden::Data(0, &[])),
+        (
+            vec![0xC5, 1, 1, 5, 0, 0, 0, 0, 0, 0, 0, 42],
+            Golden::Control(0, Control::Probe { nonce: 42 }),
+        ),
+        (
+            cat(&[0xC5, 1, 1], &MARKER_MSG),
+            Golden::Control(0, golden_marker()),
+        ),
+        // Padded: u16 LE length, the message, then bytes nobody reads.
+        (
+            vec![0xC5, 1, 2, 5, 0, 3, 0, 0, 0, 9, 0xEE, 0xEE, 0xEE],
+            Golden::Control(0, Control::ResetAck { epoch: 9 }),
+        ),
+        // Version 2: LEB128 flow id between header and body.
+        (vec![0xC5, 2, 0, 0x05, 0xAA], Golden::Data(5, &[0xAA])),
+        (vec![0xC5, 2, 0, 0x7F], Golden::Data(127, &[])),
+        (
+            vec![0xC5, 2, 0, 0x80, 0x01, 0xAA],
+            Golden::Data(128, &[0xAA]),
+        ),
+        (
+            vec![0xC5, 2, 0, 0x80, 0x89, 0x7A, 0xAA],
+            Golden::Data(2_000_000, &[0xAA]),
+        ),
+        (
+            vec![0xC5, 2, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0xAA],
+            Golden::Data(u32::MAX, &[0xAA]),
+        ),
+        (
+            cat(&[0xC5, 2, 3, 0xA8, 0x46], b"123456789\xF4"),
+            Golden::Data(9000, b"123456789"),
+        ),
+        (
+            cat(&[0xC5, 2, 1, 0x89, 0x06], &MARKER_MSG),
+            Golden::Control(777, golden_marker()),
+        ),
+        (
+            cat(&cat(&[0xC5, 2, 2, 0x89, 0x06, 25, 0], &MARKER_MSG), &[0; 7]),
+            Golden::Control(777, golden_marker()),
+        ),
+        // Refused as malformed: short, magic, version, kind.
+        (vec![], Golden::Reject(Malformed)),
+        (vec![0xC5, 1], Golden::Reject(Malformed)),
+        (vec![0x00, 1, 0, 1], Golden::Reject(Malformed)),
+        (vec![0xC5, 0, 0, 1], Golden::Reject(Malformed)),
+        (vec![0xC5, 3, 0, 1], Golden::Reject(Malformed)),
+        (vec![0xC5, 1, 4, 1], Golden::Reject(Malformed)),
+        (vec![0xC5, 2, 9, 1, 1], Golden::Reject(Malformed)),
+        // The varint: missing, unterminated, too long, too wide for u32.
+        (vec![0xC5, 2, 0], Golden::Reject(Malformed)),
+        (vec![0xC5, 2, 0, 0x80], Golden::Reject(Malformed)),
+        (
+            vec![0xC5, 2, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+            Golden::Reject(Malformed),
+        ),
+        (
+            vec![0xC5, 2, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F],
+            Golden::Reject(Malformed),
+        ),
+        // Summed data: no room for the trailer is malformed, a trailer
+        // that disagrees is corrupt — also behind a flow id.
+        (vec![0xC5, 1, 3], Golden::Reject(Malformed)),
+        (vec![0xC5, 2, 3, 0x05], Golden::Reject(Malformed)),
+        (
+            cat(&[0xC5, 1, 3], b"123456789\xF5"),
+            Golden::Reject(Corrupt),
+        ),
+        (
+            cat(&[0xC5, 2, 3, 0x05], b"123456788\xF4"),
+            Golden::Reject(Corrupt),
+        ),
+        // Control bodies: empty, unknown type, the retired type 4,
+        // truncated, a marker with the wrong magic.
+        (vec![0xC5, 1, 1], Golden::Reject(Malformed)),
+        (vec![0xC5, 1, 1, 99, 0, 0, 0, 0], Golden::Reject(Malformed)),
+        (
+            vec![0xC5, 1, 1, 4, 0, 0, 0, 0, 0, 0, 0, 7, 0],
+            Golden::Reject(Malformed),
+        ),
+        (vec![0xC5, 1, 1, 5, 0, 0, 0], Golden::Reject(Malformed)),
+        (
+            cat(&[0xC5, 2, 1, 0x05], &MARKER_MSG[..24]),
+            Golden::Reject(Malformed),
+        ),
+        (
+            cat(&[0xC5, 1, 1, 0x01, 0x53, 0xA4], &MARKER_MSG[3..]),
+            Golden::Reject(Malformed),
+        ),
+        // The pad prefix: missing, half there, claiming more than came.
+        (vec![0xC5, 1, 2], Golden::Reject(Malformed)),
+        (vec![0xC5, 1, 2, 5], Golden::Reject(Malformed)),
+        (
+            vec![0xC5, 1, 2, 6, 0, 3, 0, 0, 0, 9],
+            Golden::Reject(Malformed),
+        ),
+        (
+            vec![0xC5, 2, 2, 0x05, 0xFF, 0xFF, 3, 0, 0, 0, 9],
+            Golden::Reject(Malformed),
+        ),
+    ]
+}
+
+/// Every golden vector decodes to exactly what the table says, under the
+/// layered decoders and the reference alike; a version-1 decoder refuses
+/// every version-2 vector as malformed, whatever else is wrong with it.
+#[test]
+fn golden_vectors_decode_as_specified() {
+    for (wire, want) in golden_vectors() {
+        assert_decoders_match_reference(&wire);
+        let got = frame::try_decode_flow(&wire);
+        match want {
+            Golden::Data(flow, body) => {
+                assert_eq!(got, Ok((flow, Frame::Data(body))), "{wire:02x?}")
+            }
+            Golden::Control(flow, c) => {
+                assert_eq!(got, Ok((flow, Frame::Control(c))), "{wire:02x?}")
+            }
+            Golden::Reject(e) => assert_eq!(got, Err(e), "{wire:02x?}"),
+        }
+        if wire.get(1) == Some(&2) {
+            assert_eq!(
+                frame::try_decode(&wire),
+                Err(DecodeError::Malformed),
+                "{wire:02x?}"
+            );
+        }
+    }
+}
+
+fn below(rng: &mut DetRng, n: u64) -> u64 {
+    rng.range_u64(0, n)
+}
+
+/// One datagram of the seeded stream below: a clean frame of some kind,
+/// then maybe a flipped bit, a truncation, or nothing but noise.
+fn stream_datagram(rng: &mut DetRng) -> Vec<u8> {
+    let mut wire = Vec::new();
+    let flow = below(rng, 12) as u32;
+    let payload: Vec<u8> = (0..below(rng, 40)).map(|_| rng.next_u64() as u8).collect();
+    match below(rng, 7) {
+        0 => frame::encode_data_flow_into(flow, &payload, &mut wire),
+        1 | 2 => frame::encode_data_summed_flow_into(flow, &payload, &mut wire),
+        3 => {
+            let mk = Marker::sync(
+                below(rng, 2) as usize,
+                ChannelMark {
+                    round: below(rng, 4),
+                    dc: below(rng, 1500) as i64,
+                },
+            );
+            let ctl = Control::Marker(mk);
+            if rng.chance(0.5) {
+                frame::encode_control_flow_into(flow, &ctl, &mut wire);
+            } else {
+                frame::encode_control_padded_flow_into(flow, &ctl, 60, &mut wire);
+            }
+        }
+        4 => frame::encode_control_into(
+            &Control::Probe {
+                nonce: rng.next_u64(),
+            },
+            &mut wire,
+        ),
+        5 => frame::encode_data_summed_into(&payload, &mut wire),
+        _ => {
+            wire = (0..1 + below(rng, 24))
+                .map(|_| rng.next_u64() as u8)
+                .collect()
+        }
+    }
+    match below(rng, 4) {
+        0 => {
+            let bit = below(rng, wire.len() as u64 * 8) as usize;
+            wire[bit / 8] ^= 1 << (bit % 8);
+        }
+        1 => wire.truncate(1 + below(rng, wire.len() as u64) as usize),
+        _ => {}
+    }
+    wire
+}
+
+/// A seeded stream of clean, bit-flipped, truncated and random datagrams
+/// through `FlowDemux::sweep`: every demux counter a decode outcome
+/// feeds comes out as the reference decoder predicts, channel by
+/// channel, and as it did before the decoder was layered (the totals
+/// below were recorded on the one-pass decoder).
+#[test]
+fn seeded_dirty_stream_counts_are_unchanged() {
+    const MAX_FLOWS: usize = 8;
+    let (a0, b0) = datagram_pair(2048, 1 << 13);
+    let (a1, b1) = datagram_pair(2048, 1 << 13);
+    let mut tx = [a0, a1];
+    let mut demux = FlowDemux::builder()
+        .scheduler(Srr::equal(2, 1500))
+        .links(vec![b0, b1])
+        .max_flows(MAX_FLOWS)
+        .build();
+    let mut rng = DetRng::new(0x16_D1FF);
+    let (mut malformed, mut corrupt) = ([0u64; 2], [0u64; 2]);
+    let (mut data, mut control, mut refused) = (0u64, 0u64, 0u64);
+    let mut admitted = std::collections::BTreeSet::new();
+    for i in 0..4000 {
+        // A flipped varint bit can name a flow far past anything the
+        // generator meant; those are the slab-bound tests' business
+        // (and the one-pass demux grew its slab to whatever it was told).
+        let wire = std::iter::repeat_with(|| stream_datagram(&mut rng))
+            .find(|w| !matches!(reference::try_decode_flow(w), Ok((flow, _)) if flow >= 1024))
+            .expect("endless");
+        let c = i % 2;
+        tx[c].send_frame(&wire).unwrap();
+        // What the one-pass decoder makes of it, and the demux of that.
+        let mut admit = |flow: u32| {
+            admitted.contains(&flow) || (admitted.len() < MAX_FLOWS && admitted.insert(flow))
+        };
+        match reference::try_decode_flow(&wire) {
+            Err(DecodeError::Malformed) => malformed[c] += 1,
+            Err(DecodeError::Corrupt) => corrupt[c] += 1,
+            Ok((flow, Frame::Data(_))) => match admit(flow) {
+                true => data += 1,
+                false => refused += 1,
+            },
+            Ok((flow, Frame::Control(Control::Marker(_)))) => {
+                control += 1;
+                refused += !admit(flow) as u64;
+            }
+            Ok((_, Frame::Control(_))) => control += 1,
+        }
+        // One at a time, so that flows are admitted in stream order.
+        assert_eq!(demux.sweep(SimTime::ZERO), 1);
+    }
+    let s = demux.net_stats();
+    assert_eq!(s.frames, 4000);
+    assert_eq!(demux.malformed_by_channel(), &malformed);
+    assert_eq!(demux.corrupt_by_channel(), &corrupt);
+    assert_eq!(
+        (s.data_frames, s.control_frames, s.dropped_admission),
+        (data, control, refused)
+    );
+    assert_eq!(
+        (malformed, corrupt, data, control, refused),
+        RECORDED_ON_THE_ONE_PASS_DECODER
+    );
+}
+
+/// `(malformed per channel, corrupt per channel, data frames, control
+/// frames, refused)` of the stream above, as counted by the demux at the
+/// commit before `frame::parse` existed.
+const RECORDED_ON_THE_ONE_PASS_DECODER: ([u64; 2], [u64; 2], u64, u64, u64) =
+    ([545, 591], [330, 315], 1018, 823, 517);
+
+proptest! {
+    /// Arbitrary bytes — raw, and behind a plausible header so the
+    /// deeper checks are reached — decode exactly as the reference says.
+    #[test]
+    fn layered_decoders_match_reference_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        version in 0u8..4,
+        kind in 0u8..5,
+    ) {
+        assert_decoders_match_reference(&bytes);
+        let mut headed = vec![FRAME_MAGIC, version, kind];
+        headed.extend_from_slice(&bytes);
+        assert_decoders_match_reference(&headed);
+    }
 }
