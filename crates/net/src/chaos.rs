@@ -890,6 +890,73 @@ mod tests {
         assert_eq!((s.dropped_loss, s.seen_data, s.seen_control), (1, 1, 1));
     }
 
+    /// A mark riding inside a data frame changes nothing the loss models
+    /// see: frames of the mark-field kinds are data, so a stream whose
+    /// marks ride their data loses exactly the data frames a stream with
+    /// the same marks as marker frames loses — same indices, same seed.
+    #[test]
+    fn loss_falls_on_the_same_data_frames_wherever_the_marks_ride() {
+        use crate::frame::{
+            encode_control_flow_into, encode_data_flow_into, encode_data_markable_flow_into,
+            write_mark,
+        };
+        use stripe_core::sched::ChannelMark;
+        use stripe_core::Marker;
+        let plans = [
+            ChaosPlan::none().loss(DropPolicy::Periodic { period: 3 }),
+            ChaosPlan::none().loss_bernoulli(300_000),
+        ];
+        for plan in plans {
+            let mut survivors = Vec::new();
+            for carried in [false, true] {
+                let (a, mut b) = datagram_pair(512, 256);
+                let mut link = ImpairedLink::new(a, plan.clone(), 42);
+                let mut run = Vec::new();
+                for i in 0..60u8 {
+                    let mark = ChannelMark {
+                        round: i as u64,
+                        dc: 1,
+                    };
+                    let mut f = Vec::new();
+                    match (i % 4 == 0, carried) {
+                        (true, true) => {
+                            encode_data_markable_flow_into(1, &[i; 300], &mut f);
+                            assert!(write_mark(&mut f, mark));
+                        }
+                        (true, false) => {
+                            let ctl = Control::Marker(Marker::sync(0, mark));
+                            encode_control_flow_into(1, &ctl, &mut f);
+                            run.push(std::mem::take(&mut f));
+                            encode_data_flow_into(1, &[i; 300], &mut f);
+                        }
+                        (false, true) => encode_data_markable_flow_into(1, &[i; 300], &mut f),
+                        (false, false) => encode_data_flow_into(1, &[i; 300], &mut f),
+                    }
+                    run.push(f);
+                }
+                // Half per frame, half as one run: both entry points.
+                let half = run.len() / 2;
+                let (head, tail) = run.split_at_mut(half);
+                for f in head.iter() {
+                    link.send_frame(f).unwrap();
+                }
+                link.send_run_owned(tail, &mut Vec::new());
+                let s = link.snapshot();
+                assert_eq!(s.seen_data, 60);
+                assert_eq!(s.seen_control, if carried { 0 } else { 15 });
+                let data: Vec<u8> = drain(&mut b)
+                    .iter()
+                    .filter(|f| is_data_frame(f))
+                    .map(|f| *f.last().unwrap())
+                    .collect();
+                assert_eq!(data.len() as u64, 60 - s.dropped_loss);
+                survivors.push(data);
+            }
+            assert!(survivors[0].len() < 60, "the plan must lose something");
+            assert_eq!(survivors[0], survivors[1]);
+        }
+    }
+
     #[test]
     fn periodic_policy_drops_every_nth() {
         let (a, mut b) = datagram_pair(256, 64);

@@ -9,7 +9,10 @@
 //! Flow lookup on the hot path is one slab index: O(1) per frame.
 //!
 //! Replicas are created *lazily*, on the first frame naming a flow id
-//! (data or marker — both carry the varint tag). At creation the demux
+//! (data or marker — both carry the varint tag). A data frame may carry
+//! its channel's mark ([`frame::KIND_DATA_MARKED`]): it is routed as
+//! that marker, on the channel it arrived on, and then the data — what
+//! the two frames it stands for would have been. At creation the demux
 //! applies the last announced membership mask one round ahead, the same
 //! rule [`StripeServer::open_flow`](crate::server::StripeServer::open_flow)
 //! uses, so both fresh simulations start in lockstep. Population is
@@ -48,6 +51,7 @@ use stripe_core::handshake::{ControlResponder, Effect};
 use stripe_core::receiver::{Arrival, LogicalReceiver, ReceiverSnapshot, RxBatch};
 use stripe_core::sched::CausalScheduler;
 use stripe_core::types::ChannelId;
+use stripe_core::Marker;
 
 use stripe_link::{DatagramLink, Train};
 use stripe_netsim::SimTime;
@@ -64,6 +68,10 @@ pub struct FlowDemuxSnapshot {
     pub frames: u64,
     /// Data frames routed into some flow's resequencer.
     pub data_frames: u64,
+    /// Those of them that carried their channel's mark
+    /// ([`KIND_DATA_MARKED`](crate::frame::KIND_DATA_MARKED)): each was
+    /// routed as a marker and then the data.
+    pub marked_frames: u64,
     /// Control frames (markers included) decoded.
     pub control_frames: u64,
     /// Frames that failed to decode (bad magic, version, kind, varint,
@@ -519,8 +527,8 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
     }
 
     /// Hand the frame at `buf[at..at + n]` to its flow's resequencer
-    /// (data and markers) or to the demux-level responders (global
-    /// control). `buf` is pool buffer `slot`; a data payload leaves as a
+    /// (data, the mark it may carry, and markers) or to the demux-level
+    /// responders (global control). `buf` is pool buffer `slot`; a data payload leaves as a
     /// view into it. Only what the frame turns out to carry is decoded:
     /// the parser names the flow and where the body sits, and a data
     /// frame needs nothing else.
@@ -535,8 +543,14 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         let bytes = &buf[at..at + n];
         let p = frame::parse(bytes)?;
         match p.body {
-            Body::Data => match self.ensure_flow(p.flow) {
+            Body::Data | Body::MarkedData => match self.ensure_flow(p.flow) {
                 Some(rx) => {
+                    // A carried mark is a marker directly ahead of its
+                    // frame, on the channel the frame came in on.
+                    let marked = p.body == Body::MarkedData;
+                    if marked {
+                        rx.push(c, Arrival::Marker(Marker::sync(c, p.mark(bytes))));
+                    }
                     // On overflow the resequencer drops the arrival
                     // (counted in that flow's snapshot): no view is made.
                     let start = at + p.offset as usize;
@@ -544,6 +558,9 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                         Arrival::Data(TrainPool::view_of(buf, slot, start, p.len))
                     });
                     self.stats.data_frames += 1;
+                    if marked {
+                        self.stats.marked_frames += 1;
+                    }
                 }
                 None => self.stats.dropped_admission += 1,
             },
@@ -782,7 +799,6 @@ mod tests {
     use crate::server::StripeServer;
     use stripe_core::sched::Srr;
     use stripe_core::sender::MarkerConfig;
-    use stripe_core::Marker;
     use stripe_link::{datagram_pair, TestDatagramLink};
 
     fn linked(
@@ -837,6 +853,43 @@ mod tests {
         }
         assert_eq!(demux.net_stats().flows_active, 3);
         assert_eq!(demux.net_stats().dropped_malformed, 0);
+    }
+
+    /// A frame carrying its channel's mark is routed as that marker and
+    /// then the data: every mark the sender put in a frame is seen by
+    /// the flow's resequencer, and delivery stays FIFO.
+    #[test]
+    fn carried_marks_reach_the_resequencer_ahead_of_their_frame() {
+        let (mut srv, mut demux) = linked(4);
+        let f0 = srv.open_flow().unwrap();
+        let mut events = Vec::new();
+        for round in 0..200u64 {
+            let mut payload = vec![0u8; 400];
+            payload[..8].copy_from_slice(&round.to_be_bytes());
+            srv.enqueue(f0, &payload).unwrap();
+            if round % 50 == 49 {
+                srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+                demux.sweep(SimTime::ZERO);
+            }
+        }
+        let sent = srv.flow_stats(f0).unwrap();
+        let s = demux.net_stats();
+        assert!(sent.markers_carried > 0);
+        assert_eq!(s.marked_frames, sent.markers_carried);
+        assert_eq!(s.data_frames, 200);
+        // Marker frames and marked frames together are the marks sent.
+        assert_eq!(s.control_frames + s.marked_frames, sent.markers_sent);
+        let mut batch = RxBatch::new();
+        demux.poll_flow_into(f0.id(), &mut batch);
+        let seen: Vec<u64> = batch
+            .drain()
+            .map(|pb| u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap()))
+            .collect();
+        assert_eq!(seen, (0..200).collect::<Vec<_>>());
+        assert_eq!(
+            demux.flow_stats(f0.id()).unwrap().markers_seen,
+            sent.markers_sent
+        );
     }
 
     /// Flows past the demux population cap are counted, dropped, and do

@@ -22,6 +22,8 @@
 //! | `1`  | [`KIND_CONTROL`]        | exactly the bytes of [`Control::encode`]          |
 //! | `2`  | [`KIND_CONTROL_PADDED`] | `u16` LE length, that many control bytes, padding |
 //! | `3`  | [`KIND_DATA_SUMMED`]    | the payload, then a CRC-8 of it                   |
+//! | `4`  | [`KIND_DATA_MARK_EMPTY`]| a 16-byte mark field nobody reads, the payload    |
+//! | `5`  | [`KIND_DATA_MARKED`]    | `round` (`u64` BE), `dc` (`i64` BE), the payload  |
 //!
 //! The paper's central constraint is that striping never modifies data
 //! packets, so all this layer adds to one is the demultiplexing header
@@ -31,16 +33,39 @@
 //! [`Control::encode_into`], so the simulator and the socket path share
 //! one encoder and cannot drift.
 //!
+//! # The mark field
+//!
+//! A marker on channel `c` states the implicit number `(round, dc)` of
+//! the *next* data packet its flow sends on `c` (§5), and this layer
+//! already owns a header (§4's "when headers can be added"), so that
+//! packet's frame can carry the mark itself: kinds `4` and `5`, version
+//! 2 only, put a [`MARK_FIELD_LEN`]-byte field between the flow id and
+//! the payload. Kind `5` holds a mark, to be applied on the frame's own
+//! channel *before* its payload — exactly a marker frame directly ahead
+//! of a kind-`0` frame; kind `4` holds none and its field is ignored.
+//! The payload is still verbatim. A frame is encoded long before anyone
+//! knows whether a mark will fall due ahead of it, so the sender
+//! reserves the field at encode time ([`encode_data_markable_flow_into`])
+//! and fills it in place if one does ([`write_mark`]). Whether to
+//! reserve is a rule on the payload length alone — at least
+//! [`MARK_MIN_PAYLOAD`] bytes — so that equal payloads make equal
+//! frames: a field only in the frames that end up marked would split a
+//! segmentation-offload train at every mark. The header is unchanged,
+//! so this is no version bump: a receiver that predates the two kinds
+//! drops them as it drops any unknown kind.
+//!
 //! # Decoding
 //!
 //! There is one parser, [`parse`] (and [`parse_v1`], the same code
 //! refusing flow-tagged frames). It checks magic, version, kind, the
-//! varint, the CRC-8 trailer and the pad prefix, classifies every
+//! varint, the CRC-8 trailer, the pad prefix and the mark field's
+//! presence, classifies every
 //! reject as [`DecodeError::Malformed`] or [`DecodeError::Corrupt`], and
 //! returns a [`Parsed`]: a 16-byte `Copy` value naming the flow, what
 //! the body is ([`Body`]) and where in the datagram it sits. It reads
 //! the header and builds nothing. The receive path works from that: a
-//! data body becomes a view into the receive buffer, a marker body goes
+//! data body becomes a view into the receive buffer (behind a mark read
+//! by [`Parsed::mark`] when the frame carries one), a marker body goes
 //! through [`Parsed::marker`], and a [`Control`] is only ever built —
 //! by [`Parsed::control`] — for the rare frame that carries one.
 //! [`try_decode`], [`try_decode_flow`] and [`decode`] are [`parse`]
@@ -48,6 +73,7 @@
 //! [`Frame`] enum.
 
 use stripe_core::control::Control;
+use stripe_core::sched::ChannelMark;
 use stripe_core::Marker;
 
 /// First byte of every frame; chosen to collide with neither the marker
@@ -94,6 +120,18 @@ pub const KIND_CONTROL_PADDED: u8 = 2;
 /// trailer-free, keeping the headline path at zero checksum cost.
 pub const KIND_DATA_SUMMED: u8 = 3;
 
+/// Frame-kind codepoint for data behind an *empty* mark field (version
+/// 2 only): [`MARK_FIELD_LEN`] bytes the decoder skips, then the payload.
+/// What [`write_mark`] turns into [`KIND_DATA_MARKED`]. See the module
+/// docs.
+pub const KIND_DATA_MARK_EMPTY: u8 = 4;
+
+/// Frame-kind codepoint for data carrying its channel's mark (version 2
+/// only): the mark field holds `round` (`u64` BE) and `dc` (`i64` BE) —
+/// the [`ChannelMark`] a marker directly ahead of this frame, on this
+/// frame's channel, would have stated — then the payload.
+pub const KIND_DATA_MARKED: u8 = 5;
+
 /// Bytes of header preceding the body.
 pub const FRAME_HEADER_LEN: usize = 3;
 
@@ -103,6 +141,21 @@ pub const PAD_LEN_PREFIX: usize = 2;
 
 /// Trailer bytes of a [`KIND_DATA_SUMMED`] frame (the CRC-8).
 pub const SUM_TRAILER_LEN: usize = 1;
+
+/// Bytes of the mark field of a [`KIND_DATA_MARK_EMPTY`] or
+/// [`KIND_DATA_MARKED`] frame: a [`ChannelMark`]'s `round` and `dc`.
+pub const MARK_FIELD_LEN: usize = 16;
+
+/// Shortest payload a sender reserves the mark field for: 16 fields'
+/// worth, so the field never adds more than a sixteenth to the payload
+/// it rides with. It is a rule on the length — something both a bulk
+/// and a small-packet sender observe about their own traffic — because
+/// the alternatives lose: a field only in marked frames makes them
+/// longer than their neighbours and cuts every offload train there, and
+/// a field in every frame adds a quarter to a 64-byte payload to carry
+/// the one mark in a hundred that a separate marker frame carries as
+/// well.
+pub const MARK_MIN_PAYLOAD: usize = 16 * MARK_FIELD_LEN;
 
 /// CRC-8, polynomial 0x07 (ATM HEC) — catches every single-bit flip and
 /// all burst errors up to 8 bits, which is exactly the corruption model
@@ -230,30 +283,40 @@ pub fn encode_control_into(ctl: &Control, out: &mut Vec<u8>) {
     ctl.encode_into(out);
 }
 
-/// Encode a control frame padded out to exactly `wire_len` bytes (cleared
-/// first, capacity kept). The body carries an explicit length prefix so
-/// the decoder never has to guess where the control message ends, and the
-/// tail is zero-filled. If `wire_len` is too small to hold the prefixed
-/// message, the frame simply comes out at its natural (unpadded) length —
-/// callers should pick `wire_len` from the data frames they are matching.
-pub fn encode_control_padded_into(ctl: &Control, wire_len: usize, out: &mut Vec<u8>) {
-    out.clear();
-    push_header(KIND_CONTROL_PADDED, out);
-    out.extend_from_slice(&[0, 0]); // length prefix, patched below
-    ctl.encode_into(out);
-    let body = (out.len() - FRAME_HEADER_LEN - PAD_LEN_PREFIX) as u16;
-    out[FRAME_HEADER_LEN..FRAME_HEADER_LEN + PAD_LEN_PREFIX].copy_from_slice(&body.to_le_bytes());
-    if out.len() < wire_len {
-        out.resize(wire_len, 0);
-    }
-}
-
 /// Encode a flow-tagged data frame (version 2) into `out` (cleared
 /// first, capacity kept).
 pub fn encode_data_flow_into(flow: u32, payload: &[u8], out: &mut Vec<u8>) {
     out.clear();
     push_flow_header(KIND_DATA, flow, out);
     out.extend_from_slice(payload);
+}
+
+/// Encode a flow-tagged data frame with an empty mark field
+/// ([`KIND_DATA_MARK_EMPTY`]) into `out` (cleared first, capacity
+/// kept): [`MARK_FIELD_LEN`] bytes longer than
+/// [`encode_data_flow_into`]'s, and able to take a mark later.
+pub fn encode_data_markable_flow_into(flow: u32, payload: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    push_flow_header(KIND_DATA_MARK_EMPTY, flow, out);
+    out.extend_from_slice(&[0; MARK_FIELD_LEN]);
+    out.extend_from_slice(payload);
+}
+
+/// Put `mark` into the empty mark field of an encoded
+/// [`KIND_DATA_MARK_EMPTY`] frame, in place, making it
+/// [`KIND_DATA_MARKED`]. Returns `false`, and touches nothing, if
+/// `frame` is any other frame: the caller sends the mark some other way.
+pub fn write_mark(frame: &mut [u8], mark: ChannelMark) -> bool {
+    match parse(frame) {
+        Ok(p) if frame[2] == KIND_DATA_MARK_EMPTY => {
+            let field = &mut frame[p.offset as usize - MARK_FIELD_LEN..p.offset as usize];
+            field[..8].copy_from_slice(&mark.round.to_be_bytes());
+            field[8..].copy_from_slice(&mark.dc.to_be_bytes());
+            frame[2] = KIND_DATA_MARKED;
+            true
+        }
+        _ => false,
+    }
 }
 
 /// Encode a flow-tagged checksummed data frame (version 2) into `out`.
@@ -274,8 +337,11 @@ pub fn encode_control_flow_into(flow: u32, ctl: &Control, out: &mut Vec<u8>) {
 }
 
 /// Encode a flow-tagged control frame padded out to exactly `wire_len`
-/// bytes (version 2) — the GSO-train trick of
-/// [`encode_control_padded_into`], flow-tagged.
+/// bytes (version 2). The body carries an explicit length prefix so the
+/// decoder never has to guess where the control message ends, and the
+/// tail is zero-filled. If `wire_len` is too small to hold the prefixed
+/// message, the frame simply comes out at its natural (unpadded) length —
+/// callers should pick `wire_len` from the data frame they are matching.
 pub fn encode_control_padded_flow_into(
     flow: u32,
     ctl: &Control,
@@ -294,19 +360,10 @@ pub fn encode_control_padded_flow_into(
     }
 }
 
-/// On-wire length of a data frame carrying `payload_len` body bytes.
-pub fn data_frame_len(payload_len: usize) -> usize {
-    FRAME_HEADER_LEN + payload_len
-}
-
-/// On-wire length of a flow-tagged data frame.
+/// On-wire length of a flow-tagged data frame ([`KIND_DATA`]; one with
+/// a mark field is [`MARK_FIELD_LEN`] longer).
 pub fn data_flow_frame_len(flow: u32, payload_len: usize) -> usize {
     FRAME_HEADER_LEN + flow_id_len(flow) + payload_len
-}
-
-/// On-wire length of a flow-tagged checksummed data frame.
-pub fn summed_flow_frame_len(flow: u32, payload_len: usize) -> usize {
-    FRAME_HEADER_LEN + flow_id_len(flow) + payload_len + SUM_TRAILER_LEN
 }
 
 /// On-wire length of a flow-tagged control frame.
@@ -314,25 +371,17 @@ pub fn control_flow_frame_len(flow: u32, ctl: &Control) -> usize {
     FRAME_HEADER_LEN + flow_id_len(flow) + ctl.wire_len()
 }
 
-/// On-wire length of a *checksummed* data frame carrying `payload_len`
-/// body bytes.
-pub fn summed_frame_len(payload_len: usize) -> usize {
-    FRAME_HEADER_LEN + payload_len + SUM_TRAILER_LEN
-}
-
-/// On-wire length of a control frame, without materializing it.
-pub fn control_frame_len(ctl: &Control) -> usize {
-    FRAME_HEADER_LEN + ctl.wire_len()
-}
-
-/// Whether `frame` is a well-headed data frame (either data kind) — the
-/// peek the fault layer uses to drop data while letting markers and
-/// control through.
+/// Whether `frame` is a well-headed data frame (any data kind, a mark
+/// in it or not) — the peek the fault layer uses to drop data while
+/// letting markers and control through.
 pub fn is_data_frame(frame: &[u8]) -> bool {
     frame.len() >= FRAME_HEADER_LEN
         && frame[0] == FRAME_MAGIC
         && (frame[1] == FRAME_VERSION || frame[1] == FRAME_VERSION_FLOW)
-        && (frame[2] == KIND_DATA || frame[2] == KIND_DATA_SUMMED)
+        && matches!(
+            frame[2],
+            KIND_DATA | KIND_DATA_SUMMED | KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED
+        )
 }
 
 /// Why a frame failed to decode — the distinction drives separate
@@ -341,7 +390,7 @@ pub fn is_data_frame(frame: &[u8]) -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// Structurally broken: short, bad magic/version, unknown kind,
-    /// undecodable control body, lying pad prefix.
+    /// undecodable control body, lying pad prefix, truncated mark field.
     Malformed,
     /// Structurally fine but the CRC-8 trailer disagrees with the
     /// payload: bits were flipped in flight.
@@ -351,9 +400,13 @@ pub enum DecodeError {
 /// What a [`Parsed`] frame's body holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Body {
-    /// Application payload (either data kind; a CRC-8 trailer has been
-    /// verified and is not part of the body).
+    /// Application payload (any data kind without a mark; a CRC-8
+    /// trailer has been verified and is not part of the body, nor is an
+    /// empty mark field).
     Data,
+    /// Application payload behind a mark ([`KIND_DATA_MARKED`]): the
+    /// body is the payload alone, [`Parsed::mark`] reads the mark.
+    MarkedData,
     /// An encoded [`Marker`] (a control message of the marker type, its
     /// type byte not part of the body): the one control message on the
     /// per-packet path, so it is told apart here.
@@ -373,7 +426,7 @@ pub struct Parsed {
     /// The flow named by a version-2 frame; 0 for version 1.
     pub flow: u32,
     /// Where the body starts in the datagram: at most header, varint,
-    /// pad prefix and a control type byte.
+    /// and the mark field or the pad prefix and a control type byte.
     pub offset: u8,
     /// What the body holds.
     pub body: Body,
@@ -384,6 +437,18 @@ impl Parsed {
     /// was parsed from.
     pub fn body<'a>(&self, frame: &'a [u8]) -> &'a [u8] {
         &frame[self.offset as usize..self.offset as usize + self.len]
+    }
+
+    /// The mark a [`Body::MarkedData`] frame carries: the field directly
+    /// ahead of the body.
+    pub fn mark(&self, frame: &[u8]) -> ChannelMark {
+        debug_assert_eq!(self.body, Body::MarkedData);
+        let field = &frame[self.offset as usize - MARK_FIELD_LEN..self.offset as usize];
+        let (round, dc) = field.split_at(8);
+        ChannelMark {
+            round: u64::from_be_bytes(round.try_into().expect("8 of the field's 16 bytes")),
+            dc: i64::from_be_bytes(dc.try_into().expect("8 of the field's 16 bytes")),
+        }
     }
 
     /// Decode a [`Body::Marker`] body. A short or bad-magic marker is
@@ -402,10 +467,11 @@ impl Parsed {
         }
     }
 
-    /// The borrowed [`Frame`] this describes.
+    /// The borrowed [`Frame`] this describes (a carried mark is not part
+    /// of it).
     pub fn frame<'a>(&self, frame: &'a [u8]) -> Result<Frame<'a>, DecodeError> {
         match self.body {
-            Body::Data => Ok(Frame::Data(self.body(frame))),
+            Body::Data | Body::MarkedData => Ok(Frame::Data(self.body(frame))),
             _ => self.control(frame).map(Frame::Control),
         }
     }
@@ -438,6 +504,16 @@ fn parse_versions(frame: &[u8], flow_tagged_ok: bool) -> Result<Parsed, DecodeEr
                 return Err(Corrupt);
             }
             Body::Data
+        }
+        kind @ (KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED) if frame[1] == FRAME_VERSION_FLOW => {
+            if end - at < MARK_FIELD_LEN {
+                return Err(Malformed); // the field is cut short
+            }
+            at += MARK_FIELD_LEN;
+            match kind {
+                KIND_DATA_MARKED => Body::MarkedData,
+                _ => Body::Data,
+            }
         }
         kind @ (KIND_CONTROL | KIND_CONTROL_PADDED) => {
             if kind == KIND_CONTROL_PADDED {
@@ -511,14 +587,13 @@ pub fn decode(frame: &[u8]) -> Option<Frame<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stripe_core::sched::ChannelMark;
 
     #[test]
     fn data_roundtrips_zero_copy() {
         let payload = [7u8, 8, 9, 10];
         let mut buf = Vec::new();
         encode_data_into(&payload, &mut buf);
-        assert_eq!(buf.len(), data_frame_len(payload.len()));
+        assert_eq!(buf.len(), FRAME_HEADER_LEN + payload.len());
         match decode(&buf) {
             Some(Frame::Data(body)) => {
                 assert_eq!(body, &payload);
@@ -567,7 +642,7 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             encode_control_into(&ctl, &mut buf);
-            assert_eq!(buf.len(), control_frame_len(&ctl), "{ctl:?}");
+            assert_eq!(buf.len(), FRAME_HEADER_LEN + ctl.wire_len(), "{ctl:?}");
             assert_eq!(decode(&buf), Some(Frame::Control(ctl.clone())), "{ctl:?}");
         }
     }
@@ -602,41 +677,27 @@ mod tests {
     }
 
     #[test]
-    fn padded_control_roundtrips_at_any_target_length() {
-        let ctl = Control::Marker(Marker::sync(1, ChannelMark { round: 12, dc: 3 }));
-        let natural = control_frame_len(&ctl) + PAD_LEN_PREFIX;
-        // Below natural (no pad fits), exactly natural, and well above.
-        for wire_len in [0, natural, natural + 1, 1203] {
-            let mut buf = Vec::new();
-            encode_control_padded_into(&ctl, wire_len, &mut buf);
-            assert_eq!(buf.len(), wire_len.max(natural), "target {wire_len}");
-            assert_eq!(decode(&buf), Some(Frame::Control(ctl.clone())));
-            assert!(!is_data_frame(&buf));
-        }
-    }
-
-    #[test]
     fn padded_control_ignores_nonzero_padding() {
         // Decoding depends only on the length prefix, not on the pad
         // bytes being zero — a receiver must never trust the tail.
         let ctl = Control::Probe { nonce: 7 };
         let mut buf = Vec::new();
-        encode_control_padded_into(&ctl, 64, &mut buf);
-        for b in &mut buf[FRAME_HEADER_LEN + PAD_LEN_PREFIX + ctl.wire_len()..] {
+        encode_control_padded_flow_into(7, &ctl, 64, &mut buf);
+        for b in &mut buf[FRAME_HEADER_LEN + 1 + PAD_LEN_PREFIX + ctl.wire_len()..] {
             *b = 0xFF;
         }
-        assert_eq!(decode(&buf), Some(Frame::Control(ctl)));
+        assert_eq!(try_decode_flow(&buf), Ok((7, Frame::Control(ctl))));
     }
 
     #[test]
     fn padded_control_with_lying_length_prefix_rejected() {
         let ctl = Control::Probe { nonce: 7 };
         let mut buf = Vec::new();
-        encode_control_padded_into(&ctl, 16, &mut buf);
+        encode_control_padded_flow_into(7, &ctl, 16, &mut buf);
         // Claim more body bytes than the frame holds.
-        buf[FRAME_HEADER_LEN..FRAME_HEADER_LEN + PAD_LEN_PREFIX]
+        buf[FRAME_HEADER_LEN + 1..FRAME_HEADER_LEN + 1 + PAD_LEN_PREFIX]
             .copy_from_slice(&1000u16.to_le_bytes());
-        assert_eq!(decode(&buf), None);
+        assert_eq!(try_decode_flow(&buf), Err(DecodeError::Malformed));
         // Truncated before the length prefix ends.
         assert_eq!(
             decode(&[FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL_PADDED, 1]),
@@ -667,7 +728,10 @@ mod tests {
         let payload = [7u8, 8, 9, 10];
         let mut buf = Vec::new();
         encode_data_summed_into(&payload, &mut buf);
-        assert_eq!(buf.len(), summed_frame_len(payload.len()));
+        assert_eq!(
+            buf.len(),
+            FRAME_HEADER_LEN + payload.len() + SUM_TRAILER_LEN
+        );
         match try_decode(&buf) {
             Ok(Frame::Data(body)) => {
                 assert_eq!(body, &payload, "trailer must be stripped");
@@ -759,7 +823,10 @@ mod tests {
         let payload: Vec<u8> = (0..40).collect();
         let mut buf = Vec::new();
         encode_data_summed_flow_into(9000, &payload, &mut buf);
-        assert_eq!(buf.len(), summed_flow_frame_len(9000, payload.len()));
+        assert_eq!(
+            buf.len(),
+            data_flow_frame_len(9000, payload.len()) + SUM_TRAILER_LEN
+        );
         assert_eq!(try_decode_flow(&buf), Ok((9000, Frame::Data(&payload[..]))));
         let Ok((_, Frame::Data(body))) = try_decode_flow(&buf) else {
             unreachable!("just decoded");
@@ -781,10 +848,13 @@ mod tests {
             Ok((777, Frame::Control(ctl.clone())))
         );
         assert!(!is_data_frame(&buf));
-        for wire_len in [0, 64, 1200] {
+        // Below natural (no pad fits), exactly natural, and well above.
+        let natural = control_flow_frame_len(777, &ctl) + PAD_LEN_PREFIX;
+        for wire_len in [0, natural, natural + 1, 1200] {
             let mut padded = Vec::new();
             encode_control_padded_flow_into(777, &ctl, wire_len, &mut padded);
-            assert!(padded.len() >= wire_len);
+            assert_eq!(padded.len(), wire_len.max(natural), "target {wire_len}");
+            assert!(!is_data_frame(&padded));
             assert_eq!(
                 try_decode_flow(&padded),
                 Ok((777, Frame::Control(ctl.clone()))),
@@ -862,6 +932,94 @@ mod tests {
         assert!(!is_data_frame(&v2c));
     }
 
+    /// A frame encoded with the field decodes as plain data until a mark
+    /// is written into it — in place, same length — and from then on
+    /// yields the mark and the same payload, at every varint width.
+    #[test]
+    fn mark_field_roundtrips_and_is_filled_in_place() {
+        let payload: Vec<u8> = (0..300).map(|i| i as u8).collect();
+        let mark = ChannelMark {
+            round: 0x0102_0304_0506_0708,
+            dc: -2,
+        };
+        for flow in [0u32, 0x7F, 0x80, 0x4000, u32::MAX] {
+            let mut buf = Vec::new();
+            encode_data_markable_flow_into(flow, &payload, &mut buf);
+            let len = data_flow_frame_len(flow, payload.len()) + MARK_FIELD_LEN;
+            assert_eq!(buf.len(), len);
+            let at = FRAME_HEADER_LEN + flow_id_len(flow) + MARK_FIELD_LEN;
+            let p = parse(&buf).unwrap();
+            assert_eq!(
+                (p.flow, p.body, p.offset as usize, p.len),
+                (flow, Body::Data, at, payload.len())
+            );
+            assert!(is_data_frame(&buf));
+
+            assert!(write_mark(&mut buf, mark));
+            assert_eq!((buf.len(), buf[2]), (len, KIND_DATA_MARKED));
+            let p = parse(&buf).unwrap();
+            assert_eq!(
+                (p.flow, p.body, p.offset as usize, p.len),
+                (flow, Body::MarkedData, at, payload.len())
+            );
+            assert_eq!(p.mark(&buf), mark);
+            assert_eq!(p.body(&buf), &payload[..]);
+            assert_eq!(try_decode_flow(&buf), Ok((flow, Frame::Data(&payload[..]))));
+            assert!(is_data_frame(&buf));
+            // The field is taken: a second mark goes some other way.
+            assert!(!write_mark(&mut buf, ChannelMark { round: 1, dc: 1 }));
+            assert_eq!(parse(&buf).unwrap().mark(&buf), mark);
+            // A version-1 decoder refuses it like any flow-tagged frame.
+            assert_eq!(try_decode(&buf), Err(DecodeError::Malformed));
+        }
+    }
+
+    /// `write_mark` touches only a version-2 frame of the empty-field
+    /// kind, whole field present.
+    #[test]
+    fn write_mark_refuses_every_other_frame() {
+        let mark = ChannelMark { round: 7, dc: 7 };
+        let mut plain = Vec::new();
+        encode_data_flow_into(3, &[1; 300], &mut plain);
+        let mut summed = Vec::new();
+        encode_data_summed_flow_into(3, &[1; 300], &mut summed);
+        let mut ctl = Vec::new();
+        encode_control_flow_into(3, &Control::Probe { nonce: 1 }, &mut ctl);
+        let v1 = vec![FRAME_MAGIC, FRAME_VERSION, KIND_DATA_MARK_EMPTY, 0, 0, 0];
+        let mut short = vec![FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA_MARK_EMPTY, 3];
+        short.extend_from_slice(&[0; MARK_FIELD_LEN - 1]);
+        let unterminated = vec![FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA_MARK_EMPTY, 0x80];
+        for frame in [plain, summed, ctl, v1, short, unterminated, vec![]] {
+            let mut buf = frame.clone();
+            assert!(!write_mark(&mut buf, mark), "{frame:02x?}");
+            assert_eq!(buf, frame, "refused yet written");
+        }
+    }
+
+    /// The field is all or nothing: 16 bytes and an empty payload is a
+    /// frame, anything shorter is malformed — and both kinds exist in
+    /// version 2 only.
+    #[test]
+    fn short_mark_field_and_version_1_are_malformed() {
+        for kind in [KIND_DATA_MARK_EMPTY, KIND_DATA_MARKED] {
+            for have in 0..=MARK_FIELD_LEN {
+                let mut buf = vec![FRAME_MAGIC, FRAME_VERSION_FLOW, kind, 0x05];
+                buf.extend(std::iter::repeat_n(0xAB, have));
+                let got = try_decode_flow(&buf);
+                if have < MARK_FIELD_LEN {
+                    assert_eq!(got, Err(DecodeError::Malformed), "{have} bytes of field");
+                } else {
+                    assert_eq!(got, Ok((5, Frame::Data(&[][..]))));
+                }
+                assert!(is_data_frame(&buf), "the fault layer drops it as data");
+            }
+            let mut v1 = vec![FRAME_MAGIC, FRAME_VERSION, kind];
+            v1.extend_from_slice(&[0; MARK_FIELD_LEN + 4]);
+            assert_eq!(parse(&v1), Err(DecodeError::Malformed));
+            assert_eq!(parse_v1(&v1), Err(DecodeError::Malformed));
+        }
+    }
+
     /// The parser's whole output fits two registers, error case included:
     /// that is what lets a receive loop carry it instead of a `Frame`.
     #[test]
@@ -899,9 +1057,9 @@ mod tests {
         assert_eq!((p.body, p.offset, p.len), (Body::Marker, 7, 24));
         assert_eq!(p.marker(&buf), Ok(mk));
 
-        encode_control_padded_into(&probe, 64, &mut buf);
+        encode_control_padded_flow_into(5, &probe, 64, &mut buf);
         let p = parse(&buf).unwrap();
-        assert_eq!((p.body, p.offset, p.len), (Body::Control, 5, 9));
+        assert_eq!((p.body, p.offset, p.len), (Body::Control, 6, 9));
         assert_eq!(p.control(&buf), Ok(probe.clone()));
         assert_eq!(p.frame(&buf), Ok(Frame::Control(probe)));
     }

@@ -13,7 +13,8 @@
 //!   each of those frames, exactly as a single-flow path would.
 //!
 //! On the wire every data frame and marker is a version-2 flow-tagged
-//! frame (see [`crate::frame::FRAME_VERSION_FLOW`]); global control —
+//! frame (see [`crate::frame::FRAME_VERSION_FLOW`]), a marker where it
+//! can riding inside the data frame it describes; global control —
 //! probes, membership, quantum announces — stays untagged version 1, so
 //! failover, lifecycle, and epoch'd membership remain flow-agnostic. A
 //! single-flow sender is this type with one flow open: the inter-flow
@@ -29,18 +30,47 @@
 //! backpressure to the producer of that one flow instead of letting it
 //! starve the rest.
 //!
+//! **Where a mark travels.** A marker on channel `c` states the number
+//! of the *next* data packet its flow sends on `c`, so that packet's
+//! frame is where it belongs. A mark the flow's SRR makes during a pump
+//! waits — per (flow, channel), inside that pump only — for the flow's
+//! next frame staged on `c`, and then one of three things happens:
+//!
+//! 1. the frame has the mark field (see
+//!    [`enqueue`](StripeServer::enqueue) and the
+//!    [`crate::frame`] docs): the mark is written into it in
+//!    place — no frame of its own, no copy, no allocation;
+//! 2. it has none (short payload, integrity on): the mark goes as a
+//!    marker frame staged directly ahead of it, padded to its length on
+//!    a coalescing link so that the two share a length class;
+//! 3. there is no next frame in this pump: the mark goes as a marker
+//!    frame behind the flow's last frame on the channel (padded to it,
+//!    on a coalescing link, if the mark was made directly behind it) —
+//!    at once if the flow's queue is already empty when the mark is
+//!    made, when the pump ends otherwise.
+//!
+//! Per (flow, channel) the wire therefore reads X, M, Y exactly as the
+//! SRR offered it — with M inside Y in the first case — and **no mark
+//! outlives the pump that made it**, so marker cadence, idle markers,
+//! recovery timing and Theorem 5.1's bound are what they were with every
+//! marker a frame. The mark *leads* its carrier on purpose: applied
+//! after Y instead, a lost Y would take with it the one mark that heals
+//! that very loss at once. [`FlowSnapshot::markers_sent`] counts all
+//! three ways; [`FlowSnapshot::markers_carried`] the first.
+//!
 //! **Wire order within a channel.** The receiver needs FIFO only per
 //! channel *of one flow* (§4/§5 run once per flow), so on one channel
 //! the frames of different flows commute. A pump therefore *stages*
-//! every data frame and in-band marker per channel and emits each
+//! every data frame and marker frame per channel and emits each
 //! channel's burst once, at the end, regrouped by wire length: a stable
 //! greedy merge over the per-flow chains (largest head length first,
 //! drain every flow's head while it has that length) puts equal-length
 //! frames of different flows side by side, which is what a GSO/GRO
 //! train is made of. Each flow's own per-channel subsequence — data and
 //! markers — is never reordered, and with one flow or uniform lengths
-//! the merge is the identity. [`PumpEvent`]s stay in *offer* order,
-//! which across flows is no longer the wire order.
+//! the merge is the identity. [`PumpEvent`]s stay one per offer in
+//! *offer* order — a carried mark keeps its [`PumpEvent::Marker`], at
+//! the point its SRR made it — which across flows is not the wire order.
 //!
 //! The zero-allocation story: frames are encoded once at
 //! [`enqueue`](StripeServer::enqueue) into recycled buffers, handed to
@@ -52,7 +82,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use stripe_core::control::Control;
-use stripe_core::sched::{CausalScheduler, Drr};
+use stripe_core::sched::{CausalScheduler, ChannelMark, Drr};
 use stripe_core::sender::{MarkerConfig, StripingSender};
 use stripe_core::types::ChannelId;
 use stripe_core::Marker;
@@ -133,9 +163,14 @@ pub struct FlowSnapshot {
     pub dropped_queue: u64,
     /// Frames the link refused for any other reason.
     pub dropped_lost: u64,
-    /// Markers transmitted for this flow.
+    /// Marks transmitted for this flow, whichever way: as marker frames
+    /// or inside data frames.
     pub markers_sent: u64,
-    /// Markers that never left.
+    /// Those of them that rode inside the data frame they describe
+    /// ([`KIND_DATA_MARKED`](crate::frame::KIND_DATA_MARKED)) instead of
+    /// a frame of their own.
+    pub markers_carried: u64,
+    /// Markers that never left (a carried one: its carrier did not).
     pub markers_lost: u64,
 }
 
@@ -155,6 +190,9 @@ pub struct StripeServerSnapshot {
     pub dropped_admission: u64,
     /// Enqueues refused across all flows (per-flow backpressure).
     pub dropped_backpressure: u64,
+    /// Marks that rode inside the data frame they describe, summed over
+    /// every flow (a share of `path.markers_sent`).
+    pub markers_carried: u64,
     /// Aggregate datapath counters (same shape as the simulated path's).
     pub path: PathSnapshot,
 }
@@ -175,7 +213,9 @@ pub enum PumpEvent {
         /// Why it never left, if it didn't.
         error: Option<TxError>,
     },
-    /// A marker rode (or failed to ride) `channel`.
+    /// A marker rode (or failed to ride) `channel` — in a frame of its
+    /// own or inside the flow's next data frame there, whose fate it
+    /// then shares.
     Marker {
         /// The flow whose marker clock fired.
         flow: FlowId,
@@ -205,9 +245,13 @@ struct FlowState<S: CausalScheduler> {
     queue: VecDeque<QueuedFrame>,
     stats: FlowSnapshot,
     parked: bool,
+    /// Channels (bit `c`) a mark of this flow is waiting on, in
+    /// [`StripeServer::waiting`]: zero between pumps. Lives here so the
+    /// per-frame test reads a line the pump already holds.
+    waiting: u16,
 }
 
-/// One channel's share of a pump: every data frame and in-band marker
+/// One channel's share of a pump: every data frame and marker frame
 /// bound for it, in offer order, emitted in one run when the pump ends.
 #[derive(Debug, Default)]
 struct ChannelStage {
@@ -243,6 +287,20 @@ impl ChannelStage {
         self.meta.clear();
         (self.mixed_len, self.multi_flow) = (false, false);
     }
+}
+
+/// A mark its flow's SRR made during this pump, not yet on the wire:
+/// it leaves in, or directly ahead of, the flow's next frame on the
+/// channel (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct WaitingMark {
+    mark: ChannelMark,
+    /// Index of its [`PumpEvent::Marker`].
+    event: u32,
+    /// Wire length of the flow's frame the mark was made directly
+    /// behind, if that was the channel's latest (0 if not): what a
+    /// marker frame that ends up behind it is padded to.
+    behind: u32,
 }
 
 /// Default [`park_capacity`](StripeServerBuilder::park_capacity): how far
@@ -417,11 +475,24 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
         );
         assert!(self.max_flows > 0, "max_flows must be at least 1");
         let channels = self.links.len();
+        assert!(
+            channels <= u16::BITS as usize,
+            "at most 16 channels (as the membership mask has it)"
+        );
+        // A frame takes the mark field only where the longer frame still
+        // fits every link: `max_payload` does not shrink for it.
+        let min_mtu = self.links.iter().map(|l| l.mtu()).min().expect("non-empty");
+        let carry = self.markers.period_rounds != 0 && !self.integrity;
         StripeServer {
             links: self.links,
             proto,
             markers: self.markers,
             integrity: self.integrity,
+            markable_max: if carry {
+                min_mtu.saturating_sub(frame::MARK_FIELD_LEN)
+            } else {
+                0
+            },
             max_flows: self.max_flows,
             park_capacity: self.park_capacity,
             queue_frames: self.queue_frames,
@@ -442,6 +513,9 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
             scratch_channels: Vec::new(),
             scratch_markers: Vec::new(),
             scratch_idle: Vec::new(),
+            waiting: Vec::new(),
+            waiting_flows: Vec::new(),
+            carried: Vec::new(),
             stage: (0..channels).map(|_| ChannelStage::default()).collect(),
             regroup: Regroup::default(),
             results: Vec::new(),
@@ -459,6 +533,11 @@ pub struct StripeServer<S: CausalScheduler, L: DatagramLink> {
     proto: S,
     markers: MarkerConfig,
     integrity: bool,
+    /// Longest plain data frame that still gets the mark field: the
+    /// smallest link MTU less the field — or 0, no frame does, with
+    /// markers off (nothing to carry) or integrity on (a mark inside a
+    /// checksummed frame would have to be covered by the checksum).
+    markable_max: usize,
     max_flows: usize,
     park_capacity: usize,
     queue_frames: usize,
@@ -499,6 +578,19 @@ pub struct StripeServer<S: CausalScheduler, L: DatagramLink> {
     scratch_channels: Vec<ChannelId>,
     scratch_markers: Vec<(usize, ChannelId, Marker)>,
     scratch_idle: Vec<(ChannelId, Marker)>,
+    /// Per `(flow slot, channel)`, at `slot * channels + channel`: the
+    /// mark waiting there, valid while the flow's
+    /// [`waiting`](FlowState::waiting) bit is set. One array for the
+    /// whole slab, grown with it.
+    waiting: Vec<WaitingMark>,
+    /// Flows that had a mark waiting at some point of the pump in
+    /// progress (empty between pumps).
+    waiting_flows: Vec<FlowId>,
+    /// `(index of the carrier's PumpEvent::Data, index of the mark's
+    /// PumpEvent::Marker)` for every mark the latest pump put inside a
+    /// frame, in carrier order: how a refused carrier finds the other
+    /// event its error belongs on.
+    carried: Vec<(u32, u32)>,
     /// The pump in progress, per channel (empty between pumps).
     stage: Vec<ChannelStage>,
     regroup: Regroup,
@@ -520,6 +612,13 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> StripeServer<S, L> {
             self.flows.push(None);
             self.gens.push(0);
             self.regroup.tail.push(NONE);
+            let none = WaitingMark {
+                mark: ChannelMark { round: 0, dc: 0 },
+                event: NONE,
+                behind: 0,
+            };
+            self.waiting
+                .resize(self.flows.len() * self.links.len(), none);
             (self.flows.len() - 1) as FlowId
         });
         // Reuse a closed flow's engine and queue when one is pooled: a
@@ -538,6 +637,7 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> StripeServer<S, L> {
                 queue: VecDeque::new(),
                 stats: FlowSnapshot::default(),
                 parked: false,
+                waiting: 0,
             },
         };
         if self.mask_dirty {
@@ -645,6 +745,13 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     /// into a recycled buffer (flow-tagged version 2), and waits
     /// for [`pump_into`](Self::pump_into) to schedule it. A full queue
     /// reports [`FlowError::Backpressure`] without touching the payload.
+    ///
+    /// The frame gets the (empty) mark field iff markers are on,
+    /// integrity is off, the payload is at least
+    /// [`MARK_MIN_PAYLOAD`](frame::MARK_MIN_PAYLOAD) bytes and the longer
+    /// frame still fits every link's MTU — all decided here, by length,
+    /// so equal payloads are equal frames whichever of them ends up
+    /// carrying a mark.
     pub fn enqueue(&mut self, h: FlowHandle, payload: &[u8]) -> Result<(), FlowError> {
         let f = self.state_of(h)?;
         if self.path_parked {
@@ -669,6 +776,10 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
         let mut buf = self.buf_pool.pop().unwrap_or_default();
         if self.integrity {
             frame::encode_data_summed_flow_into(h.id, payload, &mut buf);
+        } else if payload.len() >= frame::MARK_MIN_PAYLOAD
+            && frame::data_flow_frame_len(h.id, payload.len()) <= self.markable_max
+        {
+            frame::encode_data_markable_flow_into(h.id, payload, &mut buf);
         } else {
             frame::encode_data_flow_into(h.id, payload, &mut buf);
         }
@@ -692,6 +803,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     pub fn pump_into(&mut self, now: SimTime, budget: usize, events: &mut Vec<PumpEvent>) -> usize {
         let _ = now; // reserved for pacing
         events.clear();
+        self.carried.clear();
         if self.path_parked {
             return 0;
         }
@@ -718,13 +830,36 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                 &mut self.scratch_channels,
                 &mut self.scratch_markers,
             );
-            // Phase 3: stage each frame on its channel, each marker
-            // right behind the frame it follows, so per-channel FIFO
-            // (and hence marker recovery) holds per flow.
+            // Phase 3: stage each frame on its channel. A mark waits for
+            // the flow's next frame on its channel and leaves in it, or
+            // directly ahead of it: per (flow, channel) the wire order
+            // is the offer order, so marker recovery holds per flow.
             let n = self.turn_lens.len();
+            let channels = self.links.len();
             let mut m = 0;
             for (i, &ch) in self.scratch_channels.iter().enumerate() {
-                let q = f.queue.pop_front().expect("charged above");
+                let mut q = f.queue.pop_front().expect("charged above");
+                if f.waiting & (1 << ch) != 0 {
+                    f.waiting &= !(1 << ch);
+                    let w = self.waiting[fid * channels + ch];
+                    if frame::write_mark(&mut q.buf, w.mark) {
+                        self.carried.push((events.len() as u32, w.event));
+                        self.stats.markers_carried += 1;
+                        f.stats.markers_carried += 1;
+                    } else {
+                        // No field (short payload, integrity): a frame
+                        // of its own, of the carrier's length class.
+                        Self::stage_marker_frame(
+                            &self.links[ch],
+                            &mut self.buf_pool,
+                            &mut self.stage[ch],
+                            flow_id,
+                            ch,
+                            w,
+                            q.buf.len(),
+                        );
+                    }
+                }
                 self.stage[ch].push(q.buf, flow_id, events.len());
                 events.push(PumpEvent::Data {
                     flow: flow_id,
@@ -733,38 +868,46 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                 });
                 while let Some(&(_, c, mk)) = self.scratch_markers.get(m).filter(|mk| mk.0 <= i) {
                     m += 1;
-                    // Pad target on a coalescing link: the flow's own
-                    // neighbour on the channel — the frame staged just
-                    // ahead of the marker, else the turn's next one
-                    // behind it — so the marker joins that frame's
-                    // length class instead of stalling its flow's chain
-                    // in the merge as a lone short head.
-                    let pad_to = if self.links[c].coalesce_hint() {
-                        self.stage[c].last_len_of(flow_id).or_else(|| {
-                            let mut behind = self.scratch_channels[i + 1..].iter();
-                            behind.position(|&x| x == c).map(|j| f.queue[j].buf.len())
-                        })
-                    } else {
-                        None
-                    };
-                    // A buffer fresh from an empty pool arrives pre-sized:
-                    // a zero-capacity one would grow under the encode, in
-                    // the steady state.
-                    let mtu = self.links[c].mtu();
-                    let mut buf = self
-                        .buf_pool
-                        .pop()
-                        .unwrap_or_else(|| Vec::with_capacity(mtu));
-                    let ctl = Control::Marker(mk);
-                    let fits =
-                        frame::control_flow_frame_len(flow_id, &ctl) + frame::PAD_LEN_PREFIX..=mtu;
-                    match pad_to.filter(|len| fits.contains(len)) {
-                        Some(len) => {
-                            frame::encode_control_padded_flow_into(flow_id, &ctl, len, &mut buf)
-                        }
-                        None => frame::encode_control_flow_into(flow_id, &ctl, &mut buf),
+                    let at = fid * channels + c;
+                    if f.waiting & (1 << c) != 0 {
+                        // Nothing went on `c` since the flow's last mark
+                        // for it: that one leaves alone, ahead of this.
+                        f.waiting &= !(1 << c);
+                        let w = self.waiting[at];
+                        Self::stage_marker_frame(
+                            &self.links[c],
+                            &mut self.buf_pool,
+                            &mut self.stage[c],
+                            flow_id,
+                            c,
+                            w,
+                            w.behind as usize,
+                        );
                     }
-                    self.stage[c].push(buf, flow_id, events.len());
+                    let w = WaitingMark {
+                        mark: mk.mark,
+                        event: events.len() as u32,
+                        behind: self.stage[c].last_len_of(flow_id).unwrap_or(0) as u32,
+                    };
+                    if f.queue.is_empty() {
+                        // The flow has nothing left for this pump to
+                        // carry it in: it leaves now, not at the end.
+                        Self::stage_marker_frame(
+                            &self.links[c],
+                            &mut self.buf_pool,
+                            &mut self.stage[c],
+                            flow_id,
+                            c,
+                            w,
+                            w.behind as usize,
+                        );
+                    } else {
+                        if f.waiting == 0 {
+                            self.waiting_flows.push(flow_id);
+                        }
+                        f.waiting |= 1 << c;
+                        self.waiting[at] = w;
+                    }
                     events.push(PumpEvent::Marker {
                         flow: flow_id,
                         channel: c,
@@ -781,6 +924,30 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             let backlogged = !f.queue.is_empty();
             self.drr.end_turn(fid, backlogged);
         }
+        // No mark outlives the pump that made it: what found no carrier
+        // leaves as a marker frame behind the flow's last frame on the
+        // channel.
+        for k in 0..self.waiting_flows.len() {
+            let flow = self.waiting_flows[k];
+            let f = self.flows[flow as usize]
+                .as_mut()
+                .expect("flows stay open across a pump");
+            while f.waiting != 0 {
+                let c = f.waiting.trailing_zeros() as usize;
+                f.waiting &= f.waiting - 1;
+                let w = self.waiting[flow as usize * self.links.len() + c];
+                Self::stage_marker_frame(
+                    &self.links[c],
+                    &mut self.buf_pool,
+                    &mut self.stage[c],
+                    flow,
+                    c,
+                    w,
+                    w.behind as usize,
+                );
+            }
+        }
+        self.waiting_flows.clear();
         for c in 0..self.links.len() {
             self.emit_stage(c, events);
             // One flush per link per pump: deferring links submit their
@@ -788,6 +955,35 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             self.links[c].flush();
         }
         served_total
+    }
+
+    /// Stage flow `flow`'s mark `w` for channel `c` as a marker frame of
+    /// its own — on a coalescing link padded to `pad_to` bytes where a
+    /// marker fits in that, the length of the flow's data frame it is
+    /// staged next to, so that it joins that frame's length class
+    /// instead of cutting a train.
+    fn stage_marker_frame(
+        link: &L,
+        buf_pool: &mut Vec<Vec<u8>>,
+        stage: &mut ChannelStage,
+        flow: FlowId,
+        c: ChannelId,
+        w: WaitingMark,
+        pad_to: usize,
+    ) {
+        // A buffer fresh from an empty pool arrives pre-sized: a
+        // zero-capacity one would grow under the encode, in the steady
+        // state.
+        let mtu = link.mtu();
+        let mut buf = buf_pool.pop().unwrap_or_else(|| Vec::with_capacity(mtu));
+        let ctl = Control::Marker(Marker::sync(c, w.mark));
+        let fits = frame::control_flow_frame_len(flow, &ctl) + frame::PAD_LEN_PREFIX..=mtu;
+        if link.coalesce_hint() && fits.contains(&pad_to) {
+            frame::encode_control_padded_flow_into(flow, &ctl, pad_to, &mut buf);
+        } else {
+            frame::encode_control_flow_into(flow, &ctl, &mut buf);
+        }
+        stage.push(buf, flow, w.event as usize);
     }
 
     /// Hand channel `c`'s staged burst to its link in one run —
@@ -810,21 +1006,26 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                 let f = self.flows[flow as usize]
                     .as_mut()
                     .expect("flows stay open across a pump");
-                match &mut events[event as usize] {
-                    PumpEvent::Data { error, .. } => {
-                        *error = Some(e);
-                        if e == TxError::QueueFull {
-                            self.stats.path.dropped_queue += 1;
-                            f.stats.dropped_queue += 1;
-                        } else {
-                            self.stats.path.dropped_lost += 1;
-                            f.stats.dropped_lost += 1;
+                // A refused carrier takes the mark inside it along.
+                let inside = self.carried.binary_search_by_key(&event, |c| c.0);
+                let inside = inside.ok().map(|k| self.carried[k].1);
+                for event in std::iter::once(event).chain(inside) {
+                    match &mut events[event as usize] {
+                        PumpEvent::Data { error, .. } => {
+                            *error = Some(e);
+                            if e == TxError::QueueFull {
+                                self.stats.path.dropped_queue += 1;
+                                f.stats.dropped_queue += 1;
+                            } else {
+                                self.stats.path.dropped_lost += 1;
+                                f.stats.dropped_lost += 1;
+                            }
                         }
-                    }
-                    PumpEvent::Marker { error, .. } => {
-                        *error = Some(e);
-                        self.stats.path.markers_lost += 1;
-                        f.stats.markers_lost += 1;
+                        PumpEvent::Marker { error, .. } => {
+                            *error = Some(e);
+                            self.stats.path.markers_lost += 1;
+                            f.stats.markers_lost += 1;
+                        }
                     }
                 }
             }
@@ -1405,6 +1606,84 @@ mod tests {
         assert_eq!(data, 100);
         assert_eq!(markers, srv.stats().path.markers_sent);
         assert_eq!(markers, srv.flow_stats(h).unwrap().markers_sent);
+    }
+
+    /// The three ways a mark leaves, on one channel so that wire order
+    /// is offer order: inside the flow's next frame when that has the
+    /// field, as a marker frame directly ahead of it when it has none,
+    /// and as a marker frame behind the last one when the pump ends
+    /// first. Either way the wire, a marked frame read as mark then
+    /// data, is the event sequence.
+    #[test]
+    fn a_mark_rides_in_or_ahead_of_the_next_frame_and_never_outlives_its_pump() {
+        // (payload, integrity) -> does a mid-pump mark ride its carrier?
+        for (len, integrity, rides) in [(300, false, true), (100, false, false), (300, true, false)]
+        {
+            let (a, mut b) = datagram_pair(2048, 1024);
+            let mut srv: StripeServer<Srr, TestDatagramLink> = StripeServer::builder()
+                .scheduler(Srr::equal(1, 1500))
+                .markers(MarkerConfig::every_rounds(1))
+                .links(vec![a])
+                .integrity(integrity)
+                .build();
+            let h = srv.open_flow().unwrap();
+            for i in 0..40u8 {
+                srv.enqueue(h, &vec![i; len]).unwrap();
+            }
+            let mut events = Vec::new();
+            let (mut tails, mut marked) = (0, 0);
+            // Budgets that end some pumps right behind a fresh mark.
+            for budget in [5, 7, 3, 10, usize::MAX] {
+                srv.pump_into(SimTime::ZERO, budget, &mut events);
+                let wire = drain(&mut b);
+                let mut expanded = Vec::new();
+                for f in &wire {
+                    let p = frame::parse(f).expect("well-formed");
+                    match p.body {
+                        frame::Body::MarkedData => {
+                            expanded.push(Some(p.mark(f)));
+                            expanded.push(None);
+                            marked += 1;
+                        }
+                        frame::Body::Data => expanded.push(None),
+                        frame::Body::Marker => expanded.push(Some(p.marker(f).unwrap().mark)),
+                        frame::Body::Control => panic!("unexpected control"),
+                    }
+                }
+                let offered: Vec<_> = events
+                    .iter()
+                    .map(|ev| match ev {
+                        PumpEvent::Data { error: None, .. } => None,
+                        PumpEvent::Marker {
+                            marker,
+                            error: None,
+                            ..
+                        } => Some(marker.mark),
+                        other => panic!("unexpected {other:?}"),
+                    })
+                    .collect();
+                assert_eq!(expanded, offered, "len {len} integrity {integrity}");
+                // A mark the pump ended on left as a frame of its own.
+                if let Some(PumpEvent::Marker { .. }) = events.last() {
+                    let last = frame::parse(wire.last().unwrap()).unwrap();
+                    assert_eq!(last.body, frame::Body::Marker);
+                    tails += 1;
+                }
+                if rides {
+                    // Equal payloads, equal frames, marked or not.
+                    let data = wire.iter().filter(|f| frame::is_data_frame(f));
+                    assert!(data.clone().all(|f| f.len() == wire[0].len()));
+                }
+            }
+            assert!(tails > 0, "no pump ended on a mark");
+            let s = srv.flow_stats(h).unwrap();
+            assert_eq!(s.markers_carried, marked);
+            assert_eq!(s.markers_carried, srv.stats().markers_carried);
+            assert_eq!(marked > 0, rides);
+            if rides {
+                assert_eq!(s.markers_sent, marked + tails);
+            }
+        }
     }
 
     /// Link backpressure surfaces as one `QueueFull` event per refused

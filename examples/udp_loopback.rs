@@ -112,7 +112,11 @@ fn main() -> std::io::Result<()> {
     println!("sent        : {PACKETS}");
     println!("dropped     : {dropped} (in flight, channel 0)");
     println!("delivered   : {}", s.delivered);
+    let carried = path.stats().markers_carried;
+    let marked_frames = rx.net_stats().marked_frames;
     println!("markers sent: {}", path.stats().path.markers_sent);
+    println!("  of them inside the data frame they describe: {carried}");
+    println!("  marked frames received: {marked_frames}");
     let marks_applied = rx.flow_stats(flow.id()).map_or(0, |s| s.marks_applied);
     println!("marks applied: {marks_applied}");
     println!();
@@ -135,5 +139,10 @@ fn main() -> std::io::Result<()> {
     }
 
     assert_eq!(s.delivered, expected, "every surviving packet must arrive");
+    // 512-byte payloads, integrity off: marks ride the data.
+    if carried == 0 || marked_frames == 0 {
+        eprintln!("no mark rode a data frame ({carried} sent so, {marked_frames} received)");
+        std::process::exit(1);
+    }
     Ok(())
 }

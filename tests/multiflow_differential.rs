@@ -1,41 +1,65 @@
 //! Differential properties of the one real-socket send path and its
 //! versioned (flow-tagged) wire format.
 //!
+//! Since marks ride the data they describe, a frame on the wire is one
+//! *or two* of the things a flow's SRR offered: a frame carrying its
+//! channel's mark ([`KIND_DATA_MARKED`]) reads as that marker and then
+//! the data. Every property below is stated over this *expanded*
+//! sequence — which is what the receiver acts on — and compared with an
+//! oracle in which every marker is still a thing of its own.
+//!
 //! 1. **Datapath equivalence.** A one-flow [`StripeServer`] makes
 //!    exactly the striping decisions of a bare [`StripingSender`] fed
 //!    the same lengths in one batch — same channels, same marker
-//!    schedule — and puts exactly those payloads and markers on each
-//!    channel's wire, in order, as flow-0 version-2 frames. The oracle
-//!    shares no framing, queueing, DRR, or link code with the server.
-//! 2. **Regrouping is invisible per flow.** A many-flow server stages
-//!    each pump per channel and emits it regrouped by wire length; the
-//!    *offer-order emitter* it replaced — DRR turns, each flow's frames
-//!    and markers handed to the links as its SRR produces them — lives
-//!    on here as the oracle. For every (flow, channel) the wire
-//!    subsequence of data *and* markers equals the oracle's; with one
-//!    flow or one length the whole wire is byte-identical to it; events
-//!    stay in offer order; and a refused frame's error lands on its own
-//!    event and its own flow's counters, whichever frames the
-//!    regrouping pushed past a full queue.
-//! 3. **Codec coexistence.** A mixed stream of version-1 and version-2
+//!    schedule — and each channel's expanded wire is exactly those
+//!    payloads and marks, in order, mark for mark and byte for byte, as
+//!    flow-0 version-2 frames. Which frames have the mark field is the
+//!    length rule and nothing else. The oracle shares no framing,
+//!    queueing, DRR, or link code with the server.
+//! 2. **Regrouping and carrying are invisible per flow.** A many-flow
+//!    server stages each pump per channel and emits it regrouped by
+//!    wire length; the *offer-order emitter* it replaced — DRR turns,
+//!    each flow's frames and markers handed to the links as its SRR
+//!    produces them — lives on here as the oracle. For every (flow,
+//!    channel) the expanded wire subsequence of data *and* marks equals
+//!    the oracle's; with one flow, or one length and no markers, the
+//!    whole wire is in offer order; events stay one per offer in offer
+//!    order; and a refused frame's error lands on its own event — and on
+//!    the event of the mark inside it — and on its own flow's counters,
+//!    whichever frames the regrouping pushed past a full queue.
+//! 3. **Short payloads put the parent's bytes on the wire.** Below
+//!    [`MARK_MIN_PAYLOAD`] no frame has the field, so 64-byte traffic is
+//!    byte for byte what it was when every marker was a frame.
+//! 4. **Loss takes a mark only with its carrier.** Under a seeded
+//!    per-frame drop pattern, what [`FlowDemux`] delivers for each flow
+//!    is what a bare [`LogicalReceiver`] delivers when fed the oracle's
+//!    arrivals minus the dropped frames and the marks inside them.
+//! 5. **Codec coexistence.** A mixed stream of version-1 and version-2
 //!    frames decodes under the one shared [`try_decode_flow`] entry:
 //!    v1 frames land on flow 0, v2 frames on their tagged flow, and the
 //!    body survives byte-for-byte either way.
 //!
 //! [`try_decode_flow`]: stripe::net::frame::try_decode_flow
+//! [`KIND_DATA_MARKED`]: stripe::net::frame::KIND_DATA_MARKED
+//! [`MARK_MIN_PAYLOAD`]: stripe::net::frame::MARK_MIN_PAYLOAD
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
 use stripe::core::control::Control;
+use stripe::core::receiver::{Arrival, LogicalReceiver, RxBatch};
 use stripe::core::sched::{Drr, Srr};
 use stripe::core::sender::{MarkerConfig, StripingSender};
+use stripe::core::types::TestPacket;
 use stripe::core::Marker;
 use stripe::link::{datagram_pair, DatagramLink, TestDatagramLink, TxError};
-use stripe::net::frame::{self, Frame, FRAME_VERSION_FLOW};
-use stripe::net::{FlowId, PumpEvent, StripeServer};
-use stripe::netsim::SimTime;
+use stripe::net::frame::{
+    self, Body, Frame, FRAME_VERSION_FLOW, KIND_CONTROL, KIND_CONTROL_PADDED, KIND_DATA,
+    KIND_DATA_MARKED, KIND_DATA_MARK_EMPTY, KIND_DATA_SUMMED, MARK_FIELD_LEN, MARK_MIN_PAYLOAD,
+};
+use stripe::net::{FlowDemux, FlowId, PumpEvent, StripeServer};
+use stripe::netsim::{DetRng, SimTime};
 
 /// What one channel carries, in order: packet `i`'s payload or a marker.
 #[derive(Debug, PartialEq)]
@@ -55,7 +79,7 @@ fn drain(link: &mut TestDatagramLink) -> Vec<Vec<u8>> {
 }
 
 /// An in-memory link that can be dead (`LinkDown` for every frame) and
-/// can claim to coalesce (so the server pads its markers).
+/// can claim to coalesce (so the server pads its marker frames).
 struct FlakyLink {
     inner: TestDatagramLink,
     down: bool,
@@ -93,8 +117,9 @@ impl DatagramLink for FlakyLink {
 
 /// The offer-order emitter: the two-level scheduling loop of
 /// `StripeServer::pump_into` with nothing behind it — what is offered,
-/// by which flow, to which channel, in what order. Shares the DRR and
-/// the per-flow striping engine with the server, and nothing else.
+/// by which flow, to which channel, in what order, every marker a thing
+/// of its own. Shares the DRR and the per-flow striping engine with the
+/// server, and nothing else.
 struct OfferOrder {
     drr: Drr,
     flows: Vec<OracleFlow>,
@@ -165,10 +190,149 @@ fn stamped(pkt: usize, len: usize) -> Vec<u8> {
     p
 }
 
+/// The length rule: which payloads a server with markers on, integrity
+/// off and `mtu`-byte links sends behind a mark field.
+fn takes_field(flow: FlowId, len: usize, mtu: usize) -> bool {
+    len >= MARK_MIN_PAYLOAD && frame::data_flow_frame_len(flow, len) + MARK_FIELD_LEN <= mtu
+}
+
+/// One frame off channel `c`'s wire as the receiver reads it: whose it
+/// is, the mark it states (a marker frame's, or the one a data frame
+/// carries), the payload it delivers. Every byte around those is checked
+/// here against the plain encoders: a frame without the field is the
+/// bytes it always was, one with the field is the same header, the
+/// field, the same payload.
+fn read_frame(c: usize, f: &[u8], coalesce: bool) -> (FlowId, Option<Marker>, Option<&[u8]>) {
+    assert_eq!(f[1], FRAME_VERSION_FLOW, "server emits v2");
+    let p = frame::parse(f).expect("well-formed frame");
+    let mut plain = Vec::new();
+    match p.body {
+        Body::Marker => {
+            let mk = p.marker(f).expect("well-formed marker");
+            assert_eq!(mk.channel, c, "a marker names the channel it rides");
+            frame::encode_control_flow_into(p.flow, &Control::Marker(mk), &mut plain);
+            match f[2] {
+                KIND_CONTROL => assert_eq!(f, &plain[..], "marker frame bytes changed"),
+                KIND_CONTROL_PADDED => assert!(coalesce, "padded for a link that does not ask"),
+                kind => panic!("marker in a frame of kind {kind}"),
+            }
+            (p.flow, Some(mk), None)
+        }
+        Body::Data | Body::MarkedData => {
+            let body = p.body(f);
+            assert_eq!(frame::try_decode_flow(f), Ok((p.flow, Frame::Data(body))));
+            match f[2] {
+                KIND_DATA => {
+                    frame::encode_data_flow_into(p.flow, body, &mut plain);
+                    assert_eq!(f, &plain[..], "data frame bytes changed");
+                }
+                KIND_DATA_SUMMED => {
+                    frame::encode_data_summed_flow_into(p.flow, body, &mut plain);
+                    assert_eq!(f, &plain[..], "summed frame bytes changed");
+                }
+                KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED => {
+                    frame::encode_data_flow_into(p.flow, body, &mut plain);
+                    let at = plain.len() - body.len();
+                    assert_eq!(f.len(), plain.len() + MARK_FIELD_LEN);
+                    assert_eq!((&f[..2], &f[3..at]), (&plain[..2], &plain[3..at]));
+                }
+                kind => panic!("data in a frame of kind {kind}"),
+            }
+            let mark = (p.body == Body::MarkedData).then(|| Marker::sync(c, p.mark(f)));
+            assert_eq!(mark.is_some(), f[2] == KIND_DATA_MARKED);
+            (p.flow, mark, Some(body))
+        }
+        Body::Control => panic!("global control on the data path"),
+    }
+}
+
+/// 64-byte payloads are under the length rule, so nothing about their
+/// wire changed when marks began to ride. The capture has the
+/// yardstick's `small_10kflows_64B` shape — 128-packet bursts dealt
+/// round-robin over more flows than that, one pump a burst, links that
+/// ask for padding — and per (flow, channel) its bytes are the
+/// offer-order emitter's offers run through the encoders that were all
+/// there was, frame for frame, byte for byte, padding included: a marker
+/// frame directly behind its own flow's data frame on the channel is
+/// stretched to that frame's length, any other is plain. No frame has
+/// the field and no mark rides.
+#[test]
+fn sixty_four_byte_payloads_put_the_parents_bytes_on_the_wire() {
+    const FLOWS: usize = 256;
+    const CHANNELS: usize = 4;
+    const BURST: usize = 128;
+    let markers = MarkerConfig::every_rounds(4);
+    let proto = Srr::equal(CHANNELS, 200);
+    let (mut tx_links, mut rx_links) = (Vec::new(), Vec::new());
+    for _ in 0..CHANNELS {
+        let (a, b) = datagram_pair(2048, 1 << 12);
+        tx_links.push(FlakyLink {
+            inner: a,
+            down: false,
+            coalesce: true,
+        });
+        rx_links.push(b);
+    }
+    let mut server = StripeServer::builder()
+        .scheduler(proto.clone())
+        .markers(markers)
+        .links(tx_links)
+        .build();
+    let handles: Vec<_> = (0..FLOWS).map(|_| server.open_flow().unwrap()).collect();
+    let mut oracle = OfferOrder::new(FLOWS, 1 << 14, &proto, markers);
+    let mut events = Vec::new();
+    let (mut pkt, mut marks, mut padded) = (0, 0, 0);
+    for _burst in 0..600 {
+        for _ in 0..BURST {
+            let flow = pkt % FLOWS;
+            server.enqueue(handles[flow], &stamped(pkt, 64)).unwrap();
+            oracle.enqueue(flow, pkt, 64);
+            pkt += 1;
+        }
+        server.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+        let mut want = vec![vec![Vec::new(); CHANNELS]; FLOWS];
+        // The channel's latest offer: whose, and how long on the wire.
+        let mut latest = [None; CHANNELS];
+        for (flow, c, item) in oracle.pump(usize::MAX) {
+            let mut f = Vec::new();
+            match item {
+                Item::Data(pkt) => frame::encode_data_flow_into(flow, &stamped(pkt, 64), &mut f),
+                Item::Marker(mk) => {
+                    marks += 1;
+                    let ctl = Control::Marker(mk);
+                    match latest[c] {
+                        Some((behind, len)) if behind == flow => {
+                            padded += 1;
+                            frame::encode_control_padded_flow_into(flow, &ctl, len, &mut f)
+                        }
+                        _ => frame::encode_control_flow_into(flow, &ctl, &mut f),
+                    }
+                }
+            }
+            latest[c] = Some((flow, f.len()));
+            want[flow as usize][c].push(f);
+        }
+        let mut got = vec![vec![Vec::new(); CHANNELS]; FLOWS];
+        for (c, link) in rx_links.iter_mut().enumerate() {
+            for f in drain(link) {
+                let flow = frame::parse(&f).expect("well-formed").flow;
+                got[flow as usize][c].push(f);
+            }
+        }
+        assert_eq!(got, want);
+    }
+    assert!(
+        marks >= 2000 && padded >= 500,
+        "{marks} markers, {padded} padded"
+    );
+    assert_eq!(server.stats().path.markers_sent, marks);
+    assert_eq!(server.stats().markers_carried, 0);
+}
+
 proptest! {
-    /// Many flows through the staging, regrouping server against the
-    /// offer-order emitter, pump by pump, over links that refuse frames
-    /// for every reason a link can.
+    /// Many flows through the staging, regrouping, mark-carrying server
+    /// against the offer-order emitter, pump by pump, over links that
+    /// refuse frames for every reason a link can.
     #[test]
     fn regrouped_wire_is_the_offer_order_per_flow_and_channel(
         (flows, channels) in (1usize..=16, 2usize..=4),
@@ -179,13 +343,15 @@ proptest! {
         budgets in prop::collection::vec(1usize..80, 1..6),
         (queue_cap, small_mtu, coalesce) in (1usize..48, any::<bool>(), any::<bool>()),
         down in prop::option::of(0usize..4),
+        integrity in any::<bool>(),
     ) {
         let markers = match marker_rounds {
             0 => MarkerConfig::disabled(),
             n => MarkerConfig::every_rounds(n),
         };
-        // Half the cases cut the MTU under the long classes (`TooBig`);
-        // a marker always fits.
+        // Half the cases cut the MTU under the long classes (`TooBig`,
+        // and just below that "fits, but not with the field"); a marker
+        // always fits.
         let mtu = if small_mtu { 600 } else { 2048 };
         let (mut tx_links, mut rx_links) = (Vec::new(), Vec::new());
         for c in 0..channels {
@@ -198,6 +364,7 @@ proptest! {
             .scheduler(proto.clone())
             .markers(markers)
             .links(tx_links)
+            .integrity(integrity)
             .queue_frames(packets.len())
             .flow_quantum(flow_quantum)
             .build();
@@ -211,17 +378,19 @@ proptest! {
             oracle.enqueue(flow, pkt, lens[pkt]);
         }
         let uniform = flows == 1 || (classes.len() == 1 && marker_rounds == 0);
+        let carrying = marker_rounds != 0 && !integrity;
+        let trailer = if integrity { frame::SUM_TRAILER_LEN } else { 0 };
 
         // What every flow's counters must end at, from the events alone.
         let mut want_stats = vec![[0u64; 5]; flows]; // sent, queue, lost, markers, markers lost
+        let mut carried_on_wire = 0u64;
         let mut events = Vec::new();
-        let mut reference = Vec::new();
         for budget in budgets.into_iter().chain(std::iter::once(usize::MAX)) {
             let served = server.pump_into(SimTime::ZERO, budget, &mut events);
             let offers = oracle.pump(budget);
             prop_assert_eq!(served, offers.iter().filter(|o| matches!(o.2, Item::Data(_))).count());
 
-            // (iii) Events are the offers, in offer order.
+            // (iii) Events are the offers, one each, in offer order.
             prop_assert_eq!(events.len(), offers.len());
             let mut kept: Vec<Vec<&(FlowId, usize, Item)>> = vec![Vec::new(); channels];
             for (ev, offer) in events.iter().zip(&offers) {
@@ -234,13 +403,15 @@ proptest! {
                     (ev, item) => return Err(TestCaseError::fail(format!("{ev:?} vs {item:?}"))),
                 };
                 prop_assert_eq!((flow, channel), (offer.0, offer.1), "offer order diverges");
-                // The error is the one this very frame must have met.
+                // The error is the one this very frame must have met — a
+                // carried mark's is its carrier's, and a frame takes the
+                // field only where that cannot make it too big.
                 let stats = &mut want_stats[flow as usize];
                 match (&offer.2, error) {
                     (_, Some(e)) if down == Some(channel) => prop_assert_eq!(e, TxError::LinkDown),
                     (_, None) if down == Some(channel) => prop_assert!(false, "left on a dead link"),
                     (Item::Data(pkt), e) => {
-                        let too_big = frame::data_flow_frame_len(flow, lens[*pkt]) > mtu;
+                        let too_big = frame::data_flow_frame_len(flow, lens[*pkt]) + trailer > mtu;
                         prop_assert_eq!(e == Some(TxError::TooBig), too_big);
                         prop_assert!(too_big || matches!(e, None | Some(TxError::QueueFull)));
                     }
@@ -258,79 +429,97 @@ proptest! {
                 }
             }
 
-            // (i) Per (flow, channel) the wire is the oracle's — exactly
-            // the offers whose events carry no error, in offer order.
+            // (i) Per (flow, channel) the expanded wire is the oracle's —
+            // exactly the offers whose events carry no error, in offer
+            // order: so a mark left iff its event says so, alone or in
+            // the frame the flow offered next on that channel.
             for (c, link) in rx_links.iter_mut().enumerate() {
                 let wire = drain(link);
-                prop_assert_eq!(wire.len(), kept[c].len(), "channel {} frame count", c);
                 let mut cursor = vec![0usize; flows];
-                for (at, f) in wire.iter().enumerate() {
-                    let (flow, decoded) = frame::try_decode_flow(f).expect("well-formed frame");
-                    // This flow's next kept offer on the channel.
-                    let mine = &mut cursor[flow as usize];
-                    while kept[c].get(*mine).is_some_and(|o| o.0 != flow) {
+                let mut at = 0;
+                for f in &wire {
+                    let (flow, mark, body) = read_frame(c, f, coalesce);
+                    if let Some(body) = body {
+                        let has_field = matches!(f[2], KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED);
+                        prop_assert_eq!(has_field, carrying && takes_field(flow, body.len(), mtu));
+                        prop_assert_eq!(f[2] == KIND_DATA_SUMMED, integrity);
+                        carried_on_wire += mark.is_some() as u64;
+                    }
+                    let items = [mark.map(Item::Marker), body.map(|b| {
+                        Item::Data(u32::from_be_bytes(b[..4].try_into().unwrap()) as usize)
+                    })];
+                    for got in items.into_iter().flatten() {
+                        // This flow's next kept offer on the channel.
+                        let mine = &mut cursor[flow as usize];
+                        while kept[c].get(*mine).is_some_and(|o| o.0 != flow) {
+                            *mine += 1;
+                        }
+                        let Some(&(_, _, want)) = kept[c].get(*mine) else {
+                            return Err(TestCaseError::fail(format!("channel {c}: flow {flow} frame from nowhere")));
+                        };
+                        if uniform {
+                            // (ii) …and then the whole wire is in offer order.
+                            prop_assert_eq!(*mine, at, "identity merge reordered channel {}", c);
+                        }
                         *mine += 1;
-                    }
-                    let Some(&(_, _, item)) = kept[c].get(*mine) else {
-                        return Err(TestCaseError::fail(format!("channel {c}: flow {flow} frame from nowhere")));
-                    };
-                    if uniform {
-                        // (ii) …and then the whole wire is in offer order.
-                        prop_assert_eq!(*mine, at, "identity merge reordered channel {}", c);
-                    }
-                    *mine += 1;
-                    reference.clear();
-                    match (decoded, item) {
-                        (Frame::Data(body), &Item::Data(pkt)) => {
-                            prop_assert_eq!(body, &stamped(pkt, lens[pkt])[..]);
-                            frame::encode_data_flow_into(flow, body, &mut reference);
-                            prop_assert_eq!(f, &reference, "data frame bytes changed");
+                        at += 1;
+                        prop_assert_eq!(&got, want, "channel {}", c);
+                        if let (Item::Data(pkt), Some(body)) = (&got, body) {
+                            prop_assert_eq!(body, &stamped(*pkt, lens[*pkt])[..]);
                         }
-                        (Frame::Control(Control::Marker(mk)), Item::Marker(want)) => {
-                            prop_assert_eq!(&mk, want);
-                            frame::encode_control_flow_into(flow, &Control::Marker(mk), &mut reference);
-                            prop_assert!(coalesce || f == &reference, "marker frame bytes changed");
-                        }
-                        (got, want) => prop_assert!(false, "channel {}: {:?} vs {:?}", c, got, want),
                     }
                 }
+                prop_assert_eq!(at, kept[c].len(), "channel {} lost an offer", c);
             }
         }
         prop_assert!(handles.iter().all(|&h| server.queue_len(h) == Ok(0)), "everything was offered");
-        let (mut path_queue, mut path_lost, mut path_markers_lost) = (0, 0, 0);
+        let (mut path_queue, mut path_lost, mut path_markers_lost, mut carried) = (0, 0, 0, 0);
         for (h, want) in handles.iter().zip(&want_stats) {
             let s = server.flow_stats(*h).expect("open");
             let got = [s.sent, s.dropped_queue, s.dropped_lost, s.markers_sent, s.markers_lost];
             prop_assert_eq!(&got, want, "flow {} counters", h.id());
+            prop_assert!(s.markers_carried <= s.markers_sent);
             path_queue += want[1];
             path_lost += want[2];
             path_markers_lost += want[4];
+            carried += s.markers_carried;
         }
         let path = server.stats().path;
         prop_assert_eq!(
             (path.dropped_queue, path.dropped_lost, path.markers_lost),
             (path_queue, path_lost, path_markers_lost)
         );
+        // Every carried mark that left is a marked frame on some wire.
+        prop_assert_eq!(server.stats().markers_carried, carried);
+        prop_assert!(carried_on_wire <= carried && carried <= carried_on_wire + path_markers_lost);
+        prop_assert!(carrying || carried == 0);
     }
 
     /// One flow through the server against a bare sender engine:
-    /// identical channel and marker sequences in offer order, and on
-    /// every channel's wire exactly the oracle's payloads and markers,
-    /// flow-tagged to flow 0.
+    /// identical channel and marker sequences in offer order, and every
+    /// channel's expanded wire exactly the oracle's payloads and marks,
+    /// flow-tagged to flow 0 — lengths on both sides of the field rule,
+    /// integrity on and off, links that ask for padding and not.
     #[test]
     fn one_flow_server_matches_bare_sender_on_the_wire(
         lens in prop::collection::vec(1usize..1200, 1..120),
         quantum in 300i64..4000,
         marker_rounds in 1u64..8,
+        (integrity, coalesce) in (any::<bool>(), any::<bool>()),
     ) {
         let channels = 3;
-        let (s0, sr0) = datagram_pair(2048, 1 << 16);
-        let (s1, sr1) = datagram_pair(2048, 1 << 16);
-        let (s2, sr2) = datagram_pair(2048, 1 << 16);
+        let mtu = 2048;
+        let (mut tx_links, mut rx_links) = (Vec::new(), Vec::new());
+        for _ in 0..channels {
+            let (a, b) = datagram_pair(mtu, 1 << 16);
+            tx_links.push(FlakyLink { inner: a, down: false, coalesce });
+            rx_links.push(b);
+        }
         let mut server = StripeServer::builder()
             .scheduler(Srr::equal(channels, quantum))
             .markers(MarkerConfig::every_rounds(marker_rounds))
-            .links(vec![s0, s1, s2])
+            .links(tx_links)
+            .integrity(integrity)
             .build();
         let flow = server.open_flow().expect("fresh server admits a flow");
         prop_assert_eq!(flow.id(), 0u32, "the first flow is flow 0");
@@ -362,24 +551,168 @@ proptest! {
         }
         prop_assert_eq!(&events, &want_events, "offer order diverges from the engine");
 
-        for (c, (mut link, want)) in [sr0, sr1, sr2].into_iter().zip(want_wire).enumerate() {
-            let frames = drain(&mut link);
-            prop_assert_eq!(frames.len(), want.len(), "channel {} frame counts diverge", c);
-            for (f, item) in frames.iter().zip(&want) {
-                prop_assert_eq!(f[1], FRAME_VERSION_FLOW, "server emits v2");
-                let (tag, decoded) = frame::try_decode_flow(f).expect("well-formed frame");
+        let (mut carried, mut alone) = (0u64, 0u64);
+        for (c, (link, want)) in rx_links.iter_mut().zip(want_wire).enumerate() {
+            let frames = drain(link);
+            let mut want = want.iter();
+            // Marker frames since the channel's last data frame (their
+            // wire lengths if padded), and that frame's length: a padded
+            // marker frame matches a data frame it sits next to.
+            let mut since: Vec<Option<usize>> = Vec::new();
+            let mut last_data = None;
+            for f in &frames {
+                let (tag, mark, body) = read_frame(c, f, coalesce);
                 prop_assert_eq!(tag, 0u32);
-                match (decoded, item) {
-                    (Frame::Data(body), &Item::Data(i)) => {
-                        prop_assert_eq!(body, &payload(i)[..], "bodies byte-identical")
+                if let Some(mk) = mark {
+                    prop_assert_eq!(want.next(), Some(&Item::Marker(mk)), "channel {}", c);
+                }
+                match body {
+                    Some(body) => {
+                        let Some(&Item::Data(i)) = want.next() else {
+                            return Err(TestCaseError::fail(format!("channel {c}: data from nowhere")));
+                        };
+                        prop_assert_eq!(body, &payload(i)[..], "bodies byte-identical");
+                        // The field is there by the length rule alone, and
+                        // a mark ahead of a frame that has it rides it.
+                        let has_field = matches!(f[2], KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED);
+                        prop_assert_eq!(has_field, !integrity && takes_field(0, lens[i], mtu));
+                        prop_assert!(mark.is_none() || has_field);
+                        prop_assert!(
+                            since.is_empty() || !has_field || mark.is_some(),
+                            "a mark left alone ahead of a frame with room"
+                        );
+                        for len in since.drain(..).flatten() {
+                            prop_assert!(len == f.len() || Some(len) == last_data, "padded to no neighbour");
+                        }
+                        last_data = Some(f.len());
+                        carried += mark.is_some() as u64;
                     }
-                    (Frame::Control(Control::Marker(mk)), Item::Marker(w)) => {
-                        prop_assert_eq!(&mk, w)
+                    None => {
+                        alone += 1;
+                        since.push((f[2] == KIND_CONTROL_PADDED).then_some(f.len()));
                     }
-                    (got, want) => prop_assert!(false, "channel {}: {:?} vs {:?}", c, got, want),
                 }
             }
+            prop_assert_eq!(want.next(), None, "channel {} lost an offer", c);
+            for len in since.into_iter().flatten() {
+                prop_assert_eq!(Some(len), last_data, "a pump's trailing marker frame matches what it trails");
+            }
         }
+        let s = server.flow_stats(flow).expect("open");
+        prop_assert_eq!((s.markers_carried, s.markers_sent), (carried, carried + alone));
+        prop_assert_eq!(s.markers_sent, marks.len() as u64);
+    }
+
+    /// A mark dies with its carrier and never otherwise. The server's
+    /// wire runs through a seeded per-frame drop pattern into a
+    /// `FlowDemux`; beside it each flow has a bare `LogicalReceiver` fed
+    /// the *oracle's* arrivals — every marker a thing of its own —
+    /// except those a dropped frame stood for: its data, and the mark
+    /// inside it if it carried one. Both see their arrivals in the same
+    /// order (a sweep's: channel by channel) and are polled at the same
+    /// points, and must deliver the same packets in the same order.
+    #[test]
+    fn loss_takes_a_mark_only_with_its_carrier(
+        (flows, channels) in (1usize..=6, 2usize..=4),
+        classes in prop::collection::vec(28usize..1200, 1..=3),
+        packets in prop::collection::vec((0usize..6, 0usize..3), 40..400),
+        (quantum, flow_quantum) in (600i64..3000, 256i64..4096),
+        marker_rounds in 1u64..5,
+        budgets in prop::collection::vec(4usize..120, 2..8),
+        (drop_ppm, seed) in (0u32..300_000, any::<u64>()),
+    ) {
+        const CAP: usize = 1 << 10;
+        let markers = MarkerConfig::every_rounds(marker_rounds);
+        let proto = Srr::equal(channels, quantum);
+        let (mut tx_links, mut taps, mut feeds, mut rx_links) = (vec![], vec![], vec![], vec![]);
+        for _ in 0..channels {
+            let (a, tap) = datagram_pair(2048, 1 << 12);
+            let (feed, b) = datagram_pair(2048, 1 << 12);
+            tx_links.push(a);
+            taps.push(tap);
+            feeds.push(feed);
+            rx_links.push(b);
+        }
+        let mut server = StripeServer::builder()
+            .scheduler(proto.clone())
+            .markers(markers)
+            .links(tx_links)
+            .queue_frames(packets.len())
+            .flow_quantum(flow_quantum)
+            .build();
+        let mut demux = FlowDemux::builder()
+            .scheduler(proto.clone())
+            .links(rx_links)
+            .capacity_per_channel(CAP)
+            .build();
+        let handles: Vec<_> = (0..flows).map(|_| server.open_flow().expect("admitted")).collect();
+        let mut oracle = OfferOrder::new(flows, flow_quantum, &proto, markers);
+        let mut bare: Vec<LogicalReceiver<Srr, TestPacket>> =
+            (0..flows).map(|_| LogicalReceiver::new(proto.clone(), CAP)).collect();
+
+        let lens: Vec<usize> = packets.iter().map(|&(_, k)| classes[k % classes.len()]).collect();
+        for (pkt, &(f, _)) in packets.iter().enumerate() {
+            let flow = f % flows;
+            server.enqueue(handles[flow], &stamped(pkt, lens[pkt])).expect("queue sized for all");
+            oracle.enqueue(flow, pkt, lens[pkt]);
+        }
+
+        let mut rng = DetRng::new(seed);
+        let mut events = Vec::new();
+        let (mut got, mut want) = (RxBatch::new(), RxBatch::new());
+        let (mut dropped_marks, mut delivered) = (0u64, 0usize);
+        for budget in budgets.into_iter().chain(std::iter::once(usize::MAX)) {
+            server.pump_into(SimTime::ZERO, budget, &mut events);
+            // The oracle's arrivals of this pump, per (flow, channel).
+            let mut theirs: Vec<Vec<VecDeque<Item>>> =
+                (0..flows).map(|_| (0..channels).map(|_| VecDeque::new()).collect()).collect();
+            for (flow, channel, item) in oracle.pump(budget) {
+                theirs[flow as usize][channel].push_back(item);
+            }
+            for c in 0..channels {
+                for f in drain(&mut taps[c]) {
+                    let (flow, mark, body) = read_frame(c, &f, false);
+                    let lost = rng.range_u64(0, 1_000_000) < drop_ppm as u64;
+                    dropped_marks += (lost && mark.is_some() && body.is_some()) as u64;
+                    // The frame stands for this many of the oracle's
+                    // arrivals on (flow, c), the next ones in order.
+                    for _ in 0..mark.is_some() as usize + body.is_some() as usize {
+                        let arrival = match theirs[flow as usize][c].pop_front() {
+                            Some(Item::Data(pkt)) => Arrival::Data(TestPacket::new(pkt as u64, lens[pkt])),
+                            Some(Item::Marker(mk)) => Arrival::Marker(mk),
+                            None => return Err(TestCaseError::fail("a frame the oracle never offered")),
+                        };
+                        if !lost {
+                            bare[flow as usize].push(c, arrival);
+                        }
+                    }
+                    if !lost {
+                        feeds[c].send_frame(&f).expect("room");
+                    }
+                }
+            }
+            prop_assert!(theirs.iter().flatten().all(|q| q.is_empty()), "an offer never reached the wire");
+            demux.sweep(SimTime::ZERO);
+            for (flow, rx) in bare.iter_mut().enumerate() {
+                demux.poll_flow_into(flow as FlowId, &mut got);
+                rx.poll_into(&mut want);
+                let got_ids: Vec<u64> = got
+                    .drain()
+                    .map(|pb| u32::from_be_bytes(pb.as_slice()[..4].try_into().unwrap()) as u64)
+                    .collect();
+                let want_ids: Vec<u64> = want.drain().map(|p| p.id).collect();
+                prop_assert_eq!(&got_ids, &want_ids, "flow {} delivery diverges", flow);
+                delivered += got_ids.len();
+            }
+        }
+        for (flow, rx) in bare.iter().enumerate() {
+            if let Some(theirs) = demux.flow_stats(flow as FlowId) {
+                prop_assert_eq!(theirs, rx.stats(), "flow {} resequencer counters", flow);
+            }
+        }
+        let carried = server.stats().markers_carried;
+        prop_assert_eq!(demux.net_stats().marked_frames + dropped_marks, carried);
+        prop_assert!(drop_ppm > 0 || delivered == packets.len(), "lossless and incomplete");
     }
 
     /// Mixed v1/v2 streams decode under the shared entry point: flow ids

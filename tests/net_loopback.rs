@@ -542,8 +542,9 @@ fn arb_control() -> impl Strategy<Value = Control> {
 }
 
 /// One datagram a broken or hostile peer might put on a channel: byte
-/// soup, or a well-formed version-2 frame — data, summed data or a
-/// marker — naming any flow id at all.
+/// soup, or a well-formed version-2 frame — data, summed data, a marker,
+/// or data behind a mark field that is whole, garbage or cut short —
+/// naming any flow id at all.
 fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
     let flow = || prop_oneof![0u32..16, 1000u32..1100, any::<u32>()];
     let payload = || prop::collection::vec(any::<u8>(), 0..48);
@@ -568,12 +569,38 @@ fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
             frame::encode_control_flow_into(flow, &Control::Marker(mk), &mut wire);
             wire
         }),
+        // The mark-field kinds. A carried mark is a marker like any
+        // other, so its round stays small for the same reason (C1 is
+        // still unbounded, not widened here); a field nobody reads
+        // (kind 4) may hold anything; `keep < 16` cuts the field short.
+        (
+            (flow(), payload()),
+            prop::option::of((0u64..64, any::<i64>())),
+            any::<[u8; 16]>(),
+            0usize..24,
+        )
+            .prop_map(|((flow, payload), mark, garbage, keep)| {
+                let mut wire = Vec::new();
+                frame::encode_data_markable_flow_into(flow, &payload, &mut wire);
+                let field = wire.len() - payload.len() - frame::MARK_FIELD_LEN;
+                match mark {
+                    Some((round, dc)) => {
+                        assert!(frame::write_mark(&mut wire, ChannelMark { round, dc }))
+                    }
+                    None => wire[field..field + 16].copy_from_slice(&garbage),
+                }
+                if keep < frame::MARK_FIELD_LEN {
+                    wire.truncate(field + keep);
+                }
+                wire
+            }),
     ]
 }
 
 proptest! {
     /// The demux behind the codec, fuzzed: whatever arrives — garbage, or
-    /// well-formed frames with flow ids drawn up to `u32::MAX` — a sweep
+    /// frames of every flow-tagged kind with flow ids drawn up to
+    /// `u32::MAX` — a sweep
     /// takes every datagram, never panics, and leaves the flow slab
     /// within its bound. (A flow id is a slab index; unbounded, one
     /// 7-byte frame could grow the slab to gigabytes.)

@@ -465,9 +465,71 @@ fn data_offset(wire: &[u8], f: &Frame<'_>) -> Option<usize> {
     }
 }
 
+/// What a datagram whose kind byte is 4 or 5 means, written from the
+/// reference: it is the kind-0 frame the same bytes would be, version 2
+/// only, whose body opens with the 16-byte mark field — `round` then
+/// `dc`, big-endian, read only for kind 5 — and a field cut short is
+/// malformed. Flow, the mark if one is carried, the payload.
+type MarkKind<'a> = Result<(u32, Option<ChannelMark>, &'a [u8]), DecodeError>;
+
+fn mark_kind_spec<'a>(wire: &'a [u8], as_plain: &'a mut Vec<u8>) -> MarkKind<'a> {
+    as_plain.clear();
+    as_plain.extend_from_slice(wire);
+    as_plain[2] = frame::KIND_DATA;
+    let (flow, rest) = match reference::try_decode_flow(as_plain)? {
+        (flow, Frame::Data(rest)) => (flow, rest),
+        (_, Frame::Control(_)) => unreachable!("kind 0 is data"),
+    };
+    if wire[1] != frame::FRAME_VERSION_FLOW || rest.len() < frame::MARK_FIELD_LEN {
+        return Err(DecodeError::Malformed);
+    }
+    let (field, payload) = rest.split_at(frame::MARK_FIELD_LEN);
+    let mark = (wire[2] == frame::KIND_DATA_MARKED).then(|| ChannelMark {
+        round: u64::from_be_bytes(field[..8].try_into().unwrap()),
+        dc: i64::from_be_bytes(field[8..].try_into().unwrap()),
+    });
+    Ok((flow, mark, &wire[wire.len() - payload.len()..]))
+}
+
+/// The layered decoders on a datagram of kind 4 or 5, which the
+/// reference predates (it refuses both as unknown kinds): they decode as
+/// `mark_kind_spec` says, through every entry point.
+fn assert_mark_kinds_decode_as_specified(wire: &[u8]) {
+    let mut scratch = Vec::new();
+    let want = mark_kind_spec(wire, &mut scratch);
+    assert_eq!(
+        frame::try_decode_flow(wire),
+        want.map(|(flow, _, payload)| (flow, Frame::Data(payload))),
+        "try_decode_flow on {wire:02x?}"
+    );
+    match (frame::parse(wire), want) {
+        (Ok(p), Ok((flow, mark, payload))) => {
+            assert_eq!((p.flow, p.len), (flow, payload.len()), "{wire:02x?}");
+            assert_eq!(p.offset as usize, wire.len() - payload.len(), "{wire:02x?}");
+            let carried = (p.body == frame::Body::MarkedData).then(|| p.mark(wire));
+            assert_eq!(carried, mark, "{wire:02x?}");
+            assert!(mark.is_some() || p.body == frame::Body::Data);
+        }
+        (got, want) => assert_eq!(got.err(), want.err(), "parse on {wire:02x?}"),
+    }
+    // Version 2 only: to a single-flow receiver they are not frames.
+    assert_eq!(frame::try_decode(wire), Err(DecodeError::Malformed));
+    assert_eq!(frame::parse_v1(wire), Err(DecodeError::Malformed));
+    assert_eq!(frame::decode(wire), None);
+    assert_eq!(
+        reference::try_decode_flow(wire),
+        Err(DecodeError::Malformed)
+    );
+}
+
 /// Both public decoders against the reference on one datagram: equal
-/// results, and data bodies borrowed from the same bytes of it.
+/// results, and data bodies borrowed from the same bytes of it — for
+/// every datagram but those whose kind byte is 4 or 5, which mean what
+/// `mark_kind_spec` says.
 fn assert_decoders_match_reference(wire: &[u8]) {
+    if let Some(&(frame::KIND_DATA_MARK_EMPTY | frame::KIND_DATA_MARKED)) = wire.get(2) {
+        return assert_mark_kinds_decode_as_specified(wire);
+    }
     let (got, want) = (frame::try_decode(wire), reference::try_decode(wire));
     assert_eq!(got, want, "try_decode on {wire:02x?}");
     if let (Ok(g), Ok(w)) = (&got, &want) {
@@ -498,6 +560,8 @@ fn golden_marker() -> Control {
 /// What a golden datagram must decode to under `try_decode_flow`.
 enum Golden {
     Data(u32, &'static [u8]),
+    /// Data behind a mark field holding this mark (kind 5).
+    Marked(u32, ChannelMark, &'static [u8]),
     Control(u32, Control),
     Reject(DecodeError),
 }
@@ -558,6 +622,57 @@ fn golden_vectors() -> Vec<(Vec<u8>, Golden)> {
             cat(&cat(&[0xC5, 2, 2, 0x89, 0x06, 25, 0], &MARKER_MSG), &[0; 7]),
             Golden::Control(777, golden_marker()),
         ),
+        // The mark field (version 2 only): 16 bytes between flow id and
+        // payload. Kind 4 leaves it empty — whatever is in it is not
+        // read — and kind 5 holds round 7, DC -2, big-endian.
+        (
+            cat(&cat(&[0xC5, 2, 4, 0x05], &[0; 16]), &[0xAA, 0xBB]),
+            Golden::Data(5, &[0xAA, 0xBB]),
+        ),
+        (cat(&[0xC5, 2, 4, 0x05], &[0xEE; 16]), Golden::Data(5, &[])),
+        (
+            cat(&cat(&[0xC5, 2, 5, 0x05], &MARKER_MSG[5..21]), &[0xAA]),
+            Golden::Marked(5, ChannelMark { round: 7, dc: -2 }, &[0xAA]),
+        ),
+        (
+            cat(&[0xC5, 2, 5, 0x7F], &MARKER_MSG[5..21]),
+            Golden::Marked(127, ChannelMark { round: 7, dc: -2 }, &[]),
+        ),
+        (
+            cat(
+                &cat(
+                    &[0xC5, 2, 5, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
+                    &MARKER_MSG[5..21],
+                ),
+                &[0xAA],
+            ),
+            Golden::Marked(u32::MAX, ChannelMark { round: 7, dc: -2 }, &[0xAA]),
+        ),
+        (
+            cat(
+                &cat(&[0xC5, 2, 4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F], &[0; 16]),
+                &[0xAA],
+            ),
+            Golden::Data(u32::MAX, &[0xAA]),
+        ),
+        // The field cut short, absent, or behind a bad varint; and
+        // either kind in a version-1 frame.
+        (
+            cat(&[0xC5, 2, 4, 0x05], &[0; 15]),
+            Golden::Reject(Malformed),
+        ),
+        (
+            cat(&[0xC5, 2, 5, 0x05], &MARKER_MSG[5..20]),
+            Golden::Reject(Malformed),
+        ),
+        (vec![0xC5, 2, 4, 0x05], Golden::Reject(Malformed)),
+        (vec![0xC5, 2, 5], Golden::Reject(Malformed)),
+        (
+            cat(&[0xC5, 2, 5, 0x80], &[0; 16]),
+            Golden::Reject(Malformed),
+        ),
+        (cat(&[0xC5, 1, 4], &[0; 17]), Golden::Reject(Malformed)),
+        (cat(&[0xC5, 1, 5], &[0; 17]), Golden::Reject(Malformed)),
         // Refused as malformed: short, magic, version, kind.
         (vec![], Golden::Reject(Malformed)),
         (vec![0xC5, 1], Golden::Reject(Malformed)),
@@ -565,6 +680,7 @@ fn golden_vectors() -> Vec<(Vec<u8>, Golden)> {
         (vec![0xC5, 0, 0, 1], Golden::Reject(Malformed)),
         (vec![0xC5, 3, 0, 1], Golden::Reject(Malformed)),
         (vec![0xC5, 1, 4, 1], Golden::Reject(Malformed)),
+        (vec![0xC5, 2, 6, 1, 1], Golden::Reject(Malformed)),
         (vec![0xC5, 2, 9, 1, 1], Golden::Reject(Malformed)),
         // The varint: missing, unterminated, too long, too wide for u32.
         (vec![0xC5, 2, 0], Golden::Reject(Malformed)),
@@ -621,16 +737,29 @@ fn golden_vectors() -> Vec<(Vec<u8>, Golden)> {
 }
 
 /// Every golden vector decodes to exactly what the table says, under the
-/// layered decoders and the reference alike; a version-1 decoder refuses
-/// every version-2 vector as malformed, whatever else is wrong with it.
+/// layered decoders and — kinds 4 and 5 apart, which it predates — the
+/// reference alike; a version-1 decoder refuses every version-2 vector
+/// as malformed, whatever else is wrong with it.
 #[test]
 fn golden_vectors_decode_as_specified() {
     for (wire, want) in golden_vectors() {
         assert_decoders_match_reference(&wire);
         let got = frame::try_decode_flow(&wire);
+        // The fault layer's peek agrees with the decoder on what is data.
+        let is_data = matches!(want, Golden::Data(..) | Golden::Marked(..));
+        assert!(!is_data || frame::is_data_frame(&wire), "{wire:02x?}");
+        assert!(!matches!(want, Golden::Control(..)) || !frame::is_data_frame(&wire));
         match want {
             Golden::Data(flow, body) => {
-                assert_eq!(got, Ok((flow, Frame::Data(body))), "{wire:02x?}")
+                assert_eq!(got, Ok((flow, Frame::Data(body))), "{wire:02x?}");
+                let p = frame::parse(&wire).unwrap();
+                assert_eq!(p.body, frame::Body::Data, "{wire:02x?}");
+            }
+            Golden::Marked(flow, mark, body) => {
+                assert_eq!(got, Ok((flow, Frame::Data(body))), "{wire:02x?}");
+                let p = frame::parse(&wire).unwrap();
+                assert_eq!(p.body, frame::Body::MarkedData, "{wire:02x?}");
+                assert_eq!(p.mark(&wire), mark, "{wire:02x?}");
             }
             Golden::Control(flow, c) => {
                 assert_eq!(got, Ok((flow, Frame::Control(c))), "{wire:02x?}")
@@ -651,13 +780,15 @@ fn below(rng: &mut DetRng, n: u64) -> u64 {
     rng.range_u64(0, n)
 }
 
-/// One datagram of the seeded stream below: a clean frame of some kind,
-/// then maybe a flipped bit, a truncation, or nothing but noise.
-fn stream_datagram(rng: &mut DetRng) -> Vec<u8> {
+/// One datagram of the seeded streams below: a clean frame of one of
+/// the first `kinds` kinds listed here, then maybe a flipped bit, a
+/// truncation, or nothing but noise. (`kinds == 7` is the stream as it
+/// was drawn before frames could carry marks.)
+fn stream_datagram(rng: &mut DetRng, kinds: u64) -> Vec<u8> {
     let mut wire = Vec::new();
     let flow = below(rng, 12) as u32;
     let payload: Vec<u8> = (0..below(rng, 40)).map(|_| rng.next_u64() as u8).collect();
-    match below(rng, 7) {
+    match below(rng, kinds) {
         0 => frame::encode_data_flow_into(flow, &payload, &mut wire),
         1 | 2 => frame::encode_data_summed_flow_into(flow, &payload, &mut wire),
         3 => {
@@ -682,10 +813,19 @@ fn stream_datagram(rng: &mut DetRng) -> Vec<u8> {
             &mut wire,
         ),
         5 => frame::encode_data_summed_into(&payload, &mut wire),
-        _ => {
+        6 => {
             wire = (0..1 + below(rng, 24))
                 .map(|_| rng.next_u64() as u8)
                 .collect()
+        }
+        7 => frame::encode_data_markable_flow_into(flow, &payload, &mut wire),
+        _ => {
+            frame::encode_data_markable_flow_into(flow, &payload, &mut wire);
+            let mark = ChannelMark {
+                round: below(rng, 4),
+                dc: below(rng, 1500) as i64,
+            };
+            assert!(frame::write_mark(&mut wire, mark));
         }
     }
     match below(rng, 4) {
@@ -699,83 +839,155 @@ fn stream_datagram(rng: &mut DetRng) -> Vec<u8> {
     wire
 }
 
-/// A seeded stream of clean, bit-flipped, truncated and random datagrams
-/// through `FlowDemux::sweep`: every demux counter a decode outcome
-/// feeds comes out as the reference decoder predicts, channel by
-/// channel, and as it did before the decoder was layered (the totals
-/// below were recorded on the one-pass decoder).
-#[test]
-fn seeded_dirty_stream_counts_are_unchanged() {
+/// What a demux makes of a stream: `(malformed per channel, corrupt per
+/// channel, data frames, control frames, refused)`.
+type StreamCounts = ([u64; 2], [u64; 2], u64, u64, u64);
+
+/// The bookkeeping a decode outcome feeds, demux-side: flows admitted in
+/// stream order up to the cap (and never an id the slab bound refuses).
+#[derive(Default)]
+struct Tally {
+    counts: StreamCounts,
+    marked: u64,
+    admitted: std::collections::BTreeSet<u32>,
+}
+
+impl Tally {
     const MAX_FLOWS: usize = 8;
+
+    fn admit(&mut self, flow: u32) -> bool {
+        self.admitted.contains(&flow)
+            || ((flow as usize) < Self::MAX_FLOWS + 1024
+                && self.admitted.len() < Self::MAX_FLOWS
+                && self.admitted.insert(flow))
+    }
+
+    fn data(&mut self, flow: u32, marked: bool) {
+        match self.admit(flow) {
+            true => {
+                self.counts.2 += 1;
+                self.marked += marked as u64;
+            }
+            false => self.counts.4 += 1,
+        }
+    }
+
+    /// What the one-pass decoder makes of `wire` on channel `c`.
+    fn reference(&mut self, c: usize, wire: &[u8]) {
+        match reference::try_decode_flow(wire) {
+            Err(DecodeError::Malformed) => self.counts.0[c] += 1,
+            Err(DecodeError::Corrupt) => self.counts.1[c] += 1,
+            Ok((flow, Frame::Data(_))) => self.data(flow, false),
+            Ok((flow, Frame::Control(Control::Marker(_)))) => {
+                self.counts.3 += 1;
+                self.counts.4 += !self.admit(flow) as u64;
+            }
+            Ok((_, Frame::Control(_))) => self.counts.3 += 1,
+        }
+    }
+
+    /// What the wire format says: the same, kinds 4 and 5 apart.
+    fn specified(&mut self, c: usize, wire: &[u8]) {
+        if !matches!(wire.get(2), Some(4 | 5)) {
+            return self.reference(c, wire);
+        }
+        match mark_kind_spec(wire, &mut Vec::new()) {
+            Ok((flow, mark, _)) => self.data(flow, mark.is_some()),
+            Err(_) => self.counts.0[c] += 1,
+        }
+    }
+}
+
+/// `kinds`-kind stream number `seed` through `FlowDemux::sweep`: every
+/// demux counter a decode outcome feeds comes out as the wire format
+/// specifies, channel by channel. Returns that, and what the one-pass
+/// reference decoder would have counted on the same datagrams.
+fn dirty_stream(kinds: u64, seed: u64) -> (Tally, Tally) {
     let (a0, b0) = datagram_pair(2048, 1 << 13);
     let (a1, b1) = datagram_pair(2048, 1 << 13);
     let mut tx = [a0, a1];
     let mut demux = FlowDemux::builder()
         .scheduler(Srr::equal(2, 1500))
         .links(vec![b0, b1])
-        .max_flows(MAX_FLOWS)
+        .max_flows(Tally::MAX_FLOWS)
         .build();
-    let mut rng = DetRng::new(0x16_D1FF);
-    let (mut malformed, mut corrupt) = ([0u64; 2], [0u64; 2]);
-    let (mut data, mut control, mut refused) = (0u64, 0u64, 0u64);
-    let mut admitted = std::collections::BTreeSet::new();
+    let mut rng = DetRng::new(seed);
+    let (mut now, mut then) = (Tally::default(), Tally::default());
     for i in 0..4000 {
         // A flipped varint bit can name a flow far past anything the
         // generator meant; those are the slab-bound tests' business
         // (and the one-pass demux grew its slab to whatever it was told).
-        let wire = std::iter::repeat_with(|| stream_datagram(&mut rng))
+        let wire = std::iter::repeat_with(|| stream_datagram(&mut rng, kinds))
             .find(|w| !matches!(reference::try_decode_flow(w), Ok((flow, _)) if flow >= 1024))
             .expect("endless");
         let c = i % 2;
         tx[c].send_frame(&wire).unwrap();
-        // What the one-pass decoder makes of it, and the demux of that.
-        let mut admit = |flow: u32| {
-            admitted.contains(&flow) || (admitted.len() < MAX_FLOWS && admitted.insert(flow))
-        };
-        match reference::try_decode_flow(&wire) {
-            Err(DecodeError::Malformed) => malformed[c] += 1,
-            Err(DecodeError::Corrupt) => corrupt[c] += 1,
-            Ok((flow, Frame::Data(_))) => match admit(flow) {
-                true => data += 1,
-                false => refused += 1,
-            },
-            Ok((flow, Frame::Control(Control::Marker(_)))) => {
-                control += 1;
-                refused += !admit(flow) as u64;
-            }
-            Ok((_, Frame::Control(_))) => control += 1,
-        }
+        now.specified(c, &wire);
+        then.reference(c, &wire);
         // One at a time, so that flows are admitted in stream order.
         assert_eq!(demux.sweep(SimTime::ZERO), 1);
     }
     let s = demux.net_stats();
     assert_eq!(s.frames, 4000);
-    assert_eq!(demux.malformed_by_channel(), &malformed);
-    assert_eq!(demux.corrupt_by_channel(), &corrupt);
+    assert_eq!(demux.malformed_by_channel(), &now.counts.0);
+    assert_eq!(demux.corrupt_by_channel(), &now.counts.1);
     assert_eq!(
         (s.data_frames, s.control_frames, s.dropped_admission),
-        (data, control, refused)
+        (now.counts.2, now.counts.3, now.counts.4)
     );
+    assert_eq!(s.marked_frames, now.marked);
+    (now, then)
+}
+
+/// Seeded streams of clean, bit-flipped, truncated and random datagrams
+/// through `FlowDemux::sweep`. The first is the stream recorded on the
+/// one-pass decoder, which no flipped bit or noise happens to turn into
+/// a well-formed frame of kind 4 or 5: its totals are the literals they
+/// always were. The second also draws clean frames of the two kinds,
+/// and its totals differ from what the one-pass decoder would have made
+/// of the same datagrams by exactly those frames — unknown kinds,
+/// `malformed`, then; data frames, admitted or refused, now.
+#[test]
+fn seeded_dirty_stream_counts_are_unchanged() {
+    let (now, then) = dirty_stream(7, 0x16_D1FF);
+    assert_eq!(then.counts, RECORDED_ON_THE_ONE_PASS_DECODER);
+    assert_eq!((now.counts, now.marked), (then.counts, 0));
+
+    let (now, then) = dirty_stream(9, 0x17_D1FF);
+    assert_eq!(then.counts, MARK_KINDS_DRAWN_ON_THE_ONE_PASS_DECODER);
+    assert_eq!((now.counts, now.marked), MARK_KINDS_DRAWN);
+    let moved = |f: fn(&StreamCounts) -> u64| f(&now.counts) as i64 - f(&then.counts) as i64;
     assert_eq!(
-        (malformed, corrupt, data, control, refused),
-        RECORDED_ON_THE_ONE_PASS_DECODER
+        -moved(|c| c.0[0] + c.0[1]),
+        moved(|c| c.2) + moved(|c| c.4),
+        "what left `malformed` is data, admitted or refused"
     );
+    assert_eq!((moved(|c| c.1[0] + c.1[1]), moved(|c| c.3)), (0, 0));
 }
 
 /// `(malformed per channel, corrupt per channel, data frames, control
-/// frames, refused)` of the stream above, as counted by the demux at the
-/// commit before `frame::parse` existed.
-const RECORDED_ON_THE_ONE_PASS_DECODER: ([u64; 2], [u64; 2], u64, u64, u64) =
-    ([545, 591], [330, 315], 1018, 823, 517);
+/// frames, refused)` of the first stream above, as counted by the demux
+/// at the commit before `frame::parse` existed.
+const RECORDED_ON_THE_ONE_PASS_DECODER: StreamCounts = ([545, 591], [330, 315], 1018, 823, 517);
+
+/// The second stream as the one-pass decoder would count it (every frame
+/// of kind 4 or 5 an unknown kind)…
+const MARK_KINDS_DRAWN_ON_THE_ONE_PASS_DECODER: StreamCounts =
+    ([888, 857], [246, 296], 778, 641, 418);
+
+/// …and as the demux counts it, with the number of frames that carried
+/// a mark into a resequencer.
+const MARK_KINDS_DRAWN: (StreamCounts, u64) = (([507, 469], [246, 296], 1283, 641, 682), 273);
 
 proptest! {
     /// Arbitrary bytes — raw, and behind a plausible header so the
-    /// deeper checks are reached — decode exactly as the reference says.
+    /// deeper checks are reached — decode exactly as the reference says,
+    /// or, behind kind byte 4 or 5, as `mark_kind_spec` says.
     #[test]
     fn layered_decoders_match_reference_on_arbitrary_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..96),
         version in 0u8..4,
-        kind in 0u8..5,
+        kind in 0u8..7,
     ) {
         assert_decoders_match_reference(&bytes);
         let mut headed = vec![FRAME_MAGIC, version, kind];
