@@ -67,6 +67,15 @@ pub struct ReceiverSnapshot {
     pub stalls: u64,
 }
 
+/// The queue whose head packet is the next delivery.
+#[derive(Debug, Clone, Copy)]
+enum Head {
+    /// The salvage queue (data stranded on a masked-out channel).
+    Salvaged,
+    /// This channel's ring.
+    Channel(ChannelId),
+}
+
 /// A reusable batch of logically received packets: the receive-side
 /// counterpart of the sender's `TxBatch`. Drain the receiver into one with
 /// [`LogicalReceiver::poll_into`]; the buffer is cleared on each refill but
@@ -266,8 +275,13 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// until it returns `None`.
     pub fn poll_into(&mut self, out: &mut RxBatch<P>) -> usize {
         out.pkts.clear();
-        while let Some(p) = self.next() {
-            out.pkts.push(p);
+        while let Some(at) = self.locate() {
+            // Grows first, then moves the packet from its ring slot
+            // straight into its batch slot: popped first and pushed
+            // second it would cross the stack, over the growth check
+            // (see `push_with`).
+            let n = out.pkts.len();
+            out.pkts.resize_with(n + 1, || self.take(at));
         }
         let n = out.pkts.len();
         if n > 0 {
@@ -285,20 +299,24 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// simulation order, but quasi-FIFO tolerates that and it beats
     /// dropping data that already arrived.
     pub fn poll(&mut self) -> Option<P> {
-        let p = self.next()?;
+        let at = self.locate()?;
+        let p = self.take(at);
         self.stats.delivered += 1;
         self.stall = None;
         Some(p)
     }
 
-    /// The next packet to deliver — salvaged ones first, then whatever
-    /// the simulation says comes next — leaving the delivery bookkeeping
-    /// to [`poll`](Self::poll) and [`poll_into`](Self::poll_into).
-    fn next(&mut self) -> Option<P> {
+    /// Find the next packet to deliver — salvaged ones first, then
+    /// whatever the simulation says comes next — and step the simulation
+    /// over it, leaving it at the head of the queue named for
+    /// [`take`](Self::take) to move out, and the delivery bookkeeping to
+    /// [`poll`](Self::poll) and [`poll_into`](Self::poll_into). Nothing
+    /// holds the packet by value while the scheduler runs.
+    fn locate(&mut self) -> Option<Head> {
         if self.masked {
             self.drain_dead();
-            if let Some(p) = self.drained.pop_front() {
-                return Some(p);
+            if !self.drained.is_empty() {
+                return Some(Head::Salvaged);
             }
         }
         loop {
@@ -330,19 +348,33 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
                 self.stats.marks_applied += 1;
             }
 
-            match ch.buf.pop_front() {
+            match ch.buf.front() {
                 None => return None, // block on the expected channel
                 Some(Arrival::Marker(mk)) => {
                     self.stats.markers_seen += 1;
                     // Newest marker wins: it reflects fresher sender state.
                     ch.pending = Some(mk.mark);
+                    ch.buf.pop_front();
                 }
                 Some(Arrival::Data(p)) => {
                     self.sched.advance(p.wire_len());
-                    return Some(p);
+                    return Some(Head::Channel(c));
                 }
             }
         }
+    }
+
+    /// Move out the packet [`locate`](Self::locate) just found.
+    #[inline]
+    fn take(&mut self, at: Head) -> P {
+        let head = match at {
+            Head::Salvaged => self.drained.pop_front(),
+            Head::Channel(c) => match self.chans[c].buf.pop_front() {
+                Some(Arrival::Data(p)) => Some(p),
+                _ => None,
+            },
+        };
+        head.expect("locate left a data packet at this head")
     }
 
     /// Move anything buffered on a channel the scheduler has masked out

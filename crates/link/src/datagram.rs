@@ -108,12 +108,14 @@ pub trait DatagramLink {
         }
     }
 
-    /// Like [`send_run`](Self::send_run), but the link may *take* each
-    /// accepted frame's storage (leaving behind some valid, possibly
-    /// recycled `Vec`) instead of copying the bytes — the zero-copy seam
-    /// batch senders feed from their recycled frame buffers. A frame
-    /// whose result is an error is left untouched. Outcomes are identical
-    /// to [`send_run`](Self::send_run).
+    /// Like [`send_run`](Self::send_run), but the link may keep each
+    /// accepted frame whichever way is cheaper for it: an accepted
+    /// frame's storage is *taken* (some valid, possibly recycled `Vec`
+    /// left in its place) *or* its bytes are copied, and its contents
+    /// are unspecified afterwards either way — the seam batch senders
+    /// feed from their recycled frame buffers, which they re-encode into
+    /// before the next use. A frame whose result is an error is left
+    /// untouched. Outcomes are identical to [`send_run`](Self::send_run).
     fn send_run_owned(&mut self, frames: &mut [Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
         self.send_run(frames, out)
     }

@@ -265,12 +265,20 @@ struct ChannelStage {
 }
 
 impl ChannelStage {
-    fn push(&mut self, buf: Vec<u8>, flow: FlowId, event: usize) {
+    /// Stage the frame in `*buf`, leaving an empty `Vec` behind. Taken
+    /// from where it lies, after the slot is secured: passed by value,
+    /// the 24-byte header crosses the caller's stack — kept there over
+    /// the growth check, which may unwind — and the 16-byte reload of
+    /// what `pop_front` just wrote there with 8-byte stores cannot be
+    /// forwarded, so it waits for the whole store buffer (the stall of
+    /// EXPERIMENTS.md, "Receive fast path", on the send side).
+    fn push(&mut self, buf: &mut Vec<u8>, flow: FlowId, event: usize) {
         if let (Some(last), Some(&(last_flow, _))) = (self.bufs.last(), self.meta.last()) {
             self.mixed_len |= last.len() != buf.len();
             self.multi_flow |= last_flow != flow;
         }
-        self.bufs.push(buf);
+        self.bufs.reserve(1);
+        self.bufs.push(std::mem::take(buf));
         self.meta.push((flow, event as u32));
     }
 
@@ -838,7 +846,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             let channels = self.links.len();
             let mut m = 0;
             for (i, &ch) in self.scratch_channels.iter().enumerate() {
-                let mut q = f.queue.pop_front().expect("charged above");
+                let q = f.queue.front_mut().expect("charged above");
                 if f.waiting & (1 << ch) != 0 {
                     f.waiting &= !(1 << ch);
                     let w = self.waiting[fid * channels + ch];
@@ -860,7 +868,8 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                         );
                     }
                 }
-                self.stage[ch].push(q.buf, flow_id, events.len());
+                self.stage[ch].push(&mut q.buf, flow_id, events.len());
+                f.queue.pop_front();
                 events.push(PumpEvent::Data {
                     flow: flow_id,
                     channel: ch,
@@ -983,7 +992,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
         } else {
             frame::encode_control_flow_into(flow, &ctl, &mut buf);
         }
-        stage.push(buf, flow, w.event as usize);
+        stage.push(&mut buf, flow, w.event as usize);
     }
 
     /// Hand channel `c`'s staged burst to its link in one run —

@@ -4,16 +4,29 @@
 //! `sendmmsg(2)` / `recvmmsg(2)` call — the move that closes most of the
 //! ~50x gap between the in-memory datapath and the PR-3 socket path,
 //! where every packet paid one syscall each way. On top of that,
-//! equal-size frame runs use **UDP GSO** (`UDP_SEGMENT`): up to 64
-//! segments travel the kernel stack as *one* datagram and are split at
-//! the very bottom — and with **UDP GRO** (`UDP_GRO`) enabled on the
-//! receiving socket, a loopback peer gets them re-coalesced and pays one
-//! traversal too. Syscall batching alone caps out at the kernel's
-//! per-datagram processing cost (~1.6 µs on the bench host, a ceiling
-//! sendmmsg cannot move); segmentation offload is what actually lifts
-//! it. Mixed-size stretches fall back to plain `sendmmsg` within the
-//! same call, and a kernel that rejects `UDP_SEGMENT` demotes the
-//! instance to mmsg-only at runtime.
+//! equal-size frame runs use **UDP GSO** (`UDP_SEGMENT`): up to 128
+//! segments (64 before Linux 6.9) travel the kernel stack as *one*
+//! datagram and are split at the very bottom — and with **UDP GRO**
+//! (`UDP_GRO`) enabled on the receiving socket, a loopback peer gets
+//! them re-coalesced and pays one traversal too. Syscall batching alone
+//! caps out at the kernel's per-datagram processing cost (~1.6 µs on the
+//! bench host, a ceiling sendmmsg cannot move); segmentation offload is
+//! what actually lifts it. Mixed-size stretches fall back to plain
+//! `sendmmsg` within the same call. A kernel that rejects a train of
+//! more than 64 segments gets trains of 64 from then on, and one that
+//! rejects `UDP_SEGMENT` itself demotes the instance to mmsg-only, both
+//! at runtime (`gso_ceiling_after_rejection`).
+//!
+//! A message's frames need not each be an iovec. The kernel's copy-in
+//! walks a message piece by piece and pays ~20 ns a piece whatever its
+//! length — 64 × 70 B as one GSO train costs 40 ns/pkt handed over as 64
+//! iovecs and 21 ns/pkt as one — so the planner
+//! ([`BatchIo::send_slices`]) extends the previous iovec of the same
+//! message whenever the next frame starts where that one ends, and
+//! `iovlen` counts pieces, not frames. Who puts frames back to back is
+//! the caller's business ([`UdpChannel`](crate::udp::UdpChannel) does
+//! it for short frames in its send arena); frames in buffers of their
+//! own plan exactly as they did, one iovec each.
 //!
 //! Receives have one `recvmmsg` builder, and what it moves is the
 //! *train* — whatever the kernel hands over as one datagram, a whole
@@ -57,9 +70,15 @@ use stripe_link::Train;
 /// syscall to noise, small enough to keep scratch arrays cache-resident.
 pub const DEFAULT_BATCH: usize = 32;
 
-/// The kernel's `UDP_MAX_SEGMENTS`: most segments one GSO send carries.
+/// The kernel's `UDP_MAX_SEGMENTS` since Linux 6.9: most segments one
+/// GSO send carries, and where every batching [`BatchIo`] starts its
+/// ceiling.
+const GSO_MAX_SEGMENTS: usize = 128;
+/// `UDP_MAX_SEGMENTS` before 6.9. A kernel that rejects a longer train
+/// gets this ceiling before GSO as a whole is doubted (see
+/// [`gso_ceiling_after_rejection`]).
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
-const GSO_MAX_SEGMENTS: usize = 64;
+const GSO_OLD_MAX_SEGMENTS: usize = 64;
 /// Largest pre-segmentation datagram a GSO send may build (max UDP
 /// payload); `gso_size * segments` must stay under this.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
@@ -99,6 +118,10 @@ pub struct SendReport {
     /// Kernel datagrams those frames left as: a GSO train counts 1,
     /// however many frames ride it.
     pub messages: u64,
+    /// Scatter-gather pieces those datagrams were handed over as: frames
+    /// that lie back to back in memory share one (the per-frame path
+    /// counts one a frame). What the kernel's copy-in is priced by.
+    pub iovecs: u64,
     /// The stop was a hard socket error, not backpressure.
     pub hard_error: bool,
     /// Raw OS errno of the hard error, when the OS supplied one — the
@@ -125,16 +148,18 @@ pub struct RecvReport {
 /// Reusable scratch for batched sends/receives on one socket.
 ///
 /// On `linux`/`gnu` with the fallback not forced, runs go to the kernel
-/// as `mmsghdr` arrays (one frame per message, one iovec per frame);
-/// otherwise the same calls loop per frame. The scratch vectors are
-/// sized once and recycled forever — zero allocations per batch.
+/// as `mmsghdr` arrays (one message per train, one iovec per stretch of
+/// frames that lie back to back in memory); otherwise the same calls loop
+/// per frame. The scratch vectors are sized once and recycled forever —
+/// zero allocations per batch.
 #[derive(Debug)]
 pub struct BatchIo {
     cap: usize,
     batched: bool,
-    /// Attempt GSO sends for equal-size runs. Starts with `batched`,
-    /// demoted at runtime if the kernel rejects `UDP_SEGMENT`.
-    gso: bool,
+    /// Most frames one GSO send may carry; 1 is "no GSO". Starts at
+    /// [`GSO_MAX_SEGMENTS`] when `batched`, lowered at runtime by what
+    /// the kernel rejects (see [`gso_ceiling_after_rejection`]).
+    gso_max: usize,
     /// The socket this instance reads has `UDP_GRO` enabled, so receives
     /// must go through the coalescing-aware splitter.
     gro: bool,
@@ -145,9 +170,9 @@ pub struct BatchIo {
     /// One `UDP_SEGMENT` control block per planned send message.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     cmsgs: Vec<ffi::SegmentCmsg>,
-    /// Frames covered by each planned send message (train lengths).
+    /// `(frames, iovecs)` covered by each planned send message.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    runs: Vec<usize>,
+    runs: Vec<(usize, usize)>,
     /// The per-frame readers' window on a GRO socket: the lander puts
     /// one train here, `staged` describes it, and `left_off` is the
     /// offset of its next undelivered segment.
@@ -175,7 +200,7 @@ impl BatchIo {
         Self {
             cap,
             batched,
-            gso: batched,
+            gso_max: if batched { GSO_MAX_SEGMENTS } else { 1 },
             gro: false,
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
             iovs: Vec::with_capacity(cap),
@@ -201,14 +226,14 @@ impl BatchIo {
 
     /// Whether equal-size runs currently go out as GSO super-datagrams.
     pub fn gso_active(&self) -> bool {
-        self.batched && self.gso
+        self.gso_max > 1
     }
 
     /// Permanently stop offering GSO trains on this socket — the
     /// `EMSGSIZE` recovery: once the path MTU shrinks below what probing
     /// accepted, super-datagrams are the first thing to start bouncing.
     pub fn demote_gso(&mut self) {
-        self.gso = false;
+        self.gso_max = 1;
     }
 
     /// Mark the socket this instance reads as `UDP_GRO`-enabled (see
@@ -237,14 +262,47 @@ impl BatchIo {
     /// refuses. Chunks longer than [`capacity`](Self::capacity) take one
     /// syscall per chunk.
     pub fn send_frames(&mut self, sock: &UdpSocket, frames: &[Vec<u8>]) -> SendReport {
-        if frames.is_empty() {
+        self.send_slices(sock, frames.len(), |i| &frames[i])
+    }
+
+    /// [`send_frames`](Self::send_frames) over frames that live wherever
+    /// the caller keeps them: frame `i` of `n` is `frame(i)`. Frames of
+    /// one message that lie back to back in memory — each starting where
+    /// the one before it ends — go to the kernel as a single iovec, which
+    /// is what a caller that queues short frames in one buffer is after:
+    /// the kernel's copy-in costs ~20 ns an iovec, whatever its length.
+    pub fn send_slices<'a>(
+        &mut self,
+        sock: &UdpSocket,
+        n: usize,
+        frame: impl Fn(usize) -> &'a [u8],
+    ) -> SendReport {
+        if n == 0 {
             return SendReport::default();
         }
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         if self.batched {
-            return self.send_mmsg(sock, frames);
+            return self.send_mmsg(sock, n, frame);
         }
-        self.send_per_frame(sock, frames)
+        let mut rep = SendReport::default();
+        for i in 0..n {
+            rep.syscalls += 1;
+            match sock.send(frame(i)) {
+                Ok(_) => {
+                    rep.sent += 1;
+                    rep.messages += 1;
+                    rep.iovecs += 1;
+                }
+                Err(e) => {
+                    rep.hard_error = e.kind() != io::ErrorKind::WouldBlock;
+                    if rep.hard_error {
+                        rep.errno = e.raw_os_error();
+                    }
+                    break;
+                }
+            }
+        }
+        rep
     }
 
     /// Bytes one window of [`recv_trains`](Self::recv_trains) must hold
@@ -412,117 +470,26 @@ impl BatchIo {
         Some(k)
     }
 
-    fn send_per_frame(&mut self, sock: &UdpSocket, frames: &[Vec<u8>]) -> SendReport {
-        let mut rep = SendReport::default();
-        for f in frames {
-            rep.syscalls += 1;
-            match sock.send(f) {
-                Ok(_) => {
-                    rep.sent += 1;
-                    rep.messages += 1;
-                }
-                Err(e) => {
-                    rep.hard_error = e.kind() != io::ErrorKind::WouldBlock;
-                    if rep.hard_error {
-                        rep.errno = e.raw_os_error();
-                    }
-                    break;
-                }
-            }
-        }
-        rep
-    }
-
-    /// How many leading frames of `rest` can ride one GSO send: a run of
-    /// equal-length frames (capped by the kernel's segment and byte
-    /// limits), optionally closed by one *shorter* trailing frame — the
-    /// one short-tail segment GSO permits, which lets a marker ride its
-    /// data burst's syscall.
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn gso_run_len(rest: &[Vec<u8>]) -> usize {
-        let l = rest[0].len();
-        if l == 0 {
-            return 1;
-        }
-        let cap = GSO_MAX_SEGMENTS.min(GSO_MAX_BYTES / l).max(1);
-        let mut i = 1;
-        while i < rest.len() && i < cap && rest[i].len() == l {
-            i += 1;
-        }
-        if i < rest.len() && i < cap && !rest[i].is_empty() && rest[i].len() < l {
-            i += 1;
-        }
-        i
-    }
-
     /// Batched send: one `sendmmsg` per [`cap`](Self::capacity) planned
     /// *messages*, where each message is either a GSO train (an
     /// equal-size run plus optional shorter tail, carrying its own
     /// `UDP_SEGMENT` cmsg) or a single plain frame. Composing the two
     /// mechanisms is what keeps both costs amortized at once: the
     /// kernel's per-datagram stack traversal is paid per *train*, and
-    /// the syscall is paid per *batch of trains*.
+    /// the syscall is paid per *batch of trains*. Within a message the
+    /// planner extends the previous iovec whenever the next frame starts
+    /// where that one ends, so `iovlen` counts pieces, not frames.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn send_mmsg(&mut self, sock: &UdpSocket, frames: &[Vec<u8>]) -> SendReport {
+    fn send_mmsg<'a>(
+        &mut self,
+        sock: &UdpSocket,
+        n: usize,
+        frame: impl Fn(usize) -> &'a [u8],
+    ) -> SendReport {
         use std::os::fd::AsRawFd;
         let mut rep = SendReport::default();
-        while rep.sent < frames.len() {
-            let rest = &frames[rep.sent..];
-            // Plan messages first; build headers once the scratch
-            // vectors have stopped growing (hdrs hold pointers into
-            // iovs and cmsgs).
-            self.iovs.clear();
-            self.cmsgs.clear();
-            self.runs.clear();
-            let mut planned = 0;
-            while planned < rest.len() && self.runs.len() < self.cap {
-                let run = if self.gso {
-                    Self::gso_run_len(&rest[planned..])
-                } else {
-                    1
-                };
-                for f in &rest[planned..planned + run] {
-                    self.iovs.push(ffi::IoVec {
-                        base: f.as_ptr() as *mut _,
-                        len: f.len(),
-                    });
-                }
-                self.cmsgs
-                    .push(ffi::SegmentCmsg::new(rest[planned].len() as u16));
-                self.runs.push(run);
-                planned += run;
-            }
-            self.hdrs.clear();
-            let iov_base = self.iovs.as_mut_ptr();
-            let cmsg_base = self.cmsgs.as_mut_ptr();
-            let mut iov_off = 0;
-            for (k, &run) in self.runs.iter().enumerate() {
-                let gso_train = run >= GSO_MIN_RUN;
-                self.hdrs.push(ffi::MMsgHdr {
-                    hdr: ffi::MsgHdr {
-                        name: std::ptr::null_mut(),
-                        namelen: 0,
-                        // SAFETY: in-bounds offsets into scratch vectors
-                        // that are fully built and no longer growing.
-                        iov: unsafe { iov_base.add(iov_off) },
-                        iovlen: run,
-                        control: if gso_train {
-                            // SAFETY: as above.
-                            unsafe { cmsg_base.add(k) as *mut _ }
-                        } else {
-                            std::ptr::null_mut()
-                        },
-                        controllen: if gso_train {
-                            std::mem::size_of::<ffi::SegmentCmsg>()
-                        } else {
-                            0
-                        },
-                        flags: 0,
-                    },
-                    len: 0,
-                });
-                iov_off += run;
-            }
+        while rep.sent < n {
+            self.plan(rep.sent, n, &frame);
             rep.syscalls += 1;
             // SAFETY: hdrs/iovs/cmsgs point at this call's frames and
             // scratch, all outliving the syscall; vlen matches the
@@ -542,12 +509,18 @@ impl BatchIo {
                 }
                 // EINVAL / EMSGSIZE / ENOPROTOOPT / EOPNOTSUPP while GSO
                 // trains were in the plan: this kernel (or this path)
-                // won't do UDP_SEGMENT — demote to plain messages and
+                // won't take them as planned — lower the ceiling and
                 // retry the same frames. Anything else is a hard error.
                 let gso_rejected =
                     matches!(e.raw_os_error(), Some(22) | Some(90) | Some(92) | Some(95));
-                if gso_rejected && self.gso && self.runs.iter().any(|&r| r >= GSO_MIN_RUN) {
-                    self.gso = false;
+                let longest = self.runs.iter().map(|r| r.0).max().unwrap_or(0);
+                let lowered = if gso_rejected {
+                    gso_ceiling_after_rejection(longest)
+                } else {
+                    None
+                };
+                if let Some(max) = lowered {
+                    self.gso_max = max;
                     continue;
                 }
                 rep.hard_error = true;
@@ -555,13 +528,96 @@ impl BatchIo {
                 break;
             }
             let k = ret as usize;
-            rep.sent += self.runs[..k].iter().sum::<usize>();
+            for &(frames, iovecs) in &self.runs[..k] {
+                rep.sent += frames;
+                rep.iovecs += iovecs as u64;
+            }
             rep.messages += k as u64;
             if k < self.hdrs.len() {
                 break; // kernel refused mid-batch: backpressure
             }
         }
         rep
+    }
+
+    /// Plan up to [`cap`](Self::capacity) messages over frames
+    /// `from..n` into `runs`/`iovs`/`cmsgs`, then point `hdrs` at them.
+    /// A message is as many frames as can ride one GSO send of at most
+    /// `gso_max` segments (at 1, GSO is off): a run of equal-length
+    /// frames (capped by the kernel's segment and byte limits),
+    /// optionally closed by one *shorter* trailing frame — the one
+    /// short-tail segment GSO permits, which lets a marker ride its data
+    /// burst's syscall.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn plan<'a>(&mut self, from: usize, n: usize, frame: &impl Fn(usize) -> &'a [u8]) {
+        // Messages first; headers once the scratch vectors have stopped
+        // growing (hdrs hold pointers into iovs and cmsgs).
+        self.iovs.clear();
+        self.cmsgs.clear();
+        self.runs.clear();
+        let mut at = from;
+        while at < n && self.runs.len() < self.cap {
+            let first = self.iovs.len();
+            let mut f = frame(at);
+            let lead = f.len();
+            let most = self.gso_max.min(GSO_MAX_BYTES / lead.max(1)).max(1);
+            let end = n.min(at + most);
+            let mut i = at;
+            loop {
+                match self.iovs[first..].last_mut() {
+                    // Starts where the piece before it ends: same piece.
+                    Some(last) if last.base as usize + last.len == f.as_ptr() as usize => {
+                        last.len += f.len();
+                    }
+                    _ => self.iovs.push(ffi::IoVec {
+                        base: f.as_ptr() as *mut _,
+                        len: f.len(),
+                    }),
+                }
+                i += 1;
+                if i == end || f.len() != lead {
+                    break; // full, or closed by the shorter tail
+                }
+                f = frame(i);
+                if f.is_empty() || f.len() > lead {
+                    break;
+                }
+            }
+            self.cmsgs.push(ffi::SegmentCmsg::new(lead as u16));
+            self.runs.push((i - at, self.iovs.len() - first));
+            at = i;
+        }
+        self.hdrs.clear();
+        let iov_base = self.iovs.as_mut_ptr();
+        let cmsg_base = self.cmsgs.as_mut_ptr();
+        let mut iov_off = 0;
+        for (k, &(run, iovecs)) in self.runs.iter().enumerate() {
+            let gso_train = run >= GSO_MIN_RUN;
+            self.hdrs.push(ffi::MMsgHdr {
+                hdr: ffi::MsgHdr {
+                    name: std::ptr::null_mut(),
+                    namelen: 0,
+                    // SAFETY: in-bounds offsets into scratch vectors
+                    // that are fully built and no longer growing.
+                    iov: unsafe { iov_base.add(iov_off) },
+                    iovlen: iovecs,
+                    control: if gso_train {
+                        // SAFETY: as above.
+                        unsafe { cmsg_base.add(k) as *mut _ }
+                    } else {
+                        std::ptr::null_mut()
+                    },
+                    controllen: if gso_train {
+                        std::mem::size_of::<ffi::SegmentCmsg>()
+                    } else {
+                        0
+                    },
+                    flags: 0,
+                },
+                len: 0,
+            });
+            iov_off += iovecs;
+        }
     }
 
     /// Land in `windows[k..]`, at most `cap` to a call, until a call comes
@@ -686,8 +742,26 @@ impl BatchIo {
     }
 }
 
+/// The GSO ceiling to retry with after the kernel rejected a plan whose
+/// longest message carried `longest` frames, or `None` when no GSO train
+/// was in the plan, so the rejection is about something else. A train
+/// past the pre-6.9 `UDP_MAX_SEGMENTS` is the first suspect: an older
+/// kernel answers it `EINVAL`, and takes the same frames in trains of 64.
+/// Only a rejection at or under 64 says `UDP_SEGMENT` itself is unwelcome
+/// on this kernel or path, and turns GSO off (ceiling 1).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn gso_ceiling_after_rejection(longest: usize) -> Option<usize> {
+    if longest < GSO_MIN_RUN {
+        None
+    } else if longest > GSO_OLD_MAX_SEGMENTS {
+        Some(GSO_OLD_MAX_SEGMENTS)
+    } else {
+        Some(1)
+    }
+}
+
 /// Enable `UDP_GRO` on a socket so the kernel hands receives over as
-/// coalesced segment trains (one traversal for up to 64 frames). Returns
+/// coalesced segment trains (one traversal for a whole train). Returns
 /// whether the option stuck; pass the result to [`BatchIo::set_gro`] so
 /// the receive path splits the trains back apart. No-op `false` where
 /// the shim isn't compiled.
@@ -1136,5 +1210,131 @@ mod tests {
         assert_eq!(rep.sent, 1);
         let (_bufs, lens) = recv_all(&mut rx, &b, 1);
         assert_eq!(lens[0], 0);
+    }
+
+    /// 64 frames of 70 bytes back to back in one buffer, and the reader
+    /// over them the channel's send arena would give the planner.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn arena_of_64() -> Vec<u8> {
+        (0..64u8).flat_map(|i| [i; 70]).collect()
+    }
+
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn adjacent_frames_plan_as_one_iovec() {
+        let arena = arena_of_64();
+        let mut io = BatchIo::new(8, false);
+        if !io.batched() {
+            return;
+        }
+        io.plan(0, 64, &|i| &arena[i * 70..][..70]);
+        assert_eq!(io.runs, [(64, 1)], "one train, one piece");
+        assert_eq!((io.hdrs[0].hdr.iovlen, io.iovs[0].len), (1, 64 * 70));
+
+        // The same frames as 64 separate allocations: a piece each.
+        let frames: Vec<Vec<u8>> = arena.chunks(70).map(<[u8]>::to_vec).collect();
+        io.plan(0, 64, &|i| &frames[i]);
+        assert_eq!(io.runs, [(64, 64)]);
+
+        // One frame in the middle living elsewhere cuts the piece in
+        // three, and nothing else changes.
+        let stray = [32u8; 70];
+        io.plan(0, 64, &|i| {
+            if i == 32 {
+                &stray[..]
+            } else {
+                &arena[i * 70..][..70]
+            }
+        });
+        assert_eq!(io.runs, [(64, 3)]);
+        let lens: Vec<usize> = io.iovs.iter().map(|v| v.len).collect();
+        assert_eq!(lens, [32 * 70, 70, 31 * 70]);
+
+        // Adjacency never reaches across messages: with GSO off every
+        // frame is a datagram of its own, so a piece of its own.
+        io.demote_gso();
+        io.plan(0, 64, &|i| &arena[i * 70..][..70]);
+        assert_eq!(io.runs, [(1, 1); 8], "cap 8 messages to a call");
+    }
+
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn one_iovec_train_arrives_as_the_same_frames() {
+        let (a, b) = pair();
+        let gro_on = configure_offload(&b);
+        let mut tx = BatchIo::new(8, false);
+        let mut rx = BatchIo::new(8, false);
+        rx.set_gro(gro_on);
+        let arena = arena_of_64();
+        let stray = [0xabu8; 70];
+        let frame = |i: usize| {
+            if i == 32 {
+                &stray[..]
+            } else {
+                &arena[i * 70..][..70]
+            }
+        };
+        let rep = tx.send_slices(&a, 64, frame);
+        assert_eq!(rep.sent, 64);
+        if tx.gso_active() {
+            assert_eq!((rep.messages, rep.iovecs), (1, 3));
+        } else if tx.batched() {
+            assert_eq!((rep.messages, rep.iovecs), (64, 64));
+        }
+        let (bufs, lens) = recv_all(&mut rx, &b, 64);
+        for (i, (buf, &len)) in bufs.iter().zip(&lens).enumerate() {
+            assert_eq!(&buf[..len], frame(i), "frame {i}");
+        }
+    }
+
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn a_rejected_long_train_lowers_the_ceiling_before_gso_goes() {
+        // No train in the plan: the rejection is not about GSO.
+        assert_eq!(gso_ceiling_after_rejection(0), None);
+        assert_eq!(gso_ceiling_after_rejection(1), None);
+        // Past the old UDP_MAX_SEGMENTS: an older kernel, not a path
+        // that refuses UDP_SEGMENT.
+        assert_eq!(gso_ceiling_after_rejection(128), Some(64));
+        assert_eq!(gso_ceiling_after_rejection(65), Some(64));
+        // Within it: GSO itself is unwelcome.
+        assert_eq!(gso_ceiling_after_rejection(64), Some(1));
+        assert_eq!(gso_ceiling_after_rejection(2), Some(1));
+        // Two rejections in a row walk 128 -> 64 -> off and stop there.
+        let mut max = GSO_MAX_SEGMENTS;
+        let mut seen = vec![max];
+        while let Some(next) = gso_ceiling_after_rejection(max) {
+            max = next;
+            seen.push(max);
+        }
+        assert_eq!(seen, [128, 64, 1]);
+    }
+
+    /// Whatever ceiling this kernel settles on, 128 equal frames all
+    /// arrive, in order, in trains no longer than it.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn long_train_survives_whichever_ceiling_the_kernel_has() {
+        let (a, b) = pair();
+        let gro_on = configure_offload(&b);
+        let mut tx = BatchIo::new(8, false);
+        let mut rx = BatchIo::new(8, false);
+        rx.set_gro(gro_on);
+        let frames: Vec<Vec<u8>> = (0..128u8).map(|i| vec![i; 70]).collect();
+        let rep = tx.send_frames(&a, &frames);
+        assert_eq!(rep.sent, 128);
+        assert!(!rep.hard_error);
+        if tx.gso_active() {
+            assert!(
+                [(128, 1), (64, 2)].contains(&(tx.gso_max, rep.messages)),
+                "ceiling {} took {} trains",
+                tx.gso_max,
+                rep.messages
+            );
+        }
+        let (bufs, lens) = recv_all(&mut rx, &b, 128);
+        for (i, (buf, &len)) in bufs.iter().zip(&lens).enumerate() {
+            assert_eq!(&buf[..len], &frames[i][..], "frame {i}");
+        }
     }
 }

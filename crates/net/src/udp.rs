@@ -16,9 +16,8 @@
 //! - [`send_run`](DatagramLink::send_run) — *eager*: flush the backlog,
 //!   then submit the run as mmsg batches. One syscall per
 //!   [`batch`](UdpChannelBuilder::batch) frames.
-//! - [`send_run_owned`](DatagramLink::send_run_owned) — *deferred*: take
-//!   each frame's storage into the bounded local queue (zero copies,
-//!   storage swapped against recycled buffers) and let the next
+//! - [`send_run_owned`](DatagramLink::send_run_owned) — *deferred*: park
+//!   each frame in the bounded local queue and let the next
 //!   [`flush`](DatagramLink::flush) — which batch senders call once per
 //!   burst — drain the whole queue in mmsg batches. This is what lifts
 //!   batch occupancy above the per-run packet count: SRR runs at large
@@ -28,6 +27,31 @@
 //!   window-array's worth of datagrams (whole GRO trains, on an
 //!   offloaded socket) in one `recvmmsg`, straight where the caller
 //!   will read them.
+//!
+//! **The send queue** is one ordered queue of two kinds of entry, chosen
+//! by the frame's length alone. A frame of at most [`ARENA_FRAME_MAX`]
+//! bytes — a data frame without the mark field, a marker frame, control
+//! — is *copied* to the end of the channel's **send arena**, one byte
+//! buffer reserved when the channel is built, and queued as `(offset,
+//! len)`; a longer frame keeps the storage it came in (swapped against a
+//! recycled buffer) and is queued as that `Vec`. Short frames queued one
+//! after another therefore lie back to back in memory, and
+//! [`BatchIo::send_slices`] hands a run of them to the kernel as *one*
+//! iovec of their `sendmmsg` message, where a queue of separate buffers
+//! costs one iovec a frame — ~20 ns each in the kernel's copy-in,
+//! whatever its length, which is more than the 70 bytes cost to copy.
+//! For a 1236-byte frame it is the other way round (a second user copy
+//! costs more than the iovec it saves), hence a rule by length with the
+//! break-even measured (EXPERIMENTS.md, "One iovec per train"). The
+//! arena's life cycle is the queue's: bytes are appended while entries
+//! are outstanding, never moved (a partial `sendmmsg` leaves offsets
+//! behind it valid), never grown, and the arena rewinds to empty exactly
+//! when the queue does — on the flush that sends its last entry, or the
+//! drain of a dead socket. A short frame that finds the arena full takes
+//! the long frames' path. `queue_cap` counts entries of both kinds;
+//! per-channel FIFO, every `TxError` and every errno recovery below are
+//! what they were with one kind. The portable path walks the same queue
+//! with one `send` an entry.
 //!
 //! Backpressure mirrors the simulated links: when the kernel refuses a
 //! frame (`WouldBlock`), frames park in the bounded local queue for the
@@ -110,6 +134,26 @@ pub const HARD_DEAD_STREAK: u32 = 8;
 /// Flushes skipped after the kernel reports `ENOBUFS`.
 pub const ENOBUFS_BACKOFF: u32 = 4;
 
+/// Longest frame the deferred send queue *copies* into the channel's
+/// send arena instead of taking its storage. Queued back to back there, a
+/// run of such frames is one iovec of its `sendmmsg` message, and an
+/// iovec costs the kernel ~20 ns to walk whatever its length (64 × 70 B as
+/// one GSO train: 40 ns/pkt as 64 iovecs, 21 as one). A copy costs by the
+/// byte, so the rule is by length, and the break-even is measured, not
+/// assumed (EXPERIMENTS.md, "One iovec per train"): the frames that gain
+/// are data frames too short for the mark field, marker frames and
+/// control; copying 1236-byte frames as well cost `bulk_1flow_1200B`
+/// 1–5 % in eight pairs of eight, a second user copy being dearer than
+/// the iovec it saves.
+pub const ARENA_FRAME_MAX: usize = 320;
+
+/// Most bytes a send arena reserves (never more than `queue_cap` frames
+/// of [`ARENA_FRAME_MAX`]): room for the short frames of several pumps.
+/// Reserved at build and never grown — offsets into it stay put while
+/// the kernel may still be owed the bytes — so when it is full, short
+/// frames take the long frames' path until the queue next empties.
+const ARENA_BYTES: usize = 256 << 10;
+
 const ECONNREFUSED: i32 = 111;
 const ENOBUFS: i32 = 105;
 const EMSGSIZE: i32 = 90;
@@ -174,6 +218,10 @@ pub struct UdpChannelSnapshot {
     pub recv_syscalls: u64,
     /// Kernel datagrams the sent frames left as: a GSO train counts 1.
     pub sent_trains: u64,
+    /// Scatter-gather pieces the sent trains were handed to the kernel
+    /// as (see [`sys::SendReport::iovecs`]): one per train where short
+    /// frames queue back to back, one per frame otherwise.
+    pub sent_iovecs: u64,
     /// Kernel datagrams the received frames arrived as: a GRO-coalesced
     /// train counts 1.
     pub recv_trains: u64,
@@ -375,6 +423,9 @@ impl UdpChannelBuilder {
             spec,
             mtu: self.mtu,
             queue: VecDeque::new(),
+            arena: Vec::with_capacity(
+                ARENA_BYTES.min(self.queue_cap.saturating_mul(ARENA_FRAME_MAX)),
+            ),
             recycle,
             queue_cap: self.queue_cap,
             io,
@@ -397,6 +448,25 @@ impl UdpChannelBuilder {
     }
 }
 
+/// One frame parked in the send queue.
+#[derive(Debug)]
+enum Queued {
+    /// A short frame's bytes, copied to `arena[at..at + len]`.
+    Arena { at: u32, len: u32 },
+    /// A longer frame, in the storage it arrived in (or a recycled
+    /// buffer it was copied to).
+    Owned(Vec<u8>),
+}
+
+impl Queued {
+    fn bytes<'a>(&'a self, arena: &'a [u8]) -> &'a [u8] {
+        match *self {
+            Queued::Arena { at, len } => &arena[at as usize..][..len as usize],
+            Queued::Owned(ref buf) => buf,
+        }
+    }
+}
+
 /// One striped channel: a connected non-blocking UDP socket plus a
 /// bounded, buffer-recycling send queue, batched through
 /// [`BatchIo`](crate::sys::BatchIo).
@@ -406,7 +476,16 @@ pub struct UdpChannel {
     /// How to rebuild the socket from scratch (see [`ChannelSpec`]).
     spec: ChannelSpec,
     mtu: usize,
-    queue: VecDeque<Vec<u8>>,
+    /// The one ordered send queue: per-channel FIFO holds across both
+    /// kinds of entry.
+    queue: VecDeque<Queued>,
+    /// Where the queue's short frames lie, back to back in queue order
+    /// (see [`ARENA_FRAME_MAX`]). Appended to while entries are
+    /// outstanding, rewound only when the queue is empty, never grown.
+    arena: Vec<u8>,
+    /// Storage for [`Queued::Owned`] entries copied in, and what
+    /// [`send_run_owned`](DatagramLink::send_run_owned) hands back for
+    /// the storage it takes.
     recycle: Vec<Vec<u8>>,
     queue_cap: usize,
     io: BatchIo,
@@ -514,33 +593,77 @@ impl UdpChannel {
             .unwrap_or_else(|| Vec::with_capacity(self.mtu))
     }
 
-    /// Park a frame in the bounded local queue, copying into recycled
-    /// storage.
-    fn enqueue(&mut self, frame: &[u8]) -> Result<(), TxError> {
+    /// Whether the bounded local queue has room for one more frame;
+    /// counts the refusal when it has not.
+    fn queue_has_room(&mut self) -> Result<(), TxError> {
         if self.queue.len() >= self.queue_cap {
             self.stats.dropped_queue += 1;
             return Err(TxError::QueueFull);
         }
-        let mut buf = self.recycled_buf();
-        buf.clear();
-        buf.extend_from_slice(frame);
-        self.queue.push_back(buf);
+        Ok(())
+    }
+
+    /// Queue a short frame by copying it to the arena's end, directly
+    /// behind the short frame queued before it. `false`, nothing done,
+    /// for a frame over [`ARENA_FRAME_MAX`] or one the arena has no room
+    /// left for.
+    fn enqueue_short(&mut self, frame: &[u8]) -> bool {
+        let at = self.arena.len();
+        if frame.len() > ARENA_FRAME_MAX || at + frame.len() > self.arena.capacity() {
+            return false;
+        }
+        self.arena.extend_from_slice(frame);
+        self.queue.push_back(Queued::Arena {
+            at: at as u32,
+            len: frame.len() as u32,
+        });
+        true
+    }
+
+    /// Park a frame in the bounded local queue by copying it: to the
+    /// arena if short, else into recycled storage.
+    fn enqueue(&mut self, frame: &[u8]) -> Result<(), TxError> {
+        self.queue_has_room()?;
+        if !self.enqueue_short(frame) {
+            let mut buf = self.recycled_buf();
+            buf.clear();
+            buf.extend_from_slice(frame);
+            self.queue.push_back(Queued::Owned(buf));
+        }
         self.stats.queued += 1;
         Ok(())
     }
 
-    /// Park a frame by *taking* its storage, handing a recycled buffer
-    /// back in its place — the zero-copy twin of
-    /// [`enqueue`](Self::enqueue).
+    /// Park a frame without copying more than a short one's bytes: a
+    /// longer frame's storage is *taken*, a recycled buffer handed back
+    /// in its place.
     fn enqueue_owned(&mut self, frame: &mut Vec<u8>) -> Result<(), TxError> {
-        if self.queue.len() >= self.queue_cap {
-            self.stats.dropped_queue += 1;
-            return Err(TxError::QueueFull);
+        self.queue_has_room()?;
+        if !self.enqueue_short(frame) {
+            let replacement = self.recycled_buf();
+            self.queue
+                .push_back(Queued::Owned(std::mem::replace(frame, replacement)));
         }
-        let replacement = self.recycled_buf();
-        self.queue.push_back(std::mem::replace(frame, replacement));
         self.stats.queued += 1;
         Ok(())
+    }
+
+    /// Take the head frame off the queue, its storage back to the
+    /// recycle pool; its length. The arena rewinds when that empties the
+    /// queue — the only moment no entry points into it.
+    fn pop_head(&mut self) -> usize {
+        let len = match self.queue.pop_front().expect("head frame exists") {
+            Queued::Arena { len, .. } => len as usize,
+            Queued::Owned(buf) => {
+                let len = buf.len();
+                self.recycle.push(buf);
+                len
+            }
+        };
+        if self.queue.is_empty() {
+            self.arena.clear();
+        }
+        len
     }
 
     /// Whether the channel has declared itself permanently failed.
@@ -612,9 +735,9 @@ impl UdpChannel {
         }
         self.dead = true;
         self.stats.lifecycle = LifecycleState::Dead;
-        while let Some(buf) = self.queue.pop_front() {
+        while !self.queue.is_empty() {
             self.stats.dropped_error += 1;
-            self.recycle.push(buf);
+            self.pop_head();
         }
     }
 
@@ -700,6 +823,7 @@ impl UdpChannel {
             Ok(_) => {
                 self.stats.sent_frames += 1;
                 self.stats.sent_trains += 1;
+                self.stats.sent_iovecs += 1;
                 self.stats.sent_bytes += frame.len() as u64;
                 self.note_success();
                 Ok(())
@@ -785,6 +909,7 @@ impl DatagramLink for UdpChannel {
             let rep = self.io.send_frames(&self.sock, &frames[i..j]);
             self.stats.send_syscalls += rep.syscalls;
             self.stats.sent_trains += rep.messages;
+            self.stats.sent_iovecs += rep.iovecs;
             for f in &frames[i..i + rep.sent] {
                 self.stats.sent_frames += 1;
                 self.stats.sent_bytes += f.len() as u64;
@@ -835,10 +960,11 @@ impl DatagramLink for UdpChannel {
     }
 
     fn send_run_owned(&mut self, frames: &mut [Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
-        // Deferred batch: take every frame's storage into the local
-        // queue and let the caller's end-of-burst flush submit the whole
-        // accumulated queue as mmsg batches. This is what keeps batch
-        // occupancy at burst size rather than SRR run length.
+        // Deferred batch: every frame joins the local queue — a short
+        // one's bytes, a longer one's storage — and the caller's
+        // end-of-burst flush submits the whole accumulated queue as mmsg
+        // batches. This is what keeps batch occupancy at burst size
+        // rather than SRR run length.
         out.reserve(frames.len());
         for frame in frames.iter_mut() {
             let r = if self.dead {
@@ -903,23 +1029,20 @@ impl DatagramLink for UdpChannel {
             return 0;
         }
         let mut drained = 0;
-        // One contiguous slice: a wrapped deque submitted half by half
-        // would cost a second syscall and cut a GSO train in two.
-        self.queue.make_contiguous();
-        loop {
-            let slice = self.queue.as_slices().0;
-            if slice.is_empty() {
-                break;
-            }
-            let slice_len = slice.len();
-            let rep = self.io.send_frames(&self.sock, slice);
+        // The whole queue is one submission, wrapped ring or not: cut in
+        // two it would cost a second syscall and split a GSO train.
+        while !self.queue.is_empty() {
+            let offered = self.queue.len();
+            let (queue, arena) = (&self.queue, &self.arena);
+            let rep = self
+                .io
+                .send_slices(&self.sock, offered, |i| queue[i].bytes(arena));
             self.stats.send_syscalls += rep.syscalls;
             self.stats.sent_trains += rep.messages;
+            self.stats.sent_iovecs += rep.iovecs;
             for _ in 0..rep.sent {
-                let buf = self.queue.pop_front().expect("sent frames are queued");
                 self.stats.sent_frames += 1;
-                self.stats.sent_bytes += buf.len() as u64;
-                self.recycle.push(buf);
+                self.stats.sent_bytes += self.pop_head() as u64;
                 drained += 1;
             }
             if rep.sent > 0 {
@@ -942,19 +1065,17 @@ impl DatagramLink for UdpChannel {
                         // The head frame outgrew the path: it will never
                         // leave. Clamp, drop it, keep draining — the
                         // frames behind it may well fit.
-                        let buf = self.queue.pop_front().expect("head frame exists");
-                        self.note_msgsize(buf.len());
+                        let len = self.pop_head();
+                        self.note_msgsize(len);
                         self.stats.dropped_error += 1;
-                        self.recycle.push(buf);
                         continue;
                     }
                     SendFailure::Fatal => {
                         // The head frame will never leave; drop it
                         // rather than wedge the queue, then keep
                         // draining (unless the streak killed us).
-                        let buf = self.queue.pop_front().expect("head frame exists");
+                        self.pop_head();
                         self.note_fatal();
-                        self.recycle.push(buf);
                         if self.dead {
                             break;
                         }
@@ -962,7 +1083,7 @@ impl DatagramLink for UdpChannel {
                     }
                 }
             }
-            if rep.sent < slice_len {
+            if rep.sent < offered {
                 break; // kernel backpressure: retry on the next flush
             }
         }
@@ -1385,6 +1506,86 @@ mod tests {
             assert_eq!(s.sent_trains, 50, "one GSO train per flush");
             assert_eq!(s.frames_per_train(), 36.0);
         }
+    }
+
+    /// The arena over one burst: short frames land in it back to back,
+    /// in queue order around a long frame that keeps its own storage,
+    /// and it rewinds when the flush empties the queue.
+    #[test]
+    fn short_frames_queue_back_to_back_and_the_arena_rewinds() {
+        let (mut a, mut b) = UdpChannel::pair(1500, 64).unwrap();
+        let mut frames: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 70]).collect();
+        frames.insert(4, vec![0xaa; ARENA_FRAME_MAX + 1]);
+        frames.push(vec![0xbb; ARENA_FRAME_MAX]);
+        let mut offered = frames.clone();
+        let mut out = Vec::new();
+        a.send_run_owned(&mut offered, &mut out);
+        assert!(out.iter().all(|r| r.is_ok()));
+        assert_eq!(a.arena.len(), 8 * 70 + ARENA_FRAME_MAX);
+        let at: Vec<Option<u32>> = a
+            .queue
+            .iter()
+            .map(|q| match q {
+                Queued::Arena { at, .. } => Some(*at),
+                Queued::Owned(_) => None,
+            })
+            .collect();
+        let want = [0, 70, 140, 210].map(Some);
+        assert_eq!(at[..4], want);
+        assert_eq!(at[4], None, "the long frame kept its storage");
+        assert_eq!(at[5..], [280, 350, 420, 490, 560].map(Some));
+        assert_eq!(offered[0], frames[0], "a copied frame keeps its storage");
+        assert_eq!(a.flush(), 10);
+        assert_eq!(a.arena.len(), 0, "an empty queue rewinds the arena");
+        assert_eq!(land_frames(&mut b, 10), frames);
+        let s = a.stats();
+        if a.gso_offload() {
+            // Four short in one piece; the long frame closed by one
+            // short tail, two pieces; three short; the 320-byte frame.
+            assert_eq!((s.sent_trains, s.sent_iovecs), (4, 5), "{s:?}");
+        } else {
+            assert_eq!((s.sent_trains, s.sent_iovecs), (10, 10), "{s:?}");
+        }
+    }
+
+    /// The arena is never compacted or grown under outstanding entries:
+    /// behind a partial `sendmmsg` (a frame the kernel answers `EMSGSIZE`
+    /// in mid-queue) the offsets of the frames still queued stay put,
+    /// short frames arriving meanwhile fill it to its end, and the next
+    /// ones take the long frames' path — all in one FIFO.
+    #[test]
+    fn a_full_arena_sends_short_frames_the_long_way() {
+        let (mut a, mut b) = UdpChannel::builder(70_000).queue_cap(16).pair().unwrap();
+        assert_eq!(a.arena.capacity(), 16 * ARENA_FRAME_MAX);
+        let short = |i: u8| vec![i; ARENA_FRAME_MAX];
+        let mut sent: Vec<Vec<u8>> = Vec::new();
+        let mut park_all = |a: &mut UdpChannel, frames: Vec<Vec<u8>>| {
+            for f in frames {
+                park(a, &f).unwrap();
+                sent.push(f);
+            }
+        };
+        park_all(&mut a, (0..8).map(short).collect());
+        park(&mut a, &vec![0xdd; 66_000]).unwrap(); // no UDP datagram holds it
+        park_all(&mut a, (8..12).map(short).collect());
+        let flushed = a.flush();
+        if !a.batched_syscalls() || a.stats().mtu_clamps > 0 || flushed != 8 {
+            return; // per-frame path, or a kernel that does not stop there
+        }
+        assert_eq!(a.backlog(), 5, "cut short at the refused frame");
+        assert_eq!(a.arena.len(), 12 * ARENA_FRAME_MAX, "nothing moved");
+        park_all(&mut a, (12..16).map(short).collect());
+        assert_eq!(a.arena.len(), a.arena.capacity(), "full");
+        park_all(&mut a, (16..18).map(short).collect());
+        assert_eq!(a.arena.len(), a.arena.capacity(), "never grown");
+        assert!(matches!(a.queue.back(), Some(Queued::Owned(_))));
+        while a.backlog() > 0 {
+            a.flush();
+        }
+        assert_eq!(a.arena.len(), 0);
+        let s = a.stats();
+        assert_eq!((s.mtu_clamps, s.dropped_error, s.sent_frames), (1, 1, 18));
+        assert_eq!(land_frames(&mut b, 18), sent);
     }
 
     /// Loopback UDP can reorder across *sockets* but a single connected

@@ -243,12 +243,13 @@ fn main() -> std::io::Result<()> {
         let s = link.inner().stats();
         println!(
             "  ch{c}: {:.2} frames/train ({}+{} frames in {}+{} trains, sent+received), \
-             {:.2} frames/send syscall",
+             {} iovecs sent, {:.2} frames/send syscall",
             s.frames_per_train(),
             s.sent_frames,
             s.recv_frames,
             s.sent_trains,
             s.recv_trains,
+            s.sent_iovecs,
             s.send_batch_occupancy(),
         );
     }

@@ -119,6 +119,13 @@ fn main() -> std::io::Result<()> {
     println!("  marked frames received: {marked_frames}");
     let marks_applied = rx.flow_stats(flow.id()).map_or(0, |s| s.marks_applied);
     println!("marks applied: {marks_applied}");
+    for (c, link) in path.links().iter().enumerate() {
+        let u = link.inner().stats();
+        println!(
+            "ch{c} sent    : {} frames as {} kernel datagrams in {} iovecs",
+            u.sent_frames, u.sent_trains, u.sent_iovecs
+        );
+    }
     println!();
     println!("reorder metrics over the delivered sequence (§6.3):");
     println!("  out of order     : {}", s.out_of_order);

@@ -12,6 +12,7 @@ use stripe_bench::alloc::CountingAlloc;
 use stripe_core::receiver::RxBatch;
 use stripe_core::sched::Srr;
 use stripe_core::sender::MarkerConfig;
+use stripe_link::{DatagramLink, Train};
 use stripe_net::{FlowDemux, PooledBuf, PumpEvent, StripeServer, UdpChannel, WallClock};
 use stripe_netsim::DetRng;
 
@@ -19,16 +20,21 @@ use stripe_netsim::DetRng;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const CHANNELS: usize = 4;
-const FLOWS: usize = 8;
+/// Flows open; the mixed phase uses the first [`MIXED_FLOWS`].
+const FLOWS: usize = 64;
+const MIXED_FLOWS: usize = 8;
 const CHUNK: usize = 32;
 
-/// What a phase offers: one flow of equal 256 B packets, or every flow
+/// What a phase offers: one flow of equal 256 B packets, eight flows
 /// with a seeded 50/50 mix of 64 B and 1400 B — the mix that makes the
-/// server regroup each channel's burst across flows.
+/// server regroup each channel's burst across flows — or a 64 B packet
+/// from each of many flows, every frame short enough for the channels'
+/// send arenas.
 #[derive(Clone, Copy)]
 enum Traffic {
     OneFlowUniform,
-    AllFlowsMixed,
+    FewFlowsMixed,
+    ManyFlowsSmall,
 }
 
 #[test]
@@ -73,9 +79,11 @@ fn steady_state_net_datapath_allocates_nothing() {
             for i in 0..chunk {
                 let (flow, len) = match traffic {
                     Traffic::OneFlowUniform => (flows[0], 256),
-                    Traffic::AllFlowsMixed => {
-                        (flows[i % FLOWS], if coin.chance(0.5) { 64 } else { 1400 })
-                    }
+                    Traffic::FewFlowsMixed => (
+                        flows[i % MIXED_FLOWS],
+                        if coin.chance(0.5) { 64 } else { 1400 },
+                    ),
+                    Traffic::ManyFlowsSmall => (flows[i % FLOWS], 64),
                 };
                 path.enqueue(flow, &payload[..len]).unwrap();
             }
@@ -104,7 +112,12 @@ fn steady_state_net_datapath_allocates_nothing() {
     };
 
     let mut delivered = 0u64;
-    for traffic in [Traffic::OneFlowUniform, Traffic::AllFlowsMixed] {
+    let phases = [
+        Traffic::OneFlowUniform,
+        Traffic::FewFlowsMixed,
+        Traffic::ManyFlowsSmall,
+    ];
+    for traffic in phases {
         // Warm-up: every pool, ring, queue, and scratch buffer reaches
         // its high-water mark. The chunks are twice the measured size:
         // frame buffers grow to the longest frame they have carried and
@@ -131,9 +144,85 @@ fn steady_state_net_datapath_allocates_nothing() {
         );
     }
     // Sanity: the loops really moved packets through the kernel.
-    assert_eq!(delivered, (2 * (32 * 2 + 64) * CHUNK) as u64);
+    assert_eq!(delivered, (phases.len() * (32 * 2 + 64) * CHUNK) as u64);
     assert_eq!(path.stats().path.dropped_queue, 0);
     for flow in &flows {
         assert_eq!(rx.flow_stats(flow.id()).unwrap().dropped_overflow, 0);
+    }
+
+    send_queue_allocates_nothing_when_a_flush_is_cut_short();
+}
+
+/// The channel's send queue alone, bursts of 64 B frames parked and
+/// flushed the way a pump does it — and, inside the measured window, one
+/// burst with a frame in its middle that the kernel refuses, so that one
+/// `sendmmsg` comes back partial and the frames behind the refusal wait,
+/// in the arena, for the flush after. (A send buffer does not push back
+/// on loopback, whatever its size: the datagram is off the sender's
+/// books the moment it is looped. `EMSGSIZE` for a datagram no UDP
+/// packet can hold is the refusal this host produces on demand.)
+/// Called from the one test: this binary's allocator must see one test
+/// at a time.
+fn send_queue_allocates_nothing_when_a_flush_is_cut_short() {
+    const BURST: usize = 96;
+    let (mut tx, mut rx) = UdpChannel::builder(70_000)
+        .queue_cap(1 << 10)
+        .pair()
+        .unwrap();
+    let mut frames: Vec<Vec<u8>> = (0..BURST).map(|i| vec![i as u8; 70]).collect();
+    let mut huge = vec![0u8; 66_000];
+    let mut out = Vec::with_capacity(BURST + 1);
+    let window = rx.recv_window();
+    let mut room = vec![0u8; 4 * window];
+    let mut trains = [Train::default(); 4];
+    // One burst parked, flushed until the queue is empty, and read back;
+    // the frames that arrived.
+    let mut burst = |with_refusal: bool| -> usize {
+        let (head, tail) = frames.split_at_mut(BURST / 2);
+        out.clear();
+        tx.send_run_owned(head, &mut out);
+        if with_refusal {
+            tx.send_run_owned(std::slice::from_mut(&mut huge), &mut out);
+        }
+        tx.send_run_owned(tail, &mut out);
+        assert!(out.iter().all(|r| r.is_ok()));
+        let (mut flushes, mut got, mut spins) = (0, 0, 0u32);
+        while got < BURST {
+            if tx.backlog() > 0 {
+                tx.flush();
+                flushes += 1;
+            }
+            let landed = {
+                let mut windows: [&mut [u8]; 4] = {
+                    let mut it = room.chunks_exact_mut(window);
+                    std::array::from_fn(|_| it.next().expect("four windows"))
+                };
+                rx.recv_trains(&mut windows, &mut trains)
+            };
+            got += trains[..landed]
+                .iter()
+                .map(|t| t.frames().count())
+                .sum::<usize>();
+            spins += 1;
+            assert!(spins < 1_000_000, "loopback datagrams went missing");
+        }
+        assert_eq!(got, BURST);
+        flushes
+    };
+    for _ in 0..32 {
+        burst(false);
+    }
+    let before = CountingAlloc::allocations();
+    let mut flushes = 0;
+    for round in 0..64 {
+        flushes += burst(round == 20);
+    }
+    let allocs = CountingAlloc::allocations() - before;
+    assert_eq!(allocs, 0, "the send queue must not touch the allocator");
+    let s = tx.stats();
+    assert_eq!(s.sent_frames, (96 * BURST) as u64);
+    if s.mtu_clamps > 0 && tx.batched_syscalls() {
+        assert!(flushes > 64, "the refused frame cut one flush short");
+        assert_eq!(s.dropped_error, 1);
     }
 }

@@ -23,13 +23,27 @@
 //! with `STRIPE_NET_FALLBACK=1` (the CI portable-path job) re-executes
 //! these tests with every "default" channel on the per-frame fallback,
 //! which keeps the portable path equivalent too.
+//!
+//! The deferred queue keeps short frames' bytes back to back in the
+//! channel's send arena and longer frames' storage, in one order
+//! (`net::udp::ARENA_FRAME_MAX`). The `queue_*` tests below drive seeded
+//! mixes of the two kinds through `send_run_owned` + `flush` on a
+//! batched and on a forced-fallback channel, through every way a queue
+//! entry can leave — sent, refused by a full queue, refused as
+//! oversized, left behind by a partial `sendmmsg`, dropped by `EMSGSIZE`,
+//! drained by a dead socket — and hold the two to the same outcomes, the
+//! same datagrams in the same order and the same counters.
 
+use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use stripe::link::{DatagramLink, Train, TxError};
+use stripe::net::sys::BatchIo;
+use stripe::net::udp::{UdpChannelBuilder, ARENA_FRAME_MAX};
 use stripe::net::UdpChannel;
+use stripe::netsim::DetRng;
 
 const MTU: usize = 512;
 const QUEUE: usize = 1 << 10;
@@ -271,4 +285,281 @@ fn batched_path_actually_batches_when_compiled() {
     }
     let got = drain_landed(&mut rx, 24);
     assert_eq!(got.len(), 24);
+}
+
+/// A seeded run for the deferred queue: stretches of equal-length frames
+/// (so that there are trains to plan), each stretch short — at most
+/// [`ARENA_FRAME_MAX`], the frames the queue copies into its arena — or
+/// long with equal odds, every frame stamped with its index.
+fn seeded_mix(seed: u64, frames: usize) -> Vec<Vec<u8>> {
+    let mut rng = DetRng::new(seed);
+    let mut run = Vec::new();
+    while run.len() < frames {
+        let len = if rng.chance(0.5) {
+            rng.range_usize(2, ARENA_FRAME_MAX + 1)
+        } else {
+            rng.range_usize(ARENA_FRAME_MAX + 1, MTU + 1)
+        };
+        for _ in 0..rng.range_usize(1, 12).min(frames - run.len()) {
+            let mut f = vec![seed as u8; len];
+            f[..2].copy_from_slice(&(run.len() as u16).to_be_bytes());
+            run.push(f);
+        }
+    }
+    run
+}
+
+/// What one side of a queue differential saw.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    outcomes: Vec<Result<(), TxError>>,
+    delivered: Vec<Vec<u8>>,
+    /// `sent_frames`, `sent_bytes`, `dropped_queue`, `dropped_error`,
+    /// `mtu_clamps`.
+    counters: [u64; 5],
+}
+
+/// Offer `run` to `tx` the deferred way, flush until the queue is empty
+/// (reading `rx` as it goes, so a socket buffer cannot stay full), and
+/// report what happened at both ends.
+fn offer_and_drain(tx: &mut UdpChannel, rx: &mut UdpChannel, run: &[Vec<u8>]) -> Seen {
+    let mut owned = run.to_vec();
+    let mut outcomes = Vec::new();
+    let sent_before = tx.stats().sent_frames;
+    tx.send_run_owned(&mut owned, &mut outcomes);
+    for (kept, (sent, r)) in owned.iter().zip(run.iter().zip(&outcomes)) {
+        if r.is_err() {
+            assert_eq!(kept, sent, "a refused frame is left untouched");
+        }
+    }
+    let mut delivered = Vec::new();
+    let mut room = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while tx.backlog() > 0 && Instant::now() < deadline {
+        tx.flush();
+        delivered.extend(land_once(rx, &mut room).into_iter().flatten());
+    }
+    assert_eq!(tx.backlog(), 0, "the queue drains");
+    let s = tx.stats();
+    let counters = [
+        s.sent_frames,
+        s.sent_bytes,
+        s.dropped_queue,
+        s.dropped_error,
+        s.mtu_clamps,
+    ];
+    let sent = (s.sent_frames - sent_before) as usize;
+    delivered.extend(drain_landed(rx, sent.saturating_sub(delivered.len())));
+    Seen {
+        outcomes,
+        delivered,
+        counters,
+    }
+}
+
+/// Run `scenario` on a batched and on a forced-fallback pair built by
+/// `builder`, check that the two saw the same, that the per-frame path
+/// counted a train and an iovec a frame, and hand back what they saw
+/// with the batched sender.
+fn queue_differential(
+    builder: &UdpChannelBuilder,
+    scenario: impl Fn(&mut UdpChannel, &mut UdpChannel) -> Seen,
+) -> (Seen, UdpChannel) {
+    let (mut tx, mut rx) = builder.pair().expect("loopback pair");
+    let (mut ref_tx, mut ref_rx) = builder
+        .clone()
+        .force_fallback(true)
+        .pair()
+        .expect("loopback pair");
+    let seen = scenario(&mut tx, &mut rx);
+    let reference = scenario(&mut ref_tx, &mut ref_rx);
+    assert_eq!(seen, reference, "batched (left) against per-frame (right)");
+    let (s, r) = (tx.stats(), ref_tx.stats());
+    assert_eq!(
+        (r.sent_trains, r.sent_iovecs),
+        (r.sent_frames, r.sent_frames)
+    );
+    assert!(s.sent_trains <= s.sent_frames && s.sent_trains <= s.sent_iovecs);
+    assert!(s.sent_iovecs <= s.sent_frames);
+    (seen, tx)
+}
+
+fn queue_builder(mtu: usize, queue_cap: usize) -> UdpChannelBuilder {
+    UdpChannel::builder(mtu).queue_cap(queue_cap).rcvbuf(RCVBUF)
+}
+
+/// Short and long entries leave in the order they were queued, as the
+/// trains the same frames would plan as from storage of their own — the
+/// parent commit's queue — and in fewer iovecs.
+#[test]
+fn queue_keeps_fifo_across_short_and_long_entries() {
+    for seed in 0..24 {
+        let run = seeded_mix(seed, 200);
+        let (seen, tx) = queue_differential(&queue_builder(MTU, QUEUE), |tx, rx| {
+            offer_and_drain(tx, rx, &run)
+        });
+        assert!(seen.outcomes.iter().all(|r| r.is_ok()), "seed {seed}");
+        assert_eq!(seen.delivered, run, "seed {seed}");
+        let s = tx.stats();
+        if tx.batched_syscalls() {
+            // The planner cuts trains by length alone, so where the
+            // bytes lie changes the iovecs and nothing else.
+            let sink = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+            sock.connect(sink.local_addr().unwrap()).unwrap();
+            let plan = BatchIo::new(32, false).send_frames(&sock, &run);
+            assert_eq!((plan.sent, plan.iovecs), (run.len(), run.len() as u64));
+            assert_eq!(s.sent_trains, plan.messages, "seed {seed}");
+            if tx.gso_offload() {
+                assert!(s.sent_iovecs < plan.iovecs, "seed {seed}: {s:?}");
+            }
+        }
+    }
+}
+
+/// A run of nothing but short frames of one length is one train and one
+/// iovec a flush, however many frames it is.
+#[test]
+fn queue_hands_a_short_train_over_as_one_iovec() {
+    let run: Vec<Vec<u8>> = (0..48u8).map(|i| vec![i; 70]).collect();
+    let (seen, tx) = queue_differential(&queue_builder(MTU, QUEUE), |tx, rx| {
+        offer_and_drain(tx, rx, &run)
+    });
+    assert_eq!(seen.delivered, run);
+    let s = tx.stats();
+    if tx.gso_offload() {
+        assert_eq!((s.sent_trains, s.sent_iovecs), (1, 1), "{s:?}");
+    } else {
+        assert_eq!((s.sent_trains, s.sent_iovecs), (48, 48), "{s:?}");
+    }
+}
+
+/// `queue_cap` counts frames of both kinds alike: what does not fit is
+/// refused `QueueFull` and left untouched, what fits arrives in order.
+#[test]
+fn queue_overflow_refuses_the_same_frames() {
+    for seed in 0..8 {
+        let run = seeded_mix(100 + seed, 120);
+        let (seen, _) = queue_differential(&queue_builder(MTU, 50), |tx, rx| {
+            offer_and_drain(tx, rx, &run)
+        });
+        assert!(seen.outcomes[..50].iter().all(|r| r.is_ok()));
+        assert!(seen.outcomes[50..]
+            .iter()
+            .all(|r| *r == Err(TxError::QueueFull)));
+        assert_eq!(seen.delivered, run[..50]);
+        assert_eq!(seen.counters[2], 70, "dropped_queue");
+    }
+}
+
+/// An oversized frame in the middle of a run is refused `TooBig` and
+/// takes no queue slot; its neighbours are unaffected.
+#[test]
+fn queue_skips_an_oversized_frame_mid_run() {
+    for seed in 0..8 {
+        let mut run = seeded_mix(200 + seed, 90);
+        run.insert(40, vec![0xee; MTU + 1]);
+        run.insert(41, vec![0xef; 3 * MTU]);
+        let (seen, _) = queue_differential(&queue_builder(MTU, QUEUE), |tx, rx| {
+            offer_and_drain(tx, rx, &run)
+        });
+        let mut want = run.clone();
+        want.drain(40..42);
+        assert_eq!(seen.outcomes[40..42], [Err(TxError::TooBig); 2]);
+        assert_eq!(seen.outcomes.iter().filter(|r| r.is_ok()).count(), 90);
+        assert_eq!(seen.delivered, want);
+    }
+}
+
+/// A send buffer a fraction of the burst: whatever the kernel makes of
+/// it — partial `sendmmsg`s on a path that pushes back, nothing at all on
+/// loopback, where a datagram leaves the send buffer as it is queued —
+/// flushes resume where the last one stopped, arena offsets intact.
+#[test]
+fn queue_survives_a_tiny_send_buffer() {
+    for seed in 0..8 {
+        let run = seeded_mix(300 + seed, 400);
+        let builder = queue_builder(MTU, QUEUE).sndbuf(1);
+        let (seen, _) = queue_differential(&builder, |tx, rx| offer_and_drain(tx, rx, &run));
+        assert!(seen.outcomes.iter().all(|r| r.is_ok()));
+        assert_eq!(seen.delivered, run, "seed {seed}");
+    }
+}
+
+/// A frame the kernel answers `EMSGSIZE` in the middle of the queue: on
+/// the batched path the `sendmmsg` that meets it comes back partial —
+/// the frames ahead of it sent, everything from it on still queued, and
+/// the short ones among those still where the arena has them. The next
+/// flush drops it at the head, clamps the MTU, and the frames behind it
+/// leave in order.
+#[test]
+fn queue_resumes_after_a_partial_sendmmsg() {
+    // No UDP datagram holds 66 000 bytes; a channel that believes its
+    // MTU is 70 000 queues one all the same.
+    const HUGE: usize = 66_000;
+    for seed in 0..8 {
+        let mut run = seeded_mix(400 + seed, 120);
+        run.insert(60, vec![0xdd; HUGE]);
+        let (seen, tx) = queue_differential(&queue_builder(70_000, QUEUE), |tx, rx| {
+            let first = tx.stats().send_syscalls;
+            let seen = offer_and_drain(tx, rx, &run);
+            if tx.batched_syscalls() {
+                assert!(
+                    tx.stats().send_syscalls - first > 1,
+                    "one flush was cut short"
+                );
+            }
+            seen
+        });
+        if seen.counters[4] == 0 {
+            return; // this kernel took it: nothing to compare
+        }
+        let mut want = run.clone();
+        want.remove(60);
+        assert!(
+            seen.outcomes.iter().all(|r| r.is_ok()),
+            "refused by the kernel, not the queue"
+        );
+        assert_eq!(seen.delivered, want, "seed {seed}");
+        assert_eq!(seen.counters[3..], [1, 1], "dropped_error, mtu_clamps");
+        assert!(tx.mtu() < HUGE && !tx.link_dead());
+    }
+}
+
+/// A socket that dies with both kinds of entry queued drops them all,
+/// counted, refuses what is offered while dead, and after `revive` the
+/// queue and its arena start over.
+#[test]
+fn queue_drains_on_socket_death_and_starts_over() {
+    for seed in 0..8 {
+        let (before, lost, after) = (
+            seeded_mix(500 + seed, 60),
+            seeded_mix(600 + seed, 60),
+            seeded_mix(700 + seed, 60),
+        );
+        let (seen, _) = queue_differential(&queue_builder(MTU, QUEUE), |tx, rx| {
+            let mut seen = offer_and_drain(tx, rx, &before);
+            let mut parked = lost.clone();
+            tx.send_run_owned(&mut parked, &mut seen.outcomes);
+            assert_eq!(tx.backlog(), 60);
+            tx.inject_socket_death();
+            assert_eq!(tx.backlog(), 0);
+            let mut refused = after.clone();
+            tx.send_run_owned(&mut refused, &mut seen.outcomes);
+            assert_eq!(refused, after, "a dead link takes nothing");
+            assert!(tx.revive(), "loopback rebind");
+            let again = offer_and_drain(tx, rx, &after);
+            seen.outcomes.extend(again.outcomes);
+            seen.delivered.extend(again.delivered);
+            seen.counters = again.counters;
+            seen
+        });
+        assert!(seen.outcomes[..120].iter().all(|r| r.is_ok()));
+        assert!(seen.outcomes[120..180]
+            .iter()
+            .all(|r| *r == Err(TxError::LinkDown)));
+        assert!(seen.outcomes[180..].iter().all(|r| r.is_ok()));
+        assert_eq!(seen.delivered, [before.clone(), after.clone()].concat());
+        assert_eq!(seen.counters[3], 60, "dropped_error");
+    }
 }
