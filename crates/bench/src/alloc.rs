@@ -1,15 +1,16 @@
 //! A counting global allocator for alloc-pressure measurements.
 //!
 //! The zero-copy datapath claims a steady-state heap-allocation rate of
-//! zero per packet: payloads are [`bytes::Bytes`] views, batch buffers are
+//! zero per packet: payloads are `bytes::Bytes` views, batch buffers are
 //! caller-owned and reused, and the scratch vectors inside
 //! `StripedPath::send_batch` amortize to their high-water mark. That claim
-//! is only credible if it is *measured*, so the throughput bench and the
-//! `alloc_counting` test install [`CountingAlloc`] as the global allocator
-//! and report allocation deltas around the hot loop.
+//! is only credible if it is *measured*, so the `alloc_counting`,
+//! `alloc_counting_net` and `flow_churn` tests install [`CountingAlloc`]
+//! as the global allocator and assert on allocation deltas around the hot
+//! loop.
 //!
 //! The counter is a relaxed atomic: cheap enough to leave enabled, precise
-//! enough for delta measurements in single-threaded benches.
+//! enough for delta measurements in single-threaded tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -16,7 +16,8 @@
 //!   Ethernet and ATM members.
 //! - [`table`] — plain-text table rendering for bench output.
 //! - [`alloc`] — a counting global allocator backing the zero-allocation
-//!   claims of the batched datapath (`throughput` bench).
+//!   tests of the batched datapath (`tests/alloc_counting*.rs`,
+//!   `tests/flow_churn.rs`).
 
 pub mod alloc;
 pub mod links;

@@ -6,8 +6,8 @@
 //! Sprinklers sends each channel a contiguous variable-size *stripe*
 //! (the paper's "spray"), sized to the channel's rate so stripes
 //! complete in roughly equal time — the basis of its low-reordering
-//! claim, which the adaptive bench tests head-to-head against
-//! SRR+markers under identical impairments. The randomness (which
+//! claim, which `tests/adaptive_operating_point.rs` tests head-to-head
+//! against SRR+markers under identical impairments. The randomness (which
 //! channel gets the next stripe, and how long it runs) is seeded into
 //! the shared initial state `s0` exactly like [`Rfq`](super::Rfq), so
 //! the receiver can simulate the sender and the scheme stays causal.

@@ -96,28 +96,24 @@ pub trait DatagramLink {
     fn mtu(&self) -> usize;
 
     /// Offer a run of frames back to back, appending one result per frame
-    /// to `out` (not cleared — batch callers compose runs). Semantically
-    /// identical to per-frame [`send_frame`](Self::send_frame) calls;
-    /// implementations may only amortize mechanics across the run (one
-    /// backlog flush instead of one per frame — the `sendmmsg` seam),
-    /// never change outcomes.
-    fn send_run(&mut self, frames: &[Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
+    /// to `out` (not cleared — batch callers compose runs). Outcomes are
+    /// those of per-frame [`send_frame`](Self::send_frame) calls — the
+    /// default is that loop; implementations may only amortize mechanics
+    /// across the run (park the frames and submit them in one
+    /// [`flush`](Self::flush) — the `sendmmsg` seam), never change them.
+    ///
+    /// The link may keep each accepted frame whichever way is cheaper for
+    /// it: an accepted frame's storage is *taken* (some valid, possibly
+    /// recycled `Vec` left in its place) *or* its bytes are copied, and
+    /// its contents are unspecified afterwards either way — the seam
+    /// batch senders feed from their recycled frame buffers, which they
+    /// re-encode into before the next use. A frame whose result is an
+    /// error is left untouched.
+    fn send_run_owned(&mut self, frames: &mut [Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
         out.reserve(frames.len());
-        for f in frames {
+        for f in frames.iter() {
             out.push(self.send_frame(f));
         }
-    }
-
-    /// Like [`send_run`](Self::send_run), but the link may keep each
-    /// accepted frame whichever way is cheaper for it: an accepted
-    /// frame's storage is *taken* (some valid, possibly recycled `Vec`
-    /// left in its place) *or* its bytes are copied, and its contents
-    /// are unspecified afterwards either way — the seam batch senders
-    /// feed from their recycled frame buffers, which they re-encode into
-    /// before the next use. A frame whose result is an error is left
-    /// untouched. Outcomes are identical to [`send_run`](Self::send_run).
-    fn send_run_owned(&mut self, frames: &mut [Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
-        self.send_run(frames, out)
     }
 
     /// Bytes one window of [`recv_trains`](Self::recv_trains) must hold:
@@ -329,16 +325,18 @@ mod tests {
     }
 
     #[test]
-    fn send_run_owned_matches_send_run_outcomes() {
+    fn send_run_owned_matches_per_frame_outcomes() {
         let (mut a, mut a_peer) = datagram_pair(8, 3);
         let (mut b, mut b_peer) = datagram_pair(8, 3);
         // Oversized frame mid-run, then enough to overflow the queue.
         let frames: Vec<Vec<u8>> = vec![vec![1], vec![0; 9], vec![2], vec![3], vec![4]];
         let mut owned = frames.clone();
-        let (mut out_ref, mut out_owned) = (Vec::new(), Vec::new());
-        a.send_run(&frames, &mut out_ref);
+        let out_ref: Vec<_> = frames.iter().map(|f| a.send_frame(f)).collect();
+        let mut out_owned = Vec::new();
         b.send_run_owned(&mut owned, &mut out_owned);
         assert_eq!(out_ref, out_owned);
+        assert_eq!(out_ref[1], Err(TxError::TooBig));
+        assert_eq!(out_ref[4], Err(TxError::QueueFull), "the bounded queue");
         // Rejected frames are left untouched by the owning variant.
         assert_eq!(owned[1], vec![0; 9]);
         assert_eq!(owned[4], vec![4]);
@@ -382,23 +380,5 @@ mod tests {
         assert_eq!(cut(8, 4), [(0, 4), (4, 4)]);
         assert_eq!(cut(3, 3), [(0, 3)]);
         assert_eq!(cut(0, 0), [(0, 0)], "an empty datagram is one frame");
-    }
-
-    #[test]
-    fn send_run_matches_per_frame_sends() {
-        let (mut a, mut b) = datagram_pair(100, 3);
-        let frames: Vec<Vec<u8>> = vec![vec![1], vec![2], vec![3], vec![4]];
-        let mut out = Vec::new();
-        a.send_run(&frames, &mut out);
-        assert_eq!(
-            out,
-            vec![Ok(()), Ok(()), Ok(()), Err(TxError::QueueFull)],
-            "fourth frame hits the bounded queue"
-        );
-        let mut buf = [0u8; 100];
-        for want in 1u8..=3 {
-            assert_eq!(b.recv_frame(&mut buf), Some(1));
-            assert_eq!(buf[0], want);
-        }
     }
 }

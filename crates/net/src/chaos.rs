@@ -701,9 +701,6 @@ impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
         self.offer(frame, false)
     }
 
-    // send_run is deliberately left on the trait default (a per-frame
-    // loop over send_frame), so the plan sees every frame.
-
     fn send_run_owned(&mut self, frames: &mut [Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
         self.tick_held();
         out.reserve(frames.len());

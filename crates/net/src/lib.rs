@@ -14,9 +14,10 @@
 //!   data and marker frames (control stays untagged); one shared entry
 //!   point decodes both, landing version-1 frames on flow 0.
 //! - [`udp`] — [`UdpChannel`], one connected non-blocking UDP socket
-//!   per striped channel, with a bounded, buffer-recycling local queue
-//!   absorbing kernel backpressure and a run-amortized
-//!   (`sendmmsg`-style) batch seam.
+//!   per striped channel. One send route: every frame joins a bounded,
+//!   buffer-recycling local queue and `flush` submits the queue in
+//!   `sendmmsg` batches, absorbing kernel backpressure and recovering
+//!   from hard socket errors in one place.
 //! - [`server`] — [`StripeServer`], the one send path: thousands of
 //!   logical flows (or just one) over one shared channel set, per-flow
 //!   state in a slab behind generation-checked [`FlowHandle`]s, DRR

@@ -317,6 +317,13 @@ struct WaitingMark {
 /// `max_flows` when it bounds the ids it accepts.
 pub const DEFAULT_PARK_CAPACITY: usize = 1 << 10;
 
+/// Flows whose idle markers are staged between two emissions in
+/// [`send_idle_markers_into`](StripeServer::send_idle_markers_into): one
+/// frame per flow and link, so this is the most a link is offered before
+/// it is flushed — one default mmsg batch, far below any sensible send
+/// queue — and the most buffers the sweep takes from the pool per link.
+const IDLE_MARKER_BURST: usize = 32;
+
 /// Absent link in the [`Regroup`] chains.
 const NONE: u32 = u32::MAX;
 
@@ -957,12 +964,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             }
         }
         self.waiting_flows.clear();
-        for c in 0..self.links.len() {
-            self.emit_stage(c, events);
-            // One flush per link per pump: deferring links submit their
-            // whole accumulated burst as mmsg batches here.
-            self.links[c].flush();
-        }
+        self.emit_stages(events);
         served_total
     }
 
@@ -993,6 +995,16 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             frame::encode_control_flow_into(flow, &ctl, &mut buf);
         }
         stage.push(&mut buf, flow, w.event as usize);
+    }
+
+    /// Every channel's staged burst to its link, and one flush per link:
+    /// deferring links submit their whole accumulated burst as mmsg
+    /// batches here.
+    fn emit_stages(&mut self, events: &mut [PumpEvent]) {
+        for c in 0..self.links.len() {
+            self.emit_stage(c, events);
+            self.links[c].flush();
+        }
     }
 
     /// Hand channel `c`'s staged burst to its link in one run —
@@ -1045,56 +1057,61 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     }
 
     /// Emit every open active flow's due marker batch immediately
-    /// (timer-driven markers during idle periods). Events land in
-    /// `events` (cleared first).
+    /// (timer-driven markers during idle periods): staged unpadded —
+    /// there is no adjacent data to length-match — and handed to the
+    /// links as a pump's burst is, one run and one flush per link for
+    /// every [`IDLE_MARKER_BURST`] flows, so that no link is offered
+    /// more than that many frames between flushes however many flows
+    /// are open. Events land in `events` (cleared first), flow-major,
+    /// channel order within a flow.
     pub fn send_idle_markers_into(&mut self, now: SimTime, events: &mut Vec<PumpEvent>) {
         let _ = now;
         events.clear();
+        self.carried.clear();
         if self.path_parked {
             return;
         }
+        let mut staged_flows = 0;
         for fid in 0..self.flows.len() {
-            {
-                let Some(f) = self.flows[fid].as_mut() else {
-                    continue;
-                };
-                if f.parked {
-                    continue;
-                }
-                self.scratch_idle.clear();
-                f.tx.make_markers_into(&mut self.scratch_idle);
+            let Some(f) = self.flows[fid].as_mut() else {
+                continue;
+            };
+            if f.parked {
+                continue;
             }
-            let mut lost = 0u64;
-            for k in 0..self.scratch_idle.len() {
-                let (c, mk) = self.scratch_idle[k];
-                let error = self.transmit_marker_frame(fid as FlowId, c, mk);
-                if error.is_some() {
-                    lost += 1;
-                }
+            self.scratch_idle.clear();
+            f.tx.make_markers_into(&mut self.scratch_idle);
+            f.stats.markers_sent += self.scratch_idle.len() as u64;
+            self.stats.path.markers_sent += self.scratch_idle.len() as u64;
+            for &(c, mk) in &self.scratch_idle {
+                let w = WaitingMark {
+                    mark: mk.mark,
+                    event: events.len() as u32,
+                    behind: 0,
+                };
+                Self::stage_marker_frame(
+                    &self.links[c],
+                    &mut self.buf_pool,
+                    &mut self.stage[c],
+                    fid as FlowId,
+                    c,
+                    w,
+                    0,
+                );
                 events.push(PumpEvent::Marker {
                     flow: fid as FlowId,
                     channel: c,
                     marker: mk,
-                    error,
+                    error: None,
                 });
             }
-            let sent = self.scratch_idle.len() as u64;
-            let f = self.flows[fid].as_mut().expect("still open");
-            f.stats.markers_sent += sent;
-            f.stats.markers_lost += lost;
+            staged_flows += 1;
+            if staged_flows == IDLE_MARKER_BURST {
+                staged_flows = 0;
+                self.emit_stages(events);
+            }
         }
-    }
-
-    /// Encode and send one idle marker frame for `flow` on channel `c`,
-    /// now and unpadded (there is no adjacent data to length-match).
-    fn transmit_marker_frame(&mut self, flow: FlowId, c: ChannelId, mk: Marker) -> Option<TxError> {
-        self.stats.path.markers_sent += 1;
-        frame::encode_control_flow_into(flow, &Control::Marker(mk), &mut self.ctl_buf);
-        if let Err(e) = self.links[c].send_frame(&self.ctl_buf) {
-            self.stats.path.markers_lost += 1;
-            return Some(e);
-        }
-        None
+        self.emit_stages(events);
     }
 
     fn transmit_control_impl(
@@ -1740,6 +1757,153 @@ mod tests {
                 }
                 other => panic!("expected marker, got {other:?}"),
             }
+        }
+    }
+
+    /// Idle markers report flow-major, channel order within a flow, and
+    /// one a full link refuses is patched onto its own event and counted
+    /// on its own flow, as a pump's markers are.
+    #[test]
+    fn a_refused_idle_marker_lands_on_its_event_and_flow() {
+        let (a0, _b0) = datagram_pair(2048, 1);
+        let (a1, _b1) = datagram_pair(2048, 1);
+        let mut srv: StripeServer<Srr, TestDatagramLink> = StripeServer::builder()
+            .scheduler(Srr::equal(2, 1500))
+            .markers(MarkerConfig::every_rounds(4))
+            .links(vec![a0, a1])
+            .build();
+        let flows = [srv.open_flow().unwrap(), srv.open_flow().unwrap()];
+        let mut events = Vec::new();
+        srv.send_idle_markers_into(SimTime::ZERO, &mut events);
+        let seen: Vec<_> = events
+            .iter()
+            .map(|e| match *e {
+                PumpEvent::Marker {
+                    flow,
+                    channel,
+                    error,
+                    ..
+                } => (flow, channel, error),
+                PumpEvent::Data { .. } => panic!("idle markers only"),
+            })
+            .collect();
+        // Each link holds one frame: the first flow's.
+        let full = Some(TxError::QueueFull);
+        assert_eq!(
+            seen,
+            [(0, 0, None), (0, 1, None), (1, 0, full), (1, 1, full)]
+        );
+        let path = srv.stats().path;
+        assert_eq!((path.markers_sent, path.markers_lost), (4, 2));
+        let per_flow = flows.map(|h| srv.flow_stats(h).unwrap());
+        assert_eq!(
+            per_flow.map(|f| (f.markers_sent, f.markers_lost)),
+            [(2, 0), (2, 2)]
+        );
+    }
+
+    /// A deferring link as `UdpChannel` is one: `send_run_owned` parks
+    /// up to `cap` frames and refuses the rest, `flush` puts what is
+    /// parked on the (unbounded) wire.
+    struct Deferring {
+        wire: TestDatagramLink,
+        parked: Vec<Vec<u8>>,
+        cap: usize,
+    }
+
+    impl DatagramLink for Deferring {
+        fn send_frame(&mut self, frame: &[u8]) -> Result<(), TxError> {
+            self.wire.send_frame(frame)
+        }
+        fn send_run_owned(&mut self, frames: &mut [Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
+            for f in frames.iter_mut() {
+                out.push(if self.parked.len() < self.cap {
+                    self.parked.push(std::mem::take(f));
+                    Ok(())
+                } else {
+                    Err(TxError::QueueFull)
+                });
+            }
+        }
+        fn flush(&mut self) -> usize {
+            let n = self.parked.len();
+            for f in self.parked.drain(..) {
+                self.wire.send_frame(&f).expect("unbounded wire");
+            }
+            n
+        }
+        fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
+            self.wire.recv_frame(buf)
+        }
+        fn mtu(&self) -> usize {
+            self.wire.mtu()
+        }
+    }
+
+    /// An idle sweep over more flows than a link's send queue holds
+    /// loses nothing: the links are flushed every `IDLE_MARKER_BURST`
+    /// flows, so high-numbered flows are not refused sweep after sweep,
+    /// and the sweep keeps no more buffers than one burst needs.
+    #[test]
+    fn idle_markers_outnumbering_the_link_queue_all_arrive() {
+        const FLOWS: usize = 10 * IDLE_MARKER_BURST + 7;
+        let (links, mut peers): (Vec<_>, Vec<_>) = (0..2)
+            .map(|_| {
+                let (wire, peer) = datagram_pair(2048, usize::MAX);
+                let cap = IDLE_MARKER_BURST;
+                let parked = Vec::new();
+                (Deferring { wire, parked, cap }, peer)
+            })
+            .unzip();
+        let mut srv: StripeServer<Srr, Deferring> = StripeServer::builder()
+            .scheduler(Srr::equal(2, 1500))
+            .markers(MarkerConfig::every_rounds(4))
+            .links(links)
+            .max_flows(FLOWS)
+            .build();
+        let flows: Vec<_> = (0..FLOWS).map(|_| srv.open_flow().unwrap()).collect();
+        let mut events = Vec::new();
+        for sweep in 1..=2u64 {
+            srv.send_idle_markers_into(SimTime::ZERO, &mut events);
+            assert_eq!(events.len(), 2 * FLOWS);
+            let want: Vec<_> = (0..FLOWS as FlowId)
+                .flat_map(|f| [(f, 0), (f, 1)])
+                .collect();
+            let seen: Vec<_> = events
+                .iter()
+                .map(|e| match *e {
+                    PumpEvent::Marker {
+                        flow,
+                        channel,
+                        error: None,
+                        ..
+                    } => (flow, channel),
+                    ref other => panic!("a refused or foreign event: {other:?}"),
+                })
+                .collect();
+            assert_eq!(seen, want, "flow-major, channel order within a flow");
+            let path = srv.stats().path;
+            assert_eq!(
+                (path.markers_sent, path.markers_lost),
+                (sweep * 2 * FLOWS as u64, 0)
+            );
+            for (c, p) in peers.iter_mut().enumerate() {
+                let mut arrived: Vec<_> = drain(p)
+                    .iter()
+                    .map(|f| match frame::try_decode_flow(f) {
+                        Ok((flow, Frame::Control(Control::Marker(mk)))) if mk.channel == c => flow,
+                        other => panic!("expected channel {c}'s marker, got {other:?}"),
+                    })
+                    .collect();
+                arrived.sort_unstable();
+                let all: Vec<_> = flows.iter().map(|h| h.id()).collect();
+                assert_eq!(arrived, all, "every flow's marker on channel {c}");
+            }
+            assert!(srv.buf_pool.len() <= 2 * IDLE_MARKER_BURST);
+        }
+        for h in flows {
+            let f = srv.flow_stats(h).unwrap();
+            assert_eq!((f.markers_sent, f.markers_lost), (4, 0));
         }
     }
 

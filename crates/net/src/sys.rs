@@ -55,10 +55,11 @@
 //! - [`configure_buffers`]: `SO_SNDBUF`/`SO_RCVBUF` via `setsockopt`,
 //!   with the *effective* sizes read back (Linux doubles the requested
 //!   value for bookkeeping overhead).
-//! - [`socket_drops_port`]: a `dropped_rcvbuf` estimate read from the
-//!   socket's `drops` column in `/proc/net/udp` — the kernel-overflow
-//!   losses that are otherwise invisible and surface only as §5 marker
-//!   recoveries.
+//! - [`socket_drops_port`]: the estimate behind
+//!   [`UdpChannel::kernel_drops`](crate::udp::UdpChannel::kernel_drops),
+//!   read from the socket's `drops` column in `/proc/net/udp` — the
+//!   kernel-overflow losses that are otherwise invisible and surface
+//!   only as §5 marker recoveries.
 
 use std::io;
 use std::net::UdpSocket;
@@ -94,7 +95,7 @@ const GRO_WINDOW: usize = 1 << 16;
 
 /// True when `STRIPE_NET_FALLBACK=1` forces the portable per-frame path
 /// even where the batched syscalls are compiled in. Read once.
-pub fn fallback_forced() -> bool {
+fn fallback_forced() -> bool {
     static FORCED: OnceLock<bool> = OnceLock::new();
     *FORCED.get_or_init(|| std::env::var("STRIPE_NET_FALLBACK").is_ok_and(|v| v == "1"))
 }

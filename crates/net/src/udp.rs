@@ -8,25 +8,29 @@
 //! tolerates. The reverse path (probe acks, membership acks, credit)
 //! rides the same socket in the other direction.
 //!
-//! Since PR 4 the channel is **syscall-batched**: whole frame runs go to
-//! the kernel as one `sendmmsg` batch and receives drain the socket in
-//! `recvmmsg` batches (see [`crate::sys`]), with a portable per-frame
-//! fallback behind the same API. The split of labor:
+//! The channel is **syscall-batched**: the send queue goes to the kernel
+//! as `sendmmsg` batches and receives drain the socket in `recvmmsg`
+//! batches (see [`crate::sys`]), with a portable per-frame fallback
+//! behind the same API.
 //!
-//! - [`send_run`](DatagramLink::send_run) — *eager*: flush the backlog,
-//!   then submit the run as mmsg batches. One syscall per
-//!   [`batch`](UdpChannelBuilder::batch) frames.
-//! - [`send_run_owned`](DatagramLink::send_run_owned) — *deferred*: park
-//!   each frame in the bounded local queue and let the next
-//!   [`flush`](DatagramLink::flush) — which batch senders call once per
-//!   burst — drain the whole queue in mmsg batches. This is what lifts
-//!   batch occupancy above the per-run packet count: SRR runs at large
-//!   payloads are only 1–2 frames long, but a burst parks many frames
-//!   per channel before the single flush.
-//! - [`recv_trains`](DatagramLink::recv_trains) — land up to a
-//!   window-array's worth of datagrams (whole GRO trains, on an
-//!   offloaded socket) in one `recvmmsg`, straight where the caller
-//!   will read them.
+//! **One send route.** A frame reaches the kernel one way: it joins the
+//! bounded local queue, and [`flush`](DatagramLink::flush) submits the
+//! queue. The two entries differ only in who calls the flush:
+//!
+//! - [`send_run_owned`](DatagramLink::send_run_owned) — the datapath:
+//!   park each frame of the run and let the caller's end-of-burst
+//!   [`flush`](DatagramLink::flush) drain the whole queue in mmsg
+//!   batches. This is what lifts batch occupancy above the per-run
+//!   packet count: SRR runs at large payloads are only 1–2 frames long,
+//!   but a burst parks many frames per channel before the single flush.
+//! - [`send_frame`](DatagramLink::send_frame) — control and probes:
+//!   flush the backlog, join the queue, and — when nothing is parked
+//!   ahead — flush again and report this frame's own fate.
+//!
+//! Receives go through [`recv_trains`](DatagramLink::recv_trains): land
+//! up to a window-array's worth of datagrams (whole GRO trains, on an
+//! offloaded socket) in one `recvmmsg`, straight where the caller will
+//! read them.
 //!
 //! **The send queue** is one ordered queue of two kinds of entry, chosen
 //! by the frame's length alone. A frame of at most [`ARENA_FRAME_MAX`]
@@ -60,20 +64,20 @@
 //! transmit queue produces. Queue buffers are recycled, so backpressure
 //! episodes allocate only up to the queue's high-water mark.
 //!
-//! The snapshot counts syscalls on both directions, so
-//! `syscalls_per_packet` and batch occupancy are first-class, and it
-//! reports the effective `SO_SNDBUF`/`SO_RCVBUF` plus a
-//! [`dropped_rcvbuf`](UdpChannelSnapshot::dropped_rcvbuf) estimate of
-//! kernel receive-buffer overflow — losses that were previously
-//! invisible and surfaced only as §5 marker recoveries.
+//! The snapshot counts syscalls, kernel datagrams and iovecs on both
+//! directions and reports the effective `SO_SNDBUF`/`SO_RCVBUF`;
+//! [`kernel_drops`](UdpChannel::kernel_drops) estimates kernel
+//! receive-buffer overflow — losses that otherwise surface only as §5
+//! marker recoveries.
 //!
-//! **Socket-error recovery.** Hard send errors no longer funnel
-//! straight into `TxError::LinkDown`; the channel runs a small
-//! recovery state machine keyed on the errno:
+//! **Socket-error recovery.** A hard send error always concerns the
+//! queue's head frame, and one ladder (`head_refused`) decides from the
+//! errno what becomes of it — parked, dropped, or the channel dead —
+//! whichever entry offered the frame:
 //!
 //! - `ECONNREFUSED` — a connected UDP socket echoes the peer's ICMP
 //!   port-unreachable back on the *next* send. One echo is transient
-//!   (the peer may be restarting), so the frame re-queues and a score
+//!   (the peer may be restarting), so the frame stays parked and a score
 //!   (+2 per refusal) tracks persistence; past [`REFUSED_DEAD_SCORE`]
 //!   the channel declares itself dead. Only *inbound* traffic — proof
 //!   the peer is alive — decays the score (−1 per receive): a
@@ -82,13 +86,20 @@
 //!   refusals they provoked must never outvote them.
 //! - `ENOBUFS` — kernel transmit memory, not our queue: the frame
 //!   stays parked and the next [`ENOBUFS_BACKOFF`] flushes are skipped
-//!   to let the NIC drain rather than hammering the syscall.
+//!   to let the NIC drain rather than hammering the syscall. A
+//!   `send_frame` in that window is parked with the rest (`Ok`): its own
+//!   flush counts among the skipped ones, so a caller that only ever
+//!   calls `send_frame` still sees the queue leave, in order.
 //! - `EMSGSIZE` — the path MTU shrank under us: clamp the channel MTU
 //!   below the refused frame's length, demote GSO (super-datagrams are
-//!   the first casualties of a shrunken path), and report the frame
-//!   [`TxError::TooBig`].
-//! - anything else — counted; [`HARD_DEAD_STREAK`] *consecutive* fatal
-//!   errors declare the channel dead.
+//!   the first casualties of a shrunken path), and drop the frame
+//!   ([`TxError::TooBig`] to a `send_frame` caller) — the frames behind
+//!   it may well fit.
+//! - anything else — the frame is dropped ([`TxError::LinkDown`]);
+//!   [`HARD_DEAD_STREAK`] *consecutive* fatal errors declare the channel
+//!   dead.
+//!
+//! Every frame dropped this way is counted `dropped_error`, once.
 //!
 //! A dead channel fails every send fast with `LinkDown`, drains its
 //! queue (frames counted `dropped_error`, buffers recycled), and
@@ -134,7 +145,7 @@ pub const HARD_DEAD_STREAK: u32 = 8;
 /// Flushes skipped after the kernel reports `ENOBUFS`.
 pub const ENOBUFS_BACKOFF: u32 = 4;
 
-/// Longest frame the deferred send queue *copies* into the channel's
+/// Longest frame the send queue *copies* into the channel's
 /// send arena instead of taking its storage. Queued back to back there, a
 /// run of such frames is one iovec of its `sendmmsg` message, and an
 /// iovec costs the kernel ~20 ns to walk whatever its length (64 × 70 B as
@@ -181,16 +192,6 @@ fn classify_errno(errno: Option<i32>) -> SendFailure {
     }
 }
 
-fn classify_error(e: &io::Error) -> SendFailure {
-    if e.raw_os_error().is_some() {
-        classify_errno(e.raw_os_error())
-    } else if e.kind() == io::ErrorKind::ConnectionRefused {
-        SendFailure::Refused
-    } else {
-        SendFailure::Fatal
-    }
-}
-
 /// Counters for one UDP channel, under the workspace snapshot convention
 /// (`dropped_<cause>`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -203,8 +204,8 @@ pub struct UdpChannelSnapshot {
     pub recv_frames: u64,
     /// Bytes received from the kernel.
     pub recv_bytes: u64,
-    /// Frames parked in the local queue (deferred sends and kernel
-    /// backpressure).
+    /// Frames that joined the local queue: every accepted frame, the
+    /// queue being the one way to the kernel.
     pub queued: u64,
     /// Frames dropped because the local queue was full.
     pub dropped_queue: u64,
@@ -229,10 +230,7 @@ pub struct UdpChannelSnapshot {
     pub sndbuf: u64,
     /// Effective `SO_RCVBUF` in bytes (0 = unknown/unsupported).
     pub rcvbuf: u64,
-    /// Kernel receive-buffer overflow estimate (`/proc/net/udp` drops),
-    /// populated by [`UdpChannel::stats_sampled`] — 0 until sampled.
-    pub dropped_rcvbuf: u64,
-    /// `ECONNREFUSED` echoes absorbed as transient (frame re-queued).
+    /// `ECONNREFUSED` echoes absorbed as transient (frame stays parked).
     pub transient_refused: u64,
     /// `ENOBUFS` episodes that triggered a flush backoff.
     pub enobufs_backoffs: u64,
@@ -266,15 +264,6 @@ impl UdpChannelSnapshot {
         }
     }
 
-    /// Average frames per receive syscall (empty polls included).
-    pub fn recv_batch_occupancy(&self) -> f64 {
-        if self.recv_syscalls == 0 {
-            0.0
-        } else {
-            self.recv_frames as f64 / self.recv_syscalls as f64
-        }
-    }
-
     /// Average frames per kernel datagram, both directions: how long
     /// the GSO/GRO trains are (1.0 with no offload). The kernel's
     /// per-datagram stack traversal is paid once per train, so this —
@@ -285,17 +274,6 @@ impl UdpChannelSnapshot {
             0.0
         } else {
             (self.sent_frames + self.recv_frames) as f64 / trains as f64
-        }
-    }
-
-    /// Total syscalls divided by total frames moved, both directions —
-    /// the number this PR exists to shrink.
-    pub fn syscalls_per_packet(&self) -> f64 {
-        let frames = self.sent_frames + self.recv_frames;
-        if frames == 0 {
-            0.0
-        } else {
-            (self.send_syscalls + self.recv_syscalls) as f64 / frames as f64
         }
     }
 }
@@ -345,9 +323,10 @@ impl UdpChannelBuilder {
         }
     }
 
-    /// Bounded local send-queue depth, in frames.
+    /// Bounded local send-queue depth, in frames; at least 1, since
+    /// every frame reaches the kernel through the queue.
     pub fn queue_cap(mut self, frames: usize) -> Self {
-        self.queue_cap = frames;
+        self.queue_cap = frames.max(1);
         self
     }
 
@@ -537,17 +516,8 @@ impl UdpChannel {
         UdpChannelBuilder::new(mtu).queue_cap(queue_cap).pair()
     }
 
-    /// Counters. `dropped_rcvbuf` holds the last sampled value (see
-    /// [`stats_sampled`](Self::stats_sampled)).
+    /// Counters.
     pub fn stats(&self) -> UdpChannelSnapshot {
-        self.stats
-    }
-
-    /// Counters with a fresh [`kernel_drops`](Self::kernel_drops) sample
-    /// in `dropped_rcvbuf`. Reads procfs — call at reporting time, not
-    /// per packet.
-    pub fn stats_sampled(&mut self) -> UdpChannelSnapshot {
-        self.stats.dropped_rcvbuf = self.kernel_drops();
         self.stats
     }
 
@@ -815,45 +785,80 @@ impl UdpChannel {
         self.refused_score
     }
 
-    /// Offer one frame to the kernel, assuming the local queue is empty
-    /// (callers preserve FIFO by checking first).
-    fn try_send(&mut self, frame: &[u8]) -> Result<(), TxError> {
-        self.stats.send_syscalls += 1;
-        match self.sock.send(frame) {
-            Ok(_) => {
-                self.stats.sent_frames += 1;
-                self.stats.sent_trains += 1;
-                self.stats.sent_iovecs += 1;
-                self.stats.sent_bytes += frame.len() as u64;
-                self.note_success();
-                Ok(())
+    /// The kernel answered the queue's head frame with a hard error: the
+    /// one place an errno decides a frame's fate. `None` leaves the head
+    /// parked for a later flush; `Some(e)` means it has left the queue
+    /// for good, counted `dropped_error` — dropped alone, or drained with
+    /// the whole queue by the death of the channel — and `e` is what a
+    /// [`send_frame`](DatagramLink::send_frame) caller is told.
+    fn head_refused(&mut self, errno: Option<i32>) -> Option<TxError> {
+        match classify_errno(errno) {
+            SendFailure::Refused => (!self.note_refused()).then_some(TxError::LinkDown),
+            SendFailure::NoBufs => {
+                self.note_nobufs();
+                None
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.enqueue(frame),
-            Err(e) => match classify_error(&e) {
-                SendFailure::Refused => {
-                    if self.note_refused() {
-                        // Transient: this datagram didn't go out (the
-                        // send call was consumed reporting the echo) —
-                        // park it for the next flush.
-                        self.enqueue(frame)
-                    } else {
-                        Err(TxError::LinkDown)
-                    }
-                }
-                SendFailure::NoBufs => {
-                    self.note_nobufs();
-                    self.enqueue(frame)
-                }
-                SendFailure::MsgSize => {
-                    self.note_msgsize(frame.len());
-                    Err(TxError::TooBig)
-                }
-                SendFailure::Fatal => {
-                    self.note_fatal();
-                    Err(TxError::LinkDown)
-                }
-            },
+            SendFailure::MsgSize => {
+                // The head frame outgrew the path: it will never leave.
+                let len = self.pop_head();
+                self.note_msgsize(len);
+                self.stats.dropped_error += 1;
+                Some(TxError::TooBig)
+            }
+            SendFailure::Fatal => {
+                // Dropped rather than left to wedge the queue.
+                self.pop_head();
+                self.note_fatal();
+                Some(TxError::LinkDown)
+            }
         }
+    }
+
+    /// Submit the queue to the kernel: how many frames it took, and why
+    /// the last frame dropped from the head (if any) was dropped.
+    fn submit(&mut self) -> (usize, Option<TxError>) {
+        if self.dead {
+            return (0, None);
+        }
+        if self.backoff_flushes > 0 {
+            // ENOBUFS grace: give the kernel a few caller cycles to
+            // drain transmit memory instead of re-hitting the syscall.
+            self.backoff_flushes -= 1;
+            return (0, None);
+        }
+        let mut drained = 0;
+        let mut dropped = None;
+        // The whole queue is one submission, wrapped ring or not: cut in
+        // two it would cost a second syscall and split a GSO train.
+        while !self.queue.is_empty() {
+            let offered = self.queue.len();
+            let (queue, arena) = (&self.queue, &self.arena);
+            let rep = self
+                .io
+                .send_slices(&self.sock, offered, |i| queue[i].bytes(arena));
+            self.stats.send_syscalls += rep.syscalls;
+            self.stats.sent_trains += rep.messages;
+            self.stats.sent_iovecs += rep.iovecs;
+            for _ in 0..rep.sent {
+                self.stats.sent_frames += 1;
+                self.stats.sent_bytes += self.pop_head() as u64;
+                drained += 1;
+            }
+            if rep.sent > 0 {
+                self.note_success();
+            }
+            if rep.hard_error {
+                match self.head_refused(rep.errno) {
+                    None => break,
+                    // Keep draining, the frames behind it may well fit
+                    // (a dead channel's queue is empty by now).
+                    gone => dropped = gone,
+                }
+            } else if rep.sent < offered {
+                break; // kernel backpressure: retry on the next flush
+            }
+        }
+        (drained, dropped)
     }
 }
 
@@ -865,97 +870,22 @@ impl DatagramLink for UdpChannel {
         if frame.len() > self.mtu {
             return Err(TxError::TooBig);
         }
-        self.flush();
-        if self.dead {
-            // The flush's own errors may have crossed the threshold.
-            return Err(TxError::LinkDown);
-        }
         if !self.queue.is_empty() {
-            // Earlier frames are still parked: keep FIFO by joining them.
-            return self.enqueue(frame);
-        }
-        self.try_send(frame)
-    }
-
-    fn send_run(&mut self, frames: &[Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
-        // Eager batch: one backlog flush per run, then whole-run mmsg
-        // submissions. Outcomes match per-frame send_frame calls.
-        self.flush();
-        out.reserve(frames.len());
-        let n = frames.len();
-        let mut i = 0;
-        while i < n {
+            self.flush();
             if self.dead {
-                out.push(Err(TxError::LinkDown));
-                i += 1;
-                continue;
+                // The flush's own errors may have crossed the threshold.
+                return Err(TxError::LinkDown);
             }
-            if frames[i].len() > self.mtu {
-                out.push(Err(TxError::TooBig));
-                i += 1;
-                continue;
-            }
-            if !self.queue.is_empty() {
-                // Backpressured mid-run: keep FIFO by parking the rest.
-                out.push(self.enqueue(&frames[i]));
-                i += 1;
-                continue;
-            }
-            // Maximal sub-run of sendable frames starting at i.
-            let mut j = i + 1;
-            while j < n && frames[j].len() <= self.mtu {
-                j += 1;
-            }
-            let rep = self.io.send_frames(&self.sock, &frames[i..j]);
-            self.stats.send_syscalls += rep.syscalls;
-            self.stats.sent_trains += rep.messages;
-            self.stats.sent_iovecs += rep.iovecs;
-            for f in &frames[i..i + rep.sent] {
-                self.stats.sent_frames += 1;
-                self.stats.sent_bytes += f.len() as u64;
-                out.push(Ok(()));
-            }
-            if rep.sent > 0 {
-                self.note_success();
-            }
-            i += rep.sent;
-            if i < j {
-                if rep.hard_error {
-                    match classify_errno(rep.errno) {
-                        SendFailure::Refused => {
-                            let r = if self.note_refused() {
-                                self.enqueue(&frames[i])
-                            } else {
-                                Err(TxError::LinkDown)
-                            };
-                            out.push(r);
-                        }
-                        SendFailure::NoBufs => {
-                            self.note_nobufs();
-                            // Park this frame; the loop's queue check
-                            // funnels the rest of the run behind it.
-                            out.push(self.enqueue(&frames[i]));
-                        }
-                        SendFailure::MsgSize => {
-                            self.note_msgsize(frames[i].len());
-                            out.push(Err(TxError::TooBig));
-                        }
-                        SendFailure::Fatal => {
-                            // This frame will never leave; subsequent
-                            // frames retry the kernel, matching
-                            // per-frame semantics.
-                            self.note_fatal();
-                            out.push(Err(TxError::LinkDown));
-                        }
-                    }
-                    i += 1;
-                } else {
-                    // WouldBlock: park this frame; the loop's queue check
-                    // funnels the rest of the run behind it.
-                    out.push(self.enqueue(&frames[i]));
-                    i += 1;
-                }
-            }
+        }
+        self.enqueue(frame)?;
+        if self.queue.len() > 1 {
+            // Earlier frames are still parked: FIFO keeps it behind them.
+            return Ok(());
+        }
+        // Alone in the queue, so whatever this submission drops is it.
+        match self.submit().1 {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
     }
 
@@ -1019,75 +949,7 @@ impl DatagramLink for UdpChannel {
     }
 
     fn flush(&mut self) -> usize {
-        if self.dead {
-            return 0;
-        }
-        if self.backoff_flushes > 0 {
-            // ENOBUFS grace: give the kernel a few caller cycles to
-            // drain transmit memory instead of re-hitting the syscall.
-            self.backoff_flushes -= 1;
-            return 0;
-        }
-        let mut drained = 0;
-        // The whole queue is one submission, wrapped ring or not: cut in
-        // two it would cost a second syscall and split a GSO train.
-        while !self.queue.is_empty() {
-            let offered = self.queue.len();
-            let (queue, arena) = (&self.queue, &self.arena);
-            let rep = self
-                .io
-                .send_slices(&self.sock, offered, |i| queue[i].bytes(arena));
-            self.stats.send_syscalls += rep.syscalls;
-            self.stats.sent_trains += rep.messages;
-            self.stats.sent_iovecs += rep.iovecs;
-            for _ in 0..rep.sent {
-                self.stats.sent_frames += 1;
-                self.stats.sent_bytes += self.pop_head() as u64;
-                drained += 1;
-            }
-            if rep.sent > 0 {
-                self.note_success();
-            }
-            if rep.hard_error {
-                match classify_errno(rep.errno) {
-                    SendFailure::Refused => {
-                        // Transient: the head frame stays parked for the
-                        // next flush (persistent refusal kills the
-                        // channel and drains the queue via declare_dead).
-                        self.note_refused();
-                        break;
-                    }
-                    SendFailure::NoBufs => {
-                        self.note_nobufs();
-                        break;
-                    }
-                    SendFailure::MsgSize => {
-                        // The head frame outgrew the path: it will never
-                        // leave. Clamp, drop it, keep draining — the
-                        // frames behind it may well fit.
-                        let len = self.pop_head();
-                        self.note_msgsize(len);
-                        self.stats.dropped_error += 1;
-                        continue;
-                    }
-                    SendFailure::Fatal => {
-                        // The head frame will never leave; drop it
-                        // rather than wedge the queue, then keep
-                        // draining (unless the streak killed us).
-                        self.pop_head();
-                        self.note_fatal();
-                        if self.dead {
-                            break;
-                        }
-                        continue;
-                    }
-                }
-            }
-            if rep.sent < offered {
-                break; // kernel backpressure: retry on the next flush
-            }
-        }
-        drained
+        self.submit().0
     }
 
     fn backlog(&self) -> usize {
@@ -1148,54 +1010,6 @@ mod tests {
         let (mut a, _b) = UdpChannel::pair(16, 4).unwrap();
         assert_eq!(a.send_frame(&[0u8; 17]), Err(TxError::TooBig));
         assert_eq!(a.stats().sent_frames, 0);
-    }
-
-    #[test]
-    fn send_run_outcomes_match_per_frame() {
-        let (mut a, mut b) = UdpChannel::pair(64, 4).unwrap();
-        let frames: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
-        let mut out = Vec::new();
-        a.send_run(&frames, &mut out);
-        assert_eq!(out, vec![Ok(()), Ok(()), Ok(()), Ok(())]);
-        let mut buf = [0u8; 64];
-        for i in 0..4u8 {
-            let n = recv_poll(&mut b, &mut buf).expect("frame");
-            assert_eq!((n, buf[0]), (8, i));
-        }
-    }
-
-    #[test]
-    fn send_run_batches_syscalls_when_mmsg_is_on() {
-        let (mut a, _b) = UdpChannel::builder(64).batch(8).pair().unwrap();
-        let frames: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 8]).collect();
-        let mut out = Vec::new();
-        a.send_run(&frames, &mut out);
-        assert!(out.iter().all(|r| r.is_ok()));
-        let s = a.stats();
-        assert_eq!(s.sent_frames, 16);
-        if a.gso_offload() {
-            assert_eq!(s.send_syscalls, 1, "equal-size run rides one GSO send");
-            assert_eq!(s.send_batch_occupancy(), 16.0);
-        } else if a.batched_syscalls() {
-            assert_eq!(s.send_syscalls, 2, "16 frames / batch 8 = 2 syscalls");
-            assert_eq!(s.send_batch_occupancy(), 8.0);
-        } else {
-            assert_eq!(s.send_syscalls, 16);
-        }
-    }
-
-    #[test]
-    fn send_run_skips_oversized_mid_run() {
-        let (mut a, mut b) = UdpChannel::pair(8, 4).unwrap();
-        let frames: Vec<Vec<u8>> = vec![vec![1], vec![0; 9], vec![2]];
-        let mut out = Vec::new();
-        a.send_run(&frames, &mut out);
-        assert_eq!(out, vec![Ok(()), Err(TxError::TooBig), Ok(())]);
-        let mut buf = [0u8; 8];
-        for want in [1u8, 2] {
-            let n = recv_poll(&mut b, &mut buf).expect("frame");
-            assert_eq!((n, buf[0]), (1, want));
-        }
     }
 
     #[test]
@@ -1260,7 +1074,8 @@ mod tests {
         let (mut a, mut b) = UdpChannel::builder(64).batch(4).pair().unwrap();
         let frames: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 4]).collect();
         let mut out = Vec::new();
-        a.send_run(&frames, &mut out);
+        a.send_run_owned(&mut frames.clone(), &mut out);
+        assert_eq!(a.flush(), 10);
         assert_eq!(land_frames(&mut b, 10), frames);
         let s = b.stats();
         assert_eq!((s.recv_frames, s.recv_bytes), (10, 40));
@@ -1284,17 +1099,17 @@ mod tests {
         } else {
             assert_eq!((s.sndbuf, s.rcvbuf), (0, 0));
         }
-        assert_eq!(a.stats().dropped_rcvbuf, 0, "unsampled");
     }
 
     #[test]
     fn forced_fallback_channel_still_delivers() {
         let (mut a, mut b) = UdpChannel::builder(64).force_fallback(true).pair().unwrap();
         assert!(!a.batched_syscalls());
-        let frames: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
+        let mut frames: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
         let mut out = Vec::new();
-        a.send_run(&frames, &mut out);
+        a.send_run_owned(&mut frames, &mut out);
         assert!(out.iter().all(|r| r.is_ok()));
+        assert_eq!(a.flush(), 4);
         assert_eq!(a.stats().send_syscalls, 4, "per-frame syscalls");
         let mut buf = [0u8; 64];
         for i in 0..4u8 {
@@ -1344,6 +1159,26 @@ mod tests {
         }
     }
 
+    /// A frame the kernel refuses for good is counted `dropped_error`
+    /// once, whichever entry offered it.
+    #[test]
+    fn emsgsize_drop_is_counted_once_on_both_entries() {
+        let huge = vec![0u8; 66_000];
+        let (mut a, _b) = UdpChannel::builder(70_000).queue_cap(8).pair().unwrap();
+        let r = a.send_frame(&huge);
+        let (mut c, _d) = UdpChannel::builder(70_000).queue_cap(8).pair().unwrap();
+        park(&mut c, &huge).unwrap();
+        c.flush();
+        if a.stats().mtu_clamps == 0 || c.stats().mtu_clamps == 0 {
+            return; // this kernel took it: nothing to count
+        }
+        assert_eq!(r, Err(TxError::TooBig));
+        assert_eq!(a.stats().dropped_error, 1, "send_frame");
+        assert_eq!(c.stats().dropped_error, 1, "send_run_owned + flush");
+        assert_eq!(a.tx_evidence(), c.tx_evidence());
+        assert_eq!(a.tx_evidence().unwrap().dropped, 1);
+    }
+
     #[test]
     fn enobufs_backoff_skips_flushes_then_resumes() {
         let (mut a, mut b) = UdpChannel::pair(256, 64).unwrap();
@@ -1359,6 +1194,53 @@ mod tests {
         assert_eq!(a.stats().enobufs_backoffs, 1);
     }
 
+    /// `send_frame` has no way around the queue: offered during a
+    /// backoff the frame is parked and reported `Ok`, its own submission
+    /// being the first skipped flush, and leaves when the backoff ends.
+    #[test]
+    fn send_frame_during_enobufs_backoff_parks_then_leaves() {
+        let (mut a, mut b) = UdpChannel::pair(256, 64).unwrap();
+        a.force_backoff();
+        assert_eq!(a.send_frame(&[9u8; 16]), Ok(()));
+        assert_eq!((a.backlog(), a.stats().send_syscalls), (1, 0));
+        for _ in 1..ENOBUFS_BACKOFF {
+            assert_eq!(a.flush(), 0, "backoff must skip the syscall");
+        }
+        assert_eq!(a.flush(), 1, "backoff expired: the frame goes out");
+        let mut buf = [0u8; 256];
+        assert_eq!(recv_poll(&mut b, &mut buf), Some(16));
+    }
+
+    /// A caller that never calls `flush` still gets its frames out, in
+    /// order: each `send_frame` flushes the backlog before it joins it.
+    #[test]
+    fn send_frame_alone_outlasts_an_enobufs_backoff() {
+        let (mut a, mut b) = UdpChannel::pair(256, 64).unwrap();
+        a.force_backoff();
+        for i in 0..ENOBUFS_BACKOFF as u8 {
+            assert_eq!(a.send_frame(&[i]), Ok(()));
+            assert_eq!(a.backlog(), i as usize + 1, "parked behind the backoff");
+        }
+        assert_eq!(a.send_frame(&[ENOBUFS_BACKOFF as u8]), Ok(()));
+        assert_eq!(a.backlog(), 0);
+        let mut buf = [0u8; 256];
+        for want in 0..=ENOBUFS_BACKOFF as u8 {
+            assert_eq!(recv_poll(&mut b, &mut buf), Some(1));
+            assert_eq!(buf[0], want);
+        }
+    }
+
+    /// A queue of no frames would refuse every frame: the builder keeps
+    /// one slot.
+    #[test]
+    fn queue_cap_is_at_least_one_frame() {
+        let (mut a, mut b) = UdpChannel::pair(256, 0).unwrap();
+        assert_eq!(a.queue_capacity(), 1);
+        a.send_frame(&[5u8; 8]).unwrap();
+        let mut buf = [0u8; 256];
+        assert_eq!(recv_poll(&mut b, &mut buf), Some(8));
+    }
+
     #[test]
     fn dead_channel_fails_fast_and_drains_its_queue() {
         let (mut a, _b) = UdpChannel::pair(256, 64).unwrap();
@@ -1371,9 +1253,6 @@ mod tests {
         assert_eq!(a.send_frame(&[3u8; 8]), Err(TxError::LinkDown));
         let mut frames = vec![vec![4u8; 8]];
         let mut out = Vec::new();
-        a.send_run(&frames, &mut out);
-        assert_eq!(out, vec![Err(TxError::LinkDown)]);
-        out.clear();
         a.send_run_owned(&mut frames, &mut out);
         assert_eq!(out, vec![Err(TxError::LinkDown)]);
         assert_eq!(frames[0], vec![4u8; 8], "storage left untouched");

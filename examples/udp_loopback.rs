@@ -3,13 +3,12 @@
 //! `stripe::net` subsystem, inducing a deterministic loss burst, and
 //! watching marker resynchronization restore in-order delivery.
 //!
-//! Unlike `examples/udp_striping.rs` (which hand-rolls framing on raw
-//! sockets to show the mechanism), this demo uses the production
-//! datapath: `StripeServer` (one flow open) for causal striping + wire
-//! framing, `ImpairedLink` under a drop-only `ChaosPlan` for
-//! reproducible loss, `FlowDemux` for pooled zero-copy reception, and a
-//! single-threaded poll loop — no threads, no async runtime. The
-//! delivered sequence is scored with the §6.3 reorder metrics.
+//! This demo uses the production datapath: `StripeServer` (one flow
+//! open) for causal striping + wire framing, `ImpairedLink` under a
+//! drop-only `ChaosPlan` for reproducible loss, `FlowDemux` for pooled
+//! zero-copy reception, and a single-threaded poll loop — no threads, no
+//! async runtime. The delivered sequence is scored with the §6.3 reorder
+//! metrics.
 //!
 //! Run with: `cargo run --example udp_loopback`
 

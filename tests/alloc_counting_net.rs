@@ -20,16 +20,17 @@ use stripe_netsim::DetRng;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const CHANNELS: usize = 4;
-/// Flows open; the mixed phase uses the first [`MIXED_FLOWS`].
-const FLOWS: usize = 64;
+/// Flows open: the many-flows phase goes round all of them, the mixed
+/// phase uses the first [`MIXED_FLOWS`].
+const FLOWS: usize = 1000;
 const MIXED_FLOWS: usize = 8;
 const CHUNK: usize = 32;
 
 /// What a phase offers: one flow of equal 256 B packets, eight flows
 /// with a seeded 50/50 mix of 64 B and 1400 B — the mix that makes the
-/// server regroup each channel's burst across flows — or a 64 B packet
-/// from each of many flows, every frame short enough for the channels'
-/// send arenas.
+/// server regroup each channel's burst across flows — or 64 B packets
+/// from a thousand flows in turn, every frame short enough for the
+/// channels' send arenas.
 #[derive(Clone, Copy)]
 enum Traffic {
     OneFlowUniform,
@@ -59,7 +60,8 @@ fn steady_state_net_datapath_allocates_nothing() {
     let flows: Vec<_> = (0..FLOWS).map(|_| path.open_flow().unwrap()).collect();
     for flow in &flows {
         assert!(rx.touch_flow(flow.id()));
-        rx.reserve_flow(flow.id(), 1 << 10);
+        // A channel never holds more of a flow than one whole chunk.
+        rx.reserve_flow(flow.id(), 2 * CHUNK);
     }
 
     let payload = [0x5au8; 1400];
@@ -67,6 +69,7 @@ fn steady_state_net_datapath_allocates_nothing() {
     let mut got: RxBatch<PooledBuf> = RxBatch::with_capacity(2 * CHUNK);
     let clock = WallClock::start();
     let mut coin = DetRng::new(7);
+    let mut turn = 0usize;
 
     let mut spin = |path: &mut StripeServer<Srr, UdpChannel>,
                     rx: &mut FlowDemux<Srr, UdpChannel>,
@@ -83,7 +86,10 @@ fn steady_state_net_datapath_allocates_nothing() {
                         flows[i % MIXED_FLOWS],
                         if coin.chance(0.5) { 64 } else { 1400 },
                     ),
-                    Traffic::ManyFlowsSmall => (flows[i % FLOWS], 64),
+                    Traffic::ManyFlowsSmall => {
+                        turn += 1;
+                        (flows[turn % FLOWS], 64)
+                    }
                 };
                 path.enqueue(flow, &payload[..len]).unwrap();
             }
@@ -112,12 +118,15 @@ fn steady_state_net_datapath_allocates_nothing() {
     };
 
     let mut delivered = 0u64;
+    // With its warm-up chunks: the many-flows phase takes every flow
+    // through four packets before it is measured.
     let phases = [
-        Traffic::OneFlowUniform,
-        Traffic::FewFlowsMixed,
-        Traffic::ManyFlowsSmall,
+        (Traffic::OneFlowUniform, 32),
+        (Traffic::FewFlowsMixed, 32),
+        (Traffic::ManyFlowsSmall, 4 * FLOWS / (2 * CHUNK) + 1),
     ];
-    for traffic in phases {
+    let mut expected = 0u64;
+    for (traffic, warm_chunks) in phases {
         // Warm-up: every pool, ring, queue, and scratch buffer reaches
         // its high-water mark. The chunks are twice the measured size:
         // frame buffers grow to the longest frame they have carried and
@@ -126,7 +135,8 @@ fn steady_state_net_datapath_allocates_nothing() {
         // pump to pump under mixed lengths — at double depth every
         // buffer and every capacity the measured window can reach has
         // been reached (and each buffer has met a long frame) already.
-        delivered += spin(&mut path, &mut rx, traffic, 32, 2 * CHUNK);
+        delivered += spin(&mut path, &mut rx, traffic, warm_chunks, 2 * CHUNK);
+        expected += ((warm_chunks * 2 + 64) * CHUNK) as u64;
 
         // Let the libtest harness settle: its main thread lazily allocates
         // an mpmc wait context the first time it blocks on the completion
@@ -144,7 +154,7 @@ fn steady_state_net_datapath_allocates_nothing() {
         );
     }
     // Sanity: the loops really moved packets through the kernel.
-    assert_eq!(delivered, (phases.len() * (32 * 2 + 64) * CHUNK) as u64);
+    assert_eq!(delivered, expected);
     assert_eq!(path.stats().path.dropped_queue, 0);
     for flow in &flows {
         assert_eq!(rx.flow_stats(flow.id()).unwrap().dropped_overflow, 0);

@@ -1,25 +1,23 @@
 //! Differential proptests for the syscall-batched datapath: a
-//! `send_run`/`send_run_owned`/`recv_trains` mmsg round-trip must
+//! `send_run_owned` + `flush` / `recv_trains` mmsg round-trip must
 //! deliver byte-identical frames with identical `TxError` outcomes
 //! compared to the per-frame `send_frame`/`recv_frame` path.
 //!
-//! Three senders transmit the same generated run over real loopback
+//! Two senders transmit the same generated run over real loopback
 //! sockets:
 //!
 //! - **reference** — a forced-fallback channel driven one `send_frame`
-//!   at a time (one syscall per frame, the PR-3 behavior);
-//! - **eager batch** — a default channel driven through `send_run`
-//!   (`sendmmsg` batches where compiled, fallback otherwise);
+//!   at a time (one syscall per frame);
 //! - **deferred batch** — a default channel driven through
-//!   `send_run_owned` + `flush`, the zero-copy path the striping sender
-//!   uses per burst.
+//!   `send_run_owned` + `flush` (`sendmmsg` batches where compiled,
+//!   fallback otherwise), the path the striping sender uses per burst.
 //!
-//! Their receivers drain through `recv_frame`, the train-landing
-//! `recv_trains`, and `recv_trains` again respectively, so both
-//! directions of both syscall variants are compared every case; a second
-//! property pits the landing call against `recv_frame` over runs shaped
-//! to coalesce, on batched and forced-fallback sockets and with the two
-//! calls interleaved on one socket. Running the whole suite
+//! Their receivers drain through `recv_frame` and the train-landing
+//! `recv_trains` respectively, so both directions of both syscall
+//! variants are compared every case; a second property pits the landing
+//! call against `recv_frame` over runs shaped to coalesce, on batched and
+//! forced-fallback sockets and with the two calls interleaved on one
+//! socket. Running the whole suite
 //! with `STRIPE_NET_FALLBACK=1` (the CI portable-path job) re-executes
 //! these tests with every "default" channel on the per-frame fallback,
 //! which keeps the portable path equivalent too.
@@ -150,12 +148,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Identical outcomes and byte-identical delivery across the
-    /// per-frame reference, the eager `send_run` batch, and the
-    /// deferred `send_run_owned` + `flush` batch.
+    /// per-frame reference and the `send_run_owned` + `flush` batch.
     #[test]
     fn mmsg_batch_roundtrip_matches_per_frame_path(frames in arb_frames()) {
         let (mut ref_tx, mut ref_rx) = fallback_pair();
-        let (mut run_tx, mut run_rx) = default_pair();
         let (mut own_tx, mut own_rx) = default_pair();
 
         // Reference: one send_frame per frame on the fallback path.
@@ -164,19 +160,14 @@ proptest! {
             out_ref.push(ref_tx.send_frame(f));
         }
 
-        // Eager batch: the whole run in one send_run call.
-        let mut out_run = Vec::new();
-        run_tx.send_run(&frames, &mut out_run);
-
-        // Deferred batch: send_run_owned takes accepted frames' storage,
-        // one flush submits the burst (what StripeServer does per pump).
+        // Batch: send_run_owned takes accepted frames' storage, one
+        // flush submits the burst (what StripeServer does per pump).
         let mut owned = frames.clone();
         let mut out_own = Vec::new();
         own_tx.send_run_owned(&mut owned, &mut out_own);
         prop_assert_eq!(own_tx.stats().sent_frames, 0, "owned sends defer");
         own_tx.flush();
 
-        prop_assert_eq!(&out_run, &out_ref);
         prop_assert_eq!(&out_own, &out_ref);
         // Rejected frames keep their storage on the owning path.
         for (f, r) in owned.iter().zip(&out_own) {
@@ -197,21 +188,18 @@ proptest! {
             "at these volumes only oversized frames may fail"
         );
 
-        // Byte-identical arrival on all three receivers, through three
+        // Byte-identical arrival on both receivers, through two
         // different receive paths.
         let got_ref = drain_per_frame(&mut ref_rx, expect.len());
-        let got_run = drain_landed(&mut run_rx, expect.len());
         let got_own = drain_landed(&mut own_rx, expect.len());
         let expect_owned: Vec<Vec<u8>> = expect.iter().map(|f| (*f).clone()).collect();
         prop_assert_eq!(&got_ref, &expect_owned);
-        prop_assert_eq!(&got_run, &expect_owned);
         prop_assert_eq!(&got_own, &expect_owned);
 
         // And nothing extra trails behind.
         std::thread::yield_now();
         let mut buf = [0u8; MTU];
         prop_assert_eq!(ref_rx.recv_frame(&mut buf).is_none(), true);
-        prop_assert_eq!(run_rx.recv_frame(&mut buf).is_none(), true);
         prop_assert_eq!(own_rx.recv_frame(&mut buf).is_none(), true);
     }
 
@@ -264,14 +252,15 @@ proptest! {
 }
 
 /// Syscall accounting sanity outside proptest: on an mmsg-capable build
-/// the eager batch path uses strictly fewer syscalls than frames sent.
+/// the batch path uses strictly fewer syscalls than frames sent.
 #[test]
 fn batched_path_actually_batches_when_compiled() {
     let (mut tx, mut rx) = default_pair();
-    let frames: Vec<Vec<u8>> = (0..24u8).map(|i| vec![i; 64]).collect();
+    let mut frames: Vec<Vec<u8>> = (0..24u8).map(|i| vec![i; 64]).collect();
     let mut out = Vec::new();
-    tx.send_run(&frames, &mut out);
+    tx.send_run_owned(&mut frames, &mut out);
     assert!(out.iter().all(|r| r.is_ok()));
+    assert_eq!(tx.flush(), 24);
     let s = tx.stats();
     assert_eq!(s.sent_frames, 24);
     if tx.batched_syscalls() {

@@ -34,7 +34,10 @@
 //!    per-frame drop pattern, what [`FlowDemux`] delivers for each flow
 //!    is what a bare [`LogicalReceiver`] delivers when fed the oracle's
 //!    arrivals minus the dropped frames and the marks inside them.
-//! 5. **Codec coexistence.** A mixed stream of version-1 and version-2
+//! 5. **A thousand backlogged flows share the stripe evenly.** Stopped
+//!    mid-rotation with every flow still backlogged, Jain's index over
+//!    the bytes each flow had delivered is at least 0.95.
+//! 6. **Codec coexistence.** A mixed stream of version-1 and version-2
 //!    frames decodes under the one shared [`try_decode_flow`] entry:
 //!    v1 frames land on flow 0, v2 frames on their tagged flow, and the
 //!    body survives byte-for-byte either way.
@@ -48,6 +51,7 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 
 use stripe::core::control::Control;
+use stripe::core::fairness::ByteAccountant;
 use stripe::core::receiver::{Arrival, LogicalReceiver, RxBatch};
 use stripe::core::sched::{Drr, Srr};
 use stripe::core::sender::{MarkerConfig, StripingSender};
@@ -327,6 +331,88 @@ fn sixty_four_byte_payloads_put_the_parents_bytes_on_the_wire() {
     );
     assert_eq!(server.stats().path.markers_sent, marks);
     assert_eq!(server.stats().markers_carried, 0);
+}
+
+/// A thousand flows of fifty different packet sizes, every one kept
+/// backlogged, a pump budget that serves a fraction of them a step, and
+/// a stop in mid-rotation: the DRR across flows has to be what evens the
+/// service out — had every offer been served, the index would be the
+/// offers'. Logical steps over in-memory links, each flow's delivery
+/// checked FIFO on the way.
+#[test]
+fn a_thousand_backlogged_flows_share_the_stripe_evenly() {
+    const FLOWS: usize = 1000;
+    const CHANNELS: usize = 4;
+    /// More 64-byte frames than one DRR quantum serves: a flow's queue
+    /// never runs dry inside its turn.
+    const QUEUE: usize = 48;
+    const BUDGET: usize = 301;
+    const STEPS: u64 = 200;
+    let proto = Srr::equal(CHANNELS, 1500);
+    let (mut tx_links, mut rx_links) = (Vec::new(), Vec::new());
+    for _ in 0..CHANNELS {
+        let (a, b) = datagram_pair(2048, 1 << 12);
+        tx_links.push(a);
+        rx_links.push(b);
+    }
+    let mut server = StripeServer::builder()
+        .scheduler(proto.clone())
+        .markers(MarkerConfig::every_rounds(4))
+        .links(tx_links)
+        .max_flows(FLOWS)
+        .queue_frames(QUEUE)
+        .flow_quantum(2048)
+        .build();
+    let handles: Vec<_> = (0..FLOWS).map(|_| server.open_flow().unwrap()).collect();
+    let mut demux: FlowDemux<Srr, TestDatagramLink> = FlowDemux::builder()
+        .scheduler(proto)
+        .links(rx_links)
+        .pool_buffers(1 << 10)
+        .max_flows(FLOWS)
+        .build();
+    for h in &handles {
+        assert!(demux.touch_flow(h.id()));
+    }
+
+    let len_of = |flow: usize| 64 + 24 * (flow % 50);
+    let mut events = Vec::new();
+    let mut batch = RxBatch::new();
+    let mut offered = vec![0usize; FLOWS];
+    // Delivered packets and bytes, one line of the ledger per flow.
+    let mut delivered = ByteAccountant::new(FLOWS);
+    for step in 0..STEPS {
+        let now = SimTime::from_millis(step + 1);
+        for (flow, &h) in handles.iter().enumerate() {
+            while server.queue_len(h).unwrap() < QUEUE {
+                let payload = stamped(offered[flow], len_of(flow));
+                server.enqueue(h, &payload).unwrap();
+                offered[flow] += 1;
+            }
+        }
+        assert_eq!(server.pump_into(now, BUDGET, &mut events), BUDGET);
+        demux.sweep(now);
+        for (flow, h) in handles.iter().enumerate() {
+            demux.poll_flow_into(h.id(), &mut batch);
+            for pb in batch.drain() {
+                let want = stamped(delivered.packets(flow) as usize, len_of(flow));
+                assert_eq!(pb.as_slice(), &want[..], "flow {flow} out of order");
+                delivered.record(flow, want.len() as u64);
+            }
+        }
+    }
+
+    let packets = |f| delivered.packets(f) as usize;
+    assert_eq!(
+        (0..FLOWS).map(packets).sum::<usize>(),
+        BUDGET * STEPS as usize,
+        "everything served arrived"
+    );
+    assert!(
+        (0..FLOWS).all(|f| packets(f) > 0 && packets(f) < offered[f]),
+        "every flow was served and every flow stayed backlogged"
+    );
+    let jain = delivered.jain_index(&[1.0; FLOWS]);
+    assert!(jain >= 0.95, "Jain's index {jain:.4} over 1000 flows");
 }
 
 proptest! {
