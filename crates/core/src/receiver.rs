@@ -21,6 +21,14 @@
 //!   the receiver has arrived at `c` "too early" (it lost packets and ran
 //!   ahead); it skips `c` in the scan until `G` catches up, then adopts `d`
 //!   as the channel's DC and resumes normal service.
+//! - A data packet whose frame states the packet's own number
+//!   ([`WireLen::number`]) is its own marker: the number is evaluated by
+//!   the same rule when the packet reaches the head of its channel, so the
+//!   simulation resynchronizes on that packet and not at the next marker.
+//! - **C1 has a reach**: a mark further ahead of `G` than an honest
+//!   sender can be ([`LogicalReceiver::bound_marks`]) is refused where
+//!   it enters, so that a forged or bit-flipped round cannot buy an
+//!   unbounded run of skips.
 
 use std::collections::VecDeque;
 
@@ -55,6 +63,10 @@ pub struct ReceiverSnapshot {
     pub skips: u64,
     /// Arrivals dropped because a channel buffer was full.
     pub dropped_overflow: u64,
+    /// Marks refused because they promise a round past the receiver's
+    /// reach (see [`LogicalReceiver::bound_marks`]); a packet that
+    /// carried one is still delivered.
+    pub dropped_mark_ahead: u64,
     /// Channel visits skipped because the channel is leaving the striping
     /// set (membership announced, nothing buffered to serve).
     pub membership_skips: u64,
@@ -182,6 +194,9 @@ pub struct LogicalReceiver<S: CausalScheduler, P> {
     /// Until then every channel is live and that scan is skipped.
     masked: bool,
     cap_per_channel: usize,
+    /// The longest packet [`bound_marks`](Self::bound_marks) was told
+    /// of; until told, a mark may be any number of rounds ahead.
+    max_len: Option<usize>,
     stall_timeout_ns: Option<u64>,
     stall: Option<StallState>,
     stats: ReceiverSnapshot,
@@ -206,6 +221,7 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
             chans,
             drained: VecDeque::new(),
             cap_per_channel,
+            max_len: None,
             stall_timeout_ns: None,
             stall: None,
             stats: ReceiverSnapshot::default(),
@@ -216,8 +232,15 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     ///
     /// Returns `false` (and drops the arrival) if the buffer is full —
     /// finite buffers are part of the channel model; the §6.3 credit scheme
-    /// exists to prevent exactly this.
+    /// exists to prevent exactly this. A marker out of
+    /// [reach](Self::bound_marks) is refused the same way, counted
+    /// `dropped_mark_ahead`.
     pub fn push(&mut self, c: ChannelId, a: Arrival<P>) -> bool {
+        if let Arrival::Marker(mk) = &a {
+            if !self.admit_mark(mk.mark) {
+                return false;
+            }
+        }
         let room = self.admit(c);
         if room {
             self.chans[c].buf.push_back(a);
@@ -236,7 +259,12 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     /// from the store buffer; it waits until every older store has
     /// reached the cache, and the older stores are the previous packets'
     /// writes into rings that are not in the cache.
-    #[inline]
+    ///
+    /// Inlined always: out of line `make` is a closure object on the
+    /// caller's stack, read back field by field — the same crossing by
+    /// another road (the optimizer took that road when the arrival grew
+    /// a flag: `small_10kflows_64B` −7 %, 0 of 10, until this line).
+    #[inline(always)]
     pub fn push_with(&mut self, c: ChannelId, make: impl FnMut() -> Arrival<P>) -> bool {
         let room = self.admit(c);
         if room {
@@ -256,6 +284,51 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
             self.stats.dropped_overflow += 1;
         }
         room
+    }
+
+    /// Bound condition C1, for a sender whose packets are at most
+    /// `max_len` bytes: from now on a mark is refused if it is further
+    /// ahead of the simulation's round than an honest one can be. Every
+    /// round a mark is ahead is one skip of its channel per scan, so
+    /// unbounded, one forged or bit-flipped `round` costs up to 2^64
+    /// skips inside one [`poll`](Self::poll). The simulation trails the
+    /// sender by what is buffered, so an arriving mark is ahead by the
+    /// rounds its sender spent on the packets still in that channel's
+    /// ring, the one being waited for and the one the mark is about:
+    /// capacity + 2 packets, at the scheduler's
+    /// [`rounds_per_packet`](CausalScheduler::rounds_per_packet) each,
+    /// under the quanta in force or scheduled when the mark arrives.
+    /// Unbounded by default: in-process callers make their own marks. An
+    /// outage longer than the reach is past what markers heal and needs
+    /// the §5 reset.
+    pub fn bound_marks(&mut self, max_len: usize) {
+        self.max_len = Some(max_len);
+    }
+
+    /// Whether mark `m` is within [reach](Self::bound_marks); counts it
+    /// `dropped_mark_ahead` if not. Public for the owner of a packet type
+    /// that carries its own [number](WireLen::number): one out of reach
+    /// has to be stripped before the packet is pushed.
+    #[inline]
+    pub fn admit_mark(&mut self, m: crate::sched::ChannelMark) -> bool {
+        let lead = m.round.saturating_sub(self.sched.round());
+        // No scheduler serves a packet in less than a round: up to the
+        // ring's capacity ahead needs no look at the quanta.
+        lead <= self.cap_per_channel as u64 || self.admit_far_mark(lead)
+    }
+
+    /// [`admit_mark`](Self::admit_mark) for a mark `lead` rounds ahead,
+    /// further than the ring is deep: what only loss (or a forger) makes.
+    #[cold]
+    fn admit_far_mark(&mut self, lead: u64) -> bool {
+        let ok = self.max_len.is_none_or(|max_len| {
+            let packets = self.cap_per_channel as u64 + 2;
+            lead <= packets.saturating_mul(self.sched.rounds_per_packet(max_len))
+        });
+        if !ok {
+            self.stats.dropped_mark_ahead += 1;
+        }
+        ok
     }
 
     /// Pre-size every channel ring (and the salvage queue) for `per_channel`
@@ -357,6 +430,21 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
                     ch.buf.pop_front();
                 }
                 Some(Arrival::Data(p)) => {
+                    // A packet that states its own number is its own
+                    // marker, under the same rule. It stays at the head
+                    // while it is skipped, number and all; in sync it
+                    // costs two compares and stores nothing.
+                    if let Some(m) = p.number() {
+                        if m.round > self.sched.round() {
+                            self.sched.skip_current();
+                            self.stats.skips += 1;
+                            continue;
+                        }
+                        if m != self.sched.mark_for(c) {
+                            self.sched.apply_mark(c, m);
+                            self.stats.marks_applied += 1;
+                        }
+                    }
                     self.sched.advance(p.wire_len());
                     return Some(Head::Channel(c));
                 }
@@ -537,7 +625,7 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::Srr;
+    use crate::sched::{ChannelMark, Srr};
     use crate::sender::{MarkerConfig, StripingSender};
     use crate::types::TestPacket;
 
@@ -994,6 +1082,184 @@ mod tests {
         // Polling salvages the dead channel's backlog and delivers 7.
         assert_eq!(rx.poll().map(|p| p.id), Some(7));
         assert_eq!(ids(&mut rx), [5, 8], "buffered first, then salvaged");
+    }
+
+    /// A packet whose frame states its number (`None`: it has none).
+    #[derive(Debug, Clone, PartialEq)]
+    struct Numbered {
+        id: u64,
+        len: usize,
+        number: Option<ChannelMark>,
+    }
+
+    impl WireLen for Numbered {
+        fn wire_len(&self) -> usize {
+            self.len
+        }
+        fn number(&self) -> Option<ChannelMark> {
+            self.number
+        }
+    }
+
+    /// One run of a numbering sender: per packet its channel, number,
+    /// length and the marker batch due behind it.
+    type Sent = Vec<(ChannelId, ChannelMark, usize, Vec<(ChannelId, Marker)>)>;
+
+    fn numbered_run<S: CausalScheduler + Clone>(sched: S, lens: &[usize]) -> Sent {
+        let mut tx = StripingSender::new(sched, MarkerConfig::every_rounds(4));
+        let (mut channels, mut numbers, mut markers) = (Vec::new(), Vec::new(), Vec::new());
+        tx.send_batch_numbered(lens, 0, &mut channels, &mut numbers, &mut markers);
+        (0..lens.len())
+            .map(|i| {
+                let due = markers.iter().filter(|m| m.0 == i);
+                let due = due.map(|&(_, c, mk)| (c, mk)).collect();
+                (channels[i], numbers[i], lens[i], due)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// A packet that states its number is delivery-equivalent to a
+        /// marker stating it directly ahead of the packet: over random
+        /// lengths, random loss (a lost packet takes either form of its
+        /// number along) and which packets are numbered at all, both
+        /// receivers deliver the same packets in the same order with the
+        /// same skips — for SRR and for the randomized striper.
+        #[test]
+        fn a_number_is_a_marker_directly_ahead_of_its_packet(
+            lens in proptest::collection::vec(40usize..1500, 50..400),
+            fates in proptest::collection::vec((0u32..100, proptest::arbitrary::any::<bool>()), 400),
+            (loss_pct, quantum, sprinkler) in (0u32..30, 500i64..3000, proptest::arbitrary::any::<bool>()),
+        ) {
+            fn run<S: CausalScheduler + Clone>(
+                sched: S,
+                lens: &[usize],
+                fates: &[(u32, bool)],
+                loss_pct: u32,
+            ) -> Result<(), proptest::test_runner::TestCaseError> {
+                let mut inline = LogicalReceiver::new(sched.clone(), 4096);
+                let mut ahead = LogicalReceiver::new(sched.clone(), 4096);
+                let (mut got_inline, mut got_ahead) = (Vec::new(), Vec::new());
+                let sent = numbered_run(sched, lens);
+                for (id, ((c, number, len, due), &(fate, stated))) in sent.into_iter().zip(fates).enumerate() {
+                    // Loss stops for the last fifth: both must end in order.
+                    let lost = fate < loss_pct && id < lens.len() * 4 / 5;
+                    let p = |number| Numbered { id: id as u64, len, number };
+                    if !lost {
+                        inline.push(c, Arrival::Data(p(stated.then_some(number))));
+                        if stated {
+                            ahead.push(c, Arrival::Marker(Marker::sync(c, number)));
+                        }
+                        ahead.push(c, Arrival::Data(p(None)));
+                    }
+                    for (c, mk) in due {
+                        inline.push(c, Arrival::Marker(mk));
+                        ahead.push(c, Arrival::Marker(mk));
+                    }
+                    if id % 7 == 6 {
+                        got_inline.extend(std::iter::from_fn(|| inline.poll()).map(|p| p.id));
+                        got_ahead.extend(std::iter::from_fn(|| ahead.poll()).map(|p| p.id));
+                        proptest::prop_assert_eq!(&got_inline, &got_ahead, "by packet {}", id);
+                        proptest::prop_assert_eq!(inline.stats().skips, ahead.stats().skips);
+                    }
+                }
+                let (a, b) = (inline.stats(), ahead.stats());
+                proptest::prop_assert_eq!((a.delivered, a.skips), (b.delivered, b.skips));
+                // A marker ahead is adopted whatever it says; a number
+                // only where it says something new.
+                proptest::prop_assert!(a.marks_applied <= b.marks_applied);
+                Ok(())
+            }
+            if sprinkler {
+                run(crate::sched::Sprinkler::new(&[4, 2, 1], quantum as u64), &lens, &fates, loss_pct)?;
+            } else {
+                run(Srr::equal(3, quantum), &lens, &fates, loss_pct)?;
+            }
+        }
+    }
+
+    /// In sync a number is read and nothing is written: the simulation
+    /// is, after every delivery, the one that never saw a number.
+    #[test]
+    fn an_in_sync_number_changes_no_scheduler_state() {
+        let sched = Srr::weighted(&[1500, 4500, 3000]);
+        let lens: Vec<usize> = (0..600).map(|i| 64 + (i * 131) % 1400).collect();
+        let mut numbered = LogicalReceiver::new(sched.clone(), 4096);
+        let mut plain = LogicalReceiver::new(sched.clone(), 4096);
+        for (id, (c, number, len, _)) in numbered_run(sched, &lens).into_iter().enumerate() {
+            let p = |number| Numbered {
+                id: id as u64,
+                len,
+                number,
+            };
+            numbered.push(c, Arrival::Data(p(Some(number))));
+            plain.push(c, Arrival::Data(p(None)));
+            assert_eq!(numbered.poll().map(|p| p.id), Some(id as u64));
+            assert_eq!(plain.poll().map(|p| p.id), Some(id as u64));
+            assert_eq!(numbered.scheduler(), plain.scheduler(), "after packet {id}");
+        }
+        assert_eq!(numbered.stats(), plain.stats());
+        assert_eq!(numbered.stats().marks_applied, 0);
+    }
+
+    /// A numbered packet the scan arrives at too early stays at the head
+    /// of its channel, number and all, and is judged again at the next
+    /// visit: one loss, one skip, and delivery is in order from the very
+    /// next packet on the lossy channel.
+    #[test]
+    fn a_skipped_head_keeps_its_number_for_the_next_visit() {
+        // One quantum-sized packet per channel per round.
+        let sched = Srr::equal(2, 1000);
+        let mut rx = LogicalReceiver::new(sched.clone(), 64);
+        for (id, (c, number, len, _)) in numbered_run(sched, &[1000; 12]).into_iter().enumerate() {
+            let p = Numbered {
+                id: id as u64,
+                len,
+                number: Some(number),
+            };
+            if id != 0 {
+                rx.push(c, Arrival::Data(p));
+            }
+        }
+        // Packet 2 heads channel 0 and says round 2: in round 1 it is
+        // passed over, once, and still there with its number in round 2.
+        assert_eq!(rx.poll().map(|p| p.id), Some(1));
+        assert_eq!((rx.stats().skips, rx.buffered(0)), (1, 5));
+        let rest: Vec<u64> = std::iter::from_fn(|| rx.poll()).map(|p| p.id).collect();
+        assert_eq!(rest, (2..12).collect::<Vec<_>>());
+        // The number also put right the deficit the skipped visit left
+        // credited twice; every later one was in sync.
+        let s = rx.stats();
+        assert_eq!((s.skips, s.marks_applied), (1, 1), "{s:?}");
+    }
+
+    /// Condition C1 has a reach once the longest packet is known: a
+    /// marker further ahead is refused by `push`, counted, and costs no
+    /// skip; the furthest honest one is let in.
+    #[test]
+    fn a_marker_out_of_reach_is_refused_at_push() {
+        let mut rx: LogicalReceiver<_, TestPacket> = LogicalReceiver::new(Srr::equal(1, 1500), 8);
+        let at = |round| Arrival::Marker(Marker::sync(0, ChannelMark { round, dc: 1500 }));
+        // Unbounded until told: in-process callers make their own marks.
+        assert!(rx.push(0, at(1 << 40)));
+        rx.reset();
+        rx.bound_marks(2999);
+        // (8 + 2) packets, each at most 2999 / 1500 + 1 = 2 rounds.
+        let reach = 20;
+        assert!(!rx.push(0, at(1 + reach + 1)));
+        assert!(!rx.push(0, at(u64::MAX)));
+        assert_eq!(rx.stats().dropped_mark_ahead, 2);
+        assert_eq!(rx.buffered_total(), 0);
+        assert!(rx.push(0, at(1 + reach)));
+        // A smaller quantum scheduled: packets take more rounds each, and
+        // marks made under it may be further ahead.
+        rx.schedule_quanta(5, &[500]);
+        assert!(rx.push(0, at(1 + 10 * 6)));
+        assert!(!rx.push(0, at(1 + 10 * 6 + 1)));
+        // What a mark costs is the skips to its round, and no more.
+        rx.push(0, Arrival::Data(TestPacket::new(0, 100)));
+        assert_eq!(rx.poll().map(|p| p.id), Some(0));
+        assert_eq!(rx.stats().skips, 60);
     }
 
     #[test]

@@ -122,6 +122,18 @@ pub trait CausalScheduler: std::fmt::Debug {
         let _ = (effective_round, live);
     }
 
+    /// The most rounds that can pass between two consecutive packets on
+    /// one live channel when no packet exceeds `max_len` bytes — what
+    /// bounds how far ahead of a receiver an honest mark can be (see
+    /// [`LogicalReceiver::bound_marks`](crate::receiver::LogicalReceiver::bound_marks)).
+    /// One, the default, for a scheduler that serves every channel it
+    /// visits; [`Srr`] counting bytes passes over a channel until its
+    /// quantum has paid off the packet before.
+    fn rounds_per_packet(&self, max_len: usize) -> u64 {
+        let _ = max_len;
+        1
+    }
+
     /// Whether channel `c` is in the current striping set. Schedulers
     /// without membership support report every channel live.
     fn live(&self, c: ChannelId) -> bool {

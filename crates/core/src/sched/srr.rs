@@ -318,6 +318,17 @@ impl CausalScheduler for Srr {
         self.chans[c].live
     }
 
+    fn rounds_per_packet(&self, max_len: usize) -> u64 {
+        // A packet leaves its channel at most `max_len - 1` in debt, and
+        // the channel surfaces once its quantum has been credited more
+        // than that: the smallest quantum, in force or scheduled, sets
+        // the pace.
+        let scheduled = self.pending_quanta.iter().flat_map(|p| p.1.iter().copied());
+        let quanta = self.chans.iter().map(|ch| ch.quantum).chain(scheduled);
+        let smallest = quanta.min().expect("non-empty");
+        self.pkt_cost(max_len) as u64 / smallest as u64 + 1
+    }
+
     /// Amortized-O(1) batch assignment. When nothing is pending (no quantum
     /// or membership change scheduled, every channel live) the scan is pure
     /// arithmetic on the per-channel `dc`/`quantum`, so the whole batch

@@ -14,7 +14,7 @@
 
 use crate::fairness::ByteAccountant;
 use crate::marker::Marker;
-use crate::sched::CausalScheduler;
+use crate::sched::{CausalScheduler, ChannelMark};
 use crate::types::ChannelId;
 
 /// Where within a round the periodic markers are emitted.
@@ -169,7 +169,29 @@ impl<S: CausalScheduler> StripingSender<S> {
         channels: &mut Vec<ChannelId>,
         markers: &mut Vec<(usize, ChannelId, Marker)>,
     ) {
+        self.send_batch_numbered(lens, usize::MAX, channels, &mut Vec::new(), markers);
+    }
+
+    /// [`send_batch`](Self::send_batch) for a caller whose frames can
+    /// state their own number: every packet of at least `number_from`
+    /// bytes also gets its implicit number — the scheduler's
+    /// [`mark_for`](CausalScheduler::mark_for) its channel, read just
+    /// before the packet is served — pushed onto `numbers` (cleared
+    /// first), one entry per such packet, in order. It is what a marker
+    /// directly ahead of the packet would state (§5), so a receiver that
+    /// reads it resynchronizes on that packet instead of at the next
+    /// marker. With markers disabled nothing is numbered: there is no
+    /// recovery to speed up, and the batch fast path stays whole.
+    pub fn send_batch_numbered(
+        &mut self,
+        lens: &[usize],
+        number_from: usize,
+        channels: &mut Vec<ChannelId>,
+        numbers: &mut Vec<ChannelMark>,
+        markers: &mut Vec<(usize, ChannelId, Marker)>,
+    ) {
         channels.clear();
+        numbers.clear();
         markers.clear();
         if self.next_marker_at.is_none() {
             self.sched.assign_batch(lens, channels);
@@ -180,6 +202,9 @@ impl<S: CausalScheduler> StripingSender<S> {
         }
         for (i, &len) in lens.iter().enumerate() {
             let channel = self.sched.current();
+            if len >= number_from {
+                numbers.push(self.sched.mark_for(channel));
+            }
             self.acct.record(channel, len as u64);
             self.sched.advance(len);
             channels.push(channel);
@@ -413,6 +438,87 @@ mod tests {
                 legacy_tx.accountant().total_bytes()
             );
         }
+    }
+
+    /// Every packet long enough gets the number the scheduler held for
+    /// its channel just before serving it — what a marker directly ahead
+    /// of it would state — through a quantum change and a membership
+    /// change taking effect mid-run, for SRR and for the randomized
+    /// striper alike; channels and markers are `send_batch`'s.
+    #[test]
+    fn numbers_are_mark_for_the_channel_just_before_the_packet() {
+        use crate::sched::Sprinkler;
+        fn check<S: CausalScheduler + Clone>(sched: S, quanta: &[i64], live: &[bool]) {
+            const FROM: usize = 256;
+            let cfg = MarkerConfig::every_rounds(3);
+            let mut tx = StripingSender::new(sched.clone(), cfg);
+            let mut plain = tx.clone();
+            let mut bare = sched;
+            let (retune_at, mask_at) = (bare.round() + 5, bare.round() + 11);
+            tx.schedule_quanta(retune_at, quanta);
+            plain.schedule_quanta(retune_at, quanta);
+            bare.schedule_quanta(retune_at, quanta);
+            let lens: Vec<usize> = (0..900).map(|i| 40 + (i * 211) % 1400).collect();
+            let (mut channels, mut numbers, mut markers) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut plain_channels, mut plain_markers) = (Vec::new(), Vec::new());
+            let mut masked = false;
+            for chunk in lens.chunks(23) {
+                if !masked && bare.round() >= retune_at + 2 {
+                    masked = true;
+                    tx.schedule_mask(mask_at, live);
+                    plain.schedule_mask(mask_at, live);
+                    bare.schedule_mask(mask_at, live);
+                }
+                tx.send_batch_numbered(chunk, FROM, &mut channels, &mut numbers, &mut markers);
+                plain.send_batch(chunk, &mut plain_channels, &mut plain_markers);
+                assert_eq!((&channels, &markers), (&plain_channels, &plain_markers));
+                let mut stated = numbers.iter();
+                for (&len, &c) in chunk.iter().zip(&channels) {
+                    assert_eq!(c, bare.current());
+                    if len >= FROM {
+                        assert_eq!(
+                            stated.next(),
+                            Some(&bare.mark_for(c)),
+                            "round {}",
+                            bare.round()
+                        );
+                    }
+                    bare.advance(len);
+                }
+                assert_eq!(stated.next(), None, "a number for a short packet");
+            }
+            assert!(
+                masked && bare.round() > mask_at + 5,
+                "both changes took effect"
+            );
+        }
+        check(
+            Srr::equal(3, 1500),
+            &[1500, 3000, 700],
+            &[true, false, true],
+        );
+        check(
+            Srr::weighted(&[1500, 4500, 3000]),
+            &[2000, 2000, 2000],
+            &[true, true, false],
+        );
+        check(
+            Sprinkler::new(&[4, 2, 1], 0xBEE5),
+            &[1000, 2000, 4000],
+            &[true, false, true],
+        );
+
+        // Markers off: nothing to recover with, nothing numbered.
+        let mut tx = StripingSender::new(Srr::equal(2, 1500), MarkerConfig::disabled());
+        let (mut channels, mut numbers, mut markers) = (Vec::new(), vec![], Vec::new());
+        tx.send_batch_numbered(
+            &[300, 900, 1400],
+            0,
+            &mut channels,
+            &mut numbers,
+            &mut markers,
+        );
+        assert_eq!((channels.len(), numbers.len(), markers.len()), (3, 0, 0));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Shared primitive types for the striping algorithms.
 
+use crate::sched::ChannelMark;
+
 /// Index of a channel in a striping group.
 ///
 /// Channels are numbered `0..N` identically at the sender and receiver; the
@@ -16,6 +18,16 @@ pub type ChannelId = usize;
 pub trait WireLen {
     /// Length in bytes as it will occupy the channel.
     fn wire_len(&self) -> usize;
+
+    /// The packet's own implicit number, where the layer below has a
+    /// header of its own to state it in (§4's "when headers can be
+    /// added"): the `(round, dc)` the sender's scheduler held on the
+    /// packet's channel when it served this packet. `None` wherever data
+    /// travels untouched, which is everywhere but the socket path's
+    /// mark-field frames.
+    fn number(&self) -> Option<ChannelMark> {
+        None
+    }
 }
 
 impl WireLen for usize {

@@ -9,10 +9,17 @@
 //! Flow lookup on the hot path is one slab index: O(1) per frame.
 //!
 //! Replicas are created *lazily*, on the first frame naming a flow id
-//! (data or marker — both carry the varint tag). A data frame may carry
-//! its channel's mark ([`frame::KIND_DATA_MARKED`]): it is routed as
-//! that marker, on the channel it arrived on, and then the data — what
-//! the two frames it stands for would have been. At creation the demux
+//! (data or marker — both carry the varint tag). A data frame may state
+//! its own number ([`frame::KIND_DATA_MARKED`]; from a [`StripeServer`]
+//! every frame with the mark field does): it is routed as *one* arrival,
+//! a numbered view whose field travels with the payload, and the flow's
+//! resequencer reads the number when the packet reaches the head of its
+//! channel — what a marker frame directly ahead of it would have said,
+//! for one ring entry instead of two. A mark, carried or in a frame of
+//! its own, that promises a round further ahead than an honest sender
+//! can be (see [`LogicalReceiver::bound_marks`]) is refused and counted
+//! `dropped_mark_ahead`; the payload it rode with is delivered all the
+//! same. At creation the demux
 //! applies the last announced membership mask one round ahead, the same
 //! rule [`StripeServer::open_flow`](crate::server::StripeServer::open_flow)
 //! uses, so both fresh simulations start in lockstep. Population is
@@ -51,7 +58,6 @@ use stripe_core::handshake::{ControlResponder, Effect};
 use stripe_core::receiver::{Arrival, LogicalReceiver, ReceiverSnapshot, RxBatch};
 use stripe_core::sched::CausalScheduler;
 use stripe_core::types::ChannelId;
-use stripe_core::Marker;
 
 use stripe_link::{DatagramLink, Train};
 use stripe_netsim::SimTime;
@@ -68,9 +74,9 @@ pub struct FlowDemuxSnapshot {
     pub frames: u64,
     /// Data frames routed into some flow's resequencer.
     pub data_frames: u64,
-    /// Those of them that carried their channel's mark
-    /// ([`KIND_DATA_MARKED`](crate::frame::KIND_DATA_MARKED)): each was
-    /// routed as a marker and then the data.
+    /// Those of them that stated their own number
+    /// ([`KIND_DATA_MARKED`](crate::frame::KIND_DATA_MARKED)) and were
+    /// routed with it.
     pub marked_frames: u64,
     /// Control frames (markers included) decoded.
     pub control_frames: u64,
@@ -79,6 +85,11 @@ pub struct FlowDemuxSnapshot {
     pub dropped_malformed: u64,
     /// Summed data frames whose CRC-8 trailer did not match.
     pub dropped_corrupt: u64,
+    /// Marks — a data frame's number or a marker frame's — refused as
+    /// further ahead than an honest sender can be (the per-flow share is
+    /// in [`ReceiverSnapshot::dropped_mark_ahead`]). The data such a
+    /// frame carried was routed, unnumbered.
+    pub dropped_mark_ahead: u64,
     /// Frames naming a flow the demux refused to create (population at
     /// [`max_flows`](FlowDemuxBuilder::max_flows), or an id at or past
     /// [`flow_id_limit`](FlowDemux::flow_id_limit)).
@@ -225,6 +236,7 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemuxBuilder<S, L> {
             // Room for one landing call and the re-homing target, at
             // the least.
             pool: TrainPool::new(window, self.pool_initial * mtu, LAND + 1),
+            mtu,
             since_rehome: 0,
             rehome_wait: 0,
             cap_per_channel: self.cap_per_channel,
@@ -281,6 +293,9 @@ pub struct FlowDemux<S: CausalScheduler, L: DatagramLink> {
     since_rehome: usize,
     rehome_wait: usize,
     cap_per_channel: usize,
+    /// The widest link's MTU: no payload is longer, which is what bounds
+    /// how far ahead a replica lets a mark be.
+    mtu: usize,
     stall_timeout_ns: Option<u64>,
     max_flows: usize,
     /// See [`flow_id_limit`](Self::flow_id_limit).
@@ -348,6 +363,7 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
             Some(f) => f.rx,
             None => {
                 let mut rx = LogicalReceiver::new(self.proto.clone(), self.cap_per_channel);
+                rx.bound_marks(self.mtu);
                 if let Some(t) = self.stall_timeout_ns {
                     rx.set_stall_timeout(t);
                 }
@@ -456,12 +472,13 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                 if full || packed[pb.slot()] {
                     return;
                 }
-                let Some(room) = bytes.get_mut(fill..fill + pb.len()) else {
+                let stored = pb.stored();
+                let Some(room) = bytes.get_mut(fill..fill + stored.len()) else {
                     full = true;
                     return;
                 };
-                room.copy_from_slice(pb.as_slice());
-                fill += pb.len();
+                room.copy_from_slice(stored);
+                fill += stored.len();
                 moved += 1;
             });
         }
@@ -472,8 +489,8 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                 if left == 0 || self.pool.packed(pb.slot()) {
                     return;
                 }
-                *pb = TrainPool::view_of(&home, target, at, pb.len());
-                at += pb.len();
+                *pb = pb.moved_to(&home, target, at);
+                at += pb.stored().len();
                 left -= 1;
             });
         }
@@ -527,11 +544,11 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
     }
 
     /// Hand the frame at `buf[at..at + n]` to its flow's resequencer
-    /// (data, the mark it may carry, and markers) or to the demux-level
-    /// responders (global control). `buf` is pool buffer `slot`; a data payload leaves as a
-    /// view into it. Only what the frame turns out to carry is decoded:
-    /// the parser names the flow and where the body sits, and a data
-    /// frame needs nothing else.
+    /// (data, numbered or not, and markers) or to the demux-level
+    /// responders (global control). `buf` is pool buffer `slot`; a data
+    /// payload leaves as a view into it. Only what the frame turns out to
+    /// carry is decoded: the parser names the flow and where the body
+    /// sits, and a data frame needs nothing else.
     fn route(
         &mut self,
         c: ChannelId,
@@ -545,21 +562,22 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         match p.body {
             Body::Data | Body::MarkedData => match self.ensure_flow(p.flow) {
                 Some(rx) => {
-                    // A carried mark is a marker directly ahead of its
-                    // frame, on the channel the frame came in on.
-                    let marked = p.body == Body::MarkedData;
-                    if marked {
-                        rx.push(c, Arrival::Marker(Marker::sync(c, p.mark(bytes))));
-                    }
+                    // A number stays where it is, ahead of the payload,
+                    // and the view says so — unless it is out of reach:
+                    // then the payload goes on without one.
+                    let stated = p.body == Body::MarkedData;
+                    let numbered = stated && rx.admit_mark(p.mark(bytes));
                     // On overflow the resequencer drops the arrival
                     // (counted in that flow's snapshot): no view is made.
                     let start = at + p.offset as usize;
                     rx.push_with(c, || {
-                        Arrival::Data(TrainPool::view_of(buf, slot, start, p.len))
+                        Arrival::Data(TrainPool::view_of(buf, slot, start, p.len, numbered))
                     });
                     self.stats.data_frames += 1;
-                    if marked {
+                    if numbered {
                         self.stats.marked_frames += 1;
+                    } else if stated {
+                        self.stats.dropped_mark_ahead += 1;
                     }
                 }
                 None => self.stats.dropped_admission += 1,
@@ -569,7 +587,11 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                 self.stats.control_frames += 1;
                 match self.ensure_flow(p.flow) {
                     Some(rx) => {
-                        rx.push(c, Arrival::Marker(mk));
+                        if rx.admit_mark(mk.mark) {
+                            rx.push(c, Arrival::Marker(mk));
+                        } else {
+                            self.stats.dropped_mark_ahead += 1;
+                        }
                     }
                     None => self.stats.dropped_admission += 1,
                 }
@@ -799,7 +821,11 @@ mod tests {
     use crate::server::StripeServer;
     use stripe_core::sched::Srr;
     use stripe_core::sender::MarkerConfig;
+    use stripe_core::Marker;
     use stripe_link::{datagram_pair, TestDatagramLink};
+
+    /// The builder's default ring capacity per channel.
+    const DEFAULT_CAP: usize = 1 << 14;
 
     fn linked(
         flows_cap: usize,
@@ -855,11 +881,12 @@ mod tests {
         assert_eq!(demux.net_stats().dropped_malformed, 0);
     }
 
-    /// A frame carrying its channel's mark is routed as that marker and
-    /// then the data: every mark the sender put in a frame is seen by
-    /// the flow's resequencer, and delivery stays FIFO.
+    /// A frame that states its own number is routed as one arrival, its
+    /// number with it: every frame long enough for the field is one, the
+    /// marks that found such a frame to be are no frames of their own,
+    /// and in sync a number changes nothing in the resequencer.
     #[test]
-    fn carried_marks_reach_the_resequencer_ahead_of_their_frame() {
+    fn a_numbered_frame_is_one_arrival_and_in_sync_changes_nothing() {
         let (mut srv, mut demux) = linked(4);
         let f0 = srv.open_flow().unwrap();
         let mut events = Vec::new();
@@ -869,27 +896,144 @@ mod tests {
             srv.enqueue(f0, &payload).unwrap();
             if round % 50 == 49 {
                 srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
+                // Ring entries and marker frames so far.
+                let tally = |d: &FlowDemux<_, _>| {
+                    let parked = d.flow_receiver(f0.id()).map_or(0, |rx| rx.buffered_total());
+                    (parked as u64, d.net_stats().control_frames)
+                };
+                let before = tally(&demux);
                 demux.sweep(SimTime::ZERO);
+                let after = tally(&demux);
+                // One ring entry a frame, number or no number.
+                assert_eq!(after.0 - before.0, 50 + (after.1 - before.1));
+                let mut batch = RxBatch::new();
+                demux.poll_flow_into(f0.id(), &mut batch);
+                let seen: Vec<u64> = batch
+                    .drain()
+                    .map(|pb| u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap()))
+                    .collect();
+                assert_eq!(seen, (round - 49..=round).collect::<Vec<_>>());
             }
         }
         let sent = srv.flow_stats(f0).unwrap();
         let s = demux.net_stats();
         assert!(sent.markers_carried > 0);
-        assert_eq!(s.marked_frames, sent.markers_carried);
-        assert_eq!(s.data_frames, 200);
-        // Marker frames and marked frames together are the marks sent.
-        assert_eq!(s.control_frames + s.marked_frames, sent.markers_sent);
-        let mut batch = RxBatch::new();
-        demux.poll_flow_into(f0.id(), &mut batch);
-        let seen: Vec<u64> = batch
-            .drain()
-            .map(|pb| u64::from_be_bytes(pb.as_slice()[..8].try_into().unwrap()))
-            .collect();
-        assert_eq!(seen, (0..200).collect::<Vec<_>>());
-        assert_eq!(
-            demux.flow_stats(f0.id()).unwrap().markers_seen,
-            sent.markers_sent
+        assert_eq!((s.data_frames, s.marked_frames), (200, 200));
+        // Marker frames are the marks that found no such frame to be.
+        assert_eq!(s.control_frames + sent.markers_carried, sent.markers_sent);
+        let r = demux.flow_stats(f0.id()).unwrap();
+        assert_eq!(r.markers_seen, s.control_frames);
+        assert!(
+            r.marks_applied <= r.markers_seen,
+            "a number was adopted in sync"
         );
+        assert_eq!((r.skips, r.dropped_mark_ahead), (0, 0));
+    }
+
+    /// A mark further ahead than an honest sender can be is refused where
+    /// it enters — a data frame's number or a marker frame's — counted
+    /// once per flow and once at the demux, and the data is delivered.
+    #[test]
+    fn a_mark_out_of_reach_is_refused_and_its_data_delivered() {
+        use stripe_core::sched::ChannelMark;
+        let (mut srv, mut demux) = linked(4);
+        let far = ChannelMark {
+            round: u64::MAX,
+            dc: 1500,
+        };
+        let mut wire = Vec::new();
+        for c in 0..2 {
+            // A quantum's worth: the scan moves on after each.
+            frame::encode_data_markable_flow_into(0, &[c as u8; 1500], &mut wire);
+            assert!(frame::write_mark(&mut wire, far));
+            srv.links_mut()[c].send_frame(&wire).unwrap();
+            let mk = Marker::sync(c, far);
+            frame::encode_control_flow_into(0, &Control::Marker(mk), &mut wire);
+            srv.links_mut()[c].send_frame(&wire).unwrap();
+        }
+        assert_eq!(demux.sweep(SimTime::ZERO), 4);
+        let s = demux.net_stats();
+        assert_eq!(
+            (s.dropped_mark_ahead, s.data_frames, s.marked_frames),
+            (4, 2, 0)
+        );
+        let got: Vec<u8> = std::iter::from_fn(|| demux.poll_flow(0))
+            .map(|pb| pb.as_slice()[0])
+            .collect();
+        assert_eq!(got, [0, 1]);
+        let r = demux.flow_stats(0).unwrap();
+        assert_eq!((r.dropped_mark_ahead, r.skips, r.marks_applied), (4, 0, 0));
+        // The furthest an honest mark can be is let in.
+        let round = (DEFAULT_CAP as u64 + 2) * 2 + 1;
+        let near = ChannelMark { round, dc: 1500 };
+        frame::encode_control_flow_into(0, &Control::Marker(Marker::sync(0, near)), &mut wire);
+        srv.links_mut()[0].send_frame(&wire).unwrap();
+        demux.sweep(SimTime::ZERO);
+        assert_eq!(demux.net_stats().dropped_mark_ahead, 4);
+    }
+
+    /// A payload parked behind a gap keeps its number through re-homing:
+    /// the field moves with it, and what the resequencer reads when the
+    /// gap fills is what the sender wrote.
+    #[test]
+    fn a_rehomed_payload_keeps_its_number() {
+        const MTU: usize = 2048;
+        const ROUNDS: u64 = 600;
+        let (a0, b0) = datagram_pair(MTU, 1 << 12);
+        let (a1, b1) = datagram_pair(MTU, 1 << 12);
+        let mut srv = StripeServer::builder()
+            .scheduler(Srr::equal(2, 1500))
+            .markers(MarkerConfig::every_rounds(4))
+            .links(vec![a0, a1])
+            .build();
+        let mut demux = FlowDemux::builder()
+            .scheduler(Srr::equal(2, 1500))
+            .links(vec![b0, b1])
+            .pool_buffers(8 * (1 << 16) / MTU)
+            .build();
+        let budget = demux.pool().allocated();
+        let payload = |flow: u8, round: u64| {
+            let mut p = vec![flow; 300];
+            p[1..9].copy_from_slice(&round.to_be_bytes());
+            p
+        };
+        let gapped = srv.open_flow().unwrap();
+        let busy = srv.open_flow().unwrap();
+        let mut events = Vec::new();
+        let mut batch = RxBatch::new();
+        // Channel 0 delays everything of the first flow; the second
+        // flow's traffic keeps the landing buffers turning over.
+        let mut late = Vec::new();
+        let mut buf = [0u8; MTU];
+        for round in 0..ROUNDS {
+            srv.enqueue(gapped, &payload(1, round)).unwrap();
+            srv.pump_into(SimTime::from_millis(round), usize::MAX, &mut events);
+            while let Some(n) = demux.links_mut()[0].recv_frame(&mut buf) {
+                late.push(buf[..n].to_vec());
+            }
+            for _ in 0..8 {
+                srv.enqueue(busy, &payload(2, round)).unwrap();
+            }
+            srv.pump_into(SimTime::from_millis(round), usize::MAX, &mut events);
+            demux.sweep(SimTime::from_millis(round));
+            assert_eq!(demux.poll_flow_into(gapped.id(), &mut batch), 0, "gapped");
+            demux.poll_flow_into(busy.id(), &mut batch);
+            batch.clear();
+            assert!(demux.pool().allocated() <= budget, "round {round}");
+        }
+        assert!(demux.net_stats().rehomed > 0);
+        for f in &late {
+            srv.links_mut()[0].send_frame(f).unwrap();
+        }
+        demux.sweep(SimTime::from_millis(ROUNDS));
+        assert_eq!(demux.poll_flow_into(gapped.id(), &mut batch) as u64, ROUNDS);
+        for (round, pb) in batch.drain().enumerate() {
+            assert_eq!(pb.as_slice(), &payload(1, round as u64)[..]);
+        }
+        // Every number read back in sync: none adopted, none skipped on.
+        let r = demux.flow_stats(gapped.id()).unwrap();
+        assert_eq!((r.skips, r.dropped_mark_ahead), (0, 0));
+        assert!(r.marks_applied <= r.markers_seen, "{r:?}");
     }
 
     /// Flows past the demux population cap are counted, dropped, and do

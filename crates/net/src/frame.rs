@@ -22,7 +22,7 @@
 //! | `1`  | [`KIND_CONTROL`]        | exactly the bytes of [`Control::encode`]          |
 //! | `2`  | [`KIND_CONTROL_PADDED`] | `u16` LE length, that many control bytes, padding |
 //! | `3`  | [`KIND_DATA_SUMMED`]    | the payload, then a CRC-8 of it                   |
-//! | `4`  | [`KIND_DATA_MARK_EMPTY`]| a 16-byte mark field nobody reads, the payload    |
+//! | `4`  | [`KIND_DATA_MARK_EMPTY`]| a 16-byte mark field nobody reads, the payload — an encode-time placeholder, not on the wire from this sender |
 //! | `5`  | [`KIND_DATA_MARKED`]    | `round` (`u64` BE), `dc` (`i64` BE), the payload  |
 //!
 //! The paper's central constraint is that striping never modifies data
@@ -35,24 +35,31 @@
 //!
 //! # The mark field
 //!
-//! A marker on channel `c` states the implicit number `(round, dc)` of
-//! the *next* data packet its flow sends on `c` (§5), and this layer
-//! already owns a header (§4's "when headers can be added"), so that
-//! packet's frame can carry the mark itself: kinds `4` and `5`, version
-//! 2 only, put a [`MARK_FIELD_LEN`]-byte field between the flow id and
-//! the payload. Kind `5` holds a mark, to be applied on the frame's own
-//! channel *before* its payload — exactly a marker frame directly ahead
-//! of a kind-`0` frame; kind `4` holds none and its field is ignored.
-//! The payload is still verbatim. A frame is encoded long before anyone
-//! knows whether a mark will fall due ahead of it, so the sender
-//! reserves the field at encode time ([`encode_data_markable_flow_into`])
-//! and fills it in place if one does ([`write_mark`]). Whether to
+//! §5 gives every data packet an implicit number `(round, dc)` — what
+//! its flow's scheduler holds for the packet's channel just before it
+//! serves the packet — and a marker on channel `c` states the number of
+//! the *next* packet its flow sends on `c`. This layer already owns a
+//! header (§4's "when headers can be added"), so the packet's frame can
+//! state the number itself: kinds `4` and `5`, version 2 only, put a
+//! [`MARK_FIELD_LEN`]-byte field between the flow id and the payload.
+//! Kind `5` holds the number, to be applied on the frame's own channel
+//! *before* its payload — exactly a marker frame directly ahead of a
+//! kind-`0` frame; kind `4` holds none and its field is ignored. The
+//! payload is still verbatim. A frame is encoded long before the
+//! scheduler gets to its packet, so the sender reserves the field at
+//! encode time ([`encode_data_markable_flow_into`], kind `4`) and fills
+//! it in place when the packet is served ([`write_mark`], kind `5`):
+//! **every frame that has the field leaves with its own number in it**,
+//! so kind `4` is an encode-time placeholder that a
+//! [`StripeServer`](crate::server::StripeServer) never puts on a wire
+//! (PR 17 to 20 sent it for the four frames in five that no marker fell
+//! due ahead of; it still decodes, as data, for this round). Whether to
 //! reserve is a rule on the payload length alone — at least
 //! [`MARK_MIN_PAYLOAD`] bytes — so that equal payloads make equal
-//! frames: a field only in the frames that end up marked would split a
-//! segmentation-offload train at every mark. The header is unchanged,
-//! so this is no version bump: a receiver that predates the two kinds
-//! drops them as it drops any unknown kind.
+//! frames: a field only in some of them would split a
+//! segmentation-offload train at each. The header is unchanged, so this
+//! is no version bump: a receiver that predates the two kinds drops
+//! them as it drops any unknown kind.
 //!
 //! # Decoding
 //!
@@ -64,8 +71,9 @@
 //! returns a [`Parsed`]: a 16-byte `Copy` value naming the flow, what
 //! the body is ([`Body`]) and where in the datagram it sits. It reads
 //! the header and builds nothing. The receive path works from that: a
-//! data body becomes a view into the receive buffer (behind a mark read
-//! by [`Parsed::mark`] when the frame carries one), a marker body goes
+//! data body becomes a view into the receive buffer (one that keeps the
+//! field ahead of it, read by [`Parsed::mark`], when the frame states
+//! its number), a marker body goes
 //! through [`Parsed::marker`], and a [`Control`] is only ever built —
 //! by [`Parsed::control`] — for the rare frame that carries one.
 //! [`try_decode`], [`try_decode_flow`] and [`decode`] are [`parse`]
@@ -122,11 +130,13 @@ pub const KIND_DATA_SUMMED: u8 = 3;
 
 /// Frame-kind codepoint for data behind an *empty* mark field (version
 /// 2 only): [`MARK_FIELD_LEN`] bytes the decoder skips, then the payload.
-/// What [`write_mark`] turns into [`KIND_DATA_MARKED`]. See the module
-/// docs.
+/// What [`write_mark`] turns into [`KIND_DATA_MARKED`] before the frame
+/// leaves: a placeholder between encode and pump, decoded (as plain
+/// data) only for senders of the rounds that still put it on the wire.
+/// See the module docs.
 pub const KIND_DATA_MARK_EMPTY: u8 = 4;
 
-/// Frame-kind codepoint for data carrying its channel's mark (version 2
+/// Frame-kind codepoint for data that states its own number (version 2
 /// only): the mark field holds `round` (`u64` BE) and `dc` (`i64` BE) —
 /// the [`ChannelMark`] a marker directly ahead of this frame, on this
 /// frame's channel, would have stated — then the payload.
@@ -144,17 +154,19 @@ pub const SUM_TRAILER_LEN: usize = 1;
 
 /// Bytes of the mark field of a [`KIND_DATA_MARK_EMPTY`] or
 /// [`KIND_DATA_MARKED`] frame: a [`ChannelMark`]'s `round` and `dc`.
+/// Every frame that has it uses it, so it is not overhead that waits for
+/// a mark: it is where the frame's number goes.
 pub const MARK_FIELD_LEN: usize = 16;
 
 /// Shortest payload a sender reserves the mark field for: 16 fields'
 /// worth, so the field never adds more than a sixteenth to the payload
 /// it rides with. It is a rule on the length — something both a bulk
 /// and a small-packet sender observe about their own traffic — because
-/// the alternatives lose: a field only in marked frames makes them
+/// the alternatives lose: a field only in some frames makes them
 /// longer than their neighbours and cuts every offload train there, and
-/// a field in every frame adds a quarter to a 64-byte payload to carry
-/// the one mark in a hundred that a separate marker frame carries as
-/// well.
+/// a field in every frame adds a quarter to a 64-byte payload. Short
+/// frames therefore state no number and recover at the marker cadence,
+/// as every frame used to.
 pub const MARK_MIN_PAYLOAD: usize = 16 * MARK_FIELD_LEN;
 
 /// CRC-8, polynomial 0x07 (ATM HEC) — catches every single-bit flip and
@@ -306,16 +318,32 @@ pub fn encode_data_markable_flow_into(flow: u32, payload: &[u8], out: &mut Vec<u
 /// [`KIND_DATA_MARK_EMPTY`] frame, in place, making it
 /// [`KIND_DATA_MARKED`]. Returns `false`, and touches nothing, if
 /// `frame` is any other frame: the caller sends the mark some other way.
+/// Runs once per frame that has the field, so it reads the header and
+/// the varint and nothing else.
 pub fn write_mark(frame: &mut [u8], mark: ChannelMark) -> bool {
-    match parse(frame) {
-        Ok(p) if frame[2] == KIND_DATA_MARK_EMPTY => {
-            let field = &mut frame[p.offset as usize - MARK_FIELD_LEN..p.offset as usize];
-            field[..8].copy_from_slice(&mark.round.to_be_bytes());
-            field[8..].copy_from_slice(&mark.dc.to_be_bytes());
-            frame[2] = KIND_DATA_MARKED;
-            true
-        }
-        _ => false,
+    let empty = [FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA_MARK_EMPTY];
+    if !frame.starts_with(&empty) {
+        return false;
+    }
+    let Some((_, id_len)) = take_flow_id(&frame[FRAME_HEADER_LEN..]) else {
+        return false;
+    };
+    let at = FRAME_HEADER_LEN + id_len;
+    let Some(field) = frame.get_mut(at..at + MARK_FIELD_LEN) else {
+        return false;
+    };
+    field[..8].copy_from_slice(&mark.round.to_be_bytes());
+    field[8..].copy_from_slice(&mark.dc.to_be_bytes());
+    frame[2] = KIND_DATA_MARKED;
+    true
+}
+
+/// The mark a [`MARK_FIELD_LEN`]-byte mark field holds.
+pub(crate) fn read_mark(field: &[u8]) -> ChannelMark {
+    let (round, dc) = field.split_at(8);
+    ChannelMark {
+        round: u64::from_be_bytes(round.try_into().expect("8 of the field's 16 bytes")),
+        dc: i64::from_be_bytes(dc.try_into().expect("8 of the field's 16 bytes")),
     }
 }
 
@@ -404,8 +432,8 @@ pub enum Body {
     /// trailer has been verified and is not part of the body, nor is an
     /// empty mark field).
     Data,
-    /// Application payload behind a mark ([`KIND_DATA_MARKED`]): the
-    /// body is the payload alone, [`Parsed::mark`] reads the mark.
+    /// Application payload behind its own number ([`KIND_DATA_MARKED`]):
+    /// the body is the payload alone, [`Parsed::mark`] reads the number.
     MarkedData,
     /// An encoded [`Marker`] (a control message of the marker type, its
     /// type byte not part of the body): the one control message on the
@@ -443,12 +471,7 @@ impl Parsed {
     /// ahead of the body.
     pub fn mark(&self, frame: &[u8]) -> ChannelMark {
         debug_assert_eq!(self.body, Body::MarkedData);
-        let field = &frame[self.offset as usize - MARK_FIELD_LEN..self.offset as usize];
-        let (round, dc) = field.split_at(8);
-        ChannelMark {
-            round: u64::from_be_bytes(round.try_into().expect("8 of the field's 16 bytes")),
-            dc: i64::from_be_bytes(dc.try_into().expect("8 of the field's 16 bytes")),
-        }
+        read_mark(&frame[self.offset as usize - MARK_FIELD_LEN..self.offset as usize])
     }
 
     /// Decode a [`Body::Marker`] body. A short or bad-magic marker is

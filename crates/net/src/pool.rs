@@ -38,7 +38,10 @@
 
 use std::rc::Rc;
 
+use stripe_core::sched::ChannelMark;
 use stripe_core::types::WireLen;
+
+use crate::frame::{self, MARK_FIELD_LEN};
 
 /// A view of one packet's payload inside a shared receive buffer.
 /// Dropping it is what returns the storage: the buffer is reused once
@@ -48,14 +51,26 @@ use stripe_core::types::WireLen;
 /// charged against its deficit counter for this packet — so the
 /// receiver's scheduler simulation advances exactly in step with the
 /// sender's (condition C2 needs both ends to agree on every length).
+///
+/// A payload that arrived behind a filled mark field keeps the field:
+/// the view is *numbered*, the [`MARK_FIELD_LEN`] bytes directly ahead of
+/// the payload are the packet's [number](WireLen::number), and they stay
+/// ahead of it wherever the payload is re-homed. One flag bit in a field
+/// that was there, so a numbered arrival is one ring entry and every
+/// view is built and moved by the stores and loads it always was.
 #[derive(Debug, Clone)]
 pub struct PooledBuf {
     data: Rc<[u8]>,
-    /// The buffer's index in its pool.
+    /// The buffer's index in its pool; [`NUMBERED`] set: the view is
+    /// numbered.
     slot: u32,
     offset: u32,
     len: u32,
 }
+
+/// The flag bit of [`PooledBuf::slot`]. A pool never has 2^31 buffers:
+/// each is at least 64 KiB.
+const NUMBERED: u32 = 1 << 31;
 
 impl PooledBuf {
     /// The payload bytes.
@@ -75,13 +90,45 @@ impl PooledBuf {
 
     /// Index, in its pool, of the buffer this view keeps alive.
     pub(crate) fn slot(&self) -> usize {
-        self.slot as usize
+        (self.slot & !NUMBERED) as usize
+    }
+
+    fn numbered(&self) -> bool {
+        self.slot & NUMBERED != 0
+    }
+
+    /// Bytes of mark field the view owns ahead of its payload.
+    fn lead(&self) -> usize {
+        if self.numbered() {
+            MARK_FIELD_LEN
+        } else {
+            0
+        }
+    }
+
+    /// Everything the view stands for, as it lies in the buffer: the
+    /// number's field, if it has one, then the payload.
+    pub(crate) fn stored(&self) -> &[u8] {
+        &self.data[self.offset as usize - self.lead()..(self.offset + self.len) as usize]
+    }
+
+    /// The same view over a copy of [`stored`](Self::stored) that starts
+    /// at `at` in `data`, the pool's buffer `slot`.
+    pub(crate) fn moved_to(&self, data: &Rc<[u8]>, slot: usize, at: usize) -> PooledBuf {
+        TrainPool::view_of(data, slot, at + self.lead(), self.len(), self.numbered())
     }
 }
 
 impl WireLen for PooledBuf {
     fn wire_len(&self) -> usize {
         self.len()
+    }
+
+    #[inline]
+    fn number(&self) -> Option<ChannelMark> {
+        let at = self.offset as usize;
+        self.numbered()
+            .then(|| frame::read_mark(&self.data[at - MARK_FIELD_LEN..at]))
     }
 }
 
@@ -205,15 +252,24 @@ impl TrainPool {
 
     /// A view of `len` bytes at `offset` in `data`, the pool's buffer
     /// `slot`, which stays shared — unwritable — until the view and all
-    /// its clones are gone.
+    /// its clones are gone. `numbered`: the [`MARK_FIELD_LEN`] bytes
+    /// ahead of `offset` are a filled mark field and belong to the view.
     ///
     /// # Panics
     /// Panics if the window exceeds the buffer.
-    pub(crate) fn view_of(data: &Rc<[u8]>, slot: usize, offset: usize, len: usize) -> PooledBuf {
+    pub(crate) fn view_of(
+        data: &Rc<[u8]>,
+        slot: usize,
+        offset: usize,
+        len: usize,
+        numbered: bool,
+    ) -> PooledBuf {
         assert!(offset + len <= data.len(), "payload window out of bounds");
+        debug_assert!(!numbered || offset >= MARK_FIELD_LEN, "no field ahead");
+        debug_assert!(slot < NUMBERED as usize);
         PooledBuf {
             data: Rc::clone(data),
-            slot: slot as u32,
+            slot: slot as u32 | if numbered { NUMBERED } else { 0 },
             offset: offset as u32,
             len: len as u32,
         }
@@ -357,7 +413,7 @@ mod tests {
         let mut pool = TrainPool::new(64, 0, 2);
         assert_eq!((pool.allocated(), pool.free_count()), (2, 2));
         assert_eq!(land(&mut pool, 2, 7), [(0, 0), (1, 0)]);
-        let held = TrainPool::view_of(pool.handle(0), 0, 1, 3);
+        let held = TrainPool::view_of(pool.handle(0), 0, 1, 3, false);
         assert_eq!(held.as_slice(), &[7, 7, 7]);
         assert_eq!(
             (held.wire_len(), held.len(), held.is_empty()),
@@ -409,6 +465,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn oversized_view_panics() {
         let pool = TrainPool::new(64, 0, 1);
-        let _ = TrainPool::view_of(pool.handle(0), 0, TRAIN_BUF - 2, 3);
+        let _ = TrainPool::view_of(pool.handle(0), 0, TRAIN_BUF - 2, 3, false);
     }
 }

@@ -13,8 +13,8 @@
 //!   each of those frames, exactly as a single-flow path would.
 //!
 //! On the wire every data frame and marker is a version-2 flow-tagged
-//! frame (see [`crate::frame::FRAME_VERSION_FLOW`]), a marker where it
-//! can riding inside the data frame it describes; global control —
+//! frame (see [`crate::frame::FRAME_VERSION_FLOW`]), a data frame where
+//! it can stating its own §5 number; global control —
 //! probes, membership, quantum announces — stays untagged version 1, so
 //! failover, lifecycle, and epoch'd membership remain flow-agnostic. A
 //! single-flow sender is this type with one flow open: the inter-flow
@@ -30,16 +30,27 @@
 //! backpressure to the producer of that one flow instead of letting it
 //! starve the rest.
 //!
-//! **Where a mark travels.** A marker on channel `c` states the number
-//! of the *next* data packet its flow sends on `c`, so that packet's
-//! frame is where it belongs. A mark the flow's SRR makes during a pump
-//! waits — per (flow, channel), inside that pump only — for the flow's
-//! next frame staged on `c`, and then one of three things happens:
+//! **Where a mark travels.** §5 gives every packet an implicit number
+//! `(round, dc)`, and this layer owns a header, so a frame that has the
+//! mark field (see [`enqueue`](StripeServer::enqueue) and the
+//! [`crate::frame`] docs) **states its own number** there — the flow's
+//! SRR reads it just before serving the packet, the pump writes it in
+//! place: no frame, no copy, no allocation, no byte the frame did not
+//! already have. The receiver that loses a frame on channel `c` is put
+//! straight by the flow's next such frame on `c`, not at the next
+//! marker.
 //!
-//! 1. the frame has the mark field (see
-//!    [`enqueue`](StripeServer::enqueue) and the
-//!    [`crate::frame`] docs): the mark is written into it in
-//!    place — no frame of its own, no copy, no allocation;
+//! The marker cadence is untouched: it is what bounds recovery for
+//! traffic whose frames have no field. A marker on channel `c` states
+//! the number of the *next* data packet its flow sends on `c`, so that
+//! packet's frame is where it belongs. A mark the flow's SRR makes
+//! during a pump waits — per (flow, channel), inside that pump only —
+//! for the flow's next frame staged on `c`, and then one of three things
+//! happens:
+//!
+//! 1. the frame has the mark field: the number it states *is* the mark
+//!    (the same value under SRR; where a retune falls in between, the
+//!    frame's is the true one) — the mark rode, and costs nothing;
 //! 2. it has none (short payload, integrity on): the mark goes as a
 //!    marker frame staged directly ahead of it, padded to its length on
 //!    a coalescing link so that the two share a length class;
@@ -51,12 +62,15 @@
 //!
 //! Per (flow, channel) the wire therefore reads X, M, Y exactly as the
 //! SRR offered it — with M inside Y in the first case — and **no mark
-//! outlives the pump that made it**, so marker cadence, idle markers,
-//! recovery timing and Theorem 5.1's bound are what they were with every
-//! marker a frame. The mark *leads* its carrier on purpose: applied
-//! after Y instead, a lost Y would take with it the one mark that heals
-//! that very loss at once. [`FlowSnapshot::markers_sent`] counts all
-//! three ways; [`FlowSnapshot::markers_carried`] the first.
+//! outlives the pump that made it**, so marker cadence, idle markers and
+//! Theorem 5.1's worst-case bound are what they were with every marker a
+//! frame; the numbers shorten the typical case to one long frame. A
+//! number *leads* its payload on purpose: applied after Y instead, a
+//! lost Y would take with it the one mark that heals that very loss at
+//! once. [`FlowSnapshot::markers_sent`] counts all three ways;
+//! [`FlowSnapshot::markers_carried`] the first; a frame's own number,
+//! with no mark waiting for it, is counted nowhere — it is part of the
+//! frame.
 //!
 //! **Wire order within a channel.** The receiver needs FIFO only per
 //! channel *of one flow* (§4/§5 run once per flow), so on one channel
@@ -69,7 +83,7 @@
 //! train is made of. Each flow's own per-channel subsequence — data and
 //! markers — is never reordered, and with one flow or uniform lengths
 //! the merge is the identity. [`PumpEvent`]s stay one per offer in
-//! *offer* order — a carried mark keeps its [`PumpEvent::Marker`], at
+//! *offer* order — a mark that rode keeps its [`PumpEvent::Marker`], at
 //! the point its SRR made it — which across flows is not the wire order.
 //!
 //! The zero-allocation story: frames are encoded once at
@@ -166,7 +180,8 @@ pub struct FlowSnapshot {
     /// Marks transmitted for this flow, whichever way: as marker frames
     /// or inside data frames.
     pub markers_sent: u64,
-    /// Those of them that rode inside the data frame they describe
+    /// Those of them that the flow's next frame on the channel stated
+    /// as its own number
     /// ([`KIND_DATA_MARKED`](crate::frame::KIND_DATA_MARKED)) instead of
     /// a frame of their own.
     pub markers_carried: u64,
@@ -214,8 +229,8 @@ pub enum PumpEvent {
         error: Option<TxError>,
     },
     /// A marker rode (or failed to ride) `channel` — in a frame of its
-    /// own or inside the flow's next data frame there, whose fate it
-    /// then shares.
+    /// own or as the number of the flow's next data frame there, whose
+    /// fate it then shares.
     Marker {
         /// The flow whose marker clock fired.
         flow: FlowId,
@@ -298,8 +313,8 @@ impl ChannelStage {
 }
 
 /// A mark its flow's SRR made during this pump, not yet on the wire:
-/// it leaves in, or directly ahead of, the flow's next frame on the
-/// channel (see the module docs).
+/// it leaves as the number of, or directly ahead of, the flow's next
+/// frame on the channel (see the module docs).
 #[derive(Debug, Clone, Copy)]
 struct WaitingMark {
     mark: ChannelMark,
@@ -526,6 +541,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
             flow_pool: Vec::new(),
             turn_lens: Vec::new(),
             scratch_channels: Vec::new(),
+            scratch_numbers: Vec::new(),
             scratch_markers: Vec::new(),
             scratch_idle: Vec::new(),
             waiting: Vec::new(),
@@ -591,6 +607,7 @@ pub struct StripeServer<S: CausalScheduler, L: DatagramLink> {
     flow_pool: Vec<FlowState<S>>,
     turn_lens: Vec<usize>,
     scratch_channels: Vec<ChannelId>,
+    scratch_numbers: Vec<ChannelMark>,
     scratch_markers: Vec<(usize, ChannelId, Marker)>,
     scratch_idle: Vec<(ChannelId, Marker)>,
     /// Per `(flow slot, channel)`, at `slot * channels + channel`: the
@@ -602,9 +619,9 @@ pub struct StripeServer<S: CausalScheduler, L: DatagramLink> {
     /// progress (empty between pumps).
     waiting_flows: Vec<FlowId>,
     /// `(index of the carrier's PumpEvent::Data, index of the mark's
-    /// PumpEvent::Marker)` for every mark the latest pump put inside a
-    /// frame, in carrier order: how a refused carrier finds the other
-    /// event its error belongs on.
+    /// PumpEvent::Marker)` for every mark of the latest pump that a
+    /// frame's own number stood for, in carrier order: how a refused
+    /// carrier finds the other event its error belongs on.
     carried: Vec<(u32, u32)>,
     /// The pump in progress, per channel (empty between pumps).
     stage: Vec<ChannelStage>,
@@ -761,12 +778,12 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     /// for [`pump_into`](Self::pump_into) to schedule it. A full queue
     /// reports [`FlowError::Backpressure`] without touching the payload.
     ///
-    /// The frame gets the (empty) mark field iff markers are on,
+    /// The frame gets the mark field — empty here, filled with the
+    /// packet's own number when a pump serves it — iff markers are on,
     /// integrity is off, the payload is at least
     /// [`MARK_MIN_PAYLOAD`](frame::MARK_MIN_PAYLOAD) bytes and the longer
-    /// frame still fits every link's MTU — all decided here, by length,
-    /// so equal payloads are equal frames whichever of them ends up
-    /// carrying a mark.
+    /// frame still fits every link's MTU: all decided here, by length,
+    /// so equal payloads are equal frames.
     pub fn enqueue(&mut self, h: FlowHandle, payload: &[u8]) -> Result<(), FlowError> {
         let f = self.state_of(h)?;
         if self.path_parked {
@@ -822,6 +839,11 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
         if self.path_parked {
             return 0;
         }
+        // The length rule of `enqueue`, as the per-flow engines need it.
+        let number_from = match self.markable_max {
+            0 => usize::MAX,
+            _ => frame::MARK_MIN_PAYLOAD,
+        };
         let mut served_total = 0usize;
         while served_total < budget {
             let Some(fid) = self.drr.begin_turn() else {
@@ -839,25 +861,41 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                 self.drr.charge(fid, cost);
                 self.turn_lens.push(q.payload_len);
             }
-            // Phase 2: the flow's own SRR assigns channels/markers.
-            f.tx.send_batch(
+            // Phase 2: the flow's own SRR assigns channels/markers, and
+            // numbers the packets long enough for the mark field.
+            f.tx.send_batch_numbered(
                 &self.turn_lens,
+                number_from,
                 &mut self.scratch_channels,
+                &mut self.scratch_numbers,
                 &mut self.scratch_markers,
             );
-            // Phase 3: stage each frame on its channel. A mark waits for
-            // the flow's next frame on its channel and leaves in it, or
-            // directly ahead of it: per (flow, channel) the wire order
-            // is the offer order, so marker recovery holds per flow.
+            // Phase 3: stage each frame on its channel. One that has the
+            // mark field states its own number there. A mark waits for
+            // the flow's next frame on its channel and leaves as that
+            // number, or directly ahead of a frame that has none: per
+            // (flow, channel) the wire order is the offer order, so
+            // marker recovery holds per flow.
             let n = self.turn_lens.len();
             let channels = self.links.len();
             let mut m = 0;
+            let mut numbers = self.scratch_numbers.iter();
             for (i, &ch) in self.scratch_channels.iter().enumerate() {
                 let q = f.queue.front_mut().expect("charged above");
+                let stated = q.payload_len >= number_from
+                    && numbers
+                        .next()
+                        .is_some_and(|&own| frame::write_mark(&mut q.buf, own));
                 if f.waiting & (1 << ch) != 0 {
                     f.waiting &= !(1 << ch);
                     let w = self.waiting[fid * channels + ch];
-                    if frame::write_mark(&mut q.buf, w.mark) {
+                    if stated {
+                        // The frame's own number is what the mark
+                        // foretold — under SRR to the bit (the one-flow
+                        // differential holds the server to it); where a
+                        // retune, or a scheduler whose marks state where
+                        // it stood when they were made, moves the two
+                        // apart, the frame is the one that is right.
                         self.carried.push((events.len() as u32, w.event));
                         self.stats.markers_carried += 1;
                         f.stats.markers_carried += 1;
@@ -1634,15 +1672,16 @@ mod tests {
         assert_eq!(markers, srv.flow_stats(h).unwrap().markers_sent);
     }
 
-    /// The three ways a mark leaves, on one channel so that wire order
-    /// is offer order: inside the flow's next frame when that has the
-    /// field, as a marker frame directly ahead of it when it has none,
-    /// and as a marker frame behind the last one when the pump ends
-    /// first. Either way the wire, a marked frame read as mark then
-    /// data, is the event sequence.
+    /// What the wire says, on one channel so that wire order is offer
+    /// order. A frame with the field states its own number, every one of
+    /// them (kind 4 never leaves), and a mark that was waiting for such a
+    /// frame is that number: no frame of its own. A mark leaves as a
+    /// marker frame directly ahead of a frame without the field, and
+    /// behind the last one when the pump ends first. Read that way the
+    /// wire is the event sequence.
     #[test]
     fn a_mark_rides_in_or_ahead_of_the_next_frame_and_never_outlives_its_pump() {
-        // (payload, integrity) -> does a mid-pump mark ride its carrier?
+        // (payload, integrity) -> does a frame state its number?
         for (len, integrity, rides) in [(300, false, true), (100, false, false), (300, true, false)]
         {
             let (a, mut b) = datagram_pair(2048, 1024);
@@ -1656,39 +1695,59 @@ mod tests {
             for i in 0..40u8 {
                 srv.enqueue(h, &vec![i; len]).unwrap();
             }
+            // The numbers a bare scheduler gives the same packets.
+            let mut bare = Srr::equal(1, 1500);
             let mut events = Vec::new();
-            let (mut tails, mut marked) = (0, 0);
+            let (mut tails, mut carried, mut data) = (0, 0, 0);
             // Budgets that end some pumps right behind a fresh mark.
             for budget in [5, 7, 3, 10, usize::MAX] {
                 srv.pump_into(SimTime::ZERO, budget, &mut events);
                 let wire = drain(&mut b);
-                let mut expanded = Vec::new();
+                let mut offered = events.iter().peekable();
+                type Offers<'a> = std::iter::Peekable<std::slice::Iter<'a, PumpEvent>>;
+                let next_mark = |offered: &mut Offers| match offered.peek() {
+                    Some(PumpEvent::Marker {
+                        marker,
+                        error: None,
+                        ..
+                    }) => {
+                        offered.next();
+                        Some(marker.mark)
+                    }
+                    _ => None,
+                };
                 for f in &wire {
+                    assert_ne!(f[2], frame::KIND_DATA_MARK_EMPTY, "a placeholder left");
                     let p = frame::parse(f).expect("well-formed");
+                    let case = format!("len {len} integrity {integrity}");
                     match p.body {
-                        frame::Body::MarkedData => {
-                            expanded.push(Some(p.mark(f)));
-                            expanded.push(None);
-                            marked += 1;
+                        frame::Body::Marker => {
+                            let mark = p.marker(f).unwrap().mark;
+                            assert_eq!(next_mark(&mut offered), Some(mark), "{case}");
+                            continue;
                         }
-                        frame::Body::Data => expanded.push(None),
-                        frame::Body::Marker => expanded.push(Some(p.marker(f).unwrap().mark)),
+                        frame::Body::MarkedData => {
+                            assert_eq!(p.mark(f), bare.mark_for(0), "{case}");
+                            // The mark that waited for this frame, if
+                            // one did, is the frame's own number.
+                            if let Some(waited) = next_mark(&mut offered) {
+                                assert_eq!(waited, p.mark(f), "{case}");
+                                carried += 1;
+                            }
+                        }
+                        frame::Body::Data => assert!(!rides, "a long frame without a number"),
                         frame::Body::Control => panic!("unexpected control"),
                     }
+                    let ev = offered.next();
+                    assert!(
+                        matches!(ev, Some(PumpEvent::Data { error: None, .. })),
+                        "{case}: {ev:?}"
+                    );
+                    assert_eq!(p.body == frame::Body::MarkedData, rides);
+                    bare.advance(len);
+                    data += 1;
                 }
-                let offered: Vec<_> = events
-                    .iter()
-                    .map(|ev| match ev {
-                        PumpEvent::Data { error: None, .. } => None,
-                        PumpEvent::Marker {
-                            marker,
-                            error: None,
-                            ..
-                        } => Some(marker.mark),
-                        other => panic!("unexpected {other:?}"),
-                    })
-                    .collect();
-                assert_eq!(expanded, offered, "len {len} integrity {integrity}");
+                assert_eq!(offered.next(), None, "an offer that never left");
                 // A mark the pump ended on left as a frame of its own.
                 if let Some(PumpEvent::Marker { .. }) = events.last() {
                     let last = frame::parse(wire.last().unwrap()).unwrap();
@@ -1696,18 +1755,19 @@ mod tests {
                     tails += 1;
                 }
                 if rides {
-                    // Equal payloads, equal frames, marked or not.
+                    // Equal payloads, equal frames.
                     let data = wire.iter().filter(|f| frame::is_data_frame(f));
                     assert!(data.clone().all(|f| f.len() == wire[0].len()));
                 }
             }
+            assert_eq!(data, 40);
             assert!(tails > 0, "no pump ended on a mark");
             let s = srv.flow_stats(h).unwrap();
-            assert_eq!(s.markers_carried, marked);
+            assert_eq!(s.markers_carried, carried);
             assert_eq!(s.markers_carried, srv.stats().markers_carried);
-            assert_eq!(marked > 0, rides);
+            assert_eq!(carried > 0, rides);
             if rides {
-                assert_eq!(s.markers_sent, marked + tails);
+                assert_eq!(s.markers_sent, carried + tails);
             }
         }
     }

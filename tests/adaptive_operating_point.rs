@@ -19,7 +19,8 @@
 //!
 //! Tuned SRR must deliver everything offered with no late delivery,
 //! carry each channel's capacity share to within 2 %, and reorder no more
-//! than Sprinkler.
+//! than Sprinkler; the untuned arms lose what the policers discard and, every
+//! frame stating its own number, deliver the rest in order too.
 
 use stripe::core::receiver::RxBatch;
 use stripe::core::sched::{CausalScheduler, Sprinkler, Srr};
@@ -142,9 +143,11 @@ fn tuned_srr_carries_capacity_shares_in_order_and_sprinkler_does_not_beat_it() {
 
     // The impairment binds: the same load, split any other way, is
     // policed — so the tuned arm's clean run is the tuning, not slack.
-    assert!(
-        equal.dropped > 0 && equal.late > 0,
-        "equal quanta overrun the slow channel"
-    );
+    assert!(equal.dropped > 0, "equal quanta overrun the slow channel");
     assert!(sprinkler.dropped > 0, "random stripes overrun their shares");
+    // What is policed is lost, not reordered: every frame here is long
+    // enough to state its own number, so the frame behind a policed one
+    // on its channel puts the receiver straight before it is delivered.
+    // (With a mark every four rounds only, these read 5 054 and 489.)
+    assert_eq!((equal.late, sprinkler.late), (0, 0));
 }

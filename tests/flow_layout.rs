@@ -6,7 +6,9 @@
 //! is two — the SRR scheduler's per-channel array and the byte ledger's —
 //! and the receive replica is the scheduler's array, the resequencer's
 //! per-channel array, one ring per channel and the salvage queue. A
-//! per-channel `Vec` added to either creeps back in here.
+//! per-channel `Vec` added to either creeps back in here. So does a
+//! wider resequencer ring: a frame that states its own number is still
+//! one ring entry, and the entry is the 40 bytes it was when it did not.
 //!
 //! The count is taken per open and judged by the median: the few opens
 //! during which a flow slab doubles pay for that too, and are not what
@@ -14,10 +16,11 @@
 //! only this workload (see `alloc_counting_net.rs` for the steady-state
 //! zero-allocations-per-packet gate, which stays as it is).
 
+use stripe::core::receiver::Arrival;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
 use stripe::link::{datagram_pair, TestDatagramLink};
-use stripe::net::{FlowDemux, StripeServer};
+use stripe::net::{FlowDemux, PooledBuf, StripeServer};
 use stripe_bench::alloc::CountingAlloc;
 
 #[global_allocator]
@@ -60,6 +63,12 @@ fn heap_objects_per_flow_are_pinned() {
         demux.reserve_flow(id, 4);
         touches.push(CountingAlloc::allocations() - before);
     }
+
+    let entry = std::mem::size_of::<Arrival<PooledBuf>>();
+    assert!(
+        entry <= 40,
+        "a resequencer ring entry grew to {entry} bytes"
+    );
 
     let (open, touch) = (median(opens), median(touches));
     assert!(

@@ -1,21 +1,25 @@
 //! Differential properties of the one real-socket send path and its
 //! versioned (flow-tagged) wire format.
 //!
-//! Since marks ride the data they describe, a frame on the wire is one
-//! *or two* of the things a flow's SRR offered: a frame carrying its
-//! channel's mark ([`KIND_DATA_MARKED`]) reads as that marker and then
-//! the data. Every property below is stated over this *expanded*
-//! sequence — which is what the receiver acts on — and compared with an
-//! oracle in which every marker is still a thing of its own.
+//! A frame that has the mark field states its own number
+//! ([`KIND_DATA_MARKED`], every one of them: the placeholder kind never
+//! leaves a server) and reads as that number and then the data. The
+//! number must be the one a reference engine gives the packet —
+//! `mark_for` its channel, just before it is served — and a mark the
+//! flow's SRR offered directly ahead of the packet on that channel *is*
+//! that number: it rode, and is no frame of its own. Every property
+//! below is stated over this *expanded* sequence — which is what the
+//! receiver acts on — and compared with an oracle in which every marker
+//! is still a thing of its own and every packet has its number beside it.
 //!
 //! 1. **Datapath equivalence.** A one-flow [`StripeServer`] makes
 //!    exactly the striping decisions of a bare [`StripingSender`] fed
 //!    the same lengths in one batch — same channels, same marker
 //!    schedule — and each channel's expanded wire is exactly those
-//!    payloads and marks, in order, mark for mark and byte for byte, as
-//!    flow-0 version-2 frames. Which frames have the mark field is the
-//!    length rule and nothing else. The oracle shares no framing,
-//!    queueing, DRR, or link code with the server.
+//!    payloads and marks, in order, mark for mark, number for number
+//!    and byte for byte, as flow-0 version-2 frames. Which frames have
+//!    the mark field is the length rule and nothing else. The oracle
+//!    shares no framing, queueing, DRR, or link code with the server.
 //! 2. **Regrouping and carrying are invisible per flow.** A many-flow
 //!    server stages each pump per channel and emits it regrouped by
 //!    wire length; the *offer-order emitter* it replaced — DRR turns,
@@ -33,7 +37,8 @@
 //! 4. **Loss takes a mark only with its carrier.** Under a seeded
 //!    per-frame drop pattern, what [`FlowDemux`] delivers for each flow
 //!    is what a bare [`LogicalReceiver`] delivers when fed the oracle's
-//!    arrivals minus the dropped frames and the marks inside them.
+//!    arrivals — its packets numbered where their frames are — minus the
+//!    dropped frames and the marks that rode them.
 //! 5. **A thousand backlogged flows share the stripe evenly.** Stopped
 //!    mid-rotation with every flow still backlogged, Jain's index over
 //!    the bytes each flow had delivered is at least 0.95.
@@ -53,9 +58,9 @@ use proptest::prelude::*;
 use stripe::core::control::Control;
 use stripe::core::fairness::ByteAccountant;
 use stripe::core::receiver::{Arrival, LogicalReceiver, RxBatch};
-use stripe::core::sched::{Drr, Srr};
+use stripe::core::sched::{ChannelMark, Drr, Srr};
 use stripe::core::sender::{MarkerConfig, StripingSender};
-use stripe::core::types::TestPacket;
+use stripe::core::types::WireLen;
 use stripe::core::Marker;
 use stripe::link::{datagram_pair, DatagramLink, TestDatagramLink, TxError};
 use stripe::net::frame::{
@@ -66,10 +71,29 @@ use stripe::net::{FlowDemux, FlowId, PumpEvent, StripeServer};
 use stripe::netsim::{DetRng, SimTime};
 
 /// What one channel carries, in order: packet `i`'s payload or a marker.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Item {
     Data(usize),
     Marker(Marker),
+}
+
+/// A packet as the oracle's receiver holds it: identity, length, and the
+/// number its frame stated, if its frame had the field.
+#[derive(Debug, Clone)]
+struct Numbered {
+    id: u64,
+    len: usize,
+    number: Option<ChannelMark>,
+}
+
+impl WireLen for Numbered {
+    fn wire_len(&self) -> usize {
+        self.len
+    }
+
+    fn number(&self) -> Option<ChannelMark> {
+        self.number
+    }
 }
 
 /// Drain every queued frame from a receiver-side link.
@@ -127,6 +151,8 @@ impl DatagramLink for FlakyLink {
 struct OfferOrder {
     drr: Drr,
     flows: Vec<OracleFlow>,
+    /// Per packet, once offered: the number its flow's engine gave it.
+    numbers: Vec<Option<ChannelMark>>,
 }
 
 /// One flow of the oracle: its engine and its queued packets (global
@@ -140,12 +166,22 @@ impl OfferOrder {
         let flows = (0..flows)
             .map(|_| (StripingSender::new(proto.clone(), markers), VecDeque::new()))
             .collect();
-        Self { drr, flows }
+        Self {
+            drr,
+            flows,
+            numbers: Vec::new(),
+        }
     }
 
     fn enqueue(&mut self, flow: usize, pkt: usize, len: usize) {
         self.flows[flow].1.push_back((pkt, len));
         self.drr.activate(flow);
+        self.numbers.resize(self.numbers.len().max(pkt + 1), None);
+    }
+
+    /// The number the reference engine gave packet `pkt`.
+    fn number_of(&self, pkt: usize) -> ChannelMark {
+        self.numbers[pkt].expect("offered")
     }
 
     /// One pump of at most `budget` packets: `(flow, channel, item)` in
@@ -171,10 +207,15 @@ impl OfferOrder {
                 turn.push((pkt, len));
             }
             let lens: Vec<usize> = turn.iter().map(|&(_, len)| len).collect();
-            let (mut chans, mut marks) = (Vec::new(), Vec::new());
-            tx.send_batch(&lens, &mut chans, &mut marks);
+            let (mut chans, mut numbers, mut marks) = (Vec::new(), Vec::new(), Vec::new());
+            tx.send_batch_numbered(&lens, 0, &mut chans, &mut numbers, &mut marks);
+            if numbers.is_empty() {
+                // Markers off: nobody reads a number, none is made.
+                numbers.resize(lens.len(), ChannelMark { round: 0, dc: 0 });
+            }
             let mut m = marks.iter().peekable();
             for (i, (&(pkt, _), &channel)) in turn.iter().zip(&chans).enumerate() {
+                self.numbers[pkt] = Some(numbers[i]);
                 offers.push((fid as FlowId, channel, Item::Data(pkt)));
                 while let Some(&(_, channel, marker)) = m.next_if(|&&(after, _, _)| after == i) {
                     offers.push((fid as FlowId, channel, Item::Marker(marker)));
@@ -201,11 +242,11 @@ fn takes_field(flow: FlowId, len: usize, mtu: usize) -> bool {
 }
 
 /// One frame off channel `c`'s wire as the receiver reads it: whose it
-/// is, the mark it states (a marker frame's, or the one a data frame
-/// carries), the payload it delivers. Every byte around those is checked
+/// is, the mark it states (a marker frame's, or a data frame's own
+/// number), the payload it delivers. Every byte around those is checked
 /// here against the plain encoders: a frame without the field is the
 /// bytes it always was, one with the field is the same header, the
-/// field, the same payload.
+/// field, the same payload — and the field is never left empty.
 fn read_frame(c: usize, f: &[u8], coalesce: bool) -> (FlowId, Option<Marker>, Option<&[u8]>) {
     assert_eq!(f[1], FRAME_VERSION_FLOW, "server emits v2");
     let p = frame::parse(f).expect("well-formed frame");
@@ -234,7 +275,8 @@ fn read_frame(c: usize, f: &[u8], coalesce: bool) -> (FlowId, Option<Marker>, Op
                     frame::encode_data_summed_flow_into(p.flow, body, &mut plain);
                     assert_eq!(f, &plain[..], "summed frame bytes changed");
                 }
-                KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED => {
+                KIND_DATA_MARK_EMPTY => panic!("the encode-time placeholder on a wire"),
+                KIND_DATA_MARKED => {
                     frame::encode_data_flow_into(p.flow, body, &mut plain);
                     let at = plain.len() - body.len();
                     assert_eq!(f.len(), plain.len() + MARK_FIELD_LEN);
@@ -517,32 +559,46 @@ proptest! {
 
             // (i) Per (flow, channel) the expanded wire is the oracle's —
             // exactly the offers whose events carry no error, in offer
-            // order: so a mark left iff its event says so, alone or in
-            // the frame the flow offered next on that channel.
+            // order: so a mark left iff its event says so, alone or as
+            // the number of the frame the flow offered next on that
+            // channel — and every frame with the field states the number
+            // the reference engine gave its packet.
             for (c, link) in rx_links.iter_mut().enumerate() {
                 let wire = drain(link);
                 let mut cursor = vec![0usize; flows];
                 let mut at = 0;
                 for f in &wire {
                     let (flow, mark, body) = read_frame(c, f, coalesce);
-                    if let Some(body) = body {
-                        let has_field = matches!(f[2], KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED);
-                        prop_assert_eq!(has_field, carrying && takes_field(flow, body.len(), mtu));
-                        prop_assert_eq!(f[2] == KIND_DATA_SUMMED, integrity);
-                        carried_on_wire += mark.is_some() as u64;
-                    }
-                    let items = [mark.map(Item::Marker), body.map(|b| {
-                        Item::Data(u32::from_be_bytes(b[..4].try_into().unwrap()) as usize)
-                    })];
-                    for got in items.into_iter().flatten() {
-                        // This flow's next kept offer on the channel.
+                    let pkt = body.map(|b| u32::from_be_bytes(b[..4].try_into().unwrap()) as usize);
+                    // This flow's next kept offer on the channel.
+                    let next_kept = |cursor: &mut [usize]| {
                         let mine = &mut cursor[flow as usize];
                         while kept[c].get(*mine).is_some_and(|o| o.0 != flow) {
                             *mine += 1;
                         }
-                        let Some(&(_, _, want)) = kept[c].get(*mine) else {
+                        kept[c].get(*mine).copied()
+                    };
+                    let mut items = [mark.map(Item::Marker), pkt.map(Item::Data)];
+                    if let (Some(own), Some(pkt), Some(body)) = (mark, pkt, body) {
+                        prop_assert!(carrying && takes_field(flow, body.len(), mtu), "a field against the length rule");
+                        prop_assert_eq!(own.mark, oracle.number_of(pkt), "packet {}'s number", pkt);
+                        // The number stands for the mark offered directly
+                        // ahead of the packet, if one was (and then has
+                        // to be that mark, which is checked below).
+                        let rode = matches!(next_kept(&mut cursor), Some((_, _, Item::Marker(_))));
+                        carried_on_wire += rode as u64;
+                        if !rode {
+                            items[0] = None;
+                        }
+                    } else if let Some(body) = body {
+                        prop_assert!(!(carrying && takes_field(flow, body.len(), mtu)), "a long frame without its number");
+                        prop_assert_eq!(f[2] == KIND_DATA_SUMMED, integrity);
+                    }
+                    for got in items.into_iter().flatten() {
+                        let Some((_, _, want)) = next_kept(&mut cursor) else {
                             return Err(TestCaseError::fail(format!("channel {c}: flow {flow} frame from nowhere")));
                         };
+                        let mine = &mut cursor[flow as usize];
                         if uniform {
                             // (ii) …and then the whole wire is in offer order.
                             prop_assert_eq!(*mine, at, "identity merge reordered channel {}", c);
@@ -583,9 +639,10 @@ proptest! {
 
     /// One flow through the server against a bare sender engine:
     /// identical channel and marker sequences in offer order, and every
-    /// channel's expanded wire exactly the oracle's payloads and marks,
-    /// flow-tagged to flow 0 — lengths on both sides of the field rule,
-    /// integrity on and off, links that ask for padding and not.
+    /// channel's expanded wire exactly the oracle's payloads, marks and
+    /// packet numbers, flow-tagged to flow 0 — lengths on both sides of
+    /// the field rule, integrity on and off, links that ask for padding
+    /// and not.
     #[test]
     fn one_flow_server_matches_bare_sender_on_the_wire(
         lens in prop::collection::vec(1usize..1200, 1..120),
@@ -622,8 +679,8 @@ proptest! {
             Srr::equal(channels, quantum),
             MarkerConfig::every_rounds(marker_rounds),
         );
-        let (mut chans, mut marks) = (Vec::new(), Vec::new());
-        oracle.send_batch(&lens, &mut chans, &mut marks);
+        let (mut chans, mut numbers, mut marks) = (Vec::new(), Vec::new(), Vec::new());
+        oracle.send_batch_numbered(&lens, 0, &mut chans, &mut numbers, &mut marks);
         let mut want_events = Vec::new();
         let mut want_wire: Vec<Vec<Item>> = (0..channels).map(|_| Vec::new()).collect();
         let mut m = marks.iter().peekable();
@@ -640,7 +697,7 @@ proptest! {
         let (mut carried, mut alone) = (0u64, 0u64);
         for (c, (link, want)) in rx_links.iter_mut().zip(want_wire).enumerate() {
             let frames = drain(link);
-            let mut want = want.iter();
+            let mut want = want.iter().peekable();
             // Marker frames since the channel's last data frame (their
             // wire lengths if padded), and that frame's length: a padded
             // marker frame matches a data frame it sits next to.
@@ -649,31 +706,36 @@ proptest! {
             for f in &frames {
                 let (tag, mark, body) = read_frame(c, f, coalesce);
                 prop_assert_eq!(tag, 0u32);
-                if let Some(mk) = mark {
-                    prop_assert_eq!(want.next(), Some(&Item::Marker(mk)), "channel {}", c);
-                }
                 match body {
                     Some(body) => {
+                        // A frame's number stands for the mark the engine
+                        // made directly ahead of the packet, if it made
+                        // one, and says what that mark said.
+                        let rode = mark.is_some() && matches!(want.peek(), Some(Item::Marker(_)));
+                        if rode {
+                            prop_assert_eq!(want.next().copied(), mark.map(Item::Marker), "channel {}", c);
+                        }
                         let Some(&Item::Data(i)) = want.next() else {
                             return Err(TestCaseError::fail(format!("channel {c}: data from nowhere")));
                         };
                         prop_assert_eq!(body, &payload(i)[..], "bodies byte-identical");
-                        // The field is there by the length rule alone, and
-                        // a mark ahead of a frame that has it rides it.
-                        let has_field = matches!(f[2], KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED);
-                        prop_assert_eq!(has_field, !integrity && takes_field(0, lens[i], mtu));
-                        prop_assert!(mark.is_none() || has_field);
+                        // The field is there by the length rule alone,
+                        // never empty, and holds the engine's number for
+                        // this very packet.
+                        let has_field = !integrity && takes_field(0, lens[i], mtu);
+                        prop_assert_eq!(mark.map(|mk| mk.mark), has_field.then_some(numbers[i]));
                         prop_assert!(
-                            since.is_empty() || !has_field || mark.is_some(),
+                            since.is_empty() || !has_field || rode,
                             "a mark left alone ahead of a frame with room"
                         );
                         for len in since.drain(..).flatten() {
                             prop_assert!(len == f.len() || Some(len) == last_data, "padded to no neighbour");
                         }
                         last_data = Some(f.len());
-                        carried += mark.is_some() as u64;
+                        carried += rode as u64;
                     }
                     None => {
+                        prop_assert_eq!(want.next().copied(), mark.map(Item::Marker), "channel {}", c);
                         alone += 1;
                         since.push((f[2] == KIND_CONTROL_PADDED).then_some(f.len()));
                     }
@@ -692,11 +754,13 @@ proptest! {
     /// A mark dies with its carrier and never otherwise. The server's
     /// wire runs through a seeded per-frame drop pattern into a
     /// `FlowDemux`; beside it each flow has a bare `LogicalReceiver` fed
-    /// the *oracle's* arrivals — every marker a thing of its own —
-    /// except those a dropped frame stood for: its data, and the mark
-    /// inside it if it carried one. Both see their arrivals in the same
-    /// order (a sweep's: channel by channel) and are polled at the same
-    /// points, and must deliver the same packets in the same order.
+    /// the *oracle's* arrivals — every marker a thing of its own, every
+    /// packet whose frame has the field numbered by the reference
+    /// engine — except those a dropped frame stood for: its data, and
+    /// the mark that rode it if one did. Both see their arrivals in the
+    /// same order (a sweep's: channel by channel) and are polled at the
+    /// same points, and must deliver the same packets in the same order
+    /// and end on the same counters.
     #[test]
     fn loss_takes_a_mark_only_with_its_carrier(
         (flows, channels) in (1usize..=6, 2usize..=4),
@@ -733,7 +797,7 @@ proptest! {
             .build();
         let handles: Vec<_> = (0..flows).map(|_| server.open_flow().expect("admitted")).collect();
         let mut oracle = OfferOrder::new(flows, flow_quantum, &proto, markers);
-        let mut bare: Vec<LogicalReceiver<Srr, TestPacket>> =
+        let mut bare: Vec<LogicalReceiver<Srr, Numbered>> =
             (0..flows).map(|_| LogicalReceiver::new(proto.clone(), CAP)).collect();
 
         let lens: Vec<usize> = packets.iter().map(|&(_, k)| classes[k % classes.len()]).collect();
@@ -746,7 +810,7 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let mut events = Vec::new();
         let (mut got, mut want) = (RxBatch::new(), RxBatch::new());
-        let (mut dropped_marks, mut delivered) = (0u64, 0usize);
+        let (mut dropped_marks, mut kept_marks, mut numbered, mut delivered) = (0u64, 0u64, 0u64, 0usize);
         for budget in budgets.into_iter().chain(std::iter::once(usize::MAX)) {
             server.pump_into(SimTime::ZERO, budget, &mut events);
             // The oracle's arrivals of this pump, per (flow, channel).
@@ -759,17 +823,33 @@ proptest! {
                 for f in drain(&mut taps[c]) {
                     let (flow, mark, body) = read_frame(c, &f, false);
                     let lost = rng.range_u64(0, 1_000_000) < drop_ppm as u64;
-                    dropped_marks += (lost && mark.is_some() && body.is_some()) as u64;
-                    // The frame stands for this many of the oracle's
-                    // arrivals on (flow, c), the next ones in order.
-                    for _ in 0..mark.is_some() as usize + body.is_some() as usize {
-                        let arrival = match theirs[flow as usize][c].pop_front() {
-                            Some(Item::Data(pkt)) => Arrival::Data(TestPacket::new(pkt as u64, lens[pkt])),
-                            Some(Item::Marker(mk)) => Arrival::Marker(mk),
-                            None => return Err(TestCaseError::fail("a frame the oracle never offered")),
+                    let theirs = &mut theirs[flow as usize][c];
+                    // A marker frame is the oracle's next arrival on
+                    // (flow, c). So is a mark directly ahead of a packet
+                    // whose frame states its number: it rode, and what
+                    // the oracle's receiver gets of it is that number.
+                    let own = mark.filter(|_| body.is_some());
+                    if own.is_none() || matches!(theirs.front(), Some(Item::Marker(_))) {
+                        if let Some(mk) = mark {
+                            prop_assert_eq!(theirs.pop_front(), Some(Item::Marker(mk)));
+                            match (own, lost) {
+                                (None, false) => _ = bare[flow as usize].push(c, Arrival::Marker(mk)),
+                                (Some(_), false) => kept_marks += 1,
+                                (Some(_), true) => dropped_marks += 1,
+                                (None, true) => {}
+                            }
+                        }
+                    }
+                    if body.is_some() {
+                        let Some(Item::Data(pkt)) = theirs.pop_front() else {
+                            return Err(TestCaseError::fail("a frame the oracle never offered"));
                         };
+                        let number = own.map(|_| oracle.number_of(pkt));
+                        prop_assert_eq!(own.map(|mk| mk.mark), number, "packet {}'s number", pkt);
                         if !lost {
-                            bare[flow as usize].push(c, arrival);
+                            numbered += number.is_some() as u64;
+                            let p = Numbered { id: pkt as u64, len: lens[pkt], number };
+                            bare[flow as usize].push(c, Arrival::Data(p));
                         }
                     }
                     if !lost {
@@ -796,8 +876,10 @@ proptest! {
                 prop_assert_eq!(theirs, rx.stats(), "flow {} resequencer counters", flow);
             }
         }
-        let carried = server.stats().markers_carried;
-        prop_assert_eq!(demux.net_stats().marked_frames + dropped_marks, carried);
+        // Every frame with the field arrived numbered; the marks that
+        // rode one are the server's count, lost with their carriers or not.
+        prop_assert_eq!(demux.net_stats().marked_frames, numbered);
+        prop_assert_eq!(kept_marks + dropped_marks, server.stats().markers_carried);
         prop_assert!(drop_ppm > 0 || delivered == packets.len(), "lossless and incomplete");
     }
 

@@ -848,12 +848,29 @@ type StreamCounts = ([u64; 2], [u64; 2], u64, u64, u64);
 #[derive(Default)]
 struct Tally {
     counts: StreamCounts,
+    /// Data frames, of an admitted flow, that stated their number…
+    stated: u64,
+    /// …and were routed with it.
     marked: u64,
+    /// Marks — stated by a data frame or a marker frame — refused as out
+    /// of reach.
+    ahead: u64,
     admitted: std::collections::BTreeSet<u32>,
 }
 
 impl Tally {
     const MAX_FLOWS: usize = 8;
+    /// How far ahead of its round a default-built demux over these links
+    /// lets a mark be: ring capacity + 2 packets, at the two rounds a
+    /// 2048-byte packet can take a 1500-byte quantum to pay off. Nothing
+    /// below polls, so every replica's round stays 1.
+    const REACH: u64 = ((1 << 14) + 2) * 2;
+
+    fn in_reach(&mut self, mark: ChannelMark) -> bool {
+        let ok = mark.round.saturating_sub(1) <= Self::REACH;
+        self.ahead += !ok as u64;
+        ok
+    }
 
     fn admit(&mut self, flow: u32) -> bool {
         self.admitted.contains(&flow)
@@ -862,11 +879,12 @@ impl Tally {
                 && self.admitted.insert(flow))
     }
 
-    fn data(&mut self, flow: u32, marked: bool) {
+    fn data(&mut self, flow: u32, mark: Option<ChannelMark>) {
         match self.admit(flow) {
             true => {
                 self.counts.2 += 1;
-                self.marked += marked as u64;
+                self.stated += mark.is_some() as u64;
+                self.marked += mark.is_some_and(|m| self.in_reach(m)) as u64;
             }
             false => self.counts.4 += 1,
         }
@@ -877,10 +895,13 @@ impl Tally {
         match reference::try_decode_flow(wire) {
             Err(DecodeError::Malformed) => self.counts.0[c] += 1,
             Err(DecodeError::Corrupt) => self.counts.1[c] += 1,
-            Ok((flow, Frame::Data(_))) => self.data(flow, false),
-            Ok((flow, Frame::Control(Control::Marker(_)))) => {
+            Ok((flow, Frame::Data(_))) => self.data(flow, None),
+            Ok((flow, Frame::Control(Control::Marker(mk)))) => {
                 self.counts.3 += 1;
-                self.counts.4 += !self.admit(flow) as u64;
+                match self.admit(flow) {
+                    true => _ = self.in_reach(mk.mark),
+                    false => self.counts.4 += 1,
+                }
             }
             Ok((_, Frame::Control(_))) => self.counts.3 += 1,
         }
@@ -892,7 +913,7 @@ impl Tally {
             return self.reference(c, wire);
         }
         match mark_kind_spec(wire, &mut Vec::new()) {
-            Ok((flow, mark, _)) => self.data(flow, mark.is_some()),
+            Ok((flow, mark, _)) => self.data(flow, mark),
             Err(_) => self.counts.0[c] += 1,
         }
     }
@@ -935,7 +956,10 @@ fn dirty_stream(kinds: u64, seed: u64) -> (Tally, Tally) {
         (s.data_frames, s.control_frames, s.dropped_admission),
         (now.counts.2, now.counts.3, now.counts.4)
     );
-    assert_eq!(s.marked_frames, now.marked);
+    assert_eq!(
+        (s.marked_frames, s.dropped_mark_ahead),
+        (now.marked, now.ahead)
+    );
     (now, then)
 }
 
@@ -951,11 +975,15 @@ fn dirty_stream(kinds: u64, seed: u64) -> (Tally, Tally) {
 fn seeded_dirty_stream_counts_are_unchanged() {
     let (now, then) = dirty_stream(7, 0x16_D1FF);
     assert_eq!(then.counts, RECORDED_ON_THE_ONE_PASS_DECODER);
-    assert_eq!((now.counts, now.marked), (then.counts, 0));
+    assert_eq!((now.counts, now.stated), (then.counts, 0));
+    assert_eq!((now.marked, now.ahead), (0, 11), "flipped marker rounds");
 
     let (now, then) = dirty_stream(9, 0x17_D1FF);
     assert_eq!(then.counts, MARK_KINDS_DRAWN_ON_THE_ONE_PASS_DECODER);
-    assert_eq!((now.counts, now.marked), MARK_KINDS_DRAWN);
+    assert_eq!((now.counts, now.stated), MARK_KINDS_DRAWN);
+    // A bit flipped high in a round field puts the mark out of reach: the
+    // frame is data all the same (counted above), its number is refused.
+    assert_eq!((now.marked, now.ahead), (263, 23));
     let moved = |f: fn(&StreamCounts) -> u64| f(&now.counts) as i64 - f(&then.counts) as i64;
     assert_eq!(
         -moved(|c| c.0[0] + c.0[1]),
@@ -963,6 +991,47 @@ fn seeded_dirty_stream_counts_are_unchanged() {
         "what left `malformed` is data, admitted or refused"
     );
     assert_eq!((moved(|c| c.1[0] + c.1[1]), moved(|c| c.3)), (0, 0));
+}
+
+/// Condition C1 is bounded where a mark enters. A frame of kind 5
+/// stating `round = u64::MAX`, on every channel of a flow, and the same
+/// round in a marker frame behind each: a sweep and a poll return — the
+/// poll used to skip its way to that round — each mark is counted once
+/// at the demux and once on its flow, and every payload is delivered.
+#[test]
+fn a_mark_at_the_end_of_time_is_refused_counted_and_its_payload_delivered() {
+    const CHANNELS: usize = 4;
+    let (mut tx, rx): (Vec<_>, Vec<_>) = (0..CHANNELS).map(|_| datagram_pair(2048, 64)).unzip();
+    let mut demux = FlowDemux::builder()
+        .scheduler(Srr::equal(CHANNELS, 1500))
+        .links(rx)
+        .build();
+    let far = ChannelMark {
+        round: u64::MAX,
+        dc: 1500,
+    };
+    let mut wire = Vec::new();
+    for (c, link) in tx.iter_mut().enumerate() {
+        // A quantum's worth each, so the scan visits every channel.
+        frame::encode_data_markable_flow_into(3, &[c as u8; 1500], &mut wire);
+        assert!(frame::write_mark(&mut wire, far));
+        assert_eq!(wire[2], frame::KIND_DATA_MARKED);
+        link.send_frame(&wire).unwrap();
+        let mk = Control::Marker(Marker::sync(c, far));
+        frame::encode_control_flow_into(3, &mk, &mut wire);
+        link.send_frame(&wire).unwrap();
+    }
+    assert_eq!(demux.sweep(SimTime::ZERO), 2 * CHANNELS);
+    let mut batch = stripe::core::receiver::RxBatch::new();
+    assert_eq!(demux.poll_flow_into(3, &mut batch), CHANNELS);
+    for (c, pb) in batch.drain().enumerate() {
+        assert_eq!(pb.as_slice(), &[c as u8; 1500][..]);
+    }
+    let (s, r) = (demux.net_stats(), demux.flow_stats(3).unwrap());
+    assert_eq!(s.dropped_mark_ahead, 2 * CHANNELS as u64);
+    assert_eq!(r.dropped_mark_ahead, 2 * CHANNELS as u64);
+    assert_eq!((s.data_frames, s.marked_frames), (CHANNELS as u64, 0));
+    assert_eq!((r.skips, r.marks_applied, r.markers_seen), (0, 0, 0));
 }
 
 /// `(malformed per channel, corrupt per channel, data frames, control
@@ -975,8 +1044,8 @@ const RECORDED_ON_THE_ONE_PASS_DECODER: StreamCounts = ([545, 591], [330, 315], 
 const MARK_KINDS_DRAWN_ON_THE_ONE_PASS_DECODER: StreamCounts =
     ([888, 857], [246, 296], 778, 641, 418);
 
-/// …and as the demux counts it, with the number of frames that carried
-/// a mark into a resequencer.
+/// …and as the demux counts it, with the number of data frames of
+/// admitted flows that stated their number.
 const MARK_KINDS_DRAWN: (StreamCounts, u64) = (([507, 469], [246, 296], 1283, 641, 682), 273);
 
 proptest! {
