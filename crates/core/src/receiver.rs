@@ -59,6 +59,9 @@ pub struct ReceiverSnapshot {
     pub markers_seen: u64,
     /// Marks adopted into the scheduler state.
     pub marks_applied: u64,
+    /// Of those, marks whose DC no honest sender states, adopted clamped
+    /// (see [`CausalScheduler::apply_mark`]).
+    pub marks_clamped: u64,
     /// Channel visits skipped under condition C1.
     pub skips: u64,
     /// Arrivals dropped because a channel buffer was full.
@@ -416,7 +419,7 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
                     self.stats.skips += 1;
                     continue;
                 }
-                self.sched.apply_mark(c, m);
+                self.stats.marks_clamped += !self.sched.apply_mark(c, m) as u64;
                 ch.pending = None;
                 self.stats.marks_applied += 1;
             }
@@ -441,7 +444,7 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
                             continue;
                         }
                         if m != self.sched.mark_for(c) {
-                            self.sched.apply_mark(c, m);
+                            self.stats.marks_clamped += !self.sched.apply_mark(c, m) as u64;
                             self.stats.marks_applied += 1;
                         }
                     }

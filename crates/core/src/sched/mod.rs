@@ -90,8 +90,10 @@ pub trait CausalScheduler: std::fmt::Debug {
     ///
     /// The receiver engine calls this only once its global round equals the
     /// mark's round and `c` is the current channel, so implementations can
-    /// simply overwrite local state.
-    fn apply_mark(&mut self, c: ChannelId, m: ChannelMark);
+    /// simply overwrite local state. A mark comes off the wire, so a value
+    /// no honest sender states is clamped to one that costs bounded work;
+    /// returns `false` when that happened.
+    fn apply_mark(&mut self, c: ChannelId, m: ChannelMark) -> bool;
 
     /// Return to the initial state `s0`. Used when a striping group is
     /// re-initialized after an endpoint reset (§5: "when either the sender

@@ -116,13 +116,14 @@ impl CausalScheduler for Rfq {
         }
     }
 
-    fn apply_mark(&mut self, _c: ChannelId, m: ChannelMark) {
+    fn apply_mark(&mut self, _c: ChannelId, m: ChannelMark) -> bool {
         // Fast-forward to the marked draw index; never rewind (a stale
         // marker must not undo progress).
         while self.draws < m.round {
             self.draws += 1;
             self.redraw();
         }
+        true
     }
 
     fn reset(&mut self) {

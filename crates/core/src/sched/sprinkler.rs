@@ -201,7 +201,7 @@ impl CausalScheduler for Sprinkler {
         }
     }
 
-    fn apply_mark(&mut self, _c: ChannelId, m: ChannelMark) {
+    fn apply_mark(&mut self, _c: ChannelId, m: ChannelMark) -> bool {
         // Fast-forward whole stripes (draw-for-draw identical to the
         // sender's own sequence), then adopt the sender's position in
         // the final one. Never rewind.
@@ -211,6 +211,7 @@ impl CausalScheduler for Sprinkler {
         if self.stripes == m.round && m.dc > 0 {
             self.remaining = (m.dc as u64).min(self.remaining.max(1)).max(1);
         }
+        true
     }
 
     fn reset(&mut self) {

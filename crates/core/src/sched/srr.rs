@@ -261,8 +261,18 @@ impl CausalScheduler for Srr {
         }
     }
 
-    fn apply_mark(&mut self, c: ChannelId, m: ChannelMark) {
-        self.chans[c].dc = m.dc;
+    fn apply_mark(&mut self, c: ChannelId, m: ChannelMark) -> bool {
+        // An honest mark states the DC a channel is served at: credited
+        // from at most 0 by one quantum, so in (0, quantum]. Below, a
+        // forged `i64::MIN` would have `advance` credit quanta for ~2^51
+        // rounds (and overflow `dc -= len`); above, one forged DC would
+        // pin the scan to `c` until its next mark. Either end is clamped
+        // to the honest range — by the largest quantum in force or
+        // scheduled, which a mark made across a retune may state.
+        let pending = self.pending_quanta.as_ref().map_or(0, |p| p.1[c]);
+        let dc = m.dc.clamp(1, self.chans[c].quantum.max(pending));
+        self.chans[c].dc = dc;
+        dc == m.dc
     }
 
     fn reset(&mut self) {
@@ -527,7 +537,36 @@ mod tests {
                 (predicted.round, predicted.dc),
                 "prediction for channel {target} diverged"
             );
+            // An honest mark is in range: adopting it changes nothing.
+            let mut adopted = s.clone();
+            assert!(adopted.apply_mark(target, predicted), "{predicted:?}");
+            assert_eq!(adopted, s);
         }
+    }
+
+    /// A forged DC at either end of `i64` is adopted clamped to what an
+    /// honest mark states, (0, quantum], and the scan goes on: no ~2^51
+    /// rounds of credit, no overflow, no channel pinned for good.
+    #[test]
+    fn forged_dc_is_clamped_to_the_honest_range() {
+        for (forged, adopted) in [(i64::MIN, 1), (0, 1), (i64::MAX, 3000)] {
+            let mut s = Srr::weighted(&[1500, 3000]);
+            s.advance(1600); // channel 1 is current
+            assert!(!s.apply_mark(
+                1,
+                ChannelMark {
+                    round: 1,
+                    dc: forged
+                }
+            ));
+            assert_eq!(s.dc(1), adopted);
+            s.advance(3000);
+            assert_eq!(s.current(), 0, "channel 1 let go of the scan");
+        }
+        // A retune's quanta are honest before they take effect.
+        let mut s = Srr::equal(2, 1500);
+        s.schedule_quanta(2, &[1500, 4500]);
+        assert!(s.apply_mark(1, ChannelMark { round: 1, dc: 4500 }));
     }
 
     #[test]

@@ -39,7 +39,9 @@
 //! free buffers of one shared [`TrainPool`], the link lands whatever is
 //! ready (on a GRO socket, whole coalesced trains, several per
 //! `recvmmsg`), and the demux cuts each train by its segment size and
-//! decodes the frames where the kernel put them. A data payload goes to
+//! decodes the frames where the kernel put them; a segment that fails
+//! the frame-magic test is looked at again, as a [bundle](crate::bundle)
+//! of frames, opened once. A data payload goes to
 //! its flow's resequencer, and on to the application, as a [`PooledBuf`]
 //! view into that same buffer — no byte is copied in user space, and
 //! steady state allocates nothing. Dropping the view (which is all
@@ -62,6 +64,7 @@ use stripe_core::types::ChannelId;
 use stripe_link::{DatagramLink, Train};
 use stripe_netsim::SimTime;
 
+use crate::bundle;
 use crate::frame::{self, Body, DecodeError};
 use crate::pool::{PooledBuf, TrainPool};
 use crate::server::{FlowId, DEFAULT_PARK_CAPACITY};
@@ -70,7 +73,8 @@ use crate::server::{FlowId, DEFAULT_PARK_CAPACITY};
 /// each flow's [`ReceiverSnapshot`], see [`FlowDemux::flow_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowDemuxSnapshot {
-    /// Frames received across all channels and flows.
+    /// Frames received across all channels and flows, each of a bundle's
+    /// counted.
     pub frames: u64,
     /// Data frames routed into some flow's resequencer.
     pub data_frames: u64,
@@ -90,6 +94,10 @@ pub struct FlowDemuxSnapshot {
     /// in [`ReceiverSnapshot::dropped_mark_ahead`]). The data such a
     /// frame carried was routed, unnumbered.
     pub dropped_mark_ahead: u64,
+    /// Marks adopted clamped, their DC out of what an honest sender
+    /// states: the sum of [`ReceiverSnapshot::marks_clamped`] over the
+    /// flows instantiated now.
+    pub marks_clamped: u64,
     /// Frames naming a flow the demux refused to create (population at
     /// [`max_flows`](FlowDemuxBuilder::max_flows), or an id at or past
     /// [`flow_id_limit`](FlowDemux::flow_id_limit)).
@@ -394,7 +402,7 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
     /// received.
     pub fn sweep(&mut self, now: SimTime) -> usize {
         let _ = now; // reserved for receive-timestamp plumbing
-        let mut received = 0;
+        let before = self.stats.frames;
         let mut trains = [Train::default(); LAND_MAX];
         let mut homes = [(0, 0); LAND_MAX];
         for c in 0..self.links.len() {
@@ -418,7 +426,6 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                 for (train, &(slot, base)) in trains[..got].iter().zip(&homes) {
                     let buf = Rc::clone(self.pool.handle(slot as usize));
                     for (at, n) in train.frames() {
-                        received += 1;
                         self.stats.frames += 1;
                         self.route_frame(c, &buf, slot as usize, base as usize + at, n);
                     }
@@ -430,7 +437,7 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
             }
         }
         self.sample_desync();
-        received
+        (self.stats.frames - before) as usize
     }
 
     /// Have `want` buffers free for a landing call and one more for
@@ -527,10 +534,43 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         }
     }
 
-    /// Route the frame at `buf[at..at + n]` (see [`route`](Self::route)),
-    /// counting it against channel `c` if it does not decode.
+    /// Route the datagram segment at `buf[at..at + n]` (see
+    /// [`route`](Self::route)), counting it against channel `c` if it
+    /// does not decode. Only a segment that is no frame is looked at
+    /// again, as a bundle: then its frames are routed, each counted.
     fn route_frame(&mut self, c: ChannelId, buf: &Rc<[u8]>, slot: usize, at: usize, n: usize) {
-        match self.route(c, buf, slot, at, n) {
+        let routed = match self.route(c, buf, slot, at, n) {
+            Err(DecodeError::Malformed) => self.route_bundle(c, buf, slot, at, n),
+            routed => routed,
+        };
+        self.count(c, routed);
+    }
+
+    /// Route the frames of the bundle segment at `buf[at..at + n]`, one
+    /// level: a frame in it is a frame, whatever its first byte.
+    /// `Malformed` if it is no bundle.
+    #[cold]
+    fn route_bundle(
+        &mut self,
+        c: ChannelId,
+        buf: &Rc<[u8]>,
+        slot: usize,
+        at: usize,
+        n: usize,
+    ) -> Result<(), DecodeError> {
+        let seg = &buf[at..at + n];
+        let frames = bundle::Frames::open(seg)?;
+        self.stats.frames += frames.len() as u64 - 1;
+        for (off, len) in frames.iter(seg) {
+            let routed = self.route(c, buf, slot, at + off, len);
+            self.count(c, routed);
+        }
+        Ok(())
+    }
+
+    /// Count a frame that did not decode against channel `c`.
+    fn count(&mut self, c: ChannelId, routed: Result<(), DecodeError>) {
+        match routed {
             Ok(()) => {}
             Err(DecodeError::Corrupt) => {
                 self.stats.dropped_corrupt += 1;
@@ -772,7 +812,11 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
 
     /// Demux-wide counters.
     pub fn net_stats(&self) -> FlowDemuxSnapshot {
-        self.stats
+        let flows = self.flows.iter().flatten();
+        FlowDemuxSnapshot {
+            marks_clamped: flows.map(|f| f.rx.stats().marks_clamped).sum(),
+            ..self.stats
+        }
     }
 
     /// Per-channel undecodable-frame counts (indexed by channel id).

@@ -55,9 +55,11 @@
 //!   writable only while no view points into them.
 //! - [`sys`] — the linux-gated `sendmmsg`/`recvmmsg` FFI shim (std-only,
 //!   two `extern "C"` declarations) with a portable per-frame fallback
-//!   behind the same [`BatchIo`](sys::BatchIo) API; also
-//!   `SO_SNDBUF`/`SO_RCVBUF` configuration and the `/proc/net/udp`
-//!   kernel-drop estimate.
+//!   behind the same [`BatchIo`](sys::BatchIo) API, and the send planner
+//!   that cuts a queue into GSO trains; also `SO_SNDBUF`/`SO_RCVBUF`
+//!   configuration and the `/proc/net/udp` kernel-drop estimate.
+//! - [`bundle`] — the link-level container that lets short frames ride
+//!   a long GSO train, and its one decoder.
 //!
 //! Steady state, neither direction allocates: the send side reuses its
 //! scratch and frame buffers, the receive side lands trains in the same
@@ -67,6 +69,7 @@
 #![warn(missing_docs)]
 
 pub mod adapt;
+pub mod bundle;
 pub mod chaos;
 pub mod clock;
 pub mod demux;

@@ -32,6 +32,7 @@ use stripe_netsim::{SimDuration, SimTime};
 use stripe_transport::{flood_announcement, ControlPath, ControlTransmission, FailoverDriver};
 
 use crate::adapt::{AdaptiveStep, AdaptiveTuner};
+use crate::bundle;
 use crate::frame::{self, Body};
 use crate::lifecycle::{ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleState};
 use crate::server::StripeServer;
@@ -267,14 +268,18 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
                         std::array::from_fn(|_| room.next().expect("sized above"));
                     self.path.links_mut()[c].recv_trains(&mut windows, &mut trains)
                 };
-                let frames = trains[..got]
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(i, t)| t.frames().map(move |(at, n)| (i * window + at, n)));
+                // The reverse path is cold: bundles (`net::bundle`) are
+                // opened up front, one level, and their frames handled as
+                // any other.
+                let room = &self.recv_room;
+                let frames = trains[..got].iter().enumerate().flat_map(|(i, &t)| {
+                    let w = i * window;
+                    bundle::frames_of(&room[w..w + window], t).map(move |(at, n)| (w + at, n))
+                });
                 for (at, n) in frames {
                     // Untagged control only: the reverse path is
                     // flow-agnostic, like the global control it answers.
-                    let bytes = &self.recv_room[at..at + n];
+                    let bytes = &room[at..at + n];
                     let ctl = match frame::parse_v1(bytes) {
                         Ok(p) if p.body == Body::Data => {
                             self.stats.dropped_unexpected_data += 1;

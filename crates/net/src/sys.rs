@@ -11,34 +11,53 @@
 //! them re-coalesced and pays one traversal too. Syscall batching alone
 //! caps out at the kernel's per-datagram processing cost (~1.6 µs on the
 //! bench host, a ceiling sendmmsg cannot move); segmentation offload is
-//! what actually lifts it. Mixed-size stretches fall back to plain
-//! `sendmmsg` within the same call. A kernel that rejects a train of
-//! more than 64 segments gets trains of 64 from then on, and one that
-//! rejects `UDP_SEGMENT` itself demotes the instance to mmsg-only, both
-//! at runtime (`gso_ceiling_after_rejection`).
+//! what actually lifts it. A kernel that rejects a train of more than 64
+//! segments gets trains of 64 from then on, and one that rejects
+//! `UDP_SEGMENT` itself demotes the instance to mmsg-only, both at
+//! runtime (`gso_ceiling_after_rejection`, which counts segments).
+//!
+//! **The send planner** ([`SendPlanner`]) cuts the queue into messages.
+//! A message's segment size is its first frame's length; frames of that
+//! length follow it as segments. A *shorter* frame does not end the
+//! train: it and the shorter frames queued directly behind it are packed,
+//! in order, into one [bundle](crate::bundle) segment of at most the
+//! segment size — padded to exactly that when a full-size frame follows
+//! within the ceilings, so the train goes on, and otherwise the message's
+//! shorter last segment. A lone shorter frame with nothing full-size
+//! behind it is the plain shorter tail it always was, and so a queue of
+//! one length plans exactly as it did before bundles. Bundles live only
+//! inside GSO trains: with GSO off every message is one frame. A frame
+//! that starts with the bundle magic leaves as a bundle of one whatever
+//! the path. Bundle headers are written to a scratch reserved once
+//! (16 KiB; a plan that fills it stops bundling), and no message is
+//! handed over in more than [`MAX_PIECES`] pieces.
 //!
 //! A message's frames need not each be an iovec. The kernel's copy-in
 //! walks a message piece by piece and pays ~20 ns a piece whatever its
 //! length — 64 × 70 B as one GSO train costs 40 ns/pkt handed over as 64
-//! iovecs and 21 ns/pkt as one — so the planner
-//! ([`BatchIo::send_slices`]) extends the previous iovec of the same
-//! message whenever the next frame starts where that one ends, and
-//! `iovlen` counts pieces, not frames. Who puts frames back to back is
-//! the caller's business ([`UdpChannel`](crate::udp::UdpChannel) does
-//! it for short frames in its send arena); frames in buffers of their
-//! own plan exactly as they did, one iovec each.
+//! iovecs and 21 ns/pkt as one — so the planner extends the previous
+//! iovec of the same message whenever the next frame starts where that
+//! one ends, and `iovlen` counts pieces, not frames. Who puts frames back
+//! to back is the caller's business ([`UdpChannel`](crate::udp::UdpChannel)
+//! does it for short frames in its send arena, so a bundle's frames are
+//! one piece between its header and its padding); frames in buffers of
+//! their own are one iovec each.
 //!
 //! Receives have one `recvmmsg` builder, and what it moves is the
 //! *train* — whatever the kernel hands over as one datagram, a whole
 //! coalesced run on a GRO socket — never the frame.
 //! [`BatchIo::recv_trains`] lands several trains per call straight in
 //! the caller's windows and reports `(bytes, segment size)` for each, so
-//! the bytes are written once, by the kernel, where they will be read. A
-//! call that comes back short of the windows it offered has drained the
-//! socket; no empty call is needed to find that out. The per-frame
-//! readers ([`BatchIo::recv_frames`], [`BatchIo::recv_one`]) are the
-//! same lander pointed at one internal staging window, followed by a
-//! splitter that copies each segment out.
+//! the bytes are written once, by the kernel, where they will be read;
+//! the caller opens the bundles among the segments
+//! ([`bundle::frames_of`]). A call that comes back short of the windows
+//! it offered has drained the socket; no empty call is needed to find
+//! that out. The per-frame readers ([`BatchIo::recv_frames`],
+//! [`BatchIo::recv_one`]) are the same lander pointed at one internal
+//! staging window, followed by a splitter that copies each segment out —
+//! each frame of a bundle segment in turn. What they leave staged, a
+//! bundle half handed out included, is the first thing the next
+//! `recv_trains` lands.
 //!
 //! The FFI surface is a handful of `extern "C"` declarations and four
 //! `#[repr(C)]` structs, gated on `linux`/`gnu`; everywhere else (and
@@ -63,9 +82,12 @@
 
 use std::io;
 use std::net::UdpSocket;
+use std::os::raw::c_void;
 use std::sync::OnceLock;
 
 use stripe_link::Train;
+
+use crate::bundle;
 
 /// Default frames per `mmsghdr` batch — large enough to amortize the
 /// syscall to noise, small enough to keep scratch arrays cache-resident.
@@ -80,17 +102,20 @@ const GSO_MAX_SEGMENTS: usize = 128;
 /// [`gso_ceiling_after_rejection`]).
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 const GSO_OLD_MAX_SEGMENTS: usize = 64;
-/// Largest pre-segmentation datagram a GSO send may build (max UDP
+/// Largest datagram, a GSO send's before segmentation included (max UDP
 /// payload); `gso_size * segments` must stay under this.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-const GSO_MAX_BYTES: usize = 65_507;
-/// Shortest equal-size run worth a GSO send: even two segments halve the
-/// kernel traversals, which dominate once syscalls are batched.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
+pub const GSO_MAX_BYTES: usize = 65_507;
+/// Shortest run of segments worth a GSO send: even two segments halve
+/// the kernel traversals, which dominate once syscalls are batched.
 const GSO_MIN_RUN: usize = 2;
-/// A window a coalesced train always fits: one GRO datagram is at most
-/// 65507 bytes.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
+/// Most scatter-gather pieces one message may have (`UIO_MAXIOV`).
+pub const MAX_PIECES: usize = 1024;
+/// Bytes of bundle headers one plan may write, reserved once.
+const HEAD_SCRATCH: usize = 16 << 10;
+/// What pads a bundle out to its train's segment size.
+static PADDING: [u8; GSO_MAX_BYTES] = [0; GSO_MAX_BYTES];
+/// A window any datagram fits — a coalesced train on a GRO socket — and
+/// the per-frame readers' staging window.
 const GRO_WINDOW: usize = 1 << 16;
 
 /// True when `STRIPE_NET_FALLBACK=1` forces the portable per-frame path
@@ -120,8 +145,9 @@ pub struct SendReport {
     /// however many frames ride it.
     pub messages: u64,
     /// Scatter-gather pieces those datagrams were handed over as: frames
-    /// that lie back to back in memory share one (the per-frame path
-    /// counts one a frame). What the kernel's copy-in is priced by.
+    /// that lie back to back in memory share one, a bundle adds its
+    /// header and its padding (the per-frame path counts one a frame).
+    /// What the kernel's copy-in is priced by.
     pub iovecs: u64,
     /// The stop was a hard socket error, not backpressure.
     pub hard_error: bool,
@@ -130,13 +156,16 @@ pub struct SendReport {
     /// echo) from `ENOBUFS` (back off) from `EMSGSIZE` (clamp MTU) from
     /// genuinely fatal failures by this value.
     pub errno: Option<i32>,
+    /// Bytes of the datagram the hard error refused: the next frame's,
+    /// or its escape's (see [`bundle`]).
+    pub refused_len: usize,
 }
 
 /// Outcome of one batched receive: `received` frames reached the caller
 /// over `syscalls` calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecvReport {
-    /// Frames received.
+    /// Frames received, each of a bundle's counted.
     pub received: usize,
     /// Syscalls spent (including the one that found the queue empty).
     pub syscalls: u64,
@@ -146,43 +175,274 @@ pub struct RecvReport {
     pub trains: u64,
 }
 
+/// One scatter-gather piece, laid out as the kernel's `struct iovec`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct IoVec {
+    base: *mut c_void,
+    len: usize,
+}
+
+/// One planned message: `frames` queue frames in `segs` segments of
+/// `seg` bytes (the last one possibly shorter), handed over in `pieces`
+/// iovecs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    frames: usize,
+    segs: usize,
+    pieces: usize,
+    seg: usize,
+}
+
+impl Run {
+    /// The `UDP_SEGMENT` value the message carries when it is a train.
+    fn gso_size(&self) -> Option<u16> {
+        (self.segs >= GSO_MIN_RUN).then_some(self.seg as u16)
+    }
+}
+
+/// The send planner: cuts a queue of frames into kernel messages, bundle
+/// segments and all (see the module docs). It touches no socket, so what
+/// it plans can be looked at ([`each_message`](Self::each_message));
+/// [`BatchIo`] hands its plans to `sendmmsg`.
+#[derive(Debug)]
+pub struct SendPlanner {
+    /// Most messages one plan holds.
+    cap: usize,
+    /// Most segments one message carries; 1 is "no GSO".
+    gso_max: usize,
+    iovs: Vec<IoVec>,
+    runs: Vec<Run>,
+    /// Bundle headers: [`HEAD_SCRATCH`] bytes reserved up front and never
+    /// grown, because the iovecs point into it.
+    heads: Vec<u8>,
+}
+
+/// One message of a plan, as [`SendPlanner::each_message`] shows it.
+#[derive(Debug)]
+pub struct PlannedMessage<'a> {
+    /// Queue frames it carries.
+    pub frames: usize,
+    /// Segments the kernel cuts it into.
+    pub segments: usize,
+    /// Its `UDP_SEGMENT` value; `None` for a datagram sent whole.
+    pub gso_size: Option<u16>,
+    /// Its bytes, piece by piece, as the kernel is handed them.
+    pub pieces: &'a [&'a [u8]],
+}
+
+/// Append `bytes` to the message whose pieces start at `iovs[first]`:
+/// the last piece grows when they start where it ends.
+fn push_piece(iovs: &mut Vec<IoVec>, first: usize, bytes: &[u8]) {
+    match iovs[first..].last_mut() {
+        Some(last) if last.base as usize + last.len == bytes.as_ptr() as usize => {
+            last.len += bytes.len();
+        }
+        _ => iovs.push(IoVec {
+            base: bytes.as_ptr() as *mut _,
+            len: bytes.len(),
+        }),
+    }
+}
+
+impl SendPlanner {
+    /// Plans of at most `cap` messages, trains of at most `gso_max`
+    /// segments (1: no GSO, every message one frame).
+    pub fn new(cap: usize, gso_max: usize) -> Self {
+        Self {
+            cap: cap.max(1),
+            gso_max: gso_max.max(1),
+            iovs: Vec::with_capacity(cap),
+            runs: Vec::with_capacity(cap),
+            heads: Vec::with_capacity(HEAD_SCRATCH),
+        }
+    }
+
+    /// Plan all of `frames`, in as many plans as it takes, and show
+    /// `visit` every message in order.
+    pub fn each_message(&mut self, frames: &[&[u8]], mut visit: impl FnMut(&PlannedMessage<'_>)) {
+        let mut pieces: Vec<&[u8]> = Vec::new();
+        let mut from = 0;
+        while from < frames.len() {
+            self.plan(from, frames.len(), &|i| frames[i]);
+            let mut iov = 0;
+            for r in &self.runs {
+                // SAFETY: every piece points into `frames`, `self.heads`
+                // or `PADDING`, none of which changes before the next
+                // plan, and `pieces` is emptied before that.
+                pieces.extend(
+                    self.iovs[iov..iov + r.pieces]
+                        .iter()
+                        .map(|v| unsafe { std::slice::from_raw_parts(v.base as *const u8, v.len) }),
+                );
+                iov += r.pieces;
+                visit(&PlannedMessage {
+                    frames: r.frames,
+                    segments: r.segs,
+                    gso_size: r.gso_size(),
+                    pieces: &pieces,
+                });
+                pieces.clear();
+                from += r.frames;
+            }
+        }
+    }
+
+    /// Plan up to `cap` messages over frames `from..n` into `runs` and
+    /// `iovs` (see the module docs).
+    fn plan<'a>(&mut self, from: usize, n: usize, frame: &impl Fn(usize) -> &'a [u8]) {
+        self.iovs.clear();
+        self.runs.clear();
+        self.heads.clear();
+        let mut at = from;
+        while at < n && self.runs.len() < self.cap {
+            let first = self.iovs.len();
+            let f = frame(at);
+            let (mut i, mut segs) = (at + 1, 1);
+            // The segment size; 0 ends the message here.
+            let seg = if bundle::needs_escape(f) {
+                // Plain, it would read as a bundle: a bundle of one, alone.
+                if self.heads.len() + bundle::ESCAPE_LEN > HEAD_SCRATCH {
+                    break;
+                }
+                self.push_bundle(first, at, i, 0, frame);
+                0
+            } else {
+                push_piece(&mut self.iovs, first, f);
+                f.len()
+            };
+            let most = self.gso_max.min(GSO_MAX_BYTES / seg.max(1)).max(1);
+            while seg > 0 && i < n && segs < most {
+                let g = frame(i);
+                let (pieces, plain) = (self.iovs.len() - first, !bundle::needs_escape(g));
+                if g.len() > seg {
+                    break;
+                }
+                if g.len() == seg && plain {
+                    if pieces == MAX_PIECES {
+                        break;
+                    }
+                    push_piece(&mut self.iovs, first, g);
+                    (i, segs) = (i + 1, segs + 1);
+                    continue;
+                }
+                // Shorter, or of this length but read as a bundle plain.
+                let k = self.fit(i, n, seg, pieces, frame);
+                let full =
+                    |j: usize| j < n && frame(j).len() == seg && !bundle::needs_escape(frame(j));
+                if k > 0 && full(i + k) && segs + 2 <= most && pieces + k + 3 <= MAX_PIECES {
+                    self.push_bundle(first, i, i + k, seg, frame);
+                    (i, segs) = (i + k, segs + 1);
+                    continue;
+                }
+                if k > 1 || (k == 1 && !plain) {
+                    self.push_bundle(first, i, i + k, 0, frame);
+                    (i, segs) = (i + k, segs + 1);
+                } else if plain && !g.is_empty() && pieces < MAX_PIECES {
+                    push_piece(&mut self.iovs, first, g); // the plain shorter tail
+                    (i, segs) = (i + 1, segs + 1);
+                }
+                break;
+            }
+            let pieces = self.iovs.len() - first;
+            self.runs.push(Run {
+                frames: i - at,
+                segs,
+                pieces,
+                seg,
+            });
+            at = i;
+        }
+    }
+
+    /// How many frames from `i` on one bundle of at most `seg` bytes
+    /// takes, within the header scratch and beside the `pieces` its
+    /// message has (a bundle adds a header and a padding piece).
+    fn fit<'a>(
+        &self,
+        i: usize,
+        n: usize,
+        seg: usize,
+        pieces: usize,
+        frame: &impl Fn(usize) -> &'a [u8],
+    ) -> usize {
+        let (mut k, mut bytes) = (0, bundle::header_len(0));
+        while i + k < n && k < bundle::MAX_FRAMES {
+            let grown = bytes + 2 + frame(i + k).len();
+            if grown > seg
+                || self.heads.len() + bundle::header_len(k + 1) > HEAD_SCRATCH
+                || pieces + k + 3 > MAX_PIECES
+            {
+                break;
+            }
+            (k, bytes) = (k + 1, grown);
+        }
+        k
+    }
+
+    /// Append frames `i..j` as one bundle segment to the message whose
+    /// pieces start at `iovs[first]`, zero-padded to `pad_to` bytes.
+    fn push_bundle<'a>(
+        &mut self,
+        first: usize,
+        i: usize,
+        j: usize,
+        pad_to: usize,
+        frame: &impl Fn(usize) -> &'a [u8],
+    ) {
+        let h = self.heads.len();
+        bundle::push_header((i..j).map(|x| frame(x).len()), &mut self.heads);
+        debug_assert!(self.heads.len() <= HEAD_SCRATCH, "never grown");
+        push_piece(&mut self.iovs, first, &self.heads[h..]);
+        let mut len = self.heads.len() - h;
+        for g in (i..j).map(frame) {
+            if !g.is_empty() {
+                push_piece(&mut self.iovs, first, g);
+            }
+            len += g.len();
+        }
+        if pad_to > len {
+            push_piece(&mut self.iovs, first, &PADDING[..pad_to - len]);
+        }
+    }
+}
+
 /// Reusable scratch for batched sends/receives on one socket.
 ///
 /// On `linux`/`gnu` with the fallback not forced, runs go to the kernel
-/// as `mmsghdr` arrays (one message per train, one iovec per stretch of
-/// frames that lie back to back in memory); otherwise the same calls loop
-/// per frame. The scratch vectors are sized once and recycled forever —
-/// zero allocations per batch.
+/// as `mmsghdr` arrays of the messages a [`SendPlanner`] cuts them into;
+/// otherwise the same calls loop per frame. The scratch vectors are sized
+/// once and recycled forever — zero allocations per batch.
 #[derive(Debug)]
 pub struct BatchIo {
     cap: usize,
     batched: bool,
-    /// Most frames one GSO send may carry; 1 is "no GSO". Starts at
-    /// [`GSO_MAX_SEGMENTS`] when `batched`, lowered at runtime by what
-    /// the kernel rejects (see [`gso_ceiling_after_rejection`]).
-    gso_max: usize,
     /// The socket this instance reads has `UDP_GRO` enabled, so receives
     /// must go through the coalescing-aware splitter.
     gro: bool,
+    /// Its GSO ceiling starts at [`GSO_MAX_SEGMENTS`] when `batched` (1,
+    /// "no GSO", otherwise) and is lowered at runtime by what the kernel
+    /// rejects (see [`gso_ceiling_after_rejection`]).
+    planner: SendPlanner,
+    /// The per-frame send path's escape of a frame that starts with the
+    /// bundle magic.
+    escaped: Vec<u8>,
+    /// The per-frame readers' window: the lander puts one train here,
+    /// `staged` describes it, `left_off` is the offset of its next
+    /// undelivered segment, and `unpacking` the bundle segment being
+    /// handed out frame by frame — where it starts, what is left of it.
+    staging: Vec<u8>,
+    staged: Train,
+    left_off: usize,
+    unpacking: Option<(usize, bundle::Frames)>,
+    /// One window per message of a landing call.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    iovs: Vec<ffi::IoVec>,
+    windows: Vec<IoVec>,
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     hdrs: Vec<ffi::MMsgHdr>,
-    /// One `UDP_SEGMENT` control block per planned send message.
+    /// One `UDP_SEGMENT` or `UDP_GRO` control block per message.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     cmsgs: Vec<ffi::SegmentCmsg>,
-    /// `(frames, iovecs)` covered by each planned send message.
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    runs: Vec<(usize, usize)>,
-    /// The per-frame readers' window on a GRO socket: the lander puts
-    /// one train here, `staged` describes it, and `left_off` is the
-    /// offset of its next undelivered segment.
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    staging: Vec<u8>,
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    staged: Train,
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    left_off: usize,
 }
 
 // SAFETY: the raw pointers inside the scratch arrays are dangling
@@ -190,6 +450,13 @@ pub struct BatchIo {
 // before the syscall and never reads them afterwards. Moving the
 // scratch across threads is therefore sound.
 unsafe impl Send for BatchIo {}
+
+/// Copy `src` into `buf`, cut to fit; the bytes copied.
+fn copy_out(src: &[u8], buf: &mut [u8]) -> usize {
+    let k = src.len().min(buf.len());
+    buf[..k].copy_from_slice(&src[..k]);
+    k
+}
 
 impl BatchIo {
     /// Scratch for batches of up to `cap` frames. `force_fallback`
@@ -201,22 +468,19 @@ impl BatchIo {
         Self {
             cap,
             batched,
-            gso_max: if batched { GSO_MAX_SEGMENTS } else { 1 },
             gro: false,
+            planner: SendPlanner::new(cap, if batched { GSO_MAX_SEGMENTS } else { 1 }),
+            escaped: Vec::new(),
+            staging: vec![0; GRO_WINDOW],
+            staged: Train::default(),
+            left_off: 0,
+            unpacking: None,
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            iovs: Vec::with_capacity(cap),
+            windows: Vec::with_capacity(cap),
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
             hdrs: Vec::with_capacity(cap),
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
             cmsgs: Vec::with_capacity(cap),
-            #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            runs: Vec::with_capacity(cap),
-            #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            staging: Vec::new(),
-            #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            staged: Train::default(),
-            #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            left_off: 0,
         }
     }
 
@@ -227,26 +491,21 @@ impl BatchIo {
 
     /// Whether equal-size runs currently go out as GSO super-datagrams.
     pub fn gso_active(&self) -> bool {
-        self.gso_max > 1
+        self.planner.gso_max > 1
     }
 
     /// Permanently stop offering GSO trains on this socket — the
     /// `EMSGSIZE` recovery: once the path MTU shrinks below what probing
     /// accepted, super-datagrams are the first thing to start bouncing.
     pub fn demote_gso(&mut self) {
-        self.gso_max = 1;
+        self.planner.gso_max = 1;
     }
 
     /// Mark the socket this instance reads as `UDP_GRO`-enabled (see
     /// [`configure_offload`]): every receive then asks the kernel for
-    /// the segment size of what it hands over. The per-frame readers'
-    /// staging window is sized here so no receive path allocates.
+    /// the segment size of what it hands over.
     pub fn set_gro(&mut self, on: bool) {
         self.gro = self.batched && on;
-        #[cfg(all(target_os = "linux", target_env = "gnu"))]
-        if self.gro {
-            self.staging.resize(GRO_WINDOW, 0);
-        }
     }
 
     /// Whether receives treat the socket as GRO-coalescing.
@@ -288,7 +547,12 @@ impl BatchIo {
         let mut rep = SendReport::default();
         for i in 0..n {
             rep.syscalls += 1;
-            match sock.send(frame(i)) {
+            let mut datagram = frame(i);
+            if bundle::needs_escape(datagram) {
+                bundle::escape_into(datagram, &mut self.escaped);
+                datagram = &self.escaped;
+            }
+            match sock.send(datagram) {
                 Ok(_) => {
                     rep.sent += 1;
                     rep.messages += 1;
@@ -298,6 +562,7 @@ impl BatchIo {
                     rep.hard_error = e.kind() != io::ErrorKind::WouldBlock;
                     if rep.hard_error {
                         rep.errno = e.raw_os_error();
+                        rep.refused_len = datagram.len();
                     }
                     break;
                 }
@@ -308,20 +573,22 @@ impl BatchIo {
 
     /// Bytes one window of [`recv_trains`](Self::recv_trains) must hold
     /// on this socket: a whole coalesced train under GRO, else one frame
-    /// of at most `mtu` bytes.
+    /// of at most `mtu` bytes, escaped.
     pub fn recv_window(&self, mtu: usize) -> usize {
-        #[cfg(all(target_os = "linux", target_env = "gnu"))]
         if self.gro {
-            return GRO_WINDOW;
+            GRO_WINDOW
+        } else {
+            mtu + bundle::ESCAPE_LEN
         }
-        mtu
     }
 
     /// Land ready trains, in order, one per window, describing train `i`
     /// in `trains[i]`; returns how many landed and what that cost. Fewer
     /// than `windows.len()` means the socket queue is drained. Windows
     /// must hold [`recv_window`](Self::recv_window) bytes each — a GRO
-    /// socket would truncate a train into anything shorter.
+    /// socket would truncate a train into anything shorter. The bundles
+    /// among the segments are left for the caller to open
+    /// ([`bundle::frames_of`]); `received` counts their frames.
     pub fn recv_trains(
         &mut self,
         sock: &UdpSocket,
@@ -329,46 +596,76 @@ impl BatchIo {
         trains: &mut [Train],
     ) -> (usize, RecvReport) {
         let mut rep = RecvReport::default();
-        let mut k = 0;
         if windows.is_empty() {
             return (0, rep);
         }
         debug_assert!(trains.len() >= windows.len(), "one report per window");
+        let mut k = self.hand_over(windows, trains);
+        // Nothing lands ahead of what was staged and did not fit.
+        if self.unpacking.is_none() && self.left_off >= self.staged.bytes {
+            k = self.land_trains(sock, windows, trains, k, &mut rep);
+        }
+        rep.received = windows
+            .iter()
+            .zip(&trains[..k])
+            .map(|(w, &t)| bundle::count(w, t))
+            .sum();
+        (k, rep)
+    }
+
+    /// Land trains in `windows[k..]`, one per window, until the socket
+    /// is drained; one past the last window filled.
+    fn land_trains(
+        &mut self,
+        sock: &UdpSocket,
+        windows: &mut [&mut [u8]],
+        trains: &mut [Train],
+        mut k: usize,
+        rep: &mut RecvReport,
+    ) -> usize {
         #[cfg(all(target_os = "linux", target_env = "gnu"))]
         if self.batched {
             assert!(
                 !self.gro || windows.iter().all(|w| w.len() >= GRO_WINDOW),
                 "a GRO window must hold a whole train"
             );
-            if self.left_off < self.staged.bytes {
-                // A per-frame reader left part of a train staged: it is
-                // next in order, so it moves out first.
-                let rest = &self.staging[self.left_off..self.staged.bytes];
-                windows[0][..rest.len()].copy_from_slice(rest);
-                trains[0] = Train {
-                    bytes: rest.len(),
-                    seg: self.staged.seg,
-                };
-                self.left_off = self.staged.bytes;
-                k = 1;
-            }
-            k = self.land_in(sock, windows, k, &mut rep, |i, t| trains[i] = t);
-            rep.received = trains[..k].iter().map(|t| t.frames().count()).sum();
-            return (k, rep);
+            return self.land_in(sock, windows, k, rep, |i, t| trains[i] = t);
         }
-        for (w, t) in windows.iter_mut().zip(trains.iter_mut()) {
+        for (w, t) in windows[k..].iter_mut().zip(&mut trains[k..]) {
             rep.syscalls += 1;
             match sock.recv(w) {
-                Ok(n) => {
-                    *t = Train::frame(n);
-                    k += 1;
-                }
+                Ok(n) => *t = Train::frame(n),
                 Err(_) => break,
             }
+            rep.trains += 1;
+            k += 1;
         }
-        rep.received = k;
-        rep.trains = k as u64;
-        (k, rep)
+        k
+    }
+
+    /// Move what the per-frame readers left staged to the front of
+    /// `windows`, in order — the frames of a bundle half handed out,
+    /// packed again as a bundle of their own, then the rest of the
+    /// train — as far as the windows go. Returns the windows filled.
+    fn hand_over(&mut self, windows: &mut [&mut [u8]], trains: &mut [Train]) -> usize {
+        let mut k = 0;
+        if let Some((at, mut frames)) = self.unpacking {
+            let n = frames.pack_into(&self.staging[at..self.left_off], windows[0]);
+            trains[0] = Train::frame(n);
+            self.unpacking = (!frames.is_empty()).then_some((at, frames));
+            k = 1;
+        }
+        if self.unpacking.is_none() && self.left_off < self.staged.bytes && k < windows.len() {
+            let rest = &self.staging[self.left_off..self.staged.bytes];
+            windows[k][..rest.len()].copy_from_slice(rest);
+            trains[k] = Train {
+                bytes: rest.len(),
+                seg: self.staged.seg,
+            };
+            self.left_off = self.staged.bytes;
+            k += 1;
+        }
+        k
     }
 
     /// Receive up to `bufs.len()` frames, writing frame `i` into
@@ -382,104 +679,92 @@ impl BatchIo {
     ) -> RecvReport {
         debug_assert!(lens.len() >= bufs.len(), "one length slot per buffer");
         let mut rep = RecvReport::default();
-        #[cfg(all(target_os = "linux", target_env = "gnu"))]
-        if self.gro {
-            while rep.received < bufs.len() {
-                match self.next_staged(sock, &mut bufs[rep.received], &mut rep) {
-                    Some(n) => {
-                        lens[rep.received] = n;
-                        rep.received += 1;
-                    }
-                    None => break,
-                }
-            }
-            return rep;
-        }
-        #[cfg(all(target_os = "linux", target_env = "gnu"))]
-        if self.batched {
-            // Whole frames need no splitter: the buffers are the windows.
-            rep.received = self.land_in(sock, bufs, 0, &mut rep, |i, t| lens[i] = t.bytes);
-            return rep;
-        }
-        for (buf, len) in bufs.iter_mut().zip(lens.iter_mut()) {
-            rep.syscalls += 1;
-            match sock.recv(buf) {
-                Ok(n) => {
-                    *len = n;
+        while rep.received < bufs.len() {
+            match self.next_frame(sock, &mut bufs[rep.received], &mut rep) {
+                Some(n) => {
+                    lens[rep.received] = n;
                     rep.received += 1;
-                    rep.trains += 1;
                 }
-                Err(_) => break,
+                None => break,
             }
         }
         rep
     }
 
     /// Receive a single frame into `buf`, returning `(frame length if
-    /// any, what it cost)`. On a GRO socket a plain `recv` would hand
-    /// back a whole coalesced train as one blob, so single-frame readers
-    /// must come through here: the splitter returns one segment and
+    /// any, what it cost)`. A plain `recv` would hand back a whole
+    /// coalesced train, or a whole bundle, as one blob, so single-frame
+    /// readers must come through here: the splitter returns one frame and
     /// keeps the rest staged for the next call (zero syscalls).
     pub fn recv_one(&mut self, sock: &UdpSocket, buf: &mut [u8]) -> (Option<usize>, RecvReport) {
         let mut rep = RecvReport::default();
-        #[cfg(all(target_os = "linux", target_env = "gnu"))]
-        if self.gro {
-            let got = self.next_staged(sock, buf, &mut rep);
-            rep.received = got.is_some() as usize;
-            return (got, rep);
-        }
-        rep.syscalls = 1;
-        let got = sock.recv(buf).ok();
+        let got = self.next_frame(sock, buf, &mut rep);
         rep.received = got.is_some() as usize;
-        rep.trains = rep.received as u64;
         (got, rep)
     }
 
-    /// The splitter: copy the next segment of the staged train into
-    /// `buf`, landing a fresh train in the staging window first when the
-    /// last one is used up. `None` when the socket has nothing.
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn next_staged(
+    /// The splitter: copy the next frame of what is staged into `buf` —
+    /// the next segment, or the next frame of the bundle segment being
+    /// handed out — landing a fresh train in the staging window first
+    /// when the last one is used up. `None` when the socket has nothing.
+    fn next_frame(
         &mut self,
         sock: &UdpSocket,
         buf: &mut [u8],
         rep: &mut RecvReport,
     ) -> Option<usize> {
-        if self.left_off >= self.staged.bytes {
-            self.iovs.clear();
-            self.iovs.push(ffi::IoVec {
+        loop {
+            if let Some((at, mut frames)) = self.unpacking {
+                let seg = &self.staging[at..self.left_off];
+                let (off, n) = frames
+                    .next_in(seg)
+                    .expect("an open bundle has a frame left");
+                self.unpacking = (!frames.is_empty()).then_some((at, frames));
+                return Some(copy_out(&seg[off..off + n], buf));
+            }
+            if self.left_off >= self.staged.bytes {
+                // Nothing is staged while the kernel writes: a failed call
+                // must not replay the old train.
+                (self.staged, self.left_off) = (Train::default(), 0);
+                self.staged = self.land_staged(sock, rep)?;
+                if self.staged.bytes == 0 {
+                    return Some(0); // an empty datagram: one empty frame
+                }
+            }
+            let at = self.left_off;
+            self.left_off = (at + self.staged.seg).min(self.staged.bytes);
+            let seg = &self.staging[at..self.left_off];
+            match bundle::Frames::open(seg) {
+                Ok(frames) => self.unpacking = Some((at, frames)),
+                Err(_) => return Some(copy_out(seg, buf)),
+            }
+        }
+    }
+
+    /// Land one train in the staging window: what it is, `None` when the
+    /// socket has nothing.
+    fn land_staged(&mut self, sock: &UdpSocket, rep: &mut RecvReport) -> Option<Train> {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        if self.batched {
+            self.windows.clear();
+            self.windows.push(IoVec {
                 base: self.staging.as_mut_ptr() as *mut _,
                 len: self.staging.len(),
             });
-            // Nothing is staged while the kernel writes: a failed call
-            // must not replay the old train.
-            self.staged = Train::default();
-            self.left_off = 0;
-            if self.land(sock, rep) == 0 {
-                return None;
-            }
-            self.staged = self.landed(0);
-            if self.staged.bytes == 0 {
-                return Some(0); // an empty datagram: one empty frame
-            }
+            return (self.land(sock, rep) > 0).then(|| self.landed(0));
         }
-        let end = (self.left_off + self.staged.seg).min(self.staged.bytes);
-        let chunk = &self.staging[self.left_off..end];
-        let k = chunk.len().min(buf.len());
-        buf[..k].copy_from_slice(&chunk[..k]);
-        self.left_off = end;
-        Some(k)
+        rep.syscalls += 1;
+        let n = sock.recv(&mut self.staging).ok()?;
+        rep.trains += 1;
+        Some(Train::frame(n))
     }
 
-    /// Batched send: one `sendmmsg` per [`cap`](Self::capacity) planned
-    /// *messages*, where each message is either a GSO train (an
-    /// equal-size run plus optional shorter tail, carrying its own
-    /// `UDP_SEGMENT` cmsg) or a single plain frame. Composing the two
-    /// mechanisms is what keeps both costs amortized at once: the
-    /// kernel's per-datagram stack traversal is paid per *train*, and
-    /// the syscall is paid per *batch of trains*. Within a message the
-    /// planner extends the previous iovec whenever the next frame starts
-    /// where that one ends, so `iovlen` counts pieces, not frames.
+    /// Batched send: one `sendmmsg` per plan of [`cap`](Self::capacity)
+    /// messages, each a GSO train (carrying its own `UDP_SEGMENT` cmsg)
+    /// or a single datagram. Composing the two mechanisms is what keeps
+    /// both costs amortized at once: the kernel's per-datagram stack
+    /// traversal is paid per *train*, and the syscall is paid per *batch
+    /// of trains*.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     fn send_mmsg<'a>(
         &mut self,
@@ -490,7 +775,8 @@ impl BatchIo {
         use std::os::fd::AsRawFd;
         let mut rep = SendReport::default();
         while rep.sent < n {
-            self.plan(rep.sent, n, &frame);
+            self.planner.plan(rep.sent, n, &frame);
+            self.point_headers();
             rep.syscalls += 1;
             // SAFETY: hdrs/iovs/cmsgs point at this call's frames and
             // scratch, all outliving the syscall; vlen matches the
@@ -503,6 +789,7 @@ impl BatchIo {
                     0,
                 )
             };
+            let runs = &self.planner.runs;
             if ret < 0 {
                 let e = io::Error::last_os_error();
                 if e.kind() == io::ErrorKind::WouldBlock {
@@ -514,24 +801,28 @@ impl BatchIo {
                 // retry the same frames. Anything else is a hard error.
                 let gso_rejected =
                     matches!(e.raw_os_error(), Some(22) | Some(90) | Some(92) | Some(95));
-                let longest = self.runs.iter().map(|r| r.0).max().unwrap_or(0);
+                let longest = runs.iter().map(|r| r.segs).max().unwrap_or(0);
                 let lowered = if gso_rejected {
                     gso_ceiling_after_rejection(longest)
                 } else {
                     None
                 };
                 if let Some(max) = lowered {
-                    self.gso_max = max;
+                    self.planner.gso_max = max;
                     continue;
                 }
                 rep.hard_error = true;
                 rep.errno = e.raw_os_error();
+                rep.refused_len = self.planner.iovs[..runs[0].pieces]
+                    .iter()
+                    .map(|v| v.len)
+                    .sum();
                 break;
             }
             let k = ret as usize;
-            for &(frames, iovecs) in &self.runs[..k] {
-                rep.sent += frames;
-                rep.iovecs += iovecs as u64;
+            for r in &runs[..k] {
+                rep.sent += r.frames;
+                rep.iovecs += r.pieces as u64;
             }
             rep.messages += k as u64;
             if k < self.hdrs.len() {
@@ -541,59 +832,20 @@ impl BatchIo {
         rep
     }
 
-    /// Plan up to [`cap`](Self::capacity) messages over frames
-    /// `from..n` into `runs`/`iovs`/`cmsgs`, then point `hdrs` at them.
-    /// A message is as many frames as can ride one GSO send of at most
-    /// `gso_max` segments (at 1, GSO is off): a run of equal-length
-    /// frames (capped by the kernel's segment and byte limits),
-    /// optionally closed by one *shorter* trailing frame — the one
-    /// short-tail segment GSO permits, which lets a marker ride its data
-    /// burst's syscall.
+    /// Point one `mmsghdr` at each planned message, with a `UDP_SEGMENT`
+    /// control block when it is a GSO train.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    fn plan<'a>(&mut self, from: usize, n: usize, frame: &impl Fn(usize) -> &'a [u8]) {
-        // Messages first; headers once the scratch vectors have stopped
-        // growing (hdrs hold pointers into iovs and cmsgs).
-        self.iovs.clear();
+    fn point_headers(&mut self) {
+        let runs = &self.planner.runs;
         self.cmsgs.clear();
-        self.runs.clear();
-        let mut at = from;
-        while at < n && self.runs.len() < self.cap {
-            let first = self.iovs.len();
-            let mut f = frame(at);
-            let lead = f.len();
-            let most = self.gso_max.min(GSO_MAX_BYTES / lead.max(1)).max(1);
-            let end = n.min(at + most);
-            let mut i = at;
-            loop {
-                match self.iovs[first..].last_mut() {
-                    // Starts where the piece before it ends: same piece.
-                    Some(last) if last.base as usize + last.len == f.as_ptr() as usize => {
-                        last.len += f.len();
-                    }
-                    _ => self.iovs.push(ffi::IoVec {
-                        base: f.as_ptr() as *mut _,
-                        len: f.len(),
-                    }),
-                }
-                i += 1;
-                if i == end || f.len() != lead {
-                    break; // full, or closed by the shorter tail
-                }
-                f = frame(i);
-                if f.is_empty() || f.len() > lead {
-                    break;
-                }
-            }
-            self.cmsgs.push(ffi::SegmentCmsg::new(lead as u16));
-            self.runs.push((i - at, self.iovs.len() - first));
-            at = i;
-        }
+        self.cmsgs
+            .extend(runs.iter().map(|r| ffi::SegmentCmsg::new(r.seg as u16)));
         self.hdrs.clear();
-        let iov_base = self.iovs.as_mut_ptr();
+        let iov_base = self.planner.iovs.as_mut_ptr();
         let cmsg_base = self.cmsgs.as_mut_ptr();
         let mut iov_off = 0;
-        for (k, &(run, iovecs)) in self.runs.iter().enumerate() {
-            let gso_train = run >= GSO_MIN_RUN;
+        for (k, r) in runs.iter().enumerate() {
+            let gso_train = r.gso_size().is_some();
             self.hdrs.push(ffi::MMsgHdr {
                 hdr: ffi::MsgHdr {
                     name: std::ptr::null_mut(),
@@ -601,7 +853,7 @@ impl BatchIo {
                     // SAFETY: in-bounds offsets into scratch vectors
                     // that are fully built and no longer growing.
                     iov: unsafe { iov_base.add(iov_off) },
-                    iovlen: iovecs,
+                    iovlen: r.pieces,
                     control: if gso_train {
                         // SAFETY: as above.
                         unsafe { cmsg_base.add(k) as *mut _ }
@@ -617,7 +869,7 @@ impl BatchIo {
                 },
                 len: 0,
             });
-            iov_off += iovecs;
+            iov_off += r.pieces;
         }
     }
 
@@ -635,10 +887,10 @@ impl BatchIo {
     ) -> usize {
         while k < windows.len() {
             let hi = (k + self.cap).min(windows.len());
-            self.iovs.clear();
+            self.windows.clear();
             for w in &mut windows[k..hi] {
                 let w = w.as_mut();
-                self.iovs.push(ffi::IoVec {
+                self.windows.push(IoVec {
                     base: w.as_mut_ptr() as *mut _,
                     len: w.len(),
                 });
@@ -656,21 +908,21 @@ impl BatchIo {
     }
 
     /// The one `recvmmsg` builder: one non-blocking call with one
-    /// message per window already in `iovs` (at most `cap`), each with
+    /// message per window already in `windows` (at most `cap`), each with
     /// its own `UDP_GRO` control block on a GRO socket. Returns how many
     /// messages the kernel filled — 0 when nothing is ready; read them
     /// back with [`landed`](Self::landed).
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     fn land(&mut self, sock: &UdpSocket, rep: &mut RecvReport) -> usize {
         use std::os::fd::AsRawFd;
-        let n = self.iovs.len();
+        let n = self.windows.len();
         self.hdrs.clear();
         self.cmsgs.clear();
         if self.gro {
             self.cmsgs.resize(n, ffi::SegmentCmsg::new(0));
         }
         let cmsg_base = self.cmsgs.as_mut_ptr();
-        for (m, iov) in self.iovs.iter_mut().enumerate() {
+        for (m, iov) in self.windows.iter_mut().enumerate() {
             self.hdrs.push(ffi::MMsgHdr {
                 hdr: ffi::MsgHdr {
                     name: std::ptr::null_mut(),
@@ -695,10 +947,10 @@ impl BatchIo {
             });
         }
         rep.syscalls += 1;
-        // SAFETY: hdrs/iovs/cmsgs point at the caller's windows and this
-        // scratch, all alive across the call; the kernel writes at most
-        // iov_len bytes per message and the per-message byte and control
-        // lengths back.
+        // SAFETY: hdrs/windows/cmsgs point at the caller's windows and
+        // this scratch, all alive across the call; the kernel writes at
+        // most iov_len bytes per message and the per-message byte and
+        // control lengths back.
         let ret = unsafe {
             ffi::recvmmsg(
                 sock.as_raw_fd(),
@@ -848,12 +1100,7 @@ mod ffi {
 
     use std::os::raw::{c_int, c_uint, c_void};
 
-    #[repr(C)]
-    #[derive(Debug, Clone, Copy)]
-    pub struct IoVec {
-        pub base: *mut c_void,
-        pub len: usize,
-    }
+    use super::IoVec;
 
     #[repr(C)]
     #[derive(Debug, Clone, Copy)]
@@ -1215,47 +1462,84 @@ mod tests {
 
     /// 64 frames of 70 bytes back to back in one buffer, and the reader
     /// over them the channel's send arena would give the planner.
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
     fn arena_of_64() -> Vec<u8> {
         (0..64u8).flat_map(|i| [i; 70]).collect()
     }
 
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    /// `(frames, pieces)` of each message of the last plan.
+    fn runs(p: &SendPlanner) -> Vec<(usize, usize)> {
+        p.runs.iter().map(|r| (r.frames, r.pieces)).collect()
+    }
+
     #[test]
     fn adjacent_frames_plan_as_one_iovec() {
         let arena = arena_of_64();
-        let mut io = BatchIo::new(8, false);
-        if !io.batched() {
-            return;
-        }
-        io.plan(0, 64, &|i| &arena[i * 70..][..70]);
-        assert_eq!(io.runs, [(64, 1)], "one train, one piece");
-        assert_eq!((io.hdrs[0].hdr.iovlen, io.iovs[0].len), (1, 64 * 70));
+        let mut p = SendPlanner::new(8, GSO_MAX_SEGMENTS);
+        p.plan(0, 64, &|i| &arena[i * 70..][..70]);
+        assert_eq!(runs(&p), [(64, 1)], "one train, one piece");
+        assert_eq!(p.iovs[0].len, 64 * 70);
 
         // The same frames as 64 separate allocations: a piece each.
         let frames: Vec<Vec<u8>> = arena.chunks(70).map(<[u8]>::to_vec).collect();
-        io.plan(0, 64, &|i| &frames[i]);
-        assert_eq!(io.runs, [(64, 64)]);
+        p.plan(0, 64, &|i| &frames[i]);
+        assert_eq!(runs(&p), [(64, 64)]);
 
         // One frame in the middle living elsewhere cuts the piece in
         // three, and nothing else changes.
         let stray = [32u8; 70];
-        io.plan(0, 64, &|i| {
+        p.plan(0, 64, &|i| {
             if i == 32 {
                 &stray[..]
             } else {
                 &arena[i * 70..][..70]
             }
         });
-        assert_eq!(io.runs, [(64, 3)]);
-        let lens: Vec<usize> = io.iovs.iter().map(|v| v.len).collect();
+        assert_eq!(runs(&p), [(64, 3)]);
+        let lens: Vec<usize> = p.iovs.iter().map(|v| v.len).collect();
         assert_eq!(lens, [32 * 70, 70, 31 * 70]);
 
         // Adjacency never reaches across messages: with GSO off every
         // frame is a datagram of its own, so a piece of its own.
-        io.demote_gso();
-        io.plan(0, 64, &|i| &arena[i * 70..][..70]);
-        assert_eq!(io.runs, [(1, 1); 8], "cap 8 messages to a call");
+        p.gso_max = 1;
+        p.plan(0, 64, &|i| &arena[i * 70..][..70]);
+        assert_eq!(runs(&p), [(1, 1); 8], "cap 8 messages to a call");
+    }
+
+    /// A short frame in mid-train rides it in a bundle: header, its
+    /// bytes and the padding are three pieces of a 70-byte segment, and
+    /// the train's segment count is the queue's; the shorter frames of a
+    /// queue's end are its unpadded last segment.
+    #[test]
+    fn a_short_frame_rides_the_train_in_a_padded_bundle() {
+        let arena = arena_of_64();
+        let short = [7u8; 20];
+        let mut p = SendPlanner::new(8, GSO_MAX_SEGMENTS);
+        let frame = |i: usize| {
+            if i == 10 || i >= 64 {
+                &short[..]
+            } else {
+                &arena[i * 70..][..70]
+            }
+        };
+        p.plan(0, 66, &frame);
+        let r = p.runs[0];
+        assert_eq!((r.frames, r.segs, r.seg), (66, 65, 70));
+        let lens: Vec<usize> = p.iovs.iter().map(|v| v.len).collect();
+        let bundle_of_one = bundle::header_len(1);
+        assert_eq!(
+            lens,
+            [
+                10 * 70,
+                bundle_of_one,
+                20,
+                70 - 20 - bundle_of_one,
+                53 * 70,
+                bundle::header_len(2),
+                20,
+                20
+            ]
+        );
+        assert_eq!(p.heads.len(), bundle_of_one + bundle::header_len(2));
     }
 
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
@@ -1327,9 +1611,9 @@ mod tests {
         assert!(!rep.hard_error);
         if tx.gso_active() {
             assert!(
-                [(128, 1), (64, 2)].contains(&(tx.gso_max, rep.messages)),
+                [(128, 1), (64, 2)].contains(&(tx.planner.gso_max, rep.messages)),
                 "ceiling {} took {} trains",
-                tx.gso_max,
+                tx.planner.gso_max,
                 rep.messages
             );
         }

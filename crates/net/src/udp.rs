@@ -30,7 +30,8 @@
 //! Receives go through [`recv_trains`](DatagramLink::recv_trains): land
 //! up to a window-array's worth of datagrams (whole GRO trains, on an
 //! offloaded socket) in one `recvmmsg`, straight where the caller will
-//! read them.
+//! read them — the caller opens the [bundles](crate::bundle) the send
+//! planner packed short frames into.
 //!
 //! **The send queue** is one ordered queue of two kinds of entry, chosen
 //! by the frame's length alone. A frame of at most [`ARENA_FRAME_MAX`]
@@ -198,11 +199,12 @@ fn classify_errno(errno: Option<i32>) -> SendFailure {
 pub struct UdpChannelSnapshot {
     /// Frames handed to the kernel.
     pub sent_frames: u64,
-    /// Bytes handed to the kernel.
+    /// Bytes of the frames handed to the kernel.
     pub sent_bytes: u64,
-    /// Frames received from the kernel.
+    /// Frames received from the kernel, each of a bundle's counted.
     pub recv_frames: u64,
-    /// Bytes received from the kernel.
+    /// Bytes received from the kernel: what landed, bundle headers and
+    /// padding included (through `recv_frame`, the frame's bytes).
     pub recv_bytes: u64,
     /// Frames that joined the local queue: every accepted frame, the
     /// queue being the one way to the kernel.
@@ -674,11 +676,11 @@ impl UdpChannel {
         self.backoff_flushes = ENOBUFS_BACKOFF;
     }
 
-    /// `EMSGSIZE` for a frame of `frame_len` bytes: the path takes less
+    /// `EMSGSIZE` for a datagram of `len` bytes: the path takes less
     /// than we believed, so believe the evidence.
-    fn note_msgsize(&mut self, frame_len: usize) {
+    fn note_msgsize(&mut self, len: usize) {
         self.stats.mtu_clamps += 1;
-        let clamped = frame_len.saturating_sub(1).max(1);
+        let clamped = len.saturating_sub(1).max(1);
         if clamped < self.mtu {
             self.mtu = clamped;
         }
@@ -790,8 +792,10 @@ impl UdpChannel {
     /// parked for a later flush; `Some(e)` means it has left the queue
     /// for good, counted `dropped_error` — dropped alone, or drained with
     /// the whole queue by the death of the channel — and `e` is what a
-    /// [`send_frame`](DatagramLink::send_frame) caller is told.
-    fn head_refused(&mut self, errno: Option<i32>) -> Option<TxError> {
+    /// [`send_frame`](DatagramLink::send_frame) caller is told. `datagram`
+    /// is the refused datagram's length: the head frame's, or its
+    /// escape's.
+    fn head_refused(&mut self, errno: Option<i32>, datagram: usize) -> Option<TxError> {
         match classify_errno(errno) {
             SendFailure::Refused => (!self.note_refused()).then_some(TxError::LinkDown),
             SendFailure::NoBufs => {
@@ -800,8 +804,8 @@ impl UdpChannel {
             }
             SendFailure::MsgSize => {
                 // The head frame outgrew the path: it will never leave.
-                let len = self.pop_head();
-                self.note_msgsize(len);
+                self.pop_head();
+                self.note_msgsize(datagram);
                 self.stats.dropped_error += 1;
                 Some(TxError::TooBig)
             }
@@ -848,7 +852,7 @@ impl UdpChannel {
                 self.note_success();
             }
             if rep.hard_error {
-                match self.head_refused(rep.errno) {
+                match self.head_refused(rep.errno, rep.refused_len) {
                     None => break,
                     // Keep draining, the frames behind it may well fit
                     // (a dead channel's queue is empty by now).
@@ -1058,8 +1062,8 @@ mod tests {
                 let mut windows: Vec<&mut [u8]> = room.chunks_exact_mut(window).collect();
                 ch.recv_trains(&mut windows, &mut trains)
             };
-            for (w, t) in room.chunks_exact(window).zip(&trains[..landed]) {
-                got.extend(t.frames().map(|(at, n)| w[at..at + n].to_vec()));
+            for (w, &t) in room.chunks_exact(window).zip(&trains[..landed]) {
+                got.extend(crate::bundle::frames_of(w, t).map(|(at, n)| w[at..at + n].to_vec()));
             }
             if got.len() >= want {
                 break;
@@ -1419,9 +1423,10 @@ mod tests {
         assert_eq!(land_frames(&mut b, 10), frames);
         let s = a.stats();
         if a.gso_offload() {
-            // Four short in one piece; the long frame closed by one
-            // short tail, two pieces; three short; the 320-byte frame.
-            assert_eq!((s.sent_trains, s.sent_iovecs), (4, 5), "{s:?}");
+            // Four short in one piece; the long frame and the four short
+            // behind it in a bundle, three pieces (its header between);
+            // the 320-byte frame.
+            assert_eq!((s.sent_trains, s.sent_iovecs), (3, 5), "{s:?}");
         } else {
             assert_eq!((s.sent_trains, s.sent_iovecs), (10, 10), "{s:?}");
         }

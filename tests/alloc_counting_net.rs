@@ -13,7 +13,7 @@ use stripe_core::receiver::RxBatch;
 use stripe_core::sched::Srr;
 use stripe_core::sender::MarkerConfig;
 use stripe_link::{DatagramLink, Train};
-use stripe_net::{FlowDemux, PooledBuf, PumpEvent, StripeServer, UdpChannel, WallClock};
+use stripe_net::{bundle, FlowDemux, PooledBuf, PumpEvent, StripeServer, UdpChannel, WallClock};
 use stripe_netsim::DetRng;
 
 #[global_allocator]
@@ -209,9 +209,10 @@ fn send_queue_allocates_nothing_when_a_flush_is_cut_short() {
                 };
                 rx.recv_trains(&mut windows, &mut trains)
             };
-            got += trains[..landed]
-                .iter()
-                .map(|t| t.frames().count())
+            got += room
+                .chunks_exact(window)
+                .zip(&trains[..landed])
+                .map(|(w, &t)| bundle::count(w, t))
                 .sum::<usize>();
             spins += 1;
             assert!(spins < 1_000_000, "loopback datagrams went missing");

@@ -31,6 +31,13 @@
 //! oversized, left behind by a partial `sendmmsg`, dropped by `EMSGSIZE`,
 //! drained by a dead socket — and hold the two to the same outcomes, the
 //! same datagrams in the same order and the same counters.
+//!
+//! Where GSO is on, a frame shorter than its train's segments rides it
+//! in a bundle segment (`net::bundle`), so the frames a landing call
+//! hands over are its segments with every bundle opened. The mixes below
+//! are shaped to make bundles — a server's regrouped burst, short frames
+//! in long trains — and the mixed pairs hold a bundling sender to a
+//! per-frame receiver, and the other way round.
 
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
@@ -38,7 +45,8 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use stripe::link::{DatagramLink, Train, TxError};
-use stripe::net::sys::BatchIo;
+use stripe::net::bundle;
+use stripe::net::sys::{BatchIo, SendPlanner};
 use stripe::net::udp::{UdpChannelBuilder, ARENA_FRAME_MAX};
 use stripe::net::UdpChannel;
 use stripe::netsim::DetRng;
@@ -72,6 +80,25 @@ fn default_pair() -> (UdpChannel, UdpChannel) {
         .expect("loopback pair")
 }
 
+/// A sender and a receiver on different syscall paths: a forced-fallback
+/// sender to a default receiver, or (`fallback_tx == false`) the other
+/// way round.
+fn mixed_pair(fallback_tx: bool) -> (UdpChannel, UdpChannel) {
+    let builder = UdpChannel::builder(MTU).queue_cap(QUEUE).rcvbuf(RCVBUF);
+    let mut tx = builder
+        .clone()
+        .force_fallback(fallback_tx)
+        .bind_loopback()
+        .expect("bind");
+    let mut rx = builder
+        .force_fallback(!fallback_tx)
+        .bind_loopback()
+        .expect("bind");
+    tx.connect(rx.local_addr().unwrap()).unwrap();
+    rx.connect(tx.local_addr().unwrap()).unwrap();
+    (tx, rx)
+}
+
 /// Drain `rx` one frame at a time until `expect` frames arrived or the
 /// deadline passes.
 fn drain_per_frame(rx: &mut UdpChannel, expect: usize) -> Vec<Vec<u8>> {
@@ -90,8 +117,8 @@ fn drain_per_frame(rx: &mut UdpChannel, expect: usize) -> Vec<Vec<u8>> {
 /// Windows per landing call: what a sweep offers a GRO socket.
 const LAND: usize = 4;
 
-/// One landing call on `rx`, its frames copied out in order; `None` when
-/// nothing was ready.
+/// One landing call on `rx`, its frames — bundles opened — copied out in
+/// order; `None` when nothing was ready.
 fn land_once(rx: &mut UdpChannel, room: &mut Vec<u8>) -> Option<Vec<Vec<u8>>> {
     let window = rx.recv_window();
     room.resize(LAND * window, 0);
@@ -103,7 +130,7 @@ fn land_once(rx: &mut UdpChannel, room: &mut Vec<u8>) -> Option<Vec<Vec<u8>>> {
     let frames: Vec<Vec<u8>> = room
         .chunks_exact(window)
         .zip(&trains[..landed])
-        .flat_map(|(w, t)| t.frames().map(move |(at, n)| w[at..at + n].to_vec()))
+        .flat_map(|(w, &t)| bundle::frames_of(w, t).map(move |(at, n)| w[at..at + n].to_vec()))
         .collect();
     (landed > 0).then_some(frames)
 }
@@ -125,16 +152,24 @@ fn drain_landed(rx: &mut UdpChannel, expect: usize) -> Vec<Vec<u8>> {
 
 /// Runs shaped like striped traffic, so that a GRO socket has trains to
 /// coalesce: stretches of equal-length frames — empty, tiny, odd and
-/// MTU-sized — each optionally closed by one shorter frame. Up to ten
-/// stretches, so more trains are queued than one landing call takes.
+/// MTU-sized — each optionally closed by one shorter frame, and with up
+/// to three runs of short frames in mid-stretch, which ride the train in
+/// bundles. Up to ten stretches, so more trains are queued than one
+/// landing call takes.
 fn arb_trains() -> impl Strategy<Value = Vec<Vec<u8>>> {
     let len = prop_oneof![Just(0), Just(1), Just(MTU), 2..MTU];
-    let stretch = (len, 1usize..16, any::<bool>(), any::<u8>());
+    let shorts = prop::collection::vec((0usize..16, 1usize..5), 0..4);
+    let stretch = (len, 1usize..16, any::<bool>(), any::<u8>(), shorts);
     prop::collection::vec(stretch, 1..11).prop_map(|stretches| {
         let mut frames = Vec::new();
-        for (len, count, tail, fill) in stretches {
+        for (len, count, tail, fill, shorts) in stretches {
             for i in 0..count {
                 frames.push(vec![fill.wrapping_add(i as u8); len]);
+                for &(_, k) in shorts.iter().filter(|&&(at, _)| at == i && len > 8) {
+                    frames.extend(
+                        (0..k).map(|j| vec![!fill ^ j as u8; 1 + (len / 3 + j) % (len / 2)]),
+                    );
+                }
             }
             if tail && len > 1 {
                 frames.push(vec![!fill; len / 2]);
@@ -207,7 +242,8 @@ proptest! {
     /// frames sent to four receivers arrive byte-identical and in order
     /// through `recv_frame`, through `recv_trains` on a default and on a
     /// forced-fallback socket, and through a reader that switches
-    /// between the two calls mid-train.
+    /// between the two calls mid-train — and mid-bundle: what
+    /// `recv_frame` left of a bundle is the first thing landed.
     #[test]
     fn landing_matches_recv_frame(
         frames in arb_trains(),
@@ -348,8 +384,11 @@ fn offer_and_drain(tx: &mut UdpChannel, rx: &mut UdpChannel, run: &[Vec<u8>]) ->
 
 /// Run `scenario` on a batched and on a forced-fallback pair built by
 /// `builder`, check that the two saw the same, that the per-frame path
-/// counted a train and an iovec a frame, and hand back what they saw
-/// with the batched sender.
+/// counted a train and an iovec a frame, that the batched one spent no
+/// more pieces than its frames and their bundles' headers and padding
+/// (a bundle rides a train behind its first frame, so there are at most
+/// `frames - trains` of them), and hand back what they saw with the
+/// batched sender.
 fn queue_differential(
     builder: &UdpChannelBuilder,
     scenario: impl Fn(&mut UdpChannel, &mut UdpChannel) -> Seen,
@@ -369,7 +408,7 @@ fn queue_differential(
         (r.sent_frames, r.sent_frames)
     );
     assert!(s.sent_trains <= s.sent_frames && s.sent_trains <= s.sent_iovecs);
-    assert!(s.sent_iovecs <= s.sent_frames);
+    assert!(s.sent_iovecs <= s.sent_frames + 2 * (s.sent_frames - s.sent_trains));
     (seen, tx)
 }
 
@@ -392,15 +431,101 @@ fn queue_keeps_fifo_across_short_and_long_entries() {
         let s = tx.stats();
         if tx.batched_syscalls() {
             // The planner cuts trains by length alone, so where the
-            // bytes lie changes the iovecs and nothing else.
+            // bytes lie changes the iovecs and nothing else: from
+            // storage of their own, a frame is a piece, and so is each
+            // bundle's header and padding — as the planner, run without
+            // a socket, says.
             let sink = UdpSocket::bind("127.0.0.1:0").unwrap();
             let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
             sock.connect(sink.local_addr().unwrap()).unwrap();
-            let plan = BatchIo::new(32, false).send_frames(&sock, &run);
-            assert_eq!((plan.sent, plan.iovecs), (run.len(), run.len() as u64));
+            let mut io = BatchIo::new(32, false);
+            let plan = io.send_frames(&sock, &run);
+            let (mut messages, mut pieces) = (0, 0);
+            let ceiling = if io.gso_active() { 128 } else { 1 };
+            let frames: Vec<&[u8]> = run.iter().map(|f| &f[..]).collect();
+            SendPlanner::new(32, ceiling).each_message(&frames, |m| {
+                (messages, pieces) = (messages + 1, pieces + m.pieces.len() as u64);
+            });
+            assert_eq!(
+                (plan.sent, plan.messages, plan.iovecs),
+                (run.len(), messages, pieces),
+                "seed {seed}"
+            );
             assert_eq!(s.sent_trains, plan.messages, "seed {seed}");
             if tx.gso_offload() {
                 assert!(s.sent_iovecs < plan.iovecs, "seed {seed}: {s:?}");
+            }
+        }
+    }
+}
+
+/// A seeded burst shaped as a server regroups one channel's share of
+/// `mixed_8flows`: long frames, the short frames a flow had to keep
+/// behind them in runs of one to four, a marker here and there. On the
+/// batched path the short runs ride the long train in bundles — one
+/// train per flush instead of one per run — and the two paths still see
+/// the same outcomes, datagrams and counters.
+#[test]
+fn regrouped_mix_rides_one_train_per_flush() {
+    for seed in 0..16 {
+        let mut rng = DetRng::new(900 + seed);
+        let mut run = Vec::new();
+        while run.len() < 120 {
+            run.push(vec![seed as u8; 420]);
+            if rng.chance(0.4) {
+                for _ in 0..rng.range_usize(1, 5) {
+                    run.push(vec![!(seed as u8); rng.range_usize(40, 90)]);
+                }
+            }
+        }
+        for (i, f) in run.iter_mut().enumerate() {
+            f[..2].copy_from_slice(&(i as u16).to_be_bytes());
+        }
+        let (seen, tx) = queue_differential(&queue_builder(MTU, QUEUE), |tx, rx| {
+            offer_and_drain(tx, rx, &run)
+        });
+        assert_eq!(seen.delivered, run, "seed {seed}");
+        let s = tx.stats();
+        if tx.gso_offload() {
+            assert_eq!(s.sent_trains, 1, "seed {seed}: {s:?}");
+        }
+    }
+}
+
+/// A bundling sender and a per-frame receiver, and the other way round:
+/// the fallback receiver gets each of a train's segments as a datagram
+/// and opens the bundles among them, through `recv_frame` and through
+/// the landing call alike; a bundle of one — a frame that starts with
+/// the magic — crosses from a per-frame sender too.
+#[test]
+fn mixed_paths_carry_bundles_both_ways() {
+    for seed in 0..8 {
+        let mut run = seeded_mix(1000 + seed, 150);
+        for (i, f) in run.iter_mut().enumerate() {
+            if i % 7 == 3 {
+                f.truncate(f.len() / 3);
+            }
+            if i % 31 == 5 && !f.is_empty() {
+                f[0] = bundle::MAGIC;
+            }
+        }
+        for fallback_tx in [false, true] {
+            for per_frame in [false, true] {
+                let (mut tx, mut rx) = mixed_pair(fallback_tx);
+                let mut owned = run.clone();
+                let mut out = Vec::new();
+                tx.send_run_owned(&mut owned, &mut out);
+                assert!(out.iter().all(|r| r.is_ok()));
+                while tx.backlog() > 0 {
+                    tx.flush();
+                }
+                let got = if per_frame {
+                    drain_per_frame(&mut rx, run.len())
+                } else {
+                    drain_landed(&mut rx, run.len())
+                };
+                assert_eq!(got, run, "seed {seed}, fallback sender {fallback_tx}");
+                assert_eq!(rx.stats().recv_frames, run.len() as u64);
             }
         }
     }

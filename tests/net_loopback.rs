@@ -18,7 +18,8 @@ use stripe::core::marker::Marker;
 use stripe::core::receiver::RxBatch;
 use stripe::core::sched::{ChannelMark, Srr};
 use stripe::core::sender::MarkerConfig;
-use stripe::link::{datagram_pair, DatagramLink};
+use stripe::link::{datagram_pair, DatagramLink, Train};
+use stripe::net::bundle;
 use stripe::net::frame::{self, Frame, FRAME_HEADER_LEN};
 use stripe::net::{
     ChaosPlan, DropPolicy, FlowDemux, ImpairedLink, PooledBuf, PumpEvent, StripeServer, UdpChannel,
@@ -206,9 +207,11 @@ fn held_views_keep_their_bytes_across_later_sweeps() {
 /// 50/50 mix of 64 B and 1400 B payloads, four real UDP sockets. Every
 /// flow is delivered in exact FIFO order — the server regroups each
 /// channel's burst by wire length across flows, which no flow may be
-/// able to tell — and where the sockets offload, that regrouping is
-/// what makes the trains long: frames per kernel datagram is at least
-/// four on both sides (it was ≈ 2.7 while frames left in offer order).
+/// able to tell — and where the sockets offload, the short frames ride
+/// the long trains in bundles: frames per kernel datagram is at least 24
+/// on both sides (≈ 2.7 while frames left in offer order, ≈ 7 while each
+/// length class was a train of its own), for at most a tenth more bytes
+/// on the wire than the frames hold.
 #[test]
 fn mixed_length_flows_ride_long_trains_in_per_flow_fifo() {
     const CHANNELS: usize = 4;
@@ -275,8 +278,13 @@ fn mixed_length_flows_ride_long_trains_in_per_flow_fifo() {
     for (c, (tx, rx)) in path.links().iter().zip(rx.links()).enumerate() {
         if tx.gso_offload() && rx.gro_offload() {
             let (sent, recv) = (tx.stats().frames_per_train(), rx.stats().frames_per_train());
-            assert!(sent >= 4.0, "channel {c}: {sent:.2} frames per GSO train");
-            assert!(recv >= 4.0, "channel {c}: {recv:.2} frames per GRO train");
+            assert!(sent >= 24.0, "channel {c}: {sent:.2} frames per GSO train");
+            assert!(recv >= 24.0, "channel {c}: {recv:.2} frames per GRO train");
+            let bytes = rx.stats().recv_bytes as f64 / tx.stats().sent_bytes as f64;
+            assert!(
+                bytes <= 1.10,
+                "channel {c}: {bytes:.3} datagram bytes per frame byte"
+            );
         }
     }
 }
@@ -544,8 +552,30 @@ fn arb_control() -> impl Strategy<Value = Control> {
 /// One datagram a broken or hostile peer might put on a channel: byte
 /// soup, or a well-formed version-2 frame — data, summed data, a marker,
 /// or data behind a mark field that is whole, garbage or cut short —
-/// naming any flow id at all.
+/// naming any flow id at all; or any of those behind the bundle magic,
+/// as byte soup or packed into a bundle.
 fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
+    let soup = prop::collection::vec(any::<u8>(), 0..64);
+    prop_oneof![
+        arb_frame(),
+        arb_frame(),
+        soup.prop_map(|mut bytes| {
+            bytes.insert(0, bundle::MAGIC);
+            bytes
+        }),
+        prop::collection::vec(arb_frame(), 1..5).prop_map(|frames| {
+            let mut wire = vec![bundle::MAGIC, frames.len() as u8];
+            for f in &frames {
+                wire.extend_from_slice(&(f.len() as u16).to_le_bytes());
+            }
+            frames.iter().for_each(|f| wire.extend_from_slice(f));
+            wire
+        }),
+    ]
+}
+
+/// One frame of [`arb_datagram`], before any bundling.
+fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
     let flow = || prop_oneof![0u32..16, 1000u32..1100, any::<u32>()];
     let payload = || prop::collection::vec(any::<u8>(), 0..48);
     // Any round at all, and rounds near a fresh replica's own: a mark
@@ -620,14 +650,19 @@ proptest! {
         for (i, d) in datagrams.iter().enumerate() {
             tx[i % 2].send_frame(d).unwrap();
         }
-        prop_assert_eq!(demux.sweep(SimTime::ZERO), datagrams.len());
+        // A bundle's frames are frames; anything else is one.
+        let frames: usize = datagrams
+            .iter()
+            .map(|d| bundle::count(d, Train::frame(d.len())))
+            .sum();
+        prop_assert_eq!(demux.sweep(SimTime::ZERO), frames);
         prop_assert!(demux.flow_id_limit() <= MAX_FLOWS + 1024);
         prop_assert!(
             demux.flow_slots() <= demux.flow_id_limit(),
             "slab grew to {} slots", demux.flow_slots()
         );
         let stats = demux.net_stats();
-        prop_assert_eq!(stats.frames, datagrams.len() as u64);
+        prop_assert_eq!(stats.frames, frames as u64);
         prop_assert!(stats.flows_active as usize <= MAX_FLOWS);
         // Whatever was admitted drains without a panic.
         let mut batch = RxBatch::new();

@@ -167,10 +167,11 @@ fn run(long: usize, integrity: bool) -> Run {
         r.lost,
         "loss stopped"
     );
+    let s = demux.net_stats();
     assert_eq!(
-        demux.net_stats().dropped_mark_ahead,
-        0,
-        "an honest mark is never out of reach"
+        (s.dropped_mark_ahead, s.marks_clamped),
+        (0, 0),
+        "an honest mark is never out of reach, nor out of range"
     );
     for (f, n) in offered.iter().enumerate() {
         assert_eq!(*n, lens[f].len(), "everything enqueued was pumped");

@@ -131,6 +131,11 @@ fn marker_predictions_always_come_true() {
                     (predicted.round, predicted.dc),
                     "n={n} cut={cut} target={target}"
                 );
+                // An honest mark is in the range a receiver clamps a
+                // forged one to: adopting it changes nothing.
+                let mut adopted = probe.clone();
+                assert!(adopted.apply_mark(target, predicted), "{predicted:?}");
+                assert_eq!(adopted, probe, "n={n} cut={cut} target={target}");
             }
         }
     }

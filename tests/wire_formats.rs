@@ -12,9 +12,10 @@ use stripe::ip::frag::{fragment, Fragment, Reassembler, ReassemblyEvent};
 use stripe::ip::header::{checksum, Ipv4Header, IPV4_HEADER_LEN};
 use stripe::link::eth::{EtherFrame, EtherType};
 use stripe::link::serial::{hdlc_stuff, hdlc_unstuff};
-use stripe::link::{datagram_pair, DatagramLink};
+use stripe::link::{datagram_pair, DatagramLink, Train, TxError};
+use stripe::net::bundle;
 use stripe::net::frame::{self, DecodeError, Frame, FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL};
-use stripe::net::FlowDemux;
+use stripe::net::{FlowDemux, FlowDemuxSnapshot};
 use stripe::netsim::{DetRng, SimTime};
 
 fn arb_marker() -> impl Strategy<Value = Marker> {
@@ -1032,6 +1033,191 @@ fn a_mark_at_the_end_of_time_is_refused_counted_and_its_payload_delivered() {
     assert_eq!(r.dropped_mark_ahead, 2 * CHANNELS as u64);
     assert_eq!((s.data_frames, s.marked_frames), (CHANNELS as u64, 0));
     assert_eq!((r.skips, r.marks_applied, r.markers_seen), (0, 0, 0));
+}
+
+/// Forged `dc`s at both ends of `i64`, in a marker frame and in the kind-5
+/// frame behind it, on every channel of a flow. Unclamped, `i64::MIN`
+/// had `advance` credit quanta for ~2^51 rounds — and overflow `dc -=
+/// len` in this debug build — and `i64::MAX` pinned the scan to channel 0
+/// for good. Clamped to an honest sender's range, each mark is adopted
+/// and counted, at the flow and at the demux, and every payload is
+/// delivered, in order.
+#[test]
+fn a_forged_dc_is_clamped_counted_and_its_payload_delivered() {
+    const CHANNELS: usize = 4;
+    for dc in [i64::MIN, i64::MAX] {
+        let (mut tx, rx): (Vec<_>, Vec<_>) = (0..CHANNELS).map(|_| datagram_pair(2048, 64)).unzip();
+        let mut demux = FlowDemux::builder()
+            .scheduler(Srr::equal(CHANNELS, 1500))
+            .links(rx)
+            .build();
+        let forged = ChannelMark { round: 1, dc };
+        let mut wire = Vec::new();
+        for (c, link) in tx.iter_mut().enumerate() {
+            let mk = Control::Marker(Marker::sync(c, forged));
+            frame::encode_control_flow_into(3, &mk, &mut wire);
+            link.send_frame(&wire).unwrap();
+            frame::encode_data_markable_flow_into(3, &[c as u8; 1500], &mut wire);
+            assert!(frame::write_mark(&mut wire, forged));
+            link.send_frame(&wire).unwrap();
+        }
+        assert_eq!(demux.sweep(SimTime::ZERO), 2 * CHANNELS);
+        let mut batch = stripe::core::receiver::RxBatch::new();
+        assert_eq!(demux.poll_flow_into(3, &mut batch), CHANNELS, "dc {dc}");
+        for (c, pb) in batch.drain().enumerate() {
+            assert_eq!(pb.as_slice(), &[c as u8; 1500][..]);
+        }
+        let (s, r) = (demux.net_stats(), demux.flow_stats(3).unwrap());
+        let both = 2 * CHANNELS as u64;
+        assert_eq!(
+            (r.marks_applied, r.marks_clamped, s.marks_clamped),
+            (both, both, both)
+        );
+        assert_eq!((r.skips, s.dropped_mark_ahead), (0, 0));
+    }
+}
+
+/// A link that lands trains as given — `(bytes, segment size)` — the way
+/// a GRO socket hands them over.
+struct TrainLink(std::collections::VecDeque<(Vec<u8>, usize)>);
+
+impl DatagramLink for TrainLink {
+    fn send_frame(&mut self, _frame: &[u8]) -> Result<(), TxError> {
+        Ok(())
+    }
+    fn recv_frame(&mut self, _buf: &mut [u8]) -> Option<usize> {
+        None
+    }
+    fn mtu(&self) -> usize {
+        2048
+    }
+    fn recv_window(&self) -> usize {
+        1 << 16
+    }
+    fn recv_trains(&mut self, windows: &mut [&mut [u8]], trains: &mut [Train]) -> usize {
+        let mut k = 0;
+        while let (Some(w), Some((bytes, seg))) = (windows.get_mut(k), self.0.pop_front()) {
+            w[..bytes.len()].copy_from_slice(&bytes);
+            trains[k] = Train {
+                bytes: bytes.len(),
+                seg,
+            };
+            k += 1;
+        }
+        k
+    }
+}
+
+/// The bundle format, byte for byte, landed as trains: which frames each
+/// decodes to (`bundle::frames_of`), and what the demux counts of them —
+/// `(frames, data frames, control frames, malformed)`. A bundle is opened
+/// once: a frame in it that starts with the magic is a frame, which the
+/// frame parser refuses; a segment that starts with the magic and is no
+/// bundle is one frame, malformed.
+#[test]
+fn bundle_golden_vectors_decode_and_count_as_specified() {
+    // Data frames of flow 5: five, six and twenty bytes.
+    let d1: &[u8] = &[0xC5, 2, 0, 0x05, 0xAA];
+    let d2: &[u8] = &[0xC5, 2, 0, 0x05, 0xBB, 0xCC];
+    let long = [&[0xC5, 2, 0, 0x05][..], &[0xDD; 16]].concat();
+    let cat = |parts: &[&[u8]]| parts.concat();
+    #[allow(clippy::type_complexity)]
+    let vectors: Vec<(&str, Vec<u8>, usize, Vec<&[u8]>, [u64; 4])> = vec![
+        (
+            "escape of one",
+            vec![0xB5, 1, 2, 0, 0xB5, 0x07],
+            6,
+            vec![&[0xB5, 0x07]],
+            [1, 0, 0, 1],
+        ),
+        (
+            "two frames",
+            cat(&[&[0xB5, 2, 5, 0, 6, 0], d1, d2]),
+            17,
+            vec![d1, d2],
+            [2, 2, 0, 0],
+        ),
+        (
+            "padded, in mid-train",
+            cat(&[&long, &[0xB5, 1, 5, 0], d1, &[0; 11], &long]),
+            20,
+            vec![&long, d1, &long],
+            [3, 3, 0, 0],
+        ),
+        (
+            "the shorter last segment",
+            cat(&[&long, &[0xB5, 2, 5, 0, 6, 0], d1, d2]),
+            20,
+            vec![&long, d1, d2],
+            [3, 3, 0, 0],
+        ),
+        (
+            "a frame that is no frame, beside one that is",
+            cat(&[&[0xB5, 2, 2, 0, 5, 0, 0x00, 0x01], d1]),
+            13,
+            vec![&[0x00, 0x01], d1],
+            [2, 1, 0, 1],
+        ),
+        // Malformed: count 0, lengths overrunning the segment, a header
+        // cut short, the magic alone.
+        (
+            "count 0",
+            cat(&[&[0xB5, 0], d1]),
+            7,
+            vec![&[0xB5, 0, 0xC5, 2, 0, 0x05, 0xAA]],
+            [1, 0, 0, 1],
+        ),
+        (
+            "lengths overrun",
+            cat(&[&[0xB5, 1, 6, 0], d1]),
+            9,
+            vec![&[0xB5, 1, 6, 0, 0xC5, 2, 0, 0x05, 0xAA]],
+            [1, 0, 0, 1],
+        ),
+        (
+            "truncated header",
+            vec![0xB5, 2, 5],
+            3,
+            vec![&[0xB5, 2, 5]],
+            [1, 0, 0, 1],
+        ),
+        (
+            "the magic alone",
+            vec![0xB5],
+            1,
+            vec![&[0xB5]],
+            [1, 0, 0, 1],
+        ),
+    ];
+    for (name, bytes, seg, want, counts) in vectors {
+        let t = Train {
+            bytes: bytes.len(),
+            seg,
+        };
+        let got: Vec<&[u8]> = bundle::frames_of(&bytes, t)
+            .map(|(at, n)| &bytes[at..at + n])
+            .collect();
+        assert_eq!(got, want, "{name}");
+        assert_eq!(bundle::count(&bytes, t), want.len(), "{name}");
+
+        let mut demux = FlowDemux::builder()
+            .scheduler(Srr::equal(1, 1500))
+            .link(TrainLink([(bytes, seg)].into()))
+            .build();
+        assert_eq!(demux.sweep(SimTime::ZERO), want.len(), "{name}");
+        let FlowDemuxSnapshot {
+            frames,
+            data_frames,
+            control_frames,
+            dropped_malformed,
+            ..
+        } = demux.net_stats();
+        assert_eq!(
+            [frames, data_frames, control_frames, dropped_malformed],
+            counts,
+            "{name}"
+        );
+    }
 }
 
 /// `(malformed per channel, corrupt per channel, data frames, control
