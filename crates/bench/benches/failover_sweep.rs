@@ -98,13 +98,15 @@ fn run(probe_interval_ns: u64) -> Phases {
     let mut next_id = 0u64;
     let mut lost = 0usize;
     let mut detect_at = None;
+    let mut txs = Vec::new();
     // Delivered bytes per phase: [before, during, after].
     let mut phase_bytes = [0u64; 3];
     let end = SimTime::from_millis(END);
 
     while now < end {
         now += step;
-        for t in driver.tick(&mut path, now) {
+        driver.tick(&mut path, now, &mut txs);
+        for t in txs.drain(..) {
             queue_ctl(&mut q, t);
         }
         if detect_at.is_none() && driver.membership().epoch() > 0 {
@@ -134,7 +136,8 @@ fn run(probe_interval_ns: u64) -> Phases {
                     }
                 }
                 Ev::Rev(c, ctl) => {
-                    for t in driver.on_control(&mut path, c, &ctl, at) {
+                    driver.on_control(&mut path, c, &ctl, at, &mut txs);
+                    for t in txs.drain(..) {
                         queue_ctl(&mut q, t);
                     }
                 }

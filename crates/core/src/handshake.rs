@@ -25,9 +25,13 @@
 //! - **No carrier.** Beginning with no live carrier is
 //!   [`HandshakeError::NoCarrier`] and changes nothing — no epoch is spent
 //!   on an announcement nothing could carry. A carrier that dies later is
-//!   dropped with [`EpochSender::stop_awaiting`]; if every awaited carrier
-//!   dies the handshake completes with nobody left to ask, and what the far
-//!   end missed is healed by the next announcement or §5 reset.
+//!   dropped with [`EpochSender::stop_awaiting`]. If every awaited carrier
+//!   dies after one of them acked, the handshake completes: the far end has
+//!   it. If they all die before any acked, nobody may have heard it — a
+//!   copy may still be in flight on a dead link, to land after anything
+//!   sent later — so it ends [`Progress::Unheard`], not complete, and its
+//!   driver begins it again over the channels still live: a newer epoch
+//!   that makes the stray copy stale.
 //! - **First sighting.** A responder applies the first announcement it
 //!   ever sees whatever its epoch (it may have restarted under a long-lived
 //!   sender), then strictly newer epochs apply, the current one is re-acked
@@ -106,6 +110,10 @@ pub enum Progress {
     Complete,
     /// Nothing changed (see the ack rule in the module docs).
     Ignored,
+    /// Every carrier was dropped before any of them acked: nobody may have
+    /// heard the announcement. Not complete — begin it again over the
+    /// channels still live (see the no-carrier rule in the module docs).
+    Unheard,
 }
 
 /// Sender half: the epoch, the announcement in flight and who still owes
@@ -116,6 +124,8 @@ pub struct EpochSender {
     epoch: Epoch,
     /// Bit `c` set ⇔ channel `c`'s ack is outstanding.
     awaiting: u16,
+    /// Some carrier acked the current epoch.
+    heard: bool,
     announcement: Option<Control>,
     last_sent_ns: u64,
     completed: u64,
@@ -134,6 +144,7 @@ impl EpochSender {
             channels,
             epoch: 0,
             awaiting: 0,
+            heard: false,
             announcement: None,
             last_sent_ns: 0,
             completed: 0,
@@ -159,6 +170,7 @@ impl EpochSender {
         }
         self.epoch = self.epoch.wrapping_add(1);
         self.awaiting = mask;
+        self.heard = false;
         self.announcement = Some(build(self.epoch, mask));
         Ok(self.epoch)
     }
@@ -221,24 +233,33 @@ impl EpochSender {
 
     /// An ack for `epoch` arrived on `channel`.
     pub fn on_ack(&mut self, channel: ChannelId, epoch: Epoch) -> Progress {
-        if epoch != self.epoch {
+        if epoch != self.epoch || !self.awaits(channel) {
             return Progress::Ignored;
         }
+        self.heard = true;
         self.stop_awaiting(channel)
     }
 
     /// Stop awaiting `channel` — it acked, or it died and never will.
-    /// Completes the handshake if it was the last one awaited.
+    /// Ends the handshake if it was the last one awaited: complete once
+    /// some carrier acked, [`Progress::Unheard`] if none did.
     pub fn stop_awaiting(&mut self, channel: ChannelId) -> Progress {
-        if channel >= self.channels || self.awaiting & (1 << channel) == 0 {
+        if !self.awaits(channel) {
             return Progress::Ignored;
         }
         self.awaiting &= !(1 << channel);
         if self.awaiting != 0 {
             return Progress::Pending;
         }
+        if !self.heard {
+            return Progress::Unheard;
+        }
         self.completed += 1;
         Progress::Complete
+    }
+
+    fn awaits(&self, channel: ChannelId) -> bool {
+        channel < self.channels && self.awaiting & (1 << channel) != 0
     }
 
     /// Whether an announcement is still awaiting acks.
@@ -559,8 +580,10 @@ mod tests {
         assert_eq!(s.epoch(), 0);
     }
 
-    /// A carrier that dies is dropped, completing the handshake if it was
-    /// the last one awaited — waiting on it would wedge the sender forever.
+    /// A carrier that dies is dropped, ending the handshake if it was the
+    /// last one awaited — waiting on it would wedge the sender forever.
+    /// Complete once some carrier acked; unheard, not complete, if none
+    /// did.
     #[test]
     fn dead_carrier_is_not_awaited() {
         for kind in &KINDS {
@@ -571,6 +594,10 @@ mod tests {
             assert_eq!(s.stop_awaiting(2), Progress::Ignored);
             assert_eq!(s.stop_awaiting(1), Progress::Complete);
             assert!(!s.in_progress());
+            (kind.begin)(&mut s, &[true, true, false]).unwrap();
+            assert_eq!(s.stop_awaiting(0), Progress::Pending);
+            assert_eq!(s.stop_awaiting(1), Progress::Unheard);
+            assert_eq!((s.in_progress(), s.completed()), (false, 1));
         }
     }
 

@@ -60,7 +60,10 @@ pub enum ChannelHealth {
     Dead,
 }
 
-/// What the tracker wants done, in the order events should be handled.
+/// What a [`LivenessTracker::poll`] wants done, in the order events should
+/// be handled. A timer never revives a channel — only an ack does, and
+/// [`LivenessTracker::on_probe_ack`] reports that itself — so a recovery
+/// is not an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LivenessEvent {
     /// Transmit a [`Control::Probe`](crate::control::Control::Probe) with
@@ -73,8 +76,6 @@ pub enum LivenessEvent {
     },
     /// The channel crossed the dead deadline: shrink the striping set.
     ChannelDead(ChannelId),
-    /// A dead channel answered a probe: grow the striping set back.
-    ChannelRecovered(ChannelId),
 }
 
 #[derive(Debug, Clone)]
@@ -130,10 +131,10 @@ impl LivenessTracker {
         (nonce >> 48) as ChannelId
     }
 
-    /// Advance the clock: returns due probes and newly detected deaths.
-    /// Call on every timer tick (a fraction of the probe interval).
-    pub fn poll(&mut self, now_ns: u64) -> Vec<LivenessEvent> {
-        let mut out = Vec::new();
+    /// Advance the clock: appends due probes and newly detected deaths to
+    /// `out` (not cleared). Call on every timer tick (a fraction of the
+    /// probe interval).
+    pub fn poll(&mut self, now_ns: u64, out: &mut Vec<LivenessEvent>) {
         for c in 0..self.chans.len() {
             let silent = now_ns.saturating_sub(self.chans[c].last_ack_ns);
             let ch = &mut self.chans[c];
@@ -163,21 +164,15 @@ impl LivenessTracker {
                 ch.next_probe_ns = now_ns + ch.cur_interval_ns;
             }
         }
-        out
     }
 
     /// A probe ack arrived on the reverse path of `channel`. Returns
-    /// `Some(ChannelRecovered)` when it revives a dead channel. Acks whose
-    /// nonce names a different channel are ignored (misrouted traffic must
-    /// not fake liveness).
-    pub fn on_probe_ack(
-        &mut self,
-        channel: ChannelId,
-        nonce: u64,
-        now_ns: u64,
-    ) -> Option<LivenessEvent> {
+    /// whether it revived a dead channel (grow the striping set back).
+    /// Acks whose nonce names a different channel are ignored (misrouted
+    /// traffic must not fake liveness).
+    pub fn on_probe_ack(&mut self, channel: ChannelId, nonce: u64, now_ns: u64) -> bool {
         if Self::nonce_channel(nonce) != channel || channel >= self.chans.len() {
-            return None;
+            return false;
         }
         let ch = &mut self.chans[channel];
         ch.last_ack_ns = now_ns;
@@ -187,16 +182,14 @@ impl LivenessTracker {
         ch.next_probe_ns = now_ns + self.cfg.probe_interval_ns;
         if was_dead {
             self.recoveries += 1;
-            Some(LivenessEvent::ChannelRecovered(channel))
-        } else {
-            None
         }
+        was_dead
     }
 
     /// Any authenticated traffic from the far end of `channel` (e.g. a
     /// membership ack) also proves liveness; equivalent to a probe ack with
     /// a matching nonce.
-    pub fn on_activity(&mut self, channel: ChannelId, now_ns: u64) -> Option<LivenessEvent> {
+    pub fn on_activity(&mut self, channel: ChannelId, now_ns: u64) -> bool {
         let nonce = Self::make_nonce(channel, 0);
         self.on_probe_ack(channel, nonce, now_ns)
     }
@@ -255,6 +248,12 @@ mod tests {
 
     const MS: u64 = 1_000_000;
 
+    fn poll(t: &mut LivenessTracker, now_ns: u64) -> Vec<LivenessEvent> {
+        let mut out = Vec::new();
+        t.poll(now_ns, &mut out);
+        out
+    }
+
     fn probes(evs: &[LivenessEvent]) -> Vec<ChannelId> {
         evs.iter()
             .filter_map(|e| match e {
@@ -267,15 +266,15 @@ mod tests {
     #[test]
     fn healthy_channels_probe_on_the_interval() {
         let mut t = LivenessTracker::new(2, LivenessConfig::with_interval(10 * MS), 0);
-        assert_eq!(t.poll(5 * MS), vec![]);
-        let evs = t.poll(10 * MS);
+        assert_eq!(poll(&mut t, 5 * MS), vec![]);
+        let evs = poll(&mut t, 10 * MS);
         assert_eq!(probes(&evs), vec![0, 1]);
         // Acks keep both live.
         for (c, e) in evs.iter().enumerate() {
             let LivenessEvent::ProbeDue { nonce, .. } = e else {
                 panic!()
             };
-            assert!(t.on_probe_ack(c, *nonce, 11 * MS).is_none());
+            assert!(!t.on_probe_ack(c, *nonce, 11 * MS));
         }
         assert_eq!(t.health(0), ChannelHealth::Live);
     }
@@ -288,7 +287,7 @@ mod tests {
         let mut dead_at = None;
         for tick in 1..20u64 {
             let now = tick * 5 * MS;
-            for e in t.poll(now) {
+            for e in poll(&mut t, now) {
                 match e {
                     LivenessEvent::ProbeDue { channel: 1, nonce } => {
                         t.on_probe_ack(1, nonce, now);
@@ -316,7 +315,7 @@ mod tests {
         let mut probe_times = Vec::new();
         for tick in 1..200u64 {
             let now = tick * 5 * MS;
-            for e in t.poll(now) {
+            for e in poll(&mut t, now) {
                 if matches!(e, LivenessEvent::ProbeDue { .. }) {
                     probe_times.push(now);
                 }
@@ -336,20 +335,19 @@ mod tests {
         let mut t = LivenessTracker::new(1, cfg, 0);
         let mut last_nonce = 0;
         for tick in 1..40u64 {
-            for e in t.poll(tick * 5 * MS) {
+            for e in poll(&mut t, tick * 5 * MS) {
                 if let LivenessEvent::ProbeDue { nonce, .. } = e {
                     last_nonce = nonce;
                 }
             }
         }
         assert_eq!(t.health(0), ChannelHealth::Dead);
-        let ev = t.on_probe_ack(0, last_nonce, 200 * MS);
-        assert_eq!(ev, Some(LivenessEvent::ChannelRecovered(0)));
+        assert!(t.on_probe_ack(0, last_nonce, 200 * MS), "recovered");
         assert_eq!(t.health(0), ChannelHealth::Live);
         assert_eq!(t.recoveries(), 1);
         // Next probe one base interval out, not a backed-off one.
-        assert_eq!(t.poll(205 * MS), vec![]);
-        assert_eq!(probes(&t.poll(210 * MS)), vec![0]);
+        assert_eq!(poll(&mut t, 205 * MS), vec![]);
+        assert_eq!(probes(&poll(&mut t, 210 * MS)), vec![0]);
     }
 
     #[test]
@@ -358,7 +356,7 @@ mod tests {
         let mut t = LivenessTracker::new(2, cfg, 0);
         for tick in 1..40u64 {
             let now = tick * 5 * MS;
-            for e in t.poll(now) {
+            for e in poll(&mut t, now) {
                 if let LivenessEvent::ProbeDue { channel: 1, nonce } = e {
                     t.on_probe_ack(1, nonce, now);
                 }
@@ -367,7 +365,7 @@ mod tests {
         assert_eq!(t.health(0), ChannelHealth::Dead);
         // A channel-1 nonce arriving labelled channel 0 must be ignored.
         let bogus = LivenessTracker::make_nonce(1, 99);
-        assert!(t.on_probe_ack(0, bogus, 300 * MS).is_none());
+        assert!(!t.on_probe_ack(0, bogus, 300 * MS));
         assert_eq!(t.health(0), ChannelHealth::Dead);
     }
 
@@ -385,17 +383,14 @@ mod tests {
         // revives it through the normal recovery path.
         let mut last_nonce = None;
         for tick in 1..40u64 {
-            for e in t.poll(tick * 5 * MS) {
+            for e in poll(&mut t, tick * 5 * MS) {
                 if let LivenessEvent::ProbeDue { channel: 0, nonce } = e {
                     last_nonce = Some(nonce);
                 }
             }
         }
         let nonce = last_nonce.expect("dead channel still probed");
-        assert_eq!(
-            t.on_probe_ack(0, nonce, 300 * MS),
-            Some(LivenessEvent::ChannelRecovered(0))
-        );
+        assert!(t.on_probe_ack(0, nonce, 300 * MS), "recovered");
     }
 
     #[test]
@@ -403,12 +398,9 @@ mod tests {
         let cfg = LivenessConfig::with_interval(10 * MS);
         let mut t = LivenessTracker::new(1, cfg, 0);
         for tick in 1..40u64 {
-            t.poll(tick * 5 * MS);
+            poll(&mut t, tick * 5 * MS);
         }
         assert_eq!(t.health(0), ChannelHealth::Dead);
-        assert_eq!(
-            t.on_activity(0, 300 * MS),
-            Some(LivenessEvent::ChannelRecovered(0))
-        );
+        assert!(t.on_activity(0, 300 * MS), "recovered");
     }
 }

@@ -1156,9 +1156,9 @@ mod tests {
             effective_round: 50,
             quanta: vec![4000, 1000],
         };
-        ControlPath::transmit_control(&mut srv, SimTime::ZERO, 0, announce.clone());
+        ControlPath::transmit_control(&mut srv, SimTime::ZERO, 0, &announce);
         // The same flood on the other channel: ack only, no re-apply.
-        ControlPath::transmit_control(&mut srv, SimTime::ZERO, 1, announce);
+        ControlPath::transmit_control(&mut srv, SimTime::ZERO, 1, &announce);
         demux.sweep(SimTime::ZERO);
         assert_eq!(demux.net_stats().replies_sent, 2);
         let mut buf = [0u8; 2048];
@@ -1241,7 +1241,12 @@ mod tests {
     fn probe_acked_at_demux_level() {
         use stripe_transport::ControlPath;
         let (mut srv, mut demux) = linked(4);
-        ControlPath::transmit_control(&mut srv, SimTime::ZERO, 1, Control::Probe { nonce: 0xABCD });
+        ControlPath::transmit_control(
+            &mut srv,
+            SimTime::ZERO,
+            1,
+            &Control::Probe { nonce: 0xABCD },
+        );
         demux.sweep(SimTime::ZERO);
         assert_eq!(demux.net_stats().replies_sent, 1);
         let mut buf = [0u8; 2048];
@@ -1463,7 +1468,7 @@ mod tests {
         demux.links_mut()[0].send_frame(&[0]).unwrap();
         demux.links_mut()[0].send_frame(&[0]).unwrap();
         let t =
-            ControlPath::transmit_control(&mut srv, SimTime::ZERO, 0, Control::Probe { nonce: 1 });
+            ControlPath::transmit_control(&mut srv, SimTime::ZERO, 0, &Control::Probe { nonce: 1 });
         assert_eq!(t.error, None);
         demux.sweep(SimTime::ZERO);
         let s = demux.net_stats();
@@ -1489,8 +1494,8 @@ mod tests {
         demux.sweep(SimTime::ZERO);
         // Packets are buffered/deliverable before the reset…
         let req = Control::ResetRequest { epoch: 1 };
-        ControlPath::transmit_control(&mut srv, SimTime::ZERO, 0, req.clone());
-        ControlPath::transmit_control(&mut srv, SimTime::ZERO, 1, req);
+        ControlPath::transmit_control(&mut srv, SimTime::ZERO, 0, &req);
+        ControlPath::transmit_control(&mut srv, SimTime::ZERO, 1, &req);
         demux.sweep(SimTime::ZERO);
         // …and gone after it: the flush dropped them with the replica
         // state, and the retransmitted request did not flush twice.

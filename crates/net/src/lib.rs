@@ -36,7 +36,8 @@
 //!   dependencies.
 //! - [`est`] / [`adapt`] — [`ChannelEstimator`] and [`AdaptiveTuner`]:
 //!   per-channel goodput/RTT estimation from transmit evidence and the
-//!   control loop that turns it into epoch'd live quantum retunes.
+//!   control loop that turns it into quanta proposals, which the failover
+//!   driver announces as epoch'd live retunes.
 //! - [`clock`] — [`WallClock`], mapping `std::time::Instant` onto
 //!   [`SimTime`](stripe_netsim::SimTime) nanoseconds so every
 //!   timer-driven component runs on either clock.

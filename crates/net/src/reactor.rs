@@ -7,10 +7,12 @@
 //! [`FailoverDriver`] its periodic tick. [`ServerReactor`] is that
 //! somebody. One [`poll`](ServerReactor::poll) is one readiness sweep;
 //! the application calls it between send batches (or from a trivial
-//! loop when idle). Because every timer-driven component takes `now` as
-//! an argument instead of asking a clock, the same reactor code runs
-//! under [`WallClock`](crate::clock::WallClock) time in production and
-//! under scripted [`SimTime`]s in tests.
+//! loop when idle). A poll reuses one buffer for the transmissions it
+//! reports, so once that buffer has grown a poll allocates nothing.
+//! Because every timer-driven component takes `now` as an argument
+//! instead of asking a clock, the same reactor code runs under
+//! [`WallClock`](crate::clock::WallClock) time in production and under
+//! scripted [`SimTime`]s in tests.
 //!
 //! Since the lifecycle work the reactor is also the recovery
 //! *orchestrator*: each channel carries a
@@ -22,6 +24,11 @@
 //! to live. The driver still owns *what* to announce; the lifecycle
 //! owns *when to rebuild sockets* and how hard to back off.
 //!
+//! With the adaptive loop attached the reactor feeds its estimators and
+//! hands each proposal to the driver, which announces retunes exactly as
+//! it announces masks and resets: the reactor routes no handshake acks
+//! and calls no reset or death hooks of its own.
+//!
 //! [`FailoverDriver`]: stripe_transport::FailoverDriver
 
 use stripe_core::control::Control;
@@ -29,9 +36,9 @@ use stripe_core::liveness::ChannelHealth;
 use stripe_core::sched::CausalScheduler;
 use stripe_link::{DatagramLink, Train};
 use stripe_netsim::{SimDuration, SimTime};
-use stripe_transport::{flood_announcement, ControlPath, ControlTransmission, FailoverDriver};
+use stripe_transport::{ControlTransmission, FailoverDriver};
 
-use crate::adapt::{AdaptiveStep, AdaptiveTuner};
+use crate::adapt::AdaptiveTuner;
 use crate::bundle;
 use crate::frame::{self, Body};
 use crate::lifecycle::{ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleState};
@@ -101,9 +108,11 @@ pub struct ReactorSnapshot {
     /// Completed die→rejoin cycles: channels walked all the way back to
     /// live through the grow handshake.
     pub rejoins: u64,
-    /// Adaptive retune announcements flooded (see [`AdaptiveTuner`]).
+    /// Retune handshakes the failover driver began: proposals of the
+    /// [`AdaptiveTuner`] it accepted, and the quanta in force announced
+    /// again.
     pub retunes: u64,
-    /// Quantum acks fed back into the adaptive handshake.
+    /// Quantum acks that moved a retune handshake.
     pub retune_acks: u64,
     /// Retune handshakes fully acked.
     pub retunes_complete: u64,
@@ -155,6 +164,9 @@ pub struct ServerReactor<S: CausalScheduler, L: DatagramLink> {
     park_since_ns: Option<u64>,
     /// Edge detector for blackout transitions.
     was_blackout: bool,
+    /// This poll's control transmissions; [`poll`](Self::poll) drains it
+    /// and keeps the capacity.
+    reports: Vec<ControlTransmission>,
     stats: ReactorSnapshot,
 }
 
@@ -197,18 +209,26 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
             adaptive: None,
             park_since_ns: None,
             was_blackout: false,
+            reports: Vec::new(),
             stats: ReactorSnapshot::default(),
         }
     }
 
     /// Attach the adaptive quantum control loop: from the next poll on,
     /// every channel's transmit evidence and probe round trips feed its
-    /// estimators, and estimation ticks may flood epoch'd retunes (see
-    /// [`crate::adapt`]). The tuner's initial quanta must match the
-    /// scheduler's, or the deadband measures against the wrong baseline.
+    /// estimators, and each estimation tick may hand a proposal to the
+    /// failover driver, which announces the retune (see [`crate::adapt`]).
+    /// The tuner's initial quanta must match the scheduler's, or the
+    /// deadband measures against the wrong baseline.
+    ///
+    /// # Panics
+    /// Panics without a failover driver — the retune handshake is the
+    /// driver's, so nothing could announce a proposal — or when the tuner
+    /// does not have one quantum per channel.
     pub fn attach_adaptive(&mut self, tuner: AdaptiveTuner) {
+        assert!(self.driver.is_some(), "the adaptive loop needs a driver");
         assert_eq!(
-            tuner.quanta().len(),
+            tuner.channels(),
             self.path.links().len(),
             "one quantum per channel"
         );
@@ -218,14 +238,6 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
     /// The adaptive control loop, if attached.
     pub fn adaptive(&self) -> Option<&AdaptiveTuner> {
         self.adaptive.as_ref()
-    }
-
-    /// Replace the recovery timing policy (resets every channel's
-    /// machine to live — call before inducing chaos, not during).
-    pub fn set_lifecycle_config(&mut self, cfg: LifecycleConfig) {
-        for lc in &mut self.lifecycle {
-            *lc = ChannelLifecycle::new(cfg);
-        }
     }
 
     /// Per-channel recovery machines (state + counters).
@@ -242,17 +254,18 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
     /// 4. step each channel's recovery lifecycle — cooldowns, socket
     ///    rebuilds ([`DatagramLink::revive`]), and the probe/rejoin
     ///    watches;
-    /// 5. deliver the periodic failover tick when due.
+    /// 5. deliver the periodic failover tick when due;
+    /// 6. feed the adaptive loop, and hand its proposal to the driver.
     ///
-    /// Returns the control transmissions the driver reported (probes
-    /// sent, announcements, retransmissions) — empty in the steady state,
-    /// and `Vec::new()` never allocates.
-    pub fn poll(&mut self, now: SimTime) -> Vec<ControlTransmission> {
+    /// Returns the control transmissions the driver made this poll
+    /// (probes, announcements, retransmissions), drained from a buffer
+    /// the reactor keeps: no poll allocates once that buffer has grown.
+    pub fn poll(&mut self, now: SimTime) -> std::vec::Drain<'_, ControlTransmission> {
         self.stats.polls += 1;
         self.stats.flushed += self.path.flush() as u64;
-        let mut reports = Vec::new();
+        self.reports.clear();
         for c in 0..self.path.links().len() {
-            self.report_link_death(c, now, &mut reports);
+            self.report_link_death(c, now);
             loop {
                 // A revived socket may land wider trains than the one it
                 // replaces, so the room is sized against the link as it
@@ -296,18 +309,12 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
                         self.stats.desync_alerts += 1;
                     }
                     if let Some(ad) = self.adaptive.as_mut() {
-                        match &ctl {
-                            Control::ProbeAck { nonce, .. } => {
-                                ad.on_probe_ack(c, *nonce, now.as_nanos());
-                            }
-                            // The failover driver ignores quantum acks;
-                            // the adaptive handshake owns them.
-                            Control::QuantumAck { epoch } => ad.on_quantum_ack(c, *epoch),
-                            _ => {}
+                        if let Control::ProbeAck { nonce, .. } = ctl {
+                            ad.on_probe_ack(c, nonce, now.as_nanos());
                         }
                     }
                     if let Some(driver) = self.driver.as_mut() {
-                        reports.extend(driver.on_control(&mut self.path, c, &ctl, now));
+                        driver.on_control(&mut self.path, c, &ctl, now, &mut self.reports);
                     }
                 }
                 if got < REVERSE_WINDOWS {
@@ -328,35 +335,40 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         if self.tick.fire(now) {
             if let Some(driver) = self.driver.as_mut() {
                 self.stats.ticks += 1;
-                reports.extend(driver.tick(&mut self.path, now));
+                driver.tick(&mut self.path, now, &mut self.reports);
             }
         }
         if let Some(driver) = self.driver.as_mut() {
             // A completed §5 reset: the receiver has flushed and acked,
             // so flush the sender-side engines and re-announce to
             // unpark — both ends restart the simulation from zero, on
-            // their initial quanta, so the tuner re-teaches the tuned
-            // ones alongside the mask.
+            // their initial quanta, so the driver re-teaches the quanta
+            // in force alongside the mask.
             if driver.take_pending_engine_reset() {
                 self.path.reset_flows();
-                reports.extend(driver.reannounce(&mut self.path, now));
-                if let Some(ad) = self.adaptive.as_mut() {
-                    ad.on_reset();
+                driver.reannounce(&mut self.path, now, &mut self.reports);
+            }
+            if let Some(ad) = self.adaptive.as_mut() {
+                // Probes just sent: their acks become RTT samples.
+                for r in &self.reports {
+                    if let (Control::Probe { nonce }, None) = (&r.ctl, r.error) {
+                        ad.on_probe_sent(r.channel, *nonce, now.as_nanos());
+                    }
+                }
+                if let Some(quanta) = ad.propose(now, driver.quanta()) {
+                    driver.begin_retune(&mut self.path, quanta, now, &mut self.reports);
                 }
             }
             let (parked, blackout) = (driver.parked(), driver.blackout());
             self.stats.restarts_detected = driver.restarts_detected();
             self.stats.resets_started = driver.resets_started();
             self.stats.resets_completed = driver.resets_completed();
+            self.stats.retunes = driver.retunes_started();
+            self.stats.retune_acks = driver.retune_acks();
+            self.stats.retunes_complete = driver.retune().completed();
             self.observe_park(parked, blackout, now);
         }
-        self.step_adaptive(now, &mut reports);
-        if let Some(tuned) = self.adaptive.as_ref().map(|ad| ad.stats()) {
-            self.stats.retunes = tuned.retunes;
-            self.stats.retune_acks = tuned.retune_acks;
-            self.stats.retunes_complete = tuned.retunes_complete;
-        }
-        reports
+        self.reports.drain(..)
     }
 
     /// Track park state for the snapshot: blackout rising edges count as
@@ -377,69 +389,18 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         self.stats.parked = parked;
     }
 
-    /// Drive the adaptive quantum loop one step: record probes the
-    /// driver just sent (their acks become RTT samples), and execute a
-    /// due announce or retransmission. A retune is announced exactly
-    /// like a membership change — scheduled on the local path at an
-    /// effective round a little ahead of the scan, then flooded over
-    /// the live channels and retransmitted until every ack is in.
-    fn step_adaptive(&mut self, now: SimTime, reports: &mut Vec<ControlTransmission>) {
-        let Some(ad) = self.adaptive.as_mut() else {
-            return;
-        };
-        for r in reports.iter() {
-            if let Control::Probe { nonce } = r.ctl {
-                if r.error.is_none() {
-                    ad.on_probe_sent(r.channel, nonce, now.as_nanos());
-                }
-            }
-        }
-        match ad.step(now) {
-            AdaptiveStep::Idle => return,
-            AdaptiveStep::Retransmit => {}
-            AdaptiveStep::Announce => {
-                let live = match self.driver.as_ref() {
-                    Some(d) => d.liveness().live_mask(),
-                    None => vec![true; self.path.links().len()],
-                };
-                if !live.iter().any(|&l| l) {
-                    return; // total outage: nothing can carry the retune
-                }
-                let eff = self.path.current_round() + ad.announce_lead_rounds();
-                match ad.begin_announce(eff, &live) {
-                    Ok(()) => self.path.schedule_quanta(eff, ad.quanta()),
-                    // Counted beside the driver's own handshake errors.
-                    // Without a driver there is nothing to count: every
-                    // channel is a carrier and `attach_adaptive` checked
-                    // the arity.
-                    Err(e) => {
-                        if let Some(driver) = self.driver.as_mut() {
-                            driver.record_error(e);
-                        }
-                    }
-                }
-            }
-        }
-        flood_announcement(ad.handshake_mut(), &mut self.path, now, reports);
-    }
-
     /// The one dead-channel handling path: surface a link-layer death
     /// flag to the failover driver (a *newly* declared death announces
     /// the shrunken mask immediately, counted in `link_dead_reports`;
     /// repeats are idempotent) and feed the evidence to the channel's
     /// lifecycle machine.
-    fn report_link_death(
-        &mut self,
-        c: usize,
-        now: SimTime,
-        reports: &mut Vec<ControlTransmission>,
-    ) {
+    fn report_link_death(&mut self, c: usize, now: SimTime) {
         if !self.path.links()[c].link_dead() {
             return;
         }
         if let Some(driver) = self.driver.as_mut() {
             let before = driver.liveness().deaths();
-            reports.extend(driver.on_link_dead(&mut self.path, c, now));
+            driver.on_link_dead(&mut self.path, c, now, &mut self.reports);
             if driver.liveness().deaths() > before {
                 self.stats.link_dead_reports += 1;
             }
@@ -460,15 +421,6 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         if let Some(driver) = self.driver.as_ref() {
             if driver.liveness().health(c) == ChannelHealth::Dead {
                 self.lifecycle[c].on_dead(now_ns);
-                // The retune in flight stops waiting for a channel that
-                // can no longer ack. Not during a blackout, like the
-                // driver's own handshakes: with nobody left to ask it
-                // stays in flight until a channel returns.
-                if !driver.blackout() {
-                    if let Some(ad) = self.adaptive.as_mut() {
-                        ad.on_channel_dead(c);
-                    }
-                }
             }
         }
         if self.lifecycle[c].advance(now_ns) == LifecycleAction::Rebind {
@@ -594,8 +546,7 @@ mod tests {
         let mut announced_death = false;
         for ms in 1..20u64 {
             let now = SimTime::from_millis(ms);
-            let reports = reactor.poll(now);
-            announced_death |= membership_announced(&reports);
+            announced_death |= membership_announced(reactor.poll(now).as_slice());
             rx.sweep(now);
             reactor.poll(now); // read back this interval's acks
         }
@@ -616,8 +567,8 @@ mod tests {
         let mut ctl_buf = Vec::new();
         let mut announced_death = false;
         for ms in 1..10u64 {
-            let reports = reactor.poll(SimTime::from_millis(ms));
-            announced_death |= membership_announced(&reports);
+            let now = SimTime::from_millis(ms);
+            announced_death |= membership_announced(reactor.poll(now).as_slice());
             // Ack channel 0's probes by hand; channel 1 stays silent.
             while let Some(n) = b0.recv_frame(&mut buf) {
                 if let Some(Frame::Control(Control::Probe { nonce })) = frame::decode(&buf[..n]) {
@@ -688,9 +639,9 @@ mod tests {
 
         // Kill channel 1 at the link layer; the next poll must announce.
         reactor.path_mut().links_mut()[1].dead = true;
-        let reports = reactor.poll(SimTime::from_micros(200));
+        let announced = membership_announced(reactor.poll(SimTime::from_micros(200)).as_slice());
         assert!(
-            membership_announced(&reports),
+            announced,
             "death evidence must announce a shrunken mask immediately"
         );
         let driver = reactor.driver().expect("driver attached");
@@ -704,9 +655,9 @@ mod tests {
         );
 
         // Still-dead link on later polls: idempotent, no re-announce spam.
-        let again = reactor.poll(SimTime::from_micros(300));
+        let again = membership_announced(reactor.poll(SimTime::from_micros(300)).as_slice());
         assert!(
-            !membership_announced(&again),
+            !again,
             "no duplicate announcements while the link stays dead"
         );
         assert_eq!(reactor.stats().link_dead_reports, 1);
@@ -768,7 +719,7 @@ mod tests {
         // Kill channel 1 at the link layer; the shrink announces.
         reactor.path_mut().links_mut()[1].dead = true;
         assert!(membership_announced(
-            &reactor.poll(SimTime::from_micros(100))
+            reactor.poll(SimTime::from_micros(100)).as_slice()
         ));
         assert_eq!(reactor.lifecycle()[1].state(), LifecycleState::Cooldown);
 
@@ -779,9 +730,9 @@ mod tests {
         let mut grow_announced = false;
         for step in 2..120u64 {
             let now = SimTime::from_micros(step * 500);
-            let reports = reactor.poll(now);
+            let announced = membership_announced(reactor.poll(now).as_slice());
             if reactor.stats().grow_announcements > 0 {
-                grow_announced |= membership_announced(&reports);
+                grow_announced |= announced;
             }
             for b in [&mut b0, &mut b1] {
                 while let Some(n) = b.recv_frame(&mut buf) {
@@ -851,8 +802,18 @@ mod tests {
             .links(fwd)
             .build();
         let flow = path.open_flow().unwrap();
-        let mut reactor =
-            ServerReactor::new(path, None, SimTime::ZERO, SimDuration::from_millis(1));
+        // The driver owns the retune handshake. Its deadline sits far
+        // above the probe interval: the policers bind every millisecond,
+        // and only a real partition may kill a channel.
+        let mut failover = FailoverConfig::with_probe_interval(1_000_000);
+        failover.liveness.dead_after_ns = 10_000_000;
+        let driver = FailoverDriver::new(3, failover, SimTime::ZERO);
+        let mut reactor = ServerReactor::new(
+            path,
+            Some(driver),
+            SimTime::ZERO,
+            SimDuration::from_millis(1),
+        );
         let cfg = AdaptiveConfig::with_interval(SimDuration::from_millis(5));
         reactor.attach_adaptive(AdaptiveTuner::new(&[1500, 1500, 1500], cfg, SimTime::ZERO));
         let mut rx = FlowDemux::builder()
@@ -893,8 +854,7 @@ mod tests {
             stats.retune_acks,
             stats.retunes_complete
         );
-        let ad = reactor.adaptive().expect("attached");
-        let q = ad.quanta();
+        let q = reactor.driver().expect("attached").quanta();
         assert!(
             q[0] > q[1] && q[1] > q[2],
             "tuned quanta {q:?} must order by capacity"

@@ -1152,25 +1152,6 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
         self.emit_stages(events);
     }
 
-    fn transmit_control_impl(
-        &mut self,
-        now: SimTime,
-        c: ChannelId,
-        ctl: &Control,
-    ) -> (Option<SimTime>, Option<TxError>) {
-        self.stats.path.control_sent += 1;
-        // Global control stays untagged version 1: the failover plane is
-        // flow-agnostic.
-        frame::encode_control_into(ctl, &mut self.ctl_buf);
-        match self.links[c].send_frame(&self.ctl_buf) {
-            Ok(()) => (Some(now), None),
-            Err(e) => {
-                self.stats.path.control_lost += 1;
-                (None, Some(e))
-            }
-        }
-    }
-
     /// The striped *payload* MTU: minimum member frame MTU (§6.1's
     /// minimum-MTU rule) net of the worst-case framing overhead — header,
     /// the widest flow id the admission caps allow, and the integrity
@@ -1320,28 +1301,19 @@ impl<S: CausalScheduler, L: DatagramLink> ControlPath for StripeServer<S, L> {
         &mut self,
         now: SimTime,
         c: ChannelId,
-        ctl: Control,
-    ) -> ControlTransmission {
-        let (arrival, error) = self.transmit_control_impl(now, c, &ctl);
-        ControlTransmission {
-            channel: c,
-            arrival,
-            duplicate: None,
-            ctl,
-            error,
-        }
-    }
-
-    fn transmit_control_ref(
-        &mut self,
-        now: SimTime,
-        c: ChannelId,
         ctl: &Control,
     ) -> ControlTransmission {
-        let (arrival, error) = self.transmit_control_impl(now, c, ctl);
+        self.stats.path.control_sent += 1;
+        // Global control stays untagged version 1: the failover plane is
+        // flow-agnostic.
+        frame::encode_control_into(ctl, &mut self.ctl_buf);
+        let error = self.links[c].send_frame(&self.ctl_buf).err();
+        if error.is_some() {
+            self.stats.path.control_lost += 1;
+        }
         ControlTransmission {
             channel: c,
-            arrival,
+            arrival: error.is_none().then_some(now),
             duplicate: None,
             ctl: ctl.clone(),
             error,
@@ -1984,7 +1956,7 @@ mod tests {
             &mut srv,
             SimTime::from_nanos(5),
             1,
-            Control::Probe { nonce: 77 },
+            &Control::Probe { nonce: 77 },
         );
         assert_eq!(t.arrival, Some(SimTime::from_nanos(5)));
         assert_eq!(t.channel, 1);

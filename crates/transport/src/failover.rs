@@ -1,17 +1,23 @@
-//! Failover orchestration: liveness-driven membership over a striped path.
+//! Failover orchestration: liveness, membership, §5 reset and live retune
+//! over a striped path.
 //!
 //! This is where the pieces meet. [`FailoverDriver`] sits beside the
 //! sender's datapath — anything implementing
 //! [`ControlPath`](crate::stripe_conn::ControlPath): the simulated
 //! [`StripedPath`](crate::stripe_conn::StripedPath) or the real-socket
-//! `StripeServer` from `stripe-net` — and owns the two control-plane
-//! state machines:
-//! the [`LivenessTracker`] (per-channel keepalives with exponential
-//! backoff) and two [`EpochSender`]s — the shrink/grow mask and the §5
-//! reset, both instances of the epoch'd handshake in
-//! [`stripe_core::handshake`]. [`StripedSink`] is its receiver-side
-//! counterpart: it feeds arrivals into the [`LogicalReceiver`] and carries
-//! out what the handshake's [`ControlResponder`] decides.
+//! `StripeServer` from `stripe-net` — and owns the control plane: the
+//! [`LivenessTracker`] (per-channel keepalives with exponential backoff)
+//! and the three [`EpochSender`]s of the epoch'd handshake in
+//! [`stripe_core::handshake`] — the shrink/grow mask, the §5 reset and the
+//! quanta retune. Every handshake event, timeout and deadline lives here:
+//! one place begins, floods, retransmits, acks and drops carriers for all
+//! three, with one [`FailoverConfig::announce_lead_rounds`] and one
+//! [`FailoverConfig::retransmit_interval_ns`]. An adaptive tuner only
+//! *proposes* quanta ([`FailoverDriver::begin_retune`]); the driver keeps
+//! the one copy of the quanta in force. [`StripedSink`] is its
+//! receiver-side counterpart: it feeds arrivals into the
+//! [`LogicalReceiver`] and carries out what the handshake's
+//! [`ControlResponder`] decides.
 //!
 //! The failure lifecycle, end to end:
 //!
@@ -31,6 +37,15 @@
 //!    after the link comes back triggers the same handshake with the bit
 //!    restored, and the channel rejoins the stripe at zero deficit on both
 //!    ends.
+//!
+//! A reset or retune whose carriers all die before any of them acks is
+//! [`Progress::Unheard`] and is begun again over the live channels (a mask
+//! is begun again on every liveness change anyway). The quanta in force
+//! are announced again — beside the mask, over the live channels —
+//! whenever the far end may no longer hold them: after a §5 reset put
+//! both ends back on their initial quanta, when the path leaves a
+//! blackout (a reset may have completed inside it, its re-announce
+//! carried by nobody), and when a retune went unheard.
 
 use stripe_core::control::Control;
 use stripe_core::handshake::{ControlResponder, Effect, EpochSender, HandshakeError, Progress};
@@ -47,12 +62,13 @@ use crate::stripe_conn::{ControlPath, ControlTransmission};
 pub struct FailoverConfig {
     /// Keepalive timing (probe interval, dead deadline, backoff cap).
     pub liveness: LivenessConfig,
-    /// How many rounds ahead of the current scan a membership change takes
-    /// effect — enough for the announcement to cross the path. Too small
-    /// and the receiver applies it late (markers repair the skew); too
-    /// large and degradation is needlessly delayed.
+    /// How many rounds ahead of the current scan a membership or quanta
+    /// change takes effect — enough for the announcement to cross the
+    /// path. Too small and the receiver applies it late (markers repair
+    /// the skew); too large and degradation is needlessly delayed.
     pub announce_lead_rounds: u64,
-    /// Retransmit an unacked announcement (mask or reset) this often.
+    /// Retransmit an unacked announcement (mask, reset or retune) this
+    /// often.
     pub retransmit_interval_ns: u64,
 }
 
@@ -72,9 +88,9 @@ impl FailoverConfig {
 /// Flood `sender`'s in-flight announcement — one message, borrowed into
 /// every transmit, never rebuilt per channel — on each channel still
 /// awaiting its ack, and stamp the send time. The one flood/retransmit loop
-/// of the epoch'd handshake: call it after a `begin_*` and whenever
+/// of the epoch'd handshake: run after a `begin_*` and whenever
 /// [`EpochSender::retransmit_due`] holds. A no-op with nothing in flight.
-pub fn flood_announcement<P: ControlPath>(
+fn flood_announcement<P: ControlPath>(
     sender: &mut EpochSender,
     path: &mut P,
     now: SimTime,
@@ -84,20 +100,27 @@ pub fn flood_announcement<P: ControlPath>(
         return;
     };
     for c in sender.awaiting_channels() {
-        out.push(path.transmit_control_ref(now, c, msg));
+        out.push(path.transmit_control(now, c, msg));
     }
     sender.mark_sent(now.as_nanos());
 }
 
-/// Sender-side failover orchestrator. Call [`FailoverDriver::tick`] on a
-/// timer and [`FailoverDriver::on_control`] for every control message
-/// arriving on the reverse path; transmit every [`ControlTransmission`]
-/// either returns.
-#[derive(Debug)]
+/// Sender-side control-plane orchestrator. Call [`FailoverDriver::tick`]
+/// on a timer and [`FailoverDriver::on_control`] for every control message
+/// arriving on the reverse path; every entry point appends the
+/// [`ControlTransmission`]s it made to a caller-owned `Vec`, so a caller
+/// that reuses one allocates nothing in the steady state.
+#[derive(Debug, Clone)]
 pub struct FailoverDriver {
     live: LivenessTracker,
+    /// Scratch for [`LivenessTracker::poll`], kept between ticks.
+    liveness_events: Vec<LivenessEvent>,
     membership: EpochSender,
     reset: EpochSender,
+    retune: EpochSender,
+    /// The quanta in force on both ends (or being announced); empty until
+    /// the first retune — the schedulers' initial quanta are in force.
+    quanta: Vec<i64>,
     cfg: FailoverConfig,
     /// Every channel is dead: the path is parked. Legal, not fatal —
     /// flows see backpressure, probes keep flowing, the first ack
@@ -114,6 +137,8 @@ pub struct FailoverDriver {
     restarts_detected: u64,
     resets_started: u64,
     desync_resets: u64,
+    retunes_started: u64,
+    retune_acks: u64,
     membership_errors: u64,
     last_membership_error: Option<HandshakeError>,
 }
@@ -123,8 +148,11 @@ impl FailoverDriver {
     pub fn new(channels: usize, cfg: FailoverConfig, now: SimTime) -> Self {
         Self {
             live: LivenessTracker::new(channels, cfg.liveness, now.as_nanos()),
+            liveness_events: Vec::with_capacity(2 * channels),
             membership: EpochSender::new(channels),
             reset: EpochSender::new(channels),
+            retune: EpochSender::new(channels),
+            quanta: Vec::new(),
             cfg,
             blackout: false,
             peer_incarnation: None,
@@ -132,6 +160,8 @@ impl FailoverDriver {
             restarts_detected: 0,
             resets_started: 0,
             desync_resets: 0,
+            retunes_started: 0,
+            retune_acks: 0,
             membership_errors: 0,
             last_membership_error: None,
         }
@@ -140,70 +170,125 @@ impl FailoverDriver {
     /// Park the datapath: an all-dead mask stops data sends fast while
     /// the schedulers hold their last live mask (see
     /// [`ControlPath::schedule_mask`]).
-    fn park_path<P: ControlPath>(&self, path: &mut P) {
-        let parked = vec![false; self.live.live_mask().len()];
+    fn park_path<P: ControlPath>(path: &mut P) {
+        let parked = vec![false; path.channels()];
         path.schedule_mask(path.current_round(), &parked);
     }
 
     /// Record a handshake that could not begin. Cannot happen for masks
     /// derived from our own tracker or quanta from a checked tuner, but a
     /// typed error beats a panic on the datapath: count it and keep the
-    /// last good state. The reactor feeds its retune handshake's errors
-    /// here too, so one pair of accessors covers all three senders.
-    pub fn record_error(&mut self, e: HandshakeError) {
+    /// last good state.
+    fn record_error(&mut self, e: HandshakeError) {
         self.membership_errors += 1;
         self.last_membership_error = Some(e);
     }
 
-    /// A reset handshake moved: on completion both ends have flushed
-    /// in-flight state (or nobody is left to ask), and the caller must now
-    /// reset the local engines and re-announce to resume data (see
-    /// [`take_pending_engine_reset`](Self::take_pending_engine_reset)).
-    fn on_reset_progress(&mut self, progress: Progress) {
-        if progress == Progress::Complete {
-            self.pending_engine_reset = true;
-        }
-    }
-
     /// The one place a liveness change is acted on: park on a total
-    /// blackout; otherwise stop the in-flight reset waiting on channels
-    /// that can no longer ack, and announce the current mask (superseding
-    /// any mask handshake still in flight).
+    /// blackout; otherwise stop the in-flight handshakes waiting on
+    /// channels that can no longer ack, announce the current mask
+    /// (superseding any mask handshake still in flight), begin again a
+    /// reset nobody heard and, when `reteach` or the far end may have lost
+    /// them, announce the quanta in force.
     fn announce_current_mask<P: ControlPath>(
         &mut self,
         path: &mut P,
         now: SimTime,
-    ) -> Vec<ControlTransmission> {
+        mut reteach: bool,
+        out: &mut Vec<ControlTransmission>,
+    ) {
         let mask = self.live.live_mask();
+        // Leaving a blackout: a reset may have completed inside it, and
+        // its re-teach reached nobody.
+        reteach |= self.blackout;
         self.blackout = !mask.iter().any(|&l| l);
         if self.blackout {
             // Total outage: park. No channel could carry an announcement,
             // so no epoch is spent on one; handshakes already in flight
             // stay in flight. Probes keep flowing (backed off); the first
             // recovered channel re-announces and unparks.
-            self.park_path(path);
-            return Vec::new();
+            Self::park_path(path);
+            return;
         }
+        let mut reset_unheard = false;
         for c in (0..mask.len()).filter(|&c| !mask[c]) {
-            let progress = self.reset.stop_awaiting(c);
-            self.on_reset_progress(progress);
+            match self.reset.stop_awaiting(c) {
+                Progress::Complete => self.pending_engine_reset = true,
+                Progress::Unheard => reset_unheard = true,
+                Progress::Pending | Progress::Ignored => {}
+            }
+            reteach |= self.retune.stop_awaiting(c) == Progress::Unheard;
         }
         let eff = path.current_round() + self.cfg.announce_lead_rounds;
         if let Err(e) = self.membership.begin_mask(&mask, eff) {
             self.record_error(e);
-            return Vec::new();
+            return;
         }
-        if self.reset.in_progress() {
+        if self.reset.in_progress() || reset_unheard {
             // A §5 reset gates data resume: announce the new membership
             // (the receiver needs it) but keep the datapath parked until
-            // the reset acks land and the engines are flushed.
-            self.park_path(path);
+            // the reset acks land and the engines are flushed — whose
+            // re-announce re-teaches the quanta.
+            Self::park_path(path);
+            reteach = false;
         } else {
             path.schedule_mask(eff, &mask);
         }
-        let mut out = Vec::new();
-        flood_announcement(&mut self.membership, path, now, &mut out);
-        out
+        flood_announcement(&mut self.membership, path, now, out);
+        if reset_unheard {
+            self.begin_reset(path, now, out);
+        }
+        if reteach && !self.quanta.is_empty() {
+            self.announce_quanta(path, now, out);
+        }
+    }
+
+    /// Announce the quanta in force over the live channels, superseding
+    /// any retune in flight, and schedule them on the local path at the
+    /// same effective round. False (the error recorded) if the handshake
+    /// could not begin.
+    fn announce_quanta<P: ControlPath>(
+        &mut self,
+        path: &mut P,
+        now: SimTime,
+        out: &mut Vec<ControlTransmission>,
+    ) -> bool {
+        let eff = path.current_round() + self.cfg.announce_lead_rounds;
+        let begun = self
+            .retune
+            .begin_quanta(&self.live.live_mask(), &self.quanta, eff);
+        if let Err(e) = begun {
+            self.record_error(e);
+            return false;
+        }
+        self.retunes_started += 1;
+        path.schedule_quanta(eff, &self.quanta);
+        flood_announcement(&mut self.retune, path, now, out);
+        true
+    }
+
+    /// New quanta proposed (by an adaptive tuner): they become the quanta
+    /// in force and are announced exactly like a mask — scheduled locally
+    /// at an effective round a little ahead of the scan, flooded over the
+    /// live channels, retransmitted until every carrier acks or dies.
+    /// Declined, changing nothing, during a blackout, while a §5 reset is
+    /// in flight, or while the previous retune is — so both ends never
+    /// juggle two pending quanta schedules; the tuner simply proposes
+    /// again at its next interval.
+    pub fn begin_retune<P: ControlPath>(
+        &mut self,
+        path: &mut P,
+        quanta: &[i64],
+        now: SimTime,
+        out: &mut Vec<ControlTransmission>,
+    ) {
+        if self.blackout || self.reset.in_progress() || self.retune.in_progress() {
+            return;
+        }
+        let before = std::mem::replace(&mut self.quanta, quanta.to_vec());
+        if !self.announce_quanta(path, now, out) {
+            self.quanta = before;
+        }
     }
 
     /// Start (or supersede) a §5 two-phase reset: flood `ResetRequest`
@@ -215,47 +300,50 @@ impl FailoverDriver {
         &mut self,
         path: &mut P,
         now: SimTime,
-    ) -> Vec<ControlTransmission> {
+        out: &mut Vec<ControlTransmission>,
+    ) {
         let mask = self.live.live_mask();
         if !mask.iter().any(|&l| l) {
-            return Vec::new();
+            return;
         }
         if let Err(e) = self.reset.begin_reset(&mask) {
             self.record_error(e);
-            return Vec::new();
+            return;
         }
         self.resets_started += 1;
-        self.park_path(path);
-        let mut out = Vec::new();
-        flood_announcement(&mut self.reset, path, now, &mut out);
-        out
+        Self::park_path(path);
+        flood_announcement(&mut self.reset, path, now, out);
     }
 
     /// Drive timers: emit due probes (dead channels included — that is how
     /// recovery is noticed), declare deaths and announce the shrunken
     /// mask, retransmit unacked announcements.
-    pub fn tick<P: ControlPath>(&mut self, path: &mut P, now: SimTime) -> Vec<ControlTransmission> {
-        let mut out = Vec::new();
+    pub fn tick<P: ControlPath>(
+        &mut self,
+        path: &mut P,
+        now: SimTime,
+        out: &mut Vec<ControlTransmission>,
+    ) {
+        self.liveness_events.clear();
+        self.live.poll(now.as_nanos(), &mut self.liveness_events);
         let mut died = false;
-        for ev in self.live.poll(now.as_nanos()) {
-            match ev {
+        for ev in &self.liveness_events {
+            match *ev {
                 LivenessEvent::ProbeDue { channel, nonce } => {
-                    out.push(path.transmit_control(now, channel, Control::Probe { nonce }));
+                    out.push(path.transmit_control(now, channel, &Control::Probe { nonce }));
                 }
                 LivenessEvent::ChannelDead(_) => died = true,
-                LivenessEvent::ChannelRecovered(_) => unreachable!("poll never recovers"),
             }
         }
         if died {
-            out.extend(self.announce_current_mask(path, now));
+            self.announce_current_mask(path, now, false, out);
         }
         let interval_ns = self.cfg.retransmit_interval_ns;
-        for sender in [&mut self.membership, &mut self.reset] {
+        for sender in [&mut self.membership, &mut self.reset, &mut self.retune] {
             if sender.retransmit_due(now.as_nanos(), interval_ns) {
-                flood_announcement(sender, path, now, &mut out);
+                flood_announcement(sender, path, now, out);
             }
         }
-        out
     }
 
     /// Out-of-band death evidence for `channel` — the link layer itself
@@ -263,18 +351,17 @@ impl FailoverDriver {
     /// panicked I/O worker). Declares it dead immediately and announces
     /// the shrunken mask, instead of waiting out the keepalive deadline
     /// the evidence has already made moot. Idempotent: repeated reports
-    /// for an already-dead channel return no transmissions. Recovery is
+    /// for an already-dead channel transmit nothing. Recovery is
     /// unchanged — probes keep flowing and the first ack regrows the set.
     pub fn on_link_dead<P: ControlPath>(
         &mut self,
         path: &mut P,
         channel: ChannelId,
         now: SimTime,
-    ) -> Vec<ControlTransmission> {
+        out: &mut Vec<ControlTransmission>,
+    ) {
         if self.live.force_dead(channel) {
-            self.announce_current_mask(path, now)
-        } else {
-            Vec::new()
+            self.announce_current_mask(path, now, false, out);
         }
     }
 
@@ -285,28 +372,18 @@ impl FailoverDriver {
         channel: ChannelId,
         ctl: &Control,
         now: SimTime,
-    ) -> Vec<ControlTransmission> {
+        out: &mut Vec<ControlTransmission>,
+    ) {
         match ctl {
             Control::ProbeAck { nonce, incarnation } => {
-                let recovered = matches!(
-                    self.live.on_probe_ack(channel, *nonce, now.as_nanos()),
-                    Some(LivenessEvent::ChannelRecovered(_))
-                );
-                let restarted = match self.peer_incarnation {
-                    None => {
-                        self.peer_incarnation = Some(*incarnation);
-                        false
-                    }
-                    Some(prev) if prev != *incarnation => {
-                        self.peer_incarnation = Some(*incarnation);
-                        true
-                    }
-                    Some(_) => false,
-                };
-                let mut out = Vec::new();
+                let recovered = self.live.on_probe_ack(channel, *nonce, now.as_nanos());
+                let restarted = self
+                    .peer_incarnation
+                    .replace(*incarnation)
+                    .is_some_and(|prev| prev != *incarnation);
                 if recovered {
                     // Grow the set back: same handshake, bit restored.
-                    out.extend(self.announce_current_mask(path, now));
+                    self.announce_current_mask(path, now, false, out);
                 }
                 if restarted {
                     // The peer came back with a different incarnation:
@@ -314,35 +391,34 @@ impl FailoverDriver {
                     // epochs, resequencer state — is gone. Drive the §5
                     // reset; data stays parked until the acks land.
                     self.restarts_detected += 1;
-                    out.extend(self.begin_reset(path, now));
+                    self.begin_reset(path, now, out);
                 }
-                out
             }
             Control::MembershipAck { epoch } => {
                 self.membership.on_ack(channel, *epoch);
-                Vec::new()
             }
             Control::ResetAck { epoch } => {
-                let progress = self.reset.on_ack(channel, *epoch);
-                self.on_reset_progress(progress);
-                Vec::new()
+                // On completion both ends have flushed in-flight state: the
+                // caller resets its engines and re-announces to resume
+                // data (see `take_pending_engine_reset`).
+                self.pending_engine_reset |=
+                    self.reset.on_ack(channel, *epoch) == Progress::Complete;
+            }
+            Control::QuantumAck { epoch } => {
+                let moved = self.retune.on_ack(channel, *epoch) != Progress::Ignored;
+                self.retune_acks += u64::from(moved);
             }
             Control::DesyncAlert { incarnation } => {
                 // The receiver's self-check believes its state diverged.
                 // Deduplicate: a reset already in flight will flush it,
                 // and an alert from a previous incarnation is moot.
-                if self.reset.in_progress() {
-                    return Vec::new();
+                let moot = self.peer_incarnation.is_some_and(|p| p != *incarnation);
+                if !self.reset.in_progress() && !moot {
+                    self.desync_resets += 1;
+                    self.begin_reset(path, now, out);
                 }
-                if let Some(prev) = self.peer_incarnation {
-                    if prev != *incarnation {
-                        return Vec::new();
-                    }
-                }
-                self.desync_resets += 1;
-                self.begin_reset(path, now)
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -350,19 +426,21 @@ impl FailoverDriver {
     /// at most once per completed reset; on `true` the caller must reset
     /// its datapath engines (sender state, per-flow schedulers) and then
     /// call [`reannounce`](FailoverDriver::reannounce) to re-teach the
-    /// receiver the current membership and unpark data.
+    /// receiver the current membership and quanta and unpark data.
     pub fn take_pending_engine_reset(&mut self) -> bool {
         core::mem::take(&mut self.pending_engine_reset)
     }
 
-    /// Re-announce the current live mask — the post-reset resume step,
-    /// and a recovery hook after a recorded membership error.
+    /// Re-announce the current live mask and the quanta in force — the
+    /// post-reset resume step, and a recovery hook after a recorded
+    /// handshake error.
     pub fn reannounce<P: ControlPath>(
         &mut self,
         path: &mut P,
         now: SimTime,
-    ) -> Vec<ControlTransmission> {
-        self.announce_current_mask(path, now)
+        out: &mut Vec<ControlTransmission>,
+    ) {
+        self.announce_current_mask(path, now, true, out);
     }
 
     /// Is the datapath parked — every channel dead, or a §5 reset still
@@ -397,6 +475,23 @@ impl FailoverDriver {
         self.desync_resets
     }
 
+    /// Retune handshakes begun: accepted proposals, and the quanta in
+    /// force announced again.
+    pub fn retunes_started(&self) -> u64 {
+        self.retunes_started
+    }
+
+    /// Quantum acks that moved a retune handshake.
+    pub fn retune_acks(&self) -> u64 {
+        self.retune_acks
+    }
+
+    /// The quanta in force (or being announced) — empty until the first
+    /// retune, while the schedulers' initial quanta are.
+    pub fn quanta(&self) -> &[i64] {
+        &self.quanta
+    }
+
     /// Handshakes (mask, reset, retune) that could not begin and were
     /// rejected with a typed error instead of a panic — a wiring bug, not
     /// a network fault; a blackout is not one.
@@ -419,9 +514,9 @@ impl FailoverDriver {
         &self.membership
     }
 
-    /// The reset handshake (§5 epoch inspection).
-    pub fn reset_state(&self) -> &EpochSender {
-        &self.reset
+    /// The retune handshake (epoch/progress inspection).
+    pub fn retune(&self) -> &EpochSender {
+        &self.retune
     }
 }
 
@@ -572,5 +667,134 @@ impl<S: CausalScheduler, P: WireLen> StripedSink<S, P> {
     /// The wrapped receiver.
     pub fn receiver(&self) -> &LogicalReceiver<S, P> {
         &self.rx
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stripe_core::control::Epoch;
+
+    /// A two-channel path that only records what is scheduled on it.
+    #[derive(Debug, Default)]
+    struct Recorder {
+        quanta: Vec<(u64, Vec<i64>)>,
+    }
+
+    impl ControlPath for Recorder {
+        fn channels(&self) -> usize {
+            2
+        }
+        fn current_round(&self) -> u64 {
+            40
+        }
+        fn schedule_mask(&mut self, _: u64, _: &[bool]) {}
+        fn schedule_quanta(&mut self, effective_round: u64, quanta: &[i64]) {
+            self.quanta.push((effective_round, quanta.to_vec()));
+        }
+        fn transmit_control(
+            &mut self,
+            now: SimTime,
+            c: ChannelId,
+            ctl: &Control,
+        ) -> ControlTransmission {
+            ControlTransmission {
+                channel: c,
+                arrival: Some(now),
+                duplicate: None,
+                ctl: ctl.clone(),
+                error: None,
+            }
+        }
+    }
+
+    fn driver() -> FailoverDriver {
+        let cfg = FailoverConfig::with_probe_interval(10_000_000);
+        FailoverDriver::new(2, cfg, SimTime::ZERO)
+    }
+
+    fn announced(out: &[ControlTransmission]) -> Vec<(ChannelId, Epoch)> {
+        let epoch = |t: &ControlTransmission| match t.ctl {
+            Control::QuantumAnnounce { epoch, .. } => Some((t.channel, epoch)),
+            _ => None,
+        };
+        out.iter().filter_map(epoch).collect()
+    }
+
+    /// A proposal is scheduled locally and flooded at one effective round,
+    /// an ack for another epoch is ignored, and the carriers' acks
+    /// complete it.
+    #[test]
+    fn retune_is_completed_by_its_acks_not_a_stale_one() {
+        let (mut d, mut path, mut out) = (driver(), Recorder::default(), Vec::new());
+        let now = SimTime::from_millis(1);
+        d.begin_retune(&mut path, &[1024, 256], now, &mut out);
+        assert_eq!(path.quanta, vec![(42, vec![1024, 256])]);
+        let announcement = Control::QuantumAnnounce {
+            epoch: 1,
+            effective_round: 42,
+            quanta: vec![1024, 256],
+        };
+        assert_eq!(d.retune().announcement(), Some(&announcement));
+        assert_eq!(announced(&out), vec![(0, 1), (1, 1)]);
+        assert_eq!(d.quanta(), &[1024, 256]);
+        d.on_control(
+            &mut path,
+            0,
+            &Control::QuantumAck { epoch: 99 },
+            now,
+            &mut out,
+        );
+        assert!(d.retune().in_progress(), "stale epoch: ignored");
+        for c in 0..2 {
+            d.on_control(
+                &mut path,
+                c,
+                &Control::QuantumAck { epoch: 1 },
+                now,
+                &mut out,
+            );
+        }
+        assert!(!d.retune().in_progress());
+        let counts = (d.retunes_started(), d.retune_acks(), d.retune().completed());
+        assert_eq!(counts, (1, 2, 1));
+    }
+
+    /// An unacked retune retransmits at the driver's interval on the
+    /// channels still awaited; while it is in flight a new proposal is
+    /// declined.
+    #[test]
+    fn unacked_retune_retransmits_and_holds_off_the_next() {
+        let (mut d, mut path, mut out) = (driver(), Recorder::default(), Vec::new());
+        d.begin_retune(&mut path, &[1024, 256], SimTime::from_millis(10), &mut out);
+        let ack = Control::QuantumAck { epoch: 1 };
+        d.on_control(&mut path, 0, &ack, SimTime::from_millis(11), &mut out);
+        out.clear();
+        d.tick(&mut path, SimTime::from_millis(15), &mut out);
+        assert_eq!(announced(&out), vec![], "not due yet");
+        d.tick(&mut path, SimTime::from_millis(20), &mut out);
+        assert_eq!(announced(&out), vec![(1, 1)]);
+        d.begin_retune(&mut path, &[256, 1024], SimTime::from_millis(21), &mut out);
+        assert_eq!((d.retunes_started(), d.quanta()), (1, &[1024, 256][..]));
+    }
+
+    /// No retune begins while every channel is dead or a §5 reset is in
+    /// flight: the proposal changes nothing.
+    #[test]
+    fn no_retune_begins_in_a_blackout_or_under_a_reset() {
+        let (mut path, mut out) = (Recorder::default(), Vec::new());
+        let now = SimTime::from_millis(1);
+        let mut dark = driver();
+        dark.on_link_dead(&mut path, 0, now, &mut out);
+        dark.on_link_dead(&mut path, 1, now, &mut out);
+        let mut resetting = driver();
+        resetting.begin_reset(&mut path, now, &mut out);
+        for mut d in [dark, resetting] {
+            out.clear();
+            d.begin_retune(&mut path, &[1024, 256], now, &mut out);
+            assert_eq!(announced(&out), vec![]);
+            assert_eq!((d.retunes_started(), d.quanta()), (0, &[][..]));
+        }
+        assert!(path.quanta.is_empty());
     }
 }

@@ -35,9 +35,7 @@ pub mod tcp;
 
 pub use credit::{CreditReceiver, CreditSender};
 pub use duplex::{DuplexEndpoint, DuplexSend};
-pub use failover::{
-    flood_announcement, FailoverConfig, FailoverDriver, StripedSink, StripedSinkBuilder,
-};
+pub use failover::{FailoverConfig, FailoverDriver, StripedSink, StripedSinkBuilder};
 pub use stripe_conn::{
     ControlPath, ControlTransmission, PathSnapshot, StripedPath, StripedPathBuilder, Transmission,
     TxBatch,

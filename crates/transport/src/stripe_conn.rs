@@ -193,13 +193,10 @@ pub trait ControlPath {
         let _ = (effective_round, quanta);
     }
 
-    /// Transmit one control message on channel `c` at `now`.
-    fn transmit_control(&mut self, now: SimTime, c: ChannelId, ctl: Control)
-        -> ControlTransmission;
-
-    /// Transmit a *shared* control message (built once by the caller) on
-    /// channel `c`.
-    fn transmit_control_ref(
+    /// Transmit one control message on channel `c` at `now`. The message
+    /// is borrowed: a flood builds it once and hands the same one to every
+    /// channel.
+    fn transmit_control(
         &mut self,
         now: SimTime,
         c: ChannelId,
@@ -525,13 +522,15 @@ impl<S: CausalScheduler, L: FifoLink> StripedPath<S, L> {
     /// codepoint, like markers) and are subject to the same faults —
     /// corrupted control is dropped by the far end's checksum, so it is
     /// reported lost here. The frame is never materialized: only its
-    /// [`wire_len`](Control::wire_len) touches the link model.
+    /// [`wire_len`](Control::wire_len) touches the link model, and the
+    /// borrowed message is cloned only into the returned report.
     pub fn transmit_control(
         &mut self,
         now: SimTime,
         c: ChannelId,
-        ctl: Control,
+        ctl: &Control,
     ) -> ControlTransmission {
+        let ctl = ctl.clone();
         self.stats.control_sent += 1;
         let wire_len = ctl.wire_len();
         match self.links[c].transmit_detailed(now, wire_len) {
@@ -568,18 +567,6 @@ impl<S: CausalScheduler, L: FifoLink> StripedPath<S, L> {
         }
     }
 
-    /// Transmit a *shared* control message on channel `c`: the message is
-    /// built once by the caller and borrowed here; it is cloned only into
-    /// the returned report, never re-encoded per channel.
-    pub fn transmit_control_ref(
-        &mut self,
-        now: SimTime,
-        c: ChannelId,
-        ctl: &Control,
-    ) -> ControlTransmission {
-        self.transmit_control(now, c, ctl.clone())
-    }
-
     /// Transmit one shared control message on every *live* channel,
     /// appending a report per channel to `out` (not cleared). The single
     /// `ctl` is built once by the caller; no per-channel frame is ever
@@ -592,7 +579,7 @@ impl<S: CausalScheduler, L: FifoLink> StripedPath<S, L> {
     ) {
         for c in 0..self.links.len() {
             if self.tx.scheduler().live(c) {
-                let t = self.transmit_control_ref(now, c, ctl);
+                let t = self.transmit_control(now, c, ctl);
                 out.push(t);
             }
         }
@@ -660,18 +647,9 @@ impl<S: CausalScheduler, L: FifoLink> ControlPath for StripedPath<S, L> {
         &mut self,
         now: SimTime,
         c: ChannelId,
-        ctl: Control,
-    ) -> ControlTransmission {
-        StripedPath::transmit_control(self, now, c, ctl)
-    }
-
-    fn transmit_control_ref(
-        &mut self,
-        now: SimTime,
-        c: ChannelId,
         ctl: &Control,
     ) -> ControlTransmission {
-        StripedPath::transmit_control_ref(self, now, c, ctl)
+        StripedPath::transmit_control(self, now, c, ctl)
     }
 }
 

@@ -5,8 +5,8 @@
 //! policer with deliberately *heterogeneous* capacity — a 4:2:1 split
 //! the sender is never told about. The [`ServerReactor`] carries the
 //! full adaptive loop: per-channel estimators fed by transmit evidence,
-//! the quantum tuner, and the epoch'd retune handshake that switches
-//! sender and receiver quanta at the same stream point.
+//! the quantum tuner, and the failover driver's epoch'd retune handshake
+//! that switches sender and receiver quanta at the same stream point.
 //!
 //! The soak holds the protocol to three claims:
 //!
@@ -152,7 +152,7 @@ fn main() -> std::io::Result<()> {
         let r = reactor.stats().retunes;
         if r != last_retunes {
             last_retunes = r;
-            let q = reactor.adaptive().expect("attached").quanta().to_vec();
+            let q = reactor.driver().expect("attached").quanta().to_vec();
             println!(
                 "  t={:>4}ms retune #{r}: quanta -> {q:?}",
                 (step + 1) * STEP_US / 1000
@@ -199,7 +199,7 @@ fn main() -> std::io::Result<()> {
             "ch{c} carried share {share:.3} missed capacity share {cap_share:.3} by >10%"
         );
     }
-    let q = reactor.adaptive().expect("attached").quanta();
+    let q = reactor.driver().expect("attached").quanta();
     assert!(
         q[0] > q[1] && q[1] > q[2],
         "tuned quanta {q:?} must order by capacity"

@@ -1,6 +1,8 @@
 //! Pins the zero-copy claim for the REAL-SOCKET datapath: sender framing,
 //! UDP channels, physical reception, and logical resequencing together
-//! perform ZERO heap allocations per packet in steady state.
+//! perform ZERO heap allocations per packet in steady state — and the
+//! control plane beside them (the reactor polling its failover driver)
+//! none per probe interval.
 //!
 //! Like `alloc_counting.rs`, this test owns its binary so the counting
 //! global allocator sees only this test's traffic (sibling tests in the
@@ -9,12 +11,16 @@
 //! isolates our datapath exactly.
 
 use stripe_bench::alloc::CountingAlloc;
+use stripe_core::control::Control;
 use stripe_core::receiver::RxBatch;
 use stripe_core::sched::Srr;
 use stripe_core::sender::MarkerConfig;
 use stripe_link::{DatagramLink, Train};
-use stripe_net::{bundle, FlowDemux, PooledBuf, PumpEvent, StripeServer, UdpChannel, WallClock};
-use stripe_netsim::DetRng;
+use stripe_net::{
+    bundle, FlowDemux, PooledBuf, PumpEvent, ServerReactor, StripeServer, UdpChannel, WallClock,
+};
+use stripe_netsim::{DetRng, SimDuration, SimTime};
+use stripe_transport::{FailoverConfig, FailoverDriver};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -161,6 +167,7 @@ fn steady_state_net_datapath_allocates_nothing() {
     }
 
     send_queue_allocates_nothing_when_a_flush_is_cut_short();
+    reactor_polls_allocate_nothing_per_probe_interval();
 }
 
 /// The channel's send queue alone, bursts of 64 B frames parked and
@@ -236,4 +243,66 @@ fn send_queue_allocates_nothing_when_a_flush_is_cut_short() {
         assert!(flushes > 64, "the refused frame cut one flush short");
         assert_eq!(s.dropped_error, 1);
     }
+}
+
+/// The control plane alone: a reactor ticking its failover driver over
+/// four socket pairs, a demux answering the probes. Every probe interval
+/// the driver probes each channel, the acks cross back, and the reactor
+/// reads them and drains its report; after a warm-up, a thousand such
+/// intervals touch the allocator not once. Called from the one test: this
+/// binary's allocator must see one test at a time.
+fn reactor_polls_allocate_nothing_per_probe_interval() {
+    const PROBE_NS: u64 = 100_000;
+    const WARM: u64 = 64;
+    const MEASURED: u64 = 1_000;
+    let (mut tx_links, mut rx_links) = (Vec::new(), Vec::new());
+    for _ in 0..CHANNELS {
+        let (a, b) = UdpChannel::pair(2048, 1 << 10).unwrap();
+        tx_links.push(a);
+        rx_links.push(b);
+    }
+    let path = StripeServer::builder()
+        .scheduler(Srr::equal(CHANNELS, 1500))
+        .links(tx_links)
+        .build();
+    let mut demux = FlowDemux::builder()
+        .scheduler(Srr::equal(CHANNELS, 1500))
+        .links(rx_links)
+        .build();
+    let cfg = FailoverConfig::with_probe_interval(PROBE_NS);
+    let driver = FailoverDriver::new(CHANNELS, cfg, SimTime::ZERO);
+    let tick = SimDuration::from_nanos(PROBE_NS);
+    let mut reactor = ServerReactor::new(path, Some(driver), SimTime::ZERO, tick);
+    // One probe interval in logical time: the tick's probes out, the
+    // demux's acks back, all read before the next interval begins.
+    let mut interval = |k: u64| {
+        let now = SimTime::from_nanos(k * PROBE_NS);
+        let probes = reactor
+            .poll(now)
+            .filter(|r| matches!(r.ctl, Control::Probe { .. }))
+            .count() as u64;
+        assert_eq!(probes, CHANNELS as u64, "every channel probed");
+        let answered = demux.net_stats().replies_sent + probes;
+        let read = reactor.stats().control_in + probes;
+        let mut spins = 0u32;
+        while demux.net_stats().replies_sent < answered || reactor.stats().control_in < read {
+            demux.sweep(now);
+            drop(reactor.poll(now));
+            spins += 1;
+            assert!(spins < 1_000_000, "loopback control frames went missing");
+        }
+    };
+    (1..=WARM).for_each(&mut interval);
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let before = CountingAlloc::allocations();
+    (WARM + 1..=WARM + MEASURED).for_each(&mut interval);
+    let allocs = CountingAlloc::allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "a steady-state poll must not touch the allocator \
+         ({allocs} allocations over {MEASURED} probe intervals)"
+    );
+    let driver = reactor.driver().expect("attached");
+    assert_eq!(driver.liveness().deaths(), 0);
+    assert_eq!(reactor.stats().ticks, WARM + MEASURED);
 }

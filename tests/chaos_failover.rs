@@ -56,7 +56,7 @@ fn refused_socket_ends_in_failover_not_abort() {
             .path_mut()
             .pump_into(SimTime::from_micros(i * 100), usize::MAX, &mut events);
         let reports = reactor.poll(SimTime::from_micros(i * 100));
-        announced |= membership_announced(&reports);
+        announced |= membership_announced(reports.as_slice());
         if announced {
             break;
         }

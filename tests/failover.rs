@@ -102,6 +102,7 @@ fn run_outage(total_ms: u64, down_from: u64, down_until: u64) -> RunResult {
     let mut death_announced_at = None;
     let mut ch1_data_after_recovery = 0u64;
     let mut stall_seen = false;
+    let mut txs = Vec::new();
 
     let queue_ctl = |q: &mut EventQueue<Ev>, t: stripe::transport::ControlTransmission| {
         if let Some(at) = t.arrival {
@@ -116,7 +117,8 @@ fn run_outage(total_ms: u64, down_from: u64, down_until: u64) -> RunResult {
         now += step;
 
         // Sender side: timers first, then paced data.
-        for t in driver.tick(&mut path, now) {
+        driver.tick(&mut path, now, &mut txs);
+        for t in txs.drain(..) {
             queue_ctl(&mut q, t);
         }
         if death_announced_at.is_none() && driver.membership().epoch() > 0 {
@@ -154,7 +156,8 @@ fn run_outage(total_ms: u64, down_from: u64, down_until: u64) -> RunResult {
                     }
                 }
                 Ev::Rev(c, ctl) => {
-                    for t in driver.on_control(&mut path, c, &ctl, at) {
+                    driver.on_control(&mut path, c, &ctl, at, &mut txs);
+                    for t in txs.drain(..) {
                         queue_ctl(&mut q, t);
                     }
                 }
@@ -186,7 +189,8 @@ fn run_outage(total_ms: u64, down_from: u64, down_until: u64) -> RunResult {
                 }
             }
             Ev::Rev(c, ctl) => {
-                for t in driver.on_control(&mut path, c, &ctl, at) {
+                driver.on_control(&mut path, c, &ctl, at, &mut txs);
+                for t in txs.drain(..) {
                     queue_ctl(&mut q, t);
                 }
             }
@@ -295,7 +299,8 @@ fn link_dead_report_shrinks_the_mask_without_waiting_for_silence() {
     // Well before any probe could even go out, the link layer reports
     // channel 1 dead.
     let now = SimTime::from_millis(1);
-    let txs = driver.on_link_dead(&mut path, 1, now);
+    let mut txs = Vec::new();
+    driver.on_link_dead(&mut path, 1, now, &mut txs);
     assert!(
         !txs.is_empty(),
         "death evidence must trigger an immediate announcement"
@@ -305,7 +310,8 @@ fn link_dead_report_shrinks_the_mask_without_waiting_for_silence() {
     assert_eq!(driver.membership().epoch(), 1, "mask announced");
 
     // Idempotent: re-reporting the same dead channel is free.
-    let again = driver.on_link_dead(&mut path, 1, SimTime::from_millis(2));
+    let mut again = Vec::new();
+    driver.on_link_dead(&mut path, 1, SimTime::from_millis(2), &mut again);
     assert!(again.is_empty(), "duplicate evidence must not re-announce");
     assert_eq!(driver.liveness().deaths(), 1);
 }

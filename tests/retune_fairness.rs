@@ -266,7 +266,7 @@ impl AdaptiveLoop {
         self.reactor
             .path_mut()
             .pump_into(now, usize::MAX, &mut events);
-        self.reactor.poll(now)
+        self.reactor.poll(now).collect()
     }
 
     /// The receiver's half: sweep, answer control, drain deliveries.
@@ -293,8 +293,8 @@ impl AdaptiveLoop {
         );
     }
 
-    fn tuner(&self) -> &AdaptiveTuner {
-        self.reactor.adaptive().expect("attached")
+    fn driver(&self) -> &FailoverDriver {
+        self.reactor.driver().expect("attached")
     }
 
     fn sender_quanta(&self) -> Vec<i64> {
@@ -316,9 +316,9 @@ impl AdaptiveLoop {
 fn reset_does_not_untune_the_path() {
     let mut l = AdaptiveLoop::new();
     l.run_until("first retune", 200, |l| {
-        l.reactor.stats().retunes_complete >= 1 && l.sender_quanta() == l.tuner().quanta()
+        l.reactor.stats().retunes_complete >= 1 && l.sender_quanta() == l.driver().quanta()
     });
-    let tuned = l.tuner().quanta().to_vec();
+    let tuned = l.driver().quanta().to_vec();
     assert!(
         tuned[0] > tuned[1] && tuned[1] > tuned[2],
         "tuned {tuned:?}"
@@ -337,7 +337,7 @@ fn reset_does_not_untune_the_path() {
 
     // Within two adaptive intervals all three views agree again, tuned.
     l.run_until("re-taught quanta", 2 * ADAPT_MS, |l| {
-        let q = l.tuner().quanta();
+        let q = l.driver().quanta();
         q[0] > q[1] && q[1] > q[2] && l.sender_quanta() == q && l.receiver_quanta() == q
     });
 }
@@ -359,7 +359,7 @@ fn retune_in_flight_survives_a_channel_death() {
     l.rx.links_mut()[2].partition_now();
     l.recv_ms();
     l.run_until("acks from the survivors", 20, |l| {
-        l.tuner().awaiting_channels().eq([2])
+        l.driver().retune().awaiting_channels().eq([2])
     });
 
     l.run_until("death of channel 2", 50, |l| {
@@ -367,7 +367,7 @@ fn retune_in_flight_survives_a_channel_death() {
         driver.liveness().live_mask() == [true, true, false]
     });
     l.run_until("the handshake to stop waiting", 5, |l| {
-        !l.tuner().in_progress()
+        !l.driver().retune().in_progress()
     });
     // The loop is free again: with channel 2 carrying nothing the split
     // has changed, and the next proposal is announced over the survivors.
