@@ -25,10 +25,18 @@
 //!   ([`WireLen::number`]) is its own marker: the number is evaluated by
 //!   the same rule when the packet reaches the head of its channel, so the
 //!   simulation resynchronizes on that packet and not at the next marker.
+//!   A marker states where the *next* packet will be and a number where
+//!   *this* one was, so a number behind the global round — or ahead of
+//!   what a later arrival on the same channel states — proves the packet
+//!   is not the one the scan waits for: a duplicate, a straggler its
+//!   channel reordered, a frame of an epoch a §5 reset flushed. It is
+//!   delivered out of simulation order and the simulation does not move
+//!   for it.
 //! - **C1 has a reach**: a mark further ahead of `G` than an honest
-//!   sender can be ([`LogicalReceiver::bound_marks`]) is refused where
-//!   it enters, so that a forged or bit-flipped round cannot buy an
-//!   unbounded run of skips.
+//!   sender can be ([`LogicalReceiver::bound_marks`]) is refused — a
+//!   marker where it enters, a number when its packet reaches the head
+//!   of its channel (the packet is then served as it stands) — so that a
+//!   forged or bit-flipped round cannot buy an unbounded run of skips.
 
 use std::collections::VecDeque;
 
@@ -64,6 +72,11 @@ pub struct ReceiverSnapshot {
     pub marks_clamped: u64,
     /// Channel visits skipped under condition C1.
     pub skips: u64,
+    /// Packets whose number was behind the simulation's round, or ahead
+    /// of a later arrival's on the same channel — a duplicate, a
+    /// straggler its channel reordered, a frame of a flushed epoch —
+    /// delivered out of simulation order without moving it.
+    pub stale: u64,
     /// Arrivals dropped because a channel buffer was full.
     pub dropped_overflow: u64,
     /// Marks refused because they promise a round past the receiver's
@@ -309,11 +322,11 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
     }
 
     /// Whether mark `m` is within [reach](Self::bound_marks); counts it
-    /// `dropped_mark_ahead` if not. Public for the owner of a packet type
-    /// that carries its own [number](WireLen::number): one out of reach
-    /// has to be stripped before the packet is pushed.
+    /// `dropped_mark_ahead` if not. A marker is judged where it enters, a
+    /// packet's [number](WireLen::number) when the packet reaches the
+    /// head of its channel.
     #[inline]
-    pub fn admit_mark(&mut self, m: crate::sched::ChannelMark) -> bool {
+    fn admit_mark(&mut self, m: crate::sched::ChannelMark) -> bool {
         let lead = m.round.saturating_sub(self.sched.round());
         // No scheduler serves a packet in less than a round: up to the
         // ring's capacity ahead needs no look at the quanta.
@@ -436,22 +449,48 @@ impl<S: CausalScheduler, P: WireLen> LogicalReceiver<S, P> {
                     // A packet that states its own number is its own
                     // marker, under the same rule. It stays at the head
                     // while it is skipped, number and all; in sync it
-                    // costs two compares and stores nothing.
-                    if let Some(m) = p.number() {
-                        if m.round > self.sched.round() {
-                            self.sched.skip_current();
-                            self.stats.skips += 1;
-                            continue;
+                    // costs three compares and stores nothing. A number
+                    // behind the simulation's round, or ahead of a later
+                    // arrival's on its channel, is no packet the scan is
+                    // waiting for — a duplicate, a straggler its channel
+                    // reordered, a frame of a flushed epoch — and is
+                    // delivered as it is, the simulation unmoved. One
+                    // further ahead than an honest sender can be is
+                    // refused, and the packet served as it stands.
+                    let (g, len) = (self.sched.round(), p.wire_len());
+                    if let Some(m) = p.number(g) {
+                        if m.round < g || (m.round > g && Self::overtaken(&ch.buf, m.round, g)) {
+                            self.stats.stale += 1;
+                            return Some(Head::Channel(c));
                         }
-                        if m != self.sched.mark_for(c) {
+                        if m.round > g {
+                            if self.admit_mark(m) {
+                                self.sched.skip_current();
+                                self.stats.skips += 1;
+                                continue;
+                            }
+                        } else if m != self.sched.mark_for(c) {
                             self.stats.marks_clamped += !self.sched.apply_mark(c, m) as u64;
                             self.stats.marks_applied += 1;
                         }
                     }
-                    self.sched.advance(p.wire_len());
+                    self.sched.advance(len);
                     return Some(Head::Channel(c));
                 }
             }
+        }
+    }
+
+    /// Whether a later arrival in `buf` states a round before `round`, the
+    /// one its head states (both read near `g`): its channel carried them
+    /// out of order, so the head — a frame of a flushed epoch, or a
+    /// straggler — is no packet the scan is waiting for, however far
+    /// ahead it says it is.
+    #[cold]
+    fn overtaken(buf: &VecDeque<Arrival<P>>, round: u64, g: u64) -> bool {
+        match buf.back() {
+            Some(Arrival::Data(q)) => q.number(g).is_some_and(|n| n.round < round),
+            _ => false,
         }
     }
 
@@ -1099,7 +1138,7 @@ mod tests {
         fn wire_len(&self) -> usize {
             self.len
         }
-        fn number(&self) -> Option<ChannelMark> {
+        fn number(&self, _near: u64) -> Option<ChannelMark> {
             self.number
         }
     }
@@ -1234,6 +1273,73 @@ mod tests {
         // credited twice; every later one was in sync.
         let s = rx.stats();
         assert_eq!((s.skips, s.marks_applied), (1, 1), "{s:?}");
+    }
+
+    /// A number behind the simulation's round is a duplicate or a
+    /// straggler: it is delivered where it comes, counted, and the
+    /// simulation does not move for it — the packet the scan waits for in
+    /// that slot is still delivered in its place.
+    #[test]
+    fn a_number_behind_the_scan_is_delivered_without_moving_it() {
+        // One quantum-sized packet per channel per round.
+        let sched = Srr::equal(2, 1000);
+        let sent = numbered_run(sched.clone(), &[1000; 8]);
+        let mut rx = LogicalReceiver::new(sched, 64);
+        let mut push = |id: usize| {
+            let (c, number, len, _) = sent[id];
+            let p = Numbered {
+                id: id as u64,
+                len,
+                number: Some(number),
+            };
+            rx.push(c, Arrival::Data(p));
+        };
+        // Packet 1 (channel 1, round 1) arrives again behind packet 3.
+        (0..4).for_each(&mut push);
+        push(1);
+        (4..8).for_each(&mut push);
+        let got: Vec<u64> = std::iter::from_fn(|| rx.poll()).map(|p| p.id).collect();
+        assert_eq!(got, [0, 1, 2, 3, 4, 1, 5, 6, 7]);
+        let s = rx.stats();
+        assert_eq!((s.stale, s.skips, s.marks_applied), (1, 0, 0), "{s:?}");
+    }
+
+    /// A head whose number is ahead, but behind which its channel has
+    /// since brought a packet stating an earlier round, arrived out of
+    /// its channel's order (here: a frame of an epoch a §5 reset
+    /// flushed): it is stale, delivered at once, and the channel is not
+    /// skipped for it.
+    #[test]
+    fn a_head_overtaken_on_its_channel_is_stale_not_skipped_for() {
+        let sched = Srr::equal(2, 1000);
+        let sent = numbered_run(sched.clone(), &[1000; 4]);
+        let mut rx = LogicalReceiver::new(sched, 64);
+        let old = Numbered {
+            id: 99,
+            len: 1000,
+            number: Some(ChannelMark {
+                round: 2000,
+                dc: 1000,
+            }),
+        };
+        rx.push(0, Arrival::Data(old.clone()));
+        // Alone it is a number far ahead: the channel is skipped for it.
+        assert_eq!(rx.poll().map(|p| p.id), None);
+        assert_eq!(rx.stats().skips, 1);
+        rx.reset();
+        rx.push(0, Arrival::Data(old));
+        for (id, &(c, number, len, _)) in sent.iter().enumerate() {
+            let p = Numbered {
+                id: id as u64,
+                len,
+                number: Some(number),
+            };
+            rx.push(c, Arrival::Data(p));
+        }
+        let got: Vec<u64> = std::iter::from_fn(|| rx.poll()).map(|p| p.id).collect();
+        assert_eq!(got, [99, 0, 1, 2, 3]);
+        let s = rx.stats();
+        assert_eq!((s.stale, s.skips, s.marks_applied), (1, 0, 0), "{s:?}");
     }
 
     /// Condition C1 has a reach once the longest packet is known: a

@@ -29,6 +29,15 @@ pub enum MarkerPosition {
 }
 
 /// Marker emission policy.
+///
+/// In this engine the period is the §5 cadence: a marker batch every
+/// `period_rounds` rounds, which is how every data path that cannot add a
+/// header recovers — the simulated paths, the paper-figure benches of
+/// `crates/bench`, the in-memory replay cell of the yardstick. Where a
+/// data frame states its own number it needs no cadence: the socket
+/// path's `StripeServer` numbers every frame, and reads the period only
+/// as on or off — on, it sends a marker batch whenever it is asked for an
+/// idle sweep; off, it sends none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarkerConfig {
     /// Emit markers every this many rounds. `0` disables markers entirely
@@ -180,8 +189,10 @@ impl<S: CausalScheduler> StripingSender<S> {
     /// first), one entry per such packet, in order. It is what a marker
     /// directly ahead of the packet would state (§5), so a receiver that
     /// reads it resynchronizes on that packet instead of at the next
-    /// marker. With markers disabled nothing is numbered: there is no
-    /// recovery to speed up, and the batch fast path stays whole.
+    /// marker. Markers or not: the cadence and the numbers are separate
+    /// recoveries. Only a batch with neither — markers disabled and
+    /// `number_from` past every length — takes the scheduler's
+    /// [`assign_batch`](CausalScheduler::assign_batch) fast path.
     pub fn send_batch_numbered(
         &mut self,
         lens: &[usize],
@@ -193,7 +204,7 @@ impl<S: CausalScheduler> StripingSender<S> {
         channels.clear();
         numbers.clear();
         markers.clear();
-        if self.next_marker_at.is_none() {
+        if self.next_marker_at.is_none() && number_from == usize::MAX {
             self.sched.assign_batch(lens, channels);
             for (&c, &len) in channels.iter().zip(lens) {
                 self.acct.record(c, len as u64);
@@ -508,17 +519,17 @@ mod tests {
             &[true, false, true],
         );
 
-        // Markers off: nothing to recover with, nothing numbered.
+        // Markers off: the numbers are asked for all the same.
         let mut tx = StripingSender::new(Srr::equal(2, 1500), MarkerConfig::disabled());
+        let mut bare = Srr::equal(2, 1500);
         let (mut channels, mut numbers, mut markers) = (Vec::new(), vec![], Vec::new());
-        tx.send_batch_numbered(
-            &[300, 900, 1400],
-            0,
-            &mut channels,
-            &mut numbers,
-            &mut markers,
-        );
-        assert_eq!((channels.len(), numbers.len(), markers.len()), (3, 0, 0));
+        let lens = [300, 900, 1400];
+        tx.send_batch_numbered(&lens, 0, &mut channels, &mut numbers, &mut markers);
+        assert_eq!((channels.len(), markers.len()), (3, 0));
+        for (&len, number) in lens.iter().zip(numbers) {
+            assert_eq!(number, bare.mark_for(bare.current()));
+            bare.advance(len);
+        }
     }
 
     #[test]

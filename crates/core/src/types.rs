@@ -22,10 +22,12 @@ pub trait WireLen {
     /// The packet's own implicit number, where the layer below has a
     /// header of its own to state it in (§4's "when headers can be
     /// added"): the `(round, dc)` the sender's scheduler held on the
-    /// packet's channel when it served this packet. `None` wherever data
-    /// travels untouched, which is everywhere but the socket path's
-    /// mark-field frames.
-    fn number(&self) -> Option<ChannelMark> {
+    /// packet's channel when it served this packet. A header that states
+    /// only a round's low bits is read as the round nearest `near`, the
+    /// receiver's own. `None` wherever data travels untouched, which is
+    /// everywhere but the socket path's data frames.
+    fn number(&self, near: u64) -> Option<ChannelMark> {
+        let _ = near;
         None
     }
 }

@@ -145,16 +145,6 @@ pub trait DatagramLink {
         k
     }
 
-    /// Segmentation-offload hint: `true` when the link coalesces runs of
-    /// *equal-length* frames into single kernel submissions (GSO), so
-    /// callers that can afford to pad short control frames up to the
-    /// surrounding data-frame length keep long trains unbroken. Purely a
-    /// transmit-cost hint — implementations must deliver padded and
-    /// unpadded frames identically. Default: no offload.
-    fn coalesce_hint(&self) -> bool {
-        false
-    }
-
     /// Try to drain locally queued frames (after earlier backpressure).
     /// Returns how many left the queue. Default: nothing is ever queued.
     fn flush(&mut self) -> usize {

@@ -767,10 +767,6 @@ impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
         self.inner.mtu()
     }
 
-    fn coalesce_hint(&self) -> bool {
-        self.inner.coalesce_hint()
-    }
-
     fn flush(&mut self) -> usize {
         self.tick_held();
         // Refill the shaping bucket: flush is the wrapper's pump-cadence
@@ -888,15 +884,12 @@ mod tests {
     }
 
     /// A mark riding inside a data frame changes nothing the loss models
-    /// see: frames of the mark-field kinds are data, so a stream whose
-    /// marks ride their data loses exactly the data frames a stream with
-    /// the same marks as marker frames loses — same indices, same seed.
+    /// see: a numbered frame is data, so a stream whose marks ride their
+    /// data loses exactly the data frames a stream with the same marks as
+    /// marker frames loses — same indices, same seed.
     #[test]
     fn loss_falls_on_the_same_data_frames_wherever_the_marks_ride() {
-        use crate::frame::{
-            encode_control_flow_into, encode_data_flow_into, encode_data_markable_flow_into,
-            write_mark,
-        };
+        use crate::frame::{encode_control_flow_into, encode_data_flow_into, write_number};
         use stripe_core::sched::ChannelMark;
         use stripe_core::Marker;
         let plans = [
@@ -915,19 +908,14 @@ mod tests {
                         dc: 1,
                     };
                     let mut f = Vec::new();
-                    match (i % 4 == 0, carried) {
-                        (true, true) => {
-                            encode_data_markable_flow_into(1, &[i; 300], &mut f);
-                            assert!(write_mark(&mut f, mark));
-                        }
-                        (true, false) => {
-                            let ctl = Control::Marker(Marker::sync(0, mark));
-                            encode_control_flow_into(1, &ctl, &mut f);
-                            run.push(std::mem::take(&mut f));
-                            encode_data_flow_into(1, &[i; 300], &mut f);
-                        }
-                        (false, true) => encode_data_markable_flow_into(1, &[i; 300], &mut f),
-                        (false, false) => encode_data_flow_into(1, &[i; 300], &mut f),
+                    if i % 4 == 0 && !carried {
+                        let ctl = Control::Marker(Marker::sync(0, mark));
+                        encode_control_flow_into(1, &ctl, &mut f);
+                        run.push(std::mem::take(&mut f));
+                    }
+                    encode_data_flow_into(1, &[i; 300], &mut f);
+                    if i % 4 == 0 && carried {
+                        assert!(write_number(&mut f, mark));
                     }
                     run.push(f);
                 }

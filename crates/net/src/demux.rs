@@ -9,17 +9,17 @@
 //! Flow lookup on the hot path is one slab index: O(1) per frame.
 //!
 //! Replicas are created *lazily*, on the first frame naming a flow id
-//! (data or marker — both carry the varint tag). A data frame may state
-//! its own number ([`frame::KIND_DATA_MARKED`]; from a [`StripeServer`]
-//! every frame with the mark field does): it is routed as *one* arrival,
-//! a numbered view whose field travels with the payload, and the flow's
-//! resequencer reads the number when the packet reaches the head of its
-//! channel — what a marker frame directly ahead of it would have said,
-//! for one ring entry instead of two. A mark, carried or in a frame of
-//! its own, that promises a round further ahead than an honest sender
+//! (data or marker — both carry the varint tag). A data frame states its
+//! own number (every one a [`StripeServer`] sends, see [`frame`]): it is
+//! routed as *one* arrival, a numbered view whose number travels with the
+//! payload, and the flow's resequencer reads the number when the packet
+//! reaches the head of its channel — what a marker frame directly ahead
+//! of it would have said, for one ring entry instead of two. A number or
+//! a marker that promises a round further ahead than an honest sender
 //! can be (see [`LogicalReceiver::bound_marks`]) is refused and counted
-//! `dropped_mark_ahead`; the payload it rode with is delivered all the
-//! same. At creation the demux
+//! `dropped_mark_ahead` — a marker as it arrives, a number at the head of
+//! its channel — and the payload a refused number rode with is
+//! delivered all the same. At creation the demux
 //! applies the last announced membership mask one round ahead, the same
 //! rule [`StripeServer::open_flow`](crate::server::StripeServer::open_flow)
 //! uses, so both fresh simulations start in lockstep. Population is
@@ -78,9 +78,7 @@ pub struct FlowDemuxSnapshot {
     pub frames: u64,
     /// Data frames routed into some flow's resequencer.
     pub data_frames: u64,
-    /// Those of them that stated their own number
-    /// ([`KIND_DATA_MARKED`](crate::frame::KIND_DATA_MARKED)) and were
-    /// routed with it.
+    /// Those of them that stated their own number (routed with it).
     pub marked_frames: u64,
     /// Control frames (markers included) decoded.
     pub control_frames: u64,
@@ -90,9 +88,10 @@ pub struct FlowDemuxSnapshot {
     /// Summed data frames whose CRC-8 trailer did not match.
     pub dropped_corrupt: u64,
     /// Marks — a data frame's number or a marker frame's — refused as
-    /// further ahead than an honest sender can be (the per-flow share is
-    /// in [`ReceiverSnapshot::dropped_mark_ahead`]). The data such a
-    /// frame carried was routed, unnumbered.
+    /// further ahead than an honest sender can be: the sum of
+    /// [`ReceiverSnapshot::dropped_mark_ahead`] over the flows
+    /// instantiated now. The data such a frame carried is delivered,
+    /// served as it stands.
     pub dropped_mark_ahead: u64,
     /// Marks adopted clamped, their DC out of what an honest sender
     /// states: the sum of [`ReceiverSnapshot::marks_clamped`] over the
@@ -479,13 +478,13 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                 if full || packed[pb.slot()] {
                     return;
                 }
-                let stored = pb.stored();
-                let Some(room) = bytes.get_mut(fill..fill + stored.len()) else {
+                let payload = pb.as_slice();
+                let Some(room) = bytes.get_mut(fill..fill + payload.len()) else {
                     full = true;
                     return;
                 };
-                room.copy_from_slice(stored);
-                fill += stored.len();
+                room.copy_from_slice(payload);
+                fill += payload.len();
                 moved += 1;
             });
         }
@@ -497,7 +496,7 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                     return;
                 }
                 *pb = pb.moved_to(&home, target, at);
-                at += pb.stored().len();
+                at += pb.len();
                 left -= 1;
             });
         }
@@ -600,25 +599,19 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
         let bytes = &buf[at..at + n];
         let p = frame::parse(bytes)?;
         match p.body {
-            Body::Data | Body::MarkedData => match self.ensure_flow(p.flow) {
+            Body::Data => match self.ensure_flow(p.flow) {
                 Some(rx) => {
-                    // A number stays where it is, ahead of the payload,
-                    // and the view says so — unless it is out of reach:
-                    // then the payload goes on without one.
-                    let stated = p.body == Body::MarkedData;
-                    let numbered = stated && rx.admit_mark(p.mark(bytes));
-                    // On overflow the resequencer drops the arrival
-                    // (counted in that flow's snapshot): no view is made.
-                    let start = at + p.offset as usize;
+                    // The view keeps the number as the frame states it:
+                    // the resequencer reads it when the packet reaches
+                    // the head of its channel. On overflow the
+                    // resequencer drops the arrival (counted in that
+                    // flow's snapshot): no view is made.
+                    let (start, number) = (at + p.offset as usize, p.stated(bytes));
                     rx.push_with(c, || {
-                        Arrival::Data(TrainPool::view_of(buf, slot, start, p.len, numbered))
+                        Arrival::Data(TrainPool::view_of(buf, slot, start, p.len, number))
                     });
                     self.stats.data_frames += 1;
-                    if numbered {
-                        self.stats.marked_frames += 1;
-                    } else if stated {
-                        self.stats.dropped_mark_ahead += 1;
-                    }
+                    self.stats.marked_frames += number.is_some() as u64;
                 }
                 None => self.stats.dropped_admission += 1,
             },
@@ -626,13 +619,9 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                 let mk = p.marker(bytes)?;
                 self.stats.control_frames += 1;
                 match self.ensure_flow(p.flow) {
-                    Some(rx) => {
-                        if rx.admit_mark(mk.mark) {
-                            rx.push(c, Arrival::Marker(mk));
-                        } else {
-                            self.stats.dropped_mark_ahead += 1;
-                        }
-                    }
+                    // Refused if out of reach, counted in the flow's
+                    // snapshot.
+                    Some(rx) => _ = rx.push(c, Arrival::Marker(mk)),
                     None => self.stats.dropped_admission += 1,
                 }
             }
@@ -812,9 +801,13 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
 
     /// Demux-wide counters.
     pub fn net_stats(&self) -> FlowDemuxSnapshot {
-        let flows = self.flows.iter().flatten();
+        let stats = self.flows.iter().flatten().map(|f| f.rx.stats());
+        let (clamped, ahead) = stats.fold((0, 0), |(c, a), s| {
+            (c + s.marks_clamped, a + s.dropped_mark_ahead)
+        });
         FlowDemuxSnapshot {
-            marks_clamped: flows.map(|f| f.rx.stats().marks_clamped).sum(),
+            marks_clamped: clamped,
+            dropped_mark_ahead: ahead,
             ..self.stats
         }
     }
@@ -867,9 +860,6 @@ mod tests {
     use stripe_core::sender::MarkerConfig;
     use stripe_core::Marker;
     use stripe_link::{datagram_pair, TestDatagramLink};
-
-    /// The builder's default ring capacity per channel.
-    const DEFAULT_CAP: usize = 1 << 14;
 
     fn linked(
         flows_cap: usize,
@@ -926,9 +916,9 @@ mod tests {
     }
 
     /// A frame that states its own number is routed as one arrival, its
-    /// number with it: every frame long enough for the field is one, the
-    /// marks that found such a frame to be are no frames of their own,
-    /// and in sync a number changes nothing in the resequencer.
+    /// number with it: every frame a server sends is one, no marker frame
+    /// goes with them, and in sync a number changes nothing in the
+    /// resequencer.
     #[test]
     fn a_numbered_frame_is_one_arrival_and_in_sync_changes_nothing() {
         let (mut srv, mut demux) = linked(4);
@@ -961,16 +951,10 @@ mod tests {
         }
         let sent = srv.flow_stats(f0).unwrap();
         let s = demux.net_stats();
-        assert!(sent.markers_carried > 0);
         assert_eq!((s.data_frames, s.marked_frames), (200, 200));
-        // Marker frames are the marks that found no such frame to be.
-        assert_eq!(s.control_frames + sent.markers_carried, sent.markers_sent);
+        assert_eq!((s.control_frames, sent.markers_sent), (0, 0));
         let r = demux.flow_stats(f0.id()).unwrap();
-        assert_eq!(r.markers_seen, s.control_frames);
-        assert!(
-            r.marks_applied <= r.markers_seen,
-            "a number was adopted in sync"
-        );
+        assert_eq!(r.marks_applied, 0, "a number was adopted in sync");
         assert_eq!((r.skips, r.dropped_mark_ahead), (0, 0));
     }
 
@@ -980,44 +964,69 @@ mod tests {
     #[test]
     fn a_mark_out_of_reach_is_refused_and_its_data_delivered() {
         use stripe_core::sched::ChannelMark;
-        let (mut srv, mut demux) = linked(4);
+        const CAP: usize = 64;
+        let (a0, b0) = datagram_pair(2048, 1 << 12);
+        let (a1, b1) = datagram_pair(2048, 1 << 12);
+        let mut tx = [a0, a1];
+        let mut demux = FlowDemux::builder()
+            .scheduler(Srr::equal(2, 1500))
+            .links(vec![b0, b1])
+            .capacity_per_channel(CAP)
+            .build();
+        // CAP + 2 packets of up to 2048 bytes, two rounds apiece.
+        let reach = (CAP as u64 + 2) * 2;
+        // The farthest a number's 16 bits read ahead, and a marker's
+        // round at the end of time.
         let far = ChannelMark {
+            round: 1 + 0x7FFF,
+            dc: 1500,
+        };
+        let end = ChannelMark {
             round: u64::MAX,
             dc: 1500,
         };
         let mut wire = Vec::new();
-        for c in 0..2 {
+        for (c, link) in tx.iter_mut().enumerate() {
             // A quantum's worth: the scan moves on after each.
-            frame::encode_data_markable_flow_into(0, &[c as u8; 1500], &mut wire);
-            assert!(frame::write_mark(&mut wire, far));
-            srv.links_mut()[c].send_frame(&wire).unwrap();
-            let mk = Marker::sync(c, far);
+            frame::encode_data_flow_into(0, &[c as u8; 1500], &mut wire);
+            assert!(frame::write_number(&mut wire, far));
+            link.send_frame(&wire).unwrap();
+            let mk = Marker::sync(c, end);
             frame::encode_control_flow_into(0, &Control::Marker(mk), &mut wire);
-            srv.links_mut()[c].send_frame(&wire).unwrap();
+            link.send_frame(&wire).unwrap();
         }
         assert_eq!(demux.sweep(SimTime::ZERO), 4);
-        let s = demux.net_stats();
-        assert_eq!(
-            (s.dropped_mark_ahead, s.data_frames, s.marked_frames),
-            (4, 2, 0)
-        );
+        // The markers are refused as they arrive, the numbers at the head.
+        assert_eq!(demux.net_stats().dropped_mark_ahead, 2);
         let got: Vec<u8> = std::iter::from_fn(|| demux.poll_flow(0))
             .map(|pb| pb.as_slice()[0])
             .collect();
         assert_eq!(got, [0, 1]);
+        let s = demux.net_stats();
+        assert_eq!(
+            (s.dropped_mark_ahead, s.data_frames, s.marked_frames),
+            (4, 2, 2)
+        );
         let r = demux.flow_stats(0).unwrap();
         assert_eq!((r.dropped_mark_ahead, r.skips, r.marks_applied), (4, 0, 0));
-        // The furthest an honest mark can be is let in.
-        let round = (DEFAULT_CAP as u64 + 2) * 2 + 1;
-        let near = ChannelMark { round, dc: 1500 };
+        // The furthest an honest mark can be is let in, either way.
+        let near = ChannelMark {
+            round: 1 + reach,
+            dc: 1500,
+        };
+        frame::encode_data_flow_into(0, &[9; 10], &mut wire);
+        assert!(frame::write_number(&mut wire, near));
+        tx[0].send_frame(&wire).unwrap();
         frame::encode_control_flow_into(0, &Control::Marker(Marker::sync(0, near)), &mut wire);
-        srv.links_mut()[0].send_frame(&wire).unwrap();
+        tx[0].send_frame(&wire).unwrap();
         demux.sweep(SimTime::ZERO);
-        assert_eq!(demux.net_stats().dropped_mark_ahead, 4);
+        demux.poll_flow(0);
+        let s = demux.net_stats();
+        assert_eq!((s.dropped_mark_ahead, s.marked_frames), (4, 3));
     }
 
     /// A payload parked behind a gap keeps its number through re-homing:
-    /// the field moves with it, and what the resequencer reads when the
+    /// the number moves with it, and what the resequencer reads when the
     /// gap fills is what the sender wrote.
     #[test]
     fn a_rehomed_payload_keeps_its_number() {
@@ -1076,8 +1085,7 @@ mod tests {
         }
         // Every number read back in sync: none adopted, none skipped on.
         let r = demux.flow_stats(gapped.id()).unwrap();
-        assert_eq!((r.skips, r.dropped_mark_ahead), (0, 0));
-        assert!(r.marks_applied <= r.markers_seen, "{r:?}");
+        assert_eq!((r.skips, r.dropped_mark_ahead, r.marks_applied), (0, 0, 0));
     }
 
     /// Flows past the demux population cap are counted, dropped, and do

@@ -1,20 +1,29 @@
 //! The canonical on-wire frame format of the real-socket datapath.
 //!
-//! Every UDP datagram on a striped channel is exactly one frame. There
-//! are two versions, differing only in whether a flow id is present:
+//! Every UDP datagram on a striped channel is one frame (or a
+//! [bundle](crate::bundle) of frames). Three versions share the header:
 //!
-//! | offset | size | field                                              |
-//! |--------|------|----------------------------------------------------|
-//! | 0      | 1    | magic (`0xC5`)                                     |
-//! | 1      | 1    | version: `1` = single flow, `2` = flow-tagged      |
-//! | 2      | 1    | kind, see below                                    |
-//! | 3      | 1–5  | **version 2 only:** flow id, LEB128 varint (`u32`) |
-//! | 3 / 4–8| …    | body                                               |
+//! | offset | size | field                                                 |
+//! |--------|------|-------------------------------------------------------|
+//! | 0      | 1    | magic (`0xC5`)                                        |
+//! | 1      | 1    | version: `1` single flow, `2` flow-tagged, `3` numbered data |
+//! | 2      | 1    | kind (versions 1 and 2) or flags (version 3)          |
+//! | 3      | 1–5  | **versions 2 and 3:** flow id, LEB128 varint (`u32`)  |
 //!
-//! A version-1 frame is a version-2 frame with the flow id elided; it
-//! belongs to flow 0. Global control (probes, membership, quantum
-//! announces, resets) always travels as version 1; everything a flow
-//! sends — data and its markers — as version 2.
+//! **Version 3 is a data frame that states its number**, and it is every
+//! data frame a [`StripeServer`](crate::server::StripeServer) sends:
+//!
+//! | size | field                                                          |
+//! |------|----------------------------------------------------------------|
+//! | 2    | round: the low 16 bits of the number's round, little-endian    |
+//! | 1–5  | dc: LEB128 varint (`u32`), which a sender may pad              |
+//! | …    | the payload, verbatim                                          |
+//! | 1    | with [`FLAG_SUMMED`] only: CRC-8 of the number and the payload |
+//!
+//! Versions 1 and 2 carry control — global control untagged as version 1
+//! (probes, membership, quantum announces, resets), a flow's markers as
+//! version 2 — and, from senders of earlier rounds, unnumbered data, which
+//! is still decoded (this round only) and sent by nobody:
 //!
 //! | kind | name                    | body                                              |
 //! |------|-------------------------|---------------------------------------------------|
@@ -22,60 +31,55 @@
 //! | `1`  | [`KIND_CONTROL`]        | exactly the bytes of [`Control::encode`]          |
 //! | `2`  | [`KIND_CONTROL_PADDED`] | `u16` LE length, that many control bytes, padding |
 //! | `3`  | [`KIND_DATA_SUMMED`]    | the payload, then a CRC-8 of it                   |
-//! | `4`  | [`KIND_DATA_MARK_EMPTY`]| a 16-byte mark field nobody reads, the payload — an encode-time placeholder, not on the wire from this sender |
-//! | `5`  | [`KIND_DATA_MARKED`]    | `round` (`u64` BE), `dc` (`i64` BE), the payload  |
 //!
 //! The paper's central constraint is that striping never modifies data
-//! packets, so all this layer adds to one is the demultiplexing header
-//! (the real-network stand-in for the Ethernet type-field codepoint of
-//! §5). Control bodies — markers ride as
-//! [`Control::Marker`] — are produced through
+//! packets, so all this layer adds to one is its header (the real-network
+//! stand-in for the Ethernet type-field codepoint of §5). Control bodies —
+//! markers ride as [`Control::Marker`] — are produced through
 //! [`Control::encode_into`], so the simulator and the socket path share
 //! one encoder and cannot drift.
 //!
-//! # The mark field
+//! # The number
 //!
-//! §5 gives every data packet an implicit number `(round, dc)` — what
-//! its flow's scheduler holds for the packet's channel just before it
-//! serves the packet — and a marker on channel `c` states the number of
-//! the *next* packet its flow sends on `c`. This layer already owns a
-//! header (§4's "when headers can be added"), so the packet's frame can
-//! state the number itself: kinds `4` and `5`, version 2 only, put a
-//! [`MARK_FIELD_LEN`]-byte field between the flow id and the payload.
-//! Kind `5` holds the number, to be applied on the frame's own channel
-//! *before* its payload — exactly a marker frame directly ahead of a
-//! kind-`0` frame; kind `4` holds none and its field is ignored. The
-//! payload is still verbatim. A frame is encoded long before the
-//! scheduler gets to its packet, so the sender reserves the field at
-//! encode time ([`encode_data_markable_flow_into`], kind `4`) and fills
-//! it in place when the packet is served ([`write_mark`], kind `5`):
-//! **every frame that has the field leaves with its own number in it**,
-//! so kind `4` is an encode-time placeholder that a
-//! [`StripeServer`](crate::server::StripeServer) never puts on a wire
-//! (PR 17 to 20 sent it for the four frames in five that no marker fell
-//! due ahead of; it still decodes, as data, for this round). Whether to
-//! reserve is a rule on the payload length alone — at least
-//! [`MARK_MIN_PAYLOAD`] bytes — so that equal payloads make equal
-//! frames: a field only in some of them would split a
-//! segmentation-offload train at each. The header is unchanged, so this
-//! is no version bump: a receiver that predates the two kinds drops
-//! them as it drops any unknown kind.
+//! §5 gives every data packet an implicit number `(round, dc)` — what its
+//! flow's scheduler holds for the packet's channel just before it serves
+//! the packet — and a marker on channel `c` states the number of the next
+//! packet its flow sends on `c`. This layer owns a header (§4's "when
+//! headers can be added"), so every data frame states its own number: to
+//! the receiver it is a marker directly ahead of the payload, and a loss
+//! on `c` is healed by the flow's next frame on `c`, not at a marker. A
+//! frame is encoded long before the scheduler gets to its packet, so the
+//! encoders leave the number blank and [`write_number`] fills it in, in
+//! place, when the packet is served.
+//!
+//! The number is compact. The round is stated modulo 2^16, and the
+//! receiver takes the round [nearest](nearest_round) its replica's own
+//! that has those bits: a replica only trails its sender by the rounds of
+//! what it lost, and the reach of condition C1 already bounds how far a
+//! number may lead (see
+//! [`LogicalReceiver::bound_marks`](stripe_core::receiver::LogicalReceiver::bound_marks)).
+//! An honest `dc` lies in (0, largest quantum] — the bound the receiver
+//! clamps a forged one to — so a varint spends bytes on it by the quantum,
+//! not by the 64 bits of a marker's field: a sender reserves
+//! [`NUMBER_LEN`] bytes, enough for any quantum below 2^14, and
+//! [`write_number`] widens the frame for a larger `dc`. Four bytes a
+//! frame, and in integrity mode under the checksum: a bit flipped in a
+//! number is caught like one flipped in the payload.
 //!
 //! # Decoding
 //!
 //! There is one parser, [`parse`] (and [`parse_v1`], the same code
-//! refusing flow-tagged frames). It checks magic, version, kind, the
-//! varint, the CRC-8 trailer, the pad prefix and the mark field's
-//! presence, classifies every
+//! refusing flow-tagged frames). It checks magic, version, kind or flags,
+//! the varints, the CRC-8 trailer and the pad prefix, classifies every
 //! reject as [`DecodeError::Malformed`] or [`DecodeError::Corrupt`], and
-//! returns a [`Parsed`]: a 16-byte `Copy` value naming the flow, what
-//! the body is ([`Body`]) and where in the datagram it sits. It reads
-//! the header and builds nothing. The receive path works from that: a
-//! data body becomes a view into the receive buffer (one that keeps the
-//! field ahead of it, read by [`Parsed::mark`], when the frame states
-//! its number), a marker body goes
-//! through [`Parsed::marker`], and a [`Control`] is only ever built —
-//! by [`Parsed::control`] — for the rare frame that carries one.
+//! returns a [`Parsed`]: a 16-byte `Copy` value naming the flow, what the
+//! body is ([`Body`]), where in the datagram it sits, and how long a
+//! number lies ahead of it. It reads the header and builds nothing. The
+//! receive path works from that: a data body becomes a view into the
+//! receive buffer that holds the number as the frame states it
+//! ([`Parsed::number`] reads it), a marker body goes through
+//! [`Parsed::marker`], and a [`Control`] is only ever built — by
+//! [`Parsed::control`] — for the rare frame that carries one.
 //! [`try_decode`], [`try_decode_flow`] and [`decode`] are [`parse`]
 //! followed by [`Parsed::frame`], for callers that want the borrowed
 //! [`Frame`] enum.
@@ -92,18 +96,34 @@ pub const FRAME_MAGIC: u8 = 0xC5;
 /// 3-byte header directly and the frame implicitly belongs to flow 0.
 pub const FRAME_VERSION: u8 = 1;
 
-/// The multi-flow wire-format version: a LEB128 varint flow id sits
+/// The flow-tagged wire-format version: a LEB128 varint flow id sits
 /// between the 3-byte header and the body, for every kind. Kind
-/// codepoints and body encodings are unchanged from version 1 — the
-/// version bump is *only* the flow-id field, so a version-1 frame is
-/// exactly a version-2 frame with the flow id elided ([`parse`] maps it
-/// to flow 0).
+/// codepoints and body encodings are unchanged from version 1 — a
+/// version-1 frame is exactly a version-2 frame with the flow id elided
+/// ([`parse`] maps it to flow 0).
 pub const FRAME_VERSION_FLOW: u8 = 2;
 
-/// Longest LEB128 encoding of a `u32` flow id.
+/// The numbered-data wire-format version: byte 2 holds flags, the flow id
+/// follows as in version 2, then the frame's number, then the payload
+/// (see the module docs).
+pub const FRAME_VERSION_NUMBERED: u8 = 3;
+
+/// Version-3 flag: a CRC-8 of the number and the payload trails the
+/// frame. No other flag is defined; a frame with one set is malformed.
+pub const FLAG_SUMMED: u8 = 1;
+
+/// Longest LEB128 encoding of a `u32` — a flow id or a number's `dc`.
 pub const MAX_FLOW_ID_LEN: usize = 5;
 
-/// Frame-kind codepoint for application data.
+/// Bytes a sender reserves for a number: two of round and two of `dc`,
+/// which hold any `dc` below 2^14.
+pub const NUMBER_LEN: usize = 4;
+
+/// Longest number: two bytes of round and the longest `dc`.
+pub const NUMBER_MAX_LEN: usize = 2 + MAX_FLOW_ID_LEN;
+
+/// Frame-kind codepoint for unnumbered application data (versions 1 and
+/// 2; decoded, not sent, by this round).
 pub const KIND_DATA: u8 = 0;
 
 /// Frame-kind codepoint for control messages (markers included).
@@ -111,36 +131,15 @@ pub const KIND_CONTROL: u8 = 1;
 
 /// Frame-kind codepoint for a *padded* control message: the body is a
 /// little-endian `u16` length, that many [`Control::encode`] bytes, and
-/// then arbitrary padding the decoder ignores. Data frames can never be
-/// padded (their body is the datagram remainder, verbatim), but control
-/// frames can — which lets the sender stretch a 37-byte marker to the
-/// exact length of the data frames around it so a segmentation-offload
-/// train is not split at every marker (GSO permits only one shorter
-/// trailing segment per train). Semantically identical to
-/// [`KIND_CONTROL`].
+/// then padding the decoder ignores. Semantically identical to
+/// [`KIND_CONTROL`]; decoded for senders that stretched markers to the
+/// length of the data frames around them, sent by nobody.
 pub const KIND_CONTROL_PADDED: u8 = 2;
 
-/// Frame-kind codepoint for *checksummed* application data: the body is
-/// the payload followed by a one-byte CRC-8 of the payload. §5 assumes
-/// corruption is detectable; on real channels UDP's 16-bit checksum is
-/// optional and weak, so paths that face bit errors (and every chaos
-/// soak) opt into this kind. The default [`KIND_DATA`] stays
-/// trailer-free, keeping the headline path at zero checksum cost.
+/// Frame-kind codepoint for *checksummed* unnumbered data: the payload
+/// followed by a one-byte CRC-8 of it (versions 1 and 2; decoded, not
+/// sent, by this round — see [`FLAG_SUMMED`]).
 pub const KIND_DATA_SUMMED: u8 = 3;
-
-/// Frame-kind codepoint for data behind an *empty* mark field (version
-/// 2 only): [`MARK_FIELD_LEN`] bytes the decoder skips, then the payload.
-/// What [`write_mark`] turns into [`KIND_DATA_MARKED`] before the frame
-/// leaves: a placeholder between encode and pump, decoded (as plain
-/// data) only for senders of the rounds that still put it on the wire.
-/// See the module docs.
-pub const KIND_DATA_MARK_EMPTY: u8 = 4;
-
-/// Frame-kind codepoint for data that states its own number (version 2
-/// only): the mark field holds `round` (`u64` BE) and `dc` (`i64` BE) —
-/// the [`ChannelMark`] a marker directly ahead of this frame, on this
-/// frame's channel, would have stated — then the payload.
-pub const KIND_DATA_MARKED: u8 = 5;
 
 /// Bytes of header preceding the body.
 pub const FRAME_HEADER_LEN: usize = 3;
@@ -149,30 +148,13 @@ pub const FRAME_HEADER_LEN: usize = 3;
 /// control message itself (the `u16` length prefix).
 pub const PAD_LEN_PREFIX: usize = 2;
 
-/// Trailer bytes of a [`KIND_DATA_SUMMED`] frame (the CRC-8).
+/// Trailer bytes of a checksummed frame (the CRC-8).
 pub const SUM_TRAILER_LEN: usize = 1;
-
-/// Bytes of the mark field of a [`KIND_DATA_MARK_EMPTY`] or
-/// [`KIND_DATA_MARKED`] frame: a [`ChannelMark`]'s `round` and `dc`.
-/// Every frame that has it uses it, so it is not overhead that waits for
-/// a mark: it is where the frame's number goes.
-pub const MARK_FIELD_LEN: usize = 16;
-
-/// Shortest payload a sender reserves the mark field for: 16 fields'
-/// worth, so the field never adds more than a sixteenth to the payload
-/// it rides with. It is a rule on the length — something both a bulk
-/// and a small-packet sender observe about their own traffic — because
-/// the alternatives lose: a field only in some frames makes them
-/// longer than their neighbours and cuts every offload train there, and
-/// a field in every frame adds a quarter to a 64-byte payload. Short
-/// frames therefore state no number and recover at the marker cadence,
-/// as every frame used to.
-pub const MARK_MIN_PAYLOAD: usize = 16 * MARK_FIELD_LEN;
 
 /// CRC-8, polynomial 0x07 (ATM HEC) — catches every single-bit flip and
 /// all burst errors up to 8 bits, which is exactly the corruption model
 /// the chaos layer injects. Table built at compile time; one lookup per
-/// payload byte.
+/// byte.
 const CRC8_TABLE: [u8; 256] = {
     let mut table = [0u8; 256];
     let mut i = 0;
@@ -193,7 +175,7 @@ const CRC8_TABLE: [u8; 256] = {
     table
 };
 
-/// CRC-8/0x07 over `bytes` (the [`KIND_DATA_SUMMED`] trailer value).
+/// CRC-8/0x07 over `bytes` (the checksum trailer's value).
 pub fn crc8(bytes: &[u8]) -> u8 {
     let mut crc = 0u8;
     for &b in bytes {
@@ -215,29 +197,34 @@ pub enum Frame<'a> {
 
 /// Append the header for a frame of `kind` to `out`.
 fn push_header(kind: u8, out: &mut Vec<u8>) {
-    out.push(FRAME_MAGIC);
-    out.push(FRAME_VERSION);
-    out.push(kind);
+    out.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION, kind]);
 }
 
-/// Append the version-2 header plus the varint flow id to `out`.
-fn push_flow_header(kind: u8, flow: u32, out: &mut Vec<u8>) {
-    out.push(FRAME_MAGIC);
-    out.push(FRAME_VERSION_FLOW);
-    out.push(kind);
-    let mut v = flow;
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
+/// Write `v` as a LEB128 varint filling `out`, padded with continuation
+/// bytes if it needs fewer (`v` must fit).
+fn put_varint(v: u32, out: &mut [u8]) {
+    let last = out.len() - 1;
+    for (i, b) in out.iter_mut().enumerate() {
+        *b = (v >> (7 * i)) as u8 & 0x7F | if i < last { 0x80 } else { 0 };
     }
 }
 
-/// Encoded length of a flow id's LEB128 varint.
+/// Append `v` as a LEB128 varint of exactly `width` bytes.
+fn push_varint(v: u32, width: usize, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.resize(at + width, 0);
+    put_varint(v, &mut out[at..]);
+}
+
+/// Append a flow-tagged header (`version`, `kind` or flags, the varint
+/// flow id) to `out`.
+fn push_flow_header(version: u8, kind: u8, flow: u32, out: &mut Vec<u8>) {
+    out.extend_from_slice(&[FRAME_MAGIC, version, kind]);
+    push_varint(flow, flow_id_len(flow), out);
+}
+
+/// Encoded length of a `u32` as a canonical LEB128 varint (a flow id, a
+/// number's `dc`).
 pub fn flow_id_len(flow: u32) -> usize {
     match flow {
         0..=0x7F => 1,
@@ -248,37 +235,33 @@ pub fn flow_id_len(flow: u32) -> usize {
     }
 }
 
-/// Parse a LEB128 flow id from the start of `body`; returns the id and
-/// the number of bytes it occupied. `None` on truncation or a varint
-/// longer than [`MAX_FLOW_ID_LEN`] (a `u32` never needs more).
-fn take_flow_id(body: &[u8]) -> Option<(u32, usize)> {
-    let mut flow: u32 = 0;
+/// Parse a LEB128 `u32` (a flow id, a number's `dc`) from the start of
+/// `body`; returns the value and the number of bytes it occupied. `None`
+/// on truncation, a varint longer than [`MAX_FLOW_ID_LEN`], or a fifth
+/// byte with bits a `u32` cannot hold. Padded (non-canonical) encodings
+/// are accepted.
+fn take_varint(body: &[u8]) -> Option<(u32, usize)> {
+    let mut v: u32 = 0;
     for (i, &b) in body.iter().enumerate().take(MAX_FLOW_ID_LEN) {
-        let payload = (b & 0x7F) as u32;
-        // The fifth byte may only carry the top 4 bits of a u32.
-        if i == MAX_FLOW_ID_LEN - 1 && b & 0xF0 != 0 {
-            return None;
-        }
-        flow |= payload << (7 * i);
+        v |= ((b & 0x7F) as u32) << (7 * i);
         if b & 0x80 == 0 {
-            return Some((flow, i + 1));
+            // The fifth byte may only carry the top 4 bits of a u32.
+            return (i < MAX_FLOW_ID_LEN - 1 || b < 0x10).then_some((v, i + 1));
         }
     }
     None
 }
 
-/// Encode a data frame into `out` (cleared first, capacity kept): the
-/// steady-state path encodes every frame into a recycled buffer.
+/// Encode a version-1 data frame into `out` (cleared first, capacity
+/// kept) — the single-flow format a receiver still decodes; no
+/// [`StripeServer`](crate::server::StripeServer) sends it.
 pub fn encode_data_into(payload: &[u8], out: &mut Vec<u8>) {
     out.clear();
     push_header(KIND_DATA, out);
     out.extend_from_slice(payload);
 }
 
-/// Encode a checksummed data frame into `out` (cleared first, capacity
-/// kept): payload, then a CRC-8 trailer the decoder verifies. Costs one
-/// table lookup per byte on encode and decode — paid only by paths that
-/// opt in (integrity mode).
+/// [`encode_data_into`] with a CRC-8 trailer ([`KIND_DATA_SUMMED`]).
 pub fn encode_data_summed_into(payload: &[u8], out: &mut Vec<u8>) {
     out.clear();
     push_header(KIND_DATA_SUMMED, out);
@@ -295,103 +278,147 @@ pub fn encode_control_into(ctl: &Control, out: &mut Vec<u8>) {
     ctl.encode_into(out);
 }
 
-/// Encode a flow-tagged data frame (version 2) into `out` (cleared
-/// first, capacity kept).
+/// Encode a numbered data frame (version 3) into `out` (cleared first,
+/// capacity kept), its number blank — round 0, `dc` 0 in the
+/// [`NUMBER_LEN`] bytes a sender reserves — and, when `summed`, its
+/// trailer too: [`write_number`] fills both in.
+#[inline]
+pub(crate) fn encode_numbered_into(flow: u32, summed: bool, payload: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    let flags = if summed { FLAG_SUMMED } else { 0 };
+    push_flow_header(FRAME_VERSION_NUMBERED, flags, flow, out);
+    out.extend_from_slice(&[0, 0, 0x80, 0]); // round 0, a DC of 0 padded to two bytes
+    out.extend_from_slice(payload);
+    if summed {
+        out.push(0);
+    }
+}
+
+/// Encode a data frame of flow `flow` into `out` (cleared first,
+/// capacity kept): version 3, its number blank until [`write_number`]
+/// fills it in — a frame is encoded before its packet is scheduled, and
+/// the steady-state path encodes every frame into a recycled buffer.
 pub fn encode_data_flow_into(flow: u32, payload: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    push_flow_header(KIND_DATA, flow, out);
-    out.extend_from_slice(payload);
+    encode_numbered_into(flow, false, payload, out);
 }
 
-/// Encode a flow-tagged data frame with an empty mark field
-/// ([`KIND_DATA_MARK_EMPTY`]) into `out` (cleared first, capacity
-/// kept): [`MARK_FIELD_LEN`] bytes longer than
-/// [`encode_data_flow_into`]'s, and able to take a mark later.
-pub fn encode_data_markable_flow_into(flow: u32, payload: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    push_flow_header(KIND_DATA_MARK_EMPTY, flow, out);
-    out.extend_from_slice(&[0; MARK_FIELD_LEN]);
-    out.extend_from_slice(payload);
+/// [`encode_data_flow_into`] with a CRC-8 trailer ([`FLAG_SUMMED`]) over
+/// the number and the payload, computed here for the blank number and
+/// again by [`write_number`]. §5 assumes corruption is detectable; on
+/// real channels UDP's 16-bit checksum is optional and weak, so paths
+/// that face bit errors (and every chaos soak) opt into it: one table
+/// lookup per byte, paid only by them.
+pub fn encode_data_summed_flow_into(flow: u32, payload: &[u8], out: &mut Vec<u8>) {
+    encode_numbered_into(flow, true, payload, out);
+    let end = out.len() - SUM_TRAILER_LEN;
+    let at = FRAME_HEADER_LEN + flow_id_len(flow);
+    out[end] = crc8(&out[at..end]);
 }
 
-/// Put `mark` into the empty mark field of an encoded
-/// [`KIND_DATA_MARK_EMPTY`] frame, in place, making it
-/// [`KIND_DATA_MARKED`]. Returns `false`, and touches nothing, if
-/// `frame` is any other frame: the caller sends the mark some other way.
-/// Runs once per frame that has the field, so it reads the header and
-/// the varint and nothing else.
-pub fn write_mark(frame: &mut [u8], mark: ChannelMark) -> bool {
-    let empty = [FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA_MARK_EMPTY];
-    if !frame.starts_with(&empty) {
+/// State `number` in the numbered data frame `frame`, in place: the
+/// round's low 16 bits and the `dc` padded to the width the field has —
+/// widened, moving the payload, if it needs more (a quantum of 2^14 or
+/// more) — and the checksum recomputed if the frame has one. A `dc` no
+/// `u32` holds is stated clamped into one (no honest scheduler states
+/// one). Returns `false`, touching nothing, if `frame` is no numbered
+/// data frame: it reads the header and the varints to know.
+pub fn write_number(frame: &mut Vec<u8>, number: ChannelMark) -> bool {
+    if frame.len() < FRAME_HEADER_LEN
+        || frame[..2] != [FRAME_MAGIC, FRAME_VERSION_NUMBERED]
+        || frame[2] & !FLAG_SUMMED != 0
+    {
         return false;
     }
-    let Some((_, id_len)) = take_flow_id(&frame[FRAME_HEADER_LEN..]) else {
+    let Some((_, id_len)) = take_varint(&frame[FRAME_HEADER_LEN..]) else {
         return false;
     };
     let at = FRAME_HEADER_LEN + id_len;
-    let Some(field) = frame.get_mut(at..at + MARK_FIELD_LEN) else {
+    let Some((_, width)) = frame.get(at + 2..).and_then(take_varint) else {
         return false;
     };
-    field[..8].copy_from_slice(&mark.round.to_be_bytes());
-    field[8..].copy_from_slice(&mark.dc.to_be_bytes());
-    frame[2] = KIND_DATA_MARKED;
+    let summed = frame[2] & FLAG_SUMMED != 0;
+    put_number(frame, at, width, summed, number);
     true
 }
 
-/// The mark a [`MARK_FIELD_LEN`]-byte mark field holds.
-pub(crate) fn read_mark(field: &[u8]) -> ChannelMark {
-    let (round, dc) = field.split_at(8);
-    ChannelMark {
-        round: u64::from_be_bytes(round.try_into().expect("8 of the field's 16 bytes")),
-        dc: i64::from_be_bytes(dc.try_into().expect("8 of the field's 16 bytes")),
+/// [`write_number`] for a frame [`encode_numbered_into`] made for `flow`
+/// (and `summed`), whose number is still as wide as a sender reserves:
+/// the send path's way, which knows the frame and so reads none of it —
+/// in the common case it only stores.
+pub(crate) fn state_number(frame: &mut Vec<u8>, flow: u32, summed: bool, number: ChannelMark) {
+    let at = FRAME_HEADER_LEN + flow_id_len(flow);
+    put_number(frame, at, NUMBER_LEN - 2, summed, number);
+}
+
+/// State `number` in the number field at `at`, whose `dc` is `width`
+/// bytes wide, and the checksum if the frame is `summed` (see
+/// [`write_number`]).
+#[inline]
+fn put_number(frame: &mut Vec<u8>, at: usize, width: usize, summed: bool, number: ChannelMark) {
+    let dc = number.dc.clamp(0, u32::MAX as i64) as u32;
+    let [r0, r1] = (number.round as u16).to_le_bytes();
+    if width == 2 && dc < 1 << 14 {
+        // Every honest dc below a quantum of 2^14: four fixed stores.
+        frame[at..at + 4].copy_from_slice(&[r0, r1, dc as u8 | 0x80, (dc >> 7) as u8]);
+    } else {
+        put_wide_number(frame, at, width, [r0, r1], dc);
+    }
+    if summed {
+        let end = frame.len() - SUM_TRAILER_LEN;
+        frame[end] = crc8(&frame[at..end]);
     }
 }
 
-/// Encode a flow-tagged checksummed data frame (version 2) into `out`.
-/// The CRC-8 trailer covers the payload only, exactly as in version 1 —
-/// the flow id is header, not body.
-pub fn encode_data_summed_flow_into(flow: u32, payload: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    push_flow_header(KIND_DATA_SUMMED, flow, out);
-    out.extend_from_slice(payload);
-    out.push(crc8(payload));
+/// The rest of [`put_number`]: a field of another width, widened in
+/// place if `dc` needs more. Out of line, so that the send path inlines
+/// the four stores and not this.
+#[cold]
+fn put_wide_number(frame: &mut Vec<u8>, at: usize, width: usize, round: [u8; 2], dc: u32) {
+    let need = flow_id_len(dc);
+    if need > width {
+        frame.splice(at + 2..at + 2, std::iter::repeat_n(0, need - width));
+    }
+    frame[at..at + 2].copy_from_slice(&round);
+    put_varint(dc, &mut frame[at + 2..at + 2 + width.max(need)]);
+}
+
+/// The round with low 16 bits `low` nearest `near`: the receiver's reading
+/// of a number's round, `near` being its replica's own: up to 2^15 − 1
+/// rounds ahead, up to 2^15 behind, never below round 0.
+pub fn nearest_round(low: u16, near: u64) -> u64 {
+    near.saturating_add_signed(low.wrapping_sub(near as u16) as i16 as i64)
+}
+
+/// A number as a frame states it: its round's low 16 bits and its `dc`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Stated {
+    pub(crate) round: u16,
+    pub(crate) dc: u32,
+}
+
+impl Stated {
+    /// The number stated, its round the one nearest `near`
+    /// ([`nearest_round`]).
+    #[inline]
+    pub(crate) fn near(self, near: u64) -> ChannelMark {
+        ChannelMark {
+            round: nearest_round(self.round, near),
+            dc: self.dc as i64,
+        }
+    }
 }
 
 /// Encode a flow-tagged control frame (version 2) into `out`.
 pub fn encode_control_flow_into(flow: u32, ctl: &Control, out: &mut Vec<u8>) {
     out.clear();
-    push_flow_header(KIND_CONTROL, flow, out);
+    push_flow_header(FRAME_VERSION_FLOW, KIND_CONTROL, flow, out);
     ctl.encode_into(out);
 }
 
-/// Encode a flow-tagged control frame padded out to exactly `wire_len`
-/// bytes (version 2). The body carries an explicit length prefix so the
-/// decoder never has to guess where the control message ends, and the
-/// tail is zero-filled. If `wire_len` is too small to hold the prefixed
-/// message, the frame simply comes out at its natural (unpadded) length —
-/// callers should pick `wire_len` from the data frame they are matching.
-pub fn encode_control_padded_flow_into(
-    flow: u32,
-    ctl: &Control,
-    wire_len: usize,
-    out: &mut Vec<u8>,
-) {
-    out.clear();
-    push_flow_header(KIND_CONTROL_PADDED, flow, out);
-    let prefix_at = out.len();
-    out.extend_from_slice(&[0, 0]); // length prefix, patched below
-    ctl.encode_into(out);
-    let body = (out.len() - prefix_at - PAD_LEN_PREFIX) as u16;
-    out[prefix_at..prefix_at + PAD_LEN_PREFIX].copy_from_slice(&body.to_le_bytes());
-    if out.len() < wire_len {
-        out.resize(wire_len, 0);
-    }
-}
-
-/// On-wire length of a flow-tagged data frame ([`KIND_DATA`]; one with
-/// a mark field is [`MARK_FIELD_LEN`] longer).
+/// On-wire length of a data frame of flow `flow` whose number fits the
+/// [`NUMBER_LEN`] bytes a sender reserves (every `dc` below 2^14).
 pub fn data_flow_frame_len(flow: u32, payload_len: usize) -> usize {
-    FRAME_HEADER_LEN + flow_id_len(flow) + payload_len
+    FRAME_HEADER_LEN + flow_id_len(flow) + NUMBER_LEN + payload_len
 }
 
 /// On-wire length of a flow-tagged control frame.
@@ -399,17 +426,17 @@ pub fn control_flow_frame_len(flow: u32, ctl: &Control) -> usize {
     FRAME_HEADER_LEN + flow_id_len(flow) + ctl.wire_len()
 }
 
-/// Whether `frame` is a well-headed data frame (any data kind, a mark
-/// in it or not) — the peek the fault layer uses to drop data while
-/// letting markers and control through.
+/// Whether `frame` is a well-headed data frame (numbered or not) — the
+/// peek the fault layer uses to drop data while letting markers and
+/// control through.
 pub fn is_data_frame(frame: &[u8]) -> bool {
     frame.len() >= FRAME_HEADER_LEN
         && frame[0] == FRAME_MAGIC
-        && (frame[1] == FRAME_VERSION || frame[1] == FRAME_VERSION_FLOW)
-        && matches!(
-            frame[2],
-            KIND_DATA | KIND_DATA_SUMMED | KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED
-        )
+        && match frame[1] {
+            FRAME_VERSION | FRAME_VERSION_FLOW => matches!(frame[2], KIND_DATA | KIND_DATA_SUMMED),
+            FRAME_VERSION_NUMBERED => true,
+            _ => false,
+        }
 }
 
 /// Why a frame failed to decode — the distinction drives separate
@@ -417,24 +444,21 @@ pub fn is_data_frame(frame: &[u8]) -> bool {
 /// delivered *and* every injected flip was caught".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
-    /// Structurally broken: short, bad magic/version, unknown kind,
-    /// undecodable control body, lying pad prefix, truncated mark field.
+    /// Structurally broken: short, bad magic/version, unknown kind or
+    /// flag, a varint cut short or too long, an undecodable control body,
+    /// a lying pad prefix, a number cut short.
     Malformed,
-    /// Structurally fine but the CRC-8 trailer disagrees with the
-    /// payload: bits were flipped in flight.
+    /// Structurally fine but the CRC-8 trailer disagrees with what it
+    /// covers: bits were flipped in flight.
     Corrupt,
 }
 
 /// What a [`Parsed`] frame's body holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Body {
-    /// Application payload (any data kind without a mark; a CRC-8
-    /// trailer has been verified and is not part of the body, nor is an
-    /// empty mark field).
+    /// Application payload (a CRC-8 trailer has been verified and is not
+    /// part of the body, nor is a number: [`Parsed::number`] reads it).
     Data,
-    /// Application payload behind its own number ([`KIND_DATA_MARKED`]):
-    /// the body is the payload alone, [`Parsed::mark`] reads the number.
-    MarkedData,
     /// An encoded [`Marker`] (a control message of the marker type, its
     /// type byte not part of the body): the one control message on the
     /// per-packet path, so it is told apart here.
@@ -451,13 +475,16 @@ pub enum Body {
 pub struct Parsed {
     /// Body length in bytes.
     pub len: usize,
-    /// The flow named by a version-2 frame; 0 for version 1.
+    /// The flow named by a flow-tagged frame; 0 for version 1.
     pub flow: u32,
-    /// Where the body starts in the datagram: at most header, varint,
-    /// and the mark field or the pad prefix and a control type byte.
+    /// Where the body starts in the datagram: at most header, varint, and
+    /// the number or the pad prefix and a control type byte.
     pub offset: u8,
     /// What the body holds.
     pub body: Body,
+    /// Bytes of number directly ahead of the body: 0 but for a numbered
+    /// data frame.
+    pub number_len: u8,
 }
 
 impl Parsed {
@@ -467,11 +494,26 @@ impl Parsed {
         &frame[self.offset as usize..self.offset as usize + self.len]
     }
 
-    /// The mark a [`Body::MarkedData`] frame carries: the field directly
-    /// ahead of the body.
-    pub fn mark(&self, frame: &[u8]) -> ChannelMark {
-        debug_assert_eq!(self.body, Body::MarkedData);
-        read_mark(&frame[self.offset as usize - MARK_FIELD_LEN..self.offset as usize])
+    /// The number a numbered data frame states, its round the one nearest
+    /// `near` ([`nearest_round`]); `None` for any other frame.
+    pub fn number(&self, frame: &[u8], near: u64) -> Option<ChannelMark> {
+        self.stated(frame).map(|n| n.near(near))
+    }
+
+    /// The number a numbered data frame states, as it states it; `None`
+    /// for any other frame. The parser checked the field.
+    #[inline]
+    pub(crate) fn stated(&self, frame: &[u8]) -> Option<Stated> {
+        let at = self.offset as usize;
+        let field = frame.get(at - self.number_len as usize..at)?;
+        let (round, dc) = field.split_at_checked(2)?;
+        let dc = match *dc {
+            // The width every sender reserves, read without a loop.
+            [lo, hi] => (lo & 0x7F) as u32 | (hi as u32) << 7,
+            _ => dc.iter().rev().fold(0, |v, &b| v << 7 | (b & 0x7F) as u32),
+        };
+        let round = u16::from_le_bytes([round[0], round[1]]);
+        Some(Stated { round, dc })
     }
 
     /// Decode a [`Body::Marker`] body. A short or bad-magic marker is
@@ -490,53 +532,70 @@ impl Parsed {
         }
     }
 
-    /// The borrowed [`Frame`] this describes (a carried mark is not part
-    /// of it).
+    /// The borrowed [`Frame`] this describes (a number is not part of
+    /// it).
     pub fn frame<'a>(&self, frame: &'a [u8]) -> Result<Frame<'a>, DecodeError> {
         match self.body {
-            Body::Data | Body::MarkedData => Ok(Frame::Data(self.body(frame))),
+            Body::Data => Ok(Frame::Data(self.body(frame))),
             _ => self.control(frame).map(Frame::Control),
         }
+    }
+}
+
+/// Where the body of a checksummed frame whose body starts at `body`
+/// ends: before the CRC-8 trailer, which must match `frame[covered..]`
+/// up to it.
+fn check_trailer(frame: &[u8], covered: usize, body: usize) -> Result<usize, DecodeError> {
+    if frame.len() == body {
+        return Err(DecodeError::Malformed); // no room for the trailer
+    }
+    let end = frame.len() - SUM_TRAILER_LEN;
+    match crc8(&frame[covered..end]) == frame[end] {
+        true => Ok(end),
+        false => Err(DecodeError::Corrupt),
     }
 }
 
 /// The parser behind [`parse`] and [`parse_v1`].
 #[inline(always)]
 fn parse_versions(frame: &[u8], flow_tagged_ok: bool) -> Result<Parsed, DecodeError> {
-    use DecodeError::{Corrupt, Malformed};
+    use DecodeError::Malformed;
     if frame.len() < FRAME_HEADER_LEN || frame[0] != FRAME_MAGIC {
         return Err(Malformed);
     }
     let (flow, mut at) = match frame[1] {
         FRAME_VERSION => (0, FRAME_HEADER_LEN),
-        FRAME_VERSION_FLOW if flow_tagged_ok => {
-            let (flow, used) = take_flow_id(&frame[FRAME_HEADER_LEN..]).ok_or(Malformed)?;
+        FRAME_VERSION_FLOW | FRAME_VERSION_NUMBERED if flow_tagged_ok => {
+            let (flow, used) = take_varint(&frame[FRAME_HEADER_LEN..]).ok_or(Malformed)?;
             (flow, FRAME_HEADER_LEN + used)
         }
         _ => return Err(Malformed),
     };
+    if frame[1] == FRAME_VERSION_NUMBERED {
+        let flags = frame[2];
+        let number = at;
+        let dc = frame.get(at + 2..).and_then(take_varint).ok_or(Malformed)?;
+        at += 2 + dc.1;
+        let end = match flags {
+            0 => frame.len(),
+            // The trailer covers the number as well as the payload.
+            FLAG_SUMMED => check_trailer(frame, number, at)?,
+            _ => return Err(Malformed),
+        };
+        return Ok(Parsed {
+            len: end - at,
+            flow,
+            offset: at as u8,
+            body: Body::Data,
+            number_len: (at - number) as u8,
+        });
+    }
     let mut end = frame.len();
     let body = match frame[2] {
         KIND_DATA => Body::Data,
         KIND_DATA_SUMMED => {
-            if end == at {
-                return Err(Malformed); // no room for the trailer
-            }
-            end -= SUM_TRAILER_LEN;
-            if crc8(&frame[at..end]) != frame[end] {
-                return Err(Corrupt);
-            }
+            end = check_trailer(frame, at, at)?;
             Body::Data
-        }
-        kind @ (KIND_DATA_MARK_EMPTY | KIND_DATA_MARKED) if frame[1] == FRAME_VERSION_FLOW => {
-            if end - at < MARK_FIELD_LEN {
-                return Err(Malformed); // the field is cut short
-            }
-            at += MARK_FIELD_LEN;
-            match kind {
-                KIND_DATA_MARKED => Body::MarkedData,
-                _ => Body::Data,
-            }
         }
         kind @ (KIND_CONTROL | KIND_CONTROL_PADDED) => {
             if kind == KIND_CONTROL_PADDED {
@@ -563,10 +622,11 @@ fn parse_versions(frame: &[u8], flow_tagged_ok: bool) -> Result<Parsed, DecodeEr
         flow,
         offset: at as u8,
         body,
+        number_len: 0,
     })
 }
 
-/// Parse one received frame of *either* version — the receive path of a
+/// Parse one received frame of *any* version — the receive path of a
 /// multi-flow demultiplexer, which stays wire-compatible with
 /// single-flow senders. Never panics, whatever the input.
 #[inline]
@@ -586,14 +646,14 @@ pub fn parse_v1(frame: &[u8]) -> Result<Parsed, DecodeError> {
 /// Never panics, whatever the input — see the fuzz proptest in
 /// `tests/net_loopback.rs`.
 ///
-/// Version-1 only ([`parse_v1`]). Endpoints that speak both versions use
+/// Version-1 only ([`parse_v1`]). Endpoints that speak every version use
 /// [`try_decode_flow`].
 pub fn try_decode(frame: &[u8]) -> Result<Frame<'_>, DecodeError> {
     parse_v1(frame)?.frame(frame)
 }
 
-/// Decode one received frame of *either* version ([`parse`]), returning
-/// the flow it belongs to: a version-2 frame's varint flow id, or flow 0
+/// Decode one received frame of *any* version ([`parse`]), returning the
+/// flow it belongs to: a flow-tagged frame's varint flow id, or flow 0
 /// for a legacy version-1 frame.
 pub fn try_decode_flow(frame: &[u8]) -> Result<(u32, Frame<'_>), DecodeError> {
     let p = parse(frame)?;
@@ -610,6 +670,27 @@ pub fn decode(frame: &[u8]) -> Option<Frame<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A padded control frame of flow `flow`, `wire_len` bytes where the
+    /// message fits: what senders of earlier rounds stretched markers to.
+    fn padded(flow: u32, ctl: &Control, wire_len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_flow_header(FRAME_VERSION_FLOW, KIND_CONTROL_PADDED, flow, &mut out);
+        out.extend_from_slice(&(ctl.wire_len() as u16).to_le_bytes());
+        ctl.encode_into(&mut out);
+        if out.len() < wire_len {
+            out.resize(wire_len, 0);
+        }
+        out
+    }
+
+    /// A data frame of flow `flow` stating `number`.
+    fn numbered(flow: u32, summed: bool, payload: &[u8], number: ChannelMark) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_numbered_into(flow, summed, payload, &mut buf);
+        assert!(write_number(&mut buf, number));
+        buf
+    }
 
     #[test]
     fn data_roundtrips_zero_copy() {
@@ -635,6 +716,8 @@ mod tests {
         let mut buf = Vec::new();
         encode_data_into(&[], &mut buf);
         assert_eq!(decode(&buf), Some(Frame::Data(&[][..])));
+        encode_data_flow_into(3, &[], &mut buf);
+        assert_eq!(try_decode_flow(&buf), Ok((3, Frame::Data(&[][..]))));
     }
 
     #[test]
@@ -683,6 +766,15 @@ mod tests {
         let mut buf = vec![1, 2, 3, 4, 5];
         encode_data_into(&[9], &mut buf);
         assert_eq!(buf, vec![FRAME_MAGIC, FRAME_VERSION, KIND_DATA, 9]);
+        encode_data_flow_into(1, &[9], &mut buf);
+        let blank = [0, 0, 0x80, 0];
+        let want = [
+            &[FRAME_MAGIC, FRAME_VERSION_NUMBERED, 0, 1][..],
+            &blank,
+            &[9],
+        ]
+        .concat();
+        assert_eq!(buf, want);
     }
 
     #[test]
@@ -697,6 +789,12 @@ mod tests {
             decode(&[FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL, 99]),
             None
         );
+        // The retired empty-field and marked kinds are unknown now.
+        for kind in [4, 5] {
+            let mut buf = vec![FRAME_MAGIC, FRAME_VERSION_FLOW, kind, 1];
+            buf.extend_from_slice(&[0; 20]);
+            assert_eq!(parse(&buf), Err(DecodeError::Malformed), "kind {kind}");
+        }
     }
 
     #[test]
@@ -704,8 +802,7 @@ mod tests {
         // Decoding depends only on the length prefix, not on the pad
         // bytes being zero — a receiver must never trust the tail.
         let ctl = Control::Probe { nonce: 7 };
-        let mut buf = Vec::new();
-        encode_control_padded_flow_into(7, &ctl, 64, &mut buf);
+        let mut buf = padded(7, &ctl, 64);
         for b in &mut buf[FRAME_HEADER_LEN + 1 + PAD_LEN_PREFIX + ctl.wire_len()..] {
             *b = 0xFF;
         }
@@ -715,8 +812,7 @@ mod tests {
     #[test]
     fn padded_control_with_lying_length_prefix_rejected() {
         let ctl = Control::Probe { nonce: 7 };
-        let mut buf = Vec::new();
-        encode_control_padded_flow_into(7, &ctl, 16, &mut buf);
+        let mut buf = padded(7, &ctl, 16);
         // Claim more body bytes than the frame holds.
         buf[FRAME_HEADER_LEN + 1..FRAME_HEADER_LEN + 1 + PAD_LEN_PREFIX]
             .copy_from_slice(&1000u16.to_le_bytes());
@@ -790,6 +886,30 @@ mod tests {
         }
     }
 
+    /// In integrity mode the number is under the checksum: a bit flipped
+    /// in it is caught like one flipped in the payload.
+    #[test]
+    fn a_summed_frame_catches_every_flip_in_its_number_and_payload() {
+        let payload: Vec<u8> = (0..40).collect();
+        let clean = numbered(
+            9,
+            true,
+            &payload,
+            ChannelMark {
+                round: 70_000,
+                dc: 1500,
+            },
+        );
+        let from = FRAME_HEADER_LEN + 1;
+        for byte in from..clean.len() {
+            for bit in 0..8 {
+                let mut buf = clean.clone();
+                buf[byte] ^= 1 << bit;
+                assert!(parse(&buf).is_err(), "flip at byte {byte} bit {bit}");
+            }
+        }
+    }
+
     #[test]
     fn summed_data_without_trailer_is_malformed_not_corrupt() {
         // A bare header of kind 3 has no room for the CRC byte.
@@ -797,6 +917,8 @@ mod tests {
             try_decode(&[FRAME_MAGIC, FRAME_VERSION, KIND_DATA_SUMMED]),
             Err(DecodeError::Malformed)
         );
+        let bare = [FRAME_MAGIC, FRAME_VERSION_NUMBERED, FLAG_SUMMED, 1, 0, 0, 0];
+        assert_eq!(parse(&bare), Err(DecodeError::Malformed));
     }
 
     #[test]
@@ -874,8 +996,7 @@ mod tests {
         // Below natural (no pad fits), exactly natural, and well above.
         let natural = control_flow_frame_len(777, &ctl) + PAD_LEN_PREFIX;
         for wire_len in [0, natural, natural + 1, 1200] {
-            let mut padded = Vec::new();
-            encode_control_padded_flow_into(777, &ctl, wire_len, &mut padded);
+            let padded = padded(777, &ctl, wire_len);
             assert_eq!(padded.len(), wire_len.max(natural), "target {wire_len}");
             assert!(!is_data_frame(&padded));
             assert_eq!(
@@ -904,143 +1025,167 @@ mod tests {
         for flow in [0u32, 0x7F, 0x80, 0x3FFF, 0x4000, u32::MAX] {
             let mut buf = Vec::new();
             encode_data_flow_into(flow, &[], &mut buf);
-            assert_eq!(buf.len() - FRAME_HEADER_LEN, flow_id_len(flow), "{flow}");
+            let id_len = buf.len() - FRAME_HEADER_LEN - NUMBER_LEN;
+            assert_eq!(id_len, flow_id_len(flow), "{flow}");
         }
     }
 
     #[test]
     fn truncated_or_overlong_flow_id_is_malformed() {
-        // Header promising a varint that never terminates.
-        let truncated = [FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA, 0x80];
-        assert_eq!(try_decode_flow(&truncated), Err(DecodeError::Malformed));
-        // Six continuation bytes: longer than any u32 varint.
-        let overlong = [
-            FRAME_MAGIC,
-            FRAME_VERSION_FLOW,
-            KIND_DATA,
-            0x80,
-            0x80,
-            0x80,
-            0x80,
-            0x80,
-            0x01,
-        ];
-        assert_eq!(try_decode_flow(&overlong), Err(DecodeError::Malformed));
-        // Fifth byte carrying bits a u32 cannot hold.
-        let overflow = [
-            FRAME_MAGIC,
-            FRAME_VERSION_FLOW,
-            KIND_DATA,
-            0xFF,
-            0xFF,
-            0xFF,
-            0xFF,
-            0x7F,
-        ];
-        assert_eq!(try_decode_flow(&overflow), Err(DecodeError::Malformed));
+        for version in [FRAME_VERSION_FLOW, FRAME_VERSION_NUMBERED] {
+            // Header promising a varint that never terminates.
+            let truncated = [FRAME_MAGIC, version, KIND_DATA, 0x80];
+            assert_eq!(try_decode_flow(&truncated), Err(DecodeError::Malformed));
+            // Six continuation bytes: longer than any u32 varint.
+            let overlong = [FRAME_MAGIC, version, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+            assert_eq!(try_decode_flow(&overlong), Err(DecodeError::Malformed));
+            // Fifth byte carrying bits a u32 cannot hold.
+            let overflow = [FRAME_MAGIC, version, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
+            assert_eq!(try_decode_flow(&overflow), Err(DecodeError::Malformed));
+        }
         // Unknown version for both decoders.
         assert_eq!(
-            try_decode_flow(&[FRAME_MAGIC, 3, KIND_DATA, 1]),
+            try_decode_flow(&[FRAME_MAGIC, 4, KIND_DATA, 1]),
             Err(DecodeError::Malformed)
         );
     }
 
     #[test]
-    fn is_data_frame_accepts_both_versions() {
-        let mut v2 = Vec::new();
-        encode_data_flow_into(12, &[1], &mut v2);
+    fn is_data_frame_accepts_every_version() {
+        let mut v3 = Vec::new();
+        encode_data_flow_into(12, &[1], &mut v3);
+        assert!(is_data_frame(&v3));
+        let v2 = [FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA, 12, 1];
         assert!(is_data_frame(&v2));
         let mut v2c = Vec::new();
         encode_control_flow_into(12, &Control::Probe { nonce: 1 }, &mut v2c);
         assert!(!is_data_frame(&v2c));
     }
 
-    /// A frame encoded with the field decodes as plain data until a mark
-    /// is written into it — in place, same length — and from then on
-    /// yields the mark and the same payload, at every varint width.
+    /// A frame is encoded with a blank number, which `write_number` fills
+    /// in place at the reserved width — widening the frame only for a
+    /// `dc` that needs more — and the parser reads it back, its round
+    /// resolved near the reader's, at every varint width of the flow id.
     #[test]
-    fn mark_field_roundtrips_and_is_filled_in_place() {
+    fn a_number_is_written_in_place_and_read_back_near_the_replica() {
         let payload: Vec<u8> = (0..300).map(|i| i as u8).collect();
-        let mark = ChannelMark {
-            round: 0x0102_0304_0506_0708,
-            dc: -2,
-        };
         for flow in [0u32, 0x7F, 0x80, 0x4000, u32::MAX] {
-            let mut buf = Vec::new();
-            encode_data_markable_flow_into(flow, &payload, &mut buf);
-            let len = data_flow_frame_len(flow, payload.len()) + MARK_FIELD_LEN;
-            assert_eq!(buf.len(), len);
-            let at = FRAME_HEADER_LEN + flow_id_len(flow) + MARK_FIELD_LEN;
-            let p = parse(&buf).unwrap();
-            assert_eq!(
-                (p.flow, p.body, p.offset as usize, p.len),
-                (flow, Body::Data, at, payload.len())
-            );
-            assert!(is_data_frame(&buf));
-
-            assert!(write_mark(&mut buf, mark));
-            assert_eq!((buf.len(), buf[2]), (len, KIND_DATA_MARKED));
-            let p = parse(&buf).unwrap();
-            assert_eq!(
-                (p.flow, p.body, p.offset as usize, p.len),
-                (flow, Body::MarkedData, at, payload.len())
-            );
-            assert_eq!(p.mark(&buf), mark);
-            assert_eq!(p.body(&buf), &payload[..]);
-            assert_eq!(try_decode_flow(&buf), Ok((flow, Frame::Data(&payload[..]))));
-            assert!(is_data_frame(&buf));
-            // The field is taken: a second mark goes some other way.
-            assert!(!write_mark(&mut buf, ChannelMark { round: 1, dc: 1 }));
-            assert_eq!(parse(&buf).unwrap().mark(&buf), mark);
-            // A version-1 decoder refuses it like any flow-tagged frame.
-            assert_eq!(try_decode(&buf), Err(DecodeError::Malformed));
+            for (dc, grows) in [
+                (1, 0),
+                (127, 0),
+                (1500, 0),
+                (16_383, 0),
+                (16_384, 1),
+                (1 << 28, 3),
+            ] {
+                let mut buf = Vec::new();
+                encode_data_flow_into(flow, &payload, &mut buf);
+                let len = data_flow_frame_len(flow, payload.len());
+                assert_eq!(buf.len(), len);
+                let number = ChannelMark {
+                    round: 0x0102_0304_0506_0708,
+                    dc,
+                };
+                assert!(write_number(&mut buf, number));
+                assert_eq!((buf.len(), buf[1]), (len + grows, FRAME_VERSION_NUMBERED));
+                let p = parse(&buf).unwrap();
+                let at = FRAME_HEADER_LEN + flow_id_len(flow) + NUMBER_LEN + grows;
+                assert_eq!(
+                    (
+                        p.flow,
+                        p.body,
+                        p.offset as usize,
+                        p.len,
+                        p.number_len as usize
+                    ),
+                    (flow, Body::Data, at, payload.len(), NUMBER_LEN + grows)
+                );
+                for near in [number.round, number.round - 30_000, number.round + 30_000] {
+                    assert_eq!(p.number(&buf, near), Some(number), "read near {near}");
+                }
+                assert_eq!(p.body(&buf), &payload[..]);
+                assert_eq!(try_decode_flow(&buf), Ok((flow, Frame::Data(&payload[..]))));
+                // Written again, in place: the field keeps its width.
+                assert!(write_number(&mut buf, ChannelMark { round: 9, dc: 2 }));
+                assert_eq!(buf.len(), len + grows);
+                let p = parse(&buf).unwrap();
+                assert_eq!(p.number(&buf, 9), Some(ChannelMark { round: 9, dc: 2 }));
+                // A version-1 decoder refuses it like any flow-tagged frame.
+                assert_eq!(try_decode(&buf), Err(DecodeError::Malformed));
+            }
         }
+        // A dc no u32 holds is stated clamped into one.
+        let mut buf = numbered(5, false, &[1], ChannelMark { round: 1, dc: -3 });
+        assert_eq!(parse(&buf).unwrap().number(&buf, 1).unwrap().dc, 0);
+        assert!(write_number(
+            &mut buf,
+            ChannelMark {
+                round: 1,
+                dc: i64::MAX
+            }
+        ));
+        let m = parse(&buf).unwrap().number(&buf, 1).unwrap();
+        assert_eq!(m.dc, u32::MAX as i64);
     }
 
-    /// `write_mark` touches only a version-2 frame of the empty-field
-    /// kind, whole field present.
+    /// `write_number` touches only a numbered data frame whose number is
+    /// all there.
     #[test]
-    fn write_mark_refuses_every_other_frame() {
+    fn write_number_refuses_every_other_frame() {
         let mark = ChannelMark { round: 7, dc: 7 };
-        let mut plain = Vec::new();
-        encode_data_flow_into(3, &[1; 300], &mut plain);
-        let mut summed = Vec::new();
-        encode_data_summed_flow_into(3, &[1; 300], &mut summed);
+        let mut v1 = Vec::new();
+        encode_data_into(&[1; 300], &mut v1);
+        let v2 = [
+            &[FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA, 3][..],
+            &[1; 300],
+        ]
+        .concat();
         let mut ctl = Vec::new();
         encode_control_flow_into(3, &Control::Probe { nonce: 1 }, &mut ctl);
-        let v1 = vec![FRAME_MAGIC, FRAME_VERSION, KIND_DATA_MARK_EMPTY, 0, 0, 0];
-        let mut short = vec![FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA_MARK_EMPTY, 3];
-        short.extend_from_slice(&[0; MARK_FIELD_LEN - 1]);
-        let unterminated = vec![FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA_MARK_EMPTY, 0x80];
-        for frame in [plain, summed, ctl, v1, short, unterminated, vec![]] {
+        let flagged = vec![FRAME_MAGIC, FRAME_VERSION_NUMBERED, 2, 3, 0, 0, 0x80, 0];
+        let short = vec![FRAME_MAGIC, FRAME_VERSION_NUMBERED, 0, 3, 0, 0, 0x80];
+        let unterminated = vec![FRAME_MAGIC, FRAME_VERSION_NUMBERED, 0, 0x80];
+        for frame in [v1, v2, ctl, flagged, short, unterminated, vec![]] {
             let mut buf = frame.clone();
-            assert!(!write_mark(&mut buf, mark), "{frame:02x?}");
+            assert!(!write_number(&mut buf, mark), "{frame:02x?}");
             assert_eq!(buf, frame, "refused yet written");
         }
     }
 
-    /// The field is all or nothing: 16 bytes and an empty payload is a
-    /// frame, anything shorter is malformed — and both kinds exist in
-    /// version 2 only.
+    /// The number is all or nothing: cut anywhere short of its end, the
+    /// frame is malformed; complete with an empty payload, it is a frame.
     #[test]
-    fn short_mark_field_and_version_1_are_malformed() {
-        for kind in [KIND_DATA_MARK_EMPTY, KIND_DATA_MARKED] {
-            for have in 0..=MARK_FIELD_LEN {
-                let mut buf = vec![FRAME_MAGIC, FRAME_VERSION_FLOW, kind, 0x05];
-                buf.extend(std::iter::repeat_n(0xAB, have));
-                let got = try_decode_flow(&buf);
-                if have < MARK_FIELD_LEN {
-                    assert_eq!(got, Err(DecodeError::Malformed), "{have} bytes of field");
-                } else {
-                    assert_eq!(got, Ok((5, Frame::Data(&[][..]))));
-                }
-                assert!(is_data_frame(&buf), "the fault layer drops it as data");
-            }
-            let mut v1 = vec![FRAME_MAGIC, FRAME_VERSION, kind];
-            v1.extend_from_slice(&[0; MARK_FIELD_LEN + 4]);
-            assert_eq!(parse(&v1), Err(DecodeError::Malformed));
-            assert_eq!(parse_v1(&v1), Err(DecodeError::Malformed));
+    fn a_number_cut_short_is_malformed() {
+        let whole = numbered(5, false, &[], ChannelMark { round: 3, dc: 1500 });
+        let body_at = FRAME_HEADER_LEN + 1 + NUMBER_LEN;
+        assert_eq!(whole.len(), body_at);
+        for cut in FRAME_HEADER_LEN..body_at {
+            assert_eq!(
+                parse(&whole[..cut]),
+                Err(DecodeError::Malformed),
+                "cut at {cut}"
+            );
         }
+        assert_eq!(try_decode_flow(&whole), Ok((5, Frame::Data(&[][..]))));
+    }
+
+    /// The receiver's reading of a 16-bit round: the nearest round with
+    /// those bits, behind on a tie, never below 0.
+    #[test]
+    fn a_round_resolves_to_the_nearest_with_its_bits() {
+        let near = 5 << 16 | 100;
+        for (offset, want) in [
+            (0u16, near),
+            (1, near + 1),
+            (0x7FFF, near + 0x7FFF),
+            (0x8000, near - 0x8000),
+            (0xFFFF, near - 1),
+        ] {
+            let low = (near as u16).wrapping_add(offset);
+            assert_eq!(nearest_round(low, near), want, "offset {offset}");
+        }
+        assert_eq!(nearest_round(0xFFFF, 1), 0, "below round 0");
+        assert_eq!(nearest_round(5, u64::MAX - 2), u64::MAX, "above the top");
     }
 
     /// The parser's whole output fits two registers, error case included:
@@ -1052,8 +1197,8 @@ mod tests {
     }
 
     /// `parse` names the flow, classifies the body and locates it — past
-    /// the varint, the pad prefix and a marker's type byte, short of the
-    /// CRC trailer and the padding — without decoding it.
+    /// the varint, the number, the pad prefix and a marker's type byte,
+    /// short of the CRC trailer and the padding — without decoding it.
     #[test]
     fn parse_locates_every_kind_of_body() {
         let mk = Marker::sync(2, ChannelMark { round: 7, dc: -1 });
@@ -1062,12 +1207,13 @@ mod tests {
 
         encode_data_flow_into(300, &[1, 2, 3], &mut buf);
         let p = parse(&buf).unwrap();
-        assert_eq!((p.flow, p.body, p.offset, p.len), (300, Body::Data, 5, 3));
+        assert_eq!((p.flow, p.body, p.offset, p.len), (300, Body::Data, 9, 3));
         assert_eq!(p.body(&buf), &[1, 2, 3]);
 
         encode_data_summed_into(&[4, 5], &mut buf);
         let p = parse(&buf).unwrap();
         assert_eq!((p.flow, p.body, p.offset, p.len), (0, Body::Data, 3, 2));
+        assert_eq!(p.number(&buf, 0), None);
 
         encode_control_flow_into(5, &Control::Marker(mk), &mut buf);
         let p = parse(&buf).unwrap();
@@ -1075,12 +1221,12 @@ mod tests {
         assert_eq!(p.marker(&buf), Ok(mk));
         assert_eq!(p.control(&buf), Ok(Control::Marker(mk)));
 
-        encode_control_padded_flow_into(5, &Control::Marker(mk), 200, &mut buf);
+        let buf = padded(5, &Control::Marker(mk), 200);
         let p = parse(&buf).unwrap();
         assert_eq!((p.body, p.offset, p.len), (Body::Marker, 7, 24));
         assert_eq!(p.marker(&buf), Ok(mk));
 
-        encode_control_padded_flow_into(5, &probe, 64, &mut buf);
+        let buf = padded(5, &probe, 64);
         let p = parse(&buf).unwrap();
         assert_eq!((p.body, p.offset, p.len), (Body::Control, 6, 9));
         assert_eq!(p.control(&buf), Ok(probe.clone()));

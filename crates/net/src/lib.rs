@@ -10,9 +10,10 @@
 //!   (magic, version, kind) in front of either a raw payload or a
 //!   [`Control`](stripe_core::control::Control) body encoded by the one
 //!   shared codec. The simulator's control messages and the wire's are
-//!   byte-identical by construction. Version 2 adds a varint flow ID to
-//!   data and marker frames (control stays untagged); one shared entry
-//!   point decodes both, landing version-1 frames on flow 0.
+//!   byte-identical by construction. Version 2 adds a varint flow ID
+//!   (a flow's markers; control stays untagged), and version 3 is a
+//!   flow's data frame stating its own §5 number; one shared entry point
+//!   decodes all three, landing version-1 frames on flow 0.
 //! - [`udp`] — [`UdpChannel`], one connected non-blocking UDP socket
 //!   per striped channel. One send route: every frame joins a bounded,
 //!   buffer-recycling local queue and `flush` submits the queue in

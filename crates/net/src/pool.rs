@@ -41,7 +41,7 @@ use std::rc::Rc;
 use stripe_core::sched::ChannelMark;
 use stripe_core::types::WireLen;
 
-use crate::frame::{self, MARK_FIELD_LEN};
+use crate::frame;
 
 /// A view of one packet's payload inside a shared receive buffer.
 /// Dropping it is what returns the storage: the buffer is reused once
@@ -52,20 +52,23 @@ use crate::frame::{self, MARK_FIELD_LEN};
 /// receiver's scheduler simulation advances exactly in step with the
 /// sender's (condition C2 needs both ends to agree on every length).
 ///
-/// A payload that arrived behind a filled mark field keeps the field:
-/// the view is *numbered*, the [`MARK_FIELD_LEN`] bytes directly ahead of
-/// the payload are the packet's [number](WireLen::number), and they stay
-/// ahead of it wherever the payload is re-homed. One flag bit in a field
-/// that was there, so a numbered arrival is one ring entry and every
-/// view is built and moved by the stores and loads it always was.
+/// A payload that arrived behind its frame's number keeps the number in
+/// the view itself, as the frame stated it — the round's low 16 bits and
+/// the `dc` — in the bytes a 32-byte view had to spare. So a numbered
+/// arrival is one ring entry, the resequencer reads the number without
+/// touching the buffer, and re-homing moves only the payload.
 #[derive(Debug, Clone)]
 pub struct PooledBuf {
     data: Rc<[u8]>,
-    /// The buffer's index in its pool; [`NUMBERED`] set: the view is
-    /// numbered.
+    /// The buffer's index in its pool; [`NUMBERED`] set: the view states
+    /// a number.
     slot: u32,
     offset: u32,
-    len: u32,
+    /// The stated number's `dc` and round bits (see [`frame::Stated`]).
+    dc: u32,
+    round: u16,
+    /// A payload is one datagram's at most.
+    len: u16,
 }
 
 /// The flag bit of [`PooledBuf::slot`]. A pool never has 2^31 buffers:
@@ -75,7 +78,8 @@ const NUMBERED: u32 = 1 << 31;
 impl PooledBuf {
     /// The payload bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.offset as usize..(self.offset + self.len) as usize]
+        let at = self.offset as usize;
+        &self.data[at..at + self.len()]
     }
 
     /// Payload length in bytes.
@@ -93,29 +97,18 @@ impl PooledBuf {
         (self.slot & !NUMBERED) as usize
     }
 
-    fn numbered(&self) -> bool {
-        self.slot & NUMBERED != 0
+    /// The number the view states, as its frame stated it.
+    fn stated(&self) -> Option<frame::Stated> {
+        (self.slot & NUMBERED != 0).then_some(frame::Stated {
+            round: self.round,
+            dc: self.dc,
+        })
     }
 
-    /// Bytes of mark field the view owns ahead of its payload.
-    fn lead(&self) -> usize {
-        if self.numbered() {
-            MARK_FIELD_LEN
-        } else {
-            0
-        }
-    }
-
-    /// Everything the view stands for, as it lies in the buffer: the
-    /// number's field, if it has one, then the payload.
-    pub(crate) fn stored(&self) -> &[u8] {
-        &self.data[self.offset as usize - self.lead()..(self.offset + self.len) as usize]
-    }
-
-    /// The same view over a copy of [`stored`](Self::stored) that starts
-    /// at `at` in `data`, the pool's buffer `slot`.
+    /// The same view, number and all, over a copy of the payload that
+    /// starts at `at` in `data`, the pool's buffer `slot`.
     pub(crate) fn moved_to(&self, data: &Rc<[u8]>, slot: usize, at: usize) -> PooledBuf {
-        TrainPool::view_of(data, slot, at + self.lead(), self.len(), self.numbered())
+        TrainPool::view_of(data, slot, at, self.len(), self.stated())
     }
 }
 
@@ -125,10 +118,8 @@ impl WireLen for PooledBuf {
     }
 
     #[inline]
-    fn number(&self) -> Option<ChannelMark> {
-        let at = self.offset as usize;
-        self.numbered()
-            .then(|| frame::read_mark(&self.data[at - MARK_FIELD_LEN..at]))
+    fn number(&self, near: u64) -> Option<ChannelMark> {
+        self.stated().map(|n| n.near(near))
     }
 }
 
@@ -252,26 +243,28 @@ impl TrainPool {
 
     /// A view of `len` bytes at `offset` in `data`, the pool's buffer
     /// `slot`, which stays shared — unwritable — until the view and all
-    /// its clones are gone. `numbered`: the [`MARK_FIELD_LEN`] bytes
-    /// ahead of `offset` are a filled mark field and belong to the view.
+    /// its clones are gone, stating `number` if its frame did.
     ///
     /// # Panics
-    /// Panics if the window exceeds the buffer.
+    /// Panics if the window exceeds the buffer or a datagram.
     pub(crate) fn view_of(
         data: &Rc<[u8]>,
         slot: usize,
         offset: usize,
         len: usize,
-        numbered: bool,
+        number: Option<frame::Stated>,
     ) -> PooledBuf {
-        assert!(offset + len <= data.len(), "payload window out of bounds");
-        debug_assert!(!numbered || offset >= MARK_FIELD_LEN, "no field ahead");
+        let fits = offset + len <= data.len() && len <= u16::MAX as usize;
+        assert!(fits, "payload window out of bounds");
         debug_assert!(slot < NUMBERED as usize);
+        let n = number.unwrap_or_default();
         PooledBuf {
             data: Rc::clone(data),
-            slot: slot as u32 | if numbered { NUMBERED } else { 0 },
+            slot: slot as u32 | if number.is_some() { NUMBERED } else { 0 },
             offset: offset as u32,
-            len: len as u32,
+            dc: n.dc,
+            round: n.round,
+            len: len as u16,
         }
     }
 
@@ -413,7 +406,7 @@ mod tests {
         let mut pool = TrainPool::new(64, 0, 2);
         assert_eq!((pool.allocated(), pool.free_count()), (2, 2));
         assert_eq!(land(&mut pool, 2, 7), [(0, 0), (1, 0)]);
-        let held = TrainPool::view_of(pool.handle(0), 0, 1, 3, false);
+        let held = TrainPool::view_of(pool.handle(0), 0, 1, 3, None);
         assert_eq!(held.as_slice(), &[7, 7, 7]);
         assert_eq!(
             (held.wire_len(), held.len(), held.is_empty()),
@@ -465,6 +458,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn oversized_view_panics() {
         let pool = TrainPool::new(64, 0, 1);
-        let _ = TrainPool::view_of(pool.handle(0), 0, TRAIN_BUF - 2, 3, false);
+        let _ = TrainPool::view_of(pool.handle(0), 0, TRAIN_BUF - 2, 3, None);
     }
 }

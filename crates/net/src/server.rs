@@ -2,9 +2,9 @@
 //! over one shared set of datagram channels.
 //!
 //! One [`StripeServer`] owns N links and a slab of flows. Each open flow
-//! gets its own [`StripingSender`] (per-flow SRR deficit state and
-//! marker clock — the receiver simulates each flow independently) and a
-//! bounded queue of pre-encoded frames. Two schedulers compose:
+//! gets its own [`StripingSender`] (per-flow SRR deficit state — the
+//! receiver simulates each flow independently) and a bounded queue of
+//! pre-encoded frames. Two schedulers compose:
 //!
 //! - **inter-flow**: a [`Drr`] ring picks which flow sends next and for
 //!   how many bytes (its quantum), giving backlogged flows a weighted
@@ -12,9 +12,9 @@
 //! - **intra-flow**: the flow's own SRR picks which *channel* carries
 //!   each of those frames, exactly as a single-flow path would.
 //!
-//! On the wire every data frame and marker is a version-2 flow-tagged
-//! frame (see [`crate::frame::FRAME_VERSION_FLOW`]), a data frame where
-//! it can stating its own §5 number; global control —
+//! On the wire every data frame is a flow-tagged frame stating its own §5
+//! number (version 3, see [`crate::frame`]) and every marker a
+//! flow-tagged version-2 frame; global control —
 //! probes, membership, quantum announces — stays untagged version 1, so
 //! failover, lifecycle, and epoch'd membership remain flow-agnostic. A
 //! single-flow sender is this type with one flow open: the inter-flow
@@ -30,61 +30,31 @@
 //! backpressure to the producer of that one flow instead of letting it
 //! starve the rest.
 //!
-//! **Where a mark travels.** §5 gives every packet an implicit number
-//! `(round, dc)`, and this layer owns a header, so a frame that has the
-//! mark field (see [`enqueue`](StripeServer::enqueue) and the
-//! [`crate::frame`] docs) **states its own number** there — the flow's
-//! SRR reads it just before serving the packet, the pump writes it in
-//! place: no frame, no copy, no allocation, no byte the frame did not
-//! already have. The receiver that loses a frame on channel `c` is put
-//! straight by the flow's next such frame on `c`, not at the next
-//! marker.
-//!
-//! The marker cadence is untouched: it is what bounds recovery for
-//! traffic whose frames have no field. A marker on channel `c` states
-//! the number of the *next* data packet its flow sends on `c`, so that
-//! packet's frame is where it belongs. A mark the flow's SRR makes
-//! during a pump waits — per (flow, channel), inside that pump only —
-//! for the flow's next frame staged on `c`, and then one of three things
-//! happens:
-//!
-//! 1. the frame has the mark field: the number it states *is* the mark
-//!    (the same value under SRR; where a retune falls in between, the
-//!    frame's is the true one) — the mark rode, and costs nothing;
-//! 2. it has none (short payload, integrity on): the mark goes as a
-//!    marker frame staged directly ahead of it, padded to its length on
-//!    a coalescing link so that the two share a length class;
-//! 3. there is no next frame in this pump: the mark goes as a marker
-//!    frame behind the flow's last frame on the channel (padded to it,
-//!    on a coalescing link, if the mark was made directly behind it) —
-//!    at once if the flow's queue is already empty when the mark is
-//!    made, when the pump ends otherwise.
-//!
-//! Per (flow, channel) the wire therefore reads X, M, Y exactly as the
-//! SRR offered it — with M inside Y in the first case — and **no mark
-//! outlives the pump that made it**, so marker cadence, idle markers and
-//! Theorem 5.1's worst-case bound are what they were with every marker a
-//! frame; the numbers shorten the typical case to one long frame. A
-//! number *leads* its payload on purpose: applied after Y instead, a
-//! lost Y would take with it the one mark that heals that very loss at
-//! once. [`FlowSnapshot::markers_sent`] counts all three ways;
-//! [`FlowSnapshot::markers_carried`] the first; a frame's own number,
-//! with no mark waiting for it, is counted nowhere — it is part of the
-//! frame.
+//! **Every frame states its number.** §5 gives every packet an implicit
+//! number `(round, dc)`, and this layer owns a header, so every data
+//! frame states its own (see the [`crate::frame`] docs): the flow's SRR
+//! reads it just before serving the packet, and the pump writes it in
+//! place — no frame, no copy, no allocation, four bytes the frame
+//! reserved when it was encoded. A receiver that loses a frame on channel
+//! `c` is put straight by the flow's next frame on `c`, so a pump sends
+//! data frames and nothing else: there is no marker cadence to keep.
+//! Marker frames remain where no data flows.
+//! [`send_idle_markers_into`](StripeServer::send_idle_markers_into) is
+//! for a flow that lost its last frame on a channel and then fell silent
+//! — no next frame will heal it — and what neither heals, an outage past
+//! the receiver's reach, is the §5 reset's.
 //!
 //! **Wire order within a channel.** The receiver needs FIFO only per
 //! channel *of one flow* (§4/§5 run once per flow), so on one channel
 //! the frames of different flows commute. A pump therefore *stages*
-//! every data frame and marker frame per channel and emits each
-//! channel's burst once, at the end, regrouped by wire length: a stable
-//! greedy merge over the per-flow chains (largest head length first,
-//! drain every flow's head while it has that length) puts equal-length
-//! frames of different flows side by side, which is what a GSO/GRO
-//! train is made of. Each flow's own per-channel subsequence — data and
-//! markers — is never reordered, and with one flow or uniform lengths
-//! the merge is the identity. [`PumpEvent`]s stay one per offer in
-//! *offer* order — a mark that rode keeps its [`PumpEvent::Marker`], at
-//! the point its SRR made it — which across flows is not the wire order.
+//! every frame per channel and emits each channel's burst once, at the
+//! end, regrouped by wire length: a stable greedy merge over the per-flow
+//! chains (largest head length first, drain every flow's head while it
+//! has that length) puts equal-length frames of different flows side by
+//! side, which is what a GSO/GRO train is made of. Each flow's own
+//! per-channel subsequence is never reordered, and with one flow or
+//! uniform lengths the merge is the identity. [`PumpEvent`]s stay one per
+//! offer in *offer* order, which across flows is not the wire order.
 //!
 //! The zero-allocation story: frames are encoded once at
 //! [`enqueue`](StripeServer::enqueue) into recycled buffers, handed to
@@ -106,7 +76,7 @@ use stripe_transport::{ControlPath, ControlTransmission, PathSnapshot};
 
 use crate::frame;
 
-/// Dense flow identifier — the varint that rides every version-2 frame.
+/// Dense flow identifier — the varint that rides every flow-tagged frame.
 /// Slots are recycled on close; a [`FlowHandle`] carries a generation to
 /// keep stale handles from touching a reused slot.
 pub type FlowId = u32;
@@ -177,15 +147,10 @@ pub struct FlowSnapshot {
     pub dropped_queue: u64,
     /// Frames the link refused for any other reason.
     pub dropped_lost: u64,
-    /// Marks transmitted for this flow, whichever way: as marker frames
-    /// or inside data frames.
+    /// Idle markers transmitted for this flow (a data frame's own number
+    /// is part of the frame, and counted nowhere).
     pub markers_sent: u64,
-    /// Those of them that the flow's next frame on the channel stated
-    /// as its own number
-    /// ([`KIND_DATA_MARKED`](crate::frame::KIND_DATA_MARKED)) instead of
-    /// a frame of their own.
-    pub markers_carried: u64,
-    /// Markers that never left (a carried one: its carrier did not).
+    /// Idle markers that never left.
     pub markers_lost: u64,
 }
 
@@ -205,18 +170,16 @@ pub struct StripeServerSnapshot {
     pub dropped_admission: u64,
     /// Enqueues refused across all flows (per-flow backpressure).
     pub dropped_backpressure: u64,
-    /// Marks that rode inside the data frame they describe, summed over
-    /// every flow (a share of `path.markers_sent`).
-    pub markers_carried: u64,
     /// Aggregate datapath counters (same shape as the simulated path's).
     pub path: PathSnapshot,
 }
 
-/// One event produced by [`StripeServer::pump_into`]: a frame or marker
-/// offered to a link. Events are in *offer* order (the inter-flow DRR's
-/// turn order); on the wire a channel carries each flow's frames in
-/// that order, but frames of different flows may have been regrouped
-/// (see the module docs), so offer order is not wire order across flows.
+/// One event produced by [`StripeServer::pump_into`] (a data frame) or
+/// [`StripeServer::send_idle_markers_into`] (a marker) offered to a link.
+/// Events are in *offer* order (the inter-flow DRR's turn order); on the
+/// wire a channel carries each flow's frames in that order, but frames of
+/// different flows may have been regrouped (see the module docs), so
+/// offer order is not wire order across flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PumpEvent {
     /// A data frame left (or failed to leave) on `channel`.
@@ -228,11 +191,9 @@ pub enum PumpEvent {
         /// Why it never left, if it didn't.
         error: Option<TxError>,
     },
-    /// A marker rode (or failed to ride) `channel` — in a frame of its
-    /// own or as the number of the flow's next data frame there, whose
-    /// fate it then shares.
+    /// An idle marker left (or failed to leave) on `channel`.
     Marker {
-        /// The flow whose marker clock fired.
+        /// The flow it describes.
         flow: FlowId,
         /// The channel the marker describes.
         channel: ChannelId,
@@ -260,14 +221,10 @@ struct FlowState<S: CausalScheduler> {
     queue: VecDeque<QueuedFrame>,
     stats: FlowSnapshot,
     parked: bool,
-    /// Channels (bit `c`) a mark of this flow is waiting on, in
-    /// [`StripeServer::waiting`]: zero between pumps. Lives here so the
-    /// per-frame test reads a line the pump already holds.
-    waiting: u16,
 }
 
-/// One channel's share of a pump: every data frame and marker frame
-/// bound for it, in offer order, emitted in one run when the pump ends.
+/// One channel's share of a pump (or an idle sweep): every frame bound
+/// for it, in offer order, emitted in one run when the pump ends.
 #[derive(Debug, Default)]
 struct ChannelStage {
     bufs: Vec<Vec<u8>>,
@@ -297,33 +254,11 @@ impl ChannelStage {
         self.meta.push((flow, event as u32));
     }
 
-    /// Wire length of the last staged frame, if it is `flow`'s.
-    fn last_len_of(&self, flow: FlowId) -> Option<usize> {
-        match self.meta.last() {
-            Some(&(last_flow, _)) if last_flow == flow => self.bufs.last().map(Vec::len),
-            _ => None,
-        }
-    }
-
     fn clear(&mut self) {
         self.bufs.clear();
         self.meta.clear();
         (self.mixed_len, self.multi_flow) = (false, false);
     }
-}
-
-/// A mark its flow's SRR made during this pump, not yet on the wire:
-/// it leaves as the number of, or directly ahead of, the flow's next
-/// frame on the channel (see the module docs).
-#[derive(Debug, Clone, Copy)]
-struct WaitingMark {
-    mark: ChannelMark,
-    /// Index of its [`PumpEvent::Marker`].
-    event: u32,
-    /// Wire length of the flow's frame the mark was made directly
-    /// behind, if that was the channel's latest (0 if not): what a
-    /// marker frame that ends up behind it is padded to.
-    behind: u32,
 }
 
 /// Default [`park_capacity`](StripeServerBuilder::park_capacity): how far
@@ -429,8 +364,11 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
         self
     }
 
-    /// Per-flow marker emission policy. Defaults to
-    /// [`MarkerConfig::disabled`].
+    /// Whether idle sweeps send markers
+    /// ([`send_idle_markers_into`](StripeServer::send_idle_markers_into)):
+    /// any period is on, [`MarkerConfig::disabled`] is off. The period
+    /// itself is not read — every data frame states its number, so there
+    /// is no cadence to keep (see [`MarkerConfig`]). Defaults to off.
     pub fn markers(mut self, cfg: MarkerConfig) -> Self {
         self.markers = cfg;
         self
@@ -448,12 +386,12 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
         self
     }
 
-    /// Emit data frames with a CRC-8 trailer
-    /// ([`KIND_DATA_SUMMED`](crate::frame::KIND_DATA_SUMMED)) so the far
-    /// end detects payload corruption instead of delivering flipped bits
-    /// (§5's "detectable corruption" assumption made literal). Costs one
-    /// byte per frame plus the checksum pass; defaults to off, so the
-    /// headline datapath pays nothing.
+    /// Emit data frames with a CRC-8 trailer over the number and the
+    /// payload ([`FLAG_SUMMED`](crate::frame::FLAG_SUMMED)) so the far
+    /// end detects corruption instead of delivering flipped bits or
+    /// adopting a flipped number (§5's "detectable corruption" assumption
+    /// made literal). Costs one byte per frame plus the checksum pass;
+    /// defaults to off, so the headline datapath pays nothing.
     pub fn integrity(mut self, on: bool) -> Self {
         self.integrity = on;
         self
@@ -509,20 +447,11 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
             channels <= u16::BITS as usize,
             "at most 16 channels (as the membership mask has it)"
         );
-        // A frame takes the mark field only where the longer frame still
-        // fits every link: `max_payload` does not shrink for it.
-        let min_mtu = self.links.iter().map(|l| l.mtu()).min().expect("non-empty");
-        let carry = self.markers.period_rounds != 0 && !self.integrity;
         StripeServer {
             links: self.links,
             proto,
-            markers: self.markers,
+            idle_markers: self.markers.period_rounds != 0,
             integrity: self.integrity,
-            markable_max: if carry {
-                min_mtu.saturating_sub(frame::MARK_FIELD_LEN)
-            } else {
-                0
-            },
             max_flows: self.max_flows,
             park_capacity: self.park_capacity,
             queue_frames: self.queue_frames,
@@ -544,9 +473,6 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
             scratch_numbers: Vec::new(),
             scratch_markers: Vec::new(),
             scratch_idle: Vec::new(),
-            waiting: Vec::new(),
-            waiting_flows: Vec::new(),
-            carried: Vec::new(),
             stage: (0..channels).map(|_| ChannelStage::default()).collect(),
             regroup: Regroup::default(),
             results: Vec::new(),
@@ -562,13 +488,9 @@ pub struct StripeServer<S: CausalScheduler, L: DatagramLink> {
     links: Vec<L>,
     /// Prototype scheduler, cloned per flow.
     proto: S,
-    markers: MarkerConfig,
+    /// Idle sweeps send markers.
+    idle_markers: bool,
     integrity: bool,
-    /// Longest plain data frame that still gets the mark field: the
-    /// smallest link MTU less the field — or 0, no frame does, with
-    /// markers off (nothing to carry) or integrity on (a mark inside a
-    /// checksummed frame would have to be covered by the checksum).
-    markable_max: usize,
     max_flows: usize,
     park_capacity: usize,
     queue_frames: usize,
@@ -610,19 +532,6 @@ pub struct StripeServer<S: CausalScheduler, L: DatagramLink> {
     scratch_numbers: Vec<ChannelMark>,
     scratch_markers: Vec<(usize, ChannelId, Marker)>,
     scratch_idle: Vec<(ChannelId, Marker)>,
-    /// Per `(flow slot, channel)`, at `slot * channels + channel`: the
-    /// mark waiting there, valid while the flow's
-    /// [`waiting`](FlowState::waiting) bit is set. One array for the
-    /// whole slab, grown with it.
-    waiting: Vec<WaitingMark>,
-    /// Flows that had a mark waiting at some point of the pump in
-    /// progress (empty between pumps).
-    waiting_flows: Vec<FlowId>,
-    /// `(index of the carrier's PumpEvent::Data, index of the mark's
-    /// PumpEvent::Marker)` for every mark of the latest pump that a
-    /// frame's own number stood for, in carrier order: how a refused
-    /// carrier finds the other event its error belongs on.
-    carried: Vec<(u32, u32)>,
     /// The pump in progress, per channel (empty between pumps).
     stage: Vec<ChannelStage>,
     regroup: Regroup,
@@ -644,13 +553,6 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> StripeServer<S, L> {
             self.flows.push(None);
             self.gens.push(0);
             self.regroup.tail.push(NONE);
-            let none = WaitingMark {
-                mark: ChannelMark { round: 0, dc: 0 },
-                event: NONE,
-                behind: 0,
-            };
-            self.waiting
-                .resize(self.flows.len() * self.links.len(), none);
             (self.flows.len() - 1) as FlowId
         });
         // Reuse a closed flow's engine and queue when one is pooled: a
@@ -663,13 +565,13 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> StripeServer<S, L> {
                 f.stats = FlowSnapshot::default();
                 f
             }
+            // No cadence: every frame states its number (module docs).
             None => FlowState {
                 gen: 0,
-                tx: StripingSender::new(self.proto.clone(), self.markers),
+                tx: StripingSender::new(self.proto.clone(), MarkerConfig::disabled()),
                 queue: VecDeque::new(),
                 stats: FlowSnapshot::default(),
                 parked: false,
-                waiting: 0,
             },
         };
         if self.mask_dirty {
@@ -774,16 +676,10 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     }
 
     /// Queue one payload on a flow: the frame is encoded here, once,
-    /// into a recycled buffer (flow-tagged version 2), and waits
-    /// for [`pump_into`](Self::pump_into) to schedule it. A full queue
-    /// reports [`FlowError::Backpressure`] without touching the payload.
-    ///
-    /// The frame gets the mark field — empty here, filled with the
-    /// packet's own number when a pump serves it — iff markers are on,
-    /// integrity is off, the payload is at least
-    /// [`MARK_MIN_PAYLOAD`](frame::MARK_MIN_PAYLOAD) bytes and the longer
-    /// frame still fits every link's MTU: all decided here, by length,
-    /// so equal payloads are equal frames.
+    /// into a recycled buffer, its number blank until a pump serves the
+    /// packet, and waits for [`pump_into`](Self::pump_into) to schedule
+    /// it. A full queue reports [`FlowError::Backpressure`] without
+    /// touching the payload.
     pub fn enqueue(&mut self, h: FlowHandle, payload: &[u8]) -> Result<(), FlowError> {
         let f = self.state_of(h)?;
         if self.path_parked {
@@ -806,15 +702,7 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             return Err(FlowError::Backpressure { resume_hint });
         }
         let mut buf = self.buf_pool.pop().unwrap_or_default();
-        if self.integrity {
-            frame::encode_data_summed_flow_into(h.id, payload, &mut buf);
-        } else if payload.len() >= frame::MARK_MIN_PAYLOAD
-            && frame::data_flow_frame_len(h.id, payload.len()) <= self.markable_max
-        {
-            frame::encode_data_markable_flow_into(h.id, payload, &mut buf);
-        } else {
-            frame::encode_data_flow_into(h.id, payload, &mut buf);
-        }
+        frame::encode_numbered_into(h.id, self.integrity, payload, &mut buf);
         let f = self.flows[h.id as usize].as_mut().expect("validated");
         f.queue.push_back(QueuedFrame {
             buf,
@@ -827,23 +715,17 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
 
     /// Drive the two-level scheduler: DRR turns across backlogged flows,
     /// each turn striping up to one quantum of that flow's frames
-    /// through its own SRR onto the shared links. At most `budget` data
-    /// frames leave. Events land in `events` (cleared first) in offer
-    /// order; each link gets its whole burst in one regrouped run (see
-    /// the module docs) and one flush. Returns the number of data frames
-    /// served.
+    /// through its own SRR onto the shared links, each frame stating its
+    /// number. At most `budget` data frames leave. Events land in
+    /// `events` (cleared first) in offer order; each link gets its whole
+    /// burst in one regrouped run (see the module docs) and one flush.
+    /// Returns the number of data frames served.
     pub fn pump_into(&mut self, now: SimTime, budget: usize, events: &mut Vec<PumpEvent>) -> usize {
         let _ = now; // reserved for pacing
         events.clear();
-        self.carried.clear();
         if self.path_parked {
             return 0;
         }
-        // The length rule of `enqueue`, as the per-flow engines need it.
-        let number_from = match self.markable_max {
-            0 => usize::MAX,
-            _ => frame::MARK_MIN_PAYLOAD,
-        };
         let mut served_total = 0usize;
         while served_total < budget {
             let Some(fid) = self.drr.begin_turn() else {
@@ -861,58 +743,21 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                 self.drr.charge(fid, cost);
                 self.turn_lens.push(q.payload_len);
             }
-            // Phase 2: the flow's own SRR assigns channels/markers, and
-            // numbers the packets long enough for the mark field.
+            // Phase 2: the flow's own SRR gives every packet its channel
+            // and its number.
             f.tx.send_batch_numbered(
                 &self.turn_lens,
-                number_from,
+                0,
                 &mut self.scratch_channels,
                 &mut self.scratch_numbers,
                 &mut self.scratch_markers,
             );
-            // Phase 3: stage each frame on its channel. One that has the
-            // mark field states its own number there. A mark waits for
-            // the flow's next frame on its channel and leaves as that
-            // number, or directly ahead of a frame that has none: per
-            // (flow, channel) the wire order is the offer order, so
-            // marker recovery holds per flow.
-            let n = self.turn_lens.len();
-            let channels = self.links.len();
-            let mut m = 0;
-            let mut numbers = self.scratch_numbers.iter();
-            for (i, &ch) in self.scratch_channels.iter().enumerate() {
+            // Phase 3: each frame states its number and is staged on its
+            // channel.
+            let numbered = self.scratch_channels.iter().zip(&self.scratch_numbers);
+            for (&ch, &number) in numbered {
                 let q = f.queue.front_mut().expect("charged above");
-                let stated = q.payload_len >= number_from
-                    && numbers
-                        .next()
-                        .is_some_and(|&own| frame::write_mark(&mut q.buf, own));
-                if f.waiting & (1 << ch) != 0 {
-                    f.waiting &= !(1 << ch);
-                    let w = self.waiting[fid * channels + ch];
-                    if stated {
-                        // The frame's own number is what the mark
-                        // foretold — under SRR to the bit (the one-flow
-                        // differential holds the server to it); where a
-                        // retune, or a scheduler whose marks state where
-                        // it stood when they were made, moves the two
-                        // apart, the frame is the one that is right.
-                        self.carried.push((events.len() as u32, w.event));
-                        self.stats.markers_carried += 1;
-                        f.stats.markers_carried += 1;
-                    } else {
-                        // No field (short payload, integrity): a frame
-                        // of its own, of the carrier's length class.
-                        Self::stage_marker_frame(
-                            &self.links[ch],
-                            &mut self.buf_pool,
-                            &mut self.stage[ch],
-                            flow_id,
-                            ch,
-                            w,
-                            q.buf.len(),
-                        );
-                    }
-                }
+                frame::state_number(&mut q.buf, flow_id, self.integrity, number);
                 self.stage[ch].push(&mut q.buf, flow_id, events.len());
                 f.queue.pop_front();
                 events.push(PumpEvent::Data {
@@ -920,119 +765,16 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                     channel: ch,
                     error: None,
                 });
-                while let Some(&(_, c, mk)) = self.scratch_markers.get(m).filter(|mk| mk.0 <= i) {
-                    m += 1;
-                    let at = fid * channels + c;
-                    if f.waiting & (1 << c) != 0 {
-                        // Nothing went on `c` since the flow's last mark
-                        // for it: that one leaves alone, ahead of this.
-                        f.waiting &= !(1 << c);
-                        let w = self.waiting[at];
-                        Self::stage_marker_frame(
-                            &self.links[c],
-                            &mut self.buf_pool,
-                            &mut self.stage[c],
-                            flow_id,
-                            c,
-                            w,
-                            w.behind as usize,
-                        );
-                    }
-                    let w = WaitingMark {
-                        mark: mk.mark,
-                        event: events.len() as u32,
-                        behind: self.stage[c].last_len_of(flow_id).unwrap_or(0) as u32,
-                    };
-                    if f.queue.is_empty() {
-                        // The flow has nothing left for this pump to
-                        // carry it in: it leaves now, not at the end.
-                        Self::stage_marker_frame(
-                            &self.links[c],
-                            &mut self.buf_pool,
-                            &mut self.stage[c],
-                            flow_id,
-                            c,
-                            w,
-                            w.behind as usize,
-                        );
-                    } else {
-                        if f.waiting == 0 {
-                            self.waiting_flows.push(flow_id);
-                        }
-                        f.waiting |= 1 << c;
-                        self.waiting[at] = w;
-                    }
-                    events.push(PumpEvent::Marker {
-                        flow: flow_id,
-                        channel: c,
-                        marker: mk,
-                        error: None,
-                    });
-                }
             }
+            let n = self.turn_lens.len();
             served_total += n;
             self.stats.path.sent += n as u64;
-            self.stats.path.markers_sent += m as u64;
             f.stats.sent += n as u64;
-            f.stats.markers_sent += m as u64;
             let backlogged = !f.queue.is_empty();
             self.drr.end_turn(fid, backlogged);
         }
-        // No mark outlives the pump that made it: what found no carrier
-        // leaves as a marker frame behind the flow's last frame on the
-        // channel.
-        for k in 0..self.waiting_flows.len() {
-            let flow = self.waiting_flows[k];
-            let f = self.flows[flow as usize]
-                .as_mut()
-                .expect("flows stay open across a pump");
-            while f.waiting != 0 {
-                let c = f.waiting.trailing_zeros() as usize;
-                f.waiting &= f.waiting - 1;
-                let w = self.waiting[flow as usize * self.links.len() + c];
-                Self::stage_marker_frame(
-                    &self.links[c],
-                    &mut self.buf_pool,
-                    &mut self.stage[c],
-                    flow,
-                    c,
-                    w,
-                    w.behind as usize,
-                );
-            }
-        }
-        self.waiting_flows.clear();
         self.emit_stages(events);
         served_total
-    }
-
-    /// Stage flow `flow`'s mark `w` for channel `c` as a marker frame of
-    /// its own — on a coalescing link padded to `pad_to` bytes where a
-    /// marker fits in that, the length of the flow's data frame it is
-    /// staged next to, so that it joins that frame's length class
-    /// instead of cutting a train.
-    fn stage_marker_frame(
-        link: &L,
-        buf_pool: &mut Vec<Vec<u8>>,
-        stage: &mut ChannelStage,
-        flow: FlowId,
-        c: ChannelId,
-        w: WaitingMark,
-        pad_to: usize,
-    ) {
-        // A buffer fresh from an empty pool arrives pre-sized: a
-        // zero-capacity one would grow under the encode, in the steady
-        // state.
-        let mtu = link.mtu();
-        let mut buf = buf_pool.pop().unwrap_or_else(|| Vec::with_capacity(mtu));
-        let ctl = Control::Marker(Marker::sync(c, w.mark));
-        let fits = frame::control_flow_frame_len(flow, &ctl) + frame::PAD_LEN_PREFIX..=mtu;
-        if link.coalesce_hint() && fits.contains(&pad_to) {
-            frame::encode_control_padded_flow_into(flow, &ctl, pad_to, &mut buf);
-        } else {
-            frame::encode_control_flow_into(flow, &ctl, &mut buf);
-        }
-        stage.push(&mut buf, flow, w.event as usize);
     }
 
     /// Every channel's staged burst to its link, and one flush per link:
@@ -1065,26 +807,21 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                 let f = self.flows[flow as usize]
                     .as_mut()
                     .expect("flows stay open across a pump");
-                // A refused carrier takes the mark inside it along.
-                let inside = self.carried.binary_search_by_key(&event, |c| c.0);
-                let inside = inside.ok().map(|k| self.carried[k].1);
-                for event in std::iter::once(event).chain(inside) {
-                    match &mut events[event as usize] {
-                        PumpEvent::Data { error, .. } => {
-                            *error = Some(e);
-                            if e == TxError::QueueFull {
-                                self.stats.path.dropped_queue += 1;
-                                f.stats.dropped_queue += 1;
-                            } else {
-                                self.stats.path.dropped_lost += 1;
-                                f.stats.dropped_lost += 1;
-                            }
+                match &mut events[event as usize] {
+                    PumpEvent::Data { error, .. } => {
+                        *error = Some(e);
+                        if e == TxError::QueueFull {
+                            self.stats.path.dropped_queue += 1;
+                            f.stats.dropped_queue += 1;
+                        } else {
+                            self.stats.path.dropped_lost += 1;
+                            f.stats.dropped_lost += 1;
                         }
-                        PumpEvent::Marker { error, .. } => {
-                            *error = Some(e);
-                            self.stats.path.markers_lost += 1;
-                            f.stats.markers_lost += 1;
-                        }
+                    }
+                    PumpEvent::Marker { error, .. } => {
+                        *error = Some(e);
+                        self.stats.path.markers_lost += 1;
+                        f.stats.markers_lost += 1;
                     }
                 }
             }
@@ -1094,19 +831,19 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
         st.clear();
     }
 
-    /// Emit every open active flow's due marker batch immediately
-    /// (timer-driven markers during idle periods): staged unpadded —
-    /// there is no adjacent data to length-match — and handed to the
-    /// links as a pump's burst is, one run and one flush per link for
-    /// every [`IDLE_MARKER_BURST`] flows, so that no link is offered
-    /// more than that many frames between flushes however many flows
-    /// are open. Events land in `events` (cleared first), flow-major,
-    /// channel order within a flow.
+    /// Emit a marker batch — one per live channel, each stating the
+    /// number of the flow's next packet there — for every open active
+    /// flow, if the server was built with markers on: what heals a flow
+    /// whose last frame on a channel was lost and that then fell silent.
+    /// Handed to the links as a pump's burst is, one run and one flush per
+    /// link for every [`IDLE_MARKER_BURST`] flows, so that no link is
+    /// offered more than that many frames between flushes however many
+    /// flows are open. Events land in `events` (cleared first),
+    /// flow-major, channel order within a flow.
     pub fn send_idle_markers_into(&mut self, now: SimTime, events: &mut Vec<PumpEvent>) {
         let _ = now;
         events.clear();
-        self.carried.clear();
-        if self.path_parked {
+        if self.path_parked || !self.idle_markers {
             return;
         }
         let mut staged_flows = 0;
@@ -1121,25 +858,21 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             f.tx.make_markers_into(&mut self.scratch_idle);
             f.stats.markers_sent += self.scratch_idle.len() as u64;
             self.stats.path.markers_sent += self.scratch_idle.len() as u64;
-            for &(c, mk) in &self.scratch_idle {
-                let w = WaitingMark {
-                    mark: mk.mark,
-                    event: events.len() as u32,
-                    behind: 0,
-                };
-                Self::stage_marker_frame(
-                    &self.links[c],
-                    &mut self.buf_pool,
-                    &mut self.stage[c],
-                    fid as FlowId,
-                    c,
-                    w,
-                    0,
-                );
+            for &(c, marker) in &self.scratch_idle {
+                // A buffer fresh from an empty pool arrives pre-sized: a
+                // zero-capacity one would grow under the encode.
+                let mtu = self.links[c].mtu();
+                let mut buf = self
+                    .buf_pool
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(mtu));
+                let ctl = Control::Marker(marker);
+                frame::encode_control_flow_into(fid as FlowId, &ctl, &mut buf);
+                self.stage[c].push(&mut buf, fid as FlowId, events.len());
                 events.push(PumpEvent::Marker {
                     flow: fid as FlowId,
                     channel: c,
-                    marker: mk,
+                    marker,
                     error: None,
                 });
             }
@@ -1154,8 +887,8 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
 
     /// The striped *payload* MTU: minimum member frame MTU (§6.1's
     /// minimum-MTU rule) net of the worst-case framing overhead — header,
-    /// the widest flow id the admission caps allow, and the integrity
-    /// trailer when on.
+    /// the widest flow id the admission caps allow, the widest number, and
+    /// the integrity trailer when on.
     ///
     /// Flow ids are slab indices and at most `max_flows + park_capacity`
     /// slots are ever occupied, so every id this server puts on the wire
@@ -1167,7 +900,8 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     pub fn max_payload(&self) -> usize {
         let min_mtu = self.links.iter().map(|l| l.mtu()).min().expect("non-empty");
         let id_bound = (self.max_flows + self.park_capacity).saturating_sub(1) as u32;
-        let mut overhead = frame::FRAME_HEADER_LEN + frame::flow_id_len(id_bound);
+        let mut overhead =
+            frame::FRAME_HEADER_LEN + frame::flow_id_len(id_bound) + frame::NUMBER_MAX_LEN;
         if self.integrity {
             overhead += frame::SUM_TRAILER_LEN;
         }
@@ -1612,135 +1346,73 @@ mod tests {
         assert_eq!(arrived, lens.len());
     }
 
-    /// Markers interleave at the SRR's emission points, and every marker
-    /// the counter reports is a decodable frame on the wire.
+    /// A pump sends data frames and nothing else, and every one states
+    /// the number a bare scheduler gives its packet — short or long,
+    /// integrity on or off, markers on or off. Per channel the wire is the
+    /// offer order, so a bare scheduler advanced in offer order predicts
+    /// each channel's frames exactly. Equal payloads make equal frames.
     #[test]
-    fn markers_on_the_wire_match_the_counter() {
-        let (mut srv, h, mut peers) = one_flow(MarkerConfig::every_rounds(2), 1510, 1024);
-        // 100 × 100 B = 10000 B ≈ 3.3 rounds of the 2 × 1500 B quantum:
-        // comfortably past round 2, where the first marker batch is due.
-        for i in 0..100u8 {
-            srv.enqueue(h, &[i; 100]).unwrap();
-        }
-        let mut events = Vec::new();
-        srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
-        assert!(srv.stats().path.markers_sent > 0, "markers must have fired");
-        let (mut data, mut markers) = (0u64, 0u64);
-        for p in &mut peers {
-            for f in drain(p) {
-                match frame::try_decode_flow(&f).expect("well-formed frame") {
-                    (_, Frame::Data(body)) => {
-                        assert_eq!(body.len(), 100);
-                        assert!(body.iter().all(|&b| b == body[0]));
-                        data += 1;
-                    }
-                    (_, Frame::Control(Control::Marker(_))) => markers += 1,
-                    other => panic!("unexpected frame {other:?}"),
-                }
-            }
-        }
-        assert_eq!(data, 100);
-        assert_eq!(markers, srv.stats().path.markers_sent);
-        assert_eq!(markers, srv.flow_stats(h).unwrap().markers_sent);
-    }
-
-    /// What the wire says, on one channel so that wire order is offer
-    /// order. A frame with the field states its own number, every one of
-    /// them (kind 4 never leaves), and a mark that was waiting for such a
-    /// frame is that number: no frame of its own. A mark leaves as a
-    /// marker frame directly ahead of a frame without the field, and
-    /// behind the last one when the pump ends first. Read that way the
-    /// wire is the event sequence.
-    #[test]
-    fn a_mark_rides_in_or_ahead_of_the_next_frame_and_never_outlives_its_pump() {
-        // (payload, integrity) -> does a frame state its number?
-        for (len, integrity, rides) in [(300, false, true), (100, false, false), (300, true, false)]
-        {
-            let (a, mut b) = datagram_pair(2048, 1024);
+    fn every_frame_states_the_number_a_bare_scheduler_gives_it() {
+        for (len, integrity, markers) in [
+            (300, false, MarkerConfig::every_rounds(1)),
+            (64, false, MarkerConfig::every_rounds(1)),
+            (300, true, MarkerConfig::every_rounds(1)),
+            (64, false, MarkerConfig::disabled()),
+        ] {
+            let (a0, mut b0) = datagram_pair(2048, 1024);
+            let (a1, mut b1) = datagram_pair(2048, 1024);
             let mut srv: StripeServer<Srr, TestDatagramLink> = StripeServer::builder()
-                .scheduler(Srr::equal(1, 1500))
-                .markers(MarkerConfig::every_rounds(1))
-                .links(vec![a])
+                .scheduler(Srr::equal(2, 1500))
+                .markers(markers)
+                .links(vec![a0, a1])
                 .integrity(integrity)
                 .build();
             let h = srv.open_flow().unwrap();
-            for i in 0..40u8 {
+            for i in 0..60u8 {
                 srv.enqueue(h, &vec![i; len]).unwrap();
             }
-            // The numbers a bare scheduler gives the same packets.
-            let mut bare = Srr::equal(1, 1500);
+            let mut bare = Srr::equal(2, 1500);
+            let mut want: [Vec<(ChannelMark, u8)>; 2] = Default::default();
             let mut events = Vec::new();
-            let (mut tails, mut carried, mut data) = (0, 0, 0);
-            // Budgets that end some pumps right behind a fresh mark.
+            let mut seq = 0u8;
             for budget in [5, 7, 3, 10, usize::MAX] {
                 srv.pump_into(SimTime::ZERO, budget, &mut events);
-                let wire = drain(&mut b);
-                let mut offered = events.iter().peekable();
-                type Offers<'a> = std::iter::Peekable<std::slice::Iter<'a, PumpEvent>>;
-                let next_mark = |offered: &mut Offers| match offered.peek() {
-                    Some(PumpEvent::Marker {
-                        marker,
+                for ev in &events {
+                    let PumpEvent::Data {
+                        channel,
                         error: None,
                         ..
-                    }) => {
-                        offered.next();
-                        Some(marker.mark)
-                    }
-                    _ => None,
-                };
-                for f in &wire {
-                    assert_ne!(f[2], frame::KIND_DATA_MARK_EMPTY, "a placeholder left");
-                    let p = frame::parse(f).expect("well-formed");
-                    let case = format!("len {len} integrity {integrity}");
-                    match p.body {
-                        frame::Body::Marker => {
-                            let mark = p.marker(f).unwrap().mark;
-                            assert_eq!(next_mark(&mut offered), Some(mark), "{case}");
-                            continue;
-                        }
-                        frame::Body::MarkedData => {
-                            assert_eq!(p.mark(f), bare.mark_for(0), "{case}");
-                            // The mark that waited for this frame, if
-                            // one did, is the frame's own number.
-                            if let Some(waited) = next_mark(&mut offered) {
-                                assert_eq!(waited, p.mark(f), "{case}");
-                                carried += 1;
-                            }
-                        }
-                        frame::Body::Data => assert!(!rides, "a long frame without a number"),
-                        frame::Body::Control => panic!("unexpected control"),
-                    }
-                    let ev = offered.next();
-                    assert!(
-                        matches!(ev, Some(PumpEvent::Data { error: None, .. })),
-                        "{case}: {ev:?}"
-                    );
-                    assert_eq!(p.body == frame::Body::MarkedData, rides);
+                    } = *ev
+                    else {
+                        panic!("a pump offers data frames only: {ev:?}");
+                    };
+                    assert_eq!(channel, bare.current());
+                    want[channel].push((bare.mark_for(channel), seq));
                     bare.advance(len);
-                    data += 1;
-                }
-                assert_eq!(offered.next(), None, "an offer that never left");
-                // A mark the pump ended on left as a frame of its own.
-                if let Some(PumpEvent::Marker { .. }) = events.last() {
-                    let last = frame::parse(wire.last().unwrap()).unwrap();
-                    assert_eq!(last.body, frame::Body::Marker);
-                    tails += 1;
-                }
-                if rides {
-                    // Equal payloads, equal frames.
-                    let data = wire.iter().filter(|f| frame::is_data_frame(f));
-                    assert!(data.clone().all(|f| f.len() == wire[0].len()));
+                    seq += 1;
                 }
             }
-            assert_eq!(data, 40);
-            assert!(tails > 0, "no pump ended on a mark");
+            assert_eq!(seq, 60);
+            let case = format!("len {len} integrity {integrity} {markers:?}");
+            for (c, peer) in [&mut b0, &mut b1].into_iter().enumerate() {
+                let wire = drain(peer);
+                let got: Vec<_> = wire
+                    .iter()
+                    .map(|f| {
+                        let p = frame::parse(f).expect("well-formed");
+                        assert_eq!(
+                            (f[1], f[2]),
+                            (frame::FRAME_VERSION_NUMBERED, integrity as u8)
+                        );
+                        let number = p.number(f, bare.round()).expect("numbered");
+                        (number, p.body(f)[0])
+                    })
+                    .collect();
+                assert_eq!(got, want[c], "{case}: channel {c}");
+                assert!(wire.iter().all(|f| f.len() == wire[0].len()), "{case}");
+            }
             let s = srv.flow_stats(h).unwrap();
-            assert_eq!(s.markers_carried, carried);
-            assert_eq!(s.markers_carried, srv.stats().markers_carried);
-            assert_eq!(carried > 0, rides);
-            if rides {
-                assert_eq!(s.markers_sent, carried + tails);
-            }
+            assert_eq!((s.sent, s.markers_sent), (60, 0));
         }
     }
 
@@ -1772,9 +1444,16 @@ mod tests {
     }
 
     /// Timer-driven markers go out on every live channel, each naming
-    /// the channel it describes.
+    /// the channel it describes — from a server built with markers on;
+    /// one built with them off sends none.
     #[test]
     fn idle_markers_cover_live_channels() {
+        let (mut quiet, _, mut peers) = one_flow(MarkerConfig::disabled(), 1510, 1024);
+        let mut events = Vec::new();
+        quiet.send_idle_markers_into(SimTime::ZERO, &mut events);
+        assert!(events.is_empty());
+        assert!(peers.iter_mut().all(|p| drain(p).is_empty()));
+
         let (mut srv, h, mut peers) = one_flow(MarkerConfig::every_rounds(8), 1510, 1024);
         let mut events = Vec::new();
         srv.send_idle_markers_into(SimTime::ZERO, &mut events);
@@ -1939,17 +1618,17 @@ mod tests {
         }
     }
 
-    /// Data and markers ride flow-tagged version-2 frames; global
-    /// control stays untagged version 1, decodable by the plain codec.
+    /// Data rides flow-tagged numbered frames; global control stays
+    /// untagged version 1, decodable by the plain codec.
     #[test]
-    fn data_is_flow_tagged_and_global_control_is_untagged_v1() {
+    fn data_is_numbered_and_global_control_is_untagged_v1() {
         let (mut srv, h, mut peers) = one_flow(MarkerConfig::disabled(), 1510, 1024);
         srv.enqueue(h, &[9; 50]).unwrap();
         let mut events = Vec::new();
         srv.pump_into(SimTime::ZERO, usize::MAX, &mut events);
         let frames = drain(&mut peers[0]);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0][1], frame::FRAME_VERSION_FLOW);
+        assert_eq!(frames[0][1], frame::FRAME_VERSION_NUMBERED);
         assert_eq!(frame::decode(&frames[0]), None, "not a version-1 frame");
 
         let t = ControlPath::transmit_control(
@@ -1971,7 +1650,8 @@ mod tests {
     }
 
     /// §6.1's minimum-MTU rule, net of framing: header, the widest flow
-    /// id the admission caps allow, and the trailer under integrity.
+    /// id the admission caps allow, the widest number, and the trailer
+    /// under integrity.
     #[test]
     fn max_payload_subtracts_framing_from_min_mtu() {
         let build = |max_flows: usize, park: usize, integrity: bool| {
@@ -1986,7 +1666,7 @@ mod tests {
                 .build()
                 .max_payload()
         };
-        let header = frame::FRAME_HEADER_LEN;
+        let header = frame::FRAME_HEADER_LEN + frame::NUMBER_MAX_LEN;
         assert_eq!(build(1, 0, false), 1504 - header - 1);
         assert_eq!(build(1 << 16, 1 << 10, false), 1504 - header - 3);
         assert_eq!(
@@ -2016,7 +1696,7 @@ mod tests {
         let mut data = 0;
         for p in &mut [b0, b1] {
             for mut f in drain(p) {
-                assert_eq!(f[2], frame::KIND_DATA_SUMMED, "summed kind on the wire");
+                assert_eq!(f[2], frame::FLAG_SUMMED, "summed frames on the wire");
                 let Ok((_, Frame::Data(body))) = frame::try_decode_flow(&f) else {
                     panic!("summed frame must decode");
                 };

@@ -35,11 +35,11 @@
 //!
 //! **The send queue** is one ordered queue of two kinds of entry, chosen
 //! by the frame's length alone. A frame of at most [`ARENA_FRAME_MAX`]
-//! bytes — a data frame without the mark field, a marker frame, control
-//! — is *copied* to the end of the channel's **send arena**, one byte
-//! buffer reserved when the channel is built, and queued as `(offset,
-//! len)`; a longer frame keeps the storage it came in (swapped against a
-//! recycled buffer) and is queued as that `Vec`. Short frames queued one
+//! bytes — a short data frame, a marker frame, control — is *copied* to
+//! the end of the channel's **send arena**, one byte buffer reserved
+//! when the channel is built, and queued as `(offset, len)`; a longer
+//! frame keeps the storage it came in (swapped against a recycled
+//! buffer) and is queued as that `Vec`. Short frames queued one
 //! after another therefore lie back to back in memory, and
 //! [`BatchIo::send_slices`] hands a run of them to the kernel as *one*
 //! iovec of their `sendmmsg` message, where a queue of separate buffers
@@ -153,10 +153,9 @@ pub const ENOBUFS_BACKOFF: u32 = 4;
 /// one GSO train: 40 ns/pkt as 64 iovecs, 21 as one). A copy costs by the
 /// byte, so the rule is by length, and the break-even is measured, not
 /// assumed (EXPERIMENTS.md, "One iovec per train"): the frames that gain
-/// are data frames too short for the mark field, marker frames and
-/// control; copying 1236-byte frames as well cost `bulk_1flow_1200B`
-/// 1–5 % in eight pairs of eight, a second user copy being dearer than
-/// the iovec it saves.
+/// are short data frames, marker frames and control; copying 1236-byte
+/// frames as well cost `bulk_1flow_1200B` 1–5 % in eight pairs of
+/// eight, a second user copy being dearer than the iovec it saves.
 pub const ARENA_FRAME_MAX: usize = 320;
 
 /// Most bytes a send arena reserves (never more than `queue_cap` frames
@@ -946,10 +945,6 @@ impl DatagramLink for UdpChannel {
 
     fn mtu(&self) -> usize {
         self.mtu
-    }
-
-    fn coalesce_hint(&self) -> bool {
-        self.gso_offload()
     }
 
     fn flush(&mut self) -> usize {

@@ -230,10 +230,7 @@ fn main() -> std::io::Result<()> {
     println!("  flows_active      : {}", snap.flows_active);
     println!("  dropped_admission : {}", snap.dropped_admission);
     println!("  data sent         : {}", snap.path.sent);
-    println!(
-        "  markers sent      : {} ({} inside data frames)",
-        snap.path.markers_sent, snap.markers_carried
-    );
+    println!("  idle markers sent : {}", snap.path.markers_sent);
     println!("ReactorSnapshot:");
     println!("  link_dead_reports : {}", stats.link_dead_reports);
     println!("  grow_announcements: {}", stats.grow_announcements);
@@ -256,7 +253,10 @@ fn main() -> std::io::Result<()> {
     let rx = demux.net_stats();
     println!("FlowDemuxSnapshot:");
     println!("  frames            : {}", rx.frames);
-    println!("  marked_frames     : {}", rx.marked_frames);
+    println!(
+        "  marked_frames     : {} of {} data frames",
+        rx.marked_frames, rx.data_frames
+    );
     println!(
         "  rehomed           : {} (pool: {} buffers of {} B, {} free)",
         rx.rehomed,
@@ -266,8 +266,10 @@ fn main() -> std::io::Result<()> {
     );
     assert_eq!(snap.flows_active as usize, FLOWS);
     assert_eq!(snap.dropped_admission, 0);
-    // Integrity is on: a checksummed frame carries no mark.
-    assert_eq!((snap.markers_carried, rx.marked_frames), (0, 0));
+    // Integrity on or off, every data frame states its number: each one
+    // routed either kept it or had it refused as out of reach.
+    assert_eq!(rx.marked_frames + rx.dropped_mark_ahead, rx.data_frames);
+    assert!(rx.marked_frames > 0);
     assert!(stats.link_dead_reports >= 1);
     assert!(stats.rejoins >= 1);
     for lc in reactor.lifecycle() {

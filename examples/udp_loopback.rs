@@ -1,7 +1,7 @@
 //! The real-socket datapath, end to end in one process: striping a
 //! numbered stream across four kernel loopback UDP sockets with the
 //! `stripe::net` subsystem, inducing a deterministic loss burst, and
-//! watching marker resynchronization restore in-order delivery.
+//! watching the numbers every frame states restore in-order delivery.
 //!
 //! This demo uses the production datapath: `StripeServer` (one flow
 //! open) for causal striping + wire framing, `ImpairedLink` under a
@@ -41,7 +41,8 @@ fn main() -> std::io::Result<()> {
         rx_links.push(b);
     }
 
-    // Sender: SRR striping + periodic markers, loss injected on channel 0.
+    // Sender: SRR striping, every frame numbered (markers on: idle sweeps
+    // would send them), loss injected on channel 0.
     let mut path = StripeServer::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .markers(MarkerConfig::every_rounds(4))
@@ -111,11 +112,12 @@ fn main() -> std::io::Result<()> {
     println!("sent        : {PACKETS}");
     println!("dropped     : {dropped} (in flight, channel 0)");
     println!("delivered   : {}", s.delivered);
-    let carried = path.stats().markers_carried;
-    let marked_frames = rx.net_stats().marked_frames;
-    println!("markers sent: {}", path.stats().path.markers_sent);
-    println!("  of them inside the data frame they describe: {carried}");
-    println!("  marked frames received: {marked_frames}");
+    let net = rx.net_stats();
+    println!("idle markers sent: {}", path.stats().path.markers_sent);
+    println!(
+        "numbered frames received: {} of {} data frames",
+        net.marked_frames, net.data_frames
+    );
     let marks_applied = rx.flow_stats(flow.id()).map_or(0, |s| s.marks_applied);
     println!("marks applied: {marks_applied}");
     for (c, link) in path.links().iter().enumerate() {
@@ -139,15 +141,19 @@ fn main() -> std::io::Result<()> {
             s.delivered,
             frac * 100.0
         );
-        println!("  markers resynchronized the receiver within one interval (Theorem 5.1)");
+        println!("  the next frame on the lossy channel resynchronized the receiver (Theorem 5.1)");
     } else {
         println!("  fully in-order delivery (Theorem 4.1)");
     }
 
     assert_eq!(s.delivered, expected, "every surviving packet must arrive");
-    // 512-byte payloads, integrity off: marks ride the data.
-    if carried == 0 || marked_frames == 0 {
-        eprintln!("no mark rode a data frame ({carried} sent so, {marked_frames} received)");
+    // Every data frame states its number.
+    if net.marked_frames != net.data_frames {
+        eprintln!(
+            "{} of {} data frames arrived without their number",
+            net.data_frames - net.marked_frames,
+            net.data_frames
+        );
         std::process::exit(1);
     }
     Ok(())

@@ -1,84 +1,67 @@
 //! Differential properties of the one real-socket send path and its
 //! versioned (flow-tagged) wire format.
 //!
-//! A frame that has the mark field states its own number
-//! ([`KIND_DATA_MARKED`], every one of them: the placeholder kind never
-//! leaves a server) and reads as that number and then the data. The
-//! number must be the one a reference engine gives the packet —
-//! `mark_for` its channel, just before it is served — and a mark the
-//! flow's SRR offered directly ahead of the packet on that channel *is*
-//! that number: it rode, and is no frame of its own. Every property
-//! below is stated over this *expanded* sequence — which is what the
-//! receiver acts on — and compared with an oracle in which every marker
-//! is still a thing of its own and every packet has its number beside it.
+//! Every data frame a server sends states its own number (version 3, see
+//! [`frame`]): the number a reference engine gives the packet — `mark_for`
+//! its channel, just before it is served. A pump sends data frames and
+//! nothing else. Every property below compares the wire with an oracle
+//! that shares no framing, queueing, regrouping or link code with the
+//! server:
 //!
-//! 1. **Datapath equivalence.** A one-flow [`StripeServer`] makes
-//!    exactly the striping decisions of a bare [`StripingSender`] fed
-//!    the same lengths in one batch — same channels, same marker
-//!    schedule — and each channel's expanded wire is exactly those
-//!    payloads and marks, in order, mark for mark, number for number
-//!    and byte for byte, as flow-0 version-2 frames. Which frames have
-//!    the mark field is the length rule and nothing else. The oracle
-//!    shares no framing, queueing, DRR, or link code with the server.
-//! 2. **Regrouping and carrying are invisible per flow.** A many-flow
-//!    server stages each pump per channel and emits it regrouped by
-//!    wire length; the *offer-order emitter* it replaced — DRR turns,
-//!    each flow's frames and markers handed to the links as its SRR
-//!    produces them — lives on here as the oracle. For every (flow,
-//!    channel) the expanded wire subsequence of data *and* marks equals
-//!    the oracle's; with one flow, or one length and no markers, the
+//! 1. **Datapath equivalence.** A one-flow [`StripeServer`] makes exactly
+//!    the striping decisions of a bare [`StripingSender`] fed the same
+//!    lengths in one batch, and each channel's wire is exactly those
+//!    payloads, in order, byte for byte as flow-0 frames stating the
+//!    engine's numbers, integrity on and off, whatever the marker period.
+//! 2. **Regrouping is invisible per flow.** A many-flow server stages
+//!    each pump per channel and emits it regrouped by wire length; the
+//!    *offer-order emitter* it replaced — DRR turns, each flow's frames
+//!    handed to the links as its SRR produces them — lives on here as the
+//!    oracle. For every (flow, channel) the wire subsequence equals the
+//!    oracle's, number for number; with one flow, or one length, the
 //!    whole wire is in offer order; events stay one per offer in offer
-//!    order; and a refused frame's error lands on its own event — and on
-//!    the event of the mark inside it — and on its own flow's counters,
-//!    whichever frames the regrouping pushed past a full queue.
-//! 3. **Short payloads put the parent's bytes on the wire.** Below
-//!    [`MARK_MIN_PAYLOAD`] no frame has the field, so 64-byte traffic is
-//!    byte for byte what it was when every marker was a frame.
-//! 4. **Loss takes a mark only with its carrier.** Under a seeded
-//!    per-frame drop pattern, what [`FlowDemux`] delivers for each flow
-//!    is what a bare [`LogicalReceiver`] delivers when fed the oracle's
-//!    arrivals — its packets numbered where their frames are — minus the
-//!    dropped frames and the marks that rode them.
+//!    order; and a refused frame's error lands on its own event and its
+//!    own flow's counters, whichever frames the regrouping pushed past a
+//!    full queue.
+//! 3. **A 64-byte payload grows by its number alone.** The yardstick's
+//!    `small_10kflows_64B` shape puts on the wire, per (flow, channel),
+//!    the offer-order emitter's packets as numbered frames, each
+//!    [`NUMBER_LEN`] bytes longer than the unnumbered frame it replaces,
+//!    and no marker frame.
+//! 4. **Loss takes a mark only with its carrier.** Every frame carries its
+//!    own mark — its number. Under a seeded per-frame drop pattern, what
+//!    [`FlowDemux`] delivers for each flow is what a bare
+//!    [`LogicalReceiver`] delivers when fed the oracle's packets, each with
+//!    its full 64-bit number, minus the dropped frames — so the 16 bits of
+//!    round on the wire resolve to the oracle's round every time — and no
+//!    flow delivers a packet behind a later one.
 //! 5. **A thousand backlogged flows share the stripe evenly.** Stopped
 //!    mid-rotation with every flow still backlogged, Jain's index over
 //!    the bytes each flow had delivered is at least 0.95.
-//! 6. **Codec coexistence.** A mixed stream of version-1 and version-2
-//!    frames decodes under the one shared [`try_decode_flow`] entry:
-//!    v1 frames land on flow 0, v2 frames on their tagged flow, and the
+//! 6. **Codec coexistence.** A mixed stream of version-1 and numbered
+//!    frames decodes under the one shared [`try_decode_flow`] entry: v1
+//!    frames land on flow 0, numbered frames on their tagged flow, and the
 //!    body survives byte-for-byte either way.
 //!
 //! [`try_decode_flow`]: stripe::net::frame::try_decode_flow
-//! [`KIND_DATA_MARKED`]: stripe::net::frame::KIND_DATA_MARKED
-//! [`MARK_MIN_PAYLOAD`]: stripe::net::frame::MARK_MIN_PAYLOAD
+//! [`NUMBER_LEN`]: stripe::net::frame::NUMBER_LEN
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use stripe::core::control::Control;
 use stripe::core::fairness::ByteAccountant;
 use stripe::core::receiver::{Arrival, LogicalReceiver, RxBatch};
 use stripe::core::sched::{ChannelMark, Drr, Srr};
 use stripe::core::sender::{MarkerConfig, StripingSender};
 use stripe::core::types::WireLen;
-use stripe::core::Marker;
 use stripe::link::{datagram_pair, DatagramLink, TestDatagramLink, TxError};
-use stripe::net::frame::{
-    self, Body, Frame, FRAME_VERSION_FLOW, KIND_CONTROL, KIND_CONTROL_PADDED, KIND_DATA,
-    KIND_DATA_MARKED, KIND_DATA_MARK_EMPTY, KIND_DATA_SUMMED, MARK_FIELD_LEN, MARK_MIN_PAYLOAD,
-};
+use stripe::net::frame::{self, Body, Frame, FRAME_VERSION_NUMBERED, NUMBER_LEN};
 use stripe::net::{FlowDemux, FlowId, PumpEvent, StripeServer};
 use stripe::netsim::{DetRng, SimTime};
 
-/// What one channel carries, in order: packet `i`'s payload or a marker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Item {
-    Data(usize),
-    Marker(Marker),
-}
-
 /// A packet as the oracle's receiver holds it: identity, length, and the
-/// number its frame stated, if its frame had the field.
+/// number its frame stated.
 #[derive(Debug, Clone)]
 struct Numbered {
     id: u64,
@@ -91,7 +74,7 @@ impl WireLen for Numbered {
         self.len
     }
 
-    fn number(&self) -> Option<ChannelMark> {
+    fn number(&self, _near: u64) -> Option<ChannelMark> {
         self.number
     }
 }
@@ -106,12 +89,10 @@ fn drain(link: &mut TestDatagramLink) -> Vec<Vec<u8>> {
     out
 }
 
-/// An in-memory link that can be dead (`LinkDown` for every frame) and
-/// can claim to coalesce (so the server pads its marker frames).
+/// An in-memory link that can be dead (`LinkDown` for every frame).
 struct FlakyLink {
     inner: TestDatagramLink,
     down: bool,
-    coalesce: bool,
 }
 
 impl DatagramLink for FlakyLink {
@@ -137,17 +118,13 @@ impl DatagramLink for FlakyLink {
     fn mtu(&self) -> usize {
         self.inner.mtu()
     }
-
-    fn coalesce_hint(&self) -> bool {
-        self.coalesce
-    }
 }
 
 /// The offer-order emitter: the two-level scheduling loop of
-/// `StripeServer::pump_into` with nothing behind it — what is offered,
-/// by which flow, to which channel, in what order, every marker a thing
-/// of its own. Shares the DRR and the per-flow striping engine with the
-/// server, and nothing else.
+/// `StripeServer::pump_into` with nothing behind it — what is offered, by
+/// which flow, to which channel, in what order, with what number. Shares
+/// the DRR and the per-flow striping engine with the server, and nothing
+/// else.
 struct OfferOrder {
     drr: Drr,
     flows: Vec<OracleFlow>,
@@ -160,11 +137,14 @@ struct OfferOrder {
 type OracleFlow = (StripingSender<Srr>, VecDeque<(usize, usize)>);
 
 impl OfferOrder {
-    fn new(flows: usize, flow_quantum: i64, proto: &Srr, markers: MarkerConfig) -> Self {
+    fn new(flows: usize, flow_quantum: i64, proto: &Srr) -> Self {
         let mut drr = Drr::new(flow_quantum);
         (0..flows).for_each(|f| drr.register(f));
         let flows = (0..flows)
-            .map(|_| (StripingSender::new(proto.clone(), markers), VecDeque::new()))
+            .map(|_| {
+                let tx = StripingSender::new(proto.clone(), MarkerConfig::disabled());
+                (tx, VecDeque::new())
+            })
             .collect();
         Self {
             drr,
@@ -184,9 +164,9 @@ impl OfferOrder {
         self.numbers[pkt].expect("offered")
     }
 
-    /// One pump of at most `budget` packets: `(flow, channel, item)` in
+    /// One pump of at most `budget` packets: `(flow, channel, packet)` in
     /// offer order.
-    fn pump(&mut self, budget: usize) -> Vec<(FlowId, usize, Item)> {
+    fn pump(&mut self, budget: usize) -> Vec<(FlowId, usize, usize)> {
         let mut offers = Vec::new();
         let mut served = 0;
         while served < budget {
@@ -209,17 +189,10 @@ impl OfferOrder {
             let lens: Vec<usize> = turn.iter().map(|&(_, len)| len).collect();
             let (mut chans, mut numbers, mut marks) = (Vec::new(), Vec::new(), Vec::new());
             tx.send_batch_numbered(&lens, 0, &mut chans, &mut numbers, &mut marks);
-            if numbers.is_empty() {
-                // Markers off: nobody reads a number, none is made.
-                numbers.resize(lens.len(), ChannelMark { round: 0, dc: 0 });
-            }
-            let mut m = marks.iter().peekable();
-            for (i, (&(pkt, _), &channel)) in turn.iter().zip(&chans).enumerate() {
-                self.numbers[pkt] = Some(numbers[i]);
-                offers.push((fid as FlowId, channel, Item::Data(pkt)));
-                while let Some(&(_, channel, marker)) = m.next_if(|&&(after, _, _)| after == i) {
-                    offers.push((fid as FlowId, channel, Item::Marker(marker)));
-                }
+            assert!(marks.is_empty(), "no cadence");
+            for ((&(pkt, _), &channel), &number) in turn.iter().zip(&chans).zip(&numbers) {
+                self.numbers[pkt] = Some(number);
+                offers.push((fid as FlowId, channel, pkt));
             }
             served += turn.len();
             self.drr.end_turn(fid, !queue.is_empty());
@@ -235,99 +208,65 @@ fn stamped(pkt: usize, len: usize) -> Vec<u8> {
     p
 }
 
-/// The length rule: which payloads a server with markers on, integrity
-/// off and `mtu`-byte links sends behind a mark field.
-fn takes_field(flow: FlowId, len: usize, mtu: usize) -> bool {
-    len >= MARK_MIN_PAYLOAD && frame::data_flow_frame_len(flow, len) + MARK_FIELD_LEN <= mtu
-}
-
-/// One frame off channel `c`'s wire as the receiver reads it: whose it
-/// is, the mark it states (a marker frame's, or a data frame's own
-/// number), the payload it delivers. Every byte around those is checked
-/// here against the plain encoders: a frame without the field is the
-/// bytes it always was, one with the field is the same header, the
-/// field, the same payload — and the field is never left empty.
-fn read_frame(c: usize, f: &[u8], coalesce: bool) -> (FlowId, Option<Marker>, Option<&[u8]>) {
-    assert_eq!(f[1], FRAME_VERSION_FLOW, "server emits v2");
-    let p = frame::parse(f).expect("well-formed frame");
-    let mut plain = Vec::new();
-    match p.body {
-        Body::Marker => {
-            let mk = p.marker(f).expect("well-formed marker");
-            assert_eq!(mk.channel, c, "a marker names the channel it rides");
-            frame::encode_control_flow_into(p.flow, &Control::Marker(mk), &mut plain);
-            match f[2] {
-                KIND_CONTROL => assert_eq!(f, &plain[..], "marker frame bytes changed"),
-                KIND_CONTROL_PADDED => assert!(coalesce, "padded for a link that does not ask"),
-                kind => panic!("marker in a frame of kind {kind}"),
-            }
-            (p.flow, Some(mk), None)
-        }
-        Body::Data | Body::MarkedData => {
-            let body = p.body(f);
-            assert_eq!(frame::try_decode_flow(f), Ok((p.flow, Frame::Data(body))));
-            match f[2] {
-                KIND_DATA => {
-                    frame::encode_data_flow_into(p.flow, body, &mut plain);
-                    assert_eq!(f, &plain[..], "data frame bytes changed");
-                }
-                KIND_DATA_SUMMED => {
-                    frame::encode_data_summed_flow_into(p.flow, body, &mut plain);
-                    assert_eq!(f, &plain[..], "summed frame bytes changed");
-                }
-                KIND_DATA_MARK_EMPTY => panic!("the encode-time placeholder on a wire"),
-                KIND_DATA_MARKED => {
-                    frame::encode_data_flow_into(p.flow, body, &mut plain);
-                    let at = plain.len() - body.len();
-                    assert_eq!(f.len(), plain.len() + MARK_FIELD_LEN);
-                    assert_eq!((&f[..2], &f[3..at]), (&plain[..2], &plain[3..at]));
-                }
-                kind => panic!("data in a frame of kind {kind}"),
-            }
-            let mark = (p.body == Body::MarkedData).then(|| Marker::sync(c, p.mark(f)));
-            assert_eq!(mark.is_some(), f[2] == KIND_DATA_MARKED);
-            (p.flow, mark, Some(body))
-        }
-        Body::Control => panic!("global control on the data path"),
+/// The frame flow `flow` sends for `payload` stating `number`, built by
+/// the encoders alone.
+fn numbered_frame(flow: FlowId, payload: &[u8], number: ChannelMark, summed: bool) -> Vec<u8> {
+    let mut f = Vec::new();
+    if summed {
+        frame::encode_data_summed_flow_into(flow, payload, &mut f);
+    } else {
+        frame::encode_data_flow_into(flow, payload, &mut f);
     }
+    assert!(frame::write_number(&mut f, number));
+    f
 }
 
-/// 64-byte payloads are under the length rule, so nothing about their
-/// wire changed when marks began to ride. The capture has the
-/// yardstick's `small_10kflows_64B` shape — 128-packet bursts dealt
-/// round-robin over more flows than that, one pump a burst, links that
-/// ask for padding — and per (flow, channel) its bytes are the
-/// offer-order emitter's offers run through the encoders that were all
-/// there was, frame for frame, byte for byte, padding included: a marker
-/// frame directly behind its own flow's data frame on the channel is
-/// stretched to that frame's length, any other is plain. No frame has
-/// the field and no mark rides.
+/// One frame off a wire as the receiver reads it: whose it is and the
+/// payload it delivers. A pump sends numbered data frames and nothing
+/// else.
+fn read_frame(f: &[u8]) -> (FlowId, &[u8]) {
+    assert_eq!(f[1], FRAME_VERSION_NUMBERED, "server emits numbered frames");
+    let p = frame::parse(f).expect("well-formed frame");
+    assert_eq!(p.body, Body::Data, "a pump sends data only");
+    let body = p.body(f);
+    assert_eq!(frame::try_decode_flow(f), Ok((p.flow, Frame::Data(body))));
+    (p.flow, body)
+}
+
+/// The packet index a stamped payload carries.
+fn pkt_of(body: &[u8]) -> usize {
+    u32::from_be_bytes(body[..4].try_into().unwrap()) as usize
+}
+
+/// 64-byte payloads grow by their number and by nothing else. The
+/// capture has the yardstick's `small_10kflows_64B` shape — 128-packet
+/// bursts dealt round-robin over more flows than that, one pump a burst,
+/// markers on — and per (flow, channel) its bytes are the offer-order
+/// emitter's packets run through the encoders, each stating the number
+/// the reference engine gave it, frame for frame, byte for byte: every
+/// one [`NUMBER_LEN`] bytes longer than the unnumbered frame of the same
+/// payload, and no marker frame among them.
 #[test]
-fn sixty_four_byte_payloads_put_the_parents_bytes_on_the_wire() {
+fn sixty_four_byte_payloads_grow_by_their_number_alone() {
     const FLOWS: usize = 256;
     const CHANNELS: usize = 4;
     const BURST: usize = 128;
-    let markers = MarkerConfig::every_rounds(4);
     let proto = Srr::equal(CHANNELS, 200);
     let (mut tx_links, mut rx_links) = (Vec::new(), Vec::new());
     for _ in 0..CHANNELS {
         let (a, b) = datagram_pair(2048, 1 << 12);
-        tx_links.push(FlakyLink {
-            inner: a,
-            down: false,
-            coalesce: true,
-        });
+        tx_links.push(a);
         rx_links.push(b);
     }
     let mut server = StripeServer::builder()
         .scheduler(proto.clone())
-        .markers(markers)
+        .markers(MarkerConfig::every_rounds(4))
         .links(tx_links)
         .build();
     let handles: Vec<_> = (0..FLOWS).map(|_| server.open_flow().unwrap()).collect();
-    let mut oracle = OfferOrder::new(FLOWS, 1 << 14, &proto, markers);
+    let mut oracle = OfferOrder::new(FLOWS, 1 << 14, &proto);
     let mut events = Vec::new();
-    let (mut pkt, mut marks, mut padded) = (0, 0, 0);
+    let mut pkt = 0;
     for _burst in 0..600 {
         for _ in 0..BURST {
             let flow = pkt % FLOWS;
@@ -337,42 +276,24 @@ fn sixty_four_byte_payloads_put_the_parents_bytes_on_the_wire() {
         }
         server.pump_into(SimTime::ZERO, usize::MAX, &mut events);
         let mut want = vec![vec![Vec::new(); CHANNELS]; FLOWS];
-        // The channel's latest offer: whose, and how long on the wire.
-        let mut latest = [None; CHANNELS];
-        for (flow, c, item) in oracle.pump(usize::MAX) {
-            let mut f = Vec::new();
-            match item {
-                Item::Data(pkt) => frame::encode_data_flow_into(flow, &stamped(pkt, 64), &mut f),
-                Item::Marker(mk) => {
-                    marks += 1;
-                    let ctl = Control::Marker(mk);
-                    match latest[c] {
-                        Some((behind, len)) if behind == flow => {
-                            padded += 1;
-                            frame::encode_control_padded_flow_into(flow, &ctl, len, &mut f)
-                        }
-                        _ => frame::encode_control_flow_into(flow, &ctl, &mut f),
-                    }
-                }
-            }
-            latest[c] = Some((flow, f.len()));
+        for (flow, c, pkt) in oracle.pump(usize::MAX) {
+            let f = numbered_frame(flow, &stamped(pkt, 64), oracle.number_of(pkt), false);
+            // The unnumbered frame of the same payload: header, varint,
+            // payload.
+            let plain = frame::FRAME_HEADER_LEN + frame::flow_id_len(flow) + 64;
+            assert_eq!(f.len(), plain + NUMBER_LEN);
             want[flow as usize][c].push(f);
         }
         let mut got = vec![vec![Vec::new(); CHANNELS]; FLOWS];
         for (c, link) in rx_links.iter_mut().enumerate() {
             for f in drain(link) {
-                let flow = frame::parse(&f).expect("well-formed").flow;
+                let flow = read_frame(&f).0;
                 got[flow as usize][c].push(f);
             }
         }
         assert_eq!(got, want);
     }
-    assert!(
-        marks >= 2000 && padded >= 500,
-        "{marks} markers, {padded} padded"
-    );
-    assert_eq!(server.stats().path.markers_sent, marks);
-    assert_eq!(server.stats().markers_carried, 0);
+    assert_eq!(server.stats().path.markers_sent, 0);
 }
 
 /// A thousand flows of fifty different packet sizes, every one kept
@@ -458,7 +379,7 @@ fn a_thousand_backlogged_flows_share_the_stripe_evenly() {
 }
 
 proptest! {
-    /// Many flows through the staging, regrouping, mark-carrying server
+    /// Many flows through the staging, regrouping, numbering server
     /// against the offer-order emitter, pump by pump, over links that
     /// refuse frames for every reason a link can.
     #[test]
@@ -469,22 +390,22 @@ proptest! {
         (quantum, flow_quantum) in (300i64..3000, 64i64..4096),
         marker_rounds in 0u64..6,
         budgets in prop::collection::vec(1usize..80, 1..6),
-        (queue_cap, small_mtu, coalesce) in (1usize..48, any::<bool>(), any::<bool>()),
+        (queue_cap, small_mtu) in (1usize..48, any::<bool>()),
         down in prop::option::of(0usize..4),
         integrity in any::<bool>(),
     ) {
+        // The period is not read by a server: any one, or none, sends
+        // the same wire.
         let markers = match marker_rounds {
             0 => MarkerConfig::disabled(),
             n => MarkerConfig::every_rounds(n),
         };
-        // Half the cases cut the MTU under the long classes (`TooBig`,
-        // and just below that "fits, but not with the field"); a marker
-        // always fits.
+        // Half the cases cut the MTU under the long classes (`TooBig`).
         let mtu = if small_mtu { 600 } else { 2048 };
         let (mut tx_links, mut rx_links) = (Vec::new(), Vec::new());
         for c in 0..channels {
             let (a, b) = datagram_pair(mtu, queue_cap);
-            tx_links.push(FlakyLink { inner: a, down: down == Some(c), coalesce });
+            tx_links.push(FlakyLink { inner: a, down: down == Some(c) });
             rx_links.push(b);
         }
         let proto = Srr::equal(channels, quantum);
@@ -497,7 +418,7 @@ proptest! {
             .flow_quantum(flow_quantum)
             .build();
         let handles: Vec<_> = (0..flows).map(|_| server.open_flow().expect("admitted")).collect();
-        let mut oracle = OfferOrder::new(flows, flow_quantum, &proto, markers);
+        let mut oracle = OfferOrder::new(flows, flow_quantum, &proto);
 
         let lens: Vec<usize> = packets.iter().map(|&(_, k)| classes[k % classes.len()]).collect();
         for (pkt, &(f, _)) in packets.iter().enumerate() {
@@ -505,157 +426,104 @@ proptest! {
             server.enqueue(handles[flow], &stamped(pkt, lens[pkt])).expect("queue sized for all");
             oracle.enqueue(flow, pkt, lens[pkt]);
         }
-        let uniform = flows == 1 || (classes.len() == 1 && marker_rounds == 0);
-        let carrying = marker_rounds != 0 && !integrity;
+        let uniform = flows == 1 || classes.len() == 1;
         let trailer = if integrity { frame::SUM_TRAILER_LEN } else { 0 };
 
         // What every flow's counters must end at, from the events alone.
-        let mut want_stats = vec![[0u64; 5]; flows]; // sent, queue, lost, markers, markers lost
-        let mut carried_on_wire = 0u64;
+        let mut want_stats = vec![[0u64; 3]; flows]; // sent, queue, lost
         let mut events = Vec::new();
         for budget in budgets.into_iter().chain(std::iter::once(usize::MAX)) {
             let served = server.pump_into(SimTime::ZERO, budget, &mut events);
             let offers = oracle.pump(budget);
-            prop_assert_eq!(served, offers.iter().filter(|o| matches!(o.2, Item::Data(_))).count());
+            prop_assert_eq!(served, offers.len());
 
             // (iii) Events are the offers, one each, in offer order.
             prop_assert_eq!(events.len(), offers.len());
-            let mut kept: Vec<Vec<&(FlowId, usize, Item)>> = vec![Vec::new(); channels];
-            for (ev, offer) in events.iter().zip(&offers) {
-                let (flow, channel, error) = match (*ev, &offer.2) {
-                    (PumpEvent::Data { flow, channel, error }, Item::Data(_)) => (flow, channel, error),
-                    (PumpEvent::Marker { flow, channel, marker, error }, Item::Marker(want)) => {
-                        prop_assert_eq!(&marker, want);
-                        (flow, channel, error)
-                    }
-                    (ev, item) => return Err(TestCaseError::fail(format!("{ev:?} vs {item:?}"))),
+            let mut kept: Vec<Vec<(FlowId, usize)>> = vec![Vec::new(); channels];
+            for (ev, &(want_flow, want_channel, pkt)) in events.iter().zip(&offers) {
+                let PumpEvent::Data { flow, channel, error } = *ev else {
+                    return Err(TestCaseError::fail(format!("a pump offered {ev:?}")));
                 };
-                prop_assert_eq!((flow, channel), (offer.0, offer.1), "offer order diverges");
-                // The error is the one this very frame must have met — a
-                // carried mark's is its carrier's, and a frame takes the
-                // field only where that cannot make it too big.
+                prop_assert_eq!((flow, channel), (want_flow, want_channel), "offer order diverges");
+                // The error is the one this very frame must have met.
+                let too_big = frame::data_flow_frame_len(flow, lens[pkt]) + trailer > mtu;
+                if down == Some(channel) {
+                    prop_assert_eq!(error, Some(TxError::LinkDown));
+                } else {
+                    prop_assert_eq!(error == Some(TxError::TooBig), too_big);
+                    prop_assert!(too_big || matches!(error, None | Some(TxError::QueueFull)));
+                }
                 let stats = &mut want_stats[flow as usize];
-                match (&offer.2, error) {
-                    (_, Some(e)) if down == Some(channel) => prop_assert_eq!(e, TxError::LinkDown),
-                    (_, None) if down == Some(channel) => prop_assert!(false, "left on a dead link"),
-                    (Item::Data(pkt), e) => {
-                        let too_big = frame::data_flow_frame_len(flow, lens[*pkt]) + trailer > mtu;
-                        prop_assert_eq!(e == Some(TxError::TooBig), too_big);
-                        prop_assert!(too_big || matches!(e, None | Some(TxError::QueueFull)));
-                    }
-                    (Item::Marker(_), e) => prop_assert!(matches!(e, None | Some(TxError::QueueFull))),
-                }
-                match (&offer.2, error) {
-                    (Item::Data(_), None) => stats[0] += 1,
-                    (Item::Data(_), Some(TxError::QueueFull)) => { stats[0] += 1; stats[1] += 1 }
-                    (Item::Data(_), Some(_)) => { stats[0] += 1; stats[2] += 1 }
-                    (Item::Marker(_), None) => stats[3] += 1,
-                    (Item::Marker(_), Some(_)) => { stats[3] += 1; stats[4] += 1 }
-                }
-                if error.is_none() {
-                    kept[channel].push(offer);
+                stats[0] += 1;
+                match error {
+                    None => kept[channel].push((flow, pkt)),
+                    Some(TxError::QueueFull) => stats[1] += 1,
+                    Some(_) => stats[2] += 1,
                 }
             }
 
-            // (i) Per (flow, channel) the expanded wire is the oracle's —
-            // exactly the offers whose events carry no error, in offer
-            // order: so a mark left iff its event says so, alone or as
-            // the number of the frame the flow offered next on that
-            // channel — and every frame with the field states the number
-            // the reference engine gave its packet.
+            // (i) Per (flow, channel) the wire is the oracle's — exactly
+            // the offers whose events carry no error, in offer order, each
+            // frame the encoders' bytes stating the reference engine's
+            // number for its packet.
             for (c, link) in rx_links.iter_mut().enumerate() {
                 let wire = drain(link);
                 let mut cursor = vec![0usize; flows];
-                let mut at = 0;
-                for f in &wire {
-                    let (flow, mark, body) = read_frame(c, f, coalesce);
-                    let pkt = body.map(|b| u32::from_be_bytes(b[..4].try_into().unwrap()) as usize);
-                    // This flow's next kept offer on the channel.
-                    let next_kept = |cursor: &mut [usize]| {
-                        let mine = &mut cursor[flow as usize];
-                        while kept[c].get(*mine).is_some_and(|o| o.0 != flow) {
-                            *mine += 1;
-                        }
-                        kept[c].get(*mine).copied()
-                    };
-                    let mut items = [mark.map(Item::Marker), pkt.map(Item::Data)];
-                    if let (Some(own), Some(pkt), Some(body)) = (mark, pkt, body) {
-                        prop_assert!(carrying && takes_field(flow, body.len(), mtu), "a field against the length rule");
-                        prop_assert_eq!(own.mark, oracle.number_of(pkt), "packet {}'s number", pkt);
-                        // The number stands for the mark offered directly
-                        // ahead of the packet, if one was (and then has
-                        // to be that mark, which is checked below).
-                        let rode = matches!(next_kept(&mut cursor), Some((_, _, Item::Marker(_))));
-                        carried_on_wire += rode as u64;
-                        if !rode {
-                            items[0] = None;
-                        }
-                    } else if let Some(body) = body {
-                        prop_assert!(!(carrying && takes_field(flow, body.len(), mtu)), "a long frame without its number");
-                        prop_assert_eq!(f[2] == KIND_DATA_SUMMED, integrity);
-                    }
-                    for got in items.into_iter().flatten() {
-                        let Some((_, _, want)) = next_kept(&mut cursor) else {
-                            return Err(TestCaseError::fail(format!("channel {c}: flow {flow} frame from nowhere")));
-                        };
-                        let mine = &mut cursor[flow as usize];
-                        if uniform {
-                            // (ii) …and then the whole wire is in offer order.
-                            prop_assert_eq!(*mine, at, "identity merge reordered channel {}", c);
-                        }
+                for (at, f) in wire.iter().enumerate() {
+                    let (flow, body) = read_frame(f);
+                    let mine = &mut cursor[flow as usize];
+                    while kept[c].get(*mine).is_some_and(|o| o.0 != flow) {
                         *mine += 1;
-                        at += 1;
-                        prop_assert_eq!(&got, want, "channel {}", c);
-                        if let (Item::Data(pkt), Some(body)) = (&got, body) {
-                            prop_assert_eq!(body, &stamped(*pkt, lens[*pkt])[..]);
-                        }
                     }
+                    let Some(&(_, pkt)) = kept[c].get(*mine) else {
+                        return Err(TestCaseError::fail(format!("channel {c}: flow {flow} frame from nowhere")));
+                    };
+                    if uniform {
+                        // (ii) …and then the whole wire is in offer order.
+                        prop_assert_eq!(*mine, at, "identity merge reordered channel {}", c);
+                    }
+                    *mine += 1;
+                    prop_assert_eq!(pkt_of(body), pkt, "channel {}", c);
+                    let want = numbered_frame(flow, &stamped(pkt, lens[pkt]), oracle.number_of(pkt), integrity);
+                    prop_assert_eq!(f, &want, "packet {}'s frame", pkt);
                 }
-                prop_assert_eq!(at, kept[c].len(), "channel {} lost an offer", c);
+                prop_assert_eq!(wire.len(), kept[c].len(), "channel {} lost an offer", c);
             }
         }
         prop_assert!(handles.iter().all(|&h| server.queue_len(h) == Ok(0)), "everything was offered");
-        let (mut path_queue, mut path_lost, mut path_markers_lost, mut carried) = (0, 0, 0, 0);
+        let (mut path_queue, mut path_lost) = (0, 0);
         for (h, want) in handles.iter().zip(&want_stats) {
             let s = server.flow_stats(*h).expect("open");
-            let got = [s.sent, s.dropped_queue, s.dropped_lost, s.markers_sent, s.markers_lost];
-            prop_assert_eq!(&got, want, "flow {} counters", h.id());
-            prop_assert!(s.markers_carried <= s.markers_sent);
+            prop_assert_eq!(&[s.sent, s.dropped_queue, s.dropped_lost], want, "flow {} counters", h.id());
+            prop_assert_eq!((s.markers_sent, s.markers_lost), (0, 0));
             path_queue += want[1];
             path_lost += want[2];
-            path_markers_lost += want[4];
-            carried += s.markers_carried;
         }
         let path = server.stats().path;
         prop_assert_eq!(
-            (path.dropped_queue, path.dropped_lost, path.markers_lost),
-            (path_queue, path_lost, path_markers_lost)
+            (path.dropped_queue, path.dropped_lost, path.markers_sent),
+            (path_queue, path_lost, 0)
         );
-        // Every carried mark that left is a marked frame on some wire.
-        prop_assert_eq!(server.stats().markers_carried, carried);
-        prop_assert!(carried_on_wire <= carried && carried <= carried_on_wire + path_markers_lost);
-        prop_assert!(carrying || carried == 0);
     }
 
     /// One flow through the server against a bare sender engine:
-    /// identical channel and marker sequences in offer order, and every
-    /// channel's expanded wire exactly the oracle's payloads, marks and
-    /// packet numbers, flow-tagged to flow 0 — lengths on both sides of
-    /// the field rule, integrity on and off, links that ask for padding
-    /// and not.
+    /// identical channel sequences in offer order, and every channel's
+    /// wire exactly the oracle's payloads, each stating the engine's
+    /// number, flow-tagged to flow 0, byte for byte — integrity on and
+    /// off, whatever the marker period.
     #[test]
     fn one_flow_server_matches_bare_sender_on_the_wire(
         lens in prop::collection::vec(1usize..1200, 1..120),
         quantum in 300i64..4000,
         marker_rounds in 1u64..8,
-        (integrity, coalesce) in (any::<bool>(), any::<bool>()),
+        integrity in any::<bool>(),
     ) {
         let channels = 3;
         let mtu = 2048;
         let (mut tx_links, mut rx_links) = (Vec::new(), Vec::new());
         for _ in 0..channels {
             let (a, b) = datagram_pair(mtu, 1 << 16);
-            tx_links.push(FlakyLink { inner: a, down: false, coalesce });
+            tx_links.push(FlakyLink { inner: a, down: false });
             rx_links.push(b);
         }
         let mut server = StripeServer::builder()
@@ -675,104 +543,45 @@ proptest! {
         server.pump_into(SimTime::ZERO, usize::MAX, &mut events);
 
         // The oracle: one bare engine, the whole burst in one batch.
-        let mut oracle = StripingSender::new(
-            Srr::equal(channels, quantum),
-            MarkerConfig::every_rounds(marker_rounds),
-        );
+        let mut oracle = StripingSender::new(Srr::equal(channels, quantum), MarkerConfig::disabled());
         let (mut chans, mut numbers, mut marks) = (Vec::new(), Vec::new(), Vec::new());
         oracle.send_batch_numbered(&lens, 0, &mut chans, &mut numbers, &mut marks);
-        let mut want_events = Vec::new();
-        let mut want_wire: Vec<Vec<Item>> = (0..channels).map(|_| Vec::new()).collect();
-        let mut m = marks.iter().peekable();
-        for (i, &channel) in chans.iter().enumerate() {
-            want_events.push(PumpEvent::Data { flow: 0, channel, error: None });
-            want_wire[channel].push(Item::Data(i));
-            while let Some(&(_, channel, marker)) = m.next_if(|&&(after, _, _)| after == i) {
-                want_events.push(PumpEvent::Marker { flow: 0, channel, marker, error: None });
-                want_wire[channel].push(Item::Marker(marker));
-            }
-        }
+        let want_events: Vec<_> = chans
+            .iter()
+            .map(|&channel| PumpEvent::Data { flow: 0, channel, error: None })
+            .collect();
         prop_assert_eq!(&events, &want_events, "offer order diverges from the engine");
-
-        let (mut carried, mut alone) = (0u64, 0u64);
-        for (c, (link, want)) in rx_links.iter_mut().zip(want_wire).enumerate() {
-            let frames = drain(link);
-            let mut want = want.iter().peekable();
-            // Marker frames since the channel's last data frame (their
-            // wire lengths if padded), and that frame's length: a padded
-            // marker frame matches a data frame it sits next to.
-            let mut since: Vec<Option<usize>> = Vec::new();
-            let mut last_data = None;
-            for f in &frames {
-                let (tag, mark, body) = read_frame(c, f, coalesce);
-                prop_assert_eq!(tag, 0u32);
-                match body {
-                    Some(body) => {
-                        // A frame's number stands for the mark the engine
-                        // made directly ahead of the packet, if it made
-                        // one, and says what that mark said.
-                        let rode = mark.is_some() && matches!(want.peek(), Some(Item::Marker(_)));
-                        if rode {
-                            prop_assert_eq!(want.next().copied(), mark.map(Item::Marker), "channel {}", c);
-                        }
-                        let Some(&Item::Data(i)) = want.next() else {
-                            return Err(TestCaseError::fail(format!("channel {c}: data from nowhere")));
-                        };
-                        prop_assert_eq!(body, &payload(i)[..], "bodies byte-identical");
-                        // The field is there by the length rule alone,
-                        // never empty, and holds the engine's number for
-                        // this very packet.
-                        let has_field = !integrity && takes_field(0, lens[i], mtu);
-                        prop_assert_eq!(mark.map(|mk| mk.mark), has_field.then_some(numbers[i]));
-                        prop_assert!(
-                            since.is_empty() || !has_field || rode,
-                            "a mark left alone ahead of a frame with room"
-                        );
-                        for len in since.drain(..).flatten() {
-                            prop_assert!(len == f.len() || Some(len) == last_data, "padded to no neighbour");
-                        }
-                        last_data = Some(f.len());
-                        carried += rode as u64;
-                    }
-                    None => {
-                        prop_assert_eq!(want.next().copied(), mark.map(Item::Marker), "channel {}", c);
-                        alone += 1;
-                        since.push((f[2] == KIND_CONTROL_PADDED).then_some(f.len()));
-                    }
-                }
-            }
-            prop_assert_eq!(want.next(), None, "channel {} lost an offer", c);
-            for len in since.into_iter().flatten() {
-                prop_assert_eq!(Some(len), last_data, "a pump's trailing marker frame matches what it trails");
-            }
+        for (c, link) in rx_links.iter_mut().enumerate() {
+            let want: Vec<Vec<u8>> = (0..lens.len())
+                .filter(|&i| chans[i] == c)
+                .map(|i| numbered_frame(0, &payload(i), numbers[i], integrity))
+                .collect();
+            prop_assert_eq!(drain(link), want, "channel {}", c);
         }
         let s = server.flow_stats(flow).expect("open");
-        prop_assert_eq!((s.markers_carried, s.markers_sent), (carried, carried + alone));
-        prop_assert_eq!(s.markers_sent, marks.len() as u64);
+        prop_assert_eq!((s.sent, s.markers_sent), (lens.len() as u64, 0));
     }
 
-    /// A mark dies with its carrier and never otherwise. The server's
-    /// wire runs through a seeded per-frame drop pattern into a
-    /// `FlowDemux`; beside it each flow has a bare `LogicalReceiver` fed
-    /// the *oracle's* arrivals — every marker a thing of its own, every
-    /// packet whose frame has the field numbered by the reference
-    /// engine — except those a dropped frame stood for: its data, and
-    /// the mark that rode it if one did. Both see their arrivals in the
-    /// same order (a sweep's: channel by channel) and are polled at the
-    /// same points, and must deliver the same packets in the same order
-    /// and end on the same counters.
+    /// A mark dies with its carrier and never otherwise: every frame's
+    /// number is its own mark. The server's wire runs through a seeded
+    /// per-frame drop pattern into a `FlowDemux`; beside it each flow has
+    /// a bare `LogicalReceiver` fed the oracle's packets, every one with
+    /// the full number the reference engine gave it, except the dropped
+    /// ones. Both see their arrivals in the same order (a sweep's:
+    /// channel by channel) and are polled at the same points, and must
+    /// deliver the same packets in the same order and end on the same
+    /// counters — and, every frame numbered, no flow delivers a packet
+    /// behind a later one.
     #[test]
     fn loss_takes_a_mark_only_with_its_carrier(
         (flows, channels) in (1usize..=6, 2usize..=4),
         classes in prop::collection::vec(28usize..1200, 1..=3),
         packets in prop::collection::vec((0usize..6, 0usize..3), 40..400),
         (quantum, flow_quantum) in (600i64..3000, 256i64..4096),
-        marker_rounds in 1u64..5,
         budgets in prop::collection::vec(4usize..120, 2..8),
         (drop_ppm, seed) in (0u32..300_000, any::<u64>()),
     ) {
         const CAP: usize = 1 << 10;
-        let markers = MarkerConfig::every_rounds(marker_rounds);
         let proto = Srr::equal(channels, quantum);
         let (mut tx_links, mut taps, mut feeds, mut rx_links) = (vec![], vec![], vec![], vec![]);
         for _ in 0..channels {
@@ -785,7 +594,7 @@ proptest! {
         }
         let mut server = StripeServer::builder()
             .scheduler(proto.clone())
-            .markers(markers)
+            .markers(MarkerConfig::every_rounds(4))
             .links(tx_links)
             .queue_frames(packets.len())
             .flow_quantum(flow_quantum)
@@ -796,7 +605,7 @@ proptest! {
             .capacity_per_channel(CAP)
             .build();
         let handles: Vec<_> = (0..flows).map(|_| server.open_flow().expect("admitted")).collect();
-        let mut oracle = OfferOrder::new(flows, flow_quantum, &proto, markers);
+        let mut oracle = OfferOrder::new(flows, flow_quantum, &proto);
         let mut bare: Vec<LogicalReceiver<Srr, Numbered>> =
             (0..flows).map(|_| LogicalReceiver::new(proto.clone(), CAP)).collect();
 
@@ -810,49 +619,28 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let mut events = Vec::new();
         let (mut got, mut want) = (RxBatch::new(), RxBatch::new());
-        let (mut dropped_marks, mut kept_marks, mut numbered, mut delivered) = (0u64, 0u64, 0u64, 0usize);
+        let (mut arrived, mut delivered) = (0u64, 0usize);
+        let mut last = vec![None::<u64>; flows];
         for budget in budgets.into_iter().chain(std::iter::once(usize::MAX)) {
             server.pump_into(SimTime::ZERO, budget, &mut events);
-            // The oracle's arrivals of this pump, per (flow, channel).
-            let mut theirs: Vec<Vec<VecDeque<Item>>> =
+            // The oracle's offers of this pump, per (flow, channel).
+            let mut theirs: Vec<Vec<VecDeque<usize>>> =
                 (0..flows).map(|_| (0..channels).map(|_| VecDeque::new()).collect()).collect();
-            for (flow, channel, item) in oracle.pump(budget) {
-                theirs[flow as usize][channel].push_back(item);
+            for (flow, channel, pkt) in oracle.pump(budget) {
+                theirs[flow as usize][channel].push_back(pkt);
             }
             for c in 0..channels {
                 for f in drain(&mut taps[c]) {
-                    let (flow, mark, body) = read_frame(c, &f, false);
+                    let (flow, body) = read_frame(&f);
                     let lost = rng.range_u64(0, 1_000_000) < drop_ppm as u64;
-                    let theirs = &mut theirs[flow as usize][c];
-                    // A marker frame is the oracle's next arrival on
-                    // (flow, c). So is a mark directly ahead of a packet
-                    // whose frame states its number: it rode, and what
-                    // the oracle's receiver gets of it is that number.
-                    let own = mark.filter(|_| body.is_some());
-                    if own.is_none() || matches!(theirs.front(), Some(Item::Marker(_))) {
-                        if let Some(mk) = mark {
-                            prop_assert_eq!(theirs.pop_front(), Some(Item::Marker(mk)));
-                            match (own, lost) {
-                                (None, false) => _ = bare[flow as usize].push(c, Arrival::Marker(mk)),
-                                (Some(_), false) => kept_marks += 1,
-                                (Some(_), true) => dropped_marks += 1,
-                                (None, true) => {}
-                            }
-                        }
-                    }
-                    if body.is_some() {
-                        let Some(Item::Data(pkt)) = theirs.pop_front() else {
-                            return Err(TestCaseError::fail("a frame the oracle never offered"));
-                        };
-                        let number = own.map(|_| oracle.number_of(pkt));
-                        prop_assert_eq!(own.map(|mk| mk.mark), number, "packet {}'s number", pkt);
-                        if !lost {
-                            numbered += number.is_some() as u64;
-                            let p = Numbered { id: pkt as u64, len: lens[pkt], number };
-                            bare[flow as usize].push(c, Arrival::Data(p));
-                        }
-                    }
+                    let pkt = theirs[flow as usize][c].pop_front();
+                    prop_assert_eq!(pkt, Some(pkt_of(body)), "a frame the oracle never offered");
+                    let pkt = pkt_of(body);
                     if !lost {
+                        arrived += 1;
+                        let number = Some(oracle.number_of(pkt));
+                        let p = Numbered { id: pkt as u64, len: lens[pkt], number };
+                        bare[flow as usize].push(c, Arrival::Data(p));
                         feeds[c].send_frame(&f).expect("room");
                     }
                 }
@@ -862,13 +650,14 @@ proptest! {
             for (flow, rx) in bare.iter_mut().enumerate() {
                 demux.poll_flow_into(flow as FlowId, &mut got);
                 rx.poll_into(&mut want);
-                let got_ids: Vec<u64> = got
-                    .drain()
-                    .map(|pb| u32::from_be_bytes(pb.as_slice()[..4].try_into().unwrap()) as u64)
-                    .collect();
+                let got_ids: Vec<u64> = got.drain().map(|pb| pkt_of(pb.as_slice()) as u64).collect();
                 let want_ids: Vec<u64> = want.drain().map(|p| p.id).collect();
                 prop_assert_eq!(&got_ids, &want_ids, "flow {} delivery diverges", flow);
-                delivered += got_ids.len();
+                for id in got_ids {
+                    prop_assert!(last[flow].is_none_or(|l| l < id), "flow {} delivered {} behind {:?}", flow, id, last[flow]);
+                    last[flow] = Some(id);
+                    delivered += 1;
+                }
             }
         }
         for (flow, rx) in bare.iter().enumerate() {
@@ -876,15 +665,15 @@ proptest! {
                 prop_assert_eq!(theirs, rx.stats(), "flow {} resequencer counters", flow);
             }
         }
-        // Every frame with the field arrived numbered; the marks that
-        // rode one are the server's count, lost with their carriers or not.
-        prop_assert_eq!(demux.net_stats().marked_frames, numbered);
-        prop_assert_eq!(kept_marks + dropped_marks, server.stats().markers_carried);
+        // Every frame that arrived was routed with its number.
+        let s = demux.net_stats();
+        prop_assert_eq!((s.marked_frames, s.data_frames, s.control_frames), (arrived, arrived, 0));
         prop_assert!(drop_ppm > 0 || delivered == packets.len(), "lossless and incomplete");
     }
 
-    /// Mixed v1/v2 streams decode under the shared entry point: flow ids
-    /// route, bodies survive, and versions never confuse each other.
+    /// Mixed version-1 and numbered streams decode under the shared
+    /// entry point: flow ids route, bodies survive, and versions never
+    /// confuse each other.
     #[test]
     fn mixed_version_frames_decode_to_their_flow(
         items in prop::collection::vec(
@@ -911,11 +700,11 @@ proptest! {
                 Frame::Data(body) => prop_assert_eq!(body, &payload[..]),
                 other => prop_assert!(false, "data decoded as {:?}", other),
             }
-            // The v1-only entry must reject v2 frames rather than
-            // misreading the varint as payload.
+            // The v1-only entry must reject flow-tagged frames rather
+            // than misreading the varint as payload.
             let v1 = frame::try_decode(buf);
             if *tagged {
-                prop_assert!(v1.is_err(), "v1 decoder must reject v2 frames");
+                prop_assert!(v1.is_err(), "v1 decoder must reject flow-tagged frames");
             } else {
                 prop_assert!(v1.is_ok());
             }

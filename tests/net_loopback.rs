@@ -550,10 +550,10 @@ fn arb_control() -> impl Strategy<Value = Control> {
 }
 
 /// One datagram a broken or hostile peer might put on a channel: byte
-/// soup, or a well-formed version-2 frame — data, summed data, a marker,
-/// or data behind a mark field that is whole, garbage or cut short —
-/// naming any flow id at all; or any of those behind the bundle magic,
-/// as byte soup or packed into a bundle.
+/// soup, or a well-formed flow-tagged frame — numbered data, summed or
+/// not, its number whole, garbage or cut short, or a marker — naming any
+/// flow id at all; or any of those behind the bundle magic, as byte soup
+/// or packed into a bundle.
 fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
     let soup = prop::collection::vec(any::<u8>(), 0..64);
     prop_oneof![
@@ -579,9 +579,10 @@ fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
     let flow = || prop_oneof![0u32..16, 1000u32..1100, any::<u32>()];
     let payload = || prop::collection::vec(any::<u8>(), 0..48);
     // Any round at all, and rounds near a fresh replica's own: a mark
-    // further ahead than an honest sender can be is refused where it
-    // enters (`dropped_mark_ahead`), so that none can make logical
-    // reception skip its way to round 2^60.
+    // further ahead than an honest sender can be is refused
+    // (`dropped_mark_ahead`), so that none can make logical reception
+    // skip its way to round 2^60 — and a number's 16 bits of round can
+    // lead by no more than 2^15 − 1 to begin with.
     let round = || prop_oneof![any::<u64>(), 0u64..64];
     prop_oneof![
         prop::collection::vec(any::<u8>(), 1..64),
@@ -600,27 +601,31 @@ fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
             frame::encode_control_flow_into(flow, &Control::Marker(mk), &mut wire);
             wire
         }),
-        // The mark-field kinds. A frame's number is a mark like any
-        // other; a field nobody reads (kind 4) may hold anything;
-        // `keep < 16` cuts the field short.
+        // Numbered data. A frame's number is a mark like any other; its
+        // bytes may hold anything, an over-long varint included, and
+        // `keep < 7` cuts the frame short inside it.
         (
-            (flow(), payload()),
+            (flow(), payload(), any::<bool>()),
             prop::option::of((round(), any::<i64>())),
-            any::<[u8; 16]>(),
-            0usize..24,
+            any::<[u8; 4]>(),
+            0usize..12,
         )
-            .prop_map(|((flow, payload), mark, garbage, keep)| {
+            .prop_map(|((flow, payload, summed), number, garbage, keep)| {
                 let mut wire = Vec::new();
-                frame::encode_data_markable_flow_into(flow, &payload, &mut wire);
-                let field = wire.len() - payload.len() - frame::MARK_FIELD_LEN;
-                match mark {
-                    Some((round, dc)) => {
-                        assert!(frame::write_mark(&mut wire, ChannelMark { round, dc }))
-                    }
-                    None => wire[field..field + 16].copy_from_slice(&garbage),
+                if summed {
+                    frame::encode_data_summed_flow_into(flow, &payload, &mut wire);
+                } else {
+                    frame::encode_data_flow_into(flow, &payload, &mut wire);
                 }
-                if keep < frame::MARK_FIELD_LEN {
-                    wire.truncate(field + keep);
+                let at = FRAME_HEADER_LEN + frame::flow_id_len(flow);
+                match number {
+                    Some((round, dc)) => {
+                        assert!(frame::write_number(&mut wire, ChannelMark { round, dc }))
+                    }
+                    None => wire[at..at + 4].copy_from_slice(&garbage),
+                }
+                if keep < frame::NUMBER_MAX_LEN {
+                    wire.truncate(at + keep);
                 }
                 wire
             }),

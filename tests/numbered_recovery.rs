@@ -5,9 +5,10 @@
 //!
 //! The sender is the production [`StripingSender`], numbering through
 //! [`send_batch_numbered`](StripingSender::send_batch_numbered); the far
-//! end is the production [`LogicalReceiver`], which refuses a number out of
-//! its reach at arrival ([`admit_mark`](LogicalReceiver::admit_mark), as
-//! the socket demux does) and drains after every arrival. For SRR over two
+//! end is the production [`LogicalReceiver`], which reads a number's round
+//! from its low 16 bits as the socket path states it, refuses a number out
+//! of its reach ([`bound_marks`](LogicalReceiver::bound_marks), as the
+//! socket demux has it) and drains after every arrival. For SRR over two
 //! and three channels, every sequence of [`PACKETS`] packets of two lengths
 //! is sent once, with every packet numbered and with only the long ones
 //! numbered; then a deduplicated breadth-first search runs every way the
@@ -27,7 +28,8 @@
 //!   with (a skip passes over a head, it never consumes or rewrites it);
 //! - **an honest number is never refused or clamped** — `dropped_mark_ahead`
 //!   and `marks_clamped` stay zero, under the tightest reach: each ring just
-//!   deep enough for its channel's packets;
+//!   deep enough for its channel's packets; nor is it ever judged `stale`
+//!   (a duplicate's or a straggler's);
 //! - **no loss is exact FIFO** (Theorem 4.1) — once every packet arrived,
 //!   all of them were delivered, in order.
 
@@ -39,6 +41,7 @@ use stripe::core::receiver::{Arrival, LogicalReceiver, RxBatch};
 use stripe::core::sched::{ChannelMark, Srr};
 use stripe::core::sender::{MarkerConfig, StripingSender};
 use stripe::core::types::{ChannelId, WireLen};
+use stripe::net::frame::nearest_round;
 
 /// Packets per sequence in the tier-1 run; the ignored run goes deeper.
 const PACKETS: usize = 6;
@@ -49,7 +52,8 @@ const LENS: [usize; 2] = [64, 1400];
 const QUANTUM: i64 = 1000;
 
 /// A packet as the receiver holds it: its send-order id, its length, and
-/// the number its frame states, if any.
+/// the number its frame states, if any — as the wire states it, the round
+/// by its low 16 bits, read near the receiver's own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Pkt {
     id: usize,
@@ -61,8 +65,11 @@ impl WireLen for Pkt {
     fn wire_len(&self) -> usize {
         self.len
     }
-    fn number(&self) -> Option<ChannelMark> {
-        self.number
+    fn number(&self, near: u64) -> Option<ChannelMark> {
+        self.number.map(|m| ChannelMark {
+            round: nearest_round(m.round as u16, near),
+            dc: m.dc,
+        })
     }
 }
 
@@ -115,8 +122,8 @@ struct World {
     next: Vec<usize>,
     /// Ids delivered, in delivery order.
     delivered: Vec<usize>,
-    /// Ids that arrived, and whether each one's number was admitted.
-    arrived: Vec<(usize, bool)>,
+    /// Ids that arrived.
+    arrived: Vec<usize>,
 }
 
 type Verdict = Result<(), String>;
@@ -145,15 +152,9 @@ impl World {
         match event {
             Event::Lose(c) => self.next[c] += 1,
             Event::Arrive(c) => {
-                let mut pkt = sent.channels[c][self.next[c]].clone();
+                let pkt = sent.channels[c][self.next[c]].clone();
                 self.next[c] += 1;
-                // Admitted where it enters, as the demux does: a number
-                // out of reach is stripped and the payload goes on.
-                let admitted = pkt.number.is_some_and(|m| self.rx.admit_mark(m));
-                if !admitted {
-                    pkt.number = None;
-                }
-                self.arrived.push((pkt.id, admitted));
+                self.arrived.push(pkt.id);
                 self.rx.push(c, Arrival::Data(pkt));
                 self.rx.poll_into(batch);
                 self.delivered.extend(batch.iter().map(|p| p.id));
@@ -164,8 +165,7 @@ impl World {
     fn check(&mut self, sent: &Sent) -> Verdict {
         let mut seen = vec![false; sent.packets];
         for &id in &self.delivered {
-            if !self.arrived.iter().any(|&(a, _)| a == id) || std::mem::replace(&mut seen[id], true)
-            {
+            if !self.arrived.contains(&id) || std::mem::replace(&mut seen[id], true) {
                 return Err(format!(
                     "nothing is delivered twice or invented: delivered {:?}",
                     self.delivered
@@ -179,7 +179,13 @@ impl World {
             ));
         }
         let s = self.rx.stats();
-        if (s.dropped_mark_ahead, s.marks_clamped, s.dropped_overflow) != (0, 0, 0) {
+        if (
+            s.dropped_mark_ahead,
+            s.marks_clamped,
+            s.stale,
+            s.dropped_overflow,
+        ) != (0, 0, 0, 0)
+        {
             return Err(format!(
                 "an honest number is never refused or clamped: {s:?}"
             ));
@@ -188,14 +194,10 @@ impl World {
         // with the number it was sent with.
         let mut held = Vec::new();
         self.rx.for_each_buffered_mut(|p| held.push(p.clone()));
-        let mut want: Vec<Pkt> = Vec::new();
-        for &(id, admitted) in &self.arrived {
-            if !seen[id] {
-                let mut p = sent.by_id[id].clone();
-                p.number = p.number.filter(|_| admitted);
-                want.push(p);
-            }
-        }
+        let mut want: Vec<Pkt> = (self.arrived.iter())
+            .filter(|&&id| !seen[id])
+            .map(|&id| sent.by_id[id].clone())
+            .collect();
         held.sort_by_key(|p| p.id);
         want.sort_by_key(|p| p.id);
         if held != want {

@@ -7,14 +7,17 @@ use proptest::prelude::*;
 
 use stripe::core::control::Control;
 use stripe::core::marker::{Marker, MARKER_WIRE_LEN};
-use stripe::core::sched::{ChannelMark, Srr};
+use stripe::core::sched::{CausalScheduler, ChannelMark, Srr};
 use stripe::ip::frag::{fragment, Fragment, Reassembler, ReassemblyEvent};
 use stripe::ip::header::{checksum, Ipv4Header, IPV4_HEADER_LEN};
 use stripe::link::eth::{EtherFrame, EtherType};
 use stripe::link::serial::{hdlc_stuff, hdlc_unstuff};
 use stripe::link::{datagram_pair, DatagramLink, Train, TxError};
 use stripe::net::bundle;
-use stripe::net::frame::{self, DecodeError, Frame, FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL};
+use stripe::net::frame::{
+    self, Body, DecodeError, Frame, FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL, KIND_DATA,
+    KIND_DATA_SUMMED,
+};
 use stripe::net::{FlowDemux, FlowDemuxSnapshot};
 use stripe::netsim::{DetRng, SimTime};
 
@@ -380,9 +383,9 @@ fn forged_overlapping_fragment_rejected() {
 }
 
 /// The frame decoder as it stood before `frame::parse`: one pass that
-/// built a `Frame` for every datagram. Kept verbatim as the reference
-/// the layered decoders are compared against — value, flow, and
-/// `Malformed` versus `Corrupt`.
+/// built a `Frame` for every datagram of versions 1 and 2. Kept verbatim
+/// as the reference the layered decoders are compared against — value,
+/// flow, and `Malformed` versus `Corrupt`.
 mod reference {
     use super::frame::{
         crc8, DecodeError, Frame, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION, FRAME_VERSION_FLOW,
@@ -391,7 +394,7 @@ mod reference {
     };
     use stripe::core::control::Control;
 
-    fn take_flow_id(body: &[u8]) -> Option<(u32, usize)> {
+    pub fn take_flow_id(body: &[u8]) -> Option<(u32, usize)> {
         let mut flow: u32 = 0;
         for (i, &b) in body.iter().enumerate().take(MAX_FLOW_ID_LEN) {
             let payload = (b & 0x7F) as u32;
@@ -466,54 +469,70 @@ fn data_offset(wire: &[u8], f: &Frame<'_>) -> Option<usize> {
     }
 }
 
-/// What a datagram whose kind byte is 4 or 5 means, written from the
-/// reference: it is the kind-0 frame the same bytes would be, version 2
-/// only, whose body opens with the 16-byte mark field — `round` then
-/// `dc`, big-endian, read only for kind 5 — and a field cut short is
-/// malformed. Flow, the mark if one is carried, the payload.
-type MarkKind<'a> = Result<(u32, Option<ChannelMark>, &'a [u8]), DecodeError>;
+/// What a version-3 datagram means, written from the wire-format table
+/// and not from the parser: flags (bit 0: summed; no other bit), the
+/// flow id as version 2 has it, two bytes of round, little-endian, a
+/// `dc` varint with the flow id's rules, then the payload — and, summed,
+/// a CRC-8 of the number and the payload. Flow, the number as the wire
+/// states it (the round's low 16 bits, the `dc`), the payload.
+type NumberedSpec<'a> = Result<(u32, (u16, u32), &'a [u8]), DecodeError>;
 
-fn mark_kind_spec<'a>(wire: &'a [u8], as_plain: &'a mut Vec<u8>) -> MarkKind<'a> {
-    as_plain.clear();
-    as_plain.extend_from_slice(wire);
-    as_plain[2] = frame::KIND_DATA;
-    let (flow, rest) = match reference::try_decode_flow(as_plain)? {
-        (flow, Frame::Data(rest)) => (flow, rest),
-        (_, Frame::Control(_)) => unreachable!("kind 0 is data"),
-    };
-    if wire[1] != frame::FRAME_VERSION_FLOW || rest.len() < frame::MARK_FIELD_LEN {
-        return Err(DecodeError::Malformed);
+fn numbered_spec(wire: &[u8]) -> NumberedSpec<'_> {
+    use DecodeError::{Corrupt, Malformed};
+    let flags = wire[2];
+    if flags > 1 {
+        return Err(Malformed);
     }
-    let (field, payload) = rest.split_at(frame::MARK_FIELD_LEN);
-    let mark = (wire[2] == frame::KIND_DATA_MARKED).then(|| ChannelMark {
-        round: u64::from_be_bytes(field[..8].try_into().unwrap()),
-        dc: i64::from_be_bytes(field[8..].try_into().unwrap()),
-    });
-    Ok((flow, mark, &wire[wire.len() - payload.len()..]))
+    let (flow, used) = reference::take_flow_id(&wire[3..]).ok_or(Malformed)?;
+    let number = &wire[3 + used..];
+    let round = number.get(..2).ok_or(Malformed)?;
+    let (dc, dc_len) = reference::take_flow_id(&number[2..]).ok_or(Malformed)?;
+    let mut payload = &number[2 + dc_len..];
+    if flags == 1 {
+        let (&trailer, body) = payload.split_last().ok_or(Malformed)?;
+        if frame::crc8(&number[..number.len() - 1]) != trailer {
+            return Err(Corrupt);
+        }
+        payload = body;
+    }
+    Ok((
+        flow,
+        (u16::from_le_bytes([round[0], round[1]]), dc),
+        payload,
+    ))
 }
 
-/// The layered decoders on a datagram of kind 4 or 5, which the
-/// reference predates (it refuses both as unknown kinds): they decode as
-/// `mark_kind_spec` says, through every entry point.
-fn assert_mark_kinds_decode_as_specified(wire: &[u8]) {
-    let mut scratch = Vec::new();
-    let want = mark_kind_spec(wire, &mut scratch);
+/// Whether `wire` is headed as a version-3 frame.
+fn is_numbered(wire: &[u8]) -> bool {
+    wire.len() >= 3 && wire[0] == FRAME_MAGIC && wire[1] == frame::FRAME_VERSION_NUMBERED
+}
+
+/// The layered decoders on a version-3 datagram, which the reference
+/// predates (it refuses the version): they decode as `numbered_spec`
+/// says, through every entry point, the round resolved near any replica
+/// round with the same low 16 bits.
+fn assert_numbered_decodes_as_specified(wire: &[u8]) {
+    let want = numbered_spec(wire);
     assert_eq!(
         frame::try_decode_flow(wire),
         want.map(|(flow, _, payload)| (flow, Frame::Data(payload))),
         "try_decode_flow on {wire:02x?}"
     );
     match (frame::parse(wire), want) {
-        (Ok(p), Ok((flow, mark, payload))) => {
-            assert_eq!((p.flow, p.len), (flow, payload.len()), "{wire:02x?}");
-            assert_eq!(p.offset as usize, wire.len() - payload.len(), "{wire:02x?}");
-            let carried = (p.body == frame::Body::MarkedData).then(|| p.mark(wire));
-            assert_eq!(carried, mark, "{wire:02x?}");
-            assert!(mark.is_some() || p.body == frame::Body::Data);
+        (Ok(p), Ok((flow, (round, dc), payload))) => {
+            assert_eq!((p.flow, p.body, p.len), (flow, Body::Data, payload.len()));
+            let at = payload.as_ptr() as usize - wire.as_ptr() as usize;
+            assert_eq!(p.offset as usize, at, "{wire:02x?}");
+            let near = 5 << 16 | round as u64;
+            let number = ChannelMark {
+                round: near,
+                dc: dc as i64,
+            };
+            assert_eq!(p.number(wire, near), Some(number), "{wire:02x?}");
         }
         (got, want) => assert_eq!(got.err(), want.err(), "parse on {wire:02x?}"),
     }
-    // Version 2 only: to a single-flow receiver they are not frames.
+    // Flow-tagged: to a single-flow receiver it is no frame.
     assert_eq!(frame::try_decode(wire), Err(DecodeError::Malformed));
     assert_eq!(frame::parse_v1(wire), Err(DecodeError::Malformed));
     assert_eq!(frame::decode(wire), None);
@@ -525,11 +544,11 @@ fn assert_mark_kinds_decode_as_specified(wire: &[u8]) {
 
 /// Both public decoders against the reference on one datagram: equal
 /// results, and data bodies borrowed from the same bytes of it — for
-/// every datagram but those whose kind byte is 4 or 5, which mean what
-/// `mark_kind_spec` says.
+/// every datagram but a version-3 one, which means what `numbered_spec`
+/// says.
 fn assert_decoders_match_reference(wire: &[u8]) {
-    if let Some(&(frame::KIND_DATA_MARK_EMPTY | frame::KIND_DATA_MARKED)) = wire.get(2) {
-        return assert_mark_kinds_decode_as_specified(wire);
+    if is_numbered(wire) {
+        return assert_numbered_decodes_as_specified(wire);
     }
     let (got, want) = (frame::try_decode(wire), reference::try_decode(wire));
     assert_eq!(got, want, "try_decode on {wire:02x?}");
@@ -561,8 +580,9 @@ fn golden_marker() -> Control {
 /// What a golden datagram must decode to under `try_decode_flow`.
 enum Golden {
     Data(u32, &'static [u8]),
-    /// Data behind a mark field holding this mark (kind 5).
-    Marked(u32, ChannelMark, &'static [u8]),
+    /// Version-3 data stating this number: its round's low 16 bits and
+    /// its `dc`.
+    Numbered(u32, (u16, u32), &'static [u8]),
     Control(u32, Control),
     Reject(DecodeError),
 }
@@ -623,57 +643,96 @@ fn golden_vectors() -> Vec<(Vec<u8>, Golden)> {
             cat(&cat(&[0xC5, 2, 2, 0x89, 0x06, 25, 0], &MARKER_MSG), &[0; 7]),
             Golden::Control(777, golden_marker()),
         ),
-        // The mark field (version 2 only): 16 bytes between flow id and
-        // payload. Kind 4 leaves it empty — whatever is in it is not
-        // read — and kind 5 holds round 7, DC -2, big-endian.
+        // Version 3: the flow id, then the number — round 7 (low 16
+        // bits, LE) and DC 1500 as a varint — then the payload.
         (
-            cat(&cat(&[0xC5, 2, 4, 0x05], &[0; 16]), &[0xAA, 0xBB]),
-            Golden::Data(5, &[0xAA, 0xBB]),
+            vec![0xC5, 3, 0, 0x05, 0x07, 0x00, 0xDC, 0x0B, 0xAA, 0xBB],
+            Golden::Numbered(5, (7, 1500), &[0xAA, 0xBB]),
         ),
-        (cat(&[0xC5, 2, 4, 0x05], &[0xEE; 16]), Golden::Data(5, &[])),
+        // A padded DC (what a sender's reserved two bytes hold), and the
+        // widest flow id beside the widest round bits.
+        (
+            vec![0xC5, 3, 0, 0x7F, 0x07, 0x00, 0x82, 0x00],
+            Golden::Numbered(127, (7, 2), &[]),
+        ),
+        (
+            vec![
+                0xC5, 3, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0xFF, 0xFF, 0x00, 0xAA,
+            ],
+            Golden::Numbered(u32::MAX, (0xFFFF, 0), &[0xAA]),
+        ),
+        (
+            vec![0xC5, 3, 0, 0x05, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
+            Golden::Numbered(5, (0, u32::MAX), &[]),
+        ),
+        // Summed: the CRC-8 covers the number and the payload.
+        (
+            cat(
+                &[0xC5, 3, 1, 0x05, 0x07, 0x00, 0xDC, 0x0B],
+                b"123456789\xEB",
+            ),
+            Golden::Numbered(5, (7, 1500), b"123456789"),
+        ),
+        // A marker message behind a number is a payload like any other.
+        (
+            cat(&[0xC5, 3, 0, 0x05, 0x07, 0x00, 0xDC, 0x0B], &MARKER_MSG),
+            Golden::Numbered(5, (7, 1500), &MARKER_MSG),
+        ),
+        // The number cut short: absent, half a round, no DC, a DC that
+        // never ends, runs past five bytes, or is too wide for a u32.
+        (vec![0xC5, 3, 0, 0x05], Golden::Reject(Malformed)),
+        (vec![0xC5, 3, 0, 0x05, 0x07], Golden::Reject(Malformed)),
+        (
+            vec![0xC5, 3, 0, 0x05, 0x07, 0x00],
+            Golden::Reject(Malformed),
+        ),
+        (
+            vec![0xC5, 3, 0, 0x05, 0x07, 0x00, 0x80],
+            Golden::Reject(Malformed),
+        ),
+        (
+            vec![
+                0xC5, 3, 0, 0x05, 0x07, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
+            ],
+            Golden::Reject(Malformed),
+        ),
+        (
+            vec![0xC5, 3, 0, 0x05, 0x07, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F],
+            Golden::Reject(Malformed),
+        ),
+        // A flag no version-3 frame has; summed with no room for the
+        // trailer; summed with a trailer that disagrees.
+        (
+            vec![0xC5, 3, 2, 0x05, 0x07, 0x00, 0x00],
+            Golden::Reject(Malformed),
+        ),
+        (
+            vec![0xC5, 3, 1, 0x05, 0x07, 0x00, 0x00],
+            Golden::Reject(Malformed),
+        ),
+        (
+            cat(
+                &[0xC5, 3, 1, 0x05, 0x07, 0x00, 0xDC, 0x0B],
+                b"123456789\xEC",
+            ),
+            Golden::Reject(Corrupt),
+        ),
+        // A control frame has no number: bytes put where a data frame's
+        // number sits are read as the message — here a marker type byte
+        // before a marker that is not there. And the retired mark-field
+        // kinds: malformed.
+        (
+            cat(&[0xC5, 2, 1, 0x05, 0x01, 0x00, 0xDC, 0x0B], &MARKER_MSG),
+            Golden::Reject(Malformed),
+        ),
+        (
+            cat(&cat(&[0xC5, 2, 4, 0x05], &[0; 16]), &[0xAA]),
+            Golden::Reject(Malformed),
+        ),
         (
             cat(&cat(&[0xC5, 2, 5, 0x05], &MARKER_MSG[5..21]), &[0xAA]),
-            Golden::Marked(5, ChannelMark { round: 7, dc: -2 }, &[0xAA]),
-        ),
-        (
-            cat(&[0xC5, 2, 5, 0x7F], &MARKER_MSG[5..21]),
-            Golden::Marked(127, ChannelMark { round: 7, dc: -2 }, &[]),
-        ),
-        (
-            cat(
-                &cat(
-                    &[0xC5, 2, 5, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
-                    &MARKER_MSG[5..21],
-                ),
-                &[0xAA],
-            ),
-            Golden::Marked(u32::MAX, ChannelMark { round: 7, dc: -2 }, &[0xAA]),
-        ),
-        (
-            cat(
-                &cat(&[0xC5, 2, 4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F], &[0; 16]),
-                &[0xAA],
-            ),
-            Golden::Data(u32::MAX, &[0xAA]),
-        ),
-        // The field cut short, absent, or behind a bad varint; and
-        // either kind in a version-1 frame.
-        (
-            cat(&[0xC5, 2, 4, 0x05], &[0; 15]),
             Golden::Reject(Malformed),
         ),
-        (
-            cat(&[0xC5, 2, 5, 0x05], &MARKER_MSG[5..20]),
-            Golden::Reject(Malformed),
-        ),
-        (vec![0xC5, 2, 4, 0x05], Golden::Reject(Malformed)),
-        (vec![0xC5, 2, 5], Golden::Reject(Malformed)),
-        (
-            cat(&[0xC5, 2, 5, 0x80], &[0; 16]),
-            Golden::Reject(Malformed),
-        ),
-        (cat(&[0xC5, 1, 4], &[0; 17]), Golden::Reject(Malformed)),
-        (cat(&[0xC5, 1, 5], &[0; 17]), Golden::Reject(Malformed)),
         // Refused as malformed: short, magic, version, kind.
         (vec![], Golden::Reject(Malformed)),
         (vec![0xC5, 1], Golden::Reject(Malformed)),
@@ -738,8 +797,8 @@ fn golden_vectors() -> Vec<(Vec<u8>, Golden)> {
 }
 
 /// Every golden vector decodes to exactly what the table says, under the
-/// layered decoders and — kinds 4 and 5 apart, which it predates — the
-/// reference alike; a version-1 decoder refuses every version-2 vector
+/// layered decoders and — version 3 apart, which it predates — the
+/// reference alike; a version-1 decoder refuses every flow-tagged vector
 /// as malformed, whatever else is wrong with it.
 #[test]
 fn golden_vectors_decode_as_specified() {
@@ -747,27 +806,30 @@ fn golden_vectors_decode_as_specified() {
         assert_decoders_match_reference(&wire);
         let got = frame::try_decode_flow(&wire);
         // The fault layer's peek agrees with the decoder on what is data.
-        let is_data = matches!(want, Golden::Data(..) | Golden::Marked(..));
+        let is_data = matches!(want, Golden::Data(..) | Golden::Numbered(..));
         assert!(!is_data || frame::is_data_frame(&wire), "{wire:02x?}");
         assert!(!matches!(want, Golden::Control(..)) || !frame::is_data_frame(&wire));
         match want {
             Golden::Data(flow, body) => {
                 assert_eq!(got, Ok((flow, Frame::Data(body))), "{wire:02x?}");
                 let p = frame::parse(&wire).unwrap();
-                assert_eq!(p.body, frame::Body::Data, "{wire:02x?}");
+                assert_eq!((p.body, p.number(&wire, 0)), (Body::Data, None));
             }
-            Golden::Marked(flow, mark, body) => {
+            Golden::Numbered(flow, (round, dc), body) => {
                 assert_eq!(got, Ok((flow, Frame::Data(body))), "{wire:02x?}");
                 let p = frame::parse(&wire).unwrap();
-                assert_eq!(p.body, frame::Body::MarkedData, "{wire:02x?}");
-                assert_eq!(p.mark(&wire), mark, "{wire:02x?}");
+                let number = ChannelMark {
+                    round: round as u64,
+                    dc: dc as i64,
+                };
+                assert_eq!(p.number(&wire, round as u64), Some(number), "{wire:02x?}");
             }
             Golden::Control(flow, c) => {
                 assert_eq!(got, Ok((flow, Frame::Control(c))), "{wire:02x?}")
             }
             Golden::Reject(e) => assert_eq!(got, Err(e), "{wire:02x?}"),
         }
-        if wire.get(1) == Some(&2) {
+        if matches!(wire.get(1), Some(2 | 3)) {
             assert_eq!(
                 frame::try_decode(&wire),
                 Err(DecodeError::Malformed),
@@ -781,17 +843,57 @@ fn below(rng: &mut DetRng, n: u64) -> u64 {
     rng.range_u64(0, n)
 }
 
+/// A version-2 data frame of flow `flow`, as senders of earlier rounds
+/// put it on the wire: header, varint flow id, payload, and summed a
+/// CRC-8 of the payload.
+fn v2_data(flow: u32, payload: &[u8], summed: bool) -> Vec<u8> {
+    let kind = if summed { KIND_DATA_SUMMED } else { KIND_DATA };
+    let mut wire = vec![FRAME_MAGIC, frame::FRAME_VERSION_FLOW, kind];
+    push_leb128(flow, &mut wire);
+    wire.extend_from_slice(payload);
+    if summed {
+        wire.push(frame::crc8(payload));
+    }
+    wire
+}
+
+/// A padded version-2 control frame of flow `flow`, stretched to
+/// `wire_len` bytes where the message fits, as senders of earlier rounds
+/// stretched markers.
+fn padded_control(flow: u32, ctl: &Control, wire_len: usize) -> Vec<u8> {
+    let mut wire = vec![
+        FRAME_MAGIC,
+        frame::FRAME_VERSION_FLOW,
+        frame::KIND_CONTROL_PADDED,
+    ];
+    push_leb128(flow, &mut wire);
+    wire.extend_from_slice(&(ctl.wire_len() as u16).to_le_bytes());
+    ctl.encode_into(&mut wire);
+    if wire.len() < wire_len {
+        wire.resize(wire_len, 0);
+    }
+    wire
+}
+
+fn push_leb128(mut v: u32, out: &mut Vec<u8>) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
 /// One datagram of the seeded streams below: a clean frame of one of
 /// the first `kinds` kinds listed here, then maybe a flipped bit, a
 /// truncation, or nothing but noise. (`kinds == 7` is the stream as it
-/// was drawn before frames could carry marks.)
+/// was drawn before data frames stated their numbers.)
 fn stream_datagram(rng: &mut DetRng, kinds: u64) -> Vec<u8> {
     let mut wire = Vec::new();
     let flow = below(rng, 12) as u32;
     let payload: Vec<u8> = (0..below(rng, 40)).map(|_| rng.next_u64() as u8).collect();
     match below(rng, kinds) {
-        0 => frame::encode_data_flow_into(flow, &payload, &mut wire),
-        1 | 2 => frame::encode_data_summed_flow_into(flow, &payload, &mut wire),
+        0 => wire = v2_data(flow, &payload, false),
+        1 | 2 => wire = v2_data(flow, &payload, true),
         3 => {
             let mk = Marker::sync(
                 below(rng, 2) as usize,
@@ -804,7 +906,7 @@ fn stream_datagram(rng: &mut DetRng, kinds: u64) -> Vec<u8> {
             if rng.chance(0.5) {
                 frame::encode_control_flow_into(flow, &ctl, &mut wire);
             } else {
-                frame::encode_control_padded_flow_into(flow, &ctl, 60, &mut wire);
+                wire = padded_control(flow, &ctl, 60);
             }
         }
         4 => frame::encode_control_into(
@@ -819,14 +921,14 @@ fn stream_datagram(rng: &mut DetRng, kinds: u64) -> Vec<u8> {
                 .map(|_| rng.next_u64() as u8)
                 .collect()
         }
-        7 => frame::encode_data_markable_flow_into(flow, &payload, &mut wire),
+        7 => frame::encode_data_flow_into(flow, &payload, &mut wire),
         _ => {
-            frame::encode_data_markable_flow_into(flow, &payload, &mut wire);
-            let mark = ChannelMark {
+            frame::encode_data_flow_into(flow, &payload, &mut wire);
+            let number = ChannelMark {
                 round: below(rng, 4),
                 dc: below(rng, 1500) as i64,
             };
-            assert!(frame::write_mark(&mut wire, mark));
+            assert!(frame::write_number(&mut wire, number));
         }
     }
     match below(rng, 4) {
@@ -849,12 +951,11 @@ type StreamCounts = ([u64; 2], [u64; 2], u64, u64, u64);
 #[derive(Default)]
 struct Tally {
     counts: StreamCounts,
-    /// Data frames, of an admitted flow, that stated their number…
+    /// Data frames, of an admitted flow, that stated their number (all
+    /// routed with it: a number's reach is judged at the head of its
+    /// channel, and nothing below polls).
     stated: u64,
-    /// …and were routed with it.
-    marked: u64,
-    /// Marks — stated by a data frame or a marker frame — refused as out
-    /// of reach.
+    /// Marker frames refused as out of reach.
     ahead: u64,
     admitted: std::collections::BTreeSet<u32>,
 }
@@ -862,9 +963,10 @@ struct Tally {
 impl Tally {
     const MAX_FLOWS: usize = 8;
     /// How far ahead of its round a default-built demux over these links
-    /// lets a mark be: ring capacity + 2 packets, at the two rounds a
+    /// lets a marker be: ring capacity + 2 packets, at the two rounds a
     /// 2048-byte packet can take a 1500-byte quantum to pay off. Nothing
-    /// below polls, so every replica's round stays 1.
+    /// below polls, so every replica's round stays 1 — which is also
+    /// what a number's 16 bits of round are read near.
     const REACH: u64 = ((1 << 14) + 2) * 2;
 
     fn in_reach(&mut self, mark: ChannelMark) -> bool {
@@ -885,7 +987,6 @@ impl Tally {
             true => {
                 self.counts.2 += 1;
                 self.stated += mark.is_some() as u64;
-                self.marked += mark.is_some_and(|m| self.in_reach(m)) as u64;
             }
             false => self.counts.4 += 1,
         }
@@ -908,14 +1009,24 @@ impl Tally {
         }
     }
 
-    /// What the wire format says: the same, kinds 4 and 5 apart.
+    /// What the wire format says: the same, version 3 apart.
     fn specified(&mut self, c: usize, wire: &[u8]) {
-        if !matches!(wire.get(2), Some(4 | 5)) {
+        if !is_numbered(wire) {
             return self.reference(c, wire);
         }
-        match mark_kind_spec(wire, &mut Vec::new()) {
-            Ok((flow, mark, _)) => self.data(flow, mark),
-            Err(_) => self.counts.0[c] += 1,
+        match numbered_spec(wire) {
+            Ok((flow, (round, dc), _)) => {
+                let round = frame::nearest_round(round, 1);
+                self.data(
+                    flow,
+                    Some(ChannelMark {
+                        round,
+                        dc: dc as i64,
+                    }),
+                )
+            }
+            Err(DecodeError::Malformed) => self.counts.0[c] += 1,
+            Err(DecodeError::Corrupt) => self.counts.1[c] += 1,
         }
     }
 }
@@ -959,46 +1070,53 @@ fn dirty_stream(kinds: u64, seed: u64) -> (Tally, Tally) {
     );
     assert_eq!(
         (s.marked_frames, s.dropped_mark_ahead),
-        (now.marked, now.ahead)
+        (now.stated, now.ahead)
     );
     (now, then)
 }
 
+/// How the layered decoders' counts of a stream moved from the one-pass
+/// decoder's: only version-3 datagrams differ — malformed then; data,
+/// admitted or refused, corrupt, or still malformed now.
+fn assert_only_numbered_moved(now: &Tally, then: &Tally) {
+    let moved = |f: fn(&StreamCounts) -> u64| f(&now.counts) as i64 - f(&then.counts) as i64;
+    assert_eq!(
+        -moved(|c| c.0[0] + c.0[1]),
+        moved(|c| c.2) + moved(|c| c.4) + moved(|c| c.1[0] + c.1[1]),
+        "what left `malformed` is numbered data, admitted or refused, or corrupt"
+    );
+    assert_eq!(moved(|c| c.3), 0, "version 3 is never control");
+}
+
 /// Seeded streams of clean, bit-flipped, truncated and random datagrams
 /// through `FlowDemux::sweep`. The first is the stream recorded on the
-/// one-pass decoder, which no flipped bit or noise happens to turn into
-/// a well-formed frame of kind 4 or 5: its totals are the literals they
-/// always were. The second also draws clean frames of the two kinds,
-/// and its totals differ from what the one-pass decoder would have made
-/// of the same datagrams by exactly those frames — unknown kinds,
-/// `malformed`, then; data frames, admitted or refused, now.
+/// one-pass decoder, version-2 data only: its totals under that decoder
+/// are the literals they always were, and the demux counts it the same
+/// but for the datagrams a flipped bit turned into version 3. The second
+/// also draws clean numbered frames, blank and stating a number, and its
+/// totals differ from what the one-pass decoder would have made of the
+/// same datagrams by exactly the version-3 ones.
 #[test]
 fn seeded_dirty_stream_counts_are_unchanged() {
     let (now, then) = dirty_stream(7, 0x16_D1FF);
     assert_eq!(then.counts, RECORDED_ON_THE_ONE_PASS_DECODER);
-    assert_eq!((now.counts, now.stated), (then.counts, 0));
-    assert_eq!((now.marked, now.ahead), (0, 11), "flipped marker rounds");
+    assert_only_numbered_moved(&now, &then);
+    assert_eq!((now.counts, now.stated), FLIPPED_INTO_VERSION_3);
+    assert_eq!(now.ahead, 11, "flipped marker rounds");
 
     let (now, then) = dirty_stream(9, 0x17_D1FF);
-    assert_eq!(then.counts, MARK_KINDS_DRAWN_ON_THE_ONE_PASS_DECODER);
-    assert_eq!((now.counts, now.stated), MARK_KINDS_DRAWN);
-    // A bit flipped high in a round field puts the mark out of reach: the
-    // frame is data all the same (counted above), its number is refused.
-    assert_eq!((now.marked, now.ahead), (263, 23));
-    let moved = |f: fn(&StreamCounts) -> u64| f(&now.counts) as i64 - f(&then.counts) as i64;
-    assert_eq!(
-        -moved(|c| c.0[0] + c.0[1]),
-        moved(|c| c.2) + moved(|c| c.4),
-        "what left `malformed` is data, admitted or refused"
-    );
-    assert_eq!((moved(|c| c.1[0] + c.1[1]), moved(|c| c.3)), (0, 0));
+    assert_eq!(then.counts, NUMBERED_DRAWN_ON_THE_ONE_PASS_DECODER);
+    assert_only_numbered_moved(&now, &then);
+    assert_eq!((now.counts, now.stated), NUMBERED_DRAWN);
 }
 
-/// Condition C1 is bounded where a mark enters. A frame of kind 5
-/// stating `round = u64::MAX`, on every channel of a flow, and the same
-/// round in a marker frame behind each: a sweep and a poll return — the
-/// poll used to skip its way to that round — each mark is counted once
-/// at the demux and once on its flow, and every payload is delivered.
+/// Condition C1 is bounded. On every channel of a flow, a data frame
+/// whose number reads as far ahead as 16 bits of round can say, and a
+/// marker frame stating `round = u64::MAX`, into a demux whose rings make
+/// both out of reach: a sweep and a poll return — the poll used to skip
+/// its way to that round — each mark is refused and counted once (the
+/// marker where it enters, the number at the head of its channel), and
+/// every payload is delivered, served as it stands.
 #[test]
 fn a_mark_at_the_end_of_time_is_refused_counted_and_its_payload_delivered() {
     const CHANNELS: usize = 4;
@@ -1006,19 +1124,23 @@ fn a_mark_at_the_end_of_time_is_refused_counted_and_its_payload_delivered() {
     let mut demux = FlowDemux::builder()
         .scheduler(Srr::equal(CHANNELS, 1500))
         .links(rx)
+        .capacity_per_channel(64)
         .build();
     let far = ChannelMark {
+        round: 1 + 0x7FFF,
+        dc: 1500,
+    };
+    let end = ChannelMark {
         round: u64::MAX,
         dc: 1500,
     };
     let mut wire = Vec::new();
     for (c, link) in tx.iter_mut().enumerate() {
         // A quantum's worth each, so the scan visits every channel.
-        frame::encode_data_markable_flow_into(3, &[c as u8; 1500], &mut wire);
-        assert!(frame::write_mark(&mut wire, far));
-        assert_eq!(wire[2], frame::KIND_DATA_MARKED);
+        frame::encode_data_flow_into(3, &[c as u8; 1500], &mut wire);
+        assert!(frame::write_number(&mut wire, far));
         link.send_frame(&wire).unwrap();
-        let mk = Control::Marker(Marker::sync(c, far));
+        let mk = Control::Marker(Marker::sync(c, end));
         frame::encode_control_flow_into(3, &mk, &mut wire);
         link.send_frame(&wire).unwrap();
     }
@@ -1031,12 +1153,14 @@ fn a_mark_at_the_end_of_time_is_refused_counted_and_its_payload_delivered() {
     let (s, r) = (demux.net_stats(), demux.flow_stats(3).unwrap());
     assert_eq!(s.dropped_mark_ahead, 2 * CHANNELS as u64);
     assert_eq!(r.dropped_mark_ahead, 2 * CHANNELS as u64);
-    assert_eq!((s.data_frames, s.marked_frames), (CHANNELS as u64, 0));
+    let numbered = CHANNELS as u64;
+    assert_eq!((s.data_frames, s.marked_frames), (numbered, numbered));
     assert_eq!((r.skips, r.marks_applied, r.markers_seen), (0, 0, 0));
 }
 
-/// Forged `dc`s at both ends of `i64`, in a marker frame and in the kind-5
-/// frame behind it, on every channel of a flow. Unclamped, `i64::MIN`
+/// Forged `dc`s at both ends of `i64`, in a marker frame and in the
+/// numbered frame behind it, on every channel of a flow (a number states
+/// them clamped into a `u32`: 0 and `u32::MAX`). Unclamped, `i64::MIN`
 /// had `advance` credit quanta for ~2^51 rounds — and overflow `dc -=
 /// len` in this debug build — and `i64::MAX` pinned the scan to channel 0
 /// for good. Clamped to an honest sender's range, each mark is adopted
@@ -1057,8 +1181,8 @@ fn a_forged_dc_is_clamped_counted_and_its_payload_delivered() {
             let mk = Control::Marker(Marker::sync(c, forged));
             frame::encode_control_flow_into(3, &mk, &mut wire);
             link.send_frame(&wire).unwrap();
-            frame::encode_data_markable_flow_into(3, &[c as u8; 1500], &mut wire);
-            assert!(frame::write_mark(&mut wire, forged));
+            frame::encode_data_flow_into(3, &[c as u8; 1500], &mut wire);
+            assert!(frame::write_number(&mut wire, forged));
             link.send_frame(&wire).unwrap();
         }
         assert_eq!(demux.sweep(SimTime::ZERO), 2 * CHANNELS);
@@ -1075,6 +1199,231 @@ fn a_forged_dc_is_clamped_counted_and_its_payload_delivered() {
         );
         assert_eq!((r.skips, s.dropped_mark_ahead), (0, 0));
     }
+}
+
+/// Allocations the calling thread has made: the tests of this file run on
+/// threads of their own, so a test counts only what it did itself.
+struct ThreadCount;
+
+thread_local! {
+    static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(|a| a.get())
+}
+
+// SAFETY: defers entirely to `System`; the count is a side effect.
+unsafe impl std::alloc::GlobalAlloc for ThreadCount {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|a| a.set(a.get() + 1));
+        std::alloc::System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|a| a.set(a.get() + 1));
+        std::alloc::System.realloc(ptr, layout, size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: ThreadCount = ThreadCount;
+
+/// What one datagram of the number fuzz table did at the demux:
+/// `(malformed, data frames, routed numbered, refused ahead, clamped,
+/// delivered)`.
+type NumberOutcome = [u64; 6];
+
+/// The number's field fuzzed, one datagram at a time, through
+/// `FlowDemux::sweep` and a poll, into a flow whose replica reads a
+/// number's round near its own (one channel, rings of 64: a number more
+/// than 132 rounds ahead is out of reach). Every datagram returns and is
+/// counted; a number refused as out of reach leaves its payload delivered
+/// unnumbered; a `dc` no honest sender states is adopted clamped; and the
+/// sweep and the poll allocate nothing.
+#[test]
+fn every_extreme_number_returns_is_counted_and_allocates_nothing() {
+    let (mut tx, rx) = datagram_pair(2048, 64);
+    let mut demux = FlowDemux::builder()
+        .scheduler(Srr::equal(1, 1500))
+        .link(rx)
+        .capacity_per_channel(64)
+        .build();
+    assert!(demux.touch_flow(3));
+    demux.reserve_flow(3, 4);
+    let mut batch = stripe::core::receiver::RxBatch::with_capacity(8);
+    let numbered = |round: u64, dc: i64| {
+        let mut wire = Vec::new();
+        frame::encode_data_flow_into(3, &[0xAB; 100], &mut wire);
+        assert!(frame::write_number(&mut wire, ChannelMark { round, dc }));
+        wire
+    };
+    // Flow 3's number field starts at byte 4.
+    let head = [FRAME_MAGIC, frame::FRAME_VERSION_NUMBERED, 0, 3];
+    let cat = |parts: &[&[u8]]| parts.concat();
+    // What every case is measured against: the demux's counters and the
+    // replica's, summed.
+    let counts = |d: &FlowDemux<Srr, stripe::link::TestDatagramLink>| {
+        let (s, r) = (d.net_stats(), d.flow_stats(3).unwrap());
+        [
+            s.dropped_malformed,
+            s.data_frames,
+            s.marked_frames,
+            s.dropped_mark_ahead,
+            s.marks_clamped,
+            r.delivered,
+        ]
+    };
+    // Warm the path: the first landing and delivery grow what they grow.
+    tx.send_frame(&numbered(1, 1500)).unwrap();
+    demux.sweep(SimTime::ZERO);
+    demux.poll_flow_into(3, &mut batch);
+    batch.clear();
+
+    #[allow(clippy::type_complexity)]
+    let cases: Vec<(&str, Box<dyn Fn(u64) -> Vec<u8>>, NumberOutcome)> = vec![
+        (
+            "in sync",
+            Box::new(move |g| numbered(g, 1500)),
+            [0, 1, 1, 0, 0, 1],
+        ),
+        (
+            "round offset 0",
+            Box::new(move |g| numbered(g, 700)),
+            [0, 1, 1, 0, 0, 1],
+        ),
+        (
+            "round offset 2^15 - 1",
+            Box::new(move |g| numbered(g + 0x7FFF, 1500)),
+            [0, 1, 1, 1, 0, 1],
+        ),
+        (
+            "round offset 2^15",
+            Box::new(move |g| numbered(g + 0x8000, 1500)),
+            [0, 1, 1, 0, 0, 1],
+        ),
+        (
+            "round offset 2^16 - 1",
+            Box::new(move |g| numbered(g + 0xFFFF, 1500)),
+            [0, 1, 1, 0, 0, 1],
+        ),
+        (
+            "dc 0",
+            Box::new(move |g| numbered(g, 0)),
+            [0, 1, 1, 0, 1, 1],
+        ),
+        (
+            "dc negative, stated as 0",
+            Box::new(move |g| numbered(g, -5)),
+            [0, 1, 1, 0, 1, 1],
+        ),
+        (
+            "dc past the quantum",
+            Box::new(move |g| numbered(g, 1_000_000)),
+            [0, 1, 1, 0, 1, 1],
+        ),
+        (
+            "dc u32::MAX",
+            Box::new(move |g| numbered(g, i64::MAX)),
+            [0, 1, 1, 0, 1, 1],
+        ),
+        (
+            "dc over-long",
+            Box::new(move |_| cat(&[&head, &[1, 0], &[0x80; 5], &[1, 0xAB]])),
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "dc too wide",
+            Box::new(move |_| cat(&[&head, &[1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]])),
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "number cut after its round",
+            Box::new(move |_| cat(&[&head, &[1, 0]])),
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "number cut in its round",
+            Box::new(move |_| cat(&[&head, &[1]])),
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "no number",
+            Box::new(move |_| head.to_vec()),
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "dc cut short",
+            Box::new(move |_| cat(&[&head, &[1, 0, 0x80]])),
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "a flag no frame has",
+            Box::new(move |_| cat(&[&[FRAME_MAGIC, 3, 0x80, 3], &[1, 0, 0x0B]])),
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "a number on a marker frame",
+            Box::new(move |g| {
+                let mut wire = Vec::new();
+                let mk = Control::Marker(Marker::sync(0, ChannelMark { round: g, dc: 1500 }));
+                frame::encode_control_flow_into(3, &mk, &mut wire);
+                cat(&[&wire[..4], &[1, 0, 0xDC, 0x0B], &wire[4..]])
+            }),
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "a number on a control frame",
+            Box::new(move |_| {
+                let mut wire = Vec::new();
+                frame::encode_control_into(&Control::Probe { nonce: 9 }, &mut wire);
+                cat(&[&wire[..3], &[1, 0, 0xDC, 0x0B], &wire[3..]])
+            }),
+            [1, 0, 0, 0, 0, 0],
+        ),
+        (
+            "numbered frames in a bundle",
+            Box::new(move |g| {
+                let (a, b) = (numbered(g, 1500), numbered(g, 1500));
+                let lens = [
+                    (a.len() as u16).to_le_bytes(),
+                    (b.len() as u16).to_le_bytes(),
+                ];
+                cat(&[&[bundle::MAGIC, 2], &lens[0], &lens[1], &a, &b])
+            }),
+            [0, 2, 2, 0, 0, 2],
+        ),
+    ];
+    for (name, make, want) in cases {
+        let g = demux.flow_receiver(3).unwrap().scheduler().round();
+        tx.send_frame(&make(g)).unwrap();
+        let before = counts(&demux);
+        let a0 = allocations();
+        assert_eq!(
+            demux.sweep(SimTime::ZERO),
+            1 + (want[1] == 2) as usize,
+            "{name}"
+        );
+        let n = demux.poll_flow_into(3, &mut batch);
+        assert!(
+            batch.iter().all(|pb| pb.as_slice() == [0xAB; 100]),
+            "{name}"
+        );
+        batch.clear();
+        assert_eq!(allocations() - a0, 0, "{name}: the demux allocated");
+        let after = counts(&demux);
+        let got: NumberOutcome = std::array::from_fn(|k| after[k] - before[k]);
+        assert_eq!((got, n as u64), (want, want[5]), "{name}");
+    }
+    assert_eq!(
+        demux.flow_stats(3).unwrap().skips,
+        0,
+        "no refused number cost a skip"
+    );
 }
 
 /// A link that lands trains as given — `(bytes, segment size)` — the way
@@ -1110,53 +1459,64 @@ impl DatagramLink for TrainLink {
 
 /// The bundle format, byte for byte, landed as trains: which frames each
 /// decodes to (`bundle::frames_of`), and what the demux counts of them —
-/// `(frames, data frames, control frames, malformed)`. A bundle is opened
-/// once: a frame in it that starts with the magic is a frame, which the
-/// frame parser refuses; a segment that starts with the magic and is no
-/// bundle is one frame, malformed.
+/// `(frames, data frames, control frames, malformed, numbered)`. A bundle
+/// is opened once: a frame in it that starts with the magic is a frame,
+/// which the frame parser refuses; a segment that starts with the magic
+/// and is no bundle is one frame, malformed. A numbered frame inside a
+/// bundle is routed with its number.
 #[test]
 fn bundle_golden_vectors_decode_and_count_as_specified() {
     // Data frames of flow 5: five, six and twenty bytes.
     let d1: &[u8] = &[0xC5, 2, 0, 0x05, 0xAA];
     let d2: &[u8] = &[0xC5, 2, 0, 0x05, 0xBB, 0xCC];
     let long = [&[0xC5, 2, 0, 0x05][..], &[0xDD; 16]].concat();
+    // Numbered frames of flow 5, round 1, DC 1500: eight and nine bytes.
+    let n1: &[u8] = &[0xC5, 3, 0, 0x05, 0x01, 0x00, 0xDC, 0x0B, 0xAA];
+    let n2: &[u8] = &[0xC5, 3, 0, 0x05, 0x01, 0x00, 0xDC, 0x0B, 0xBB, 0xCC];
     let cat = |parts: &[&[u8]]| parts.concat();
     #[allow(clippy::type_complexity)]
-    let vectors: Vec<(&str, Vec<u8>, usize, Vec<&[u8]>, [u64; 4])> = vec![
+    let vectors: Vec<(&str, Vec<u8>, usize, Vec<&[u8]>, [u64; 5])> = vec![
         (
             "escape of one",
             vec![0xB5, 1, 2, 0, 0xB5, 0x07],
             6,
             vec![&[0xB5, 0x07]],
-            [1, 0, 0, 1],
+            [1, 0, 0, 1, 0],
         ),
         (
             "two frames",
             cat(&[&[0xB5, 2, 5, 0, 6, 0], d1, d2]),
             17,
             vec![d1, d2],
-            [2, 2, 0, 0],
+            [2, 2, 0, 0, 0],
+        ),
+        (
+            "two numbered frames",
+            cat(&[&[0xB5, 2, 9, 0, 10, 0], n1, n2]),
+            25,
+            vec![n1, n2],
+            [2, 2, 0, 0, 2],
         ),
         (
             "padded, in mid-train",
             cat(&[&long, &[0xB5, 1, 5, 0], d1, &[0; 11], &long]),
             20,
             vec![&long, d1, &long],
-            [3, 3, 0, 0],
+            [3, 3, 0, 0, 0],
         ),
         (
             "the shorter last segment",
             cat(&[&long, &[0xB5, 2, 5, 0, 6, 0], d1, d2]),
             20,
             vec![&long, d1, d2],
-            [3, 3, 0, 0],
+            [3, 3, 0, 0, 0],
         ),
         (
             "a frame that is no frame, beside one that is",
             cat(&[&[0xB5, 2, 2, 0, 5, 0, 0x00, 0x01], d1]),
             13,
             vec![&[0x00, 0x01], d1],
-            [2, 1, 0, 1],
+            [2, 1, 0, 1, 0],
         ),
         // Malformed: count 0, lengths overrunning the segment, a header
         // cut short, the magic alone.
@@ -1165,28 +1525,28 @@ fn bundle_golden_vectors_decode_and_count_as_specified() {
             cat(&[&[0xB5, 0], d1]),
             7,
             vec![&[0xB5, 0, 0xC5, 2, 0, 0x05, 0xAA]],
-            [1, 0, 0, 1],
+            [1, 0, 0, 1, 0],
         ),
         (
             "lengths overrun",
             cat(&[&[0xB5, 1, 6, 0], d1]),
             9,
             vec![&[0xB5, 1, 6, 0, 0xC5, 2, 0, 0x05, 0xAA]],
-            [1, 0, 0, 1],
+            [1, 0, 0, 1, 0],
         ),
         (
             "truncated header",
             vec![0xB5, 2, 5],
             3,
             vec![&[0xB5, 2, 5]],
-            [1, 0, 0, 1],
+            [1, 0, 0, 1, 0],
         ),
         (
             "the magic alone",
             vec![0xB5],
             1,
             vec![&[0xB5]],
-            [1, 0, 0, 1],
+            [1, 0, 0, 1, 0],
         ),
     ];
     for (name, bytes, seg, want, counts) in vectors {
@@ -1210,10 +1570,17 @@ fn bundle_golden_vectors_decode_and_count_as_specified() {
             data_frames,
             control_frames,
             dropped_malformed,
+            marked_frames,
             ..
         } = demux.net_stats();
         assert_eq!(
-            [frames, data_frames, control_frames, dropped_malformed],
+            [
+                frames,
+                data_frames,
+                control_frames,
+                dropped_malformed,
+                marked_frames
+            ],
             counts,
             "{name}"
         );
@@ -1225,19 +1592,23 @@ fn bundle_golden_vectors_decode_and_count_as_specified() {
 /// at the commit before `frame::parse` existed.
 const RECORDED_ON_THE_ONE_PASS_DECODER: StreamCounts = ([545, 591], [330, 315], 1018, 823, 517);
 
-/// The second stream as the one-pass decoder would count it (every frame
-/// of kind 4 or 5 an unknown kind)…
-const MARK_KINDS_DRAWN_ON_THE_ONE_PASS_DECODER: StreamCounts =
-    ([888, 857], [246, 296], 778, 641, 418);
+/// The first stream as the demux counts it, with the number of data
+/// frames of admitted flows that stated their number: a flipped bit
+/// turned a version-2 frame into version 3 …
+const FLIPPED_INTO_VERSION_3: (StreamCounts, u64) = (([544, 589], [331, 316], 1019, 823, 517), 1);
 
-/// …and as the demux counts it, with the number of data frames of
-/// admitted flows that stated their number.
-const MARK_KINDS_DRAWN: (StreamCounts, u64) = (([507, 469], [246, 296], 1283, 641, 682), 273);
+/// … the second stream as the one-pass decoder would count it (every
+/// version-3 frame an unknown version) …
+const NUMBERED_DRAWN_ON_THE_ONE_PASS_DECODER: StreamCounts =
+    ([888, 856], [246, 296], 780, 641, 417);
+
+/// … and as the demux counts it.
+const NUMBERED_DRAWN: (StreamCounts, u64) = (([483, 442], [247, 300], 1309, 641, 702), 529);
 
 proptest! {
     /// Arbitrary bytes — raw, and behind a plausible header so the
     /// deeper checks are reached — decode exactly as the reference says,
-    /// or, behind kind byte 4 or 5, as `mark_kind_spec` says.
+    /// or, headed as version 3, as `numbered_spec` says.
     #[test]
     fn layered_decoders_match_reference_on_arbitrary_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..96),
@@ -1248,5 +1619,35 @@ proptest! {
         let mut headed = vec![FRAME_MAGIC, version, kind];
         headed.extend_from_slice(&bytes);
         assert_decoders_match_reference(&headed);
+    }
+
+    /// Version 2 against version 3, for as long as version-2 data
+    /// decodes: a version-2 data frame and the numbered frame a server
+    /// sends for the same flow and payload decode to the same flow and
+    /// the same payload, summed or not; the numbered one alone states a
+    /// number — the one written into it — and is exactly its reserved
+    /// bytes longer.
+    #[test]
+    fn version_2_data_decodes_as_its_numbered_twin(
+        flow in prop_oneof![0u32..200, any::<u32>()],
+        payload in prop::collection::vec(any::<u8>(), 0..300),
+        summed in any::<bool>(),
+        (round, dc) in (any::<u64>(), 0i64..1 << 14),
+    ) {
+        let v2 = v2_data(flow, &payload, summed);
+        let mut v3 = Vec::new();
+        if summed {
+            frame::encode_data_summed_flow_into(flow, &payload, &mut v3);
+        } else {
+            frame::encode_data_flow_into(flow, &payload, &mut v3);
+        }
+        let number = ChannelMark { round, dc };
+        prop_assert!(frame::write_number(&mut v3, number));
+        prop_assert_eq!(v3.len(), v2.len() + frame::NUMBER_LEN);
+        prop_assert_eq!(frame::try_decode_flow(&v2), frame::try_decode_flow(&v3));
+        prop_assert_eq!(frame::try_decode_flow(&v2), Ok((flow, Frame::Data(&payload[..]))));
+        let (p2, p3) = (frame::parse(&v2).unwrap(), frame::parse(&v3).unwrap());
+        prop_assert_eq!((p2.number(&v2, round), p3.number(&v3, round)), (None, Some(number)));
+        prop_assert!(frame::is_data_frame(&v2) && frame::is_data_frame(&v3));
     }
 }
