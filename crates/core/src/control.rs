@@ -295,22 +295,19 @@ impl Control {
                 let epoch = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?);
                 let effective_round = u64::from_be_bytes(rest.get(4..12)?.try_into().ok()?);
                 let n = *rest.get(12)? as usize;
-                if n > 16 {
+                let body = rest.get(13..13 + n * 8).filter(|_| n <= 16)?;
+                let quanta = body
+                    .chunks_exact(8)
+                    .map(|q| i64::from_be_bytes(std::array::from_fn(|k| q[k])));
+                // A zero quantum would wedge the scan. Checked before the
+                // quanta are collected: a refused message allocates nothing.
+                if quanta.clone().any(|q| q <= 0) {
                     return None;
-                }
-                let mut quanta = Vec::with_capacity(n);
-                for i in 0..n {
-                    let off = 13 + i * 8;
-                    let q = i64::from_be_bytes(rest.get(off..off + 8)?.try_into().ok()?);
-                    if q <= 0 {
-                        return None; // a zero quantum would wedge the scan
-                    }
-                    quanta.push(q);
                 }
                 Some(Control::QuantumAnnounce {
                     epoch,
                     effective_round,
-                    quanta,
+                    quanta: quanta.collect(),
                 })
             }
             TYPE_QUANTUM_ACK => {

@@ -379,8 +379,11 @@ impl ControlResponder {
     /// A control message arrived on a striping set `channels` wide: what
     /// to apply, and the reply to send back on the channel it arrived on.
     /// Masks naming channels that do not exist and quanta of the wrong
-    /// arity or sign are dropped unanswered; messages this end does not
-    /// answer (markers, acks, alerts) yield nothing.
+    /// arity, sign or size are dropped unanswered; messages this end does
+    /// not answer (markers, acks, alerts) yield nothing. A quantum above
+    /// `u32::MAX` is no honest sender's — a data frame cannot state a
+    /// `dc` that wide — and, credited on every turn, it would overflow the
+    /// scheduler's deficit counter.
     pub fn on_control<'a>(
         &mut self,
         ctl: &'a Control,
@@ -417,15 +420,19 @@ impl ControlResponder {
                 epoch,
                 effective_round: round,
                 quanta,
-            } if quanta.len() == channels && quanta.iter().all(|&q| q > 0) => (
-                &mut self.quanta,
-                *epoch,
-                Control::QuantumAck { epoch: *epoch },
-                Effect::Quanta {
-                    round: *round,
-                    quanta,
-                },
-            ),
+            } if quanta.len() == channels
+                && quanta.iter().all(|q| (1..=u32::MAX as i64).contains(q)) =>
+            {
+                (
+                    &mut self.quanta,
+                    *epoch,
+                    Control::QuantumAck { epoch: *epoch },
+                    Effect::Quanta {
+                        round: *round,
+                        quanta,
+                    },
+                )
+            }
             _ => return (Effect::None, None),
         };
         match responder.on_announce(epoch) {
@@ -658,8 +665,8 @@ mod tests {
     }
 
     /// Effects carry the decoded payload; masks naming absent channels and
-    /// quanta of the wrong arity or sign are dropped unanswered and
-    /// consume nothing.
+    /// quanta of the wrong arity, sign or size are dropped unanswered and
+    /// consume nothing; the widest honest quantum applies.
     #[test]
     fn payloads_are_decoded_and_malformed_ones_dropped() {
         let mut r = ControlResponder::new(9);
@@ -668,28 +675,33 @@ mod tests {
             live_mask,
             effective_round: 42,
         };
-        let quanta = |quanta: &[i64]| Control::QuantumAnnounce {
+        let retune = |quanta: &[i64]| Control::QuantumAnnounce {
             epoch: 1,
             effective_round: 42,
             quanta: quanta.to_vec(),
         };
         // Empty mask; bit 3 set but only 2 channels exist; wrong arity
-        // either way; non-positive quantum (belt and braces over the codec).
+        // either way; non-positive quantum (belt and braces over the
+        // codec); a quantum wider than any data frame's `dc`.
         for bad in [
             mask(0),
             mask(0b1000),
-            quanta(&[500]),
-            quanta(&[500, 500, 500]),
-            quanta(&[500, 0]),
+            retune(&[500]),
+            retune(&[500, 500, 500]),
+            retune(&[500, 0]),
+            retune(&[500, u32::MAX as i64 + 1]),
         ] {
             assert_eq!(r.on_control(&bad, 2), (Effect::None, None), "{bad:?}");
         }
         // Epoch 1 is still a first sighting for both.
         let (round, live) = (42, vec![true, false]);
         assert_eq!(r.on_control(&mask(0b01), 2).0, Effect::Mask { round, live });
-        let retune = quanta(&[600, 300]);
-        let quanta = &[600, 300][..];
-        assert_eq!(r.on_control(&retune, 2).0, Effect::Quanta { round, quanta });
+        let widest = [600, u32::MAX as i64];
+        let quanta = &widest[..];
+        assert_eq!(
+            r.on_control(&retune(&widest), 2).0,
+            Effect::Quanta { round, quanta }
+        );
     }
 
     /// The reset responder outlives the flush it triggers; the mask and

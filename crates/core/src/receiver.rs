@@ -1150,7 +1150,7 @@ mod tests {
     fn numbered_run<S: CausalScheduler + Clone>(sched: S, lens: &[usize]) -> Sent {
         let mut tx = StripingSender::new(sched, MarkerConfig::every_rounds(4));
         let (mut channels, mut numbers, mut markers) = (Vec::new(), Vec::new(), Vec::new());
-        tx.send_batch_numbered(lens, 0, &mut channels, &mut numbers, &mut markers);
+        tx.send_batch_numbered(lens, &mut channels, &mut numbers, &mut markers);
         (0..lens.len())
             .map(|i| {
                 let due = markers.iter().filter(|m| m.0 == i);

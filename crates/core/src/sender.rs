@@ -178,25 +178,29 @@ impl<S: CausalScheduler> StripingSender<S> {
         channels: &mut Vec<ChannelId>,
         markers: &mut Vec<(usize, ChannelId, Marker)>,
     ) {
-        self.send_batch_numbered(lens, usize::MAX, channels, &mut Vec::new(), markers);
+        channels.clear();
+        markers.clear();
+        if self.next_marker_at.is_some() {
+            return self.serve_each(lens, channels, markers, |_, _| {});
+        }
+        self.sched.assign_batch(lens, channels);
+        for (&c, &len) in channels.iter().zip(lens) {
+            self.acct.record(c, len as u64);
+        }
     }
 
-    /// [`send_batch`](Self::send_batch) for a caller whose frames can
-    /// state their own number: every packet of at least `number_from`
-    /// bytes also gets its implicit number — the scheduler's
-    /// [`mark_for`](CausalScheduler::mark_for) its channel, read just
-    /// before the packet is served — pushed onto `numbers` (cleared
-    /// first), one entry per such packet, in order. It is what a marker
-    /// directly ahead of the packet would state (§5), so a receiver that
-    /// reads it resynchronizes on that packet instead of at the next
+    /// [`send_batch`](Self::send_batch) for a caller whose frames state
+    /// their own number: every packet also gets its implicit number — the
+    /// scheduler's [`mark_for`](CausalScheduler::mark_for) its channel,
+    /// read just before the packet is served — pushed onto `numbers`
+    /// (cleared first), one entry per packet, in order. It is what a
+    /// marker directly ahead of the packet would state (§5), so a receiver
+    /// that reads it resynchronizes on that packet instead of at the next
     /// marker. Markers or not: the cadence and the numbers are separate
-    /// recoveries. Only a batch with neither — markers disabled and
-    /// `number_from` past every length — takes the scheduler's
-    /// [`assign_batch`](CausalScheduler::assign_batch) fast path.
+    /// recoveries.
     pub fn send_batch_numbered(
         &mut self,
         lens: &[usize],
-        number_from: usize,
         channels: &mut Vec<ChannelId>,
         numbers: &mut Vec<ChannelMark>,
         markers: &mut Vec<(usize, ChannelId, Marker)>,
@@ -204,18 +208,23 @@ impl<S: CausalScheduler> StripingSender<S> {
         channels.clear();
         numbers.clear();
         markers.clear();
-        if self.next_marker_at.is_none() && number_from == usize::MAX {
-            self.sched.assign_batch(lens, channels);
-            for (&c, &len) in channels.iter().zip(lens) {
-                self.acct.record(c, len as u64);
-            }
-            return;
-        }
+        self.serve_each(lens, channels, markers, |s, c| numbers.push(s.mark_for(c)));
+    }
+
+    /// Serve `lens` packet by packet: `number` sees the scheduler just
+    /// before each packet is served, with the packet's channel, and a
+    /// marker batch that falls due is tagged with the packet it follows.
+    #[inline]
+    fn serve_each(
+        &mut self,
+        lens: &[usize],
+        channels: &mut Vec<ChannelId>,
+        markers: &mut Vec<(usize, ChannelId, Marker)>,
+        mut number: impl FnMut(&S, ChannelId),
+    ) {
         for (i, &len) in lens.iter().enumerate() {
             let channel = self.sched.current();
-            if len >= number_from {
-                numbers.push(self.sched.mark_for(channel));
-            }
+            number(&self.sched, channel);
             self.acct.record(channel, len as u64);
             self.sched.advance(len);
             channels.push(channel);
@@ -451,16 +460,15 @@ mod tests {
         }
     }
 
-    /// Every packet long enough gets the number the scheduler held for
-    /// its channel just before serving it — what a marker directly ahead
-    /// of it would state — through a quantum change and a membership
-    /// change taking effect mid-run, for SRR and for the randomized
-    /// striper alike; channels and markers are `send_batch`'s.
+    /// Every packet gets the number the scheduler held for its channel
+    /// just before serving it — what a marker directly ahead of it would
+    /// state — through a quantum change and a membership change taking
+    /// effect mid-run, for SRR and for the randomized striper alike;
+    /// channels and markers are `send_batch`'s.
     #[test]
     fn numbers_are_mark_for_the_channel_just_before_the_packet() {
         use crate::sched::Sprinkler;
         fn check<S: CausalScheduler + Clone>(sched: S, quanta: &[i64], live: &[bool]) {
-            const FROM: usize = 256;
             let cfg = MarkerConfig::every_rounds(3);
             let mut tx = StripingSender::new(sched.clone(), cfg);
             let mut plain = tx.clone();
@@ -480,23 +488,15 @@ mod tests {
                     plain.schedule_mask(mask_at, live);
                     bare.schedule_mask(mask_at, live);
                 }
-                tx.send_batch_numbered(chunk, FROM, &mut channels, &mut numbers, &mut markers);
+                tx.send_batch_numbered(chunk, &mut channels, &mut numbers, &mut markers);
                 plain.send_batch(chunk, &mut plain_channels, &mut plain_markers);
                 assert_eq!((&channels, &markers), (&plain_channels, &plain_markers));
-                let mut stated = numbers.iter();
-                for (&len, &c) in chunk.iter().zip(&channels) {
+                assert_eq!(numbers.len(), chunk.len(), "one number a packet");
+                for ((&len, &c), number) in chunk.iter().zip(&channels).zip(&numbers) {
                     assert_eq!(c, bare.current());
-                    if len >= FROM {
-                        assert_eq!(
-                            stated.next(),
-                            Some(&bare.mark_for(c)),
-                            "round {}",
-                            bare.round()
-                        );
-                    }
+                    assert_eq!(*number, bare.mark_for(c), "round {}", bare.round());
                     bare.advance(len);
                 }
-                assert_eq!(stated.next(), None, "a number for a short packet");
             }
             assert!(
                 masked && bare.round() > mask_at + 5,
@@ -524,7 +524,7 @@ mod tests {
         let mut bare = Srr::equal(2, 1500);
         let (mut channels, mut numbers, mut markers) = (Vec::new(), vec![], Vec::new());
         let lens = [300, 900, 1400];
-        tx.send_batch_numbered(&lens, 0, &mut channels, &mut numbers, &mut markers);
+        tx.send_batch_numbered(&lens, &mut channels, &mut numbers, &mut markers);
         assert_eq!((channels.len(), markers.len()), (3, 0));
         for (&len, number) in lens.iter().zip(numbers) {
             assert_eq!(number, bare.mark_for(bare.current()));

@@ -19,13 +19,15 @@
 //! one fate — so the snapshot's counters partition the offered frames
 //! and the accounting closes exactly.
 //!
-//! Corruption flips a single bit in the frame *body*, modelling the
-//! in-flight bit errors of §5. A corrupted frame is still forwarded —
-//! catching it is the receiver's job, via the checksummed data kind
-//! ([`crate::frame::KIND_DATA_SUMMED`]). Plans with a nonzero
+//! Corruption flips a single bit in the frame past its 3-byte header,
+//! modelling the in-flight bit errors of §5. A corrupted frame is still
+//! forwarded — catching it is the receiver's job, via the CRC-8 trailer
+//! of a data frame sent with [`crate::frame::FLAG_SUMMED`], which covers
+//! its number and payload (not its flow id: a flipped bit there lands the
+//! frame in another flow, or makes it malformed). Plans with a nonzero
 //! corruption rate should only be pointed at paths built with integrity
-//! mode on; plain [`crate::frame::KIND_DATA`] frames carry no checksum
-//! and a body flip would be delivered as wrong bytes.
+//! mode on; a data frame without the flag carries no checksum, and a
+//! flipped payload bit would be delivered as wrong bytes.
 //!
 //! Partitions are "timed" in the link's own deterministic clock — the
 //! data-frame send index — because a [`DatagramLink`] has no wall
@@ -820,14 +822,20 @@ impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_control_into, encode_data_into, encode_data_summed_into};
+    use crate::frame::{encode_control_into, encode_data_flow_into, encode_data_summed_flow_into};
     use stripe_core::control::Control;
     use stripe_link::datagram_pair;
 
+    /// A data frame of flow 0 whose four payload bytes are `byte`.
     fn data_frame(byte: u8) -> Vec<u8> {
         let mut f = Vec::new();
-        encode_data_into(&[byte, byte, byte, byte], &mut f);
+        encode_data_flow_into(0, &[byte, byte, byte, byte], &mut f);
         f
+    }
+
+    /// The byte a [`data_frame`] was made of.
+    fn byte_of(f: &[u8]) -> u8 {
+        f[f.len() - 1]
     }
 
     fn drain<L: DatagramLink>(rx: &mut L) -> Vec<Vec<u8>> {
@@ -1037,7 +1045,7 @@ mod tests {
         assert!(s.reordered > 0, "plan at 50% must reorder something");
         assert_eq!(s.released, s.reordered);
         // The arrival order is a permutation of the send order.
-        let mut seen: Vec<u8> = got.iter().map(|f| f[FRAME_HEADER_LEN]).collect();
+        let mut seen: Vec<u8> = got.iter().map(|f| byte_of(f)).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..N as u8).collect::<Vec<_>>());
     }
@@ -1050,7 +1058,7 @@ mod tests {
             link.send_frame(&data_frame(i)).unwrap();
         }
         link.drain_held();
-        let order: Vec<u8> = drain(&mut b).iter().map(|f| f[FRAME_HEADER_LEN]).collect();
+        let order: Vec<u8> = drain(&mut b).iter().map(|f| byte_of(f)).collect();
         let sorted = {
             let mut s = order.clone();
             s.sort_unstable();
@@ -1076,7 +1084,7 @@ mod tests {
         let (a, mut b) = datagram_pair(256, 4096);
         let mut link = ImpairedLink::new(a, ChaosPlan::none().corrupt(PPM_SCALE), 9);
         let mut sent = Vec::new();
-        encode_data_summed_into(&[0xAA; 32], &mut sent);
+        encode_data_summed_flow_into(0, &[0xAA; 32], &mut sent);
         link.send_frame(&sent).unwrap();
         assert_eq!(link.snapshot().corrupted, 1);
         let got = drain(&mut b);
@@ -1088,9 +1096,9 @@ mod tests {
             .sum();
         assert_eq!(diff, 1, "exactly one bit flipped");
         assert_eq!(&got[0][..FRAME_HEADER_LEN], &sent[..FRAME_HEADER_LEN]);
-        use crate::frame::{try_decode, DecodeError};
+        use crate::frame::{parse, DecodeError};
         assert_eq!(
-            try_decode(&got[0]),
+            parse(&got[0]),
             Err(DecodeError::Corrupt),
             "checksummed decode must catch the flip"
         );
@@ -1125,7 +1133,7 @@ mod tests {
         assert_eq!(link.snapshot().dropped_loss, 50);
         let got = drain(&mut b);
         assert_eq!(got.len(), 50, "everything after the window survives");
-        assert!(got.iter().all(|f| f[FRAME_HEADER_LEN] >= 50));
+        assert!(got.iter().all(|f| byte_of(f) >= 50));
     }
 
     #[test]

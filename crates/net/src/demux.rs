@@ -76,10 +76,9 @@ pub struct FlowDemuxSnapshot {
     /// Frames received across all channels and flows, each of a bundle's
     /// counted.
     pub frames: u64,
-    /// Data frames routed into some flow's resequencer.
+    /// Data frames routed into some flow's resequencer, each with the
+    /// number it states.
     pub data_frames: u64,
-    /// Those of them that stated their own number (routed with it).
-    pub marked_frames: u64,
     /// Control frames (markers included) decoded.
     pub control_frames: u64,
     /// Frames that failed to decode (bad magic, version, kind, varint,
@@ -583,11 +582,11 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
     }
 
     /// Hand the frame at `buf[at..at + n]` to its flow's resequencer
-    /// (data, numbered or not, and markers) or to the demux-level
-    /// responders (global control). `buf` is pool buffer `slot`; a data
-    /// payload leaves as a view into it. Only what the frame turns out to
-    /// carry is decoded: the parser names the flow and where the body
-    /// sits, and a data frame needs nothing else.
+    /// (data and markers) or to the demux-level responders (global
+    /// control). `buf` is pool buffer `slot`; a data payload leaves as a
+    /// view into it. Only what the frame turns out to carry is decoded:
+    /// the parser names the flow and where the body sits, and a data frame
+    /// needs nothing else.
     fn route(
         &mut self,
         c: ChannelId,
@@ -611,7 +610,6 @@ impl<S: CausalScheduler + Clone, L: DatagramLink> FlowDemux<S, L> {
                         Arrival::Data(TrainPool::view_of(buf, slot, start, p.len, number))
                     });
                     self.stats.data_frames += 1;
-                    self.stats.marked_frames += number.is_some() as u64;
                 }
                 None => self.stats.dropped_admission += 1,
             },
@@ -951,7 +949,7 @@ mod tests {
         }
         let sent = srv.flow_stats(f0).unwrap();
         let s = demux.net_stats();
-        assert_eq!((s.data_frames, s.marked_frames), (200, 200));
+        assert_eq!(s.data_frames, 200);
         assert_eq!((s.control_frames, sent.markers_sent), (0, 0));
         let r = demux.flow_stats(f0.id()).unwrap();
         assert_eq!(r.marks_applied, 0, "a number was adopted in sync");
@@ -1003,10 +1001,7 @@ mod tests {
             .collect();
         assert_eq!(got, [0, 1]);
         let s = demux.net_stats();
-        assert_eq!(
-            (s.dropped_mark_ahead, s.data_frames, s.marked_frames),
-            (4, 2, 2)
-        );
+        assert_eq!((s.dropped_mark_ahead, s.data_frames), (4, 2));
         let r = demux.flow_stats(0).unwrap();
         assert_eq!((r.dropped_mark_ahead, r.skips, r.marks_applied), (4, 0, 0));
         // The furthest an honest mark can be is let in, either way.
@@ -1022,7 +1017,7 @@ mod tests {
         demux.sweep(SimTime::ZERO);
         demux.poll_flow(0);
         let s = demux.net_stats();
-        assert_eq!((s.dropped_mark_ahead, s.marked_frames), (4, 3));
+        assert_eq!((s.dropped_mark_ahead, s.data_frames), (4, 3));
     }
 
     /// A payload parked behind a gap keeps its number through re-homing:

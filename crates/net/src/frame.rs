@@ -3,15 +3,14 @@
 //! Every UDP datagram on a striped channel is one frame (or a
 //! [bundle](crate::bundle) of frames). Three versions share the header:
 //!
-//! | offset | size | field                                                 |
-//! |--------|------|-------------------------------------------------------|
-//! | 0      | 1    | magic (`0xC5`)                                        |
-//! | 1      | 1    | version: `1` single flow, `2` flow-tagged, `3` numbered data |
-//! | 2      | 1    | kind (versions 1 and 2) or flags (version 3)          |
-//! | 3      | 1–5  | **versions 2 and 3:** flow id, LEB128 varint (`u32`)  |
+//! | offset | size | field                                                        |
+//! |--------|------|--------------------------------------------------------------|
+//! | 0      | 1    | magic (`0xC5`)                                               |
+//! | 1      | 1    | version: `1` global control, `2` a flow's control, `3` data  |
+//! | 2      | 1    | kind (versions 1 and 2: [`KIND_CONTROL`]) or flags (version 3) |
+//! | 3      | 1–5  | **versions 2 and 3:** flow id, LEB128 varint (`u32`)         |
 //!
-//! **Version 3 is a data frame that states its number**, and it is every
-//! data frame a [`StripeServer`](crate::server::StripeServer) sends:
+//! **Version 3 is the one data frame**, and it states its number:
 //!
 //! | size | field                                                          |
 //! |------|----------------------------------------------------------------|
@@ -20,17 +19,11 @@
 //! | …    | the payload, verbatim                                          |
 //! | 1    | with [`FLAG_SUMMED`] only: CRC-8 of the number and the payload |
 //!
-//! Versions 1 and 2 carry control — global control untagged as version 1
-//! (probes, membership, quantum announces, resets), a flow's markers as
-//! version 2 — and, from senders of earlier rounds, unnumbered data, which
-//! is still decoded (this round only) and sent by nobody:
-//!
-//! | kind | name                    | body                                              |
-//! |------|-------------------------|---------------------------------------------------|
-//! | `0`  | [`KIND_DATA`]           | the application payload, verbatim                 |
-//! | `1`  | [`KIND_CONTROL`]        | exactly the bytes of [`Control::encode`]          |
-//! | `2`  | [`KIND_CONTROL_PADDED`] | `u16` LE length, that many control bytes, padding |
-//! | `3`  | [`KIND_DATA_SUMMED`]    | the payload, then a CRC-8 of it                   |
+//! Versions 1 and 2 carry control, and only control: exactly the bytes of
+//! [`Control::encode`] after the header — global control untagged as
+//! version 1 (probes, membership, quantum announces, resets), a flow's
+//! markers as version 2. Any other kind is malformed, the kinds earlier
+//! rounds gave unnumbered data and padded control (0, 2 and 3) included.
 //!
 //! The paper's central constraint is that striping never modifies data
 //! packets, so all this layer adds to one is its header (the real-network
@@ -70,19 +63,18 @@
 //!
 //! There is one parser, [`parse`] (and [`parse_v1`], the same code
 //! refusing flow-tagged frames). It checks magic, version, kind or flags,
-//! the varints, the CRC-8 trailer and the pad prefix, classifies every
-//! reject as [`DecodeError::Malformed`] or [`DecodeError::Corrupt`], and
-//! returns a [`Parsed`]: a 16-byte `Copy` value naming the flow, what the
-//! body is ([`Body`]), where in the datagram it sits, and how long a
-//! number lies ahead of it. It reads the header and builds nothing. The
-//! receive path works from that: a data body becomes a view into the
-//! receive buffer that holds the number as the frame states it
-//! ([`Parsed::number`] reads it), a marker body goes through
-//! [`Parsed::marker`], and a [`Control`] is only ever built — by
-//! [`Parsed::control`] — for the rare frame that carries one.
-//! [`try_decode`], [`try_decode_flow`] and [`decode`] are [`parse`]
-//! followed by [`Parsed::frame`], for callers that want the borrowed
-//! [`Frame`] enum.
+//! the varints and the CRC-8 trailer, classifies every reject as
+//! [`DecodeError::Malformed`] or [`DecodeError::Corrupt`], and returns a
+//! [`Parsed`]: a 16-byte `Copy` value naming the flow, what the body is
+//! ([`Body`]), where in the datagram it sits, and how long a number lies
+//! ahead of it. It reads the header and builds nothing. The receive path
+//! works from that: a data body becomes a view into the receive buffer
+//! that holds the number as the frame states it ([`Parsed::number`] reads
+//! it), a marker body goes through [`Parsed::marker`], and a [`Control`]
+//! is only ever built — by [`Parsed::control`] — for the rare frame that
+//! carries one. [`try_decode`], [`try_decode_flow`] and [`decode`] are
+//! [`parse`] followed by [`Parsed::frame`], for callers that want the
+//! borrowed [`Frame`] enum.
 
 use stripe_core::control::Control;
 use stripe_core::sched::ChannelMark;
@@ -92,20 +84,19 @@ use stripe_core::Marker;
 /// magic (`0x53`) nor common text, so misdirected traffic fails loudly.
 pub const FRAME_MAGIC: u8 = 0xC5;
 
-/// The original (single-flow) wire-format version: the body follows the
-/// 3-byte header directly and the frame implicitly belongs to flow 0.
+/// The untagged control version: the control message follows the 3-byte
+/// header directly, and the frame names no flow ([`parse`] maps it to
+/// flow 0).
 pub const FRAME_VERSION: u8 = 1;
 
-/// The flow-tagged wire-format version: a LEB128 varint flow id sits
-/// between the 3-byte header and the body, for every kind. Kind
-/// codepoints and body encodings are unchanged from version 1 — a
-/// version-1 frame is exactly a version-2 frame with the flow id elided
-/// ([`parse`] maps it to flow 0).
+/// The flow-tagged control version: a LEB128 varint flow id sits between
+/// the 3-byte header and the control message — a version-1 frame with a
+/// flow id.
 pub const FRAME_VERSION_FLOW: u8 = 2;
 
-/// The numbered-data wire-format version: byte 2 holds flags, the flow id
-/// follows as in version 2, then the frame's number, then the payload
-/// (see the module docs).
+/// The data version: byte 2 holds flags, the flow id follows as in
+/// version 2, then the frame's number, then the payload (see the module
+/// docs).
 pub const FRAME_VERSION_NUMBERED: u8 = 3;
 
 /// Version-3 flag: a CRC-8 of the number and the payload trails the
@@ -122,31 +113,12 @@ pub const NUMBER_LEN: usize = 4;
 /// Longest number: two bytes of round and the longest `dc`.
 pub const NUMBER_MAX_LEN: usize = 2 + MAX_FLOW_ID_LEN;
 
-/// Frame-kind codepoint for unnumbered application data (versions 1 and
-/// 2; decoded, not sent, by this round).
-pub const KIND_DATA: u8 = 0;
-
-/// Frame-kind codepoint for control messages (markers included).
+/// The one frame kind of versions 1 and 2: a control message (markers
+/// included).
 pub const KIND_CONTROL: u8 = 1;
-
-/// Frame-kind codepoint for a *padded* control message: the body is a
-/// little-endian `u16` length, that many [`Control::encode`] bytes, and
-/// then padding the decoder ignores. Semantically identical to
-/// [`KIND_CONTROL`]; decoded for senders that stretched markers to the
-/// length of the data frames around them, sent by nobody.
-pub const KIND_CONTROL_PADDED: u8 = 2;
-
-/// Frame-kind codepoint for *checksummed* unnumbered data: the payload
-/// followed by a one-byte CRC-8 of it (versions 1 and 2; decoded, not
-/// sent, by this round — see [`FLAG_SUMMED`]).
-pub const KIND_DATA_SUMMED: u8 = 3;
 
 /// Bytes of header preceding the body.
 pub const FRAME_HEADER_LEN: usize = 3;
-
-/// Extra body bytes of a [`KIND_CONTROL_PADDED`] frame before the
-/// control message itself (the `u16` length prefix).
-pub const PAD_LEN_PREFIX: usize = 2;
 
 /// Trailer bytes of a checksummed frame (the CRC-8).
 pub const SUM_TRAILER_LEN: usize = 1;
@@ -195,11 +167,6 @@ pub enum Frame<'a> {
     Control(Control),
 }
 
-/// Append the header for a frame of `kind` to `out`.
-fn push_header(kind: u8, out: &mut Vec<u8>) {
-    out.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION, kind]);
-}
-
 /// Write `v` as a LEB128 varint filling `out`, padded with continuation
 /// bytes if it needs fewer (`v` must fit).
 fn put_varint(v: u32, out: &mut [u8]) {
@@ -216,8 +183,8 @@ fn push_varint(v: u32, width: usize, out: &mut Vec<u8>) {
     put_varint(v, &mut out[at..]);
 }
 
-/// Append a flow-tagged header (`version`, `kind` or flags, the varint
-/// flow id) to `out`.
+/// Append a flow-tagged header (`version`, kind or flags, the varint flow
+/// id) to `out`.
 fn push_flow_header(version: u8, kind: u8, flow: u32, out: &mut Vec<u8>) {
     out.extend_from_slice(&[FRAME_MAGIC, version, kind]);
     push_varint(flow, flow_id_len(flow), out);
@@ -252,29 +219,12 @@ fn take_varint(body: &[u8]) -> Option<(u32, usize)> {
     None
 }
 
-/// Encode a version-1 data frame into `out` (cleared first, capacity
-/// kept) — the single-flow format a receiver still decodes; no
-/// [`StripeServer`](crate::server::StripeServer) sends it.
-pub fn encode_data_into(payload: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    push_header(KIND_DATA, out);
-    out.extend_from_slice(payload);
-}
-
-/// [`encode_data_into`] with a CRC-8 trailer ([`KIND_DATA_SUMMED`]).
-pub fn encode_data_summed_into(payload: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    push_header(KIND_DATA_SUMMED, out);
-    out.extend_from_slice(payload);
-    out.push(crc8(payload));
-}
-
 /// Encode a control frame into `out` (cleared first, capacity kept). The
 /// body is produced by [`Control::encode_into`] — the single shared
 /// control encoder.
 pub fn encode_control_into(ctl: &Control, out: &mut Vec<u8>) {
     out.clear();
-    push_header(KIND_CONTROL, out);
+    out.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL]);
     ctl.encode_into(out);
 }
 
@@ -426,17 +376,11 @@ pub fn control_flow_frame_len(flow: u32, ctl: &Control) -> usize {
     FRAME_HEADER_LEN + flow_id_len(flow) + ctl.wire_len()
 }
 
-/// Whether `frame` is a well-headed data frame (numbered or not) — the
-/// peek the fault layer uses to drop data while letting markers and
-/// control through.
+/// Whether `frame` is headed as a data frame (version 3) — the peek the
+/// fault layer uses to drop data while letting markers and control
+/// through.
 pub fn is_data_frame(frame: &[u8]) -> bool {
-    frame.len() >= FRAME_HEADER_LEN
-        && frame[0] == FRAME_MAGIC
-        && match frame[1] {
-            FRAME_VERSION | FRAME_VERSION_FLOW => matches!(frame[2], KIND_DATA | KIND_DATA_SUMMED),
-            FRAME_VERSION_NUMBERED => true,
-            _ => false,
-        }
+    frame.len() >= FRAME_HEADER_LEN && frame[..2] == [FRAME_MAGIC, FRAME_VERSION_NUMBERED]
 }
 
 /// Why a frame failed to decode — the distinction drives separate
@@ -446,7 +390,7 @@ pub fn is_data_frame(frame: &[u8]) -> bool {
 pub enum DecodeError {
     /// Structurally broken: short, bad magic/version, unknown kind or
     /// flag, a varint cut short or too long, an undecodable control body,
-    /// a lying pad prefix, a number cut short.
+    /// a number cut short.
     Malformed,
     /// Structurally fine but the CRC-8 trailer disagrees with what it
     /// covers: bits were flipped in flight.
@@ -463,8 +407,7 @@ pub enum Body {
     /// type byte not part of the body): the one control message on the
     /// per-packet path, so it is told apart here.
     Marker,
-    /// Any other encoded [`Control`] message (a pad prefix and padding
-    /// are not part of the body).
+    /// Any other encoded [`Control`] message.
     Control,
 }
 
@@ -478,12 +421,12 @@ pub struct Parsed {
     /// The flow named by a flow-tagged frame; 0 for version 1.
     pub flow: u32,
     /// Where the body starts in the datagram: at most header, varint, and
-    /// the number or the pad prefix and a control type byte.
+    /// the number or a control type byte.
     pub offset: u8,
     /// What the body holds.
     pub body: Body,
-    /// Bytes of number directly ahead of the body: 0 but for a numbered
-    /// data frame.
+    /// Bytes of number directly ahead of the body: 0 but for a data
+    /// frame.
     pub number_len: u8,
 }
 
@@ -494,26 +437,25 @@ impl Parsed {
         &frame[self.offset as usize..self.offset as usize + self.len]
     }
 
-    /// The number a numbered data frame states, its round the one nearest
-    /// `near` ([`nearest_round`]); `None` for any other frame.
+    /// The number a data frame states, its round the one nearest `near`
+    /// ([`nearest_round`]); `None` for a control frame, which has none.
     pub fn number(&self, frame: &[u8], near: u64) -> Option<ChannelMark> {
-        self.stated(frame).map(|n| n.near(near))
+        (self.body == Body::Data).then(|| self.stated(frame).near(near))
     }
 
-    /// The number a numbered data frame states, as it states it; `None`
-    /// for any other frame. The parser checked the field.
+    /// The number a [`Body::Data`] frame states, as it states it. The
+    /// parser checked the field.
     #[inline]
-    pub(crate) fn stated(&self, frame: &[u8]) -> Option<Stated> {
+    pub(crate) fn stated(&self, frame: &[u8]) -> Stated {
         let at = self.offset as usize;
-        let field = frame.get(at - self.number_len as usize..at)?;
-        let (round, dc) = field.split_at_checked(2)?;
+        let (round, dc) = frame[at - self.number_len as usize..at].split_at(2);
         let dc = match *dc {
             // The width every sender reserves, read without a loop.
             [lo, hi] => (lo & 0x7F) as u32 | (hi as u32) << 7,
             _ => dc.iter().rev().fold(0, |v, &b| v << 7 | (b & 0x7F) as u32),
         };
         let round = u16::from_le_bytes([round[0], round[1]]);
-        Some(Stated { round, dc })
+        Stated { round, dc }
     }
 
     /// Decode a [`Body::Marker`] body. A short or bad-magic marker is
@@ -571,13 +513,13 @@ fn parse_versions(frame: &[u8], flow_tagged_ok: bool) -> Result<Parsed, DecodeEr
         }
         _ => return Err(Malformed),
     };
+    let end = frame.len();
     if frame[1] == FRAME_VERSION_NUMBERED {
-        let flags = frame[2];
         let number = at;
         let dc = frame.get(at + 2..).and_then(take_varint).ok_or(Malformed)?;
         at += 2 + dc.1;
-        let end = match flags {
-            0 => frame.len(),
+        let end = match frame[2] {
+            0 => end,
             // The trailer covers the number as well as the payload.
             FLAG_SUMMED => check_trailer(frame, number, at)?,
             _ => return Err(Malformed),
@@ -590,32 +532,15 @@ fn parse_versions(frame: &[u8], flow_tagged_ok: bool) -> Result<Parsed, DecodeEr
             number_len: (at - number) as u8,
         });
     }
-    let mut end = frame.len();
-    let body = match frame[2] {
-        KIND_DATA => Body::Data,
-        KIND_DATA_SUMMED => {
-            end = check_trailer(frame, at, at)?;
-            Body::Data
+    if frame[2] != KIND_CONTROL {
+        return Err(Malformed);
+    }
+    let body = match Control::marker_body(&frame[at..]) {
+        Some(marker) => {
+            at = end - marker.len();
+            Body::Marker
         }
-        kind @ (KIND_CONTROL | KIND_CONTROL_PADDED) => {
-            if kind == KIND_CONTROL_PADDED {
-                let prefix = frame.get(at..at + PAD_LEN_PREFIX).ok_or(Malformed)?;
-                at += PAD_LEN_PREFIX;
-                let n = u16::from_le_bytes([prefix[0], prefix[1]]) as usize;
-                if n > end - at {
-                    return Err(Malformed); // the prefix claims more than arrived
-                }
-                end = at + n;
-            }
-            match Control::marker_body(&frame[at..end]) {
-                Some(marker) => {
-                    at = end - marker.len();
-                    Body::Marker
-                }
-                None => Body::Control,
-            }
-        }
-        _ => return Err(Malformed),
+        None => Body::Control,
     };
     Ok(Parsed {
         len: end - at,
@@ -626,17 +551,16 @@ fn parse_versions(frame: &[u8], flow_tagged_ok: bool) -> Result<Parsed, DecodeEr
     })
 }
 
-/// Parse one received frame of *any* version — the receive path of a
-/// multi-flow demultiplexer, which stays wire-compatible with
-/// single-flow senders. Never panics, whatever the input.
+/// Parse one received frame of any version — the receive path of a
+/// multi-flow demultiplexer, which hears global control untagged and a
+/// flow's frames tagged. Never panics, whatever the input.
 #[inline]
 pub fn parse(frame: &[u8]) -> Result<Parsed, DecodeError> {
     parse_versions(frame, true)
 }
 
-/// Parse one received version-1 frame; a flow-tagged frame is
-/// [`DecodeError::Malformed`]. A single-flow receiver must *not*
-/// silently accept traffic it would misattribute to its one flow.
+/// Parse one received version-1 frame — global control, as the reverse
+/// path carries it; a flow-tagged frame is [`DecodeError::Malformed`].
 #[inline]
 pub fn parse_v1(frame: &[u8]) -> Result<Parsed, DecodeError> {
     parse_versions(frame, false)
@@ -646,15 +570,15 @@ pub fn parse_v1(frame: &[u8]) -> Result<Parsed, DecodeError> {
 /// Never panics, whatever the input — see the fuzz proptest in
 /// `tests/net_loopback.rs`.
 ///
-/// Version-1 only ([`parse_v1`]). Endpoints that speak every version use
-/// [`try_decode_flow`].
+/// Version-1 only ([`parse_v1`]), so control only. Endpoints that speak
+/// every version use [`try_decode_flow`].
 pub fn try_decode(frame: &[u8]) -> Result<Frame<'_>, DecodeError> {
     parse_v1(frame)?.frame(frame)
 }
 
-/// Decode one received frame of *any* version ([`parse`]), returning the
+/// Decode one received frame of any version ([`parse`]), returning the
 /// flow it belongs to: a flow-tagged frame's varint flow id, or flow 0
-/// for a legacy version-1 frame.
+/// for an untagged version-1 control frame.
 pub fn try_decode_flow(frame: &[u8]) -> Result<(u32, Frame<'_>), DecodeError> {
     let p = parse(frame)?;
     Ok((p.flow, p.frame(frame)?))
@@ -671,19 +595,6 @@ pub fn decode(frame: &[u8]) -> Option<Frame<'_>> {
 mod tests {
     use super::*;
 
-    /// A padded control frame of flow `flow`, `wire_len` bytes where the
-    /// message fits: what senders of earlier rounds stretched markers to.
-    fn padded(flow: u32, ctl: &Control, wire_len: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        push_flow_header(FRAME_VERSION_FLOW, KIND_CONTROL_PADDED, flow, &mut out);
-        out.extend_from_slice(&(ctl.wire_len() as u16).to_le_bytes());
-        ctl.encode_into(&mut out);
-        if out.len() < wire_len {
-            out.resize(wire_len, 0);
-        }
-        out
-    }
-
     /// A data frame of flow `flow` stating `number`.
     fn numbered(flow: u32, summed: bool, payload: &[u8], number: ChannelMark) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -693,29 +604,8 @@ mod tests {
     }
 
     #[test]
-    fn data_roundtrips_zero_copy() {
-        let payload = [7u8, 8, 9, 10];
-        let mut buf = Vec::new();
-        encode_data_into(&payload, &mut buf);
-        assert_eq!(buf.len(), FRAME_HEADER_LEN + payload.len());
-        match decode(&buf) {
-            Some(Frame::Data(body)) => {
-                assert_eq!(body, &payload);
-                // Zero-copy: the decoded body aliases the frame buffer.
-                assert!(std::ptr::eq(
-                    body.as_ptr(),
-                    buf[FRAME_HEADER_LEN..].as_ptr()
-                ));
-            }
-            other => panic!("expected data frame, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn empty_data_frame_is_legal() {
         let mut buf = Vec::new();
-        encode_data_into(&[], &mut buf);
-        assert_eq!(decode(&buf), Some(Frame::Data(&[][..])));
         encode_data_flow_into(3, &[], &mut buf);
         assert_eq!(try_decode_flow(&buf), Ok((3, Frame::Data(&[][..]))));
     }
@@ -763,9 +653,7 @@ mod tests {
 
     #[test]
     fn encode_into_clears_previous_contents() {
-        let mut buf = vec![1, 2, 3, 4, 5];
-        encode_data_into(&[9], &mut buf);
-        assert_eq!(buf, vec![FRAME_MAGIC, FRAME_VERSION, KIND_DATA, 9]);
+        let mut buf = vec![1, 2, 3, 4, 5, 6, 7, 8, 9];
         encode_data_flow_into(1, &[9], &mut buf);
         let blank = [0, 0, 0x80, 0];
         let want = [
@@ -782,108 +670,45 @@ mod tests {
         // Short, bad magic, bad version, unknown kind, bad control body.
         assert_eq!(decode(&[]), None);
         assert_eq!(decode(&[FRAME_MAGIC, FRAME_VERSION]), None);
-        assert_eq!(decode(&[0x00, FRAME_VERSION, KIND_DATA, 1]), None);
-        assert_eq!(decode(&[FRAME_MAGIC, 99, KIND_DATA, 1]), None);
+        assert_eq!(decode(&[0x00, FRAME_VERSION, KIND_CONTROL, 1]), None);
+        assert_eq!(decode(&[FRAME_MAGIC, 99, KIND_CONTROL, 1]), None);
         assert_eq!(decode(&[FRAME_MAGIC, FRAME_VERSION, 7, 1]), None);
         assert_eq!(
             decode(&[FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL, 99]),
             None
         );
-        // The retired empty-field and marked kinds are unknown now.
-        for kind in [4, 5] {
-            let mut buf = vec![FRAME_MAGIC, FRAME_VERSION_FLOW, kind, 1];
-            buf.extend_from_slice(&[0; 20]);
-            assert_eq!(parse(&buf), Err(DecodeError::Malformed), "kind {kind}");
+        // Versions 1 and 2 carry control only: every other kind — the
+        // retired unnumbered data (0, 3), padded control (2), empty-field
+        // (4) and marked (5) kinds among them — is unknown, whatever
+        // follows.
+        let probe = Control::Probe { nonce: 7 }.encode();
+        for version in [FRAME_VERSION, FRAME_VERSION_FLOW] {
+            for kind in (0..=u8::MAX).filter(|&k| k != KIND_CONTROL) {
+                let mut buf = vec![FRAME_MAGIC, version, kind, 1];
+                buf.extend_from_slice(&probe);
+                assert_eq!(parse(&buf), Err(DecodeError::Malformed), "{buf:02x?}");
+            }
         }
     }
 
     #[test]
-    fn padded_control_ignores_nonzero_padding() {
-        // Decoding depends only on the length prefix, not on the pad
-        // bytes being zero — a receiver must never trust the tail.
-        let ctl = Control::Probe { nonce: 7 };
-        let mut buf = padded(7, &ctl, 64);
-        for b in &mut buf[FRAME_HEADER_LEN + 1 + PAD_LEN_PREFIX + ctl.wire_len()..] {
-            *b = 0xFF;
+    fn is_data_frame_peeks_the_version() {
+        for (flow, payload) in [(0, &[][..]), (12, &[1, 2]), (u32::MAX, &[3; 40])] {
+            let mut data = Vec::new();
+            encode_data_flow_into(flow, payload, &mut data);
+            assert!(is_data_frame(&data));
+            encode_data_summed_flow_into(flow, payload, &mut data);
+            assert!(is_data_frame(&data));
         }
-        assert_eq!(try_decode_flow(&buf), Ok((7, Frame::Control(ctl))));
-    }
-
-    #[test]
-    fn padded_control_with_lying_length_prefix_rejected() {
-        let ctl = Control::Probe { nonce: 7 };
-        let mut buf = padded(7, &ctl, 16);
-        // Claim more body bytes than the frame holds.
-        buf[FRAME_HEADER_LEN + 1..FRAME_HEADER_LEN + 1 + PAD_LEN_PREFIX]
-            .copy_from_slice(&1000u16.to_le_bytes());
-        assert_eq!(try_decode_flow(&buf), Err(DecodeError::Malformed));
-        // Truncated before the length prefix ends.
-        assert_eq!(
-            decode(&[FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL_PADDED, 1]),
-            None
-        );
-        assert_eq!(
-            decode(&[FRAME_MAGIC, FRAME_VERSION, KIND_CONTROL_PADDED]),
-            None
-        );
-    }
-
-    #[test]
-    fn is_data_frame_peeks_kind() {
-        let mut data = Vec::new();
-        encode_data_into(&[1, 2], &mut data);
-        assert!(is_data_frame(&data));
-        let mut summed = Vec::new();
-        encode_data_summed_into(&[1, 2], &mut summed);
-        assert!(is_data_frame(&summed));
         let mut ctl = Vec::new();
         encode_control_into(&Control::Probe { nonce: 1 }, &mut ctl);
         assert!(!is_data_frame(&ctl));
-        assert!(!is_data_frame(&[FRAME_MAGIC]));
-    }
-
-    #[test]
-    fn summed_data_roundtrips() {
-        let payload = [7u8, 8, 9, 10];
-        let mut buf = Vec::new();
-        encode_data_summed_into(&payload, &mut buf);
-        assert_eq!(
-            buf.len(),
-            FRAME_HEADER_LEN + payload.len() + SUM_TRAILER_LEN
-        );
-        match try_decode(&buf) {
-            Ok(Frame::Data(body)) => {
-                assert_eq!(body, &payload, "trailer must be stripped");
-                // Still zero-copy: the payload aliases the frame buffer.
-                assert!(std::ptr::eq(
-                    body.as_ptr(),
-                    buf[FRAME_HEADER_LEN..].as_ptr()
-                ));
-            }
-            other => panic!("expected data frame, got {other:?}"),
-        }
-        let mut empty = Vec::new();
-        encode_data_summed_into(&[], &mut empty);
-        assert_eq!(try_decode(&empty), Ok(Frame::Data(&[][..])));
-    }
-
-    #[test]
-    fn summed_data_catches_every_single_bit_flip() {
-        let payload: Vec<u8> = (0..57).collect();
-        let mut clean = Vec::new();
-        encode_data_summed_into(&payload, &mut clean);
-        // Flip each body bit (payload and trailer) in turn: all caught.
-        for byte in FRAME_HEADER_LEN..clean.len() {
-            for bit in 0..8 {
-                let mut buf = clean.clone();
-                buf[byte] ^= 1 << bit;
-                assert_eq!(
-                    try_decode(&buf),
-                    Err(DecodeError::Corrupt),
-                    "flip at byte {byte} bit {bit} slipped through"
-                );
-            }
-        }
+        encode_control_flow_into(12, &Control::Probe { nonce: 1 }, &mut ctl);
+        assert!(!is_data_frame(&ctl));
+        // What earlier rounds sent as data is no data frame now.
+        assert!(!is_data_frame(&[FRAME_MAGIC, FRAME_VERSION, 0, 1]));
+        assert!(!is_data_frame(&[FRAME_MAGIC, FRAME_VERSION_FLOW, 3, 12, 1]));
+        assert!(!is_data_frame(&[FRAME_MAGIC, FRAME_VERSION_NUMBERED]));
     }
 
     /// In integrity mode the number is under the checksum: a bit flipped
@@ -912,32 +737,28 @@ mod tests {
 
     #[test]
     fn summed_data_without_trailer_is_malformed_not_corrupt() {
-        // A bare header of kind 3 has no room for the CRC byte.
-        assert_eq!(
-            try_decode(&[FRAME_MAGIC, FRAME_VERSION, KIND_DATA_SUMMED]),
-            Err(DecodeError::Malformed)
-        );
+        // A number with no room after it for the CRC byte.
         let bare = [FRAME_MAGIC, FRAME_VERSION_NUMBERED, FLAG_SUMMED, 1, 0, 0, 0];
         assert_eq!(parse(&bare), Err(DecodeError::Malformed));
     }
 
     #[test]
     fn try_decode_classifies_malformed_vs_corrupt() {
-        assert_eq!(try_decode(&[]), Err(DecodeError::Malformed));
+        assert_eq!(try_decode_flow(&[]), Err(DecodeError::Malformed));
         assert_eq!(
-            try_decode(&[0x00, FRAME_VERSION, KIND_DATA, 1]),
+            try_decode_flow(&[0x00, FRAME_VERSION, KIND_CONTROL, 1]),
             Err(DecodeError::Malformed)
         );
         assert_eq!(
-            try_decode(&[FRAME_MAGIC, FRAME_VERSION, 9, 1]),
+            try_decode_flow(&[FRAME_MAGIC, FRAME_VERSION, 9, 1]),
             Err(DecodeError::Malformed)
         );
         let mut buf = Vec::new();
-        encode_data_summed_into(&[1, 2, 3], &mut buf);
+        encode_data_summed_flow_into(0, &[1, 2, 3], &mut buf);
         let last = buf.len() - 1;
         buf[last] ^= 0xFF;
-        assert_eq!(try_decode(&buf), Err(DecodeError::Corrupt));
-        // decode() folds both reject reasons into None.
+        assert_eq!(try_decode_flow(&buf), Err(DecodeError::Corrupt));
+        // decode() is version 1 only, and folds every reject into None.
         assert_eq!(decode(&buf), None);
     }
 
@@ -983,7 +804,7 @@ mod tests {
     }
 
     #[test]
-    fn flow_control_and_padded_roundtrip() {
+    fn flow_control_roundtrips() {
         let ctl = Control::Marker(Marker::sync(2, ChannelMark { round: 7, dc: -1 }));
         let mut buf = Vec::new();
         encode_control_flow_into(777, &ctl, &mut buf);
@@ -993,25 +814,10 @@ mod tests {
             Ok((777, Frame::Control(ctl.clone())))
         );
         assert!(!is_data_frame(&buf));
-        // Below natural (no pad fits), exactly natural, and well above.
-        let natural = control_flow_frame_len(777, &ctl) + PAD_LEN_PREFIX;
-        for wire_len in [0, natural, natural + 1, 1200] {
-            let padded = padded(777, &ctl, wire_len);
-            assert_eq!(padded.len(), wire_len.max(natural), "target {wire_len}");
-            assert!(!is_data_frame(&padded));
-            assert_eq!(
-                try_decode_flow(&padded),
-                Ok((777, Frame::Control(ctl.clone()))),
-                "target {wire_len}"
-            );
-        }
     }
 
     #[test]
-    fn try_decode_flow_accepts_legacy_as_flow_zero() {
-        let mut data = Vec::new();
-        encode_data_into(&[5, 6], &mut data);
-        assert_eq!(try_decode_flow(&data), Ok((0, Frame::Data(&[5, 6][..]))));
+    fn try_decode_flow_reads_untagged_control_as_flow_zero() {
         let mut ctl = Vec::new();
         encode_control_into(&Control::Probe { nonce: 3 }, &mut ctl);
         assert_eq!(
@@ -1034,7 +840,7 @@ mod tests {
     fn truncated_or_overlong_flow_id_is_malformed() {
         for version in [FRAME_VERSION_FLOW, FRAME_VERSION_NUMBERED] {
             // Header promising a varint that never terminates.
-            let truncated = [FRAME_MAGIC, version, KIND_DATA, 0x80];
+            let truncated = [FRAME_MAGIC, version, KIND_CONTROL, 0x80];
             assert_eq!(try_decode_flow(&truncated), Err(DecodeError::Malformed));
             // Six continuation bytes: longer than any u32 varint.
             let overlong = [FRAME_MAGIC, version, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
@@ -1045,21 +851,9 @@ mod tests {
         }
         // Unknown version for both decoders.
         assert_eq!(
-            try_decode_flow(&[FRAME_MAGIC, 4, KIND_DATA, 1]),
+            try_decode_flow(&[FRAME_MAGIC, 4, KIND_CONTROL, 1]),
             Err(DecodeError::Malformed)
         );
-    }
-
-    #[test]
-    fn is_data_frame_accepts_every_version() {
-        let mut v3 = Vec::new();
-        encode_data_flow_into(12, &[1], &mut v3);
-        assert!(is_data_frame(&v3));
-        let v2 = [FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA, 12, 1];
-        assert!(is_data_frame(&v2));
-        let mut v2c = Vec::new();
-        encode_control_flow_into(12, &Control::Probe { nonce: 1 }, &mut v2c);
-        assert!(!is_data_frame(&v2c));
     }
 
     /// A frame is encoded with a blank number, which `write_number` fills
@@ -1133,13 +927,8 @@ mod tests {
     #[test]
     fn write_number_refuses_every_other_frame() {
         let mark = ChannelMark { round: 7, dc: 7 };
-        let mut v1 = Vec::new();
-        encode_data_into(&[1; 300], &mut v1);
-        let v2 = [
-            &[FRAME_MAGIC, FRAME_VERSION_FLOW, KIND_DATA, 3][..],
-            &[1; 300],
-        ]
-        .concat();
+        let v1 = [&[FRAME_MAGIC, FRAME_VERSION, 0][..], &[1; 300]].concat();
+        let v2 = [&[FRAME_MAGIC, FRAME_VERSION_FLOW, 0, 3][..], &[1; 300]].concat();
         let mut ctl = Vec::new();
         encode_control_flow_into(3, &Control::Probe { nonce: 1 }, &mut ctl);
         let flagged = vec![FRAME_MAGIC, FRAME_VERSION_NUMBERED, 2, 3, 0, 0, 0x80, 0];
@@ -1197,8 +986,8 @@ mod tests {
     }
 
     /// `parse` names the flow, classifies the body and locates it — past
-    /// the varint, the number, the pad prefix and a marker's type byte,
-    /// short of the CRC trailer and the padding — without decoding it.
+    /// the varint, the number and a marker's type byte, short of the CRC
+    /// trailer — without decoding it.
     #[test]
     fn parse_locates_every_kind_of_body() {
         let mk = Marker::sync(2, ChannelMark { round: 7, dc: -1 });
@@ -1210,25 +999,21 @@ mod tests {
         assert_eq!((p.flow, p.body, p.offset, p.len), (300, Body::Data, 9, 3));
         assert_eq!(p.body(&buf), &[1, 2, 3]);
 
-        encode_data_summed_into(&[4, 5], &mut buf);
+        encode_data_summed_flow_into(0, &[4, 5], &mut buf);
         let p = parse(&buf).unwrap();
-        assert_eq!((p.flow, p.body, p.offset, p.len), (0, Body::Data, 3, 2));
-        assert_eq!(p.number(&buf, 0), None);
+        assert_eq!((p.flow, p.body, p.offset, p.len), (0, Body::Data, 8, 2));
+        assert_eq!(p.number(&buf, 0), Some(ChannelMark { round: 0, dc: 0 }));
 
         encode_control_flow_into(5, &Control::Marker(mk), &mut buf);
         let p = parse(&buf).unwrap();
         assert_eq!((p.flow, p.body, p.offset), (5, Body::Marker, 5));
         assert_eq!(p.marker(&buf), Ok(mk));
         assert_eq!(p.control(&buf), Ok(Control::Marker(mk)));
+        assert_eq!(p.number(&buf, 0), None);
 
-        let buf = padded(5, &Control::Marker(mk), 200);
+        encode_control_flow_into(5, &probe, &mut buf);
         let p = parse(&buf).unwrap();
-        assert_eq!((p.body, p.offset, p.len), (Body::Marker, 7, 24));
-        assert_eq!(p.marker(&buf), Ok(mk));
-
-        let buf = padded(5, &probe, 64);
-        let p = parse(&buf).unwrap();
-        assert_eq!((p.body, p.offset, p.len), (Body::Control, 6, 9));
+        assert_eq!((p.body, p.offset, p.len), (Body::Control, 4, 9));
         assert_eq!(p.control(&buf), Ok(probe.clone()));
         assert_eq!(p.frame(&buf), Ok(Frame::Control(probe)));
     }
@@ -1244,7 +1029,7 @@ mod tests {
         *buf.last_mut().unwrap() ^= 1;
         assert_eq!(parse(&buf), Err(DecodeError::Corrupt));
         assert_eq!(parse_v1(&buf), Err(DecodeError::Malformed));
-        encode_data_summed_into(&[1, 2, 3], &mut buf);
+        encode_control_into(&Control::Probe { nonce: 1 }, &mut buf);
         assert_eq!(parse_v1(&buf), parse(&buf));
     }
 

@@ -52,16 +52,15 @@ use crate::frame;
 /// receiver's scheduler simulation advances exactly in step with the
 /// sender's (condition C2 needs both ends to agree on every length).
 ///
-/// A payload that arrived behind its frame's number keeps the number in
-/// the view itself, as the frame stated it — the round's low 16 bits and
-/// the `dc` — in the bytes a 32-byte view had to spare. So a numbered
-/// arrival is one ring entry, the resequencer reads the number without
-/// touching the buffer, and re-homing moves only the payload.
+/// Every payload arrived behind its frame's number, and the view keeps
+/// the number itself, as the frame stated it — the round's low 16 bits
+/// and the `dc` — in the bytes a 32-byte view had to spare. So an arrival
+/// is one ring entry, the resequencer reads the number without touching
+/// the buffer, and re-homing moves only the payload.
 #[derive(Debug, Clone)]
 pub struct PooledBuf {
     data: Rc<[u8]>,
-    /// The buffer's index in its pool; [`NUMBERED`] set: the view states
-    /// a number.
+    /// The buffer's index in its pool.
     slot: u32,
     offset: u32,
     /// The stated number's `dc` and round bits (see [`frame::Stated`]).
@@ -70,10 +69,6 @@ pub struct PooledBuf {
     /// A payload is one datagram's at most.
     len: u16,
 }
-
-/// The flag bit of [`PooledBuf::slot`]. A pool never has 2^31 buffers:
-/// each is at least 64 KiB.
-const NUMBERED: u32 = 1 << 31;
 
 impl PooledBuf {
     /// The payload bytes.
@@ -94,15 +89,15 @@ impl PooledBuf {
 
     /// Index, in its pool, of the buffer this view keeps alive.
     pub(crate) fn slot(&self) -> usize {
-        (self.slot & !NUMBERED) as usize
+        self.slot as usize
     }
 
     /// The number the view states, as its frame stated it.
-    fn stated(&self) -> Option<frame::Stated> {
-        (self.slot & NUMBERED != 0).then_some(frame::Stated {
+    fn stated(&self) -> frame::Stated {
+        frame::Stated {
             round: self.round,
             dc: self.dc,
-        })
+        }
     }
 
     /// The same view, number and all, over a copy of the payload that
@@ -119,7 +114,7 @@ impl WireLen for PooledBuf {
 
     #[inline]
     fn number(&self, near: u64) -> Option<ChannelMark> {
-        self.stated().map(|n| n.near(near))
+        Some(self.stated().near(near))
     }
 }
 
@@ -243,7 +238,7 @@ impl TrainPool {
 
     /// A view of `len` bytes at `offset` in `data`, the pool's buffer
     /// `slot`, which stays shared — unwritable — until the view and all
-    /// its clones are gone, stating `number` if its frame did.
+    /// its clones are gone, stating `number` as its frame did.
     ///
     /// # Panics
     /// Panics if the window exceeds the buffer or a datagram.
@@ -252,18 +247,16 @@ impl TrainPool {
         slot: usize,
         offset: usize,
         len: usize,
-        number: Option<frame::Stated>,
+        number: frame::Stated,
     ) -> PooledBuf {
         let fits = offset + len <= data.len() && len <= u16::MAX as usize;
         assert!(fits, "payload window out of bounds");
-        debug_assert!(slot < NUMBERED as usize);
-        let n = number.unwrap_or_default();
         PooledBuf {
             data: Rc::clone(data),
-            slot: slot as u32 | if number.is_some() { NUMBERED } else { 0 },
+            slot: slot as u32,
             offset: offset as u32,
-            dc: n.dc,
-            round: n.round,
+            dc: number.dc,
+            round: number.round,
             len: len as u16,
         }
     }
@@ -406,7 +399,7 @@ mod tests {
         let mut pool = TrainPool::new(64, 0, 2);
         assert_eq!((pool.allocated(), pool.free_count()), (2, 2));
         assert_eq!(land(&mut pool, 2, 7), [(0, 0), (1, 0)]);
-        let held = TrainPool::view_of(pool.handle(0), 0, 1, 3, None);
+        let held = TrainPool::view_of(pool.handle(0), 0, 1, 3, Default::default());
         assert_eq!(held.as_slice(), &[7, 7, 7]);
         assert_eq!(
             (held.wire_len(), held.len(), held.is_empty()),
@@ -458,6 +451,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn oversized_view_panics() {
         let pool = TrainPool::new(64, 0, 1);
-        let _ = TrainPool::view_of(pool.handle(0), 0, TRAIN_BUF - 2, 3, None);
+        let _ = TrainPool::view_of(pool.handle(0), 0, TRAIN_BUF - 2, 3, Default::default());
     }
 }

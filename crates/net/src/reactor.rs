@@ -40,7 +40,7 @@ use stripe_transport::{ControlTransmission, FailoverDriver};
 
 use crate::adapt::AdaptiveTuner;
 use crate::bundle;
-use crate::frame::{self, Body};
+use crate::frame;
 use crate::lifecycle::{ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleState};
 use crate::server::StripeServer;
 
@@ -92,10 +92,8 @@ pub struct ReactorSnapshot {
     pub flushed: u64,
     /// Control frames read off the reverse path.
     pub control_in: u64,
-    /// Data frames read off the reverse path (unexpected at the sender)
-    /// and discarded.
-    pub dropped_unexpected_data: u64,
-    /// Reverse-path frames that failed to decode.
+    /// Reverse-path frames that failed to decode as untagged control —
+    /// data frames among them.
     pub dropped_malformed: u64,
     /// Failover ticks delivered.
     pub ticks: u64,
@@ -293,14 +291,7 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
                     // Untagged control only: the reverse path is
                     // flow-agnostic, like the global control it answers.
                     let bytes = &room[at..at + n];
-                    let ctl = match frame::parse_v1(bytes) {
-                        Ok(p) if p.body == Body::Data => {
-                            self.stats.dropped_unexpected_data += 1;
-                            continue;
-                        }
-                        parsed => parsed.and_then(|p| p.control(bytes)),
-                    };
-                    let Ok(ctl) = ctl else {
+                    let Ok(ctl) = frame::parse_v1(bytes).and_then(|p| p.control(bytes)) else {
                         self.stats.dropped_malformed += 1;
                         continue;
                     };

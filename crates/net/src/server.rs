@@ -747,7 +747,6 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
             // and its number.
             f.tx.send_batch_numbered(
                 &self.turn_lens,
-                0,
                 &mut self.scratch_channels,
                 &mut self.scratch_numbers,
                 &mut self.scratch_markers,

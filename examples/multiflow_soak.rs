@@ -254,8 +254,8 @@ fn main() -> std::io::Result<()> {
     println!("FlowDemuxSnapshot:");
     println!("  frames            : {}", rx.frames);
     println!(
-        "  marked_frames     : {} of {} data frames",
-        rx.marked_frames, rx.data_frames
+        "  data_frames       : {} ({} numbers refused as out of reach)",
+        rx.data_frames, rx.dropped_mark_ahead
     );
     println!(
         "  rehomed           : {} (pool: {} buffers of {} B, {} free)",
@@ -266,10 +266,10 @@ fn main() -> std::io::Result<()> {
     );
     assert_eq!(snap.flows_active as usize, FLOWS);
     assert_eq!(snap.dropped_admission, 0);
-    // Integrity on or off, every data frame states its number: each one
-    // routed either kept it or had it refused as out of reach.
-    assert_eq!(rx.marked_frames + rx.dropped_mark_ahead, rx.data_frames);
-    assert!(rx.marked_frames > 0);
+    // Integrity on or off, every data frame states its number, and no
+    // number an honest sender states is out of reach.
+    assert_eq!(rx.dropped_mark_ahead, 0);
+    assert!(rx.data_frames > 0);
     assert!(stats.link_dead_reports >= 1);
     assert!(stats.rejoins >= 1);
     for lc in reactor.lifecycle() {

@@ -50,7 +50,9 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
+use stripe::core::control::Control;
 use stripe::core::fairness::ByteAccountant;
+use stripe::core::marker::Marker;
 use stripe::core::receiver::{Arrival, LogicalReceiver, RxBatch};
 use stripe::core::sched::{ChannelMark, Drr, Srr};
 use stripe::core::sender::{MarkerConfig, StripingSender};
@@ -188,7 +190,7 @@ impl OfferOrder {
             }
             let lens: Vec<usize> = turn.iter().map(|&(_, len)| len).collect();
             let (mut chans, mut numbers, mut marks) = (Vec::new(), Vec::new(), Vec::new());
-            tx.send_batch_numbered(&lens, 0, &mut chans, &mut numbers, &mut marks);
+            tx.send_batch_numbered(&lens, &mut chans, &mut numbers, &mut marks);
             assert!(marks.is_empty(), "no cadence");
             for ((&(pkt, _), &channel), &number) in turn.iter().zip(&chans).zip(&numbers) {
                 self.numbers[pkt] = Some(number);
@@ -545,7 +547,7 @@ proptest! {
         // The oracle: one bare engine, the whole burst in one batch.
         let mut oracle = StripingSender::new(Srr::equal(channels, quantum), MarkerConfig::disabled());
         let (mut chans, mut numbers, mut marks) = (Vec::new(), Vec::new(), Vec::new());
-        oracle.send_batch_numbered(&lens, 0, &mut chans, &mut numbers, &mut marks);
+        oracle.send_batch_numbered(&lens, &mut chans, &mut numbers, &mut marks);
         let want_events: Vec<_> = chans
             .iter()
             .map(|&channel| PumpEvent::Data { flow: 0, channel, error: None })
@@ -665,49 +667,66 @@ proptest! {
                 prop_assert_eq!(theirs, rx.stats(), "flow {} resequencer counters", flow);
             }
         }
-        // Every frame that arrived was routed with its number.
+        // Every frame that arrived was routed, with its number.
         let s = demux.net_stats();
-        prop_assert_eq!((s.marked_frames, s.data_frames, s.control_frames), (arrived, arrived, 0));
+        prop_assert_eq!((s.data_frames, s.control_frames), (arrived, 0));
         prop_assert!(drop_ppm > 0 || delivered == packets.len(), "lossless and incomplete");
     }
 
-    /// Mixed version-1 and numbered streams decode under the shared
-    /// entry point: flow ids route, bodies survive, and versions never
-    /// confuse each other.
+    /// The three versions interleaved decode under the shared entry
+    /// point: numbered data and a flow's markers route to their flow id,
+    /// untagged control to flow 0, bodies and numbers survive, and
+    /// versions never confuse each other.
     #[test]
     fn mixed_version_frames_decode_to_their_flow(
         items in prop::collection::vec(
-            (any::<bool>(), 0u32..1 << 21, prop::collection::vec(any::<u8>(), 0..600)),
+            (1u8..4, 0u32..1 << 21, prop::collection::vec(any::<u8>(), 0..600), any::<u64>()),
             1..60
         ),
     ) {
         let mut wire = Vec::new();
-        for (tagged, flow, payload) in &items {
+        for (version, flow, payload, round) in &items {
             let mut buf = Vec::new();
-            if *tagged {
-                frame::encode_data_flow_into(*flow, payload, &mut buf);
-            } else {
-                frame::encode_data_into(payload, &mut buf);
+            let mark = ChannelMark { round: *round, dc: payload.len() as i64 + 1 };
+            match *version {
+                frame::FRAME_VERSION => {
+                    frame::encode_control_into(&Control::Probe { nonce: *round }, &mut buf)
+                }
+                frame::FRAME_VERSION_FLOW => {
+                    let mk = Control::Marker(Marker::sync(0, mark));
+                    frame::encode_control_flow_into(*flow, &mk, &mut buf)
+                }
+                _ => {
+                    frame::encode_data_flow_into(*flow, payload, &mut buf);
+                    prop_assert!(frame::write_number(&mut buf, mark));
+                }
             }
+            prop_assert_eq!(buf[1], *version);
             wire.push(buf);
         }
-        for (buf, (tagged, flow, payload)) in wire.iter().zip(items.iter()) {
+        for (buf, (version, flow, payload, round)) in wire.iter().zip(items.iter()) {
             let (got_flow, decoded) =
                 frame::try_decode_flow(buf).expect("clean frames decode");
-            let want_flow = if *tagged { *flow } else { 0 };
-            prop_assert_eq!(got_flow, want_flow);
-            match decoded {
-                Frame::Data(body) => prop_assert_eq!(body, &payload[..]),
-                other => prop_assert!(false, "data decoded as {:?}", other),
+            let mark = ChannelMark { round: *round, dc: payload.len() as i64 + 1 };
+            match (*version, decoded) {
+                (frame::FRAME_VERSION, Frame::Control(c)) => {
+                    prop_assert_eq!((got_flow, c), (0, Control::Probe { nonce: *round }));
+                }
+                (frame::FRAME_VERSION_FLOW, Frame::Control(c)) => {
+                    let mk = Control::Marker(Marker::sync(0, mark));
+                    prop_assert_eq!((got_flow, c), (*flow, mk));
+                }
+                (FRAME_VERSION_NUMBERED, Frame::Data(body)) => {
+                    prop_assert_eq!((got_flow, body), (*flow, &payload[..]));
+                    let p = frame::parse(buf).unwrap();
+                    prop_assert_eq!(p.number(buf, *round), Some(mark));
+                }
+                (v, other) => prop_assert!(false, "version {} decoded as {:?}", v, other),
             }
             // The v1-only entry must reject flow-tagged frames rather
-            // than misreading the varint as payload.
+            // than misreading the varint as a body.
             let v1 = frame::try_decode(buf);
-            if *tagged {
-                prop_assert!(v1.is_err(), "v1 decoder must reject flow-tagged frames");
-            } else {
-                prop_assert!(v1.is_ok());
-            }
+            prop_assert_eq!(v1.is_ok(), *version == frame::FRAME_VERSION);
         }
     }
 }

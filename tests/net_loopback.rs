@@ -689,42 +689,73 @@ proptest! {
         prop_assert_eq!(frame::decode(&wire), Some(Frame::Control(c)));
     }
 
-    /// Data frames round-trip any payload unchanged, zero-copy.
+    /// Data frames round-trip any flow, number and payload unchanged,
+    /// zero-copy: the payload is the frame's tail.
     #[test]
-    fn net_data_frames_roundtrip(payload in prop::collection::vec(any::<u8>(), 0..1500)) {
+    fn net_data_frames_roundtrip(
+        flow in any::<u32>(),
+        payload in prop::collection::vec(any::<u8>(), 0..1500),
+        (round, dc) in (any::<u64>(), 1i64..1 << 14),
+    ) {
         let mut wire = Vec::new();
-        frame::encode_data_into(&payload, &mut wire);
-        prop_assert_eq!(wire.len(), FRAME_HEADER_LEN + payload.len());
+        frame::encode_data_flow_into(flow, &payload, &mut wire);
+        prop_assert_eq!(wire.len(), frame::data_flow_frame_len(flow, payload.len()));
+        let number = ChannelMark { round, dc };
+        prop_assert!(frame::write_number(&mut wire, number));
         prop_assert!(frame::is_data_frame(&wire));
-        prop_assert_eq!(frame::decode(&wire), Some(Frame::Data(&payload[..])));
+        let Ok((got, Frame::Data(body))) = frame::try_decode_flow(&wire) else {
+            return Err(TestCaseError::fail("a clean data frame must decode as data"));
+        };
+        prop_assert_eq!((got, body), (flow, &payload[..]));
+        prop_assert!(std::ptr::eq(body.as_ptr(), wire[wire.len() - payload.len()..].as_ptr()));
+        let p = frame::parse(&wire).unwrap();
+        prop_assert_eq!(p.number(&wire, round), Some(number));
     }
 
-    /// Arbitrary byte soup never panics the decoder and never decodes
-    /// into a frame silently wrong — anything that decodes must
-    /// re-encode (in its own wire kind) back to the bytes it came from.
+    /// Byte soup — raw, and behind a header of every version so that the
+    /// deeper checks are reached — never panics the decoder and never
+    /// decodes into a frame silently wrong: a control message is the
+    /// frame's whole tail, byte for byte the shared encoder's, and a
+    /// data payload is the frame's tail short of its trailer, whose
+    /// flow, number and payload the sender's encoder states again.
     #[test]
-    fn net_decode_is_faithful_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        match frame::try_decode(&bytes) {
-            Err(_) => {} // rejected loudly — never delivered
-            Ok(Frame::Data(body)) => {
-                let mut re = Vec::new();
-                if bytes[2] == frame::KIND_DATA_SUMMED {
-                    frame::encode_data_summed_into(body, &mut re);
-                } else {
-                    frame::encode_data_into(body, &mut re);
-                }
-                prop_assert_eq!(re, bytes);
-            }
-            Ok(Frame::Control(c)) => {
-                // Padded controls carry their message at a fixed offset
-                // (the pad bytes are free); plain ones re-encode whole.
-                if bytes[2] == frame::KIND_CONTROL_PADDED {
-                    let at = FRAME_HEADER_LEN + frame::PAD_LEN_PREFIX;
-                    prop_assert_eq!(&c.encode()[..], &bytes[at..at + c.wire_len()]);
-                } else {
+    fn net_decode_is_faithful_on_garbage(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        version in 1u8..4,
+        kind in 0u8..4,
+    ) {
+        let headed = [&[frame::FRAME_MAGIC, version, kind][..], &bytes].concat();
+        for bytes in [bytes, headed] {
+            match frame::try_decode_flow(&bytes) {
+                Err(_) => {} // rejected loudly — never delivered
+                Ok((flow, Frame::Data(body))) => {
+                    let summed = bytes[2] == frame::FLAG_SUMMED;
+                    let tail = bytes.len() - body.len() - summed as usize;
+                    prop_assert!(std::ptr::eq(body.as_ptr(), bytes[tail..].as_ptr()));
+                    let near = 1 << 20;
+                    let number = frame::parse(&bytes).unwrap().number(&bytes, near).unwrap();
                     let mut re = Vec::new();
-                    frame::encode_control_into(&c, &mut re);
-                    prop_assert_eq!(re, bytes);
+                    if summed {
+                        frame::encode_data_summed_flow_into(flow, body, &mut re);
+                    } else {
+                        frame::encode_data_flow_into(flow, body, &mut re);
+                    }
+                    prop_assert!(frame::write_number(&mut re, number));
+                    prop_assert_eq!(frame::try_decode_flow(&re), Ok((flow, Frame::Data(body))));
+                    prop_assert_eq!(frame::parse(&re).unwrap().number(&re, near), Some(number));
+                }
+                Ok((flow, Frame::Control(c))) => {
+                    prop_assert!(bytes.ends_with(&c.encode()), "bytes trail the message");
+                    let mut re = Vec::new();
+                    match bytes[1] {
+                        frame::FRAME_VERSION => frame::encode_control_into(&c, &mut re),
+                        _ => frame::encode_control_flow_into(flow, &c, &mut re),
+                    }
+                    // A flow id may come padded; the header is otherwise
+                    // the encoder's.
+                    let head = bytes.len() - c.wire_len();
+                    prop_assert_eq!(&re[..3], &bytes[..3]);
+                    prop_assert!(head >= re.len() - c.wire_len());
                 }
             }
         }
@@ -733,26 +764,32 @@ proptest! {
     /// Fuzz the decoder with damage a real network inflicts: truncation
     /// at any byte and single-bit flips anywhere in a summed data frame.
     /// The decoder must never panic, and a flipped frame must never be
-    /// delivered with a wrong payload (CRC-8 catches every single-bit
-    /// flip by construction).
+    /// delivered with a wrong payload or number (CRC-8 catches every
+    /// single-bit flip in them by construction).
     #[test]
     fn net_decoder_survives_truncation_and_bit_flips(
+        flow in prop_oneof![0u32..200, any::<u32>()],
         payload in prop::collection::vec(any::<u8>(), 0..256),
+        (round, dc) in (any::<u64>(), 1i64..1 << 14),
         bit in any::<usize>(),
         cut in any::<usize>(),
     ) {
         let mut wire = Vec::new();
-        frame::encode_data_summed_into(&payload, &mut wire);
+        frame::encode_data_summed_flow_into(flow, &payload, &mut wire);
+        let number = ChannelMark { round, dc };
+        prop_assert!(frame::write_number(&mut wire, number));
         // Truncation at any length: a loud error or a clean decode,
         // never a panic.
         let cut = cut % (wire.len() + 1);
-        let _ = frame::try_decode(&wire[..cut]);
+        let _ = frame::try_decode_flow(&wire[..cut]);
         // One flipped bit anywhere in the frame: whatever still decodes
-        // as data must carry the original payload.
+        // as data must carry the original payload and number.
         let bit = bit % (wire.len() * 8);
         wire[bit / 8] ^= 1 << (bit % 8);
-        if let Ok(Frame::Data(body)) = frame::try_decode(&wire) {
+        if let Ok((_, Frame::Data(body))) = frame::try_decode_flow(&wire) {
             prop_assert_eq!(body, &payload[..]);
+            let p = frame::parse(&wire).unwrap();
+            prop_assert_eq!(p.number(&wire, round), Some(number));
         }
     }
 }

@@ -11,7 +11,7 @@
 //! socket demux has it) and drains after every arrival. For SRR over two
 //! and three channels, every sequence of [`PACKETS`] packets of two lengths
 //! is sent once, with every packet numbered and with only the long ones
-//! numbered; then a deduplicated breadth-first search runs every way the
+//! numbered (the harness drops the short ones' numbers); then a deduplicated breadth-first search runs every way the
 //! channels can treat it — each channel's packets arrive in order, each
 //! one can be lost, and the channels interleave in every order. That is
 //! every subset of losses times every per-channel arrival interleaving.
@@ -90,20 +90,22 @@ struct Sent {
     packets: usize,
 }
 
-/// Send `lens` through a fresh SRR sender over `n` channels, numbering
-/// every packet of at least `number_from` bytes.
+/// Send `lens` through a fresh SRR sender over `n` channels, which numbers
+/// every packet; the frames of packets shorter than `number_from` bytes
+/// drop their number here, so that the receiver's handling of unnumbered
+/// arrivals stays checked.
 fn send(n: usize, lens: &[usize], number_from: usize) -> Sent {
     // A cadence too slow to fire within the sequence: marker frames are
     // not what is under test.
     let mut tx = StripingSender::new(Srr::equal(n, QUANTUM), MarkerConfig::every_rounds(1 << 20));
     let (mut chans, mut numbers, mut markers) = (Vec::new(), Vec::new(), Vec::new());
-    tx.send_batch_numbered(lens, number_from, &mut chans, &mut numbers, &mut markers);
+    tx.send_batch_numbered(lens, &mut chans, &mut numbers, &mut markers);
     assert!(markers.is_empty(), "no marker falls due");
-    let mut numbers = numbers.into_iter();
+    assert_eq!(numbers.len(), lens.len(), "one number a packet");
     let mut channels = vec![Vec::new(); n];
     let mut by_id = Vec::new();
-    for (id, (&c, &len)) in chans.iter().zip(lens).enumerate() {
-        let number = (len >= number_from).then(|| numbers.next().expect("one per long packet"));
+    for (id, ((&c, &len), &number)) in chans.iter().zip(lens).zip(&numbers).enumerate() {
+        let number = (len >= number_from).then_some(number);
         channels[c].push(Pkt { id, len, number });
         by_id.push(Pkt { id, len, number });
     }
