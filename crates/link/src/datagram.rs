@@ -103,9 +103,10 @@ pub trait DatagramLink {
     /// [`flush`](Self::flush) — the `sendmmsg` seam), never change them.
     ///
     /// The link may keep each accepted frame whichever way is cheaper for
-    /// it: an accepted frame's storage is *taken* (some valid, possibly
-    /// recycled `Vec` left in its place) *or* its bytes are copied, and
-    /// its contents are unspecified afterwards either way — the seam
+    /// it: an accepted frame's storage is *taken* — `Vec::new()` left in
+    /// its place, the storage handed back through
+    /// [`reclaim`](Self::reclaim) once the frame has left — *or* its
+    /// bytes are copied and the frame stays as it was. This is the seam
     /// batch senders feed from their recycled frame buffers, which they
     /// re-encode into before the next use. A frame whose result is an
     /// error is left untouched.
@@ -149,6 +150,17 @@ pub trait DatagramLink {
     /// Returns how many left the queue. Default: nothing is ever queued.
     fn flush(&mut self) -> usize {
         0
+    }
+
+    /// Hand back, appended to `into`, the storage
+    /// [`send_run_owned`](Self::send_run_owned) took whose frames have
+    /// left — sent, or dropped for good. Storage of a frame still queued
+    /// stays with the link. Batch senders call it after each
+    /// [`flush`](Self::flush), so that frame storage goes round one loop
+    /// and the next encode lands in memory the last burst used. Default:
+    /// nothing is ever taken.
+    fn reclaim(&mut self, into: &mut Vec<Vec<u8>>) {
+        let _ = into;
     }
 
     /// Frames waiting in the local send queue.
@@ -198,19 +210,30 @@ pub trait DatagramLink {
 /// everything that stripes over a [`DatagramLink`].
 #[derive(Debug)]
 pub struct TestDatagramLink {
-    /// Frames we transmit (the peer's receive queue).
-    out: Rc<RefCell<VecDeque<Vec<u8>>>>,
-    /// Frames the peer transmitted to us.
-    inn: Rc<RefCell<VecDeque<Vec<u8>>>>,
+    /// The pipe we transmit on (the peer's receive side).
+    out: Rc<RefCell<Pipe>>,
+    /// The pipe the peer transmits on.
+    inn: Rc<RefCell<Pipe>>,
     mtu: usize,
     cap: usize,
+}
+
+/// One direction of a [`datagram_pair`].
+#[derive(Debug, Default)]
+struct Pipe {
+    /// Frames in flight, each with whether its storage was taken from a
+    /// [`send_run_owned`](DatagramLink::send_run_owned) caller.
+    frames: VecDeque<(Vec<u8>, bool)>,
+    /// Taken storage the receiving end has read, for the sending end's
+    /// [`reclaim`](DatagramLink::reclaim).
+    spent: Vec<Vec<u8>>,
 }
 
 /// A connected pair of [`TestDatagramLink`]s with the given MTU and
 /// per-direction queue capacity (in frames).
 pub fn datagram_pair(mtu: usize, cap: usize) -> (TestDatagramLink, TestDatagramLink) {
-    let ab = Rc::new(RefCell::new(VecDeque::new()));
-    let ba = Rc::new(RefCell::new(VecDeque::new()));
+    let ab = Rc::new(RefCell::new(Pipe::default()));
+    let ba = Rc::new(RefCell::new(Pipe::default()));
     (
         TestDatagramLink {
             out: Rc::clone(&ab),
@@ -232,11 +255,11 @@ impl DatagramLink for TestDatagramLink {
         if frame.len() > self.mtu {
             return Err(TxError::TooBig);
         }
-        let mut q = self.out.borrow_mut();
-        if q.len() >= self.cap {
+        let mut pipe = self.out.borrow_mut();
+        if pipe.frames.len() >= self.cap {
             return Err(TxError::QueueFull);
         }
-        q.push_back(frame.to_vec());
+        pipe.frames.push_back((frame.to_vec(), false));
         Ok(())
     }
 
@@ -244,25 +267,32 @@ impl DatagramLink for TestDatagramLink {
         // The twin of the kernel links' zero-copy seam: accepted frames
         // move their storage into the queue instead of being copied.
         out.reserve(frames.len());
+        let mut pipe = self.out.borrow_mut();
         for frame in frames.iter_mut() {
             if frame.len() > self.mtu {
                 out.push(Err(TxError::TooBig));
-                continue;
-            }
-            let mut q = self.out.borrow_mut();
-            if q.len() >= self.cap {
+            } else if pipe.frames.len() >= self.cap {
                 out.push(Err(TxError::QueueFull));
-                continue;
+            } else {
+                pipe.frames.push_back((std::mem::take(frame), true));
+                out.push(Ok(()));
             }
-            q.push_back(std::mem::take(frame));
-            out.push(Ok(()));
         }
     }
 
+    fn reclaim(&mut self, into: &mut Vec<Vec<u8>>) {
+        into.append(&mut self.out.borrow_mut().spent);
+    }
+
     fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
-        let frame = self.inn.borrow_mut().pop_front()?;
+        let mut pipe = self.inn.borrow_mut();
+        let (frame, taken) = pipe.frames.pop_front()?;
         let n = frame.len().min(buf.len());
         buf[..n].copy_from_slice(&frame[..n]);
+        // Bounded like the queue, whoever never reclaims.
+        if taken && pipe.spent.len() < self.cap {
+            pipe.spent.push(frame);
+        }
         Some(n)
     }
 
@@ -337,6 +367,29 @@ mod tests {
             assert_eq!(b_peer.recv_frame(&mut buf), Some(1));
             assert_eq!(buf[0], want);
         }
+    }
+
+    #[test]
+    fn taken_storage_comes_back_once_the_peer_has_read_it() {
+        let (mut a, mut b) = datagram_pair(64, 8);
+        let mut frames = vec![vec![1u8; 10], vec![2u8; 20]];
+        let at: Vec<_> = frames.iter().map(|f| f.as_ptr()).collect();
+        let mut out = Vec::new();
+        a.send_run_owned(&mut frames, &mut out);
+        a.send_frame(&[3u8; 30]).unwrap();
+        assert!(frames.iter().all(|f| f.capacity() == 0), "taken");
+        let mut back = Vec::new();
+        a.reclaim(&mut back);
+        assert!(back.is_empty(), "nothing read yet");
+        let mut buf = [0u8; 64];
+        assert_eq!(b.recv_frame(&mut buf), Some(10));
+        a.reclaim(&mut back);
+        assert_eq!(back.iter().map(|f| f.as_ptr()).collect::<Vec<_>>(), at[..1]);
+        assert_eq!(b.recv_frame(&mut buf), Some(20));
+        assert_eq!(b.recv_frame(&mut buf), Some(30));
+        a.reclaim(&mut back);
+        let back: Vec<_> = back.iter().map(|f| f.as_ptr()).collect();
+        assert_eq!(back, at, "the copy is not handed back");
     }
 
     #[test]

@@ -390,7 +390,10 @@ pub struct ImpairedLink<L: DatagramLink> {
     rng: DetRng,
     held: VecDeque<Held>,
     spare: Vec<Vec<u8>>,
-    /// Result slot of the one-frame owned runs (see `send_inner`).
+    /// Where the spares the inner link took lie, until
+    /// [`reclaim`](DatagramLink::reclaim) brings them back to `spare`.
+    lent: Vec<usize>,
+    /// Result slot of the one-spare owned runs (see `send_spare`).
     run_out: Vec<Result<(), TxError>>,
     stats: ChaosSnapshot,
     /// Token-bucket credit in bytes (shaping only; starts at burst).
@@ -413,6 +416,7 @@ impl<L: DatagramLink> ImpairedLink<L> {
             rng: DetRng::new(seed),
             held: VecDeque::new(),
             spare: Vec::new(),
+            lent: Vec::new(),
             run_out: Vec::new(),
             stats: ChaosSnapshot::default(),
             tokens,
@@ -566,18 +570,36 @@ impl<L: DatagramLink> ImpairedLink<L> {
         Fate::Forward
     }
 
-    /// Hand one frame to the inner link: now, or (`deferred`) parked
-    /// behind its queued burst as a one-frame owned run of a spare copy.
-    fn send_inner(&mut self, frame: &[u8], deferred: bool) -> Result<(), TxError> {
+    /// Hand a copy of `frame` to the inner link: now, or (`deferred`)
+    /// parked behind its queued burst as a spare.
+    fn send_copy(&mut self, frame: &[u8], deferred: bool) -> Result<(), TxError> {
         if !deferred {
             return self.inner.send_frame(frame);
         }
         let mut buf = self.take_spare(frame.len());
         buf.extend_from_slice(frame);
+        self.send_spare(buf, true)
+    }
+
+    /// Hand a spare to the inner link: now, or (`deferred`) parked behind
+    /// its queued burst as a one-frame owned run. A spare the inner link
+    /// takes is lent until [`reclaim`](DatagramLink::reclaim) brings it
+    /// back; any other goes straight back to the pool.
+    fn send_spare(&mut self, mut buf: Vec<u8>, deferred: bool) -> Result<(), TxError> {
+        if !deferred {
+            let res = self.inner.send_frame(&buf);
+            self.recycle(buf);
+            return res;
+        }
+        let at = buf.as_ptr() as usize;
         self.run_out.clear();
         self.inner
             .send_run_owned(std::slice::from_mut(&mut buf), &mut self.run_out);
-        self.recycle(buf);
+        if buf.capacity() != 0 {
+            self.recycle(buf);
+        } else if self.lent.len() < SPARE_POOL_CAP {
+            self.lent.push(at);
+        }
         self.run_out[0]
     }
 
@@ -615,41 +637,43 @@ impl<L: DatagramLink> ImpairedLink<L> {
         }
     }
 
-    /// Apply the plan to one frame. Does *not* tick the hold queue —
-    /// the public entry points do that exactly once per call.
-    fn offer(&mut self, frame: &[u8], deferred: bool) -> Result<(), TxError> {
+    /// Resolve one frame's fate, counting the frame and, if it is
+    /// swallowed, the drop: `None` then, for the sender sees success and
+    /// nothing arrives — indistinguishable from network loss. Does *not*
+    /// tick the hold queue — the public entry points do that exactly once
+    /// per call.
+    fn judge(&mut self, frame: &[u8]) -> Option<Fate> {
         if !is_data_frame(frame) {
             self.stats.seen_control += 1;
             if self.blackout || self.plan.in_partition(self.stats.seen_data) {
                 self.stats.dropped_partition += 1;
-                return Ok(());
+                return None;
             }
-            return self.send_inner(frame, deferred);
+            return Some(Fate::Forward);
         }
         let index = self.stats.seen_data;
         self.stats.seen_data += 1;
         if self.blackout {
             self.stats.dropped_partition += 1;
             self.stats.dropped_partition_data += 1;
-            return Ok(());
+            return None;
         }
         match self.fate_for_data(index, frame.len()) {
-            Fate::Forward => self.send_inner(frame, deferred),
-            Fate::DropLoss => {
-                // Swallowed in flight: the sender sees success, nothing
-                // arrives — indistinguishable from network loss.
-                self.stats.dropped_loss += 1;
-                Ok(())
-            }
+            Fate::DropLoss => self.stats.dropped_loss += 1,
             Fate::DropPartition => {
                 self.stats.dropped_partition += 1;
                 self.stats.dropped_partition_data += 1;
-                Ok(())
             }
-            Fate::DropShaped => {
-                self.stats.dropped_shaped += 1;
-                Ok(())
-            }
+            Fate::DropShaped => self.stats.dropped_shaped += 1,
+            fate => return Some(fate),
+        }
+        None
+    }
+
+    /// Carry out a fate `judge` left to do, on a copy of the frame where
+    /// it takes one.
+    fn act(&mut self, fate: Fate, frame: &[u8], deferred: bool) -> Result<(), TxError> {
+        match fate {
             Fate::Corrupt => {
                 let mut buf = self.take_spare(frame.len());
                 buf.extend_from_slice(frame);
@@ -663,17 +687,15 @@ impl<L: DatagramLink> ImpairedLink<L> {
                     buf[0] ^= 1;
                 }
                 self.stats.corrupted += 1;
-                let res = self.send_inner(&buf, deferred);
-                self.recycle(buf);
-                res
+                self.send_spare(buf, deferred)
             }
             Fate::Duplicate => {
                 self.stats.duplicated += 1;
-                let res = self.send_inner(frame, deferred);
+                let res = self.send_copy(frame, deferred);
                 if res.is_ok() {
                     // Second copy is best-effort: if the inner queue is
                     // full the duplicate just doesn't happen.
-                    let _ = self.send_inner(frame, deferred);
+                    let _ = self.send_copy(frame, deferred);
                 }
                 res
             }
@@ -681,7 +703,7 @@ impl<L: DatagramLink> ImpairedLink<L> {
                 if frame.len() > self.inner.mtu() {
                     // Let the inner link report TooBig now rather than
                     // at release, when the caller is gone.
-                    return self.send_inner(frame, deferred);
+                    return self.send_copy(frame, deferred);
                 }
                 let mut buf = self.take_spare(frame.len());
                 buf.extend_from_slice(frame);
@@ -693,6 +715,7 @@ impl<L: DatagramLink> ImpairedLink<L> {
                 }
                 Ok(())
             }
+            _ => self.send_copy(frame, deferred),
         }
     }
 }
@@ -700,19 +723,31 @@ impl<L: DatagramLink> ImpairedLink<L> {
 impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), TxError> {
         self.tick_held();
-        self.offer(frame, false)
+        match self.judge(frame) {
+            None => Ok(()),
+            Some(fate) => self.act(fate, frame, false),
+        }
     }
 
     fn send_run_owned(&mut self, frames: &mut [Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
         self.tick_held();
         out.reserve(frames.len());
         if self.blackout || !self.plan.pure_drop() {
-            // General plans resolve a fate per frame; storage is never
-            // taken (the contract allows taking none) — held and
-            // corrupted frames are copied into recycled spares.
-            for frame in frames.iter() {
-                let res = self.offer(frame, true);
-                out.push(res);
+            // General plans resolve a fate per frame. A forwarded frame
+            // goes to the inner link in its own storage, as a one-frame
+            // run; held, corrupted and duplicated frames are copied into
+            // spares.
+            for frame in frames.iter_mut() {
+                match self.judge(frame) {
+                    None => out.push(Ok(())),
+                    Some(Fate::Forward) => {
+                        self.inner.send_run_owned(std::slice::from_mut(frame), out);
+                    }
+                    Some(fate) => {
+                        let res = self.act(fate, frame, true);
+                        out.push(res);
+                    }
+                }
             }
             return;
         }
@@ -778,6 +813,24 @@ impl<L: DatagramLink> DatagramLink for ImpairedLink<L> {
             self.tokens = (self.tokens + self.plan.shape_rate).min(self.plan.shape_burst);
         }
         self.inner.flush()
+    }
+
+    fn reclaim(&mut self, into: &mut Vec<Vec<u8>>) {
+        let from = into.len();
+        self.inner.reclaim(into);
+        // The spares among what came back are this link's own.
+        let mut i = from;
+        while !self.lent.is_empty() && i < into.len() {
+            let at = into[i].as_ptr() as usize;
+            match self.lent.iter().position(|&p| p == at) {
+                Some(k) => {
+                    self.lent.swap_remove(k);
+                    let buf = into.swap_remove(i);
+                    self.recycle(buf);
+                }
+                None => i += 1,
+            }
+        }
     }
 
     fn backlog(&self) -> usize {
@@ -1153,13 +1206,32 @@ mod tests {
             per_frame.send_frame(f).unwrap();
         }
         let mut owned = make();
+        let at: Vec<_> = owned.iter().map(|f| f.as_ptr()).collect();
         let mut out = Vec::new();
         batched.send_run_owned(&mut owned, &mut out);
         assert!(out.iter().all(|r| r.is_ok()));
-        assert_eq!(per_frame.snapshot(), batched.snapshot());
+        let s = batched.snapshot();
+        assert_eq!(per_frame.snapshot(), s);
         assert_eq!(drain(&mut b1), drain(&mut b2));
-        // Storage untouched for the general path.
-        assert!(owned.iter().all(|f| !f.is_empty()));
+        // Every Forward-fated frame's storage reached the inner link
+        // uncopied: taken, and handed back once the peer read it, where
+        // the copies of corrupted and duplicated frames are not the
+        // caller's.
+        let taken: Vec<_> = (0..owned.len())
+            .filter(|&i| owned[i].capacity() == 0)
+            .map(|i| at[i])
+            .collect();
+        let forwarded = s.seen_data - s.dropped_loss - s.corrupted - s.duplicated;
+        assert!(s.corrupted > 0 && s.duplicated > 0, "{s:?}");
+        assert_eq!(taken.len() as u64, forwarded, "{s:?}");
+        let mut back = Vec::new();
+        batched.reclaim(&mut back);
+        let mut back: Vec<_> = back.iter().map(|f| f.as_ptr()).collect();
+        back.sort_unstable();
+        let mut taken = taken;
+        taken.sort_unstable();
+        assert_eq!(back, taken);
+        assert!(batched.lent.is_empty(), "the spares came back to the pool");
     }
 
     #[test]

@@ -57,10 +57,14 @@
 //! offer in *offer* order, which across flows is not the wire order.
 //!
 //! The zero-allocation story: frames are encoded once at
-//! [`enqueue`](StripeServer::enqueue) into recycled buffers, handed to
-//! links by storage transfer ([`DatagramLink::send_run_owned`]), and the
-//! swapped-back recycled storage returns to the server's pool. Steady
-//! state allocates nothing per packet.
+//! [`enqueue`](StripeServer::enqueue) into recycled buffers and handed to
+//! links by storage transfer ([`DatagramLink::send_run_owned`]). What a
+//! link copies stays in the stage and returns to the server's pool at
+//! once; what it takes comes back through [`DatagramLink::reclaim`] after
+//! each flush, once the kernel has the frame. So the server's frames go
+//! round one set of buffers — the next burst is encoded into the
+//! storage the last one left — and steady state allocates nothing per
+//! packet.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -778,11 +782,12 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
 
     /// Every channel's staged burst to its link, and one flush per link:
     /// deferring links submit their whole accumulated burst as mmsg
-    /// batches here.
+    /// batches here, and hand back the storage of what left.
     fn emit_stages(&mut self, events: &mut [PumpEvent]) {
         for c in 0..self.links.len() {
             self.emit_stage(c, events);
             self.links[c].flush();
+            self.links[c].reclaim(&mut self.buf_pool);
         }
     }
 
@@ -825,7 +830,9 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
                 }
             }
         }
-        // Recycle the storage the link swapped back.
+        // Keep the storage the link left; what it took comes back
+        // through `reclaim`.
+        st.bufs.retain(|b| b.capacity() != 0);
         self.buf_pool.append(&mut st.bufs);
         st.clear();
     }
@@ -907,9 +914,15 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
         min_mtu.saturating_sub(overhead)
     }
 
-    /// Try to drain every link's local backlog. Returns frames flushed.
+    /// Try to drain every link's local backlog, taking back the storage
+    /// of what left. Returns frames flushed.
     pub fn flush(&mut self) -> usize {
-        self.links.iter_mut().map(|l| l.flush()).sum()
+        let mut flushed = 0;
+        for l in &mut self.links {
+            flushed += l.flush();
+            l.reclaim(&mut self.buf_pool);
+        }
+        flushed
     }
 
     /// Frames parked across all link backlogs.
@@ -1514,10 +1527,12 @@ mod tests {
 
     /// A deferring link as `UdpChannel` is one: `send_run_owned` parks
     /// up to `cap` frames and refuses the rest, `flush` puts what is
-    /// parked on the (unbounded) wire.
+    /// parked on the (unbounded) wire, and `reclaim` hands its storage
+    /// back.
     struct Deferring {
         wire: TestDatagramLink,
         parked: Vec<Vec<u8>>,
+        spent: Vec<Vec<u8>>,
         cap: usize,
     }
 
@@ -1539,8 +1554,12 @@ mod tests {
             let n = self.parked.len();
             for f in self.parked.drain(..) {
                 self.wire.send_frame(&f).expect("unbounded wire");
+                self.spent.push(f);
             }
             n
+        }
+        fn reclaim(&mut self, into: &mut Vec<Vec<u8>>) {
+            into.append(&mut self.spent);
         }
         fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
             self.wire.recv_frame(buf)
@@ -1561,8 +1580,14 @@ mod tests {
             .map(|_| {
                 let (wire, peer) = datagram_pair(2048, usize::MAX);
                 let cap = IDLE_MARKER_BURST;
-                let parked = Vec::new();
-                (Deferring { wire, parked, cap }, peer)
+                let (parked, spent) = (Vec::new(), Vec::new());
+                let link = Deferring {
+                    wire,
+                    parked,
+                    spent,
+                    cap,
+                };
+                (link, peer)
             })
             .unzip();
         let mut srv: StripeServer<Srr, Deferring> = StripeServer::builder()

@@ -38,8 +38,16 @@
 //! bytes — a short data frame, a marker frame, control — is *copied* to
 //! the end of the channel's **send arena**, one byte buffer reserved
 //! when the channel is built, and queued as `(offset, len)`; a longer
-//! frame keeps the storage it came in (swapped against a recycled
-//! buffer) and is queued as that `Vec`. Short frames queued one
+//! frame offered through [`send_run_owned`](DatagramLink::send_run_owned)
+//! keeps the storage it came in, taken from the caller and queued as
+//! that `Vec`, and once the frame has left — sent, or dropped for good —
+//! the storage goes back to the caller through
+//! [`reclaim`](DatagramLink::reclaim). A sender that reclaims after each
+//! flush therefore encodes every burst into the buffers the last one
+//! left: one set of send buffers, warm in cache (EXPERIMENTS.md, "One
+//! set of send buffers"). Only a long frame offered through
+//! [`send_frame`](DatagramLink::send_frame) is copied, into a buffer of
+//! the channel's own recycle pool. Short frames queued one
 //! after another therefore lie back to back in memory, and
 //! [`BatchIo::send_slices`] hands a run of them to the kernel as *one*
 //! iovec of their `sendmmsg` message, where a queue of separate buffers
@@ -62,8 +70,9 @@
 //! frame (`WouldBlock`), frames park in the bounded local queue for the
 //! next flush; when that queue is full too, the send reports
 //! [`TxError::QueueFull`] — the same congestion signal a full simulated
-//! transmit queue produces. Queue buffers are recycled, so backpressure
-//! episodes allocate only up to the queue's high-water mark.
+//! transmit queue produces. The channel's own copy buffers are recycled,
+//! so backpressure episodes allocate only up to the queue's high-water
+//! mark.
 //!
 //! The snapshot counts syscalls, kernel datagrams and iovecs on both
 //! directions and reports the effective `SO_SNDBUF`/`SO_RCVBUF`;
@@ -103,7 +112,8 @@
 //! Every frame dropped this way is counted `dropped_error`, once.
 //!
 //! A dead channel fails every send fast with `LinkDown`, drains its
-//! queue (frames counted `dropped_error`, buffers recycled), and
+//! queue (frames counted `dropped_error`, taken storage handed back
+//! through `reclaim`, copies recycled), and
 //! reports [`DatagramLink::link_dead`] — which the sender reactor
 //! feeds to the failover driver, retiring the channel through the same
 //! §liveness path a silent channel takes. No `io::Error` ever bubbles
@@ -391,13 +401,6 @@ impl UdpChannelBuilder {
             // BatchIo splitter must know to take receives apart again.
             io.set_gro(sys::configure_offload(&sock));
         }
-        // Pre-stock one batch's worth of full-capacity queue buffers:
-        // deferred sends and markers draw on this pool at rates that
-        // drift with the marker phase, and lazily growing it mid-run
-        // would show up as steady-state allocations.
-        let recycle = (0..self.batch)
-            .map(|_| Vec::with_capacity(self.mtu))
-            .collect();
         Ok(UdpChannel {
             sock,
             spec,
@@ -406,7 +409,9 @@ impl UdpChannelBuilder {
             arena: Vec::with_capacity(
                 ARENA_BYTES.min(self.queue_cap.saturating_mul(ARENA_FRAME_MAX)),
             ),
-            recycle,
+            recycle: Vec::new(),
+            copies: Vec::new(),
+            spent: Vec::new(),
             queue_cap: self.queue_cap,
             io,
             stats,
@@ -433,8 +438,11 @@ impl UdpChannelBuilder {
 enum Queued {
     /// A short frame's bytes, copied to `arena[at..at + len]`.
     Arena { at: u32, len: u32 },
-    /// A longer frame, in the storage it arrived in (or a recycled
-    /// buffer it was copied to).
+    /// A longer frame, in the storage taken from a
+    /// [`send_run_owned`](DatagramLink::send_run_owned) caller, or in a
+    /// buffer of the recycle pool [`send_frame`](DatagramLink::send_frame)
+    /// copied it to (see `UdpChannel::copies`). One variant for both
+    /// keeps an entry 24 bytes, as the queue is walked per frame.
     Owned(Vec<u8>),
 }
 
@@ -463,10 +471,15 @@ pub struct UdpChannel {
     /// (see [`ARENA_FRAME_MAX`]). Appended to while entries are
     /// outstanding, rewound only when the queue is empty, never grown.
     arena: Vec<u8>,
-    /// Storage for [`Queued::Owned`] entries copied in, and what
-    /// [`send_run_owned`](DatagramLink::send_run_owned) hands back for
-    /// the storage it takes.
+    /// Storage for the [`Queued::Owned`] entries `send_frame` copies.
     recycle: Vec<Vec<u8>>,
+    /// Where the queued copies lie, which go back to `recycle` when they
+    /// leave; every other owned entry's storage was taken.
+    copies: Vec<usize>,
+    /// Storage of [`Queued::Owned`] entries that have left, until
+    /// [`reclaim`](DatagramLink::reclaim) hands it back; at most
+    /// `queue_cap` of them, the rest freed.
+    spent: Vec<Vec<u8>>,
     queue_cap: usize,
     io: BatchIo,
     stats: UdpChannelSnapshot,
@@ -599,6 +612,7 @@ impl UdpChannel {
             let mut buf = self.recycled_buf();
             buf.clear();
             buf.extend_from_slice(frame);
+            self.copies.push(buf.as_ptr() as usize);
             self.queue.push_back(Queued::Owned(buf));
         }
         self.stats.queued += 1;
@@ -606,28 +620,34 @@ impl UdpChannel {
     }
 
     /// Park a frame without copying more than a short one's bytes: a
-    /// longer frame's storage is *taken*, a recycled buffer handed back
-    /// in its place.
+    /// longer frame's storage is *taken*, `Vec::new()` left in its place.
     fn enqueue_owned(&mut self, frame: &mut Vec<u8>) -> Result<(), TxError> {
         self.queue_has_room()?;
         if !self.enqueue_short(frame) {
-            let replacement = self.recycled_buf();
-            self.queue
-                .push_back(Queued::Owned(std::mem::replace(frame, replacement)));
+            self.queue.push_back(Queued::Owned(std::mem::take(frame)));
         }
         self.stats.queued += 1;
         Ok(())
     }
 
-    /// Take the head frame off the queue, its storage back to the
-    /// recycle pool; its length. The arena rewinds when that empties the
-    /// queue — the only moment no entry points into it.
+    /// Take the head frame off the queue, its storage to whoever owns
+    /// it — a copy back to the recycle pool, taken storage to `spent`;
+    /// its length. The arena rewinds when that empties the queue — the
+    /// only moment no entry points into it.
     fn pop_head(&mut self) -> usize {
         let len = match self.queue.pop_front().expect("head frame exists") {
             Queued::Arena { len, .. } => len as usize,
             Queued::Owned(buf) => {
                 let len = buf.len();
-                self.recycle.push(buf);
+                let at = buf.as_ptr() as usize;
+                match self.copies.iter().position(|&p| p == at) {
+                    Some(k) => {
+                        self.copies.swap_remove(k);
+                        self.recycle.push(buf);
+                    }
+                    None if self.spent.len() < self.queue_cap => self.spent.push(buf),
+                    None => {}
+                }
                 len
             }
         };
@@ -695,9 +715,9 @@ impl UdpChannel {
         }
     }
 
-    /// The socket has failed: fail sends fast and hand the queued
-    /// frames' storage back to the recycle pool (counted, never
-    /// silently). Not a point of no return since the lifecycle work:
+    /// The socket has failed: fail sends fast and drop the queued frames
+    /// (counted, never silently), their storage handed back as a sent
+    /// frame's is. Not a point of no return since the lifecycle work:
     /// [`revive`](DatagramLink::revive) rebuilds the socket after the
     /// reactor's cooldown.
     fn declare_dead(&mut self) {
@@ -713,8 +733,8 @@ impl UdpChannel {
     }
 
     /// Kill the socket from outside, exactly as a fatal-errno streak
-    /// would from inside: sends fail fast, the queue drains into the
-    /// recycle pool, [`DatagramLink::link_dead`] raises. The chaos/ops
+    /// would from inside: sends fail fast, the queue drains,
+    /// [`DatagramLink::link_dead`] raises. The chaos/ops
     /// hook the flap soak uses to force real die→rejoin cycles (the
     /// in-crate tests use the same path via `force_dead`).
     pub fn inject_socket_death(&mut self) {
@@ -951,6 +971,10 @@ impl DatagramLink for UdpChannel {
         self.submit().0
     }
 
+    fn reclaim(&mut self, into: &mut Vec<Vec<u8>>) {
+        into.append(&mut self.spent);
+    }
+
     fn backlog(&self) -> usize {
         self.queue.len()
     }
@@ -1180,17 +1204,56 @@ mod tests {
 
     #[test]
     fn enobufs_backoff_skips_flushes_then_resumes() {
-        let (mut a, mut b) = UdpChannel::pair(256, 64).unwrap();
-        park(&mut a, &[9u8; 16]).unwrap();
+        let (mut a, mut b) = UdpChannel::pair(1500, 64).unwrap();
+        let mut long = vec![vec![9u8; 1000]];
+        let at = long[0].as_ptr();
+        a.send_run_owned(&mut long, &mut Vec::new());
         a.force_backoff();
+        let mut back = Vec::new();
         for _ in 0..ENOBUFS_BACKOFF {
             assert_eq!(a.flush(), 0, "backoff must skip the syscall");
             assert_eq!(a.backlog(), 1);
+            a.reclaim(&mut back);
+            assert!(back.is_empty(), "a parked frame keeps its storage");
         }
         assert_eq!(a.flush(), 1, "backoff expired: the frame goes out");
-        let mut buf = [0u8; 256];
-        assert_eq!(recv_poll(&mut b, &mut buf), Some(16));
+        a.reclaim(&mut back);
+        assert_eq!(back.iter().map(|b| b.as_ptr()).collect::<Vec<_>>(), [at]);
+        let mut buf = [0u8; 1500];
+        assert_eq!(recv_poll(&mut b, &mut buf), Some(1000));
         assert_eq!(a.stats().enobufs_backoffs, 1);
+    }
+
+    /// Storage a run hands over comes back through `reclaim` once its
+    /// frame has left — sent or drained by a dead socket — and only
+    /// then; a long frame `send_frame` copied stays the channel's own.
+    #[test]
+    fn reclaim_hands_back_taken_storage_once_its_frame_has_left() {
+        let (mut a, mut b) = UdpChannel::pair(1500, 64).unwrap();
+        let ptrs = |v: &[Vec<u8>]| v.iter().map(|b| b.as_ptr()).collect::<Vec<_>>();
+        let mut frames: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 600]).collect();
+        let taken = ptrs(&frames);
+        let mut out = Vec::new();
+        a.send_run_owned(&mut frames, &mut out);
+        assert!(frames.iter().all(|f| f.capacity() == 0));
+        let mut back = Vec::new();
+        a.reclaim(&mut back);
+        assert!(back.is_empty(), "nothing has left yet");
+        assert_eq!(a.flush(), 4);
+        a.send_frame(&[7u8; 600]).unwrap();
+        a.reclaim(&mut back);
+        assert_eq!(ptrs(&back), taken, "the storage of the four, in order");
+        assert_eq!(land_frames(&mut b, 5).len(), 5);
+        back.clear();
+        a.reclaim(&mut back);
+        assert!(back.is_empty(), "the copy is not the caller's");
+        // Parked when the socket dies: drained, and handed back all the same.
+        let mut frames: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 600]).collect();
+        let taken = ptrs(&frames);
+        a.send_run_owned(&mut frames, &mut out);
+        a.force_dead();
+        a.reclaim(&mut back);
+        assert_eq!(ptrs(&back), taken);
     }
 
     /// `send_frame` has no way around the queue: offered during a
@@ -1248,7 +1311,7 @@ mod tests {
         assert_eq!(a.backlog(), 2);
         a.force_dead();
         assert!(a.is_dead() && a.link_dead());
-        assert_eq!(a.backlog(), 0, "queued frames drained into recycle");
+        assert_eq!(a.backlog(), 0, "queued frames drained");
         assert_eq!(a.send_frame(&[3u8; 8]), Err(TxError::LinkDown));
         let mut frames = vec![vec![4u8; 8]];
         let mut out = Vec::new();
@@ -1413,8 +1476,12 @@ mod tests {
         assert_eq!(at[4], None, "the long frame kept its storage");
         assert_eq!(at[5..], [280, 350, 420, 490, 560].map(Some));
         assert_eq!(offered[0], frames[0], "a copied frame keeps its storage");
+        assert_eq!(offered[4].capacity(), 0, "a taken one is left empty");
         assert_eq!(a.flush(), 10);
         assert_eq!(a.arena.len(), 0, "an empty queue rewinds the arena");
+        let mut back = Vec::new();
+        a.reclaim(&mut back);
+        assert_eq!(back, [vec![0xaa; ARENA_FRAME_MAX + 1]], "and handed back");
         assert_eq!(land_frames(&mut b, 10), frames);
         let s = a.stats();
         if a.gso_offload() {

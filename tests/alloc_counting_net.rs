@@ -2,7 +2,9 @@
 //! UDP channels, physical reception, and logical resequencing together
 //! perform ZERO heap allocations per packet in steady state — and the
 //! control plane beside them (the reactor polling its failover driver)
-//! none per probe interval.
+//! none per probe interval. The same server and demux over the in-memory
+//! twin of a channel (`datagram_pair`) allocate none per packet either:
+//! frame storage goes round the pair and back to the server.
 //!
 //! Like `alloc_counting.rs`, this test owns its binary so the counting
 //! global allocator sees only this test's traffic (sibling tests in the
@@ -15,7 +17,7 @@ use stripe_core::control::Control;
 use stripe_core::receiver::RxBatch;
 use stripe_core::sched::Srr;
 use stripe_core::sender::MarkerConfig;
-use stripe_link::{DatagramLink, Train};
+use stripe_link::{datagram_pair, DatagramLink, TestDatagramLink, Train};
 use stripe_net::{
     bundle, FlowDemux, PooledBuf, PumpEvent, ServerReactor, StripeServer, UdpChannel, WallClock,
 };
@@ -168,18 +170,23 @@ fn steady_state_net_datapath_allocates_nothing() {
 
     send_queue_allocates_nothing_when_a_flush_is_cut_short();
     reactor_polls_allocate_nothing_per_probe_interval();
+    memory_pairs_allocate_nothing_per_packet();
 }
 
 /// The channel's send queue alone, bursts of 64 B frames parked and
-/// flushed the way a pump does it — and, inside the measured window, one
-/// burst with a frame in its middle that the kernel refuses, so that one
+/// flushed the way a pump does it, the storage of what left taken back
+/// after every flush — and, inside the measured window, one burst with
+/// a frame in its middle that the kernel refuses, so that one
 /// `sendmmsg` comes back partial and the frames behind the refusal wait,
-/// in the arena, for the flush after. (A send buffer does not push back
-/// on loopback, whatever its size: the datagram is off the sender's
-/// books the moment it is looped. `EMSGSIZE` for a datagram no UDP
-/// packet can hold is the refusal this host produces on demand.)
-/// Called from the one test: this binary's allocator must see one test
-/// at a time.
+/// in the arena, for the flush after. The refused frame's storage is
+/// taken and comes back when `EMSGSIZE` drops it; one warm-up burst
+/// carries a long frame the same way, so that storage has been round
+/// the loop before the window. (A send buffer does not push back on
+/// loopback, whatever its size: the datagram is off the sender's books
+/// the moment it is looped. `EMSGSIZE` for a datagram no UDP packet can
+/// hold is the refusal a loopback socket produces on demand.) Called
+/// from the one test: this binary's allocator must see one test at a
+/// time.
 fn send_queue_allocates_nothing_when_a_flush_is_cut_short() {
     const BURST: usize = 96;
     let (mut tx, mut rx) = UdpChannel::builder(70_000)
@@ -188,25 +195,30 @@ fn send_queue_allocates_nothing_when_a_flush_is_cut_short() {
         .unwrap();
     let mut frames: Vec<Vec<u8>> = (0..BURST).map(|i| vec![i as u8; 70]).collect();
     let mut huge = vec![0u8; 66_000];
+    let mut long = vec![0u8; 1_000];
     let mut out = Vec::with_capacity(BURST + 1);
+    let mut back = Vec::with_capacity(1);
     let window = rx.recv_window();
     let mut room = vec![0u8; 4 * window];
     let mut trains = [Train::default(); 4];
-    // One burst parked, flushed until the queue is empty, and read back;
-    // the frames that arrived.
-    let mut burst = |with_refusal: bool| -> usize {
+    // One burst parked, `extra` in its middle, flushed until the queue
+    // is empty, and every frame sent read back; the flushes it took.
+    // `extra` gets its storage back.
+    let mut burst = |mut extra: Option<&mut Vec<u8>>| -> usize {
         let (head, tail) = frames.split_at_mut(BURST / 2);
         out.clear();
         tx.send_run_owned(head, &mut out);
-        if with_refusal {
-            tx.send_run_owned(std::slice::from_mut(&mut huge), &mut out);
+        if let Some(f) = extra.as_deref_mut() {
+            tx.send_run_owned(std::slice::from_mut(f), &mut out);
         }
         tx.send_run_owned(tail, &mut out);
         assert!(out.iter().all(|r| r.is_ok()));
         let (mut flushes, mut got, mut spins) = (0, 0, 0u32);
-        while got < BURST {
+        let sent = tx.stats().sent_frames;
+        while tx.backlog() > 0 || got < (tx.stats().sent_frames - sent) as usize {
             if tx.backlog() > 0 {
                 tx.flush();
+                tx.reclaim(&mut back);
                 flushes += 1;
             }
             let landed = {
@@ -224,21 +236,26 @@ fn send_queue_allocates_nothing_when_a_flush_is_cut_short() {
             spins += 1;
             assert!(spins < 1_000_000, "loopback datagrams went missing");
         }
-        assert_eq!(got, BURST);
+        assert!(got >= BURST);
+        if let Some(f) = extra {
+            *f = back.pop().expect("the taken storage comes back");
+        }
+        assert!(back.is_empty(), "the short frames were copied");
         flushes
     };
-    for _ in 0..32 {
-        burst(false);
+    for round in 0..32 {
+        burst((round == 0).then_some(&mut long));
     }
     let before = CountingAlloc::allocations();
     let mut flushes = 0;
     for round in 0..64 {
-        flushes += burst(round == 20);
+        flushes += burst((round == 20).then_some(&mut huge));
     }
     let allocs = CountingAlloc::allocations() - before;
     assert_eq!(allocs, 0, "the send queue must not touch the allocator");
     let s = tx.stats();
-    assert_eq!(s.sent_frames, (96 * BURST) as u64);
+    assert_eq!(huge.len(), 66_000);
+    assert_eq!(s.sent_frames, (96 * BURST + 1) as u64);
     if s.mtu_clamps > 0 && tx.batched_syscalls() {
         assert!(flushes > 64, "the refused frame cut one flush short");
         assert_eq!(s.dropped_error, 1);
@@ -305,4 +322,69 @@ fn reactor_polls_allocate_nothing_per_probe_interval() {
     let driver = reactor.driver().expect("attached");
     assert_eq!(driver.liveness().deaths(), 0);
     assert_eq!(reactor.stats().ticks, WARM + MEASURED);
+}
+
+/// A server and a demux over in-memory pairs, eight flows of a seeded
+/// 64/1400 B mix: the pair hands every frame's storage back once the
+/// demux has read it, and the server's next flush takes it back, so
+/// after a warm-up a round of pumps and sweeps touches the allocator not
+/// once. Called from the one test: this binary's allocator must see one
+/// test at a time.
+fn memory_pairs_allocate_nothing_per_packet() {
+    let (tx_links, rx_links): (Vec<TestDatagramLink>, Vec<TestDatagramLink>) =
+        (0..CHANNELS).map(|_| datagram_pair(2048, 1 << 10)).unzip();
+    let mut path = StripeServer::builder()
+        .scheduler(Srr::equal(CHANNELS, 1500))
+        .links(tx_links)
+        .build();
+    let mut rx = FlowDemux::builder()
+        .scheduler(Srr::equal(CHANNELS, 1500))
+        .links(rx_links)
+        .pool_buffers(256)
+        .build();
+    let flows: Vec<_> = (0..MIXED_FLOWS)
+        .map(|_| path.open_flow().unwrap())
+        .collect();
+    for flow in &flows {
+        assert!(rx.touch_flow(flow.id()));
+        rx.reserve_flow(flow.id(), 2 * CHUNK);
+    }
+    let payload = [0x5au8; 1400];
+    let mut events: Vec<PumpEvent> = Vec::with_capacity(2 * CHUNK);
+    let mut got: RxBatch<PooledBuf> = RxBatch::with_capacity(2 * CHUNK);
+    let mut coin = DetRng::new(11);
+    let mut round = |path: &mut StripeServer<Srr, TestDatagramLink>,
+                     rx: &mut FlowDemux<Srr, TestDatagramLink>,
+                     k: u64|
+     -> u64 {
+        let now = SimTime::from_nanos(k);
+        for i in 0..CHUNK {
+            let len = if coin.chance(0.5) { 64 } else { 1400 };
+            path.enqueue(flows[i % MIXED_FLOWS], &payload[..len])
+                .unwrap();
+        }
+        path.pump_into(now, usize::MAX, &mut events);
+        rx.sweep(now);
+        let mut n = 0;
+        for flow in &flows {
+            rx.poll_flow_into(flow.id(), &mut got);
+            n += got.len() as u64;
+            for pb in got.drain() {
+                rx.recycle(pb);
+            }
+        }
+        assert_eq!(n, CHUNK as u64, "an in-memory pair delivers at once");
+        n
+    };
+    for k in 0..256 {
+        round(&mut path, &mut rx, k);
+    }
+    let before = CountingAlloc::allocations();
+    let delivered: u64 = (256..512).map(|k| round(&mut path, &mut rx, k)).sum();
+    let allocs = CountingAlloc::allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "a steady-state round over in-memory pairs must not touch the \
+         allocator ({allocs} allocations over {delivered} packets)"
+    );
 }

@@ -30,7 +30,10 @@
 //! entry can leave — sent, refused by a full queue, refused as
 //! oversized, left behind by a partial `sendmmsg`, dropped by `EMSGSIZE`,
 //! drained by a dead socket — and hold the two to the same outcomes, the
-//! same datagrams in the same order and the same counters.
+//! same datagrams in the same order and the same counters. After every
+//! flush, `reclaim` must hand back exactly the storage of the long
+//! entries that left, by address, in queue order: none of an entry still
+//! queued, and every entry a dead socket drained.
 //!
 //! Where GSO is on, a frame shorter than its train's segments rides it
 //! in a bundle segment (`net::bundle`), so the frames a landing call
@@ -39,6 +42,7 @@
 //! in long trains — and the mixed pairs hold a bundling sender to a
 //! per-frame receiver, and the other way round.
 
+use std::collections::VecDeque;
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
@@ -344,27 +348,72 @@ struct Seen {
     counters: [u64; 5],
 }
 
+fn addresses(frames: &[Vec<u8>]) -> Vec<*const u8> {
+    frames.iter().map(|f| f.as_ptr()).collect()
+}
+
+/// Offer `run` to `owned` on `tx` the deferred way, checking what became
+/// of each frame's storage; the queue's entries, in order, each with the
+/// address of its storage if the channel took it.
+fn offer_owned(
+    tx: &mut UdpChannel,
+    run: &[Vec<u8>],
+    owned: &mut [Vec<u8>],
+    outcomes: &mut Vec<Result<(), TxError>>,
+) -> VecDeque<Option<*const u8>> {
+    let at = addresses(owned);
+    let from = outcomes.len();
+    tx.send_run_owned(owned, outcomes);
+    let mut queued = VecDeque::new();
+    for ((kept, sent), (r, at)) in owned.iter().zip(run).zip(outcomes[from..].iter().zip(at)) {
+        match r {
+            Err(_) => assert_eq!(kept, sent, "a refused frame is left untouched"),
+            Ok(()) if kept.capacity() == 0 => {
+                assert!(sent.len() > ARENA_FRAME_MAX, "only long storage is taken");
+                queued.push_back(Some(at));
+            }
+            Ok(()) => {
+                assert_eq!(kept, sent, "a copied frame stays as it was");
+                queued.push_back(None);
+            }
+        }
+    }
+    queued
+}
+
+/// Take back what `tx` hands back and check it is exactly the storage
+/// the first `left` entries of `queued` took, in order.
+fn reclaim_left(tx: &mut UdpChannel, queued: &mut VecDeque<Option<*const u8>>, left: usize) {
+    let mut back = Vec::new();
+    tx.reclaim(&mut back);
+    let want: Vec<_> = queued.drain(..left).flatten().collect();
+    assert_eq!(
+        addresses(&back),
+        want,
+        "reclaim hands back the storage of the entries that left, and only that"
+    );
+}
+
 /// Offer `run` to `tx` the deferred way, flush until the queue is empty
-/// (reading `rx` as it goes, so a socket buffer cannot stay full), and
-/// report what happened at both ends.
+/// (reading `rx` as it goes, so a socket buffer cannot stay full, and
+/// taking back the storage of what left after every flush), and report
+/// what happened at both ends.
 fn offer_and_drain(tx: &mut UdpChannel, rx: &mut UdpChannel, run: &[Vec<u8>]) -> Seen {
     let mut owned = run.to_vec();
     let mut outcomes = Vec::new();
     let sent_before = tx.stats().sent_frames;
-    tx.send_run_owned(&mut owned, &mut outcomes);
-    for (kept, (sent, r)) in owned.iter().zip(run.iter().zip(&outcomes)) {
-        if r.is_err() {
-            assert_eq!(kept, sent, "a refused frame is left untouched");
-        }
-    }
+    let mut queued = offer_owned(tx, run, &mut owned, &mut outcomes);
     let mut delivered = Vec::new();
     let mut room = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(5);
     while tx.backlog() > 0 && Instant::now() < deadline {
+        let before = tx.backlog();
         tx.flush();
+        reclaim_left(tx, &mut queued, before - tx.backlog());
         delivered.extend(land_once(rx, &mut room).into_iter().flatten());
     }
     assert_eq!(tx.backlog(), 0, "the queue drains");
+    assert!(queued.is_empty());
     let s = tx.stats();
     let counters = [
         s.sent_frames,
@@ -654,10 +703,12 @@ fn queue_drains_on_socket_death_and_starts_over() {
         let (seen, _) = queue_differential(&queue_builder(MTU, QUEUE), |tx, rx| {
             let mut seen = offer_and_drain(tx, rx, &before);
             let mut parked = lost.clone();
-            tx.send_run_owned(&mut parked, &mut seen.outcomes);
+            let mut queued = offer_owned(tx, &lost, &mut parked, &mut seen.outcomes);
             assert_eq!(tx.backlog(), 60);
+            reclaim_left(tx, &mut queued, 0);
             tx.inject_socket_death();
             assert_eq!(tx.backlog(), 0);
+            reclaim_left(tx, &mut queued, 60);
             let mut refused = after.clone();
             tx.send_run_owned(&mut refused, &mut seen.outcomes);
             assert_eq!(refused, after, "a dead link takes nothing");
