@@ -110,6 +110,12 @@ pub trait DatagramLink {
     /// batch senders feed from their recycled frame buffers, which they
     /// re-encode into before the next use. A frame whose result is an
     /// error is left untouched.
+    ///
+    /// A link never frees storage it took: all of it comes back through
+    /// `reclaim`, and a link whose caller lets that storage pile up
+    /// copies instead of taking. A link that hands this call on to an
+    /// inner link must pass [`reclaim`](Self::reclaim) on to it too, or
+    /// the inner link's storage never comes back.
     fn send_run_owned(&mut self, frames: &mut [Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
         out.reserve(frames.len());
         for f in frames.iter() {
@@ -274,7 +280,15 @@ impl DatagramLink for TestDatagramLink {
             } else if pipe.frames.len() >= self.cap {
                 out.push(Err(TxError::QueueFull));
             } else {
-                pipe.frames.push_back((std::mem::take(frame), true));
+                // Copy rather than take once storage the sender has not
+                // reclaimed would push the pipe's share past `cap`.
+                let take = pipe.frames.len() + pipe.spent.len() < self.cap;
+                let buf = if take {
+                    std::mem::take(frame)
+                } else {
+                    frame.clone()
+                };
+                pipe.frames.push_back((buf, take));
                 out.push(Ok(()));
             }
         }
@@ -289,8 +303,9 @@ impl DatagramLink for TestDatagramLink {
         let (frame, taken) = pipe.frames.pop_front()?;
         let n = frame.len().min(buf.len());
         buf[..n].copy_from_slice(&frame[..n]);
-        // Bounded like the queue, whoever never reclaims.
-        if taken && pipe.spent.len() < self.cap {
+        // Bounded like the queue: `send_run_owned` takes storage only
+        // while frames and spent storage together fit `cap`.
+        if taken {
             pipe.spent.push(frame);
         }
         Some(n)
@@ -390,6 +405,30 @@ mod tests {
         a.reclaim(&mut back);
         let back: Vec<_> = back.iter().map(|f| f.as_ptr()).collect();
         assert_eq!(back, at, "the copy is not handed back");
+    }
+
+    /// A sender that never reclaims: the link takes storage until what it
+    /// holds fills `cap`, copies after that, and frees none of it.
+    #[test]
+    fn unreclaimed_storage_is_copied_past_the_bound_never_freed() {
+        let (mut a, mut b) = datagram_pair(64, 4);
+        let (mut taken, mut out, mut buf) = (Vec::new(), Vec::new(), [0u8; 64]);
+        for i in 0..10u8 {
+            let mut frame = [vec![i; 16]];
+            let at = frame[0].as_ptr();
+            a.send_run_owned(&mut frame, &mut out);
+            if frame[0].capacity() == 0 {
+                taken.push(at);
+            } else {
+                assert_eq!(frame[0], vec![i; 16], "a copied frame stays");
+            }
+            assert_eq!(b.recv_frame(&mut buf), Some(16));
+            assert_eq!(buf[0], i);
+        }
+        assert_eq!(taken.len(), 4, "taken until spent storage fills cap");
+        let mut back = Vec::new();
+        a.reclaim(&mut back);
+        assert_eq!(back.iter().map(|f| f.as_ptr()).collect::<Vec<_>>(), taken);
     }
 
     #[test]

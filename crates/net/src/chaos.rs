@@ -57,7 +57,8 @@ use crate::frame::{is_data_frame, FRAME_HEADER_LEN};
 pub const PPM_SCALE: u32 = 1_000_000;
 
 /// Ceiling on spare buffers the link keeps for reorder/corruption
-/// copies, so a pathological plan cannot hoard memory.
+/// copies, and on those it has lent its inner link, so a pathological
+/// plan cannot hoard memory.
 const SPARE_POOL_CAP: usize = 64;
 
 /// Rounds [`ImpairedLink::drain_held`] will retry a backpressured inner
@@ -391,7 +392,8 @@ pub struct ImpairedLink<L: DatagramLink> {
     held: VecDeque<Held>,
     spare: Vec<Vec<u8>>,
     /// Where the spares the inner link took lie, until
-    /// [`reclaim`](DatagramLink::reclaim) brings them back to `spare`.
+    /// [`reclaim`](DatagramLink::reclaim) brings them back to `spare`;
+    /// exact, for a link frees no storage it took.
     lent: Vec<usize>,
     /// Result slot of the one-spare owned runs (see `send_spare`).
     run_out: Vec<Result<(), TxError>>,
@@ -584,9 +586,11 @@ impl<L: DatagramLink> ImpairedLink<L> {
     /// Hand a spare to the inner link: now, or (`deferred`) parked behind
     /// its queued burst as a one-frame owned run. A spare the inner link
     /// takes is lent until [`reclaim`](DatagramLink::reclaim) brings it
-    /// back; any other goes straight back to the pool.
+    /// back; any other goes straight back to the pool. With
+    /// `SPARE_POOL_CAP` spares out already, the spare goes by copy, now,
+    /// so that none reaches the caller unrecorded.
     fn send_spare(&mut self, mut buf: Vec<u8>, deferred: bool) -> Result<(), TxError> {
-        if !deferred {
+        if !deferred || self.lent.len() >= SPARE_POOL_CAP {
             let res = self.inner.send_frame(&buf);
             self.recycle(buf);
             return res;
@@ -597,7 +601,7 @@ impl<L: DatagramLink> ImpairedLink<L> {
             .send_run_owned(std::slice::from_mut(&mut buf), &mut self.run_out);
         if buf.capacity() != 0 {
             self.recycle(buf);
-        } else if self.lent.len() < SPARE_POOL_CAP {
+        } else {
             self.lent.push(at);
         }
         self.run_out[0]
@@ -1189,15 +1193,14 @@ mod tests {
         assert!(got.iter().all(|f| byte_of(f) >= 50));
     }
 
-    #[test]
-    fn send_run_owned_matches_per_frame_for_general_plans() {
-        let plan = || {
-            ChaosPlan::none()
-                .loss_bernoulli(150_000)
-                .corrupt(100_000)
-                .duplicate(100_000)
-        };
-        let make = || (0..50u8).map(data_frame).collect::<Vec<_>>();
+    /// One owned run of `n` frames under `plan`, against the same frames
+    /// sent one by one: equal snapshots and equal delivered bytes, and
+    /// every Forward-fated frame's storage reached the inner link
+    /// uncopied — taken, and handed back by `reclaim` once the peer read
+    /// it, where the copies of corrupted and duplicated frames are not
+    /// the caller's. The snapshot.
+    fn owned_run_against_per_frame(plan: impl Fn() -> ChaosPlan, n: u8) -> ChaosSnapshot {
+        let make = || (0..n).map(data_frame).collect::<Vec<_>>();
         let (a1, mut b1) = datagram_pair(256, 4096);
         let (a2, mut b2) = datagram_pair(256, 4096);
         let mut per_frame = ImpairedLink::new(a1, plan(), 77);
@@ -1213,25 +1216,43 @@ mod tests {
         let s = batched.snapshot();
         assert_eq!(per_frame.snapshot(), s);
         assert_eq!(drain(&mut b1), drain(&mut b2));
-        // Every Forward-fated frame's storage reached the inner link
-        // uncopied: taken, and handed back once the peer read it, where
-        // the copies of corrupted and duplicated frames are not the
-        // caller's.
-        let taken: Vec<_> = (0..owned.len())
+        let mut taken: Vec<_> = (0..owned.len())
             .filter(|&i| owned[i].capacity() == 0)
             .map(|i| at[i])
             .collect();
         let forwarded = s.seen_data - s.dropped_loss - s.corrupted - s.duplicated;
-        assert!(s.corrupted > 0 && s.duplicated > 0, "{s:?}");
         assert_eq!(taken.len() as u64, forwarded, "{s:?}");
         let mut back = Vec::new();
         batched.reclaim(&mut back);
         let mut back: Vec<_> = back.iter().map(|f| f.as_ptr()).collect();
         back.sort_unstable();
-        let mut taken = taken;
         taken.sort_unstable();
         assert_eq!(back, taken);
         assert!(batched.lent.is_empty(), "the spares came back to the pool");
+        s
+    }
+
+    #[test]
+    fn send_run_owned_matches_per_frame_for_general_plans() {
+        let plan = || {
+            ChaosPlan::none()
+                .loss_bernoulli(150_000)
+                .corrupt(100_000)
+                .duplicate(100_000)
+        };
+        let s = owned_run_against_per_frame(plan, 50);
+        assert!(s.corrupted > 0 && s.duplicated > 0, "{s:?}");
+    }
+
+    /// More spares in one run than the link records as lent: the rest go
+    /// by copy, and `reclaim` still hands the caller exactly its own
+    /// storage.
+    #[test]
+    fn spares_past_the_lent_cap_never_reach_the_caller() {
+        let plan = || ChaosPlan::none().corrupt(150_000).duplicate(600_000);
+        let s = owned_run_against_per_frame(plan, 250);
+        let spares = s.corrupted + 2 * s.duplicated;
+        assert!(spares > 2 * SPARE_POOL_CAP as u64, "{s:?}");
     }
 
     #[test]

@@ -45,9 +45,11 @@
 //! [`reclaim`](DatagramLink::reclaim). A sender that reclaims after each
 //! flush therefore encodes every burst into the buffers the last one
 //! left: one set of send buffers, warm in cache (EXPERIMENTS.md, "One
-//! set of send buffers"). Only a long frame offered through
-//! [`send_frame`](DatagramLink::send_frame) is copied, into a buffer of
-//! the channel's own recycle pool. Short frames queued one
+//! set of send buffers"). The channel never frees storage it took: a
+//! caller that lets spent storage pile up to `queue_cap` buffers has
+//! its next long frames copied instead. Those copies, and every long
+//! frame offered through [`send_frame`](DatagramLink::send_frame), go
+//! into buffers of the channel's own recycle pool. Short frames queued one
 //! after another therefore lie back to back in memory, and
 //! [`BatchIo::send_slices`] hands a run of them to the kernel as *one*
 //! iovec of their `sendmmsg` message, where a queue of separate buffers
@@ -477,8 +479,9 @@ pub struct UdpChannel {
     /// leave; every other owned entry's storage was taken.
     copies: Vec<usize>,
     /// Storage of [`Queued::Owned`] entries that have left, until
-    /// [`reclaim`](DatagramLink::reclaim) hands it back; at most
-    /// `queue_cap` of them, the rest freed.
+    /// [`reclaim`](DatagramLink::reclaim) hands it back. Never freed:
+    /// `enqueue_owned` takes storage only while this and the queue
+    /// together hold fewer than `queue_cap` entries.
     spent: Vec<Vec<u8>>,
     queue_cap: usize,
     io: BatchIo,
@@ -609,22 +612,33 @@ impl UdpChannel {
     fn enqueue(&mut self, frame: &[u8]) -> Result<(), TxError> {
         self.queue_has_room()?;
         if !self.enqueue_short(frame) {
-            let mut buf = self.recycled_buf();
-            buf.clear();
-            buf.extend_from_slice(frame);
-            self.copies.push(buf.as_ptr() as usize);
-            self.queue.push_back(Queued::Owned(buf));
+            self.enqueue_copy(frame);
         }
         self.stats.queued += 1;
         Ok(())
     }
 
+    /// Queue a long frame copied into recycled storage.
+    fn enqueue_copy(&mut self, frame: &[u8]) {
+        let mut buf = self.recycled_buf();
+        buf.clear();
+        buf.extend_from_slice(frame);
+        self.copies.push(buf.as_ptr() as usize);
+        self.queue.push_back(Queued::Owned(buf));
+    }
+
     /// Park a frame without copying more than a short one's bytes: a
     /// longer frame's storage is *taken*, `Vec::new()` left in its place.
+    /// A caller that lets spent storage pile up to `queue_cap` gets a
+    /// copy instead, so that the channel never frees storage it took.
     fn enqueue_owned(&mut self, frame: &mut Vec<u8>) -> Result<(), TxError> {
         self.queue_has_room()?;
         if !self.enqueue_short(frame) {
-            self.queue.push_back(Queued::Owned(std::mem::take(frame)));
+            if self.spent.len() + self.queue.len() < self.queue_cap {
+                self.queue.push_back(Queued::Owned(std::mem::take(frame)));
+            } else {
+                self.enqueue_copy(frame);
+            }
         }
         self.stats.queued += 1;
         Ok(())
@@ -645,8 +659,7 @@ impl UdpChannel {
                         self.copies.swap_remove(k);
                         self.recycle.push(buf);
                     }
-                    None if self.spent.len() < self.queue_cap => self.spent.push(buf),
-                    None => {}
+                    None => self.spent.push(buf),
                 }
                 len
             }
@@ -1254,6 +1267,31 @@ mod tests {
         a.force_dead();
         a.reclaim(&mut back);
         assert_eq!(ptrs(&back), taken);
+    }
+
+    /// A caller that never reclaims: storage is taken until the spent
+    /// pile and the queue fill `queue_cap`, long frames are copied after
+    /// that, and every buffer taken comes back — none is freed.
+    #[test]
+    fn unreclaimed_storage_is_copied_past_the_bound_never_freed() {
+        let (mut a, mut b) = UdpChannel::pair(1500, 4).unwrap();
+        let (mut taken, mut out) = (Vec::new(), Vec::new());
+        for i in 0..10u8 {
+            let mut frame = [vec![i; 600]];
+            let at = frame[0].as_ptr();
+            a.send_run_owned(&mut frame, &mut out);
+            if frame[0].capacity() == 0 {
+                taken.push(at);
+            } else {
+                assert_eq!(frame[0], vec![i; 600], "a copied frame stays");
+            }
+            assert_eq!(a.flush(), 1);
+        }
+        assert_eq!(land_frames(&mut b, 10).len(), 10);
+        assert_eq!(taken.len(), 4, "taken until spent storage fills the bound");
+        let mut back = Vec::new();
+        a.reclaim(&mut back);
+        assert_eq!(back.iter().map(|f| f.as_ptr()).collect::<Vec<_>>(), taken);
     }
 
     /// `send_frame` has no way around the queue: offered during a

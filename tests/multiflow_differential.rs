@@ -113,6 +113,10 @@ impl DatagramLink for FlakyLink {
         }
     }
 
+    fn reclaim(&mut self, into: &mut Vec<Vec<u8>>) {
+        self.inner.reclaim(into);
+    }
+
     fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
         self.inner.recv_frame(buf)
     }
