@@ -174,12 +174,13 @@ pub trait DatagramLink {
         0
     }
 
-    /// Whether the link has declared itself permanently failed — a
-    /// refused socket past its grace, a fatal-errno streak. Dead links
-    /// fail sends fast with [`TxError::LinkDown`]; pollers (the sender
-    /// reactor) surface the flag to the failover driver so the channel
-    /// is retired through the same liveness path a silent channel takes,
-    /// instead of an `io::Error` bubbling out of the datapath. Default:
+    /// Whether the link has declared itself failed — a refused socket
+    /// past its grace, a fatal-errno streak — until a
+    /// [`revive`](Self::revive) restores it. Dead links fail sends fast
+    /// with [`TxError::LinkDown`]; pollers (the sender reactor) surface
+    /// the flag to the failover driver so the channel is retired through
+    /// the same liveness path a silent channel takes, instead of an
+    /// `io::Error` bubbling out of the datapath. Default:
     /// never — in-memory links and wrappers without a failure mode
     /// simply inherit it.
     fn link_dead(&self) -> bool {
@@ -189,13 +190,15 @@ pub trait DatagramLink {
     /// Attempt to restore a dead link with a fresh transport: a new
     /// connected socket on the same local endpoint, or whatever the
     /// implementation's failure mode calls for. Returns
-    /// `true` when the link came back ready to be *re-probed* (the
-    /// lifecycle treats success as "worth probing", never "healthy");
-    /// `false` when the rebuild failed and the caller should back off
-    /// and retry later. Implementations should treat reviving a link
-    /// that never died as a cheap success. Default: links without a
-    /// failure mode have nothing to rebuild — `false`, so the
-    /// lifecycle keeps them parked in cooldown rather than spinning.
+    /// `true` when the link came back ready to be *re-probed* (success
+    /// means "worth probing", never "healthy": only the liveness
+    /// tracker's probe ack says that); `false` when the rebuild failed
+    /// and the caller should back off and retry later. The sender's
+    /// reactor calls it only while [`link_dead`](Self::link_dead)
+    /// holds, on a doubling backoff. Implementations should treat
+    /// reviving a link that never died as a cheap success. Default:
+    /// links without a failure mode have nothing to rebuild — `false`,
+    /// so the link stays dead and is retried on the backoff.
     fn revive(&mut self) -> bool {
         false
     }

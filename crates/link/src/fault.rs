@@ -121,11 +121,6 @@ impl<L: FifoLink> FaultyLink<L> {
         &self.plan
     }
 
-    /// Mutable access to the plan (e.g. to add an outage mid-experiment).
-    pub fn plan_mut(&mut self) -> &mut FaultPlan {
-        &mut self.plan
-    }
-
     /// What the fault layer has done so far.
     pub fn stats(&self) -> FaultSnapshot {
         self.stats

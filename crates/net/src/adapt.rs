@@ -46,7 +46,7 @@ use crate::reactor::Periodic;
 /// other handshake.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
-    /// EWMA gain for the goodput/loss estimators.
+    /// EWMA gain for the goodput estimators.
     pub gain: f64,
     /// Smallest quantum the tuner may assign (floor of the envelope).
     pub min_quantum: i64,

@@ -443,11 +443,6 @@ impl<L: DatagramLink> ImpairedLink<L> {
         self.blackout = false;
     }
 
-    /// Whether a scripted total partition is in force.
-    pub fn blacked_out(&self) -> bool {
-        self.blackout
-    }
-
     /// Everything injected so far.
     pub fn snapshot(&self) -> ChaosSnapshot {
         self.stats
@@ -463,7 +458,7 @@ impl<L: DatagramLink> ImpairedLink<L> {
     /// the frame-indexed windows can't express — e.g. a flap soak
     /// partitioning a channel whose data-frame index froze when the
     /// membership mask dropped it, then lifting the partition to let
-    /// the lifecycle machine probe its way back.
+    /// the liveness tracker probe it back in.
     pub fn set_plan(&mut self, plan: ChaosPlan) {
         // A plan swap refills the bucket to the new burst: scripted
         // rate changes start from a deterministic, full-credit state.

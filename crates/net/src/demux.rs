@@ -769,14 +769,6 @@ impl<S: CausalScheduler, L: DatagramLink> FlowDemux<S, L> {
             .map(|f| &f.rx)
     }
 
-    /// Mutable access to flow `id`'s resequencer, if instantiated.
-    pub fn flow_receiver_mut(&mut self, id: FlowId) -> Option<&mut LogicalReceiver<S, PooledBuf>> {
-        self.flows
-            .get_mut(id as usize)
-            .and_then(|f| f.as_mut())
-            .map(|f| &mut f.rx)
-    }
-
     /// One past the highest instantiated flow id (slab length) — the
     /// iteration bound for per-flow polling. Never more than
     /// [`flow_id_limit`](Self::flow_id_limit).

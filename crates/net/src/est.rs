@@ -6,7 +6,7 @@
 //! evidence the datapath already produces — cumulative
 //! [`TxEvidence`](stripe_link::TxEvidence) counters from each
 //! [`DatagramLink`](stripe_link::DatagramLink), and the liveness
-//! tracker's probe/ack nonces — into three smoothed per-channel
+//! tracker's probe/ack nonces — into two smoothed per-channel
 //! figures:
 //!
 //! - **goodput** (bytes/s): an EWMA over the carried-byte rate between
@@ -17,8 +17,6 @@
 //!   send/ack timestamps. Probes are serialized per channel by the
 //!   liveness tracker, so one outstanding-probe slot per channel
 //!   suffices — no allocation, no map.
-//! - **loss** (fraction): an EWMA over per-sample drop fractions from
-//!   the same counters (local queue overflow, policer, socket errors).
 //!
 //! Everything here is pull-based and allocation-free after
 //! construction: the reactor samples each link once per estimation
@@ -28,9 +26,9 @@
 
 use stripe_link::TxEvidence;
 
-/// Default EWMA gain for goodput and loss: 1/4 — fast enough to track
-/// a capacity change within a handful of estimation ticks, slow enough
-/// to ride out per-tick burstiness from batched pumps.
+/// Default EWMA gain for goodput: 1/4 — fast enough to track a
+/// capacity change within a handful of estimation ticks, slow enough to
+/// ride out per-tick burstiness from batched pumps.
 pub const DEFAULT_GAIN: f64 = 0.25;
 
 /// An exponentially weighted moving average that reports its prime
@@ -79,11 +77,10 @@ impl Ewma {
     }
 }
 
-/// Smoothed goodput/RTT/loss for one striped channel.
+/// Smoothed goodput and RTT for one striped channel.
 #[derive(Debug, Clone)]
 pub struct ChannelEstimator {
     goodput: Ewma,
-    loss: Ewma,
     /// Jacobson state, in nanoseconds.
     srtt_ns: f64,
     rttvar_ns: f64,
@@ -105,11 +102,10 @@ impl Default for ChannelEstimator {
 }
 
 impl ChannelEstimator {
-    /// An estimator with the given EWMA gain for goodput and loss.
+    /// An estimator with the given EWMA gain for goodput.
     pub fn new(gain: f64) -> Self {
         Self {
             goodput: Ewma::new(gain),
-            loss: Ewma::new(gain),
             srtt_ns: 0.0,
             rttvar_ns: 0.0,
             rtt_primed: false,
@@ -122,9 +118,9 @@ impl ChannelEstimator {
 
     /// Feed one cumulative evidence sample taken at `now_ns`. The
     /// first sample only anchors the window; each later one blends the
-    /// window's byte rate and drop fraction into the averages. A
-    /// counter regression (a link incarnation that lost its counters)
-    /// re-anchors instead of producing a garbage negative delta.
+    /// window's byte rate into the average. A counter regression (a
+    /// link incarnation that lost its counters) re-anchors instead of
+    /// producing a garbage negative delta.
     pub fn on_tx_sample(&mut self, now_ns: u64, ev: TxEvidence) {
         let Some((then_ns, prev)) = self.last else {
             self.last = Some((now_ns, ev));
@@ -139,13 +135,7 @@ impl ChannelEstimator {
             return;
         }
         let dbytes = ev.bytes - prev.bytes;
-        let dframes = ev.frames - prev.frames;
-        let ddropped = ev.dropped - prev.dropped;
         self.goodput.sample(dbytes as f64 * 1e9 / dt_ns as f64);
-        let offered = dframes + ddropped;
-        if offered > 0 {
-            self.loss.sample(ddropped as f64 / offered as f64);
-        }
         self.last = Some((now_ns, ev));
         self.tx_samples += 1;
     }
@@ -184,11 +174,6 @@ impl ChannelEstimator {
     /// evidence samples have landed).
     pub fn goodput_bps(&self) -> f64 {
         self.goodput.get()
-    }
-
-    /// Smoothed local-drop fraction in `[0, 1]`.
-    pub fn loss_rate(&self) -> f64 {
-        self.loss.get()
     }
 
     /// Smoothed RTT in nanoseconds, once a probe ack has been paired.
@@ -256,7 +241,6 @@ mod tests {
             (bps - 1e6).abs() < 1e-3,
             "constant-rate evidence must converge exactly: {bps}"
         );
-        assert_eq!(e.loss_rate(), 0.0);
     }
 
     #[test]
@@ -294,16 +278,6 @@ mod tests {
             (bps - 5e5).abs() / 5e5 < 0.01,
             "estimate must track the new rate: {bps}"
         );
-    }
-
-    #[test]
-    fn loss_fraction_tracks_drop_share() {
-        let mut e = ChannelEstimator::default();
-        // Every window: 3 carried, 1 dropped → 25% loss.
-        for i in 0..50u64 {
-            e.on_tx_sample(i * 1_000_000, ev(3 * i, 3000 * i, i));
-        }
-        assert!((e.loss_rate() - 0.25).abs() < 1e-9);
     }
 
     #[test]

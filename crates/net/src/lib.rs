@@ -33,8 +33,8 @@
 //!   FIFO per flow, storage reused once the last view is dropped.
 //! - [`reactor`] — [`ServerReactor`], the poll loop around a
 //!   [`StripeServer`]: flushes backlogs, sweeps the reverse path, ticks
-//!   the PR-1 failover driver. No async runtime, no threads, no new
-//!   dependencies.
+//!   the failover driver, and revives dead links on a doubling
+//!   backoff. No async runtime, no threads, no new dependencies.
 //! - [`est`] / [`adapt`] — [`ChannelEstimator`] and [`AdaptiveTuner`]:
 //!   per-channel goodput/RTT estimation from transmit evidence and the
 //!   control loop that turns it into quanta proposals, which the failover
@@ -47,11 +47,6 @@
 //!   marker recovery, Theorem 5.1, plus Bernoulli loss, reorder,
 //!   duplication, corruption, jitter, partitions) with a
 //!   [`ChaosSnapshot`] counting every injected event.
-//! - [`lifecycle`] — [`ChannelLifecycle`], the per-channel recovery
-//!   state machine (`live → dead → cooldown → probing → rejoining →
-//!   live`) with exponential cooldown, bounded retries, and per-step
-//!   timeouts; driven by the reactor, executed through
-//!   [`DatagramLink::revive`](stripe_link::DatagramLink::revive).
 //! - [`pool`] — [`TrainPool`]/[`PooledBuf`], the zero-copy,
 //!   zero-allocation receive story: reference-counted buffers that are
 //!   writable only while no view points into them.
@@ -77,7 +72,6 @@ pub mod clock;
 pub mod demux;
 pub mod est;
 pub mod frame;
-pub mod lifecycle;
 pub mod pool;
 pub mod reactor;
 pub mod server;
@@ -90,9 +84,6 @@ pub use clock::WallClock;
 pub use demux::{FlowDemux, FlowDemuxBuilder, FlowDemuxSnapshot};
 pub use est::{rate_shares, ChannelEstimator, Ewma};
 pub use frame::{Frame, FRAME_HEADER_LEN, FRAME_MAGIC, FRAME_VERSION};
-pub use lifecycle::{
-    ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleSnapshot, LifecycleState,
-};
 pub use pool::{BufPool, PooledBuf, TrainPool};
 pub use reactor::{membership_announced, Periodic, ReactorSnapshot, ServerReactor};
 pub use server::{

@@ -14,15 +14,17 @@
 //! [`WallClock`](crate::clock::WallClock) time in production and under
 //! scripted [`SimTime`]s in tests.
 //!
-//! Since the lifecycle work the reactor is also the recovery
-//! *orchestrator*: each channel carries a
-//! [`ChannelLifecycle`](crate::lifecycle::ChannelLifecycle) machine, and
-//! every poll feeds it death evidence (link flags, liveness verdicts),
-//! executes its one side effect (cooldown elapsed →
-//! [`DatagramLink::revive`]), and watches the failover driver for the
-//! probe ack and membership-grow completion that walk the channel back
-//! to live. The driver still owns *what* to announce; the lifecycle
-//! owns *when to rebuild sockets* and how hard to back off.
+//! The reactor also rebuilds links that report themselves dead
+//! ([`DatagramLink::link_dead`]). One probe interval after the death it
+//! calls [`DatagramLink::revive`], then again at doubling gaps capped at
+//! 16 intervals while the link stays dead. The gap goes back to one
+//! interval only once the liveness tracker has heard the channel again,
+//! so a socket that revives and dies again is backed off, not rebuilt
+//! every interval. That schedule is all the reactor decides about
+//! recovery: whether a channel carries traffic is the liveness
+//! tracker's verdict, and the mask the failover driver announces from
+//! it. A channel gone silent behind a partition is never rebuilt; the
+//! first probe ack after the silence heals it.
 //!
 //! With the adaptive loop attached the reactor feeds its estimators and
 //! hands each proposal to the driver, which announces retunes exactly as
@@ -41,7 +43,6 @@ use stripe_transport::{ControlTransmission, FailoverDriver};
 use crate::adapt::AdaptiveTuner;
 use crate::bundle;
 use crate::frame;
-use crate::lifecycle::{ChannelLifecycle, LifecycleAction, LifecycleConfig, LifecycleState};
 use crate::server::StripeServer;
 
 /// A fixed-interval timer in simulation/wall time.
@@ -100,12 +101,6 @@ pub struct ReactorSnapshot {
     /// Channels the link layer reported dead (socket hard errors) that
     /// the failover driver newly declared dead.
     pub link_dead_reports: u64,
-    /// Channels observed recovering (first probe ack on a dead channel),
-    /// i.e. membership *grow* announcements begun by the driver.
-    pub grow_announcements: u64,
-    /// Completed die→rejoin cycles: channels walked all the way back to
-    /// live through the grow handshake.
-    pub rejoins: u64,
     /// Retune handshakes the failover driver began: proposals of the
     /// [`AdaptiveTuner`] it accepted, and the quanta in force announced
     /// again.
@@ -143,8 +138,8 @@ pub fn membership_announced(reports: &[ControlTransmission]) -> bool {
 }
 
 /// Poll-driven harness around a [`StripeServer`] and its failover
-/// control plane. Failover and channel lifecycle stay flow-agnostic:
-/// they see channels, never flows.
+/// control plane. Failover and link revival stay flow-agnostic: they
+/// see channels, never flows.
 #[derive(Debug)]
 pub struct ServerReactor<S: CausalScheduler, L: DatagramLink> {
     path: StripeServer<S, L>,
@@ -153,8 +148,11 @@ pub struct ServerReactor<S: CausalScheduler, L: DatagramLink> {
     /// Landing room for the reverse path, [`REVERSE_WINDOWS`] windows of
     /// the widest link's [`recv_window`](DatagramLink::recv_window).
     recv_room: Vec<u8>,
-    /// One recovery state machine per channel (see [`crate::lifecycle`]).
-    lifecycle: Vec<ChannelLifecycle>,
+    /// Per channel: when its dead link is next revived, and the gap
+    /// after that attempt (see [`revive_dead_link`](Self::revive_dead_link)).
+    revive: Vec<Revive>,
+    /// The first gap after a death: the driver's probe interval.
+    revive_base_ns: u64,
     /// The adaptive quantum control loop, when attached (see
     /// [`attach_adaptive`](Self::attach_adaptive)).
     adaptive: Option<AdaptiveTuner>,
@@ -167,6 +165,19 @@ pub struct ServerReactor<S: CausalScheduler, L: DatagramLink> {
     reports: Vec<ControlTransmission>,
     stats: ReactorSnapshot,
 }
+
+/// One channel's revive schedule.
+#[derive(Debug, Clone, Copy)]
+struct Revive {
+    /// When [`DatagramLink::revive`] is next due; `None` while the link
+    /// is up.
+    due_ns: Option<u64>,
+    /// The gap from the next attempt to the one after it.
+    gap_ns: u64,
+}
+
+/// The revive gap stops doubling at this many probe intervals.
+const REVIVE_CAP: u64 = 16;
 
 /// Windows offered per reverse-path landing call. The reverse path
 /// carries only low-rate control traffic: two are enough for a call to
@@ -182,13 +193,15 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         now: SimTime,
         tick_interval: SimDuration,
     ) -> Self {
-        // The recovery rhythm follows the probe rhythm: cooldowns and
-        // probe patience are multiples of the driver's probe interval
-        // (see [`LifecycleConfig::with_probe_interval`]).
-        let lifecycle_cfg = driver
-            .as_ref()
-            .map(|d| LifecycleConfig::with_probe_interval(d.liveness().config().probe_interval_ns))
-            .unwrap_or_default();
+        // Revival follows the probe rhythm (the tick's, without a
+        // driver).
+        let revive_base_ns = driver.as_ref().map_or(tick_interval.as_nanos(), |d| {
+            d.liveness().config().probe_interval_ns
+        });
+        let revive = Revive {
+            due_ns: None,
+            gap_ns: revive_base_ns,
+        };
         let channels = path.links().len();
         let window = path
             .links()
@@ -201,9 +214,8 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
             driver,
             tick: Periodic::new(now, tick_interval),
             recv_room: vec![0; REVERSE_WINDOWS * window],
-            lifecycle: (0..channels)
-                .map(|_| ChannelLifecycle::new(lifecycle_cfg))
-                .collect(),
+            revive: vec![revive; channels],
+            revive_base_ns,
             adaptive: None,
             park_since_ns: None,
             was_blackout: false,
@@ -238,20 +250,14 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         self.adaptive.as_ref()
     }
 
-    /// Per-channel recovery machines (state + counters).
-    pub fn lifecycle(&self) -> &[ChannelLifecycle] {
-        &self.lifecycle
-    }
-
     /// One readiness sweep at `now`:
     ///
     /// 1. flush every channel's parked send backlog toward the kernel;
     /// 2. surface link-layer death reports (socket hard errors) to the
     ///    failover driver, short-circuiting the keepalive deadline;
     /// 3. drain the reverse path, feeding control to the failover driver;
-    /// 4. step each channel's recovery lifecycle — cooldowns, socket
-    ///    rebuilds ([`DatagramLink::revive`]), and the probe/rejoin
-    ///    watches;
+    /// 4. revive each dead link when its backoff is due
+    ///    ([`DatagramLink::revive`]);
     /// 5. deliver the periodic failover tick when due;
     /// 6. feed the adaptive loop, and hand its proposal to the driver.
     ///
@@ -313,8 +319,8 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
                 }
             }
             // After the reverse sweep, so a probe ack read this very
-            // poll advances the machine this very poll.
-            self.step_lifecycle(c, now);
+            // poll resets the backoff this very poll.
+            self.revive_dead_link(c, now);
             // Sample the channel's cumulative transmit evidence into its
             // estimator (links without evidence keep the loop unprimed).
             if let Some(ad) = self.adaptive.as_mut() {
@@ -380,11 +386,9 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
         self.stats.parked = parked;
     }
 
-    /// The one dead-channel handling path: surface a link-layer death
-    /// flag to the failover driver (a *newly* declared death announces
-    /// the shrunken mask immediately, counted in `link_dead_reports`;
-    /// repeats are idempotent) and feed the evidence to the channel's
-    /// lifecycle machine.
+    /// Surface a link-layer death flag to the failover driver: a
+    /// *newly* declared death announces the shrunken mask immediately,
+    /// counted in `link_dead_reports`; repeats are idempotent.
     fn report_link_death(&mut self, c: usize, now: SimTime) {
         if !self.path.links()[c].link_dead() {
             return;
@@ -396,53 +400,38 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
                 self.stats.link_dead_reports += 1;
             }
         }
-        self.lifecycle[c].on_dead(now.as_nanos());
     }
 
-    /// Walk channel `c`'s recovery machine one step: pick up
-    /// silence-deaths the liveness tracker declared, execute a due
-    /// rebind through [`DatagramLink::revive`], and translate the
-    /// driver's observations (probe ack → recovery → grow announced;
-    /// grow fully acked → rejoin complete) into lifecycle transitions.
-    fn step_lifecycle(&mut self, c: usize, now: SimTime) {
+    /// Channel `c`'s revive schedule. A dead link is revived one gap
+    /// after its death is seen, and again one gap after each failed
+    /// attempt; every attempt doubles the gap, up to [`REVIVE_CAP`]
+    /// probe intervals. The gap goes back to one interval once the link
+    /// is up and the liveness tracker has heard the channel since.
+    fn revive_dead_link(&mut self, c: usize, now: SimTime) {
         let now_ns = now.as_nanos();
-        // Silence-death: the socket is fine but the liveness deadline
-        // passed (e.g. a partition). The link-flag path already fed
-        // `on_dead` in `report_link_death`.
-        if let Some(driver) = self.driver.as_ref() {
-            if driver.liveness().health(c) == ChannelHealth::Dead {
-                self.lifecycle[c].on_dead(now_ns);
+        let r = &mut self.revive[c];
+        if !self.path.links()[c].link_dead() {
+            r.due_ns = None;
+            let heard = self
+                .driver
+                .as_ref()
+                .is_some_and(|d| d.liveness().health(c) != ChannelHealth::Dead);
+            if heard {
+                r.gap_ns = self.revive_base_ns;
             }
-        }
-        if self.lifecycle[c].advance(now_ns) == LifecycleAction::Rebind {
-            if self.path.links_mut()[c].revive() {
-                self.lifecycle[c].rebind_ok(now_ns);
-            } else {
-                self.lifecycle[c].rebind_failed(now_ns);
-            }
-        }
-        let Some(driver) = self.driver.as_ref() else {
             return;
-        };
-        let lc = &mut self.lifecycle[c];
-        // Recovery: the driver heard the first probe ack (liveness back
-        // to Live) and has begun the epoch'd membership grow.
-        let dead_side = matches!(
-            lc.state(),
-            LifecycleState::Dead | LifecycleState::Cooldown | LifecycleState::Probing
-        );
-        if dead_side
-            && driver.liveness().health(c) == ChannelHealth::Live
-            && !self.path.links()[c].link_dead()
-        {
-            lc.on_recovered(now_ns);
-            self.stats.grow_announcements += 1;
         }
-        // Rejoin completion: the grow announcement is fully acked (or
-        // was superseded) — nothing is awaiting, the cycle closes.
-        if lc.state() == LifecycleState::Rejoining && !driver.membership().in_progress() {
-            lc.on_rejoin_complete(now_ns);
-            self.stats.rejoins += 1;
+        match r.due_ns {
+            None => r.due_ns = Some(now_ns.saturating_add(r.gap_ns)),
+            Some(due) if now_ns >= due => {
+                let up = self.path.links_mut()[c].revive();
+                r.gap_ns = r
+                    .gap_ns
+                    .saturating_mul(2)
+                    .min(self.revive_base_ns.saturating_mul(REVIVE_CAP));
+                r.due_ns = (!up).then(|| now_ns.saturating_add(r.gap_ns));
+            }
+            Some(_) => {}
         }
     }
 
@@ -465,11 +454,6 @@ impl<S: CausalScheduler, L: DatagramLink> ServerReactor<S, L> {
     pub fn stats(&self) -> ReactorSnapshot {
         self.stats
     }
-
-    /// Take the server (and driver) back out.
-    pub fn into_inner(self) -> (StripeServer<S, L>, Option<FailoverDriver>) {
-        (self.path, self.driver)
-    }
 }
 
 #[cfg(test)]
@@ -479,7 +463,7 @@ mod tests {
     use crate::frame::Frame;
     use stripe_core::control::Control;
     use stripe_core::sched::Srr;
-    use stripe_link::{datagram_pair, TestDatagramLink};
+    use stripe_link::{datagram_pair, TestDatagramLink, TxError};
     use stripe_transport::FailoverConfig;
 
     /// A two-channel server behind a reactor ticking a failover driver
@@ -547,6 +531,117 @@ mod tests {
         assert_eq!(rx.net_stats().replies_sent, rx.net_stats().control_frames);
     }
 
+    /// Test link whose death is flipped from outside. Its `revive`
+    /// brings it back when `revivable`, and counts every call.
+    #[derive(Debug)]
+    struct PhoenixLink {
+        inner: TestDatagramLink,
+        dead: bool,
+        revivable: bool,
+        revives: u64,
+    }
+
+    impl DatagramLink for PhoenixLink {
+        fn send_frame(&mut self, frame: &[u8]) -> Result<(), TxError> {
+            if self.dead {
+                return Err(TxError::LinkDown);
+            }
+            self.inner.send_frame(frame)
+        }
+        fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
+            if self.dead {
+                return None;
+            }
+            self.inner.recv_frame(buf)
+        }
+        fn mtu(&self) -> usize {
+            self.inner.mtu()
+        }
+        fn link_dead(&self) -> bool {
+            self.dead
+        }
+        fn revive(&mut self) -> bool {
+            self.revives += 1;
+            if self.revivable {
+                self.dead = false;
+            }
+            self.revivable
+        }
+    }
+
+    /// A reactor over two [`PhoenixLink`]s, and the peer ends of both.
+    fn phoenix_reactor(
+        revivable: bool,
+    ) -> (
+        ServerReactor<Srr, PhoenixLink>,
+        TestDatagramLink,
+        TestDatagramLink,
+    ) {
+        let (a0, b0) = datagram_pair(2048, 4096);
+        let (a1, b1) = datagram_pair(2048, 4096);
+        let links = [a0, a1].map(|inner| PhoenixLink {
+            inner,
+            dead: false,
+            revivable,
+            revives: 0,
+        });
+        (reactor_over(links.into()), b0, b1)
+    }
+
+    /// Answer every probe and membership announcement waiting at `peer`.
+    fn answer(peer: &mut TestDatagramLink) {
+        let mut buf = [0u8; 2048];
+        let mut ctl_buf = Vec::new();
+        while let Some(n) = peer.recv_frame(&mut buf) {
+            let reply = match frame::decode(&buf[..n]) {
+                Some(Frame::Control(Control::Probe { nonce })) => Control::ProbeAck {
+                    nonce,
+                    incarnation: 1,
+                },
+                Some(Frame::Control(Control::Membership { epoch, .. })) => {
+                    Control::MembershipAck { epoch }
+                }
+                _ => continue,
+            };
+            frame::encode_control_into(&reply, &mut ctl_buf);
+            peer.send_frame(&ctl_buf).unwrap();
+        }
+    }
+
+    /// Full capacity: every channel live, the membership settled, no
+    /// link dead.
+    fn converged<L: DatagramLink>(reactor: &ServerReactor<Srr, L>) -> bool {
+        let driver = reactor.driver().expect("driver attached");
+        driver.liveness().live_mask().iter().all(|&l| l)
+            && !driver.membership().in_progress()
+            && reactor.path().links().iter().all(|l| !l.link_dead())
+    }
+
+    /// Poll every 100 µs up to `until_us`, answering channel 0's peer
+    /// and handing channel 1's link to `after` after each poll. Returns
+    /// the poll times, in µs, at which channel 1 was revived.
+    fn revive_times(
+        reactor: &mut ServerReactor<Srr, PhoenixLink>,
+        b0: &mut TestDatagramLink,
+        until_us: u64,
+        mut after: impl FnMut(&mut PhoenixLink),
+    ) -> Vec<u64> {
+        let mut times = Vec::new();
+        for us in (100..=until_us).step_by(100) {
+            let before = reactor.path().links()[1].revives;
+            reactor.poll(SimTime::from_micros(us));
+            answer(b0);
+            let link = &mut reactor.path_mut().links_mut()[1];
+            match link.revives - before {
+                0 => {}
+                1 => times.push(us),
+                n => panic!("{n} revives in the poll at {us} µs"),
+            }
+            after(link);
+        }
+        times
+    }
+
     /// One channel acked, one silent: three silent intervals kill the
     /// quiet channel and a shrunken mask is announced on the live one.
     #[test]
@@ -554,25 +649,11 @@ mod tests {
         let (a0, mut b0) = datagram_pair(2048, 4096);
         let (a1, _silent_peer) = datagram_pair(2048, 4096);
         let mut reactor = reactor_over(vec![a0, a1]);
-        let mut buf = [0u8; 2048];
-        let mut ctl_buf = Vec::new();
         let mut announced_death = false;
         for ms in 1..10u64 {
             let now = SimTime::from_millis(ms);
             announced_death |= membership_announced(reactor.poll(now).as_slice());
-            // Ack channel 0's probes by hand; channel 1 stays silent.
-            while let Some(n) = b0.recv_frame(&mut buf) {
-                if let Some(Frame::Control(Control::Probe { nonce })) = frame::decode(&buf[..n]) {
-                    crate::frame::encode_control_into(
-                        &Control::ProbeAck {
-                            nonce,
-                            incarnation: 1,
-                        },
-                        &mut ctl_buf,
-                    );
-                    b0.send_frame(&ctl_buf).unwrap();
-                }
-            }
+            answer(&mut b0);
         }
         assert!(
             announced_death,
@@ -584,45 +665,7 @@ mod tests {
     /// shrunken mask — no keepalive deadline, no probes required.
     #[test]
     fn link_dead_report_triggers_immediate_failover() {
-        use stripe_link::TxError;
-
-        /// Test link whose deadness can be flipped from outside.
-        #[derive(Debug)]
-        struct MortalLink {
-            inner: TestDatagramLink,
-            dead: bool,
-        }
-        impl DatagramLink for MortalLink {
-            fn send_frame(&mut self, frame: &[u8]) -> Result<(), TxError> {
-                if self.dead {
-                    return Err(TxError::LinkDown);
-                }
-                self.inner.send_frame(frame)
-            }
-            fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
-                self.inner.recv_frame(buf)
-            }
-            fn mtu(&self) -> usize {
-                self.inner.mtu()
-            }
-            fn link_dead(&self) -> bool {
-                self.dead
-            }
-        }
-
-        let (a0, _b0) = datagram_pair(2048, 4096);
-        let (a1, _b1) = datagram_pair(2048, 4096);
-        let links = vec![
-            MortalLink {
-                inner: a0,
-                dead: false,
-            },
-            MortalLink {
-                inner: a1,
-                dead: false,
-            },
-        ];
-        let mut reactor = reactor_over(links);
+        let (mut reactor, _b0, _b1) = phoenix_reactor(false);
 
         // Healthy sweep: no death reported.
         reactor.poll(SimTime::from_micros(100));
@@ -639,133 +682,122 @@ mod tests {
         assert_eq!(driver.liveness().deaths(), 1);
         assert_eq!(driver.liveness().live_mask(), vec![true, false]);
         assert_eq!(reactor.stats().link_dead_reports, 1);
-        assert_eq!(
-            reactor.lifecycle()[1].state(),
-            LifecycleState::Cooldown,
-            "death is a lifecycle transition now, not a terminal state"
-        );
 
-        // Still-dead link on later polls: idempotent, no re-announce spam.
+        // Still-dead link on later polls: idempotent, no re-announce
+        // spam, and no revive before one probe interval has passed.
         let again = membership_announced(reactor.poll(SimTime::from_micros(300)).as_slice());
         assert!(
             !again,
             "no duplicate announcements while the link stays dead"
         );
         assert_eq!(reactor.stats().link_dead_reports, 1);
+        assert_eq!(reactor.path().links()[1].revives, 0);
     }
 
-    /// The full recovery arc over in-memory links: a link dies, the
-    /// lifecycle waits out the cooldown, revives it, the probe ack
-    /// triggers the epoch'd grow, the grow acks complete the rejoin —
-    /// and the reactor's counters narrate every step.
+    /// The full recovery arc over in-memory links: a link dies, is
+    /// revived one probe interval later, its probe ack triggers the
+    /// epoch'd grow, and the grow acks settle the membership. Dying
+    /// again after the channel was heard, it is revived one interval
+    /// after the death, not on the backoff.
     #[test]
     fn revived_link_walks_back_to_live() {
-        use stripe_link::TxError;
-
-        /// Link that can die and be revived from outside.
-        #[derive(Debug)]
-        struct PhoenixLink {
-            inner: TestDatagramLink,
-            dead: bool,
-        }
-        impl DatagramLink for PhoenixLink {
-            fn send_frame(&mut self, frame: &[u8]) -> Result<(), TxError> {
-                if self.dead {
-                    return Err(TxError::LinkDown);
-                }
-                self.inner.send_frame(frame)
-            }
-            fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
-                if self.dead {
-                    return None;
-                }
-                self.inner.recv_frame(buf)
-            }
-            fn mtu(&self) -> usize {
-                self.inner.mtu()
-            }
-            fn link_dead(&self) -> bool {
-                self.dead
-            }
-            fn revive(&mut self) -> bool {
-                self.dead = false;
-                true
-            }
-        }
-
-        let (a0, mut b0) = datagram_pair(2048, 4096);
-        let (a1, mut b1) = datagram_pair(2048, 4096);
-        let links = vec![
-            PhoenixLink {
-                inner: a0,
-                dead: false,
-            },
-            PhoenixLink {
-                inner: a1,
-                dead: false,
-            },
-        ];
-        let mut reactor = reactor_over(links);
+        let (mut reactor, mut b0, mut b1) = phoenix_reactor(true);
 
         // Kill channel 1 at the link layer; the shrink announces.
         reactor.path_mut().links_mut()[1].dead = true;
         assert!(membership_announced(
-            reactor.poll(SimTime::from_micros(100)).as_slice()
+            reactor.poll(SimTime::from_micros(500)).as_slice()
         ));
-        assert_eq!(reactor.lifecycle()[1].state(), LifecycleState::Cooldown);
 
         // Drive time forward, answering every probe and acking every
-        // membership announcement on both peers by hand.
-        let mut buf = [0u8; 2048];
-        let mut ctl_buf = Vec::new();
+        // membership announcement on both peers.
         let mut grow_announced = false;
-        for step in 2..120u64 {
-            let now = SimTime::from_micros(step * 500);
-            let announced = membership_announced(reactor.poll(now).as_slice());
-            if reactor.stats().grow_announcements > 0 {
-                grow_announced |= announced;
-            }
-            for b in [&mut b0, &mut b1] {
-                while let Some(n) = b.recv_frame(&mut buf) {
-                    let reply = match frame::decode(&buf[..n]) {
-                        Some(Frame::Control(Control::Probe { nonce })) => Some(Control::ProbeAck {
-                            nonce,
-                            incarnation: 1,
-                        }),
-                        Some(Frame::Control(Control::Membership { epoch, .. })) => {
-                            Some(Control::MembershipAck { epoch })
-                        }
-                        _ => None,
-                    };
-                    if let Some(ctl) = reply {
-                        crate::frame::encode_control_into(&ctl, &mut ctl_buf);
-                        let _ = b.send_frame(&ctl_buf);
-                    }
-                }
-            }
-            if reactor.lifecycle()[1].state() == LifecycleState::Live && reactor.stats().rejoins > 0
-            {
-                break;
-            }
+        let mut us = 500;
+        while !converged(&reactor) {
+            us += 500;
+            assert!(us < 60_000, "no convergence by {us} µs");
+            let announced = membership_announced(reactor.poll(SimTime::from_micros(us)).as_slice());
+            let driver = reactor.driver().expect("driver attached");
+            grow_announced |= announced && driver.liveness().recoveries() > 0;
+            answer(&mut b0);
+            answer(&mut b1);
         }
-
-        let stats = reactor.stats();
-        assert_eq!(stats.link_dead_reports, 1);
-        assert_eq!(stats.grow_announcements, 1, "one recovery, one grow");
-        assert_eq!(stats.rejoins, 1, "the cycle closed");
         let driver = reactor.driver().expect("driver attached");
-        assert_eq!(
-            driver.liveness().live_mask(),
-            vec![true, true],
-            "full capacity restored"
-        );
-        assert!(!driver.membership().in_progress(), "grow fully acked");
-        assert!(!reactor.path().links()[1].link_dead(), "link was revived");
-        let snap = reactor.lifecycle()[1].snapshot();
-        assert_eq!(snap.state, LifecycleState::Live);
-        assert_eq!(snap.rejoins, 1);
-        assert!(snap.rebind_attempts >= 1, "revive went through the link");
+        assert_eq!(reactor.stats().link_dead_reports, 1);
+        assert_eq!(driver.liveness().recoveries(), 1, "one recovery, one grow");
         assert!(grow_announced, "the grow rode the wire as a Membership");
+        assert_eq!(reactor.path().links()[1].revives, 1, "revived once");
+
+        // Dies again: the tracker heard it since, so the gap is one
+        // probe interval again.
+        reactor.path_mut().links_mut()[1].dead = true;
+        let died = us + 500;
+        for t in [died, died + 500] {
+            reactor.poll(SimTime::from_micros(t));
+            assert_eq!(reactor.path().links()[1].revives, 1);
+        }
+        reactor.poll(SimTime::from_micros(died + 1_000));
+        assert_eq!(reactor.path().links()[1].revives, 2);
+    }
+
+    /// A link whose `revive` keeps failing is revived one probe
+    /// interval after its death, then at gaps doubling up to 16
+    /// intervals — never twice in one poll.
+    #[test]
+    fn failing_revive_backs_off_to_sixteen_intervals() {
+        let (mut reactor, mut b0, _b1) = phoenix_reactor(false);
+        reactor.path_mut().links_mut()[1].dead = true;
+        // The death is seen at the first poll, 100 µs.
+        let times = revive_times(&mut reactor, &mut b0, 100_000, |_| {});
+        let want: Vec<u64> = [1, 3, 7, 15, 31, 47, 63, 79, 95]
+            .iter()
+            .map(|ms| 100 + ms * 1_000)
+            .collect();
+        assert_eq!(times, want);
+        assert!(reactor.path().links()[1].dead);
+    }
+
+    /// A partitioned channel dies of silence but its link never reports
+    /// itself dead: it is never revived, and heals through probes alone.
+    #[test]
+    fn partitioned_channel_is_never_revived_and_still_rejoins() {
+        let (mut reactor, mut b0, mut b1) = phoenix_reactor(true);
+        // Channel 1's peer is silent for 20 ms.
+        let mut silence_dead = false;
+        for us in (100..=20_000).step_by(100) {
+            reactor.poll(SimTime::from_micros(us));
+            answer(&mut b0);
+            silence_dead |= !reactor.driver().unwrap().liveness().live_mask()[1];
+        }
+        assert!(silence_dead, "silence must kill channel 1");
+        // The partition lifts.
+        let mut us = 20_000;
+        while !converged(&reactor) {
+            us += 100;
+            assert!(us < 80_000, "no convergence by {us} µs");
+            reactor.poll(SimTime::from_micros(us));
+            answer(&mut b0);
+            answer(&mut b1);
+        }
+        let driver = reactor.driver().expect("driver attached");
+        assert_eq!(driver.liveness().recoveries(), 1);
+        assert_eq!(reactor.stats().link_dead_reports, 0);
+        for link in reactor.path().links() {
+            assert_eq!(link.revives, 0, "a partition is not a dead link");
+        }
+    }
+
+    /// A link that revives and dies again before any probe ack is heard
+    /// keeps its backoff: it is not rebuilt every interval.
+    #[test]
+    fn link_dying_again_unheard_is_backed_off() {
+        let (mut reactor, mut b0, _b1) = phoenix_reactor(true);
+        reactor.path_mut().links_mut()[1].dead = true;
+        // Killed again after every poll: each death is seen one poll
+        // (100 µs) after the revive, and the next revive is one doubled
+        // gap after that.
+        let times = revive_times(&mut reactor, &mut b0, 60_000, |l| l.dead = true);
+        assert_eq!(times, vec![1_100, 3_200, 7_300, 15_400, 31_500, 47_600]);
     }
 
     /// The full adaptive arc over shaped in-memory links: token buckets

@@ -16,7 +16,7 @@
 //! number (version 3, see [`crate::frame`]) and every marker a
 //! flow-tagged version-2 frame; global control —
 //! probes, membership, quantum announces — stays untagged version 1, so
-//! failover, lifecycle, and epoch'd membership remain flow-agnostic. A
+//! failover, link revival, and epoch'd membership remain flow-agnostic. A
 //! single-flow sender is this type with one flow open: the inter-flow
 //! DRR degenerates to strict FIFO and the channel decisions are exactly
 //! that flow's SRR.
@@ -477,7 +477,16 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServerBuilder<S, L> {
             scratch_numbers: Vec::new(),
             scratch_markers: Vec::new(),
             scratch_idle: Vec::new(),
-            stage: (0..channels).map(|_| ChannelStage::default()).collect(),
+            // Sized for a full flow queue up front: with many flows
+            // turning in lockstep, a channel's stage first fills when
+            // their SRR reaches it, long after the rest has warmed.
+            stage: (0..channels)
+                .map(|_| ChannelStage {
+                    bufs: Vec::with_capacity(self.queue_frames),
+                    meta: Vec::with_capacity(self.queue_frames),
+                    ..ChannelStage::default()
+                })
+                .collect(),
             regroup: Regroup::default(),
             results: Vec::new(),
             ctl_buf: Vec::new(),
@@ -943,12 +952,6 @@ impl<S: CausalScheduler, L: DatagramLink> StripeServer<S, L> {
     /// One flow's striping engine (fairness ledgers, marker counts).
     pub fn flow_sender(&self, h: FlowHandle) -> Result<&StripingSender<S>, FlowError> {
         self.state_of(h).map(|f| &f.tx)
-    }
-
-    /// Mutable access to one flow's striping engine.
-    pub fn flow_sender_mut(&mut self, h: FlowHandle) -> Result<&mut StripingSender<S>, FlowError> {
-        self.state_of(h)?;
-        Ok(&mut self.flows[h.id as usize].as_mut().expect("validated").tx)
     }
 
     /// Is the server path-parked (total blackout, or a §5 reset gating

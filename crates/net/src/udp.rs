@@ -121,18 +121,18 @@
 //! §liveness path a silent channel takes. No `io::Error` ever bubbles
 //! out of the datapath.
 //!
-//! **Socket recreation.** Death is no longer terminal: the lifecycle
-//! machinery (see [`crate::lifecycle`]) calls
-//! [`revive`](DatagramLink::revive) after the cooldown, and the channel
-//! rebuilds itself from its remembered [`ChannelSpec`] — a *fresh*
-//! connected socket on the **same local port** (the peer's connected
-//! socket filters by 5-tuple, so the port must survive the swap) with
-//! a fresh [`BatchIo`]. Every acquired penalty is scoped to the socket
-//! generation and resets with it: the refusal score, the ENOBUFS
-//! backoff, the fatal streak, the EMSGSIZE MTU clamp, and the GSO
-//! demotion all start over, to be re-proved or re-acquired against the
-//! new path. The revived channel reports itself
-//! [`LifecycleState::Probing`] until the first inbound frame arrives.
+//! **Socket recreation.** Death is not terminal: the reactor calls
+//! [`revive`](DatagramLink::revive) on a dead channel on a doubling
+//! backoff, and the channel rebuilds itself from its remembered
+//! [`ChannelSpec`] — a *fresh* connected socket on the **same local
+//! port** (the peer's connected socket filters by 5-tuple, so the port
+//! must survive the swap) with a fresh [`BatchIo`]. Every acquired
+//! penalty is scoped to the socket generation and resets with it: the
+//! refusal score, the ENOBUFS backoff, the fatal streak, the EMSGSIZE
+//! MTU clamp, and the GSO demotion all start over, to be re-proved or
+//! re-acquired against the new path. Whether the rebuilt channel
+//! carries traffic again is the liveness tracker's call, made on the
+//! first probe ack it hears.
 
 use std::collections::VecDeque;
 use std::io;
@@ -140,7 +140,6 @@ use std::net::{SocketAddr, UdpSocket};
 
 use stripe_link::{DatagramLink, Train, TxError};
 
-use crate::lifecycle::LifecycleState;
 use crate::sys::{self, BatchIo};
 
 /// Refusal score at which a channel stops believing `ECONNREFUSED` is
@@ -249,19 +248,10 @@ pub struct UdpChannelSnapshot {
     pub enobufs_backoffs: u64,
     /// `EMSGSIZE` recoveries: MTU clamped, GSO demoted.
     pub mtu_clamps: u64,
-    /// The channel's own view of its lifecycle: `Live` while flowing,
-    /// `Dead` once [`UdpChannel::is_dead`], `Probing` between a socket
-    /// rebuild and the first inbound frame. (The cooldown/rejoining
-    /// phases live in the reactor's [`crate::lifecycle`] machine — the
-    /// channel itself only knows about its socket.)
-    pub lifecycle: LifecycleState,
     /// Socket generation: 0 for the original socket, +1 per successful
     /// rebuild. Penalties (refusal score, MTU clamp, GSO demotion) are
     /// scoped to one generation.
     pub generation: u64,
-    /// Completed revivals: rebuilt sockets that went on to hear the
-    /// peer again (`Probing` → `Live`).
-    pub rejoins: u64,
     /// Socket rebuild attempts (successful or not).
     pub revive_attempts: u64,
 }
@@ -407,7 +397,9 @@ impl UdpChannelBuilder {
             sock,
             spec,
             mtu: self.mtu,
-            queue: VecDeque::new(),
+            // Never longer than `queue_cap`: sized for it once, so the
+            // first long burst on a channel allocates nothing.
+            queue: VecDeque::with_capacity(self.queue_cap),
             arena: Vec::with_capacity(
                 ARENA_BYTES.min(self.queue_cap.saturating_mul(ARENA_FRAME_MAX)),
             ),
@@ -683,14 +675,9 @@ impl UdpChannel {
     }
 
     /// Inbound traffic arrived: the peer demonstrably lives, so refusal
-    /// evidence decays — and a rebuilt socket that was still probing has
-    /// now heard the path end to end, completing its revival.
+    /// evidence decays.
     fn note_alive(&mut self) {
         self.refused_score = self.refused_score.saturating_sub(1);
-        if self.stats.lifecycle == LifecycleState::Probing {
-            self.stats.lifecycle = LifecycleState::Live;
-            self.stats.rejoins += 1;
-        }
     }
 
     /// One `ECONNREFUSED` echo. Returns `true` while still transient.
@@ -730,15 +717,13 @@ impl UdpChannel {
 
     /// The socket has failed: fail sends fast and drop the queued frames
     /// (counted, never silently), their storage handed back as a sent
-    /// frame's is. Not a point of no return since the lifecycle work:
-    /// [`revive`](DatagramLink::revive) rebuilds the socket after the
-    /// reactor's cooldown.
+    /// frame's is. Not a point of no return:
+    /// [`revive`](DatagramLink::revive) rebuilds the socket.
     fn declare_dead(&mut self) {
         if self.dead {
             return;
         }
         self.dead = true;
-        self.stats.lifecycle = LifecycleState::Dead;
         while !self.queue.is_empty() {
             self.stats.dropped_error += 1;
             self.pop_head();
@@ -748,7 +733,7 @@ impl UdpChannel {
     /// Kill the socket from outside, exactly as a fatal-errno streak
     /// would from inside: sends fail fast, the queue drains,
     /// [`DatagramLink::link_dead`] raises. The chaos/ops
-    /// hook the flap soak uses to force real die→rejoin cycles (the
+    /// hook the flap soak uses to force real die→revive cycles (the
     /// in-crate tests use the same path via `force_dead`).
     pub fn inject_socket_death(&mut self) {
         self.declare_dead();
@@ -757,11 +742,9 @@ impl UdpChannel {
     /// Swap in a fresh connected socket on the same local port and
     /// reset every generation-scoped penalty: refusal score, fatal
     /// streak, ENOBUFS backoff, the EMSGSIZE MTU clamp, and (via the
-    /// fresh [`BatchIo`]) the GSO demotion. The channel comes back in
-    /// [`LifecycleState::Probing`] — alive for I/O but unproven until
-    /// the first inbound frame. Reviving a channel that never died is
-    /// a no-op. On error the channel stays dead (the old socket is
-    /// already gone; the lifecycle backs off and retries).
+    /// fresh [`BatchIo`]) the GSO demotion. Reviving a channel that
+    /// never died is a no-op. On error the channel stays dead (the old
+    /// socket is already gone; the reactor backs off and retries).
     pub fn revive_socket(&mut self) -> io::Result<()> {
         if !self.dead {
             return Ok(());
@@ -795,7 +778,6 @@ impl UdpChannel {
         self.backoff_flushes = 0;
         self.dead = false;
         self.stats.generation += 1;
-        self.stats.lifecycle = LifecycleState::Probing;
         Ok(())
     }
 
@@ -1391,27 +1373,20 @@ mod tests {
         park(&mut a, &[1u8; 8]).unwrap();
         a.force_dead();
         assert!(a.link_dead());
-        assert_eq!(a.stats().lifecycle, LifecycleState::Dead);
 
         assert!(a.revive(), "loopback rebind must succeed");
         assert!(!a.link_dead());
         assert_eq!(a.local_addr().unwrap().port(), port, "same 5-tuple");
         let s = a.stats();
-        assert_eq!(s.lifecycle, LifecycleState::Probing);
         assert_eq!(s.generation, 1);
         assert_eq!(s.revive_attempts, 1);
-        assert_eq!(s.rejoins, 0, "unproven until the peer is heard");
 
-        // Traffic flows both ways on the rebuilt socket, and the first
-        // inbound frame completes the revival.
+        // Traffic flows both ways on the rebuilt socket.
         a.send_frame(&[7u8; 8]).unwrap();
         let mut buf = [0u8; 256];
         assert_eq!(recv_poll(&mut b, &mut buf), Some(8));
         b.send_frame(&[9u8; 8]).unwrap();
         assert_eq!(recv_poll(&mut a, &mut buf), Some(8));
-        let s = a.stats();
-        assert_eq!(s.lifecycle, LifecycleState::Live);
-        assert_eq!(s.rejoins, 1);
     }
 
     #[test]
@@ -1445,7 +1420,7 @@ mod tests {
         assert!(a.revive());
         let s = a.stats();
         assert_eq!((s.generation, s.revive_attempts), (0, 0));
-        assert_eq!(s.lifecycle, LifecycleState::Live);
+        assert!(!a.link_dead());
     }
 
     /// Park one frame in the channel's queue until the next flush.

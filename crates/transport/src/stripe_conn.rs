@@ -611,11 +611,6 @@ impl<S: CausalScheduler, L: FifoLink> StripedPath<S, L> {
     pub fn sender(&self) -> &StripingSender<S> {
         &self.tx
     }
-
-    /// Mutable access to the sender engine (membership changes, resets).
-    pub fn sender_mut(&mut self) -> &mut StripingSender<S> {
-        &mut self.tx
-    }
 }
 
 impl<S: CausalScheduler, L: FifoLink> ControlPath for StripedPath<S, L> {

@@ -29,10 +29,10 @@ use stripe::core::receiver::RxBatch;
 use stripe::core::reset::DesyncDetector;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
-use stripe::link::TxError;
+use stripe::link::{DatagramLink, TxError};
 use stripe::net::{
-    ChaosPlan, FlowDemux, FlowError, ImpairedLink, LifecycleState, PumpEvent, ServerReactor,
-    StripeServer, UdpChannel,
+    ChaosPlan, FlowDemux, FlowError, ImpairedLink, PumpEvent, ServerReactor, StripeServer,
+    UdpChannel,
 };
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
@@ -176,10 +176,7 @@ fn main() -> std::io::Result<()> {
             driver.liveness().live_mask().iter().all(|&l| l)
                 && !driver.membership().in_progress()
                 && !driver.parked()
-                && reactor
-                    .lifecycle()
-                    .iter()
-                    .all(|lc| lc.state() == LifecycleState::Live)
+                && reactor.path().links().iter().all(|l| !l.link_dead())
         }};
     }
     macro_rules! clean_tail {

@@ -15,10 +15,10 @@
 //!   per flow).
 //!
 //! Mid-run, channel 1 loses its socket: the failover driver announces
-//! the shrunken mask (one membership epoch), the lifecycle machine
-//! rebuilds the socket, probes it back in, and the grow announcement
-//! (another epoch) restores full capacity — all of it flow-agnostic,
-//! with every flow riding through.
+//! the shrunken mask (one membership epoch), the reactor rebuilds the
+//! socket a probe interval later, the first probe ack grows it back in,
+//! and the grow announcement (another epoch) restores full capacity —
+//! all of it flow-agnostic, with every flow riding through.
 //!
 //! Any violation aborts with a non-zero exit — the CI gate keys on it.
 //!
@@ -29,9 +29,9 @@ use std::time::{Duration, Instant};
 use stripe::core::receiver::RxBatch;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
+use stripe::link::DatagramLink;
 use stripe::net::{
-    ChaosPlan, FlowDemux, ImpairedLink, LifecycleState, PumpEvent, ServerReactor, StripeServer,
-    UdpChannel,
+    ChaosPlan, FlowDemux, ImpairedLink, PumpEvent, ServerReactor, StripeServer, UdpChannel,
 };
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
@@ -165,10 +165,7 @@ fn main() -> std::io::Result<()> {
             let driver = reactor.driver().expect("driver attached");
             driver.liveness().live_mask().iter().all(|&l| l)
                 && !driver.membership().in_progress()
-                && reactor
-                    .lifecycle()
-                    .iter()
-                    .all(|lc| lc.state() == LifecycleState::Live)
+                && reactor.path().links().iter().all(|l| !l.link_dead())
         }};
     }
 
@@ -178,7 +175,7 @@ fn main() -> std::io::Result<()> {
     );
 
     // The epoch cycle: channel 1's socket dies, the mask shrinks, the
-    // lifecycle rebuilds and rejoins it.
+    // reactor rebuilds it and the first probe ack grows it back in.
     reactor.path_mut().links_mut()[1]
         .inner_mut()
         .inject_socket_death();
@@ -233,8 +230,9 @@ fn main() -> std::io::Result<()> {
     println!("  idle markers sent : {}", snap.path.markers_sent);
     println!("ReactorSnapshot:");
     println!("  link_dead_reports : {}", stats.link_dead_reports);
-    println!("  grow_announcements: {}", stats.grow_announcements);
-    println!("  rejoins           : {}", stats.rejoins);
+    let recoveries = reactor.driver().expect("attached").liveness().recoveries();
+    println!("LivenessTracker:");
+    println!("  recoveries        : {recoveries}");
     println!("UdpChannelSnapshot (per channel, sender side):");
     for (c, link) in reactor.path().links().iter().enumerate() {
         let s = link.inner().stats();
@@ -271,10 +269,8 @@ fn main() -> std::io::Result<()> {
     assert_eq!(rx.dropped_mark_ahead, 0);
     assert!(rx.data_frames > 0);
     assert!(stats.link_dead_reports >= 1);
-    assert!(stats.rejoins >= 1);
-    for lc in reactor.lifecycle() {
-        assert_eq!(lc.snapshot().state, LifecycleState::Live);
-    }
+    assert!(recoveries >= 1);
+    assert!(converged!());
 
     let total: usize = got.iter().map(|g| g.len()).sum();
     println!(

@@ -171,6 +171,7 @@ fn steady_state_net_datapath_allocates_nothing() {
     send_queue_allocates_nothing_when_a_flush_is_cut_short();
     reactor_polls_allocate_nothing_per_probe_interval();
     memory_pairs_allocate_nothing_per_packet();
+    lockstep_flows_allocate_nothing_on_their_first_turn_at_a_channel();
 }
 
 /// The channel's send queue alone, bursts of 64 B frames parked and
@@ -386,5 +387,89 @@ fn memory_pairs_allocate_nothing_per_packet() {
         allocs, 0,
         "a steady-state round over in-memory pairs must not touch the \
          allocator ({allocs} allocations over {delivered} packets)"
+    );
+}
+
+/// Many small flows in lockstep, the shape of a 10,000-flow workload of
+/// 64 B packets: each burst offers one packet to each of 128 flows, so
+/// every flow's SRR stands where every other's does, a whole burst
+/// leaves on one channel, and the bursts walk the channels in turn. The
+/// warm-up keeps every flow on channel 0; the measured bursts reach
+/// channels 1 to 3 for the first time, and touch the allocator not once
+/// (before a channel's stage and send queue were sized when built, each
+/// grew on its first full burst). Called from the one test: this
+/// binary's allocator must see one test at a time.
+fn lockstep_flows_allocate_nothing_on_their_first_turn_at_a_channel() {
+    const BURST: usize = 128;
+    let (mut tx_links, mut rx_links) = (Vec::new(), Vec::new());
+    for _ in 0..CHANNELS {
+        let (a, b) = UdpChannel::pair(2048, 1 << 10).unwrap();
+        tx_links.push(a);
+        rx_links.push(b);
+    }
+    let mut path = StripeServer::builder()
+        .scheduler(Srr::equal(CHANNELS, 1500))
+        .links(tx_links)
+        .build();
+    let mut rx = FlowDemux::builder()
+        .scheduler(Srr::equal(CHANNELS, 1500))
+        .links(rx_links)
+        .pool_buffers(256)
+        .build();
+    let flows: Vec<_> = (0..BURST).map(|_| path.open_flow().unwrap()).collect();
+    for flow in &flows {
+        assert!(rx.touch_flow(flow.id()));
+        rx.reserve_flow(flow.id(), 4);
+    }
+    let mut events: Vec<PumpEvent> = Vec::with_capacity(2 * BURST);
+    let mut got: RxBatch<PooledBuf> = RxBatch::with_capacity(2 * BURST);
+    let clock = WallClock::start();
+    let mut burst = |path: &mut StripeServer<Srr, UdpChannel>,
+                     rx: &mut FlowDemux<Srr, UdpChannel>| {
+        for flow in &flows {
+            path.enqueue(*flow, &[0x5a; 64]).unwrap();
+        }
+        path.pump_into(clock.now(), usize::MAX, &mut events);
+        let mut left = BURST;
+        let mut spins = 0u32;
+        while left > 0 {
+            rx.sweep(clock.now());
+            for flow in &flows {
+                rx.poll_flow_into(flow.id(), &mut got);
+                left -= got.len();
+                for pb in got.drain() {
+                    rx.recycle(pb);
+                }
+            }
+            spins += 1;
+            assert!(spins < 1_000_000, "loopback datagrams went missing");
+            std::thread::yield_now();
+        }
+    };
+    let channel_frames = |path: &StripeServer<Srr, UdpChannel>| -> Vec<u64> {
+        path.links().iter().map(|l| l.stats().sent_frames).collect()
+    };
+    for _ in 0..8 {
+        burst(&mut path, &mut rx);
+    }
+    assert_eq!(
+        channel_frames(&path)[1..],
+        [0; CHANNELS - 1],
+        "the warm-up stays on channel 0"
+    );
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let before = CountingAlloc::allocations();
+    for _ in 0..120 {
+        burst(&mut path, &mut rx);
+    }
+    let allocs = CountingAlloc::allocations() - before;
+    assert!(
+        channel_frames(&path).iter().all(|&n| n >= BURST as u64),
+        "the measured bursts reach every channel"
+    );
+    assert_eq!(
+        allocs, 0,
+        "a channel's first full burst must not touch the allocator \
+         ({allocs} allocations over 120 bursts of {BURST} flows)"
     );
 }

@@ -31,9 +31,10 @@ use stripe::core::receiver::RxBatch;
 use stripe::core::reset::DesyncDetector;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
+use stripe::link::DatagramLink;
 use stripe::net::{
-    ChaosPlan, FlowDemux, FlowError, FlowHandle, ImpairedLink, LifecycleState, PooledBuf,
-    PumpEvent, ServerReactor, StripeServer, UdpChannel,
+    ChaosPlan, FlowDemux, FlowError, FlowHandle, ImpairedLink, PooledBuf, PumpEvent, ServerReactor,
+    StripeServer, UdpChannel,
 };
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
@@ -201,17 +202,13 @@ impl Soak {
     }
 
     /// Whether the stripe is back at full capacity: every channel live,
-    /// every lifecycle machine `Live`, no handshake pending, unparked.
+    /// no handshake pending, unparked, no link dead.
     fn converged(&self) -> bool {
         let driver = self.reactor.driver().expect("driver attached");
         driver.liveness().live_mask().iter().all(|&l| l)
             && !driver.membership().in_progress()
             && !driver.parked()
-            && self
-                .reactor
-                .lifecycle()
-                .iter()
-                .all(|lc| lc.state() == LifecycleState::Live)
+            && self.reactor.path().links().iter().all(|l| !l.link_dead())
     }
 
     /// Drive until `cond` holds, streaming a light burst so the stripe
@@ -343,9 +340,10 @@ fn blackout_soak(seed: u64) {
         stats.park_ns > 0,
         "seed {seed}: park time not accounted after resume"
     );
+    let recoveries = s.reactor.driver().unwrap().liveness().recoveries();
     assert!(
-        stats.grow_announcements >= 1,
-        "seed {seed}: recovery without a grow announcement"
+        recoveries >= CHANNELS as u64,
+        "seed {seed}: every channel must recover (and grow back), saw {recoveries}"
     );
 
     s.assert_clean_tail("post-blackout");

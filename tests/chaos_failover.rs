@@ -15,10 +15,10 @@ use stripe::transport::failover::{FailoverConfig, FailoverDriver};
 
 const QUANTUM: i64 = 1500;
 /// Probes effectively disabled: only link-layer evidence may declare
-/// death in this test, never the silence deadline. The lifecycle
-/// machine derives its cooldowns from the same interval, so no rebind
-/// fires within the test horizon either — death stays terminal *here*,
-/// by configuration; the full die → rejoin walk is `flap_soak.rs`.
+/// death in this test, never the silence deadline. The reactor's revive
+/// backoff starts at the same interval, so no revive fires within the
+/// test horizon either — death stays terminal *here*, by configuration;
+/// the full die → revive → rejoin walk is `flap_soak.rs`.
 const SLOW_PROBE_NS: u64 = 1_000_000_000_000;
 
 #[test]

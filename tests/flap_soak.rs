@@ -1,34 +1,35 @@
-//! The flap soak: repeated die → cooldown → probe → grow → rejoin
-//! cycles over impaired kernel loopback, for several seeds, proving the
-//! lifecycle machine converges back to full N-channel capacity every
-//! time instead of tombstoning flapping channels.
+//! The flap soak: repeated die → revive → probe → grow cycles over
+//! impaired kernel loopback, for several seeds, proving a flapping
+//! stripe converges back to full N-channel capacity every time instead
+//! of tombstoning flapping channels.
 //!
 //! Per cycle, two different death paths flap:
 //!
 //! - channel 1 loses its *socket* ([`UdpChannel::inject_socket_death`]):
-//!   the reactor hears `link_dead`, announces a shrink, and the
-//!   lifecycle machine rebuilds the socket on the same port
-//!   ([`DatagramLink::revive`]) before probing back in;
+//!   the reactor hears `link_dead`, announces a shrink, and one probe
+//!   interval later rebuilds the socket on the same port
+//!   ([`DatagramLink::revive`]);
+//!   the first probe ack grows it back in;
 //! - channel 2 goes *dark* behind a [`ChaosPlan`] partition: probes
 //!   starve, the silence deadline declares death, and — once the
-//!   partition lifts — the very same walk (cooldown → probe → grow →
-//!   rejoin) brings it home with a no-op rebind.
+//!   partition lifts — the first probe ack grows it back in. Its socket
+//!   never died, so it is never rebuilt.
 //!
 //! After every rejoin the suite asserts full capacity (live mask all
-//! true, every lifecycle machine `Live`, membership handshake settled)
-//! and bounded SRR fairness (every channel carries a real share of the
-//! next window). After the last cycle, the Theorem 5.1 tail must be
-//! set-exact and quasi-FIFO, with zero corrupted deliveries across the
-//! whole run.
+//! true, membership handshake settled, no link dead) and bounded SRR
+//! fairness (every channel carries a real share of the next window).
+//! After the last cycle, the Theorem 5.1 tail must be set-exact and
+//! quasi-FIFO, with zero corrupted deliveries across the whole run.
 
 use std::time::{Duration, Instant};
 
 use stripe::core::receiver::RxBatch;
 use stripe::core::sched::Srr;
 use stripe::core::sender::MarkerConfig;
+use stripe::link::DatagramLink;
 use stripe::net::{
-    ChaosPlan, FlowDemux, FlowHandle, ImpairedLink, LifecycleState, PooledBuf, PumpEvent,
-    ServerReactor, StripeServer, UdpChannel,
+    ChaosPlan, FlowDemux, FlowHandle, ImpairedLink, PooledBuf, PumpEvent, ServerReactor,
+    StripeServer, UdpChannel,
 };
 use stripe::netsim::{SimDuration, SimTime};
 use stripe::transport::failover::{FailoverConfig, FailoverDriver};
@@ -37,8 +38,7 @@ const CHANNELS: usize = 3;
 const QUANTUM: i64 = 1500;
 const PAYLOAD: usize = 300;
 const CYCLES: u64 = 3;
-/// Probe cadence; the lifecycle machine derives its cooldown (1×..16×),
-/// probe timeout (4×) and rejoin timeout (8×) from it.
+/// Probe cadence; the reactor's revive backoff (1×..16×) follows it.
 const PROBE_NS: u64 = 1_000_000;
 /// Logical time per driver iteration.
 const STEP_US: u64 = 100;
@@ -183,16 +183,12 @@ impl Soak {
     }
 
     /// Whether the stripe is back at full capacity: every channel live,
-    /// every lifecycle machine `Live`, no membership handshake pending.
+    /// no membership handshake pending, no link dead.
     fn converged(&self) -> bool {
         let driver = self.reactor.driver().expect("driver attached");
         driver.liveness().live_mask().iter().all(|&l| l)
             && !driver.membership().in_progress()
-            && self
-                .reactor
-                .lifecycle()
-                .iter()
-                .all(|lc| lc.state() == LifecycleState::Live)
+            && self.reactor.path().links().iter().all(|l| !l.link_dead())
     }
 
     /// Drive until `cond` holds, streaming a light burst so the stripe
@@ -254,8 +250,8 @@ fn flap_soak(seed: u64) {
         s.run_until("shrink after socket death", |s| {
             !s.reactor.driver().unwrap().liveness().live_mask()[1]
         });
-        // Die → cooldown → rebind (fresh socket, same port) → probe →
-        // grow → rejoin, all reactor-driven.
+        // Die → revive (fresh socket, same port) → probe → grow, all
+        // reactor-driven.
         s.run_until("rejoin after socket death", Soak::converged);
         let inner = s.reactor.path().links()[1].inner().stats();
         assert_eq!(
@@ -263,7 +259,6 @@ fn flap_soak(seed: u64) {
             cycle + 1,
             "seed {seed}: cycle {cycle}: socket not rebuilt"
         );
-        assert_eq!(inner.lifecycle, LifecycleState::Live);
         s.assert_fair_share(120);
 
         // --- Flap B: channel 2 goes dark behind a partition. -----------
@@ -273,9 +268,9 @@ fn flap_soak(seed: u64) {
         s.run_until("silence death under partition", |s| {
             !s.reactor.driver().unwrap().liveness().live_mask()[2]
         });
-        // Lift the partition: probes reach the receiver again and the
-        // lifecycle machine walks the channel home (the rebind is a
-        // no-op — the socket never died).
+        // Lift the partition: probes reach the receiver again, and the
+        // first ack grows the channel back in (no revive — the socket
+        // never died).
         s.reactor.path_mut().links_mut()[2].set_plan(ChaosPlan::none());
         s.run_until("rejoin after partition", Soak::converged);
         assert!(
@@ -297,20 +292,20 @@ fn flap_soak(seed: u64) {
         "seed {seed}: socket deaths under-reported ({})",
         stats.link_dead_reports
     );
+    let recoveries = s.reactor.driver().unwrap().liveness().recoveries();
     assert!(
-        stats.grow_announcements >= 2 * CYCLES,
-        "seed {seed}: expected a grow per flap, saw {}",
-        stats.grow_announcements
-    );
-    assert!(
-        stats.rejoins >= 2 * CYCLES,
-        "seed {seed}: expected a completed rejoin per flap, saw {}",
-        stats.rejoins
+        recoveries >= 2 * CYCLES,
+        "seed {seed}: expected a recovery (and its grow) per flap, saw {recoveries}"
     );
     let ch1 = s.reactor.path().links()[1].inner().stats();
     assert_eq!(ch1.generation, CYCLES, "seed {seed}: one rebuild per cycle");
-    assert_eq!(ch1.rejoins, CYCLES);
     assert!(ch1.revive_attempts >= CYCLES);
+    let ch2 = s.reactor.path().links()[2].inner().stats();
+    assert_eq!(
+        (ch2.generation, ch2.revive_attempts),
+        (0, 0),
+        "seed {seed}: a partition must never rebuild the socket"
+    );
 
     // Make sure channel 0's corruption window actually fired and is
     // fully behind us before measuring the clean tail.

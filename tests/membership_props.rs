@@ -274,7 +274,7 @@ proptest! {
         }
     }
 
-    /// The lifecycle rejoin path: a second change announced while the
+    /// The rejoin path: a second change announced while the
     /// first is still in flight (a membership *grow* on top of its own
     /// shrink — the channel flapped faster than the wire). Whatever the
     /// interleaving and however many retransmits, the newer change applies
