@@ -1044,6 +1044,80 @@ mod tests {
         assert_eq!(drain(&mut b1), drain(&mut b2));
     }
 
+    /// Counts the runs it is offered, then hands each on to its inner
+    /// link.
+    struct RunCounter {
+        inner: stripe_link::TestDatagramLink,
+        runs: Vec<usize>,
+    }
+
+    impl DatagramLink for RunCounter {
+        fn send_frame(&mut self, frame: &[u8]) -> Result<(), TxError> {
+            self.inner.send_frame(frame)
+        }
+
+        fn recv_frame(&mut self, buf: &mut [u8]) -> Option<usize> {
+            self.inner.recv_frame(buf)
+        }
+
+        fn mtu(&self) -> usize {
+            self.inner.mtu()
+        }
+
+        fn send_run_owned(&mut self, frames: &mut [Vec<u8>], out: &mut Vec<Result<(), TxError>>) {
+            self.runs.push(frames.len());
+            self.inner.send_run_owned(frames, out);
+        }
+
+        fn reclaim(&mut self, into: &mut Vec<Vec<u8>>) {
+            self.inner.reclaim(into);
+        }
+    }
+
+    /// What the run path is for: under `ChaosPlan::none()`, and under a
+    /// `DropPolicy` alone, every kept sub-run reaches the inner link as
+    /// one `send_run_owned` call with its storage taken, so a channel
+    /// that only drops keeps the inner link's batching. A dropped frame
+    /// keeps its storage.
+    #[test]
+    fn pure_drop_plans_hand_each_kept_sub_run_on_whole() {
+        // Nine data frames and a probe at index 4. A period of 3 drops
+        // data frames 2, 5 and 8: indices 2, 6 and 9.
+        let cases = [
+            (ChaosPlan::none(), vec![10], vec![]),
+            (
+                ChaosPlan::none().loss(DropPolicy::Periodic { period: 3 }),
+                vec![2, 3, 2],
+                vec![2, 6, 9],
+            ),
+        ];
+        for (plan, runs, dropped) in cases {
+            let (a, mut b) = datagram_pair(256, 64);
+            let counter = RunCounter {
+                inner: a,
+                runs: Vec::new(),
+            };
+            let mut link = ImpairedLink::new(counter, plan, 0);
+            let mut frames: Vec<Vec<u8>> = (0..9u8).map(data_frame).collect();
+            let mut ctl = Vec::new();
+            encode_control_into(&Control::Probe { nonce: 5 }, &mut ctl);
+            frames.insert(4, ctl);
+            let sent = frames.clone();
+            let mut out = Vec::new();
+            link.send_run_owned(&mut frames, &mut out);
+            assert_eq!(out, vec![Ok(()); 10]);
+            assert_eq!(link.inner().runs, runs, "one call per kept sub-run");
+            for (i, (f, s)) in frames.iter().zip(&sent).enumerate() {
+                if dropped.contains(&i) {
+                    assert_eq!(f, s, "dropped frame {i} keeps its storage");
+                } else {
+                    assert!(f.is_empty(), "kept frame {i}'s storage not taken");
+                }
+            }
+            assert_eq!(drain(&mut b).len(), 10 - dropped.len());
+        }
+    }
+
     #[test]
     fn same_seed_replays_the_same_impairments() {
         let plan = || {

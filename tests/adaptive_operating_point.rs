@@ -13,7 +13,7 @@
 //! - **SRR, 4:2:1 quanta** — the operating point the adaptive loop
 //!   (estimators → quantum tuner → epoch'd retune) converges to, frozen
 //!   so the steady state is what is checked, not the transient
-//!   (`examples/adaptive_soak.rs` drives the loop itself);
+//!   (`tests/retune_fairness.rs` drives the loop itself);
 //! - **Sprinkler** — packet-counted random stripes, weights 4:2:1,
 //!   behind the same `CausalScheduler` seam, same marker cadence.
 //!

@@ -199,19 +199,32 @@ use stripe::transport::{ControlTransmission, FailoverConfig, FailoverDriver};
 
 const ADAPT_MS: u64 = 5;
 const INCARNATION: u64 = 7;
+const PAYLOAD: usize = 500;
+/// Packets offered a millisecond well past aggregate capacity: every
+/// policer binds, so carried load IS capacity.
+const SATURATING: usize = 48;
+/// Packets offered a millisecond that the three policers together just
+/// carry when every channel gets its capacity share, and not otherwise:
+/// 24 frames of 508 wire bytes are 12.2 kB against 14 kB of refill (two
+/// flushes a millisecond), and equal quanta offer the 2 kB channel 4 kB.
+const AT_CAPACITY: usize = 24;
 
-/// Three in-memory channels policed 4:2:1 under saturating load, a
-/// failover driver and the adaptive tuner on the sender, one flow.
+/// Three in-memory channels policed 4:2:1, a failover driver and (when
+/// attached) the adaptive tuner on the sender, one flow offered `offer`
+/// packets a millisecond.
 struct AdaptiveLoop {
     reactor: ServerReactor<Srr, ImpairedLink<TestDatagramLink>>,
     rx: FlowDemux<Srr, ImpairedLink<TestDatagramLink>>,
     flow: FlowHandle,
+    offer: usize,
     now_ms: u64,
     seq: u64,
+    /// Per offered seq, whether it has been delivered.
+    delivered: Vec<bool>,
 }
 
 impl AdaptiveLoop {
-    fn new() -> Self {
+    fn new(offer: usize, attach: bool) -> Self {
         let (mut fwd, mut rev) = (Vec::new(), Vec::new());
         for (i, r) in [4000u64, 2000, 1000].into_iter().enumerate() {
             let (a, b) = datagram_pair(2048, 1 << 12);
@@ -232,8 +245,10 @@ impl AdaptiveLoop {
         let driver = FailoverDriver::new(3, cfg, SimTime::ZERO);
         let tick = SimDuration::from_millis(1);
         let mut reactor = ServerReactor::new(path, Some(driver), SimTime::ZERO, tick);
-        let adapt = AdaptiveConfig::with_interval(SimDuration::from_millis(ADAPT_MS));
-        reactor.attach_adaptive(AdaptiveTuner::new(&[1500; 3], adapt, SimTime::ZERO));
+        if attach {
+            let adapt = AdaptiveConfig::with_interval(SimDuration::from_millis(ADAPT_MS));
+            reactor.attach_adaptive(AdaptiveTuner::new(&[1500; 3], adapt, SimTime::ZERO));
+        }
         let mut rx = FlowDemux::builder()
             .scheduler(Srr::equal(3, 1500))
             .links(rev)
@@ -244,21 +259,23 @@ impl AdaptiveLoop {
             reactor,
             rx,
             flow,
+            offer,
             now_ms: 0,
             seq: 0,
+            delivered: Vec::new(),
         }
     }
 
-    /// The sender's half of one millisecond: offer well past aggregate
-    /// capacity (every policer binds, so carried load IS capacity), pump,
-    /// poll. Returns the control it transmitted, not yet seen by the peer.
+    /// The sender's half of one millisecond: offer the load, pump, poll.
+    /// Returns the control it transmitted, not yet seen by the peer.
     fn send_ms(&mut self) -> Vec<ControlTransmission> {
         self.now_ms += 1;
         let now = SimTime::from_millis(self.now_ms);
-        for _ in 0..48 {
-            let mut p = [0u8; 500];
+        for _ in 0..self.offer {
+            let mut p = [self.seq as u8; PAYLOAD];
             p[..8].copy_from_slice(&self.seq.to_be_bytes());
             self.seq += 1;
+            self.delivered.push(false);
             // Refused while parked for a reset: fine, the load is open-loop.
             let _ = self.reactor.path_mut().enqueue(self.flow, &p);
         }
@@ -269,14 +286,31 @@ impl AdaptiveLoop {
         self.reactor.poll(now).collect()
     }
 
-    /// The receiver's half: sweep, answer control, drain deliveries.
+    /// The receiver's half: sweep, answer control, drain deliveries,
+    /// each byte-exact and delivered at most once.
     fn recv_ms(&mut self) {
         self.rx.sweep(SimTime::from_millis(self.now_ms));
         let mut batch = stripe::core::receiver::RxBatch::new();
         self.rx.poll_flow_into(self.flow.id(), &mut batch);
         for pb in batch.drain() {
+            let p = pb.as_slice();
+            let seq = u64::from_be_bytes(p[..8].try_into().unwrap());
+            assert!(seq < self.seq, "bogus seq {seq} delivered");
+            assert!(
+                p.len() == PAYLOAD && p[8..].iter().all(|&b| b == seq as u8),
+                "seq {seq} delivered corrupted"
+            );
+            let seen = &mut self.delivered[seq as usize];
+            assert!(!*seen, "seq {seq} delivered twice");
+            *seen = true;
             self.rx.recycle(pb);
         }
+    }
+
+    /// Frames the three policers have dropped so far.
+    fn policed(&self) -> u64 {
+        let links = self.reactor.path().links();
+        links.iter().map(|l| l.snapshot().dropped_shaped).sum()
     }
 
     fn run_until(&mut self, what: &str, limit_ms: u64, done: impl Fn(&Self) -> bool) {
@@ -314,7 +348,7 @@ impl AdaptiveLoop {
 /// longer in force and the path stays un-tuned for good.
 #[test]
 fn reset_does_not_untune_the_path() {
-    let mut l = AdaptiveLoop::new();
+    let mut l = AdaptiveLoop::new(SATURATING, true);
     l.run_until("first retune", 200, |l| {
         l.reactor.stats().retunes_complete >= 1 && l.sender_quanta() == l.driver().quanta()
     });
@@ -348,7 +382,7 @@ fn reset_does_not_untune_the_path() {
 /// outage, exactly when the capacity split changed most.
 #[test]
 fn retune_in_flight_survives_a_channel_death() {
-    let mut l = AdaptiveLoop::new();
+    let mut l = AdaptiveLoop::new(SATURATING, true);
     // Cut channel 2's reverse path the moment the first retune is flooded:
     // channels 0 and 1 ack it, channel 2 never will — nor its probes.
     let flooded = |r: &ControlTransmission| matches!(r.ctl, Control::QuantumAnnounce { .. });
@@ -374,4 +408,35 @@ fn retune_in_flight_survives_a_channel_death() {
     l.run_until("a later retune", 20 * ADAPT_MS, |l| {
         l.reactor.stats().retunes >= 2
     });
+}
+
+/// What the loop is for, as a check that can fail: under a load the
+/// three policers carry only at the capacity split, the attached loop
+/// must leave less for them to drop over the settled tail than the same
+/// load loses at the initial equal quanta.
+#[test]
+fn attached_loop_polices_less_than_equal_quanta() {
+    const SETTLE_MS: u64 = 200;
+    const TAIL_MS: u64 = 100;
+    let policed_in_tail = |attach| {
+        let mut l = AdaptiveLoop::new(AT_CAPACITY, attach);
+        let mut before = 0;
+        for ms in 0..SETTLE_MS + TAIL_MS {
+            if ms == SETTLE_MS {
+                before = l.policed();
+            }
+            l.send_ms();
+            l.recv_ms();
+        }
+        if attach {
+            assert!(l.reactor.stats().retunes_complete >= 1, "never retuned");
+        }
+        l.policed() - before
+    };
+    let (attached, detached) = (policed_in_tail(true), policed_in_tail(false));
+    assert!(detached > 0, "equal quanta must overrun the slow channel");
+    assert!(
+        attached < detached,
+        "the loop left {attached} frames policed against {detached} at equal quanta"
+    );
 }
